@@ -24,11 +24,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridFunction, backward_diff, forward_diff
+from .grid import GridFunction, forward_diff
 from .hamiltonians import HamiltonianSpec
 from .kernels import constant_kernel, periodized_weights
-from .operators import apply_table, spectral_flap
-from .parabolic import NumericalFailure, godunov_power_flux
+from .operators import spectral_flap
+from .parabolic import MonotoneScheme, NumericalFailure, coefficient_scheme
 
 
 def regime_of(sigma: float) -> str:
@@ -62,10 +62,6 @@ class CellConfig:
     tol: float = 1e-9
     max_steps: int = 600_000
     cfl_safety: float = 0.9
-    flux: str = "godunov"
-    theta: Optional[float] = None
-    gradient_pad: float = 4.0
-    check_every: int = 250
     image_budget: int = 16
 
 
@@ -105,137 +101,47 @@ def _holder_quotients(psi: np.ndarray, gammas=(0.25, 0.5, 0.75, 0.9)) -> tuple:
     return tuple(out)
 
 
-class _StationaryOperator:
-    """F(v) for one regime, plus the CFL budget of its monotone discretization."""
+def _cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
+    """The frozen-coefficient stationary operator of the parameters' regime."""
+    n = cfg.n
+    ys = np.arange(n) / n
+    xs = np.full(n, params.x)
+    a_vals = np.asarray(params.a(xs, ys), dtype=float)
+    if np.min(a_vals) <= 0.0:
+        raise ValueError("coefficient a must be positive on the cell")
+    ham, p, regime = params.ham, params.p, params.regime
+    table = None
+    if regime in ("equal_one", "above_one"):
+        table = periodized_weights(constant_kernel(params.sigma), n,
+                                   image_budget=cfg.image_budget)
+    const = -a_vals * params.l
+    if regime == "above_one":
+        hp = np.asarray(ham.eval(xs, ys, np.full(n, p)), dtype=float)
+        return MonotoneScheme(1.0 / n, None, abs(p), theta=0.0, table=table, a=a_vals,
+                              const=const + hp)
 
-    def __init__(self, params: CellParams, cfg: CellConfig):
-        n = cfg.n
-        ys = np.arange(n) / n
-        h = 1.0 / n
-        self.n, self.h = n, h
-        x = params.x
-        a_vals = np.asarray(params.a(np.full(n, x), ys), dtype=float)
-        if np.min(a_vals) <= 0.0:
-            raise ValueError("coefficient a must be positive on the cell")
-        a_max = float(np.max(a_vals))
-        ham = params.ham
-        regime = params.regime
-
-        self.table = None
-        if regime in ("equal_one", "above_one"):
-            self.table = periodized_weights(constant_kernel(params.sigma), n,
-                                            image_budget=cfg.image_budget)
-
-        use_godunov = cfg.flux == "godunov" and ham.power_form is not None
-        if cfg.flux == "godunov" and ham.power_form is None:
-            raise ValueError("Godunov flux needs the power-form structure hint")
-
-        p = params.p
-        if regime == "above_one":
-            hp = np.asarray(ham.eval(np.full(n, x), ys, np.full(n, p)), dtype=float)
-            const = -a_vals * params.l + hp
-
-            def F(v):
-                return const - a_vals * apply_table(v, self.table)
-
-            self.theta = 0.0
-            self.F = F
-            self.budget = a_max * self.table.tail_mass
-            self.p_range = abs(p)
-            return
-
-        # gradient-coupled regimes: a-priori range for p + Dv from coercivity
-        if ham.power_form is not None:
-            b_grid = np.asarray(ham.power_form.b(np.full(n, x), ys), dtype=float)
-            f_grid = np.asarray(ham.power_form.f(np.full(n, x), ys), dtype=float)
-            b_min = float(np.min(b_grid))
-            f_sup = float(np.max(np.abs(f_grid)))
-            reach = ((a_max * abs(params.l) + 2.0 * f_sup + cfg.gradient_pad) / b_min
-                     ) ** (1.0 / ham.m)
-        else:
-            reach = cfg.gradient_pad
-        p_range = abs(p) + reach + 1.0
-        self.p_range = p_range
-
-        if use_godunov:
-            m = ham.power_form.m
-            theta = float(np.max(b_grid)) * m * p_range ** (m - 1.0)
-            self._godunov_bm = (float(np.max(b_grid)), m, abs(p))
-
-            def flux(v):
-                ql = p + backward_diff(v, h)
-                qr = p + forward_diff(v, h)
-                return b_grid * godunov_power_flux(m, ql, qr) - f_grid
-        else:
-            theta = cfg.theta
-            if theta is None:
-                ps = np.linspace(-p_range, p_range, 201)
-                d = 1e-5
-                Y, P = np.meshgrid(ys, ps, indexing="ij")
-                X = np.full_like(Y, x)
-                slope = np.abs(ham.eval(X, Y, P + d) - ham.eval(X, Y, P - d)) / (2 * d)
-                theta = float(np.max(slope))
-
-            def flux(v):
-                ql = p + backward_diff(v, h)
-                qr = p + forward_diff(v, h)
-                return ham.eval(np.full(n, x), ys, 0.5 * (ql + qr)) - 0.5 * theta * (qr - ql)
-
-        self.theta = theta
-        const = -a_vals * params.l
-
-        if regime == "below_one":
-            def F(v):
-                return const + flux(v)
-
-            self.F = F
-            self._base_budget = 0.0
-            self.budget = theta / h
-        else:
-            b_drift = params.drift_b
-
-            def drift(v):
-                if b_drift == 0.0:
-                    return 0.0
-                dv = backward_diff(v, h) if b_drift > 0.0 else forward_diff(v, h)
-                return b_drift * dv
-
-            def F(v):
-                return (const + a_vals * (-apply_table(v, self.table) + drift(v))
-                        + flux(v))
-
-            self.F = F
-            self._base_budget = (a_max * self.table.tail_mass
-                                 + a_max * abs(b_drift) / h)
-            self.budget = self._base_budget + theta / h
-
-    def tighten(self, v: np.ndarray) -> None:
-        """Shrink the CFL budget to the gradients actually reached.
-
-        Only the Godunov path qualifies: there theta enters the step bound but
-        not the flux values, so the discrete fixed point is unchanged.  A 50%
-        margin over the observed range keeps the monotonicity certificate.
-        """
-        bm = getattr(self, "_godunov_bm", None)
-        if bm is None:
-            return
-        b_max, m, p_abs = bm
-        q_max = p_abs + float(np.max(np.abs(forward_diff(v, self.h))))
-        seen = 1.5 * q_max + 0.1
-        if seen < self.p_range:
-            self.p_range = seen
-            self.theta = b_max * m * seen ** (m - 1.0)
-            self.budget = self._base_budget + self.theta / self.h
+    # gradient-coupled regimes: a-priori range for p + Dv from coercivity,
+    # padded by a fixed slack
+    pad = 4.0
+    reach = pad
+    if ham.power_form is not None:
+        b_min = float(np.min(ham.power_form.b(xs, ys)))
+        f_sup = float(np.max(np.abs(ham.power_form.f(xs, ys))))
+        reach = ((float(np.max(a_vals)) * abs(params.l) + 2.0 * f_sup + pad) / b_min
+                 ) ** (1.0 / ham.m)
+    return coefficient_scheme(1.0 / n, xs, ys, a_vals, ham, abs(p) + reach + 1.0,
+                              p=p, table=table, const=const,
+                              drift=params.drift_b if regime == "equal_one" else 0.0)
 
 
-def _march(op: _StationaryOperator, phi: np.ndarray, delta: float,
+def _march(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
            cfg: CellConfig) -> tuple:
-    dt = cfg.cfl_safety / (op.budget + delta)
+    dt = scheme.dt(cfg.cfl_safety, delta)
     phi = phi - np.mean(phi)
     res = np.inf
     steps = 0
     while steps < cfg.max_steps:
-        r = delta * phi + op.F(phi)
+        r = delta * phi + scheme.residual(phi)
         r -= np.mean(r)
         nr = float(np.max(np.abs(r)))
         if nr < cfg.tol:
@@ -243,7 +149,7 @@ def _march(op: _StationaryOperator, phi: np.ndarray, delta: float,
             break
         phi = phi - dt * r
         steps += 1
-        if steps % cfg.check_every == 0:
+        if steps % 250 == 0:
             if not np.all(np.isfinite(phi)):
                 raise NumericalFailure(f"cell march produced non-finite state at step {steps}")
             phi -= np.mean(phi)
@@ -263,24 +169,24 @@ def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfi
     deltas = sorted(set(float(d) for d in deltas), reverse=True)
     if not deltas or deltas[-1] <= 0.0:
         raise ValueError("discounts must be positive")
-    op = _StationaryOperator(params, cfg)
+    scheme = _cell_scheme(params, cfg)
     phi = np.zeros(cfg.n)
-    if getattr(op, "_godunov_bm", None) is not None:
+    if scheme.power is not None:
         # short pre-march at the conservative step, then shrink the CFL budget
         # to the gradients actually present before the real sweep
         pre_cfg = replace(cfg, max_steps=min(4000, cfg.max_steps))
-        phi, _, _, _ = _march(op, phi, deltas[0], pre_cfg)
-        op.tighten(phi)
+        phi, _, _, _ = _march(scheme, phi, deltas[0], pre_cfg)
+        scheme.tighten(phi)
     trace = []
     residuals = []
     all_ok = True
     minus_dpsi = None
     psi_delta_sup = 0.0
     for d in deltas:
-        phi, res, steps, ok = _march(op, phi, d, cfg)
+        phi, res, steps, ok = _march(scheme, phi, d, cfg)
         all_ok = all_ok and ok
-        op.tighten(phi)
-        mean_F = float(np.mean(op.F(phi)))
+        scheme.tighten(phi)
+        mean_F = float(np.mean(scheme.residual(phi)))
         minus_dpsi = -d * phi + mean_F
         psi_delta_sup = float(np.max(np.abs(phi - mean_F / d)))
         trace.append((d, float(np.min(minus_dpsi)), float(np.max(minus_dpsi))))
@@ -290,7 +196,7 @@ def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfi
     psi = GridFunction(psi_vals)
     reg = RegularityReport(
         osc=float(np.max(psi_vals) - np.min(psi_vals)),
-        lip=float(np.max(np.abs(forward_diff(psi_vals, op.h)))),
+        lip=float(np.max(np.abs(forward_diff(psi_vals, scheme.h)))),
         holder=_holder_quotients(psi_vals),
         flap_sup=float(np.max(np.abs(spectral_flap(psi, 1.0).values))),
     )
@@ -308,15 +214,15 @@ def long_time_average(params: CellParams, T_max: float,
     the running estimate over the last decade of time.
     """
     cfg = cfg or CellConfig()
-    op = _StationaryOperator(params, cfg)
-    dt = cfg.cfl_safety / op.budget
+    scheme = _cell_scheme(params, cfg)
+    dt = scheme.dt(cfg.cfl_safety)
     steps_total = int(math.ceil(T_max / dt))
     v = np.zeros(cfg.n)
     checkpoints = []
     next_check = T_max / 64.0
     t = 0.0
     for s in range(steps_total):
-        v = v - dt * op.F(v)
+        v = v - dt * scheme.residual(v)
         t += dt
         if t >= next_check or s == steps_total - 1:
             checkpoints.append((t, -float(np.mean(v)) / t))

@@ -1,10 +1,12 @@
 """Command-line entry point: configuration in, CSV artifacts out.
 
 Commands: audit, drift, cell, effective, solve, homogenize, constants.
-Exit codes: 0 success, 2 validation or audit failure, 3 numerical failure,
-4 I/O failure.  Audit-gated commands refuse to run on failed audits unless
---force is given.  --threads is accepted for interface stability; results
-never depend on it (the numerics are deterministic single-process numpy).
+Exit codes: 0 success, 2 validation or audit failure (including an
+effective table that cannot be read or does not cover the solve), 3 numerical
+failure, 4 I/O failure.  Audit-gated commands refuse to run on failed audits
+unless --force is given.  The numerics are deterministic single-process
+numpy; the flux and its dissipation are worked out from the data, so no
+configuration key selects them.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def _cell_params(cfg: RunConfig, p: float = None, l: float = None) -> CellParams
 
 def _cell_config(cfg: RunConfig) -> CellConfig:
     return CellConfig(n=cfg["cell.n"], tol=cfg["cell.tol"],
-                      max_steps=cfg["cell.max_steps"], flux=cfg["grid.flux"],
+                      max_steps=cfg["cell.max_steps"],
                       cfl_safety=cfg["grid.cfl_safety"],
                       image_budget=cfg["kernel.image_budget"])
 
@@ -238,18 +240,13 @@ def cmd_solve(args, cfg: RunConfig) -> int:
             except OSError as exc:
                 print(f"cannot read table: {exc}", file=sys.stderr)
                 return EXIT_IO
+            except ValueError as exc:
+                print(f"invalid input: {exc}", file=sys.stderr)
+                return EXIT_AUDIT
         problem = ParabolicProblem(kind="effective", u0=u0, T=cfg["grid.T"],
-                                   kernel=kernel, table=table,
-                                   hbar_value=src.value, hbar_l_slope=src.l_slope,
-                                   hbar_power_coeff=src.power_coeff,
-                                   hbar_power_m=src.power_m)
-    theta = cfg["grid.theta"]
-    if (theta < 0 and cfg["grid.kind"] == "effective"
-            and getattr(src, "theta", None) is not None):
-        theta = src.theta
+                                   kernel=kernel, table=table, source=src)
     grange = cfg["grid.gradient_range"]
-    scfg = SolverConfig(cfl_safety=cfg["grid.cfl_safety"], flux=cfg["grid.flux"],
-                        theta=None if theta < 0 else theta,
+    scfg = SolverConfig(cfl_safety=cfg["grid.cfl_safety"],
                         gradient_range=None if grange < 0 else grange,
                         snapshots=cfg["grid.snapshots"])
     try:
@@ -257,6 +254,10 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        # a table source queried outside its hull
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_AUDIT
     tpath = _out_path(args, cfg, "trajectory.csv")
     spath = _out_path(args, cfg, "summary.csv")
     csvio.emit_csv(tpath, ["t", "x", "u"], csvio.trajectory_rows(traj),
@@ -303,7 +304,7 @@ def cmd_homogenize(args, cfg: RunConfig) -> int:
     scfg = SweepConfig(n_per_k=cfg["sweep.n_per_k"],
                        n_fixed=None if n_fixed == 0 else n_fixed,
                        snapshots=cfg["sweep.snapshots"],
-                       cfl_safety=cfg["grid.cfl_safety"], flux=cfg["grid.flux"],
+                       cfl_safety=cfg["grid.cfl_safety"],
                        image_budget=cfg["kernel.image_budget"])
     try:
         report = run_sweep(family, cfg["sweep.eps_list"], scfg,
@@ -311,6 +312,10 @@ def cmd_homogenize(args, cfg: RunConfig) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        # the effective table does not cover the homogenized solve
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_AUDIT
     path = _out_path(args, cfg, "sweep.csv")
     csvio.emit_csv(path, ["eps", "n", "dt", "error", "rate", "corrector_residual",
                           "seconds"], csvio.sweep_rows(report), cfg.header_lines())
@@ -369,8 +374,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--force", action="store_true",
                         help="run even if structural audits fail")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="advisory; affects speed only, never results")
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)

@@ -38,8 +38,6 @@ SCHEMA = {
     "grid": {
         "n": ("int", 256),
         "cfl_safety": ("float", 0.9),
-        "flux": ("str", "godunov"),           # godunov | lax_friedrichs
-        "theta": ("float", -1.0),             # negative: sampled automatically
         "snapshots": ("int", 10),
         "kind": ("str", "oscillating"),       # oscillating | effective
         "u0": ("str", "sin_2pi_x"),
@@ -197,8 +195,6 @@ def _validate(cfg: RunConfig) -> list:
         errors.append("kernel.family = csv requires kernel.csv_path")
     if cfg["hamiltonian.m"] <= 1.0:
         errors.append(f"hamiltonian.m = {cfg['hamiltonian.m']} must exceed 1")
-    if cfg["grid.flux"] not in ("godunov", "lax_friedrichs"):
-        errors.append(f"grid.flux = {cfg['grid.flux']!r} not godunov/lax_friedrichs")
     if cfg["grid.kind"] not in ("oscillating", "effective"):
         errors.append(f"grid.kind = {cfg['grid.kind']!r} not oscillating/effective")
     if cfg["grid.n"] < 8:

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import csvio
 from .hamiltonians import HamiltonianSpec
 from .parabolic import NumericalFailure
 
@@ -87,33 +88,6 @@ class EffectiveTable:
         return float(np.max(np.abs(d)))
 
 
-def _axis_locate(axis: np.ndarray, q: float, name: str) -> tuple:
-    if axis.size == 1:
-        if abs(q - axis[0]) > 1e-9 * max(1.0, abs(axis[0])):
-            raise ValueError(f"{name} = {q} outside the single-node axis {{{axis[0]}}}")
-        return 0, 0, 0.0
-    if q < axis[0] - 1e-12 or q > axis[-1] + 1e-12:
-        raise ValueError(f"{name} = {q} outside the table hull [{axis[0]}, {axis[-1]}]")
-    i = int(np.clip(np.searchsorted(axis, q) - 1, 0, axis.size - 2))
-    w = (q - axis[i]) / (axis[i + 1] - axis[i])
-    return i, i + 1, float(np.clip(w, 0.0, 1.0))
-
-
-def query(table: EffectiveTable, x: float, p: float, l: float) -> float:
-    """Multilinear interpolation; exact at nodes, no extrapolation."""
-    ix0, ix1, wx = _axis_locate(table.xs, x, "x")
-    ip0, ip1, wp = _axis_locate(table.ps, p, "p")
-    il0, il1, wl = _axis_locate(table.ls, l, "l")
-    v = table.values
-    out = 0.0
-    for ix, cx in ((ix0, 1.0 - wx), (ix1, wx)):
-        for ip, cp in ((ip0, 1.0 - wp), (ip1, wp)):
-            for il, cl in ((il0, 1.0 - wl), (il1, wl)):
-                if cx * cp * cl != 0.0:
-                    out += cx * cp * cl * v[ix, ip, il]
-    return float(out)
-
-
 def _axis_locate_many(axis: np.ndarray, q: np.ndarray, name: str) -> tuple:
     if axis.size == 1:
         if np.any(np.abs(q - axis[0]) > 1e-9 * max(1.0, abs(axis[0]))):
@@ -133,7 +107,11 @@ def _axis_locate_many(axis: np.ndarray, q: np.ndarray, name: str) -> tuple:
 
 def query_many(table: EffectiveTable, x: np.ndarray, p: np.ndarray,
                l: np.ndarray) -> np.ndarray:
-    """Vectorized multilinear interpolation (used inside the effective solver)."""
+    """Vectorized multilinear interpolation; exact at nodes, no extrapolation.
+
+    Corners of zero weight are skipped, so a failed (NaN) node never reaches
+    a query that lands on its neighbour.
+    """
     x, p, l = np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float),
                                   np.asarray(l, float))
     ix0, ix1, wx = _axis_locate_many(table.xs, x, "x")
@@ -144,8 +122,14 @@ def query_many(table: EffectiveTable, x: np.ndarray, p: np.ndarray,
     for ix, cx in ((ix0, 1.0 - wx), (ix1, wx)):
         for ip, cp in ((ip0, 1.0 - wp), (ip1, wp)):
             for il, cl in ((il0, 1.0 - wl), (il1, wl)):
-                out += cx * cp * cl * v[ix, ip, il]
+                c = cx * cp * cl
+                out += np.where(c != 0.0, c * v[ix, ip, il], 0.0)
     return out
+
+
+def query(table: EffectiveTable, x: float, p: float, l: float) -> float:
+    """Scalar form of query_many."""
+    return float(query_many(table, x, p, l))
 
 
 def fill_from_formula(a, ham: HamiltonianSpec, nquad: int = 4096) -> Callable:
@@ -255,29 +239,28 @@ def audit_properties(table: EffectiveTable, b0: float, C: float, a_sup: float,
 def save_table(table: EffectiveTable, path: str, config_lines=()) -> None:
     """Persist the table; `#cfg` lines echo the producing configuration and
     are ignored on reload (they are provenance, not table metadata)."""
-    with open(path, "w", newline="") as fh:
-        for line in config_lines:
-            fh.write(f"#cfg {line.lstrip('# ')}".rstrip() + "\n")
-        fh.write(f"# sigma = {table.sigma!r}\n")
-        for key in sorted(table.meta):
-            fh.write(f"# {key} = {table.meta[key]}\n")
-        w = csv.writer(fh)
-        w.writerow(["x", "p", "l", "H_bar", "err", "provenance"])
-        for i, x in enumerate(table.xs):
-            for j, p in enumerate(table.ps):
-                for k, l in enumerate(table.ls):
-                    w.writerow([f"{x:.17e}", f"{p:.17e}", f"{l:.17e}",
-                                f"{table.values[i, j, k]:.17e}",
-                                f"{table.err[i, j, k]:.17e}",
-                                table.provenance[i, j, k]])
+    header = [f"#cfg {line.lstrip('# ')}".rstrip() for line in config_lines]
+    header.append(f"# sigma = {table.sigma!r}")
+    header.extend(f"# {key} = {table.meta[key]}" for key in sorted(table.meta))
+    rows = [(x, p, l, table.values[i, j, k], table.err[i, j, k], table.provenance[i, j, k])
+            for i, x in enumerate(table.xs)
+            for j, p in enumerate(table.ps)
+            for k, l in enumerate(table.ls)]
+    csvio.emit_csv(path, ["x", "p", "l", "H_bar", "err", "provenance"], rows, header)
 
 
 def load_table(path: str) -> EffectiveTable:
+    """Read a table written by save_table.
+
+    Every (x, p, l) node of the rectangular grid spanned by the rows must
+    appear exactly once; a repeated or missing node raises ValueError naming
+    the line or the node.
+    """
     meta = {}
     sigma = None
-    rows = []
+    lines, line_numbers = [], []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             if line.startswith("#cfg"):
                 continue
             if line.startswith("#"):
@@ -288,24 +271,37 @@ def load_table(path: str) -> EffectiveTable:
                 else:
                     meta[key] = val
             else:
-                rows.append(line)
-    reader = csv.DictReader(io.StringIO("".join(rows)))
-    recs = [(float(r["x"]), float(r["p"]), float(r["l"]), float(r["H_bar"]),
-             float(r["err"]), r["provenance"]) for r in reader]
-    xs = np.array(sorted({r[0] for r in recs}))
-    ps = np.array(sorted({r[1] for r in recs}))
-    ls = np.array(sorted({r[2] for r in recs}))
-    values = np.full((xs.size, ps.size, ls.size), np.nan)
-    err = np.full_like(values, np.inf)
-    prov = np.full(values.shape, "failed", dtype=object)
-    for x, p, l, vv, ee, pr in recs:
-        i = int(np.argmin(np.abs(xs - x)))
-        j = int(np.argmin(np.abs(ps - p)))
-        k = int(np.argmin(np.abs(ls - l)))
-        values[i, j, k] = vv
-        err[i, j, k] = ee
-        prov[i, j, k] = pr
+                lines.append(line)
+                line_numbers.append(number)
     if sigma is None:
         raise ValueError(f"{path} lacks the '# sigma =' header line")
-    return EffectiveTable(xs=xs, ps=ps, ls=ls, values=values, err=err,
+    fields = ["x", "p", "l", "H_bar", "err", "provenance"]
+    reader = csv.DictReader(io.StringIO("".join(lines)))
+    recs = []
+    for r in reader:
+        number = line_numbers[reader.line_num - 1]
+        if any(r.get(f) is None for f in fields):
+            raise ValueError(f"{path}:{number}: expected {len(fields)} fields")
+        recs.append((float(r["x"]), float(r["p"]), float(r["l"]), float(r["H_bar"]),
+                     float(r["err"]), r["provenance"], number))
+    axes = [np.array(sorted({r[a] for r in recs})) for a in range(3)]
+    index = [{v: i for i, v in enumerate(ax)} for ax in axes]
+    shape = tuple(ax.size for ax in axes)
+    values = np.full(shape, np.nan)
+    err = np.full_like(values, np.inf)
+    prov = np.full(shape, "failed", dtype=object)
+    seen = np.zeros(shape, dtype=bool)
+    for x, p, l, vv, ee, pr, number in recs:
+        node = (index[0][x], index[1][p], index[2][l])
+        if seen[node]:
+            raise ValueError(f"{path}:{number}: repeats the node "
+                             f"(x, p, l) = ({x!r}, {p!r}, {l!r})")
+        seen[node] = True
+        values[node], err[node], prov[node] = vv, ee, pr
+    if not np.all(seen):
+        i, j, k = np.argwhere(~seen)[0]
+        raise ValueError(f"{path}: {len(recs)} rows for a {shape[0]}x{shape[1]}x{shape[2]} "
+                         f"grid; no row for the node (x, p, l) = ({float(axes[0][i])!r}, "
+                         f"{float(axes[1][j])!r}, {float(axes[2][k])!r})")
+    return EffectiveTable(xs=axes[0], ps=axes[1], ls=axes[2], values=values, err=err,
                           provenance=prov, sigma=sigma, meta=meta)

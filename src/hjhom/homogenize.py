@@ -19,19 +19,8 @@ from .grid import GridFunction, central_diff
 from .hamiltonians import HamiltonianSpec
 from .kernels import KernelSpec, periodized_weights
 from .operators import apply_table
-from .parabolic import NumericalFailure, ParabolicProblem, SolverConfig, solve
-
-
-@dataclass
-class EffectiveSource:
-    """Effective nonlinearity handed to the solver: value(x, p, l) plus the
-    bounds and structure the monotone discretization needs."""
-
-    value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    l_slope: float
-    power_coeff: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    power_m: Optional[float] = None
-    theta: Optional[float] = None     # LF dissipation for non-power sources
+from .parabolic import (EffectiveSource, NumericalFailure, ParabolicProblem,
+                        SolverConfig, solve)
 
 
 def effective_source_from_formula(a, ham: HamiltonianSpec,
@@ -133,7 +122,6 @@ class SweepConfig:
     n_fixed: Optional[int] = None     # control runs: same grid for every eps
     snapshots: int = 10
     cfl_safety: float = 0.9
-    flux: str = "godunov"
     image_budget: int = 16
     gradient_range: Optional[float] = None
 
@@ -195,8 +183,8 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
         prob = ParabolicProblem(kind="oscillating", u0=u0, T=family.T,
                                 kernel=family.kernel, table=table, eps=float(e),
                                 a=family.a, ham=family.ham)
-        scfg = SolverConfig(cfl_safety=cfg.cfl_safety, flux=cfg.flux,
-                            record_times=record, gradient_range=cfg.gradient_range)
+        scfg = SolverConfig(cfl_safety=cfg.cfl_safety, record_times=record,
+                            gradient_range=cfg.gradient_range)
         t0 = time.perf_counter()
         try:
             trajectories.append(solve(prob, scfg))
@@ -210,17 +198,10 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
     table_fine = periodized_weights(family.kernel, n_fine, image_budget=cfg.image_budget)
     eff_prob = ParabolicProblem(kind="effective", u0=u0_fine, T=family.T,
                                 kernel=family.kernel, table=table_fine,
-                                hbar_value=family.effective.value,
-                                hbar_l_slope=family.effective.l_slope,
-                                hbar_power_coeff=family.effective.power_coeff,
-                                hbar_power_m=family.effective.power_m)
+                                source=family.effective)
     # the gradient-range override describes the oscillating family; the
     # effective flow estimates its own range from its data
-    eff_cfg = SolverConfig(cfl_safety=cfg.cfl_safety,
-                           flux="godunov" if family.effective.power_coeff is not None
-                           else "lax_friedrichs",
-                           theta=family.effective.theta,
-                           record_times=record)
+    eff_cfg = SolverConfig(cfl_safety=cfg.cfl_safety, record_times=record)
     eff_traj = solve(eff_prob, eff_cfg)
 
     eff_coarse = [_restrict(s.values, n_coarse) for s in eff_traj.snapshots[1:]]

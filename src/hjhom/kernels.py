@@ -13,7 +13,7 @@ periodized quadrature weights used by the grid operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -298,7 +298,8 @@ class QuadratureTable:
     pairing), so weights >= 0 and the discrete operator is monotone.  An
     asymmetric density adds the signed antisym[r] coefficients plus a
     first-order compensator coefficient (sigma >= 1 only) applied to a
-    centered difference.
+    centered difference.  Both parts act through one correlation, so the
+    conjugate spectrum and the total mass of weights + antisym are kept.
     """
 
     n: int
@@ -309,12 +310,17 @@ class QuadratureTable:
     tail_mass: float
     image_budget: int
     has_compensator: bool
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    mass: float = field(init=False, compare=False)
 
     def __post_init__(self):
         for name in ("weights", "antisym"):
             v = np.array(getattr(self, name), dtype=float)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+        coeffs = self.weights + self.antisym
+        object.__setattr__(self, "spectrum", np.conj(np.fft.rfft(coeffs)))
+        object.__setattr__(self, "mass", np.sum(coeffs))
 
     def antisym_cfl_mass(self) -> float:
         """Extra diagonal budget from the signed part, for CFL bookkeeping."""

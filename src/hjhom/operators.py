@@ -19,27 +19,20 @@ from .kernels import KernelSpec, QuadratureTable
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _correlate(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """out[j] = sum_r coeffs[r] * values[(j + r) mod n], via FFT."""
-    fc = np.fft.rfft(coeffs)
-    fv = np.fft.rfft(values)
-    return np.fft.irfft(np.conj(fc) * fv, n=values.size)
-
-
 def apply_table(values: np.ndarray, table: QuadratureTable) -> np.ndarray:
     """Operator values at every node, as a plain array.
 
-    Evaluates on the deviation from the mean so that constants are
-    annihilated exactly, not just to FFT roundoff.
+    out[j] = sum_r c[r] (values[j + r] - values[j]) with c = weights + antisym,
+    one FFT pair against the table's stored spectrum.  Evaluates on the
+    deviation from the mean so that constants are annihilated exactly, not
+    just to FFT roundoff.
     """
     if values.size != table.n:
         raise ValueError(f"table built for n = {table.n}, grid has n = {values.size}")
     dev = values - np.mean(values)
-    out = _correlate(table.weights, dev) - dev * np.sum(table.weights)
-    if np.any(table.antisym):
-        out += _correlate(table.antisym, dev) - dev * np.sum(table.antisym)
-        if table.has_compensator:
-            out -= table.comp_coeff * central_diff(dev, 1.0 / table.n)
+    out = np.fft.irfft(table.spectrum * np.fft.rfft(dev), n=values.size) - dev * table.mass
+    if table.has_compensator:
+        out -= table.comp_coeff * central_diff(dev, 1.0 / table.n)
     return out
 
 

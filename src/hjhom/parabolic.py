@@ -4,7 +4,8 @@ The update is forward Euler on a monotone spatial operator: nonnegative
 quadrature weights for the nonlocal part, Godunov or Lax-Friedrichs for the
 gradient part, and a CFL step chosen so every off-diagonal dependence is
 nondecreasing.  Monotonicity buys the discrete comparison principle, the
-sup-norm bound, and stability; no attempt is made at higher order.
+sup-norm bound, and stability; no attempt is made at higher order.  The same
+scheme object drives the cell solver's march to steady state.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridFunction, backward_diff, forward_diff
+from .grid import GridFunction, forward_diff
 from .hamiltonians import HamiltonianSpec
 from .kernels import KernelSpec, QuadratureTable
 from .operators import apply_table
@@ -30,13 +31,153 @@ def godunov_power_flux(m: float, ql: np.ndarray, qr: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(ql, 0.0), np.maximum(-qr, 0.0)) ** m
 
 
+def sampled_theta(ham_at: Callable[[np.ndarray], np.ndarray], p_range: float) -> float:
+    """Lax-Friedrichs dissipation: sampled sup |dH/dp| over |p| <= p_range.
+
+    ham_at(ps) evaluates H at every sample node for the 1-D array ps of
+    gradients; the slope is a centered difference.
+    """
+    ps = np.linspace(-p_range, p_range, 201)
+    d = 1e-5
+    return float(np.max(np.abs(ham_at(ps + d) - ham_at(ps - d)) / (2.0 * d)))
+
+
+class MonotoneScheme:
+    """One monotone discretization F of the spatial operator on n nodes.
+
+    F(u) = const - a (I_h u - drift D u) + H(p + D u, I_h u), where I_h is the
+    quadrature operator of `table`, p a frozen gradient shift (zero for the
+    time problems) and D the upwind difference of the drift's sign.  The
+    nonlocal value enters either through the coefficient `a` or, when `a` is
+    None, as the argument l of ham(q, l) (the effective problems).  A power
+    structure H = coeff |q|^m + at_zero(l) selects the Godunov flux; otherwise
+    Lax-Friedrichs with dissipation theta, sampled by the builder.  ham None
+    means there is no gradient term.
+
+    Explicit steps u - dt (delta u + F(u)) are monotone for dt <= dt(1, delta).
+    """
+
+    def __init__(self, h: float, ham: Optional[Callable], p_range: float, *,
+                 power: Optional[tuple] = None, theta: Optional[float] = None,
+                 p: float = 0.0, table: Optional[QuadratureTable] = None,
+                 a: Optional[np.ndarray] = None, drift: float = 0.0,
+                 const: Optional[np.ndarray] = None, l_slope: float = 0.0):
+        self.h, self.ham, self.power, self.p, self.table = h, ham, power, p, table
+        self.minus_a = None if a is None else -a
+        self.drift, self.const = drift, const
+        if a is not None:
+            l_slope = float(np.max(np.abs(a)))
+        budget = 0.0
+        if table is not None:
+            budget = l_slope * (table.tail_mass + table.antisym_cfl_mass())
+        if drift:
+            budget += l_slope * abs(drift) / h
+        self._nonlocal_budget = budget
+        self.p_range = p_range
+        if power is not None:
+            self._coeff_max = float(np.max(power[0]))
+            theta = self._godunov_theta(p_range)
+        self.theta = theta
+
+    def _godunov_theta(self, p_range: float) -> float:
+        m = self.power[1]
+        return self._coeff_max * m * p_range ** (m - 1.0)
+
+    @property
+    def budget(self) -> float:
+        """Diagonal mass of F per unit step: the CFL budget."""
+        return self._nonlocal_budget + self.theta / self.h
+
+    def dt(self, safety: float, delta: float = 0.0) -> float:
+        """Monotone explicit step for the discount delta, scaled by safety."""
+        return safety / (self.budget + delta + 1e-300)
+
+    def tighten(self, u: np.ndarray) -> None:
+        """Shrink the CFL budget to the gradients actually reached.
+
+        Only the Godunov flux qualifies: there theta enters the step bound but
+        not the flux values, so the discrete fixed point is unchanged.  A 50%
+        margin over the observed range keeps the monotonicity certificate.
+        """
+        if self.power is None:
+            return
+        q_max = abs(self.p) + float(np.max(np.abs(forward_diff(u, self.h))))
+        seen = 1.5 * q_max + 0.1
+        if seen < self.p_range:
+            self.p_range = seen
+            self.theta = self._godunov_theta(seen)
+
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        dr = forward_diff(u, self.h)
+        dl = np.roll(dr, 1)
+        lv = None if self.table is None else apply_table(u, self.table)
+        out = self.const
+        if self.minus_a is not None and lv is not None:
+            if self.drift:
+                lv = lv - self.drift * (dl if self.drift > 0.0 else dr)
+            nonlocal_part = self.minus_a * lv
+            out = nonlocal_part if out is None else out + nonlocal_part
+        if self.ham is None:
+            return out
+        ql, qr = (self.p + dl, self.p + dr) if self.p else (dl, dr)
+        if self.power is not None:
+            coeff, m, at_zero = self.power
+            flux = at_zero(lv) + coeff * godunov_power_flux(m, ql, qr)
+        else:
+            flux = self.ham(0.5 * (ql + qr), lv) - 0.5 * self.theta * (qr - ql)
+        return flux if out is None else out + flux
+
+
+def coefficient_scheme(h: float, xs: np.ndarray, ys: np.ndarray, a: np.ndarray,
+                       ham: HamiltonianSpec, p_range: float, **kw) -> MonotoneScheme:
+    """Scheme for -a (I_h u - drift D u) + H(x, y, p + D u) at the nodes (xs, ys)."""
+    pf = ham.power_form
+    if pf is not None:
+        minus_f = -np.asarray(pf.f(xs, ys), dtype=float)
+        power = (np.asarray(pf.b(xs, ys), dtype=float), pf.m, lambda lv: minus_f)
+        theta = None
+    else:
+        power = None
+        theta = sampled_theta(lambda q: ham.eval(xs[:, None], ys[:, None], q), p_range)
+    return MonotoneScheme(h, lambda q, lv: ham.eval(xs, ys, q), p_range, power=power,
+                          theta=theta, a=a, **kw)
+
+
+@dataclass
+class EffectiveSource:
+    """Effective nonlinearity handed to the solver: value(x, p, l) plus the
+    bounds and structure the monotone discretization needs."""
+
+    value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    l_slope: float
+    power_coeff: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    power_m: Optional[float] = None
+    theta: Optional[float] = None     # LF dissipation for non-power sources
+
+    def scheme(self, xs: np.ndarray, table: QuadratureTable,
+               p_range: float) -> MonotoneScheme:
+        """Scheme for value(x, Du, I_h u) at the nodes xs."""
+        value = self.value
+        theta = self.theta
+        power = None
+        if self.power_coeff is not None:
+            zeros = np.zeros(xs.size)
+            power = (np.asarray(self.power_coeff(xs), dtype=float), self.power_m,
+                     lambda lv: value(xs, zeros, lv))
+        elif theta is None:
+            theta = sampled_theta(
+                lambda q: value(np.zeros_like(q), q, np.zeros_like(q)), p_range)
+        return MonotoneScheme(1.0 / xs.size, lambda q, lv: value(xs, q, lv), p_range,
+                              power=power, theta=theta, table=table,
+                              l_slope=self.l_slope)
+
+
 @dataclass
 class SolverConfig:
-    """Discretization knobs; dt is always derived from the CFL bound."""
+    """Discretization knobs; dt is always derived from the CFL bound, and the
+    flux and its dissipation from the problem data."""
 
     cfl_safety: float = 0.9
-    flux: str = "godunov"            # "godunov" (power-form models) or "lax_friedrichs"
-    theta: Optional[float] = None    # LF dissipation; sampled sup |dH/dp| when None
     gradient_range: Optional[float] = None
     snapshots: int = 10              # recorded times beyond t = 0
     record_times: Optional[np.ndarray] = None
@@ -51,7 +192,7 @@ class SolverConfig:
 class ParabolicProblem:
     """Either the oscillating problem (kind="oscillating") driven by (a, H)
     at scale eps = 1/k, or the homogenized problem (kind="effective") driven
-    by an effective source with signature value(x, p, l)."""
+    by an effective source."""
 
     kind: str
     u0: GridFunction
@@ -61,10 +202,7 @@ class ParabolicProblem:
     eps: Optional[float] = None
     a: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     ham: Optional[HamiltonianSpec] = None
-    hbar_value: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
-    hbar_l_slope: float = 0.0        # sup |dHbar/dl|, nonlocal CFL budget
-    hbar_power_coeff: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hbar_power_m: Optional[float] = None
+    source: Optional[EffectiveSource] = None
 
     def __post_init__(self):
         if self.kind not in ("oscillating", "effective"):
@@ -80,8 +218,17 @@ class ParabolicProblem:
             if self.u0.n < 16 * int(round(k)):
                 raise ValueError("need n >= 16 / eps to resolve the fast variable")
         else:
-            if self.hbar_value is None:
+            if self.source is None:
                 raise ValueError("effective problem needs an effective source")
+
+    def scheme(self, p_range: float) -> MonotoneScheme:
+        xs = self.u0.nodes()
+        if self.kind == "effective":
+            return self.source.scheme(xs, self.table, p_range)
+        ys = np.mod(xs / self.eps, 1.0)
+        a_vals = np.asarray(self.a(xs, ys), dtype=float)
+        return coefficient_scheme(self.u0.h, xs, ys, a_vals, self.ham, p_range,
+                                  table=self.table)
 
 
 @dataclass
@@ -96,16 +243,6 @@ class Trajectory:
 
     def final(self) -> GridFunction:
         return self.snapshots[-1]
-
-
-def _lf_theta(ham: HamiltonianSpec, p_range: float, nx: int = 64, ny: int = 64) -> float:
-    xs = np.arange(nx) / nx
-    ys = np.arange(ny) / ny
-    ps = np.linspace(-p_range, p_range, 201)
-    X, Y, P = np.meshgrid(xs, ys, ps, indexing="ij")
-    d = 1e-5
-    slope = np.abs(ham.eval(X, Y, P + d) - ham.eval(X, Y, P - d)) / (2.0 * d)
-    return float(np.max(slope))
 
 
 def _gradient_range(problem: ParabolicProblem) -> float:
@@ -130,72 +267,9 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     """
     u0 = problem.u0
     n, h = u0.n, u0.h
-    xs = u0.nodes()
-    table = problem.table
-
     p_range = cfg.gradient_range if cfg.gradient_range is not None else _gradient_range(problem)
-
-    if problem.kind == "oscillating":
-        ys = np.mod(xs / problem.eps, 1.0)
-        a_vals = np.asarray(problem.a(xs, ys), dtype=float)
-        a_max = float(np.max(np.abs(a_vals)))
-        ham = problem.ham
-        use_godunov = cfg.flux == "godunov" and ham.power_form is not None
-        if cfg.flux == "godunov" and ham.power_form is None:
-            raise ValueError("Godunov flux needs the power-form structure hint")
-        if use_godunov:
-            b_vals = np.asarray(ham.power_form.b(xs, ys), dtype=float)
-            f_vals = np.asarray(ham.power_form.f(xs, ys), dtype=float)
-            m = ham.power_form.m
-            theta = float(np.max(b_vals)) * m * p_range ** (m - 1.0)
-
-            def rhs(u):
-                pl = backward_diff(u, h)
-                pr = forward_diff(u, h)
-                return (-a_vals * apply_table(u, table)
-                        + b_vals * godunov_power_flux(m, pl, pr) - f_vals)
-        else:
-            theta = cfg.theta if cfg.theta is not None else _lf_theta(ham, p_range)
-
-            def rhs(u):
-                pl = backward_diff(u, h)
-                pr = forward_diff(u, h)
-                return (-a_vals * apply_table(u, table)
-                        + ham.eval(xs, ys, 0.5 * (pl + pr)) - 0.5 * theta * (pr - pl))
-
-        nonlocal_budget = a_max * (table.tail_mass + table.antisym_cfl_mass())
-    else:
-        hbar = problem.hbar_value
-        l_slope = problem.hbar_l_slope
-        if problem.hbar_power_coeff is not None:
-            coeff = np.asarray(problem.hbar_power_coeff(xs), dtype=float)
-            m = problem.hbar_power_m
-            theta = float(np.max(coeff)) * m * p_range ** (m - 1.0)
-
-            def rhs(u):
-                pl = backward_diff(u, h)
-                pr = forward_diff(u, h)
-                lvals = apply_table(u, table)
-                base = hbar(xs, np.zeros(n), lvals)
-                return base + coeff * godunov_power_flux(m, pl, pr)
-        else:
-            theta = cfg.theta
-            if theta is None:
-                ps = np.linspace(-p_range, p_range, 201)
-                d = 1e-4
-                slope = np.abs(np.asarray(hbar(np.zeros_like(ps), ps + d, np.zeros_like(ps)))
-                               - np.asarray(hbar(np.zeros_like(ps), ps - d, np.zeros_like(ps)))) / (2 * d)
-                theta = float(np.max(slope))
-
-            def rhs(u):
-                pl = backward_diff(u, h)
-                pr = forward_diff(u, h)
-                lvals = apply_table(u, table)
-                return hbar(xs, 0.5 * (pl + pr), lvals) - 0.5 * theta * (pr - pl)
-
-        nonlocal_budget = l_slope * (table.tail_mass + table.antisym_cfl_mass())
-
-    dt = cfg.cfl_safety / (nonlocal_budget + theta / h + 1e-300)
+    scheme = problem.scheme(p_range)
+    dt = scheme.dt(cfg.cfl_safety)
     record = cfg.resolved_record_times(problem.T)
 
     u = u0.values.copy()
@@ -209,7 +283,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     for t_target in record:
         while t < t_target - 1e-14:
             step = min(dt, t_target - t)
-            r = rhs(u)
+            r = scheme.residual(u)
             u = u - step * r
             t += step
             step_index += 1
@@ -226,7 +300,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
         residuals.append(float(np.max(np.abs(r))))
     return Trajectory(times=np.array(times), snapshots=snapshots,
                       sup_norm_track=np.array([s.sup_norm() for s in snapshots]),
-                      residual_track=np.array(residuals), dt=dt, theta=theta,
+                      residual_track=np.array(residuals), dt=dt, theta=scheme.theta,
                       max_gradient_seen=max_grad)
 
 

@@ -109,7 +109,7 @@ class TestCommands:
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
         assert main(["solve", "--config", path, "--out", str(out1)]) == 0
-        assert main(["solve", "--config", path, "--out", str(out2), "--threads", "4"]) == 0
+        assert main(["solve", "--config", path, "--out", str(out2)]) == 0
         t1 = (out1 / "run_trajectory.csv").read_bytes()
         t2 = (out2 / "run_trajectory.csv").read_bytes()
         assert t1 == t2
@@ -223,6 +223,44 @@ class TestCommands:
             "grid.kind = effective", "grid.n = 64", "grid.T = 0.05",
         ]) + "\n", name="missing.cfg")
         assert main(["solve", "--config", missing_cfg, "--out", str(tmp_path)]) == 2
+
+    def test_unusable_table_is_invalid_input(self, tmp_path, capsys):
+        from hjhom.effective import save_table, tabulate
+        # |p| <= 1 cannot cover the gradients of sin(2 pi x)
+        narrow = tabulate(lambda x, p, l: (p * p - 1.0 - l, 0.0, "discount"), [0.0],
+                          [-1.0, 0.0, 1.0], [-4.0, 0.0, 4.0], sigma=0.5)
+        table_path = tmp_path / "narrow.csv"
+        save_table(narrow, str(table_path))
+        solve_cfg = write(tmp_path, "\n".join([
+            "kernel.sigma = 0.5", "coefficient_a.kind = constant:1",
+            "grid.kind = effective", "grid.n = 64", "grid.T = 0.05",
+            f"grid.table_csv = {table_path}",
+        ]) + "\n", name="solve.cfg")
+        capsys.readouterr()
+        assert main(["solve", "--config", solve_cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid input: p = ")
+        assert "outside the table hull" in err[0]
+        # a repeated row is rejected while the table is read
+        lines = table_path.read_text().splitlines(keepends=True)
+        table_path.write_text("".join(lines + lines[-1:]))
+        assert main(["solve", "--config", solve_cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "repeats the node" in err[0]
+        # a file cut off partway through its last row
+        table_path.write_text("".join(lines[:-1]) + ",".join(lines[-1].split(",")[:4]))
+        assert main(["solve", "--config", solve_cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "expected 6 fields" in err[0]
+        # the sweep's own table, filled over the same narrow box
+        sweep_cfg = write(tmp_path, "\n".join([
+            "kernel.sigma = 0.5", "coefficient_a.kind = constant:1",
+            "sweep.eps_list = 1/4", "sweep.T = 0.02", "sweep.snapshots = 1",
+            "cell.n = 64", "cell.deltas = 0.05,0.01", "cell.tol = 1e-7",
+            "cell.table_p = -1,0,1", "cell.table_l = -4,4",
+        ]) + "\n", name="sweep.cfg")
+        assert main(["homogenize", "--config", sweep_cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("invalid input: p = ")
 
     def test_missing_config_is_io_failure(self, tmp_path):
         assert main(["audit", "--config", str(tmp_path / "none.cfg")]) == 4

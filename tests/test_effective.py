@@ -105,6 +105,19 @@ class TestQuery:
         with pytest.raises(ValueError):
             query_many(table, np.zeros(3), np.array([0.0, 1.0, 2.5]), np.zeros(3))
 
+    def test_failed_neighbour_of_a_node_is_skipped(self):
+        # the node p = 1 is exact; its zero-weight neighbour p = 0 failed
+        values = np.array([[[np.nan], [2.0], [3.0]]])
+        table = EffectiveTable(xs=np.array([0.0]), ps=np.array([0.0, 1.0, 2.0]),
+                               ls=np.array([0.0]), values=values,
+                               err=np.zeros_like(values),
+                               provenance=np.array([[["failed"], ["discount"],
+                                                     ["discount"]]], dtype=object),
+                               sigma=0.5)
+        assert query(table, 0.0, 1.0, 0.0) == 2.0
+        got = query_many(table, np.zeros(2), np.array([1.0, 1.5]), np.zeros(2))
+        assert np.array_equal(got, [2.0, 2.5])
+
     def test_monotone_data_interpolates_monotone(self, table):
         ls = np.linspace(-1.0, 1.0, 41)
         vals = query_many(table, np.zeros_like(ls), np.full_like(ls, 1.0), ls)
@@ -160,3 +173,25 @@ class TestPersistence:
         assert np.array_equal(loaded.provenance.astype(str),
                               table.provenance.astype(str))
         assert loaded.meta["model"] == "demo"
+        again = tmp_path / "again.csv"
+        save_table(loaded, str(again), config_lines=["# kernel.sigma = 1.5"])
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_repeated_and_missing_nodes_rejected(self, tmp_path, eikonal_ham):
+        table = tabulate(fill_from_formula(WAVY, eikonal_ham), [0.0],
+                         np.linspace(0.0, 2.0, 3), [-1.0, 1.0], sigma=1.5)
+        path = tmp_path / "table.csv"
+        save_table(table, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("".join(lines + lines[-1:]))
+        with pytest.raises(ValueError, match=f"{len(lines) + 1}: repeats the node"):
+            load_table(str(repeated))
+        truncated = tmp_path / "truncated.csv"
+        truncated.write_text("".join(lines[:-1]))
+        with pytest.raises(ValueError, match=r"no row for the node .* = \(0.0, 2.0, 1.0\)"):
+            load_table(str(truncated))
+        cut_mid_row = tmp_path / "cut_mid_row.csv"
+        cut_mid_row.write_text("".join(lines[:-1]) + ",".join(lines[-1].split(",")[:4]))
+        with pytest.raises(ValueError, match=f"{len(lines)}: expected 6 fields"):
+            load_table(str(cut_mid_row))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,15 +8,15 @@ from hypothesis import strategies as st
 from conftest import trig_poly
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, growth_bound, model_bpm
-from hjhom.kernels import constant_kernel, periodized_weights
+from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
 from hjhom.parabolic import (NumericalFailure, ParabolicProblem, SolverConfig,
                              barrier_bounds, holder_exponent_alpha0,
                              initial_layer_modulus, sampled_modulus, solve,
                              sup_convolution_time)
 
 
-def _oscillating(u0, ham, a, sigma, eps, T, **kw):
-    kernel = constant_kernel(sigma)
+def _oscillating(u0, ham, a, sigma, eps, T, kernel=None, **kw):
+    kernel = kernel or constant_kernel(sigma)
     table = periodized_weights(kernel, u0.n)
     return ParabolicProblem(kind="oscillating", u0=u0, T=T, kernel=kernel,
                             table=table, eps=eps, a=a, ham=ham, **kw)
@@ -45,7 +47,12 @@ class TestSolve:
                      SolverConfig())
         assert np.all(traj.sup_norm_track <= 1.0 + 1.0 * traj.times + 1e-8)
 
-    def test_discrete_comparison(self, eikonal_ham, unit_a):
+    @pytest.mark.parametrize("kernel", [constant_kernel(1.0), tilt_kernel(1.0, 0.5)],
+                             ids=["constant", "tilt"])
+    @pytest.mark.parametrize("flux", ["godunov", "lax_friedrichs"])
+    def test_discrete_comparison(self, eikonal_ham, unit_a, flux, kernel):
+        # without the power-form hint the scheme falls back to Lax-Friedrichs
+        ham = eikonal_ham if flux == "godunov" else replace(eikonal_ham, power_form=None)
         n = 64
         rng = np.random.default_rng(123)
         for _ in range(10):
@@ -54,8 +61,8 @@ class TestSolve:
                               + np.abs(trig_poly(int(rng.integers(1 << 30)), n).values)
                               + 1e-3)
             cfg = SolverConfig(snapshots=4)
-            prob_lo = _oscillating(lo, eikonal_ham, unit_a, 1.0, 0.25, 0.1)
-            prob_hi = _oscillating(hi, eikonal_ham, unit_a, 1.0, 0.25, 0.1)
+            prob_lo = _oscillating(lo, ham, unit_a, 1.0, 0.25, 0.1, kernel=kernel)
+            prob_hi = _oscillating(hi, ham, unit_a, 1.0, 0.25, 0.1, kernel=kernel)
             cfg.gradient_range = 60.0
             t_lo = solve(prob_lo, cfg)
             t_hi = solve(prob_hi, cfg)
