@@ -61,8 +61,6 @@ class CellConfig:
     n: int = 256
     tol: float = 1e-9
     max_steps: int = 600_000
-    cfl_safety: float = 0.9
-    image_budget: int = 16
 
 
 @dataclass(frozen=True)
@@ -112,8 +110,7 @@ def _cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
     ham, p, regime = params.ham, params.p, params.regime
     table = None
     if regime in ("equal_one", "above_one"):
-        table = periodized_weights(constant_kernel(params.sigma), n,
-                                   image_budget=cfg.image_budget)
+        table = periodized_weights(constant_kernel(params.sigma), n)
     const = -a_vals * params.l
     if regime == "above_one":
         hp = np.asarray(ham.eval(xs, ys, np.full(n, p)), dtype=float)
@@ -121,14 +118,10 @@ def _cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
                               const=const + hp)
 
     # gradient-coupled regimes: a-priori range for p + Dv from coercivity,
-    # padded by a fixed slack
-    pad = 4.0
-    reach = pad
+    # with the nonlocal value as forcing; a fixed slack without a power form
+    reach = 4.0
     if ham.power_form is not None:
-        b_min = float(np.min(ham.power_form.b(xs, ys)))
-        f_sup = float(np.max(np.abs(ham.power_form.f(xs, ys))))
-        reach = ((float(np.max(a_vals)) * abs(params.l) + 2.0 * f_sup + pad) / b_min
-                 ) ** (1.0 / ham.m)
+        reach = ham.power_form.reach(float(np.max(a_vals)) * abs(params.l))
     return coefficient_scheme(1.0 / n, xs, ys, a_vals, ham, abs(p) + reach + 1.0,
                               p=p, table=table, const=const,
                               drift=params.drift_b if regime == "equal_one" else 0.0)
@@ -136,7 +129,7 @@ def _cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
 
 def _march(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
            cfg: CellConfig) -> tuple:
-    dt = scheme.dt(cfg.cfl_safety, delta)
+    dt = scheme.dt(delta)
     phi = phi - np.mean(phi)
     res = np.inf
     steps = 0
@@ -215,7 +208,7 @@ def long_time_average(params: CellParams, T_max: float,
     """
     cfg = cfg or CellConfig()
     scheme = _cell_scheme(params, cfg)
-    dt = scheme.dt(cfg.cfl_safety)
+    dt = scheme.dt()
     steps_total = int(math.ceil(T_max / dt))
     v = np.zeros(cfg.n)
     checkpoints = []

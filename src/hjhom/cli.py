@@ -5,13 +5,16 @@ Exit codes: 0 success, 2 validation or audit failure (including an
 effective table that cannot be read or does not cover the solve), 3 numerical
 failure, 4 I/O failure.  Audit-gated commands refuse to run on failed audits
 unless --force is given.  The numerics are deterministic single-process
-numpy; the flux and its dissipation are worked out from the data, so no
-configuration key selects them.
+numpy; the flux and its dissipation are worked out from the data, the
+explicit step is the CFL bound scaled by parabolic.CFL_SAFETY, and kernel
+tables sum a fixed 16 periodic images, so no configuration key selects any of
+them.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -111,11 +114,11 @@ def cmd_drift(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cell_params(cfg: RunConfig, p: float = None, l: float = None) -> CellParams:
+def _cell_params(cfg: RunConfig) -> CellParams:
     return CellParams(
         x=cfg["cell.x"],
-        p=cfg["cell.p"] if p is None else p,
-        l=cfg["cell.l"] if l is None else l,
+        p=cfg["cell.p"],
+        l=cfg["cell.l"],
         sigma=cfg["kernel.sigma"],
         a=build_coefficient(cfg),
         ham=build_hamiltonian(cfg),
@@ -125,9 +128,7 @@ def _cell_params(cfg: RunConfig, p: float = None, l: float = None) -> CellParams
 
 def _cell_config(cfg: RunConfig) -> CellConfig:
     return CellConfig(n=cfg["cell.n"], tol=cfg["cell.tol"],
-                      max_steps=cfg["cell.max_steps"],
-                      cfl_safety=cfg["grid.cfl_safety"],
-                      image_budget=cfg["kernel.image_budget"])
+                      max_steps=cfg["cell.max_steps"])
 
 
 def cmd_cell(args, cfg: RunConfig) -> int:
@@ -156,11 +157,10 @@ def cmd_cell(args, cfg: RunConfig) -> int:
 def _discount_fill(cfg: RunConfig):
     ccfg = _cell_config(cfg)
     deltas = cfg["cell.deltas"]
+    base = _cell_params(cfg)
 
     def fill(x, p, l):
-        params = CellParams(x=x, p=p, l=l, sigma=cfg["kernel.sigma"],
-                            a=build_coefficient(cfg), ham=build_hamiltonian(cfg),
-                            drift_b=_drift_for(cfg))
+        params = dataclasses.replace(base, x=x, p=p, l=l)
         sol = vanishing_discount_sweep(params, deltas, ccfg)
         if not sol.converged:
             raise NumericalFailure("cell solve did not reach steady state")
@@ -188,9 +188,7 @@ def cmd_effective(args, cfg: RunConfig) -> int:
     table = _build_table(cfg)
     ham = build_hamiltonian(cfg)
     if ham.power_form is not None:
-        xs = np.arange(256) / 256
-        b0_claim = float(np.min(ham.power_form.b(xs[:, None], xs[None, :])))
-        C_claim = float(np.max(np.abs(ham.power_form.f(xs[:, None], xs[None, :]))))
+        b0_claim, C_claim = ham.power_form.b_min, ham.power_form.f_sup
     else:
         b0_claim, C_claim = ham.b0, ham.C0
     a_vals = build_coefficient(cfg)(np.zeros(512), np.arange(512) / 512)
@@ -219,11 +217,11 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     kernel = build_kernel(cfg)
     n = cfg["grid.n"]
     u0 = GridFunction.from_callable(build_u0(cfg), n)
-    table = periodized_weights(kernel, n, image_budget=cfg["kernel.image_budget"])
+    table = periodized_weights(kernel, n)
     ham = build_hamiltonian(cfg)
     if cfg["grid.kind"] == "oscillating":
         problem = ParabolicProblem(kind="oscillating", u0=u0, T=cfg["grid.T"],
-                                   kernel=kernel, table=table, eps=cfg["grid.eps"],
+                                   table=table, eps=cfg["grid.eps"],
                                    a=build_coefficient(cfg), ham=ham)
     else:
         if kernel.sigma > 1.0:
@@ -244,10 +242,9 @@ def cmd_solve(args, cfg: RunConfig) -> int:
                 print(f"invalid input: {exc}", file=sys.stderr)
                 return EXIT_AUDIT
         problem = ParabolicProblem(kind="effective", u0=u0, T=cfg["grid.T"],
-                                   kernel=kernel, table=table, source=src)
+                                   table=table, source=src)
     grange = cfg["grid.gradient_range"]
-    scfg = SolverConfig(cfl_safety=cfg["grid.cfl_safety"],
-                        gradient_range=None if grange < 0 else grange,
+    scfg = SolverConfig(gradient_range=None if grange < 0 else grange,
                         snapshots=cfg["grid.snapshots"])
     try:
         traj = solve(problem, scfg)
@@ -303,9 +300,7 @@ def cmd_homogenize(args, cfg: RunConfig) -> int:
     n_fixed = cfg["sweep.n_fixed"]
     scfg = SweepConfig(n_per_k=cfg["sweep.n_per_k"],
                        n_fixed=None if n_fixed == 0 else n_fixed,
-                       snapshots=cfg["sweep.snapshots"],
-                       cfl_safety=cfg["grid.cfl_safety"],
-                       image_budget=cfg["kernel.image_budget"])
+                       snapshots=cfg["sweep.snapshots"])
     try:
         report = run_sweep(family, cfg["sweep.eps_list"], scfg,
                            psi_provider=psi_provider)

@@ -24,7 +24,6 @@ SCHEMA = {
         "family": ("str", "constant"),        # constant | tilt | quadratic_tilt | csv
         "slope": ("float", 0.5),
         "csv_path": ("str", ""),
-        "image_budget": ("int", 16),
     },
     "coefficient_a": {
         "kind": ("str", "two_plus_cos_y"),
@@ -37,7 +36,6 @@ SCHEMA = {
     },
     "grid": {
         "n": ("int", 256),
-        "cfl_safety": ("float", 0.9),
         "snapshots": ("int", 10),
         "kind": ("str", "oscillating"),       # oscillating | effective
         "u0": ("str", "sin_2pi_x"),

@@ -75,17 +75,14 @@ class EffectiveTable:
         if self.values.shape != shape:
             raise ValueError(f"values shape {self.values.shape} != axes shape {shape}")
 
+    # slope bounds over pairs of finite nodes: a failed (NaN) node bounds nothing
     def l_slope_bound(self) -> float:
-        if self.ls.size < 2:
-            return 0.0
         d = np.diff(self.values, axis=2) / np.diff(self.ls)[None, None, :]
-        return float(np.max(np.abs(d)))
+        return float(np.max(np.abs(d[np.isfinite(d)]), initial=0.0))
 
     def p_slope_bound(self) -> float:
-        if self.ps.size < 2:
-            return 0.0
         d = np.diff(self.values, axis=1) / np.diff(self.ps)[None, :, None]
-        return float(np.max(np.abs(d)))
+        return float(np.max(np.abs(d[np.isfinite(d)]), initial=0.0))
 
 
 def _axis_locate_many(axis: np.ndarray, q: np.ndarray, name: str) -> tuple:

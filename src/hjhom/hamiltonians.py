@@ -16,11 +16,22 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PowerForm:
-    """Structure hint H = b(x, y) |p|^m - f(x, y), enabling the Godunov flux."""
+    """Structure hint H = b(x, y) |p|^m - f(x, y), enabling the Godunov flux.
+
+    b_min = min b and f_sup = sup |f| are the sampled bounds behind the
+    coercive gradient reach.
+    """
 
     b: Callable[[np.ndarray, np.ndarray], np.ndarray]
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     m: float
+    b_min: float
+    f_sup: float
+
+    def reach(self, forcing: float = 0.0) -> float:
+        """A-priori gradient bound: b_min |q|^m <= forcing + 2 f_sup + 4 at
+        steady gradients, the 4 a fixed slack."""
+        return ((forcing + 2.0 * self.f_sup + 4.0) / self.b_min) ** (1.0 / self.m)
 
 
 @dataclass(frozen=True)
@@ -112,7 +123,7 @@ def model_bpm(b_spec: str, f_spec: str, m: float) -> HamiltonianSpec:
              float(np.max(np.abs(np.gradient(F, 1.0 / 256, axis=1)))))
     L = max(db + df, m * b_max, 1.0)
     return HamiltonianSpec(eval=H, m=m, b0=(m - 1.0) * b_min, C0=f_sup, L=L,
-                           power_form=PowerForm(b=b, f=f, m=m),
+                           power_form=PowerForm(b=b, f=f, m=m, b_min=b_min, f_sup=f_sup),
                            name=f"{b_spec}*|p|^{m}-{f_spec}")
 
 

@@ -121,8 +121,6 @@ class SweepConfig:
     n_per_k: int = 16
     n_fixed: Optional[int] = None     # control runs: same grid for every eps
     snapshots: int = 10
-    cfl_safety: float = 0.9
-    image_budget: int = 16
     gradient_range: Optional[float] = None
 
 
@@ -179,12 +177,10 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
     failures = []
     for e, n in zip(eps, ns):
         u0 = GridFunction.from_callable(family.u0_func, int(n))
-        table = periodized_weights(family.kernel, int(n), image_budget=cfg.image_budget)
-        prob = ParabolicProblem(kind="oscillating", u0=u0, T=family.T,
-                                kernel=family.kernel, table=table, eps=float(e),
-                                a=family.a, ham=family.ham)
-        scfg = SolverConfig(cfl_safety=cfg.cfl_safety, record_times=record,
-                            gradient_range=cfg.gradient_range)
+        table = periodized_weights(family.kernel, int(n))
+        prob = ParabolicProblem(kind="oscillating", u0=u0, T=family.T, table=table,
+                                eps=float(e), a=family.a, ham=family.ham)
+        scfg = SolverConfig(record_times=record, gradient_range=cfg.gradient_range)
         t0 = time.perf_counter()
         try:
             trajectories.append(solve(prob, scfg))
@@ -195,13 +191,12 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
         dts.append(trajectories[-1].dt if trajectories[-1] is not None else np.nan)
 
     u0_fine = GridFunction.from_callable(family.u0_func, n_fine)
-    table_fine = periodized_weights(family.kernel, n_fine, image_budget=cfg.image_budget)
+    table_fine = periodized_weights(family.kernel, n_fine)
     eff_prob = ParabolicProblem(kind="effective", u0=u0_fine, T=family.T,
-                                kernel=family.kernel, table=table_fine,
-                                source=family.effective)
+                                table=table_fine, source=family.effective)
     # the gradient-range override describes the oscillating family; the
     # effective flow estimates its own range from its data
-    eff_cfg = SolverConfig(cfl_safety=cfg.cfl_safety, record_times=record)
+    eff_cfg = SolverConfig(record_times=record)
     eff_traj = solve(eff_prob, eff_cfg)
 
     eff_coarse = [_restrict(s.values, n_coarse) for s in eff_traj.snapshots[1:]]

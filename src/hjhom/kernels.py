@@ -296,10 +296,11 @@ class QuadratureTable:
     weights[r] multiplies u[j+r] - u[j]; it collects the symmetric kernel part
     over all periodic images (singular cell folded in by second-difference
     pairing), so weights >= 0 and the discrete operator is monotone.  An
-    asymmetric density adds the signed antisym[r] coefficients plus a
-    first-order compensator coefficient (sigma >= 1 only) applied to a
-    centered difference.  Both parts act through one correlation, so the
-    conjugate spectrum and the total mass of weights + antisym are kept.
+    asymmetric density adds the signed antisym[r] coefficients plus, for
+    sigma >= 1, a first-order compensator coefficient applied to a centered
+    difference (comp_coeff is 0.0 when there is none).  Both parts act
+    through one correlation, so the conjugate spectrum and the total mass of
+    weights + antisym are kept.
     """
 
     n: int
@@ -308,8 +309,6 @@ class QuadratureTable:
     antisym: np.ndarray
     comp_coeff: float
     tail_mass: float
-    image_budget: int
-    has_compensator: bool
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
     mass: float = field(init=False, compare=False)
 
@@ -335,8 +334,7 @@ def _cell_integrals(fun: Callable[[np.ndarray], np.ndarray],
     return np.sum(half[:, None] * _GAUSS_WEIGHTS[None, :] * fun(z), axis=1)
 
 
-def periodized_weights(k: KernelSpec, n: int, image_budget: int = 16,
-                       include_compensator: Optional[bool] = None) -> QuadratureTable:
+def periodized_weights(k: KernelSpec, n: int, image_budget: int = 16) -> QuadratureTable:
     """Build the per-offset quadrature table for grid size n.
 
     On each interval [mh, (m+1)h] the grid difference is linearly interpolated
@@ -385,8 +383,6 @@ def periodized_weights(k: KernelSpec, n: int, image_budget: int = 16,
 
     antisym = np.zeros(n)
     comp = 0.0
-    use_comp = (not k.symmetric) and ((sigma >= 1.0) if include_compensator is None
-                                      else include_compensator)
     if not k.symmetric:
         def kasym_kernel(z):
             return k.kbar_asym(z) * z ** (-1.0 - sigma)
@@ -403,7 +399,7 @@ def periodized_weights(k: KernelSpec, n: int, image_budget: int = 16,
             0.5 * _GAUSS_WEIGHTS * k.kbar_asym(h * u ** 2) * 2.0 * u ** (1.0 - 2.0 * sigma)))
         antisym[1 % n] += a_lin
         antisym[(-1) % n] -= a_lin
-        if use_comp:
+        if sigma >= 1.0:
             # kappa = 2 int_0^1 kbar_asym(z) z^-sigma dz, inner piece as above
             clip_hi = np.minimum(hi, 1.0)
             keep = clip_hi > lo
@@ -417,5 +413,4 @@ def periodized_weights(k: KernelSpec, n: int, image_budget: int = 16,
     if np.any(weights < 0.0):
         raise ValueError("negative symmetric weight; kernel density must be nonnegative")
     return QuadratureTable(n=n, sigma=sigma, weights=weights, antisym=antisym,
-                           comp_coeff=comp, tail_mass=float(np.sum(weights)),
-                           image_budget=image_budget, has_compensator=use_comp)
+                           comp_coeff=comp, tail_mass=float(np.sum(weights)))

@@ -31,7 +31,7 @@ def apply_table(values: np.ndarray, table: QuadratureTable) -> np.ndarray:
         raise ValueError(f"table built for n = {table.n}, grid has n = {values.size}")
     dev = values - np.mean(values)
     out = np.fft.irfft(table.spectrum * np.fft.rfft(dev), n=values.size) - dev * table.mass
-    if table.has_compensator:
+    if table.comp_coeff:
         out -= table.comp_coeff * central_diff(dev, 1.0 / table.n)
     return out
 

@@ -22,6 +22,11 @@ from .kernels import KernelSpec, QuadratureTable
 from .operators import apply_table
 
 
+# Fraction of the monotone step bound actually taken; the CFL condition of
+# the difference-quadrature schemes (Biswas-Jakobsen-Karlsen 2010).
+CFL_SAFETY = 0.9
+
+
 class NumericalFailure(RuntimeError):
     """Blow-up, NaN, or an a-priori bound left during time stepping."""
 
@@ -54,7 +59,8 @@ class MonotoneScheme:
     Lax-Friedrichs with dissipation theta, sampled by the builder.  ham None
     means there is no gradient term.
 
-    Explicit steps u - dt (delta u + F(u)) are monotone for dt <= dt(1, delta).
+    Explicit steps u - dt (delta u + F(u)) are monotone for dt <= 1 / (budget
+    + delta); dt(delta) takes CFL_SAFETY of that.
     """
 
     def __init__(self, h: float, ham: Optional[Callable], p_range: float, *,
@@ -88,9 +94,9 @@ class MonotoneScheme:
         """Diagonal mass of F per unit step: the CFL budget."""
         return self._nonlocal_budget + self.theta / self.h
 
-    def dt(self, safety: float, delta: float = 0.0) -> float:
-        """Monotone explicit step for the discount delta, scaled by safety."""
-        return safety / (self.budget + delta + 1e-300)
+    def dt(self, delta: float = 0.0) -> float:
+        """Monotone explicit step for the discount delta."""
+        return CFL_SAFETY / (self.budget + delta + 1e-300)
 
     def tighten(self, u: np.ndarray) -> None:
         """Shrink the CFL budget to the gradients actually reached.
@@ -177,7 +183,6 @@ class SolverConfig:
     """Discretization knobs; dt is always derived from the CFL bound, and the
     flux and its dissipation from the problem data."""
 
-    cfl_safety: float = 0.9
     gradient_range: Optional[float] = None
     snapshots: int = 10              # recorded times beyond t = 0
     record_times: Optional[np.ndarray] = None
@@ -197,7 +202,6 @@ class ParabolicProblem:
     kind: str
     u0: GridFunction
     T: float
-    kernel: KernelSpec
     table: QuadratureTable
     eps: Optional[float] = None
     a: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
@@ -251,11 +255,7 @@ def _gradient_range(problem: ParabolicProblem) -> float:
     guess = max(2.0, 2.0 * p0)
     ham = problem.ham
     if ham is not None and ham.power_form is not None:
-        # steady gradients obey b_min |p|^m <= osc-scale forcing
-        xs = np.arange(256) / 256
-        b_min = float(np.min(ham.power_form.b(xs[:, None], xs[None, :])))
-        f_sup = float(np.max(np.abs(ham.power_form.f(xs[:, None], xs[None, :]))))
-        guess = max(guess, ((2.0 * f_sup + 4.0) / b_min) ** (1.0 / ham.m) + p0)
+        guess = max(guess, ham.power_form.reach() + p0)
     return guess
 
 
@@ -269,7 +269,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     n, h = u0.n, u0.h
     p_range = cfg.gradient_range if cfg.gradient_range is not None else _gradient_range(problem)
     scheme = problem.scheme(p_range)
-    dt = scheme.dt(cfg.cfl_safety)
+    dt = scheme.dt()
     record = cfg.resolved_record_times(problem.T)
 
     u = u0.values.copy()

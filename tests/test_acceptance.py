@@ -195,7 +195,7 @@ def test_criterion_07_maximum_bound_and_comparison():
     kernel = constant_kernel(1.5)
     table = periodized_weights(kernel, n)
     u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
-    prob = ParabolicProblem(kind="oscillating", u0=u0, T=T, kernel=kernel,
+    prob = ParabolicProblem(kind="oscillating", u0=u0, T=T,
                             table=table, eps=1 / 8, a=WAVY_A, ham=EIKONAL)
     traj = solve(prob, SolverConfig())
     bound = 1.0 + 1.0 * T + 1e-8
@@ -211,7 +211,7 @@ def test_criterion_07_maximum_bound_and_comparison():
         lo = trig_poly(int(rng.integers(1 << 30)), 64, scale=0.5)
         hi = GridFunction(lo.values + np.abs(trig_poly(int(rng.integers(1 << 30)), 64).values))
         cfg = SolverConfig(snapshots=4, gradient_range=60.0)
-        args = dict(kind="oscillating", T=0.1, kernel=kernel1, table=table1,
+        args = dict(kind="oscillating", T=0.1, table=table1,
                     eps=1 / 4, a=UNIT_A, ham=EIKONAL)
         t_lo = solve(ParabolicProblem(u0=lo, **args), cfg)
         t_hi = solve(ParabolicProblem(u0=hi, **args), cfg)
@@ -262,7 +262,7 @@ def test_criterion_10_sup_convolution():
     kernel = constant_kernel(1.0)
     table = periodized_weights(kernel, n)
     u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
-    prob = ParabolicProblem(kind="oscillating", u0=u0, T=T, kernel=kernel,
+    prob = ParabolicProblem(kind="oscillating", u0=u0, T=T,
                             table=table, eps=1 / 4, a=UNIT_A, ham=EIKONAL)
     traj = solve(prob, SolverConfig(snapshots=12))
     u = np.column_stack([s.values for s in traj.snapshots])

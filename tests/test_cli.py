@@ -40,6 +40,13 @@ class TestParsing:
         assert cfg["grid.eps"] == pytest.approx(1.0 / 16.0)
         assert cfg["sweep.eps_list"] == (0.5, 0.25)
 
+    @pytest.mark.parametrize("key", ["grid.cfl_safety", "kernel.image_budget",
+                                     "grid.flux", "grid.theta"])
+    def test_removed_keys_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, f"{key} = 1\n"))
+        assert f"unknown key {key!r}" in str(err.value)
+
     def test_round_trip(self, tmp_path):
         cfg = parse_config(write(tmp_path, "kernel.sigma = 0.5\ncell.p = 0.25\n"))
         again = parse_text(cfg.to_text())
@@ -261,6 +268,34 @@ class TestCommands:
         ]) + "\n", name="sweep.cfg")
         assert main(["homogenize", "--config", sweep_cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("invalid input: p = ")
+
+    def test_failed_node_outside_the_reach_is_harmless(self, tmp_path):
+        from hjhom.effective import save_table, tabulate
+        from hjhom.parabolic import NumericalFailure
+
+        def fill(p, l, fail_corner):
+            if fail_corner and (p, l) == (8.0, 6.0):
+                raise NumericalFailure("far corner")
+            return p * p - 1.0 - l, 0.0, "discount"
+
+        ps, ls = np.arange(-8.0, 9.0, 2.0), np.arange(-6.0, 7.0, 2.0)
+        outputs = []
+        for fail_corner in (False, True):
+            table = tabulate(lambda x, p, l: fill(p, l, fail_corner), [0.0], ps, ls,
+                             sigma=0.5)
+            out = tmp_path / str(fail_corner)
+            out.mkdir()
+            save_table(table, str(out / "table.csv"))
+            solve_cfg = write(out, "\n".join([
+                "kernel.sigma = 0.5", "coefficient_a.kind = constant:1",
+                "grid.kind = effective", "grid.n = 256", "grid.T = 0.02",
+                "grid.snapshots = 2", f"grid.table_csv = {out / 'table.csv'}",
+            ]) + "\n")
+            assert main(["solve", "--config", solve_cfg, "--out", str(out)]) == 0
+            rows = (out / "run_trajectory.csv").read_text().splitlines()
+            outputs.append([line for line in rows if not line.startswith("#")])
+        # the failed node lies beyond every gradient and nonlocal value reached
+        assert outputs[0] == outputs[1]
 
     def test_missing_config_is_io_failure(self, tmp_path):
         assert main(["audit", "--config", str(tmp_path / "none.cfg")]) == 4

@@ -167,12 +167,10 @@ class TestPeriodizedWeights:
         t2 = periodized_weights(k, 512)
         assert t2.tail_mass / t1.tail_mass == pytest.approx(2.0 ** sigma, rel=1e-2)
 
-    def test_compensator_immaterial_for_symmetric_density(self):
-        k = constant_kernel(1.2)
-        with_c = periodized_weights(k, 128, include_compensator=True)
-        without = periodized_weights(k, 128, include_compensator=False)
-        u = np.sin(2 * np.pi * np.arange(128) / 128)
-        assert np.array_equal(apply_table(u, with_c), apply_table(u, without))
+    def test_symmetric_density_has_no_compensator(self):
+        assert periodized_weights(constant_kernel(1.2), 128).comp_coeff == 0.0
+        assert periodized_weights(tilt_kernel(1.2, 0.0), 128).comp_coeff == 0.0
+        assert periodized_weights(tilt_kernel(1.2, 0.5), 128).comp_coeff != 0.0
 
     def test_tabulated_kernel_round_trip(self):
         base = tilt_kernel(1.0, 0.5)

@@ -18,7 +18,7 @@ from hjhom.parabolic import (NumericalFailure, ParabolicProblem, SolverConfig,
 def _oscillating(u0, ham, a, sigma, eps, T, kernel=None, **kw):
     kernel = kernel or constant_kernel(sigma)
     table = periodized_weights(kernel, u0.n)
-    return ParabolicProblem(kind="oscillating", u0=u0, T=T, kernel=kernel,
+    return ParabolicProblem(kind="oscillating", u0=u0, T=T,
                             table=table, eps=eps, a=a, ham=ham, **kw)
 
 
@@ -106,7 +106,7 @@ class TestBarriers:
         u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
         kernel = constant_kernel(1.5)
         table = periodized_weights(kernel, n)
-        prob = ParabolicProblem(kind="oscillating", u0=u0, T=0.3, kernel=kernel,
+        prob = ParabolicProblem(kind="oscillating", u0=u0, T=0.3,
                                 table=table, eps=1.0 / 8.0, a=wavy_a, ham=eikonal_ham)
         traj = solve(prob, SolverConfig())
         env = barrier_bounds(u0, 0.25, a_sup=3.0, growth_C=growth_bound(eikonal_ham),
@@ -133,7 +133,7 @@ class TestBarriers:
         n = 128
         u0s = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
         kernel = constant_kernel(1.5)
-        prob = ParabolicProblem(kind="oscillating", u0=u0s, T=0.3, kernel=kernel,
+        prob = ParabolicProblem(kind="oscillating", u0=u0s, T=0.3,
                                 table=periodized_weights(kernel, n), eps=1.0 / 8.0,
                                 a=wavy_a, ham=eikonal_ham)
         traj = solve(prob, SolverConfig())
