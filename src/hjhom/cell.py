@@ -8,18 +8,33 @@ operator F:
     kernel asymmetry, and the gradient coupling;
   * order > 1: the linear problem -a l + a (fractional Laplacian) v + H(y, p).
 
-The discounted solution is computed by marching the parabolic flow of the
-discounted operator to steady state.  Because F is invariant under adding
-constants, the additive mode is the only delta-slow direction; it is pinned
-to mean zero during the march and recovered exactly from the scalar relation
-delta * M = -mean(F(profile)) afterwards.  The marching cost is therefore
-independent of how small the discount is.
+The discounted equation delta v + F(v) = 0 is solved by Newton's method on
+the monotone scheme itself (semismooth at the Godunov flux's switches): F is
+convex and monotone, so delta I plus its Jacobian is an M-matrix, every
+iterate after the first is a supersolution, and the iterates decrease
+monotonically to the solution.  Because F is invariant under adding
+constants, a Newton step does not depend on the iterate's constant part, and
+that additive mode, the only delta-slow direction, is pinned to mean zero:
+each step solves the Jacobian against the mean-free residual
+r = delta phi + F(phi) - mean(.), and the constant is recovered exactly from
+delta * M = -mean(F(phi)) afterwards.  The cost is therefore independent of
+how small the discount is.
+
+Each discount stops for one of three reasons, recorded with its residual and
+its Newton steps:
+
+  * tol: max |r| < tol;
+  * stagnated: max |r| sits at the rounding floor of its own evaluation,
+    ROUNDOFF_MULTIPLE * eps * (|J|_inf |phi|_inf + |delta phi + F(phi)|_inf),
+    above tol.  The iterate is then the discrete solution to working
+    precision and counts as converged; no further step can lower r;
+  * budget: max_steps Newton steps were taken without either; not converged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,7 +75,7 @@ class CellParams:
 class CellConfig:
     n: int = 256
     tol: float = 1e-9
-    max_steps: int = 600_000
+    max_steps: int = 500          # Newton steps per discount
 
 
 @dataclass(frozen=True)
@@ -78,7 +93,7 @@ class CellSolution:
     delta_trace: tuple             # ((delta, min -d psi^d, max -d psi^d), ...)
     spread: float
     regularity: RegularityReport
-    residuals: tuple               # ((delta, residual, steps), ...)
+    residuals: tuple               # (DiscountSolve, ...) per discount
     converged: bool
     psi_delta_sup: float           # sup |psi^delta| at the smallest discount
     delta_min: float
@@ -127,34 +142,59 @@ def _cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
                               drift=params.drift_b if regime == "equal_one" else 0.0)
 
 
-def _march(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
-           cfg: CellConfig) -> tuple:
-    dt = scheme.dt(delta)
+# multiple of eps * (|J| |phi| + |delta phi + F(phi)|) below which the
+# mean-free residual is rounding noise of its own evaluation
+ROUNDOFF_MULTIPLE = 64.0
+
+
+class DiscountSolve(tuple):
+    """(delta, residual, steps) of one discount, unpacking as that triple,
+    plus `reason`: why Newton stopped (tol, stagnated or budget)."""
+
+    def __new__(cls, delta: float, residual: float, steps: int, reason: str):
+        rec = super().__new__(cls, (delta, residual, steps))
+        rec.reason = reason
+        return rec
+
+    @property
+    def converged(self) -> bool:
+        return self.reason != "budget"
+
+
+def _newton(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
+            cfg: CellConfig) -> tuple:
+    """Mean-pinned Newton for delta phi + F(phi) = const; (phi, DiscountSolve)."""
+    eps = np.finfo(float).eps
     phi = phi - np.mean(phi)
-    res = np.inf
     steps = 0
-    while steps < cfg.max_steps:
-        r = delta * phi + scheme.residual(phi)
-        r -= np.mean(r)
+    while True:
+        full = delta * phi + scheme.residual(phi)
+        r = full - np.mean(full)
         nr = float(np.max(np.abs(r)))
+        if not math.isfinite(nr):
+            raise NumericalFailure(f"cell Newton produced a non-finite residual at "
+                                   f"delta = {delta:g}, step {steps}")
         if nr < cfg.tol:
-            res = nr
-            break
-        phi = phi - dt * r
+            return phi, DiscountSolve(delta, nr, steps, "tol")
+        jac = scheme.jacobian(phi, delta)
+        floor = ROUNDOFF_MULTIPLE * eps * (float(np.max(np.sum(np.abs(jac), axis=1)))
+                                        * float(np.max(np.abs(phi)))
+                                        + float(np.max(np.abs(full))))
+        if nr <= floor:
+            return phi, DiscountSolve(delta, nr, steps, "stagnated")
+        if steps >= cfg.max_steps:
+            return phi, DiscountSolve(delta, nr, steps, "budget")
+        phi = phi - np.linalg.solve(jac, r)
+        phi -= np.mean(phi)
         steps += 1
-        if steps % 250 == 0:
-            if not np.all(np.isfinite(phi)):
-                raise NumericalFailure(f"cell march produced non-finite state at step {steps}")
-            phi -= np.mean(phi)
-        res = nr
-    return phi, res, steps, res < cfg.tol
 
 
 def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfig] = None
                              ) -> CellSolution:
     """Solve the discounted stationary problem along a decreasing discount list.
 
-    The ergodic constant estimate is the midpoint of [min, max] of the scaled
+    Each discount starts Newton from the previous discount's solution.  The
+    ergodic constant estimate is the midpoint of [min, max] of the scaled
     discounted solution at the smallest discount; the max - min spread is the
     reported error bar (the convergence to the constant is uniform).
     """
@@ -164,26 +204,17 @@ def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfi
         raise ValueError("discounts must be positive")
     scheme = _cell_scheme(params, cfg)
     phi = np.zeros(cfg.n)
-    if scheme.power is not None:
-        # short pre-march at the conservative step, then shrink the CFL budget
-        # to the gradients actually present before the real sweep
-        pre_cfg = replace(cfg, max_steps=min(4000, cfg.max_steps))
-        phi, _, _, _ = _march(scheme, phi, deltas[0], pre_cfg)
-        scheme.tighten(phi)
     trace = []
     residuals = []
-    all_ok = True
     minus_dpsi = None
     psi_delta_sup = 0.0
     for d in deltas:
-        phi, res, steps, ok = _march(scheme, phi, d, cfg)
-        all_ok = all_ok and ok
-        scheme.tighten(phi)
+        phi, rec = _newton(scheme, phi, d, cfg)
         mean_F = float(np.mean(scheme.residual(phi)))
         minus_dpsi = -d * phi + mean_F
         psi_delta_sup = float(np.max(np.abs(phi - mean_F / d)))
         trace.append((d, float(np.min(minus_dpsi)), float(np.max(minus_dpsi))))
-        residuals.append((d, res, steps))
+        residuals.append(rec)
     lo, hi = trace[-1][1], trace[-1][2]
     psi_vals = phi - phi[0]
     psi = GridFunction(psi_vals)
@@ -195,7 +226,8 @@ def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfi
     )
     return CellSolution(psi=psi, H_bar=0.5 * (lo + hi), delta_trace=tuple(trace),
                         spread=hi - lo, regularity=reg, residuals=tuple(residuals),
-                        converged=all_ok, psi_delta_sup=psi_delta_sup,
+                        converged=all(rec.converged for rec in residuals),
+                        psi_delta_sup=psi_delta_sup,
                         delta_min=deltas[-1])
 
 

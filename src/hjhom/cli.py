@@ -131,6 +131,15 @@ def _cell_config(cfg: RunConfig) -> CellConfig:
                       max_steps=cfg["cell.max_steps"])
 
 
+def _unconverged(params: CellParams, sol) -> str:
+    """Name the node and the first discount whose Newton solve ran out of steps."""
+    rec = next(rec for rec in sol.residuals if not rec.converged)
+    d, res, steps = rec
+    return (f"cell solve at (x, p, l) = ({params.x:g}, {params.p:g}, {params.l:g}) "
+            f"not converged at delta = {d:g}: residual {res:.3e} after {steps} "
+            f"Newton steps, stopped by {rec.reason}")
+
+
 def cmd_cell(args, cfg: RunConfig) -> int:
     code = _gate(cfg, args.force)
     if code:
@@ -145,11 +154,7 @@ def cmd_cell(args, cfg: RunConfig) -> int:
           f"(spread {sol.spread:.3g}), corrector osc {sol.regularity.osc:.4g}, "
           f"report -> {path}")
     if not sol.converged:
-        print("steady state not reached within the step budget; residual history:",
-              file=sys.stderr)
-        for d, res, steps in sol.residuals:
-            print(f"  delta={d:g}: residual={res:.3e} after {steps} steps",
-                  file=sys.stderr)
+        print(_unconverged(params, sol), file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -163,7 +168,7 @@ def _discount_fill(cfg: RunConfig):
         params = dataclasses.replace(base, x=x, p=p, l=l)
         sol = vanishing_discount_sweep(params, deltas, ccfg)
         if not sol.converged:
-            raise NumericalFailure("cell solve did not reach steady state")
+            raise NumericalFailure(_unconverged(params, sol))
         return sol.H_bar, sol.spread, "discount"
 
     return fill
@@ -205,7 +210,9 @@ def cmd_effective(args, cfg: RunConfig) -> int:
           f"coercivity margin {audit.coercivity_margin:.4g}, "
           f"continuity C_l={audit.C_l:.4g} C_x={audit.C_x:.4g} C_p={audit.C_p:.4g}")
     if np.any(table.provenance == "failed"):
-        print("some nodes failed to converge (marked 'failed')", file=sys.stderr)
+        print("some nodes failed to converge (marked 'failed'):", file=sys.stderr)
+        for reason in table.failures:
+            print(f"  {reason}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK if audit.passed else EXIT_AUDIT
 

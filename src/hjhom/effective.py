@@ -66,6 +66,7 @@ class EffectiveTable:
     provenance: np.ndarray   # strings: formula | discount | longtime | failed
     sigma: float
     meta: dict = field(default_factory=dict)
+    failures: tuple = ()     # why each failed node failed, as tabulate saw it
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
@@ -124,6 +125,22 @@ def query_many(table: EffectiveTable, x: np.ndarray, p: np.ndarray,
     return out
 
 
+def failed_node(table: EffectiveTable, x: float, p: float, l: float) -> Optional[tuple]:
+    """(x, p, l) of a failed (NaN) node the query at (x, p, l) draws on with
+    nonzero weight, or None."""
+    corners = []
+    for axis, q, name in ((table.xs, x, "x"), (table.ps, p, "p"), (table.ls, l, "l")):
+        i0, i1, w = _axis_locate_many(axis, np.asarray(float(q)), name)
+        corners.append([(int(i), float(axis[i])) for i, c in ((i0, 1.0 - w), (i1, w))
+                        if c != 0.0])
+    for ix, xv in corners[0]:
+        for ip, pv in corners[1]:
+            for il, lv in corners[2]:
+                if not np.isfinite(table.values[ix, ip, il]):
+                    return xv, pv, lv
+    return None
+
+
 def query(table: EffectiveTable, x: float, p: float, l: float) -> float:
     """Scalar form of query_many."""
     return float(query_many(table, x, p, l))
@@ -144,18 +161,21 @@ def tabulate(fill: Callable, xs, ps, ls, sigma: float,
     values = np.full((xs.size, ps.size, ls.size), np.nan)
     err = np.full_like(values, np.inf)
     prov = np.full(values.shape, "failed", dtype=object)
+    failures = []
     for i, x in enumerate(xs):
         for j, p in enumerate(ps):
             for k, l in enumerate(ls):
                 try:
                     v, e, tag = fill(float(x), float(p), float(l))
-                except (NumericalFailure, ValueError):
+                except (NumericalFailure, ValueError) as exc:
+                    failures.append(str(exc))
                     continue
                 values[i, j, k] = v
                 err[i, j, k] = e
                 prov[i, j, k] = tag
     return EffectiveTable(xs=xs, ps=ps, ls=ls, values=values, err=err,
-                          provenance=prov, sigma=sigma, meta=dict(meta or {}))
+                          provenance=prov, sigma=sigma, meta=dict(meta or {}),
+                          failures=tuple(failures))
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def effective_source_from_table(table) -> EffectiveSource:
     A single-node x axis means the tabulated model has no slow-variable
     dependence, so every x is served by that node.
     """
-    from .effective import query_many
+    from .effective import failed_node, query_many
     collapse_x = table.xs.size == 1
 
     def value(x, p, l):
@@ -99,8 +99,16 @@ def effective_source_from_table(table) -> EffectiveSource:
             x = np.full_like(x, table.xs[0])
         return query_many(table, x, p, l)
 
+    def explain(x, p, l):
+        query = f"the query (x, p, l) = ({x:.6g}, {p:.6g}, {l:.6g})"
+        node = failed_node(table, table.xs[0] if collapse_x else x, p, l)
+        if node is None:
+            return f"{query} is non-finite"
+        return (f"{query} draws on the failed table node (x, p, l) = "
+                f"({node[0]:g}, {node[1]:g}, {node[2]:g})")
+
     return EffectiveSource(value=value, l_slope=table.l_slope_bound(),
-                           theta=table.p_slope_bound())
+                           theta=table.p_slope_bound(), explain=explain)
 
 
 @dataclass

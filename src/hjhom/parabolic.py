@@ -5,13 +5,13 @@ quadrature weights for the nonlocal part, Godunov or Lax-Friedrichs for the
 gradient part, and a CFL step chosen so every off-diagonal dependence is
 nondecreasing.  Monotonicity buys the discrete comparison principle, the
 sup-norm bound, and stability; no attempt is made at higher order.  The same
-scheme object drives the cell solver's march to steady state.
+scheme object, with its Jacobian, drives the cell solver's Newton iteration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,15 +36,19 @@ def godunov_power_flux(m: float, ql: np.ndarray, qr: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(ql, 0.0), np.maximum(-qr, 0.0)) ** m
 
 
+def _p_slope(ham_at: Callable[[np.ndarray], np.ndarray], q: np.ndarray) -> np.ndarray:
+    """dH/dp at the gradients q by a centered difference."""
+    d = 1e-5
+    return (ham_at(q + d) - ham_at(q - d)) / (2.0 * d)
+
+
 def sampled_theta(ham_at: Callable[[np.ndarray], np.ndarray], p_range: float) -> float:
     """Lax-Friedrichs dissipation: sampled sup |dH/dp| over |p| <= p_range.
 
     ham_at(ps) evaluates H at every sample node for the 1-D array ps of
-    gradients; the slope is a centered difference.
+    gradients.
     """
-    ps = np.linspace(-p_range, p_range, 201)
-    d = 1e-5
-    return float(np.max(np.abs(ham_at(ps + d) - ham_at(ps - d)) / (2.0 * d)))
+    return float(np.max(np.abs(_p_slope(ham_at, np.linspace(-p_range, p_range, 201)))))
 
 
 class MonotoneScheme:
@@ -79,15 +83,10 @@ class MonotoneScheme:
         if drift:
             budget += l_slope * abs(drift) / h
         self._nonlocal_budget = budget
-        self.p_range = p_range
         if power is not None:
-            self._coeff_max = float(np.max(power[0]))
-            theta = self._godunov_theta(p_range)
+            m = power[1]
+            theta = float(np.max(power[0])) * m * p_range ** (m - 1.0)
         self.theta = theta
-
-    def _godunov_theta(self, p_range: float) -> float:
-        m = self.power[1]
-        return self._coeff_max * m * p_range ** (m - 1.0)
 
     @property
     def budget(self) -> float:
@@ -97,21 +96,6 @@ class MonotoneScheme:
     def dt(self, delta: float = 0.0) -> float:
         """Monotone explicit step for the discount delta."""
         return CFL_SAFETY / (self.budget + delta + 1e-300)
-
-    def tighten(self, u: np.ndarray) -> None:
-        """Shrink the CFL budget to the gradients actually reached.
-
-        Only the Godunov flux qualifies: there theta enters the step bound but
-        not the flux values, so the discrete fixed point is unchanged.  A 50%
-        margin over the observed range keeps the monotonicity certificate.
-        """
-        if self.power is None:
-            return
-        q_max = abs(self.p) + float(np.max(np.abs(forward_diff(u, self.h))))
-        seen = 1.5 * q_max + 0.1
-        if seen < self.p_range:
-            self.p_range = seen
-            self.theta = self._godunov_theta(seen)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         dr = forward_diff(u, self.h)
@@ -132,6 +116,56 @@ class MonotoneScheme:
         else:
             flux = self.ham(0.5 * (ql + qr), lv) - 0.5 * self.theta * (qr - ql)
         return flux if out is None else out + flux
+
+    def jacobian(self, u: np.ndarray, delta: float = 0.0) -> np.ndarray:
+        """Dense n x n derivative of delta u + F(u) at u, for Newton solves.
+
+        The nonlocal value must enter through the coefficient a, as in every
+        cell scheme.  The Godunov flux is differentiated on its active
+        one-sided difference, the Lax-Friedrichs flux through a centered
+        dH/dp.  The rows of F's part sum to zero; with a symmetric kernel
+        every off-diagonal entry is <= 0 as well, so the matrix is an
+        M-matrix, singular only when delta = 0, with the constants as its
+        kernel.
+        """
+        if self.table is not None and self.minus_a is None:
+            raise ValueError("jacobian needs the nonlocal value to enter through a")
+        n, h = u.size, self.h
+        j = np.arange(n)
+        up, dn = (j + 1) % n, (j - 1) % n
+        jac = np.zeros((n, n))
+        if self.table is not None:
+            t = self.table
+            lin = (t.weights + t.antisym)[(j[None, :] - j[:, None]) % n]
+            lin[j, j] -= t.mass
+            if t.comp_coeff:
+                lin[j, up] -= t.comp_coeff * n / 2.0
+                lin[j, dn] += t.comp_coeff * n / 2.0
+            if self.drift:
+                side = dn if self.drift > 0.0 else up
+                lin[j, j] -= abs(self.drift) / h
+                lin[j, side] += abs(self.drift) / h
+            jac = self.minus_a[:, None] * lin
+        jac[j, j] += delta
+        if self.ham is None:
+            return jac
+        dr = forward_diff(u, h)
+        qr = self.p + dr
+        ql = np.roll(qr, 1)
+        if self.power is not None:
+            coeff, m, _ = self.power
+            left, right = np.maximum(ql, 0.0), np.maximum(-qr, 0.0)
+            use_left = left >= right
+            g = coeff * m * np.where(use_left, left, right) ** (m - 1.0) / h
+            jac[j, j] += g
+            jac[j, dn] -= np.where(use_left, g, 0.0)
+            jac[j, up] -= np.where(use_left, 0.0, g)
+        else:
+            hq = _p_slope(lambda q: self.ham(q, None), 0.5 * (ql + qr))
+            jac[j, j] += self.theta / h
+            jac[j, up] += 0.5 * (hq - self.theta) / h
+            jac[j, dn] -= 0.5 * (hq + self.theta) / h
+        return jac
 
 
 def coefficient_scheme(h: float, xs: np.ndarray, ys: np.ndarray, a: np.ndarray,
@@ -159,6 +193,9 @@ class EffectiveSource:
     power_coeff: Optional[Callable[[np.ndarray], np.ndarray]] = None
     power_m: Optional[float] = None
     theta: Optional[float] = None     # LF dissipation for non-power sources
+    # names what makes value non-finite at one query (x, p, l); read only
+    # after a solve has failed
+    explain: Optional[Callable[[float, float, float], str]] = None
 
     def scheme(self, xs: np.ndarray, table: QuadratureTable,
                p_range: float) -> MonotoneScheme:
@@ -259,6 +296,28 @@ def _gradient_range(problem: ParabolicProblem) -> float:
     return guess
 
 
+def _nonfinite_query(problem: ParabolicProblem, u: np.ndarray, p_range: float) -> str:
+    """The first effective-source query that comes back non-finite from the
+    (finite) state u, explained by the source; empty if there is none."""
+    src = problem.source
+    if src is None or src.explain is None:
+        return ""
+    hits = []
+
+    def value(x, p, l):
+        out = src.value(x, p, l)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size and not hits:
+            hits.append(tuple(float(np.broadcast_to(a, out.shape).flat[bad[0]])
+                              for a in (x, p, l)))
+        return out
+
+    scheme = replace(src, value=value).scheme(problem.u0.nodes(), problem.table, p_range)
+    hits.clear()
+    scheme.residual(u)
+    return f"; {src.explain(*hits[0])}" if hits else ""
+
+
 def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     """March the problem to its horizon, recording exact snapshot times.
 
@@ -284,11 +343,13 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
         while t < t_target - 1e-14:
             step = min(dt, t_target - t)
             r = scheme.residual(u)
-            u = u - step * r
+            nxt = u - step * r
             t += step
             step_index += 1
-            if not np.all(np.isfinite(u)):
-                raise NumericalFailure(f"non-finite state at step {step_index}, t = {t:.6g}")
+            if not np.all(np.isfinite(nxt)):
+                raise NumericalFailure(f"non-finite state at step {step_index}, t = {t:.6g}"
+                                       + _nonfinite_query(problem, u, p_range))
+            u = nxt
         g = float(np.max(np.abs(forward_diff(u, h))))
         max_grad = max(max_grad, g)
         if g > p_range * (1.0 + 1e-9):

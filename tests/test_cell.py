@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from hjhom.cell import (CellConfig, CellParams, long_time_average, regime_of,
-                        regularity_audit, regularity_sweep_audit,
+from hjhom.cell import (CellConfig, CellParams, _cell_scheme, long_time_average,
+                        regime_of, regularity_audit, regularity_sweep_audit,
                         spectral_cell_above_one, vanishing_discount_sweep)
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, model_bpm
@@ -22,6 +22,26 @@ def eikonal_root(p: float) -> float:
     F = lambda c: quad(lambda y: np.sqrt(c + np.cos(2 * np.pi * y)), 0.0, 1.0,
                        limit=200)[0] - abs(p)
     return brentq(F, 1.0, abs(p) ** 2 + 2.0, xtol=1e-12)
+
+
+def march_oracle(params: CellParams, deltas, n: int, tol: float = 1e-11) -> tuple:
+    """(H_bar, spread) by explicit monotone steps to steady state, mean pinned."""
+    scheme = _cell_scheme(params, CellConfig(n=n))
+    phi = np.zeros(n)
+    for d in deltas:
+        dt = scheme.dt(d)
+        for _ in range(2_000_000):
+            r = d * phi + scheme.residual(phi)
+            r -= np.mean(r)
+            if np.max(np.abs(r)) < tol:
+                break
+            phi = phi - dt * r
+            phi -= np.mean(phi)
+        else:
+            raise AssertionError(f"oracle march did not reach {tol} at delta = {d}")
+    minus_dpsi = -deltas[-1] * phi + np.mean(scheme.residual(phi))
+    lo, hi = float(np.min(minus_dpsi)), float(np.max(minus_dpsi))
+    return 0.5 * (lo + hi), hi - lo
 
 
 class TestRegimes:
@@ -79,10 +99,32 @@ class TestEikonalCell:
 
     def test_step_budget_exhaustion_is_diagnosed(self, eikonal_ham, unit_a):
         params = CellParams(x=0.0, p=0.0, l=0.0, sigma=0.5, a=unit_a, ham=eikonal_ham)
-        sol = vanishing_discount_sweep(params, (0.1,), CellConfig(n=128, max_steps=40))
+        sol = vanishing_discount_sweep(params, (0.1,), CellConfig(n=128, max_steps=1))
         assert not sol.converged
         assert sol.residuals[0][1] > 1e-9
-        assert sol.residuals[0][2] == 40
+        assert sol.residuals[0][2] == 1
+        assert sol.residuals[0].reason == "budget"
+
+    def test_roundoff_floor_stops_as_stagnated(self, eikonal_ham, unit_a):
+        # tol 0 is out of reach: each discount stops at the rounding floor,
+        # long before the cap, and counts as converged
+        params = CellParams(x=0.0, p=0.45, l=0.0, sigma=0.5, a=unit_a, ham=eikonal_ham)
+        sol = vanishing_discount_sweep(params, (0.1, 0.01), CellConfig(n=128, tol=0.0))
+        assert sol.converged
+        for rec in sol.residuals:
+            assert rec.reason == "stagnated"
+            assert rec[1] <= 1e-11 and rec[2] <= 50
+
+    @pytest.mark.parametrize("p", [0.0, 0.45, 1.2, 2.0])
+    def test_fine_grid_small_discount(self, p, eikonal_ham, unit_a):
+        # n = 512 with discounts to 1e-3: far past the explicit march's budget,
+        # within the tolerances of acceptance criterion 03
+        params = CellParams(x=0.0, p=p, l=0.0, sigma=0.5, a=unit_a, ham=eikonal_ham)
+        sol = vanishing_discount_sweep(params, (0.1, 0.01, 0.001), CellConfig(n=512))
+        assert sol.converged
+        assert all(rec.reason == "tol" for rec in sol.residuals)
+        tol = 5e-3 if p < 2.0 * np.sqrt(2.0) / np.pi else 1e-2
+        assert abs(sol.H_bar - eikonal_root(p)) <= tol
 
     def test_discount_trace_tightens(self, eikonal_ham, unit_a):
         params = CellParams(x=0.0, p=0.0, l=0.0, sigma=0.5, a=unit_a, ham=eikonal_ham)
@@ -121,6 +163,33 @@ class TestFractionalCell:
         s1 = vanishing_discount_sweep(with_drift, (0.1, 0.05), FAST)
         s2 = vanishing_discount_sweep(without, (0.1, 0.05), FAST)
         assert abs(s1.H_bar - s2.H_bar) > 1e-3
+
+
+class TestNewtonAgainstMarch:
+    @pytest.mark.parametrize("sigma, p, drift", [(0.5, 0.45, False), (0.5, 1.2, False),
+                                                  (1.0, 0.5, True), (1.5, 1.0, False)])
+    def test_matches_march_oracle(self, sigma, p, drift, eikonal_ham, wavy_a):
+        b = drift_vector(tilt_kernel(1.0, 0.5), tol=1e-8).b if drift else 0.0
+        params = CellParams(x=0.0, p=p, l=0.3, sigma=sigma, a=wavy_a, ham=eikonal_ham,
+                            drift_b=b)
+        deltas = (0.1, 0.05)
+        sol = vanishing_discount_sweep(params, deltas, CellConfig(n=64, tol=1e-11))
+        H_march, spread_march = march_oracle(params, deltas, 64)
+        assert sol.converged
+        assert abs(sol.H_bar - H_march) <= 1e-8
+        assert abs(sol.spread - spread_march) <= 1e-10
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_order_one_tilt_exact_column(self, p, eikonal_ham, wavy_a):
+        # l = -1 with a = 2 + cos: -a l cancels the forcing, so psi = 0 and
+        # H_bar = 2 + p^2 with no Newton step at all
+        b = drift_vector(tilt_kernel(1.0, 0.5), tol=1e-8).b
+        params = CellParams(x=0.0, p=p, l=-1.0, sigma=1.0, a=wavy_a, ham=eikonal_ham,
+                            drift_b=b)
+        sol = vanishing_discount_sweep(params, (0.1, 0.05, 0.025, 0.0125),
+                                       CellConfig(n=256))
+        assert abs(sol.H_bar - (2.0 + p * p)) <= 1e-12
+        assert all(rec[2] == 0 for rec in sol.residuals)
 
 
 class TestConstantCoefficientShift:

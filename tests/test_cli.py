@@ -161,10 +161,13 @@ class TestCommands:
     def test_cell_command_reports_unreached_steady_state(self, tmp_path, capsys):
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 0.5", "coefficient_a.kind = constant:1",
-            "cell.n = 64", "cell.deltas = 0.1,0.05", "cell.max_steps = 30",
+            "cell.n = 64", "cell.deltas = 0.1,0.05", "cell.max_steps = 1",
         ]) + "\n")
         assert main(["cell", "--config", path, "--out", str(tmp_path)]) == 3
-        assert "residual" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "residual" in err
+        assert "(x, p, l) = (0, 0, 0)" in err and "delta = 0.1:" in err
+        assert "after 1 Newton steps, stopped by budget" in err
 
     def test_effective_command_and_reload(self, tmp_path):
         path = write(tmp_path, "\n".join([
@@ -296,6 +299,30 @@ class TestCommands:
             outputs.append([line for line in rows if not line.startswith("#")])
         # the failed node lies beyond every gradient and nonlocal value reached
         assert outputs[0] == outputs[1]
+
+    def test_failed_node_reached_is_named(self, tmp_path, capsys):
+        from hjhom.effective import save_table, tabulate
+        from hjhom.parabolic import NumericalFailure
+
+        def fill(x, p, l):
+            if (p, l) == (2.0, 0.0):
+                raise NumericalFailure("node (2, 0)")
+            return p * p - 1.0 - l, 0.0, "discount"
+
+        table = tabulate(fill, [0.0], np.arange(-8.0, 9.0, 2.0), np.arange(-6.0, 7.0, 2.0),
+                         sigma=0.5)
+        save_table(table, str(tmp_path / "table.csv"))
+        solve_cfg = write(tmp_path, "\n".join([
+            "kernel.sigma = 0.5", "coefficient_a.kind = constant:1",
+            "grid.kind = effective", "grid.n = 64", "grid.T = 0.05",
+            f"grid.table_csv = {tmp_path / 'table.csv'}",
+        ]) + "\n")
+        capsys.readouterr()
+        assert main(["solve", "--config", solve_cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite state at step 1" in err
+        assert "draws on the failed table node (x, p, l) = (0, 2, 0)" in err
+        assert "the query (x, p, l) = (" in err
 
     def test_missing_config_is_io_failure(self, tmp_path):
         assert main(["audit", "--config", str(tmp_path / "none.cfg")]) == 4

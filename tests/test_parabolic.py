@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import trig_poly
 from hjhom.grid import GridFunction
-from hjhom.hamiltonians import coefficient, growth_bound, model_bpm
+from hjhom.hamiltonians import HamiltonianSpec, coefficient, growth_bound, model_bpm
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
 from hjhom.parabolic import (NumericalFailure, ParabolicProblem, SolverConfig,
-                             barrier_bounds, holder_exponent_alpha0,
-                             initial_layer_modulus, sampled_modulus, solve,
-                             sup_convolution_time)
+                             barrier_bounds, coefficient_scheme,
+                             holder_exponent_alpha0, initial_layer_modulus,
+                             sampled_modulus, solve, sup_convolution_time)
 
 
 def _oscillating(u0, ham, a, sigma, eps, T, kernel=None, **kw):
@@ -84,6 +84,55 @@ class TestSolve:
         prob = _oscillating(u0, eikonal_ham, unit_a, 1.0, 0.25, 0.2)
         with pytest.raises(NumericalFailure):
             solve(prob, SolverConfig(gradient_range=0.05))
+
+
+class TestJacobian:
+    N = 64
+
+    def _scheme(self, ham, kernel, drift):
+        n = self.N
+        xs, ys = np.zeros(n), np.arange(n) / n
+        a = 2.0 + np.cos(2.0 * np.pi * ys)
+        return coefficient_scheme(1.0 / n, xs, ys, a, ham, 6.0, p=0.7,
+                                  table=periodized_weights(kernel, n),
+                                  const=-0.3 * a, drift=drift)
+
+    @pytest.mark.parametrize("flux", ["godunov", "lax_friedrichs"])
+    @pytest.mark.parametrize("kernel, drift", [(constant_kernel(0.5), 0.0),
+                                               (constant_kernel(1.0), 0.3),
+                                               (constant_kernel(1.0), -0.3),
+                                               (tilt_kernel(1.2, 0.5), 0.0)])
+    def test_matches_finite_differences(self, flux, kernel, drift, eikonal_ham):
+        ham = eikonal_ham
+        if flux == "lax_friedrichs":
+            ham = HamiltonianSpec(eval=lambda x, y, p: (1.5 + np.cos(2 * np.pi * y))
+                                  * np.sqrt(1.0 + p * p) ** 3, m=3.0, b0=1.0, C0=1.0)
+        scheme = self._scheme(ham, kernel, drift)
+        assert (scheme.power is None) == (flux == "lax_friedrichs")
+        u = 0.3 * trig_poly(5, self.N).values
+        delta, e = 0.05, 1e-6
+        jac = scheme.jacobian(u, delta)
+        fd = np.empty_like(jac)
+        for k in range(self.N):
+            up, dn = u.copy(), u.copy()
+            up[k] += e
+            dn[k] -= e
+            fd[:, k] = (delta * (up - dn) + scheme.residual(up) - scheme.residual(dn)) / (2 * e)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+        # rows of F's part sum to zero: constants are annihilated
+        assert np.max(np.abs(jac.sum(axis=1) - delta)) <= 1e-9 * np.max(np.abs(jac))
+        if kernel.symmetric:
+            off = jac - np.diag(np.diag(jac))
+            assert np.max(off) <= 0.0      # M-matrix sign pattern
+
+    def test_effective_sources_are_rejected(self):
+        from hjhom.parabolic import EffectiveSource
+        src = EffectiveSource(value=lambda x, p, l: p * p - l, l_slope=1.0, theta=4.0)
+        n = 16
+        scheme = src.scheme(np.arange(n) / n, periodized_weights(constant_kernel(0.5), n),
+                            2.0)
+        with pytest.raises(ValueError):
+            scheme.jacobian(np.zeros(n))
 
 
 class TestBarriers:
