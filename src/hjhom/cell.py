@@ -162,13 +162,14 @@ class DiscountSolve(tuple):
 
 
 def _newton(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
-            cfg: CellConfig) -> tuple:
-    """Mean-pinned Newton for delta phi + F(phi) = const; (phi, DiscountSolve)."""
+            cfg: CellConfig, source=0.0) -> tuple:
+    """Mean-pinned Newton for delta phi + F(phi) = source + const, with a
+    mean-free source; (phi, DiscountSolve)."""
     eps = np.finfo(float).eps
     phi = phi - np.mean(phi)
     steps = 0
     while True:
-        full = delta * phi + scheme.residual(phi)
+        full = delta * phi + scheme.residual(phi) - source
         r = full - np.mean(full)
         nr = float(np.max(np.abs(r)))
         if not math.isfinite(nr):
@@ -231,25 +232,40 @@ def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfi
                         delta_min=deltas[-1])
 
 
+# backward Euler steps of one long-time march, whatever its horizon
+LONG_TIME_STEPS = 640
+
+
 def long_time_average(params: CellParams, T_max: float,
                       cfg: Optional[CellConfig] = None) -> tuple:
     """Ergodic constant from the undiscounted flow: -v(T)/T from v(0) = 0.
+
+    The flow v_t + F(v) = 0 takes LONG_TIME_STEPS backward Euler steps
+    v_{k+1} + dt F(v_{k+1}) = v_k, each solved by the mean-pinned Newton of
+    the discount sweep with delta = 1/dt and source delta (v_k - mean v_k);
+    the mean then follows exactly from mean v_{k+1} = mean v_k - dt mean F.
+    A travelling solution w - c t needs F(w) = c for every dt, as it does
+    for the explicit march, so the step size does not move the constant.
 
     Returns (estimate, error_bar, checkpoints); the error bar is the drift of
     the running estimate over the last decade of time.
     """
     cfg = cfg or CellConfig()
     scheme = _cell_scheme(params, cfg)
-    dt = scheme.dt()
-    steps_total = int(math.ceil(T_max / dt))
+    dt = T_max / LONG_TIME_STEPS
     v = np.zeros(cfg.n)
     checkpoints = []
     next_check = T_max / 64.0
     t = 0.0
-    for s in range(steps_total):
-        v = v - dt * scheme.residual(v)
+    for s in range(LONG_TIME_STEPS):
+        mean_v = float(np.mean(v))
+        phi, rec = _newton(scheme, v, 1.0 / dt, cfg, source=(v - mean_v) / dt)
+        if not rec.converged:
+            raise NumericalFailure(f"long-time step {s + 1} stopped at residual "
+                                   f"{rec[1]:.3g} after {rec[2]} Newton steps")
+        v = phi + (mean_v - dt * float(np.mean(scheme.residual(phi))))
         t += dt
-        if t >= next_check or s == steps_total - 1:
+        if t >= next_check or s == LONG_TIME_STEPS - 1:
             checkpoints.append((t, -float(np.mean(v)) / t))
             next_check = max(next_check * 1.25, t + dt)
             if not np.all(np.isfinite(v)):

@@ -270,7 +270,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
                    csvio.trajectory_summary_rows(traj, u0), cfg.header_lines())
     bound = u0.sup_norm() + ham.h_at_zero_sup() * cfg["grid.T"] + 1e-8
     print(f"final sup norm {traj.sup_norm_track[-1]:.6g} "
-          f"(a-priori bound {bound:.6g}), dt = {traj.dt:.3e}")
+          f"(a-priori bound {bound:.6g}), dt = {traj.dt:.3e}, steps = {traj.steps}")
     print(f"trajectory -> {tpath}\nsummary -> {spath}")
     return EXIT_OK
 

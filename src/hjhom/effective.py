@@ -86,43 +86,65 @@ class EffectiveTable:
         return float(np.max(np.abs(d[np.isfinite(d)]), initial=0.0))
 
 
-def _axis_locate_many(axis: np.ndarray, q: np.ndarray, name: str) -> tuple:
+def _locate(axis: np.ndarray, q: np.ndarray, name: str) -> Optional[tuple]:
+    """(i, w) per query of the 1-D array q: the node at or left of it on the
+    axis and the weight of node i + 1; None for a single-node axis, once every
+    query sits on its node.
+
+    Raises ValueError naming the worst query outside the hull.
+    """
+    # fmin/fmax pass over NaN queries, so a NaN does not hide an off-hull one
+    lo = np.fmin.reduce(q, initial=axis[0])
+    hi = np.fmax.reduce(q, initial=axis[-1])
+    bad = float(lo if axis[0] - lo >= hi - axis[-1] else hi)
     if axis.size == 1:
-        if np.any(np.abs(q - axis[0]) > 1e-9 * max(1.0, abs(axis[0]))):
-            bad = float(q.ravel()[np.argmax(np.abs(q - axis[0]))])
+        if max(axis[0] - lo, hi - axis[0]) > 1e-9 * max(1.0, abs(axis[0])):
             raise ValueError(f"{name} = {bad} outside the single-node axis; "
                              "enlarge the table box")
-        z = np.zeros(q.shape, dtype=int)
-        return z, z, np.zeros(q.shape)
-    if np.any(q < axis[0] - 1e-12) or np.any(q > axis[-1] + 1e-12):
-        bad = float(q.ravel()[np.argmax(np.maximum(axis[0] - q, q - axis[-1]))])
+        return None
+    if lo < axis[0] - 1e-12 or hi > axis[-1] + 1e-12:
         raise ValueError(f"{name} = {bad} outside the table hull "
                          f"[{axis[0]}, {axis[-1]}]; enlarge the table box")
-    i = np.clip(np.searchsorted(axis, q) - 1, 0, axis.size - 2)
-    w = np.clip((q - axis[i]) / (axis[i + 1] - axis[i]), 0.0, 1.0)
-    return i, i + 1, w
+    # counting interior nodes below q gives the cell index clipped to [0, size - 2]
+    i = np.searchsorted(axis[1:-1], q)
+    w = q - axis.take(i)
+    w /= (axis[1:] - axis[:-1]).take(i)
+    np.clip(w, 0.0, 1.0, out=w)
+    return i, w
 
 
 def query_many(table: EffectiveTable, x: np.ndarray, p: np.ndarray,
                l: np.ndarray) -> np.ndarray:
     """Vectorized multilinear interpolation; exact at nodes, no extrapolation.
 
+    A single-node axis is checked (every query must sit on its node) and then
+    skipped, so a table with one x node interpolates over 4 corners, not 8.
     Corners of zero weight are skipped, so a failed (NaN) node never reaches
     a query that lands on its neighbour.
     """
     x, p, l = np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float),
                                   np.asarray(l, float))
-    ix0, ix1, wx = _axis_locate_many(table.xs, x, "x")
-    ip0, ip1, wp = _axis_locate_many(table.ps, p, "p")
-    il0, il1, wl = _axis_locate_many(table.ls, l, "l")
-    v = table.values
-    out = np.zeros(x.shape)
-    for ix, cx in ((ix0, 1.0 - wx), (ix1, wx)):
-        for ip, cp in ((ip0, 1.0 - wp), (ip1, wp)):
-            for il, cl in ((il0, 1.0 - wl), (il1, wl)):
-                c = cx * cp * cl
-                out += np.where(c != 0.0, c * v[ix, ip, il], 0.0)
-    return out
+    shape = x.shape
+    flat = np.zeros(x.size, dtype=np.intp)
+    corners = [(0, 1.0)]      # (flat offset, weight) per corner, in x, p, l order
+    for axis, q, name, stride in ((table.xs, x, "x", table.ps.size * table.ls.size),
+                                  (table.ps, p, "p", table.ls.size),
+                                  (table.ls, l, "l", 1)):
+        located = _locate(axis, q.ravel(), name)
+        if located is None:
+            continue
+        i, w = located
+        flat += i * stride
+        low = 1.0 - w
+        corners = [(off + off_ax, c * c_ax)
+                   for off, c in corners for off_ax, c_ax in ((0, low), (stride, w))]
+    values = table.values.ravel()
+    out = np.zeros(x.size)
+    for off, c in corners:
+        cv = values[off:].take(flat)
+        cv *= c
+        np.add(out, cv, out=out, where=c != 0.0)
+    return out.reshape(shape)
 
 
 def failed_node(table: EffectiveTable, x: float, p: float, l: float) -> Optional[tuple]:
@@ -130,14 +152,17 @@ def failed_node(table: EffectiveTable, x: float, p: float, l: float) -> Optional
     nonzero weight, or None."""
     corners = []
     for axis, q, name in ((table.xs, x, "x"), (table.ps, p, "p"), (table.ls, l, "l")):
-        i0, i1, w = _axis_locate_many(axis, np.asarray(float(q)), name)
-        corners.append([(int(i), float(axis[i])) for i, c in ((i0, 1.0 - w), (i1, w))
-                        if c != 0.0])
-    for ix, xv in corners[0]:
-        for ip, pv in corners[1]:
-            for il, lv in corners[2]:
+        located = _locate(axis, np.array([float(q)]), name)
+        if located is None:
+            corners.append([0])
+            continue
+        i, w = int(located[0][0]), float(located[1][0])
+        corners.append([j for j, c in ((i, 1.0 - w), (i + 1, w)) if c != 0.0])
+    for ix in corners[0]:
+        for ip in corners[1]:
+            for il in corners[2]:
                 if not np.isfinite(table.values[ix, ip, il]):
-                    return xv, pv, lv
+                    return float(table.xs[ix]), float(table.ps[ip]), float(table.ls[il])
     return None
 
 

@@ -281,6 +281,7 @@ class Trajectory:
     dt: float
     theta: float
     max_gradient_seen: float
+    steps: int             # explicit steps taken, the shortened ones included
 
     def final(self) -> GridFunction:
         return self.snapshots[-1]
@@ -362,7 +363,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     return Trajectory(times=np.array(times), snapshots=snapshots,
                       sup_norm_track=np.array([s.sup_norm() for s in snapshots]),
                       residual_track=np.array(residuals), dt=dt, theta=scheme.theta,
-                      max_gradient_seen=max_grad)
+                      max_gradient_seen=max_grad, steps=step_index)
 
 
 def sampled_modulus(u0: GridFunction, r: float) -> float:

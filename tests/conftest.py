@@ -1,3 +1,10 @@
+import os
+
+# One BLAS/OpenMP thread: the dense Newton solves are small, and a pool that
+# spins on a core another process holds slows them by orders of magnitude.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

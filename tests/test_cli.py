@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,11 @@ class TestCommands:
         for t, sup, layer in rows:
             assert float(sup) == pytest.approx(float(t), abs=1e-10)
             assert float(layer) == pytest.approx(float(t), abs=1e-10)
+        m = re.search(r"final sup norm (\S+) \(a-priori bound \S+\), "
+                      r"dt = (\S+), steps = (\d+)\n", capsys.readouterr().out)
+        assert float(m.group(1)) == pytest.approx(0.05, abs=1e-10)
+        dt, steps = float(m.group(2)), int(m.group(3))   # dt is printed to 4 digits
+        assert 0.05 * (1.0 - 1e-3) <= steps * dt <= 0.05 * (1.0 + 1e-3) + 5 * dt
 
     def test_solve_numerical_failure_exit_code(self, tmp_path):
         path = write(tmp_path, "\n".join([

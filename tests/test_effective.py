@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
 from hjhom.effective import (EffectiveTable, audit_properties,
@@ -9,6 +13,72 @@ from hjhom.effective import (EffectiveTable, audit_properties,
 from hjhom.hamiltonians import coefficient, model_bpm
 
 WAVY = coefficient("two_plus_cos_y")
+
+
+def _axis_locate_oracle(axis, q, name):
+    if axis.size == 1:
+        if np.any(np.abs(q - axis[0]) > 1e-9 * max(1.0, abs(axis[0]))):
+            bad = float(q.ravel()[np.argmax(np.abs(q - axis[0]))])
+            raise ValueError(f"{name} = {bad} outside the single-node axis; "
+                             "enlarge the table box")
+        z = np.zeros(q.shape, dtype=int)
+        return z, z, np.zeros(q.shape)
+    if np.any(q < axis[0] - 1e-12) or np.any(q > axis[-1] + 1e-12):
+        bad = float(q.ravel()[np.argmax(np.maximum(axis[0] - q, q - axis[-1]))])
+        raise ValueError(f"{name} = {bad} outside the table hull "
+                         f"[{axis[0]}, {axis[-1]}]; enlarge the table box")
+    i = np.clip(np.searchsorted(axis, q) - 1, 0, axis.size - 2)
+    w = np.clip((q - axis[i]) / (axis[i + 1] - axis[i]), 0.0, 1.0)
+    return i, i + 1, w
+
+
+def query_oracle(table, x, p, l):
+    """The straightforward 8-corner multilinear query that query_many must
+    reproduce bit for bit."""
+    x, p, l = np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float),
+                                  np.asarray(l, float))
+    ix0, ix1, wx = _axis_locate_oracle(table.xs, x, "x")
+    ip0, ip1, wp = _axis_locate_oracle(table.ps, p, "p")
+    il0, il1, wl = _axis_locate_oracle(table.ls, l, "l")
+    v = table.values
+    out = np.zeros(x.shape)
+    for ix, cx in ((ix0, 1.0 - wx), (ix1, wx)):
+        for ip, cp in ((ip0, 1.0 - wp), (ip1, wp)):
+            for il, cl in ((il0, 1.0 - wl), (il1, wl)):
+                c = cx * cp * cl
+                out += np.where(c != 0.0, c * v[ix, ip, il], 0.0)
+    return out
+
+
+@st.composite
+def tables_and_queries(draw):
+    """A table with 1-4 unevenly spaced nodes per axis and random failed (NaN)
+    nodes, and queries at nodes, at the hull ends and inside the hull."""
+    axes = []
+    for _ in range(3):
+        size = draw(st.integers(1, 4))
+        start = draw(st.floats(-4.0, 4.0))
+        gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=size - 1, max_size=size - 1))
+        axes.append(start + np.concatenate([[0.0], np.cumsum(gaps)]))
+    shape = tuple(a.size for a in axes)
+    count = int(np.prod(shape))
+    values = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=count,
+                                    max_size=count))).reshape(shape)
+    failed = np.array(draw(st.lists(st.booleans(), min_size=count,
+                                    max_size=count))).reshape(shape)
+    values[failed] = np.nan
+    table = EffectiveTable(xs=axes[0], ps=axes[1], ls=axes[2], values=values,
+                           err=np.zeros(shape),
+                           provenance=np.where(failed, "failed", "discount").astype(object),
+                           sigma=0.5)
+    size = draw(st.integers(1, 12))
+    queries = []
+    for axis in axes:
+        inside = st.floats(0.0, 1.0).map(lambda u, a=axis: a[0] + u * (a[-1] - a[0]))
+        queries.append(np.array(draw(st.lists(
+            st.one_of(st.sampled_from([float(v) for v in axis]), inside),
+            min_size=size, max_size=size))))
+    return table, queries
 
 
 class TestClosedForm:
@@ -105,6 +175,17 @@ class TestQuery:
         with pytest.raises(ValueError):
             query_many(table, np.zeros(3), np.array([0.0, 1.0, 2.5]), np.zeros(3))
 
+    def test_off_hull_errors_name_the_worst_query(self, table):
+        cases = [((0.0, 0.0, 0.0), (0.0, 2.5, -0.3), "p = 2.5 outside the table hull [0.0, 2.0]"),
+                 ((0.0, 0.3, -0.1), (1.0, 1.0, 1.0), "x = 0.3 outside the single-node axis")]
+        for x, p, msg in cases:
+            for query_fn in (query_many, query_oracle):
+                with pytest.raises(ValueError, match=re.escape(msg)):
+                    query_fn(table, np.array(x), np.array(p), np.zeros(3))
+        # a NaN query does not hide an off-hull one
+        with pytest.raises(ValueError, match=r"p = 2\.5 outside"):
+            query_many(table, np.zeros(2), np.array([np.nan, 2.5]), np.zeros(2))
+
     def test_failed_neighbour_of_a_node_is_skipped(self):
         # the node p = 1 is exact; its zero-weight neighbour p = 0 failed
         values = np.array([[[np.nan], [2.0], [3.0]]])
@@ -117,6 +198,30 @@ class TestQuery:
         assert query(table, 0.0, 1.0, 0.0) == 2.0
         got = query_many(table, np.zeros(2), np.array([1.0, 1.5]), np.zeros(2))
         assert np.array_equal(got, [2.0, 2.5])
+
+    @given(tables_and_queries())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle(self, case):
+        table, (x, p, l) = case
+        assert np.array_equal(query_many(table, x, p, l), query_oracle(table, x, p, l),
+                              equal_nan=True)
+
+    def test_matches_oracle_on_a_solver_sized_query(self):
+        # the shape `hjhom effective` writes with one cell.table_x, queried
+        # as one explicit step of a 2048-node effective solve queries it
+        rng = np.random.default_rng(0)
+        ps, ls = np.linspace(-8.0, 8.0, 9), np.linspace(-6.0, 6.0, 7)
+        values = rng.normal(size=(1, 9, 7))
+        table = EffectiveTable(xs=np.array([0.0]), ps=ps, ls=ls, values=values,
+                               err=np.zeros_like(values),
+                               provenance=np.full(values.shape, "discount", dtype=object),
+                               sigma=0.5)
+        p = rng.uniform(-8.0, 8.0, 2048)
+        l = rng.uniform(-6.0, 6.0, 2048)
+        p[::7] = np.round(p[::7] / 2.0) * 2.0    # exact nodes
+        l[::5] = np.round(l[::5] / 2.0) * 2.0
+        x = np.zeros_like(p)
+        assert np.array_equal(query_many(table, x, p, l), query_oracle(table, x, p, l))
 
     def test_monotone_data_interpolates_monotone(self, table):
         ls = np.linspace(-1.0, 1.0, 41)

@@ -39,6 +39,14 @@ class TestSolve:
         assert np.max(np.abs(final - traj.times[-1])) <= 1e-10
         assert np.max(final) - np.min(final) == 0.0
 
+    def test_steps_counted(self, eikonal_ham, unit_a):
+        # each recorded time can shorten at most one step
+        n, T, snapshots = 64, 0.3, 7
+        u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
+        traj = solve(_oscillating(u0, eikonal_ham, unit_a, 0.5, 0.25, T),
+                     SolverConfig(snapshots=snapshots))
+        assert T / traj.dt <= traj.steps <= T / traj.dt + snapshots
+
     def test_sup_norm_bound(self, eikonal_ham, unit_a):
         # |u(t)|_inf <= |u0|_inf + |H(.,.,0)|_inf t, snapshot by snapshot
         n, T = 128, 0.5
