@@ -24,13 +24,13 @@ from . import csvio
 from .cell import CellConfig, CellParams, vanishing_discount_sweep
 from .config import (ConfigError, RunConfig, build_coefficient, build_hamiltonian,
                      build_kernel, build_u0, parse_config)
-from .effective import (audit_properties, fill_from_formula, save_table, tabulate)
+from .effective import (audit_properties, effective_source_from_formula,
+                        effective_source_from_table, save_table, tabulate)
 from .grid import GridFunction
 from .hamiltonians import (audit_periodicity, audit_regularity,
                            audit_superlinearity, coercivity_constants,
                            growth_bound)
-from .homogenize import (ProblemFamily, SweepConfig, effective_source_from_formula,
-                         effective_source_from_table, run_sweep)
+from .homogenize import ProblemFamily, SweepConfig, run_sweep
 from .kernels import audit_ellipticity, drift_vector, periodized_weights
 from .parabolic import (NumericalFailure, ParabolicProblem, SolverConfig,
                         holder_exponent_alpha0, solve)
@@ -177,7 +177,8 @@ def _discount_fill(cfg: RunConfig):
 def _build_table(cfg: RunConfig):
     sigma = cfg["kernel.sigma"]
     if sigma > 1.0:
-        fill = fill_from_formula(build_coefficient(cfg), build_hamiltonian(cfg))
+        fill = effective_source_from_formula(build_coefficient(cfg),
+                                             build_hamiltonian(cfg)).fill
     else:
         fill = _discount_fill(cfg)
     return tabulate(fill, cfg["cell.table_x"], cfg["cell.table_p"],
@@ -192,12 +193,8 @@ def cmd_effective(args, cfg: RunConfig) -> int:
         return code
     table = _build_table(cfg)
     ham = build_hamiltonian(cfg)
-    if ham.power_form is not None:
-        b0_claim, C_claim = ham.power_form.b_min, ham.power_form.f_sup
-    else:
-        b0_claim, C_claim = ham.b0, ham.C0
     a_vals = build_coefficient(cfg)(np.zeros(512), np.arange(512) / 512)
-    audit = audit_properties(table, b0=b0_claim, C=C_claim,
+    audit = audit_properties(table, b0=ham.power_form.b_min, C=ham.power_form.f_sup,
                              a_sup=float(np.max(np.abs(a_vals))), m=ham.m)
     path = _out_path(args, cfg, "effective.csv")
     try:
@@ -286,16 +283,7 @@ def cmd_homogenize(args, cfg: RunConfig) -> int:
     psi_provider = None
     if sigma > 1.0:
         src = effective_source_from_formula(a, ham)
-        from .cell import spectral_cell_above_one
-        from .effective import explicit_formula_above_one
-
-        def psi_provider(x, p, l, _n=cfg["cell.n"]):
-            ys = np.arange(_n) / _n
-            a_vals = np.asarray(a(np.full(_n, x), ys), dtype=float)
-            hb = explicit_formula_above_one(a, ham, x, p, l, nquad=_n)
-            h_vals = np.asarray(ham.eval(np.full(_n, x), ys, np.full(_n, p)), dtype=float)
-            f = l + (hb - h_vals) / a_vals
-            return spectral_cell_above_one(sigma, GridFunction(f - np.mean(f)))
+        psi_provider = src.corrector(sigma, cfg["cell.n"])
     else:
         table = _build_table(cfg)
         tpath = _out_path(args, cfg, "effective.csv")

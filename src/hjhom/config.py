@@ -28,8 +28,7 @@ SCHEMA = {
     "coefficient_a": {
         "kind": ("str", "two_plus_cos_y"),
     },
-    "hamiltonian": {
-        "model": ("str", "b_pow_m_minus_f"),
+    "hamiltonian": {                          # H = b |p|^m - f
         "b": ("str", "one"),
         "f": ("str", "cos_y"),
         "m": ("float", 2.0),
@@ -193,6 +192,19 @@ def _validate(cfg: RunConfig) -> list:
         errors.append("kernel.family = csv requires kernel.csv_path")
     if cfg["hamiltonian.m"] <= 1.0:
         errors.append(f"hamiltonian.m = {cfg['hamiltonian.m']} must exceed 1")
+    from .hamiltonians import coefficient, model_bpm
+    named = True
+    for key in ("coefficient_a.kind", "hamiltonian.b", "hamiltonian.f"):
+        try:
+            coefficient(cfg[key])
+        except ValueError as exc:
+            errors.append(f"{key} = {cfg[key]!r}: {exc}")
+            named = False
+    if named and cfg["hamiltonian.m"] > 1.0:
+        try:
+            model_bpm(cfg["hamiltonian.b"], cfg["hamiltonian.f"], cfg["hamiltonian.m"])
+        except ValueError as exc:
+            errors.append(f"hamiltonian.b = {cfg['hamiltonian.b']!r}: {exc}")
     if cfg["grid.kind"] not in ("oscillating", "effective"):
         errors.append(f"grid.kind = {cfg['grid.kind']!r} not oscillating/effective")
     if cfg["grid.n"] < 8:
@@ -244,8 +256,6 @@ def build_kernel(cfg: RunConfig, skip_validation: bool = False):
 
 def build_hamiltonian(cfg: RunConfig):
     from .hamiltonians import model_bpm
-    if cfg["hamiltonian.model"] != "b_pow_m_minus_f":
-        raise ConfigError([f"unknown hamiltonian.model {cfg['hamiltonian.model']!r}"])
     return model_bpm(cfg["hamiltonian.b"], cfg["hamiltonian.f"], cfg["hamiltonian.m"])
 
 

@@ -1,14 +1,15 @@
 """Effective Hamiltonian: closed form above order one, tables elsewhere.
 
-For kernel order above one the ergodic constant has the closed form
+For kernel order above one the cell problem is linear, and its solvability
+condition gives the ergodic constant in closed form,
 
     Hbar(x, p, l) = A(x) * (mean_y H(x, y, p) / a(x, y)  -  l),
-    A(x) = 1 / mean_y (1 / a(x, y)),
+    A(x) = 1 / mean_y (1 / a(x, y)).
 
-the solvability condition of the linear cell problem.  (A formally different
-affine-in-l normalization fails the constant-coefficient sanity reduction
-Hbar = mean_y H - a0 l, which pins this form; the discount-limit cross-check
-in the tests resolves it empirically as well.)
+(A formally different affine-in-l normalization fails the
+constant-coefficient sanity reduction Hbar = mean_y H - a0 l, which pins this
+form.)  So the effective equation is the original one again,
+u_t - A(x) I u + Hbar0(x, Du) = 0 with Hbar0 = A mean_y(H / a).
 
 Below and at order one the constant is only available through cell solves;
 this module tabulates it over rectangular (x, p, l) axes with error bars and
@@ -20,38 +21,119 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import csvio
+from .cell import spectral_cell_above_one
+from .grid import GridFunction
 from .hamiltonians import HamiltonianSpec
-from .parabolic import NumericalFailure
+from .kernels import QuadratureTable
+from .parabolic import (EffectiveSource, MonotoneScheme, NumericalFailure,
+                        coefficient_scheme)
+
+# Cell nodes of the periodic quadrature behind every closed-form mean
+CLOSED_FORM_NODES = 2048
+# x nodes per quadrature block, so no block holds more than 256 x 2048 values
+_BLOCK_ROWS = 256
 
 
-def explicit_formula_above_one(a, ham: HamiltonianSpec, x: float, p: float,
-                               l: float, nquad: int = 4096) -> float:
-    """Closed-form ergodic constant for kernel order in (1, 2).
+@dataclass(frozen=True)
+class ClosedForm:
+    """Hbar(x, p, l) = Hbar0(x, p) - A(x) l, as effective_source_from_formula
+    computes it.  hbar0 ignores its y argument."""
 
-    Periodic composite quadrature (uniform mean over the cell) is spectrally
-    accurate for the smooth built-in coefficients.
+    a: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    ham: HamiltonianSpec                              # the cell Hamiltonian H
+    capacity: Callable[[np.ndarray], np.ndarray]      # A at an array of x nodes
+    hbar0: HamiltonianSpec
+
+    def value(self, x, p, l) -> np.ndarray:
+        return self.hbar0.eval(x, x, p) - self.capacity(x) * l
+
+    def fill(self, x: float, p: float, l: float) -> tuple:
+        """Node filler for tabulate: the exact value, error 0, 'formula'."""
+        return float(self.value(np.array([x]), p, l)[0]), 0.0, "formula"
+
+    def scheme(self, xs: np.ndarray, table: QuadratureTable,
+               p_range: float) -> MonotoneScheme:
+        """-A I_h u + Hbar0(x, Du) at the nodes xs, A in the coefficient slot."""
+        return coefficient_scheme(1.0 / xs.size, xs, xs, self.capacity(xs), self.hbar0,
+                                  p_range, table=table)
+
+    def corrector(self, sigma: float, n: int) -> Callable[[float, float, float], GridFunction]:
+        """psi(x, p, l) on n cell nodes: (fractional Laplacian) psi = f for
+        f = l + (Hbar - H) / a, made mean-free (it is up to quadrature error)."""
+        ys = np.arange(n) / n
+
+        def psi(x, p, l):
+            xs = np.full(n, x)
+            h_vals = self.ham.eval(xs, ys, np.full(n, p))
+            f = l + (self.value(xs[:1], p, l)[0] - h_vals) / self.a(xs, ys)
+            return spectral_cell_above_one(sigma, GridFunction(f - np.mean(f)))
+
+        return psi
+
+
+def effective_source_from_formula(a, ham: HamiltonianSpec) -> ClosedForm:
+    """The closed form above order one, its means taken on CLOSED_FORM_NODES
+    cell nodes.
+
+    Hbar0 keeps the claims (m, b0, C0) of H, because the weights A / a
+    average to one, and a power form b |p|^m - f stays one with bbar =
+    A mean(b / a) and fbar = A mean(f / a).  A, bbar and fbar are computed
+    once for each array of x nodes; without a power form the mean of H / a
+    is taken at every (x, p) asked for.  Raises ValueError, naming the node,
+    where a is not strictly positive.
     """
-    ys = np.arange(nquad) / nquad
-    a_vals = np.asarray(a(np.full(nquad, float(x)), ys), dtype=float)
-    if np.min(a_vals) <= 0.0:
-        raise ValueError("coefficient a must be strictly positive")
-    h_vals = np.asarray(ham.eval(np.full(nquad, float(x)), ys, np.full(nquad, float(p))),
-                        dtype=float)
-    A = 1.0 / float(np.mean(1.0 / a_vals))
-    return A * (float(np.mean(h_vals / a_vals)) - float(l))
+    ys = np.arange(CLOSED_FORM_NODES) / CLOSED_FORM_NODES
+    pf = ham.power_form
+    kept: dict = {}
 
+    def means(x, p=None) -> tuple:
+        """(A, bbar, fbar), or (A,) without a power form, for p None;
+        (A, Hbar0(x, p)) otherwise.  Shaped as x (broadcast with p)."""
+        x = np.asarray(x, dtype=float)
+        if p is None:
+            key = (x.shape, x.tobytes())
+            if key in kept:
+                return kept[key]
+        else:
+            x, p = np.broadcast_arrays(x, np.asarray(p, dtype=float))
+            p_flat = p.ravel()
+        x_flat = x.ravel()
+        blocks = []
+        for s in range(0, x_flat.size, _BLOCK_ROWS):
+            block = slice(s, s + _BLOCK_ROWS)
+            X = x_flat[block, None]
+            a_vals = np.broadcast_to(np.asarray(a(X, ys), dtype=float), (X.size, ys.size))
+            if not np.all(a_vals > 0.0):
+                i, j = np.unravel_index(np.argmin(a_vals), a_vals.shape)
+                raise ValueError("coefficient a must be strictly positive above order "
+                                 f"one: a(x, y) = {a_vals[i, j]:.6g} at (x, y) = "
+                                 f"({X[i, 0]:.6g}, {ys[j]:.6g})")
+            A = 1.0 / np.mean(1.0 / a_vals, axis=1)
+            if p is not None:
+                parts = (ham.eval(X, ys, p_flat[block, None]),)
+            else:
+                parts = () if pf is None else (pf.b(X, ys), pf.f(X, ys))
+            blocks.append([A] + [
+                A * np.mean(np.broadcast_to(np.asarray(part, dtype=float), a_vals.shape)
+                            / a_vals, axis=1) for part in parts])
+        result = tuple(np.concatenate(col).reshape(x.shape) for col in zip(*blocks))
+        if p is None:
+            kept[key] = result
+        return result
 
-def formula_capacity(a, x: float, nquad: int = 4096) -> float:
-    """A(x), the l-slope magnitude of the closed form."""
-    ys = np.arange(nquad) / nquad
-    a_vals = np.asarray(a(np.full(nquad, float(x)), ys), dtype=float)
-    return 1.0 / float(np.mean(1.0 / a_vals))
+    hbar0 = replace(ham, eval=lambda x, y, p: means(x, p)[1],
+                    name=f"closed form of {ham.name}")
+    if pf is not None:
+        bbar, fbar = (lambda x, y: means(x)[1]), (lambda x, y: means(x)[2])
+        hbar0 = replace(hbar0, power_form=replace(pf, b=bbar, f=fbar),
+                        eval=lambda x, y, p: bbar(x, y) * np.abs(p) ** pf.m - fbar(x, y))
+    return ClosedForm(a=a, ham=ham, capacity=lambda x: means(x)[0], hbar0=hbar0)
 
 
 @dataclass
@@ -171,10 +253,30 @@ def query(table: EffectiveTable, x: float, p: float, l: float) -> float:
     return float(query_many(table, x, p, l))
 
 
-def fill_from_formula(a, ham: HamiltonianSpec, nquad: int = 4096) -> Callable:
-    def fill(x, p, l):
-        return explicit_formula_above_one(a, ham, x, p, l, nquad=nquad), 0.0, "formula"
-    return fill
+def effective_source_from_table(table: EffectiveTable) -> EffectiveSource:
+    """Table-backed source; queries abort outside the (p, l) hull.
+
+    A single-node x axis means the tabulated model has no slow-variable
+    dependence, so every x is served by that node.
+    """
+    collapse_x = table.xs.size == 1
+
+    def value(x, p, l):
+        x = np.asarray(x, dtype=float)
+        if collapse_x:
+            x = np.full_like(x, table.xs[0])
+        return query_many(table, x, p, l)
+
+    def explain(x, p, l):
+        where = f"the query (x, p, l) = ({x:.6g}, {p:.6g}, {l:.6g})"
+        node = failed_node(table, table.xs[0] if collapse_x else x, p, l)
+        if node is None:
+            return f"{where} is non-finite"
+        return (f"{where} draws on the failed table node (x, p, l) = "
+                f"({node[0]:g}, {node[1]:g}, {node[2]:g})")
+
+    return EffectiveSource(value=value, l_slope=table.l_slope_bound(),
+                           theta=table.p_slope_bound(), explain=explain)
 
 
 def tabulate(fill: Callable, xs, ps, ls, sigma: float,

@@ -11,104 +11,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .effective import ClosedForm
 from .grid import GridFunction, central_diff
 from .hamiltonians import HamiltonianSpec
 from .kernels import KernelSpec, periodized_weights
 from .operators import apply_table
 from .parabolic import (EffectiveSource, NumericalFailure, ParabolicProblem,
                         SolverConfig, solve)
-
-
-def effective_source_from_formula(a, ham: HamiltonianSpec,
-                                  nquad: int = 2048) -> EffectiveSource:
-    """Closed-form source for kernel order above one.
-
-    For power-form Hamiltonians the gradient dependence factors out as
-    coeff(x) |p|^m, so the Godunov flux stays available downstream.
-    """
-    ys = np.arange(nquad) / nquad
-    cache: dict = {}
-
-    def profiles(x: np.ndarray):
-        key = x.tobytes()
-        if key not in cache:
-            X = np.asarray(x, dtype=float)[:, None]
-            a_vals = np.asarray(a(X, ys[None, :]), dtype=float)
-            a_vals = np.broadcast_to(a_vals, (X.size, nquad))
-            A = 1.0 / np.mean(1.0 / a_vals, axis=1)
-            if ham.power_form is not None:
-                b_vals = np.broadcast_to(np.asarray(ham.power_form.b(X, ys[None, :]),
-                                                    dtype=float), a_vals.shape)
-                f_vals = np.broadcast_to(np.asarray(ham.power_form.f(X, ys[None, :]),
-                                                    dtype=float), a_vals.shape)
-                cb = A * np.mean(b_vals / a_vals, axis=1)
-                c0 = -A * np.mean(f_vals / a_vals, axis=1)
-            else:
-                cb = c0 = None
-            cache[key] = (A, cb, c0)
-        return cache[key]
-
-    xs_probe = np.arange(256) / 256
-    A_probe, _, _ = profiles(xs_probe)
-    l_slope = float(np.max(A_probe))
-
-    if ham.power_form is not None:
-        m = ham.power_form.m
-
-        def value(x, p, l):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            A, cb, c0 = profiles(x)
-            return cb * np.abs(p) ** m + c0 - A * np.asarray(l)
-
-        def power_coeff(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            _, cb, _ = profiles(x)
-            return cb
-
-        return EffectiveSource(value=value, l_slope=l_slope,
-                               power_coeff=power_coeff, power_m=m)
-
-    def value(x, p, l):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        A, _, _ = profiles(x)
-        X = x[:, None]
-        a_vals = np.broadcast_to(np.asarray(a(X, ys[None, :]), dtype=float),
-                                 (x.size, nquad))
-        h_vals = ham.eval(X, ys[None, :], np.asarray(p, dtype=float)[:, None])
-        return A * (np.mean(h_vals / a_vals, axis=1) - np.asarray(l))
-
-    return EffectiveSource(value=value, l_slope=l_slope)
-
-
-def effective_source_from_table(table) -> EffectiveSource:
-    """Table-backed source; queries abort outside the (p, l) hull.
-
-    A single-node x axis means the tabulated model has no slow-variable
-    dependence, so every x is served by that node.
-    """
-    from .effective import failed_node, query_many
-    collapse_x = table.xs.size == 1
-
-    def value(x, p, l):
-        x = np.asarray(x, dtype=float)
-        if collapse_x:
-            x = np.full_like(x, table.xs[0])
-        return query_many(table, x, p, l)
-
-    def explain(x, p, l):
-        query = f"the query (x, p, l) = ({x:.6g}, {p:.6g}, {l:.6g})"
-        node = failed_node(table, table.xs[0] if collapse_x else x, p, l)
-        if node is None:
-            return f"{query} is non-finite"
-        return (f"{query} draws on the failed table node (x, p, l) = "
-                f"({node[0]:g}, {node[1]:g}, {node[2]:g})")
-
-    return EffectiveSource(value=value, l_slope=table.l_slope_bound(),
-                           theta=table.p_slope_bound(), explain=explain)
 
 
 @dataclass
@@ -120,7 +33,7 @@ class ProblemFamily:
     kernel: KernelSpec
     u0_func: Callable[[np.ndarray], np.ndarray]
     T: float
-    effective: EffectiveSource
+    effective: Union[EffectiveSource, ClosedForm]
     name: str = "model"
 
 

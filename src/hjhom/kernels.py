@@ -13,11 +13,11 @@ periodized quadrature weights used by the grid operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -33,8 +33,8 @@ def normalizing_constant(N: int, sigma: float) -> float:
     if N != 1:
         raise ValueError("only the 1-D setting is supported")
     return float(
-        sigma * 2.0 ** (sigma - 1.0) * _gamma((N + sigma) / 2.0)
-        / (np.pi ** (N / 2.0) * _gamma(1.0 - sigma / 2.0))
+        sigma * 2.0 ** (sigma - 1.0) * math.gamma((N + sigma) / 2.0)
+        / (np.pi ** (N / 2.0) * math.gamma(1.0 - sigma / 2.0))
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .grid import GridFunction, forward_diff
 from .hamiltonians import HamiltonianSpec
 from .kernels import KernelSpec, QuadratureTable
 from .operators import apply_table
+
+if TYPE_CHECKING:
+    from .effective import ClosedForm
 
 
 # Fraction of the monotone step bound actually taken; the CFL condition of
@@ -42,15 +45,6 @@ def _p_slope(ham_at: Callable[[np.ndarray], np.ndarray], q: np.ndarray) -> np.nd
     return (ham_at(q + d) - ham_at(q - d)) / (2.0 * d)
 
 
-def sampled_theta(ham_at: Callable[[np.ndarray], np.ndarray], p_range: float) -> float:
-    """Lax-Friedrichs dissipation: sampled sup |dH/dp| over |p| <= p_range.
-
-    ham_at(ps) evaluates H at every sample node for the 1-D array ps of
-    gradients.
-    """
-    return float(np.max(np.abs(_p_slope(ham_at, np.linspace(-p_range, p_range, 201)))))
-
-
 class MonotoneScheme:
     """One monotone discretization F of the spatial operator on n nodes.
 
@@ -58,10 +52,11 @@ class MonotoneScheme:
     quadrature operator of `table`, p a frozen gradient shift (zero for the
     time problems) and D the upwind difference of the drift's sign.  The
     nonlocal value enters either through the coefficient `a` or, when `a` is
-    None, as the argument l of ham(q, l) (the effective problems).  A power
-    structure H = coeff |q|^m + at_zero(l) selects the Godunov flux; otherwise
-    Lax-Friedrichs with dissipation theta, sampled by the builder.  ham None
-    means there is no gradient term.
+    None, as the argument l of ham(q, l) (the table-driven effective
+    problems).  A power structure H = coeff |q|^m + at_zero, both arrays over
+    the nodes, selects the Godunov flux; otherwise Lax-Friedrichs with
+    dissipation theta, sampled by coefficient_scheme or read from a table.
+    ham None means there is no gradient term.
 
     Explicit steps u - dt (delta u + F(u)) are monotone for dt <= 1 / (budget
     + delta); dt(delta) takes CFL_SAFETY of that.
@@ -112,7 +107,7 @@ class MonotoneScheme:
         ql, qr = (self.p + dl, self.p + dr) if self.p else (dl, dr)
         if self.power is not None:
             coeff, m, at_zero = self.power
-            flux = at_zero(lv) + coeff * godunov_power_flux(m, ql, qr)
+            flux = at_zero + coeff * godunov_power_flux(m, ql, qr)
         else:
             flux = self.ham(0.5 * (ql + qr), lv) - 0.5 * self.theta * (qr - ql)
         return flux if out is None else out + flux
@@ -121,9 +116,9 @@ class MonotoneScheme:
         """Dense n x n derivative of delta u + F(u) at u, for Newton solves.
 
         The nonlocal value must enter through the coefficient a, as in every
-        cell scheme.  The Godunov flux is differentiated on its active
-        one-sided difference, the Lax-Friedrichs flux through a centered
-        dH/dp.  The rows of F's part sum to zero; with a symmetric kernel
+        cell scheme and the closed-form effective scheme.  The Godunov flux is
+        differentiated on its active one-sided difference, the Lax-Friedrichs
+        flux through a centered dH/dp.  The rows of F's part sum to zero; with a symmetric kernel
         every off-diagonal entry is <= 0 as well, so the matrix is an
         M-matrix, singular only when delta = 0, with the constants as its
         kernel.
@@ -173,26 +168,27 @@ def coefficient_scheme(h: float, xs: np.ndarray, ys: np.ndarray, a: np.ndarray,
     """Scheme for -a (I_h u - drift D u) + H(x, y, p + D u) at the nodes (xs, ys)."""
     pf = ham.power_form
     if pf is not None:
-        minus_f = -np.asarray(pf.f(xs, ys), dtype=float)
-        power = (np.asarray(pf.b(xs, ys), dtype=float), pf.m, lambda lv: minus_f)
+        power = (np.asarray(pf.b(xs, ys), dtype=float), pf.m,
+                 -np.asarray(pf.f(xs, ys), dtype=float))
         theta = None
     else:
+        # Lax-Friedrichs dissipation: sampled sup |dH/dp| over |p| <= p_range
         power = None
-        theta = sampled_theta(lambda q: ham.eval(xs[:, None], ys[:, None], q), p_range)
+        theta = float(np.max(np.abs(_p_slope(lambda q: ham.eval(xs[:, None], ys[:, None], q),
+                                             np.linspace(-p_range, p_range, 201)))))
     return MonotoneScheme(h, lambda q, lv: ham.eval(xs, ys, q), p_range, power=power,
                           theta=theta, a=a, **kw)
 
 
 @dataclass
 class EffectiveSource:
-    """Effective nonlinearity handed to the solver: value(x, p, l) plus the
-    bounds and structure the monotone discretization needs."""
+    """Effective nonlinearity read from a table (kernel order <= 1):
+    value(x, p, l) plus the bounds the Lax-Friedrichs discretization needs.
+    Above order one the effective problem is effective.ClosedForm instead."""
 
     value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     l_slope: float
-    power_coeff: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    power_m: Optional[float] = None
-    theta: Optional[float] = None     # LF dissipation for non-power sources
+    theta: float                      # LF dissipation: sup |dHbar/dp| on the table
     # names what makes value non-finite at one query (x, p, l); read only
     # after a solve has failed
     explain: Optional[Callable[[float, float, float], str]] = None
@@ -200,19 +196,8 @@ class EffectiveSource:
     def scheme(self, xs: np.ndarray, table: QuadratureTable,
                p_range: float) -> MonotoneScheme:
         """Scheme for value(x, Du, I_h u) at the nodes xs."""
-        value = self.value
-        theta = self.theta
-        power = None
-        if self.power_coeff is not None:
-            zeros = np.zeros(xs.size)
-            power = (np.asarray(self.power_coeff(xs), dtype=float), self.power_m,
-                     lambda lv: value(xs, zeros, lv))
-        elif theta is None:
-            theta = sampled_theta(
-                lambda q: value(np.zeros_like(q), q, np.zeros_like(q)), p_range)
-        return MonotoneScheme(1.0 / xs.size, lambda q, lv: value(xs, q, lv), p_range,
-                              power=power, theta=theta, table=table,
-                              l_slope=self.l_slope)
+        return MonotoneScheme(1.0 / xs.size, lambda q, lv: self.value(xs, q, lv), p_range,
+                              theta=self.theta, table=table, l_slope=self.l_slope)
 
 
 @dataclass
@@ -234,7 +219,8 @@ class SolverConfig:
 class ParabolicProblem:
     """Either the oscillating problem (kind="oscillating") driven by (a, H)
     at scale eps = 1/k, or the homogenized problem (kind="effective") driven
-    by an effective source."""
+    by an effective source: an EffectiveSource or an effective.ClosedForm,
+    anything with value(x, p, l) and scheme(xs, table, p_range)."""
 
     kind: str
     u0: GridFunction
@@ -243,7 +229,7 @@ class ParabolicProblem:
     eps: Optional[float] = None
     a: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     ham: Optional[HamiltonianSpec] = None
-    source: Optional[EffectiveSource] = None
+    source: Optional[Union[EffectiveSource, "ClosedForm"]] = None
 
     def __post_init__(self):
         if self.kind not in ("oscillating", "effective"):
@@ -301,7 +287,7 @@ def _nonfinite_query(problem: ParabolicProblem, u: np.ndarray, p_range: float) -
     """The first effective-source query that comes back non-finite from the
     (finite) state u, explained by the source; empty if there is none."""
     src = problem.source
-    if src is None or src.explain is None:
+    if getattr(src, "explain", None) is None:
         return ""
     hits = []
 

@@ -10,14 +10,12 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from conftest import trig_poly
-from hjhom.cell import (CellConfig, CellParams, spectral_cell_above_one,
-                        vanishing_discount_sweep)
+from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
 from hjhom.effective import (EffectiveTable, audit_properties,
-                             explicit_formula_above_one, fill_from_formula, tabulate)
+                             effective_source_from_formula, tabulate)
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, coercivity_constants, model_bpm
-from hjhom.homogenize import (ProblemFamily, SweepConfig,
-                              effective_source_from_formula, run_sweep)
+from hjhom.homogenize import ProblemFamily, SweepConfig, run_sweep
 from hjhom.kernels import (constant_kernel, drift_vector, periodized_weights,
                            quadratic_tilt_kernel, tilt_kernel)
 from hjhom.operators import apply_table, corrector_remainder_J, spectral_flap
@@ -78,7 +76,7 @@ def above_one_solutions():
 
 @pytest.fixture(scope="module")
 def formula_table():
-    return tabulate(fill_from_formula(WAVY_A, EIKONAL), [0.0],
+    return tabulate(effective_source_from_formula(WAVY_A, EIKONAL).fill, [0.0],
                     np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 1.0, 5), sigma=1.5)
 
 
@@ -88,16 +86,8 @@ def wavy_sweep():
                            u0_func=lambda x: np.sin(2 * np.pi * x), T=0.2,
                            effective=effective_source_from_formula(WAVY_A, EIKONAL))
 
-    def psi_provider(x, p, l, n=256):
-        ys = np.arange(n) / n
-        a_vals = np.asarray(WAVY_A(np.full(n, x), ys), dtype=float)
-        hb = explicit_formula_above_one(WAVY_A, EIKONAL, x, p, l, nquad=n)
-        h_vals = np.asarray(EIKONAL.eval(np.full(n, x), ys, np.full(n, p)), dtype=float)
-        f = l + (hb - h_vals) / a_vals
-        return spectral_cell_above_one(1.5, GridFunction(f - np.mean(f)))
-
     return run_sweep(family, [1 / 4, 1 / 8, 1 / 16], SweepConfig(n_per_k=16),
-                     psi_provider=psi_provider)
+                     psi_provider=family.effective.corrector(1.5, 256))
 
 
 def test_criterion_01_eigenfunction_identity():

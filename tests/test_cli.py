@@ -1,9 +1,12 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hjhom
 from hjhom.cli import main
 from hjhom.config import ConfigError, defaults, parse_config, parse_text
 
@@ -42,11 +45,29 @@ class TestParsing:
         assert cfg["sweep.eps_list"] == (0.5, 0.25)
 
     @pytest.mark.parametrize("key", ["grid.cfl_safety", "kernel.image_budget",
-                                     "grid.flux", "grid.theta"])
+                                     "grid.flux", "grid.theta", "hamiltonian.model"])
     def test_removed_keys_rejected(self, tmp_path, key):
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, f"{key} = 1\n"))
         assert f"unknown key {key!r}" in str(err.value)
+
+    @pytest.mark.parametrize("line, message", [
+        ("coefficient_a.kind = bogus", "coefficient_a.kind = 'bogus': unknown coefficient"),
+        ("coefficient_a.kind = constant:abc", "could not convert string to float"),
+        ("hamiltonian.f = nope", "hamiltonian.f = 'nope': unknown coefficient"),
+        ("hamiltonian.b = cos_y", "hamiltonian.b = 'cos_y': coefficient b must be "
+                                  "strictly positive"),
+    ])
+    def test_bad_model_names_rejected(self, tmp_path, capsys, line, message):
+        path = write(tmp_path, f"kernel.sigma = 3.5\n{line}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert len(err.value.errors) == 2          # reported with the sigma error
+        assert any(message in e for e in err.value.errors)
+        # a command exits 2 with the errors, not with a traceback
+        capsys.readouterr()
+        assert main(["audit", "--config", path, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_round_trip(self, tmp_path):
         cfg = parse_config(write(tmp_path, "kernel.sigma = 0.5\ncell.p = 0.25\n"))
@@ -330,5 +351,31 @@ class TestCommands:
         assert "draws on the failed table node (x, p, l) = (0, 2, 0)" in err
         assert "the query (x, p, l) = (" in err
 
+    @pytest.mark.parametrize("command", ["homogenize", "solve"])
+    def test_non_positive_a_rejected_above_order_one(self, tmp_path, capsys, command):
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 1.5", "coefficient_a.kind = cos_y",
+            "sweep.eps_list = 1/2,1/4", "sweep.T = 0.05", "sweep.snapshots = 3",
+            "grid.kind = effective", "grid.n = 64", "grid.T = 0.02",
+        ]) + "\n")
+        capsys.readouterr()
+        assert main([command, "--config", path, "--out", str(tmp_path), "--force"]) == 2
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("invalid input: ")]
+        assert err == ["invalid input: coefficient a must be strictly positive above "
+                       "order one: a(x, y) = -1 at (x, y) = (0, 0.5)"]
+
     def test_missing_config_is_io_failure(self, tmp_path):
         assert main(["audit", "--config", str(tmp_path / "none.cfg")]) == 4
+
+
+def test_cli_imports_no_scipy():
+    # scipy is a test dependency only; the command line must start without it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hjhom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, hjhom.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

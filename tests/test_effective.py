@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,31 @@ from hypothesis import strategies as st
 
 from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
 from hjhom.effective import (EffectiveTable, audit_properties,
-                             explicit_formula_above_one, fill_from_formula,
-                             formula_capacity, load_table, query, query_many,
-                             save_table, tabulate)
+                             effective_source_from_formula, load_table, query,
+                             query_many, save_table, tabulate)
 from hjhom.hamiltonians import coefficient, model_bpm
 
 WAVY = coefficient("two_plus_cos_y")
+# positive and slow-variable dependent, unlike every built-in positive coefficient
+X_DEPENDENT = lambda x, y: 2.0 + np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+
+
+def closed_form_oracle(a, ham, x, p, l, nquad=4096):
+    """The closed form at one (x, p, l), written out on nquad cell nodes:
+    the oracle effective_source_from_formula must match."""
+    ys = np.arange(nquad) / nquad
+    a_vals = np.asarray(a(np.full(nquad, float(x)), ys), dtype=float)
+    if np.min(a_vals) <= 0.0:
+        raise ValueError("coefficient a must be strictly positive")
+    h_vals = np.asarray(ham.eval(np.full(nquad, float(x)), ys, np.full(nquad, float(p))),
+                        dtype=float)
+    A = 1.0 / float(np.mean(1.0 / a_vals))
+    return A * (float(np.mean(h_vals / a_vals)) - float(l))
+
+
+def closed_form(a, ham, x, p, l):
+    """effective_source_from_formula at one (x, p, l)."""
+    return effective_source_from_formula(a, ham).fill(x, p, l)[0]
 
 
 def _axis_locate_oracle(axis, q, name):
@@ -87,30 +107,43 @@ class TestClosedForm:
         a0 = 1.7
         a = coefficient(f"constant:{a0}")
         for p, l in ((0.0, 0.0), (1.0, 0.5), (2.0, -1.0)):
-            got = explicit_formula_above_one(a, eikonal_ham, 0.0, p, l)
+            got = closed_form(a, eikonal_ham, 0.0, p, l)
             assert got == pytest.approx(p ** 2 - a0 * l, abs=1e-12)
 
     def test_wavy_coefficient_value(self, eikonal_ham):
         # mean 1/(2+cos) = 1/sqrt3 and mean cos/(2+cos) = 1 - 2/sqrt3
-        got = explicit_formula_above_one(WAVY, eikonal_ham, 0.0, 1.0, 0.0)
+        got = closed_form(WAVY, eikonal_ham, 0.0, 1.0, 0.0)
         assert got == pytest.approx(3.0 - np.sqrt(3.0), abs=1e-12)
-        assert formula_capacity(WAVY, 0.0) == pytest.approx(np.sqrt(3.0), abs=1e-12)
+        capacity = effective_source_from_formula(WAVY, eikonal_ham).capacity
+        assert capacity(np.array([0.0]))[0] == pytest.approx(np.sqrt(3.0), abs=1e-12)
 
     def test_affine_in_nonlocal_slot(self, eikonal_ham):
-        base = explicit_formula_above_one(WAVY, eikonal_ham, 0.0, 1.0, 0.0)
-        got = explicit_formula_above_one(WAVY, eikonal_ham, 0.0, 1.0, 1.0)
+        base = closed_form(WAVY, eikonal_ham, 0.0, 1.0, 0.0)
+        got = closed_form(WAVY, eikonal_ham, 0.0, 1.0, 1.0)
         assert got == pytest.approx(base - np.sqrt(3.0), abs=1e-12)
         assert got == pytest.approx(3.0 - 2.0 * np.sqrt(3.0), abs=1e-12)
 
+    @pytest.mark.parametrize("power_form", [True, False])
+    @pytest.mark.parametrize("a_spec", ["one", "two_plus_cos_y", "constant:1.7",
+                                        "x_dependent"])
+    def test_matches_scalar_oracle(self, eikonal_ham, a_spec, power_form):
+        a = X_DEPENDENT if a_spec == "x_dependent" else coefficient(a_spec)
+        ham = eikonal_ham if power_form else replace(eikonal_ham, power_form=None)
+        X, P, L = np.meshgrid([0.0, 0.3, 0.7], np.linspace(-2.0, 2.0, 9),
+                              [-1.0, 0.0, 0.5], indexing="ij")
+        got = effective_source_from_formula(a, ham).value(X, P, L)
+        want = np.vectorize(lambda x, p, l: closed_form_oracle(a, ham, x, p, l))(X, P, L)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_positive_coefficient_required(self, eikonal_ham):
         with pytest.raises(ValueError):
-            explicit_formula_above_one(coefficient("cos_y"), eikonal_ham, 0.0, 0.0, 0.0)
+            closed_form(coefficient("cos_y"), eikonal_ham, 0.0, 0.0, 0.0)
 
 
 class TestTabulate:
     def test_single_node_equals_direct(self, eikonal_ham):
-        table = tabulate(fill_from_formula(WAVY, eikonal_ham), [0.0], [1.0], [0.0],
-                         sigma=1.5)
+        table = tabulate(effective_source_from_formula(WAVY, eikonal_ham).fill,
+                         [0.0], [1.0], [0.0], sigma=1.5)
         assert table.values.shape == (1, 1, 1)
         assert table.values[0, 0, 0] == pytest.approx(3.0 - np.sqrt(3.0), abs=1e-12)
 
@@ -124,7 +157,7 @@ class TestTabulate:
             return sol.H_bar, sol.spread, "discount"
 
         solver_tab = tabulate(fill, [0.0], [0.0, 1.0], [-1.0, 1.0], sigma=1.5)
-        formula_tab = tabulate(fill_from_formula(WAVY, eikonal_ham),
+        formula_tab = tabulate(effective_source_from_formula(WAVY, eikonal_ham).fill,
                                [0.0], [0.0, 1.0], [-1.0, 1.0], sigma=1.5)
         gap = np.abs(solver_tab.values - formula_tab.values)
         assert np.all(gap <= solver_tab.err + 1e-2)
@@ -146,7 +179,7 @@ class TestTabulate:
 class TestQuery:
     @pytest.fixture()
     def table(self, eikonal_ham):
-        return tabulate(fill_from_formula(WAVY, eikonal_ham), [0.0],
+        return tabulate(effective_source_from_formula(WAVY, eikonal_ham).fill, [0.0],
                         np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 1.0, 5),
                         sigma=1.5)
 
@@ -160,7 +193,7 @@ class TestQuery:
         for l in (-0.31, 0.12, 0.77):
             got = query(table, 0.0, 1.0, l)
             assert got == pytest.approx(
-                explicit_formula_above_one(WAVY, eikonal_ham, 0.0, 1.0, l), abs=1e-12)
+                closed_form(WAVY, eikonal_ham, 0.0, 1.0, l), abs=1e-12)
 
     def test_midpoint_average(self, table):
         mid = query(table, 0.0, 1.0, 0.25)
@@ -231,7 +264,7 @@ class TestQuery:
 
 class TestPropertyAudit:
     def test_formula_table_clean(self, eikonal_ham):
-        table = tabulate(fill_from_formula(WAVY, eikonal_ham), [0.0],
+        table = tabulate(effective_source_from_formula(WAVY, eikonal_ham).fill, [0.0],
                          np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 1.0, 5),
                          sigma=1.5)
         audit = audit_properties(table, b0=1.0, C=1.0, a_sup=3.0, m=2.0)
@@ -243,8 +276,8 @@ class TestPropertyAudit:
 
     def test_constant_coefficient_slice_affine(self, eikonal_ham):
         a0 = 2.0
-        table = tabulate(fill_from_formula(coefficient(f"constant:{a0}"), eikonal_ham),
-                         [0.0], [1.0], np.linspace(-1.0, 1.0, 5), sigma=1.5)
+        form = effective_source_from_formula(coefficient(f"constant:{a0}"), eikonal_ham)
+        table = tabulate(form.fill, [0.0], [1.0], np.linspace(-1.0, 1.0, 5), sigma=1.5)
         diffs = np.diff(table.values[0, 0, :]) / np.diff(table.ls)
         assert np.max(np.abs(diffs + a0)) <= 1e-12
 
@@ -263,7 +296,7 @@ class TestPropertyAudit:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path, eikonal_ham):
-        table = tabulate(fill_from_formula(WAVY, eikonal_ham), [0.0],
+        table = tabulate(effective_source_from_formula(WAVY, eikonal_ham).fill, [0.0],
                          np.linspace(0.0, 2.0, 5), np.linspace(-1.0, 1.0, 3),
                          sigma=1.5, meta={"model": "demo"})
         path = tmp_path / "table.csv"
@@ -283,7 +316,7 @@ class TestPersistence:
         assert again.read_bytes() == path.read_bytes()
 
     def test_repeated_and_missing_nodes_rejected(self, tmp_path, eikonal_ham):
-        table = tabulate(fill_from_formula(WAVY, eikonal_ham), [0.0],
+        table = tabulate(effective_source_from_formula(WAVY, eikonal_ham).fill, [0.0],
                          np.linspace(0.0, 2.0, 3), [-1.0, 1.0], sigma=1.5)
         path = tmp_path / "table.csv"
         save_table(table, str(path))

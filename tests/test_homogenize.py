@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from hjhom.cell import CellConfig, CellParams, spectral_cell_above_one, vanishing_discount_sweep
-from hjhom.effective import explicit_formula_above_one, tabulate
+from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
+from hjhom.effective import (effective_source_from_formula, effective_source_from_table,
+                             tabulate)
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, model_bpm
 from hjhom.homogenize import (EffectiveSource, ProblemFamily, SweepConfig,
                               SweepReport, convergence_rates,
-                              corrector_reconstruction, effective_source_from_formula,
-                              effective_source_from_table, run_sweep)
+                              corrector_reconstruction, run_sweep)
 from hjhom.kernels import constant_kernel
 from hjhom.hamiltonians import growth_bound
 from hjhom.parabolic import barrier_bounds
@@ -33,16 +33,8 @@ def wavy_family(eikonal_ham, wavy_a):
 
 
 @pytest.fixture(scope="module")
-def wavy_psi_provider(eikonal_ham, wavy_a):
-    def provider(x, p, l, n=256):
-        ys = np.arange(n) / n
-        a_vals = np.asarray(wavy_a(np.full(n, x), ys), dtype=float)
-        hb = explicit_formula_above_one(wavy_a, eikonal_ham, x, p, l, nquad=n)
-        h_vals = np.asarray(eikonal_ham.eval(np.full(n, x), ys, np.full(n, p)),
-                            dtype=float)
-        f = l + (hb - h_vals) / a_vals
-        return spectral_cell_above_one(1.5, GridFunction(f - np.mean(f)))
-    return provider
+def wavy_psi_provider(wavy_family):
+    return wavy_family.effective.corrector(1.5, 256)
 
 
 class TestRates:

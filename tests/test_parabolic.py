@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import trig_poly
+from hjhom.effective import effective_source_from_formula
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import HamiltonianSpec, coefficient, growth_bound, model_bpm
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
@@ -97,25 +98,32 @@ class TestSolve:
 class TestJacobian:
     N = 64
 
-    def _scheme(self, ham, kernel, drift):
+    def _scheme(self, ham, kernel, drift, closed_form):
         n = self.N
         xs, ys = np.zeros(n), np.arange(n) / n
+        table = periodized_weights(kernel, n)
+        if closed_form:
+            # the effective scheme above order one: A(x) in the coefficient slot
+            form = effective_source_from_formula(coefficient("two_plus_cos_y"), ham)
+            return form.scheme(ys, table, 6.0)
         a = 2.0 + np.cos(2.0 * np.pi * ys)
-        return coefficient_scheme(1.0 / n, xs, ys, a, ham, 6.0, p=0.7,
-                                  table=periodized_weights(kernel, n),
+        return coefficient_scheme(1.0 / n, xs, ys, a, ham, 6.0, p=0.7, table=table,
                                   const=-0.3 * a, drift=drift)
 
     @pytest.mark.parametrize("flux", ["godunov", "lax_friedrichs"])
-    @pytest.mark.parametrize("kernel, drift", [(constant_kernel(0.5), 0.0),
-                                               (constant_kernel(1.0), 0.3),
-                                               (constant_kernel(1.0), -0.3),
-                                               (tilt_kernel(1.2, 0.5), 0.0)])
-    def test_matches_finite_differences(self, flux, kernel, drift, eikonal_ham):
+    @pytest.mark.parametrize("kernel, drift, closed_form", [
+        pytest.param(constant_kernel(0.5), 0.0, False, id="kernel0-0.0"),
+        pytest.param(constant_kernel(1.0), 0.3, False, id="kernel1-0.3"),
+        pytest.param(constant_kernel(1.0), -0.3, False, id="kernel2--0.3"),
+        pytest.param(tilt_kernel(1.2, 0.5), 0.0, False, id="kernel3-0.0"),
+        pytest.param(constant_kernel(1.5), 0.0, True, id="closed_form"),
+    ])
+    def test_matches_finite_differences(self, flux, kernel, drift, closed_form, eikonal_ham):
         ham = eikonal_ham
         if flux == "lax_friedrichs":
             ham = HamiltonianSpec(eval=lambda x, y, p: (1.5 + np.cos(2 * np.pi * y))
                                   * np.sqrt(1.0 + p * p) ** 3, m=3.0, b0=1.0, C0=1.0)
-        scheme = self._scheme(ham, kernel, drift)
+        scheme = self._scheme(ham, kernel, drift, closed_form)
         assert (scheme.power is None) == (flux == "lax_friedrichs")
         u = 0.3 * trig_poly(5, self.N).values
         delta, e = 0.05, 1e-6
