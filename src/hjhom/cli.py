@@ -6,7 +6,7 @@ effective table that cannot be read or does not cover the solve), 3 numerical
 failure, 4 I/O failure.  Audit-gated commands refuse to run on failed audits
 unless --force is given.  The numerics are deterministic single-process
 numpy; the flux and its dissipation are worked out from the data, the
-explicit step is the CFL bound scaled by parabolic.CFL_SAFETY, and kernel
+time step is the CFL bound scaled by parabolic.CFL_SAFETY, and kernel
 tables sum a fixed 16 periodic images, so no configuration key selects any of
 them.
 """
@@ -175,10 +175,13 @@ def _discount_fill(cfg: RunConfig):
 
 
 def _build_table(cfg: RunConfig):
+    """Raises ValueError, before any node is filled, when a is not strictly
+    positive on the table's x nodes above order one."""
     sigma = cfg["kernel.sigma"]
     if sigma > 1.0:
-        fill = effective_source_from_formula(build_coefficient(cfg),
-                                             build_hamiltonian(cfg)).fill
+        form = effective_source_from_formula(build_coefficient(cfg), build_hamiltonian(cfg))
+        form.capacity(np.asarray(cfg["cell.table_x"], dtype=float))
+        fill = form.fill
     else:
         fill = _discount_fill(cfg)
     return tabulate(fill, cfg["cell.table_x"], cfg["cell.table_p"],
@@ -191,7 +194,11 @@ def cmd_effective(args, cfg: RunConfig) -> int:
     code = _gate(cfg, args.force)
     if code:
         return code
-    table = _build_table(cfg)
+    try:
+        table = _build_table(cfg)
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_AUDIT
     ham = build_hamiltonian(cfg)
     a_vals = build_coefficient(cfg)(np.zeros(512), np.arange(512) / 512)
     audit = audit_properties(table, b0=ham.power_form.b_min, C=ham.power_form.f_sup,
@@ -267,7 +274,8 @@ def cmd_solve(args, cfg: RunConfig) -> int:
                    csvio.trajectory_summary_rows(traj, u0), cfg.header_lines())
     bound = u0.sup_norm() + ham.h_at_zero_sup() * cfg["grid.T"] + 1e-8
     print(f"final sup norm {traj.sup_norm_track[-1]:.6g} "
-          f"(a-priori bound {bound:.6g}), dt = {traj.dt:.3e}, steps = {traj.steps}")
+          f"(a-priori bound {bound:.6g}), dt = {traj.dt:.3e}, steps = {traj.steps}, "
+          f"path = {traj.path}")
     print(f"trajectory -> {tpath}\nsummary -> {spath}")
     return EXIT_OK
 

@@ -59,7 +59,8 @@ class GridFunction:
 
     def shift(self, k: int) -> "GridFunction":
         """Exact translation by k nodes: result[j] = self[(j + k) mod n]."""
-        return GridFunction(np.roll(self.values, -k))
+        k %= self.n
+        return GridFunction(np.concatenate((self.values[k:], self.values[:k])))
 
     def minus_mean(self) -> "GridFunction":
         return GridFunction(self.values - np.mean(self.values))
@@ -75,13 +76,27 @@ def require_power_of_two(n: int, what: str = "grid size") -> None:
         raise ValueError(f"{what} must be a power of two >= 8, got {n}")
 
 
+def _padded(values: np.ndarray) -> np.ndarray:
+    """values between its periodic neighbours: v[n-1], v[0], ..., v[n-1], v[0]."""
+    return np.concatenate((values[-1:], values, values[:1]))
+
+
+def one_sided_diffs(values: np.ndarray, h: float) -> tuple:
+    """(backward, forward) differences from one pass: the two views d[:-1]
+    and d[1:] of d[k] = (v[k] - v[k-1]) / h, k = 0..n, indices mod n."""
+    pad = _padded(values)
+    d = (pad[1:] - pad[:-1]) / h
+    return d[:-1], d[1:]
+
+
 def forward_diff(values: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(values, -1) - values) / h
+    return one_sided_diffs(values, h)[1]
 
 
 def backward_diff(values: np.ndarray, h: float) -> np.ndarray:
-    return (values - np.roll(values, 1)) / h
+    return one_sided_diffs(values, h)[0]
 
 
 def central_diff(values: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * h)
+    pad = _padded(values)
+    return (pad[2:] - pad[:-2]) / (2.0 * h)

@@ -1,11 +1,14 @@
-"""Monotone explicit time stepping for the oscillating and effective problems.
+"""Monotone time stepping for the oscillating and effective problems.
 
 The update is forward Euler on a monotone spatial operator: nonnegative
 quadrature weights for the nonlocal part, Godunov or Lax-Friedrichs for the
 gradient part, and a CFL step chosen so every off-diagonal dependence is
-nondecreasing.  Monotonicity buys the discrete comparison principle, the
-sup-norm bound, and stability; no attempt is made at higher order.  The same
-scheme object, with its Jacobian, drives the cell solver's Newton iteration.
+nondecreasing.  When the nonlocal term is linear with one constant
+coefficient, as in the effective flow above order one, it is taken
+implicitly instead, by one FFT divide, and only the gradient part limits the
+step.  Monotonicity buys the discrete comparison principle, the sup-norm
+bound, and stability; no attempt is made at higher order.  The same scheme
+object, with its Jacobian, drives the cell solver's Newton iteration.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
-from .grid import GridFunction, forward_diff
+from .grid import GridFunction, forward_diff, one_sided_diffs
 from .hamiltonians import HamiltonianSpec
 from .kernels import KernelSpec, QuadratureTable
 from .operators import apply_table
@@ -59,7 +62,11 @@ class MonotoneScheme:
     ham None means there is no gradient term.
 
     Explicit steps u - dt (delta u + F(u)) are monotone for dt <= 1 / (budget
-    + delta); dt(delta) takes CFL_SAFETY of that.
+    + delta); dt(delta) takes CFL_SAFETY of that.  The scheme is `implicit`
+    when its nonlocal part is -A I_h u with one constant A, no drift and
+    nonnegative off-diagonal table coefficients: then I - dt A I_h is an
+    M-matrix, diagonal in Fourier space, and step() takes that part
+    implicitly at the gradient-only step step_dt().
     """
 
     def __init__(self, h: float, ham: Optional[Callable], p_range: float, *,
@@ -82,6 +89,18 @@ class MonotoneScheme:
             m = power[1]
             theta = float(np.max(power[0])) * m * p_range ** (m - 1.0)
         self.theta = theta
+        self._symbol = None       # A times the symbol of I_h, when implicit
+        if (table is not None and a is not None and ham is not None and not drift
+                and np.ptp(a) == 0 and table.comp_coeff == 0
+                and np.all(table.weights + table.antisym >= 0.0)):
+            lam = table.spectrum - table.mass
+            lam[0] = 0.0
+            self._symbol = -self.minus_a[0] * lam
+
+    @property
+    def implicit(self) -> bool:
+        """Whether step() takes the nonlocal term implicitly."""
+        return self._symbol is not None
 
     @property
     def budget(self) -> float:
@@ -92,9 +111,30 @@ class MonotoneScheme:
         """Monotone explicit step for the discount delta."""
         return CFL_SAFETY / (self.budget + delta + 1e-300)
 
+    def step_dt(self) -> float:
+        """The step solve takes: dt() for the explicit step; for the implicit
+        one only the gradient part counts, dt theta / h = CFL_SAFETY."""
+        if self._symbol is None:
+            return self.dt()
+        return CFL_SAFETY / (self.theta / self.h + 1e-300)
+
+    def step(self, u: np.ndarray, dt: float) -> np.ndarray:
+        """One monotone time step of length dt <= step_dt() from u.
+
+        Explicit: u - dt F(u).  Implicit: (I - dt A I_h) v = u - dt G(u),
+        G the rest of F, solved by one FFT divide.
+        """
+        if self._symbol is None:
+            return u - dt * self.residual(u)
+        dl, dr = one_sided_diffs(u, self.h)
+        rhs = self._flux(dl, dr, None)
+        if self.const is not None:
+            rhs = self.const + rhs
+        rhs = u - dt * rhs
+        return np.fft.irfft(np.fft.rfft(rhs) / (1.0 - dt * self._symbol), n=u.size)
+
     def residual(self, u: np.ndarray) -> np.ndarray:
-        dr = forward_diff(u, self.h)
-        dl = np.roll(dr, 1)
+        dl, dr = one_sided_diffs(u, self.h)
         lv = None if self.table is None else apply_table(u, self.table)
         out = self.const
         if self.minus_a is not None and lv is not None:
@@ -104,13 +144,16 @@ class MonotoneScheme:
             out = nonlocal_part if out is None else out + nonlocal_part
         if self.ham is None:
             return out
+        flux = self._flux(dl, dr, lv)
+        return flux if out is None else out + flux
+
+    def _flux(self, dl: np.ndarray, dr: np.ndarray, lv: Optional[np.ndarray]) -> np.ndarray:
+        """The numerical Hamiltonian on the one-sided differences (dl, dr)."""
         ql, qr = (self.p + dl, self.p + dr) if self.p else (dl, dr)
         if self.power is not None:
             coeff, m, at_zero = self.power
-            flux = at_zero + coeff * godunov_power_flux(m, ql, qr)
-        else:
-            flux = self.ham(0.5 * (ql + qr), lv) - 0.5 * self.theta * (qr - ql)
-        return flux if out is None else out + flux
+            return at_zero + coeff * godunov_power_flux(m, ql, qr)
+        return self.ham(0.5 * (ql + qr), lv) - 0.5 * self.theta * (qr - ql)
 
     def jacobian(self, u: np.ndarray, delta: float = 0.0) -> np.ndarray:
         """Dense n x n derivative of delta u + F(u) at u, for Newton solves.
@@ -144,9 +187,8 @@ class MonotoneScheme:
         jac[j, j] += delta
         if self.ham is None:
             return jac
-        dr = forward_diff(u, h)
-        qr = self.p + dr
-        ql = np.roll(qr, 1)
+        dl, dr = one_sided_diffs(u, h)
+        ql, qr = self.p + dl, self.p + dr
         if self.power is not None:
             coeff, m, _ = self.power
             left, right = np.maximum(ql, 0.0), np.maximum(-qr, 0.0)
@@ -267,7 +309,8 @@ class Trajectory:
     dt: float
     theta: float
     max_gradient_seen: float
-    steps: int             # explicit steps taken, the shortened ones included
+    steps: int             # time steps taken, the shortened ones included
+    path: str              # "implicit" or "explicit": how the nonlocal term was stepped
 
     def final(self) -> GridFunction:
         return self.snapshots[-1]
@@ -308,14 +351,16 @@ def _nonfinite_query(problem: ParabolicProblem, u: np.ndarray, p_range: float) -
 def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     """March the problem to its horizon, recording exact snapshot times.
 
-    Raises NumericalFailure on NaN (with the step index) or if the gradient
-    leaves the a-priori range backing the flux's monotonicity.
+    Each step is MonotoneScheme.step at the scheme's step_dt(), shortened to
+    land on the recorded times.  Raises NumericalFailure on NaN (with the
+    step index) or if the gradient leaves the a-priori range backing the
+    flux's monotonicity.
     """
     u0 = problem.u0
-    n, h = u0.n, u0.h
+    h = u0.h
     p_range = cfg.gradient_range if cfg.gradient_range is not None else _gradient_range(problem)
     scheme = problem.scheme(p_range)
-    dt = scheme.dt()
+    dt = scheme.step_dt()
     record = cfg.resolved_record_times(problem.T)
 
     u = u0.values.copy()
@@ -325,18 +370,17 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     residuals = [0.0]
     max_grad = float(np.max(np.abs(forward_diff(u, h))))
     step_index = 0
-    r = np.zeros(n)
+    prev, step = u, 1.0
     for t_target in record:
         while t < t_target - 1e-14:
             step = min(dt, t_target - t)
-            r = scheme.residual(u)
-            nxt = u - step * r
+            nxt = scheme.step(u, step)
             t += step
             step_index += 1
             if not np.all(np.isfinite(nxt)):
                 raise NumericalFailure(f"non-finite state at step {step_index}, t = {t:.6g}"
                                        + _nonfinite_query(problem, u, p_range))
-            u = nxt
+            prev, u = u, nxt
         g = float(np.max(np.abs(forward_diff(u, h))))
         max_grad = max(max_grad, g)
         if g > p_range * (1.0 + 1e-9):
@@ -345,11 +389,13 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
                 "enlarge gradient_range")
         times.append(t)
         snapshots.append(GridFunction(u))
-        residuals.append(float(np.max(np.abs(r))))
+        # rate of the last step, (u_prev - u) / step: F(u_prev) when explicit
+        residuals.append(float(np.max(np.abs(prev - u))) / step)
     return Trajectory(times=np.array(times), snapshots=snapshots,
                       sup_norm_track=np.array([s.sup_norm() for s in snapshots]),
                       residual_track=np.array(residuals), dt=dt, theta=scheme.theta,
-                      max_gradient_seen=max_grad, steps=step_index)
+                      max_gradient_seen=max_grad, steps=step_index,
+                      path="implicit" if scheme.implicit else "explicit")
 
 
 def sampled_modulus(u0: GridFunction, r: float) -> float:

@@ -8,8 +8,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from hjhom.effective import effective_source_from_formula
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, model_bpm
+from hjhom.homogenize import ProblemFamily, SweepConfig, run_sweep
+from hjhom.kernels import constant_kernel
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +29,16 @@ def unit_a():
 @pytest.fixture(scope="session")
 def wavy_a():
     return coefficient("two_plus_cos_y")
+
+
+@pytest.fixture(scope="session")
+def wavy_sweep(eikonal_ham, wavy_a):
+    """The eps = 1/4, 1/8, 1/16 sweep of the wavy model above order one, T = 0.2."""
+    family = ProblemFamily(a=wavy_a, ham=eikonal_ham, kernel=constant_kernel(1.5),
+                           u0_func=lambda x: np.sin(2 * np.pi * x), T=0.2,
+                           effective=effective_source_from_formula(wavy_a, eikonal_ham))
+    return run_sweep(family, [1 / 4, 1 / 8, 1 / 16], SweepConfig(n_per_k=16),
+                     psi_provider=family.effective.corrector(1.5, 256))
 
 
 def trig_poly(seed: int, n: int, modes: int = 4, scale: float = 1.0) -> GridFunction:

@@ -80,16 +80,6 @@ def formula_table():
                     np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 1.0, 5), sigma=1.5)
 
 
-@pytest.fixture(scope="module")
-def wavy_sweep():
-    family = ProblemFamily(a=WAVY_A, ham=EIKONAL, kernel=constant_kernel(1.5),
-                           u0_func=lambda x: np.sin(2 * np.pi * x), T=0.2,
-                           effective=effective_source_from_formula(WAVY_A, EIKONAL))
-
-    return run_sweep(family, [1 / 4, 1 / 8, 1 / 16], SweepConfig(n_per_k=16),
-                     psi_provider=family.effective.corrector(1.5, 256))
-
-
 def test_criterion_01_eigenfunction_identity():
     n = 512
     u = np.cos(2 * np.pi * np.arange(n) / n)

@@ -163,8 +163,9 @@ class TestCommands:
             assert float(sup) == pytest.approx(float(t), abs=1e-10)
             assert float(layer) == pytest.approx(float(t), abs=1e-10)
         m = re.search(r"final sup norm (\S+) \(a-priori bound \S+\), "
-                      r"dt = (\S+), steps = (\d+)\n", capsys.readouterr().out)
+                      r"dt = (\S+), steps = (\d+), path = (\w+)\n", capsys.readouterr().out)
         assert float(m.group(1)) == pytest.approx(0.05, abs=1e-10)
+        assert m.group(4) == "explicit"      # a(x, x / eps) = 2 + cos varies in x
         dt, steps = float(m.group(2)), int(m.group(3))   # dt is printed to 4 digits
         assert 0.05 * (1.0 - 1e-3) <= steps * dt <= 0.05 * (1.0 + 1e-3) + 5 * dt
 
@@ -351,7 +352,7 @@ class TestCommands:
         assert "draws on the failed table node (x, p, l) = (0, 2, 0)" in err
         assert "the query (x, p, l) = (" in err
 
-    @pytest.mark.parametrize("command", ["homogenize", "solve"])
+    @pytest.mark.parametrize("command", ["homogenize", "solve", "effective"])
     def test_non_positive_a_rejected_above_order_one(self, tmp_path, capsys, command):
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 1.5", "coefficient_a.kind = cos_y",

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hjhom.grid import GridFunction, backward_diff, central_diff, forward_diff
+from hjhom.grid import (GridFunction, backward_diff, central_diff, forward_diff,
+                        one_sided_diffs)
 
 
 def test_shift_is_exact_permutation():
@@ -48,3 +52,20 @@ def test_difference_operators_consistent():
     assert np.max(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * u.nodes()))) <= 1e-3
     avg = 0.5 * (forward_diff(u.values, u.h) + backward_diff(u.values, u.h))
     assert np.max(np.abs(central_diff(u.values, u.h) - avg)) <= 1e-12
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_roll_free_helpers_match_roll(data):
+    # slicing, not np.roll, with the same arithmetic: equal to the last bit
+    n = data.draw(st.integers(8, 80))
+    v = data.draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    h = data.draw(st.floats(1e-4, 1.0))
+    k = data.draw(st.integers(-3 * n, 3 * n))
+    forward, backward = (np.roll(v, -1) - v) / h, (v - np.roll(v, 1)) / h
+    assert np.array_equal(forward_diff(v, h), forward)
+    assert np.array_equal(backward_diff(v, h), backward)
+    dl, dr = one_sided_diffs(v, h)
+    assert np.array_equal(dl, backward) and np.array_equal(dr, forward)
+    assert np.array_equal(central_diff(v, h), (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h))
+    assert np.array_equal(GridFunction(v).shift(k).values, np.roll(v, -k))

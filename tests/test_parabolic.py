@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import trig_poly
-from hjhom.effective import effective_source_from_formula
-from hjhom.grid import GridFunction
+from hjhom.effective import (effective_source_from_formula, effective_source_from_table,
+                             tabulate)
+from hjhom.grid import GridFunction, forward_diff
 from hjhom.hamiltonians import HamiltonianSpec, coefficient, growth_bound, model_bpm
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
 from hjhom.parabolic import (NumericalFailure, ParabolicProblem, SolverConfig,
@@ -93,6 +94,84 @@ class TestSolve:
         prob = _oscillating(u0, eikonal_ham, unit_a, 1.0, 0.25, 0.2)
         with pytest.raises(NumericalFailure):
             solve(prob, SolverConfig(gradient_range=0.05))
+
+
+class TestImplicitStep:
+    """-A I_h is stepped implicitly when A is one constant; the explicit march
+    at the nonlocal CFL step is the oracle."""
+
+    P_RANGE = 4.0 * np.pi      # twice the largest slope of sin(2 pi x)
+
+    def _wavy_effective(self, eikonal_ham, wavy_a, n, T):
+        u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
+        return ParabolicProblem(kind="effective", u0=u0, T=T,
+                                table=periodized_weights(constant_kernel(1.5), n),
+                                source=effective_source_from_formula(wavy_a, eikonal_ham))
+
+    @staticmethod
+    def _explicit_march(scheme, u, T):
+        dt, t = scheme.dt(), 0.0
+        while t < T - 1e-14:
+            step = min(dt, T - t)
+            u = u - step * scheme.residual(u)
+            t += step
+        return u
+
+    def test_matches_explicit_oracle(self, eikonal_ham, wavy_a, wavy_sweep):
+        T, gaps = 0.2, []
+        for n in (256, 512):
+            prob = self._wavy_effective(eikonal_ham, wavy_a, n, T)
+            traj = solve(prob, SolverConfig(gradient_range=self.P_RANGE, snapshots=1))
+            assert traj.path == "implicit"
+            oracle = self._explicit_march(prob.scheme(self.P_RANGE), prob.u0.values, T)
+            gap = float(np.max(np.abs(traj.final().values - oracle)))
+            # first order in time: the measured gap is 12.8 dt (n = 256), 13.2 dt (n = 512)
+            assert gap <= 20.0 * traj.dt
+            gaps.append(gap)
+        assert gaps[1] <= 0.6 * gaps[0]
+        # the reference's time error stays below the homogenization error it measures
+        assert gaps[0] < np.min(wavy_sweep.errors)
+
+    def test_path_reported(self, eikonal_ham, wavy_a):
+        n, cfg = 64, SolverConfig(snapshots=2)
+        closed_form = self._wavy_effective(eikonal_ham, wavy_a, n, 0.02)
+        assert solve(closed_form, cfg).path == "implicit"
+        u0 = GridFunction.from_callable(lambda x: 0.3 * np.sin(2 * np.pi * x), n)
+        oscillating = _oscillating(u0, eikonal_ham, wavy_a, 1.5, 0.25, 0.02)
+        assert solve(oscillating, cfg).path == "explicit"
+        table = tabulate(lambda x, p, l: (p * p - l, 0.0, "formula"), [0.0],
+                         np.linspace(-3.0, 3.0, 13), [-2.0, 0.0, 2.0], sigma=0.5)
+        from_table = ParabolicProblem(kind="effective", u0=u0, T=0.02,
+                                      table=periodized_weights(constant_kernel(0.5), n),
+                                      source=effective_source_from_table(table))
+        assert solve(from_table, cfg).path == "explicit"
+
+    # (kernel, whether its table admits the implicit step)
+    KERNELS = [(constant_kernel(0.5), True), (constant_kernel(1.5), True),
+               (tilt_kernel(0.5, 0.5), True), (tilt_kernel(1.2, 0.5), False)]
+
+    @given(seed=st.integers(0, 1 << 30), lift=st.floats(0.0, 1.0),
+           kernel=st.sampled_from(KERNELS), lax_friedrichs=st.booleans(),
+           constant_a=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_one_step_is_monotone(self, eikonal_ham, seed, lift, kernel, lax_friedrichs,
+                                  constant_a):
+        # ordered data stay ordered after one step at step_dt()
+        kernel, admits = kernel
+        ham = replace(eikonal_ham, power_form=None) if lax_friedrichs else eikonal_ham
+        n = 64
+        lo = trig_poly(seed, n, scale=0.5).values
+        hi = lo + lift * np.abs(trig_poly(seed + 1, n).values)
+        p_range = max(2.0, 1.01 * max(np.max(np.abs(forward_diff(v, 1.0 / n)))
+                                      for v in (lo, hi)))
+        xs = np.arange(n) / n
+        a = np.full(n, 2.0) if constant_a else 2.0 + np.cos(2.0 * np.pi * xs)
+        scheme = coefficient_scheme(1.0 / n, xs, xs, a, ham, p_range,
+                                    table=periodized_weights(kernel, n))
+        assert scheme.implicit == (constant_a and admits)
+        assert (scheme.power is None) == lax_friedrichs
+        dt = scheme.step_dt()
+        assert np.all(scheme.step(lo, dt) <= scheme.step(hi, dt) + 1e-12)
 
 
 class TestJacobian:
