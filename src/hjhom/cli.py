@@ -321,7 +321,8 @@ def cmd_homogenize(args, cfg: RunConfig) -> int:
     csvio.emit_csv(snap_path, ["eps", "x", "u"], csvio.sweep_snapshot_rows(report),
                    cfg.header_lines())
     for i, eps in enumerate(report.eps_list):
-        print(f"eps = {eps:.6g}: n = {report.ns[i]}, error = {report.errors[i]:.6g}")
+        print(f"eps = {eps:.6g}: n = {report.ns[i]}, error = {report.errors[i]:.6g}, "
+              f"steps = {report.steps[i]}, path = {report.paths[i]}")
     print(f"sweep -> {path}\nsnapshots -> {snap_path}")
     return EXIT_OK
 

@@ -54,6 +54,8 @@ class SweepReport:
     runtimes: np.ndarray
     ns: np.ndarray
     dts: np.ndarray
+    steps: np.ndarray                 # time steps of each oscillating run (0 if it failed)
+    paths: tuple                      # "implicit"/"explicit" per run ("" if it failed)
     coarse_nodes: np.ndarray
     times: np.ndarray
     u_eps_final: list                 # coarse restrictions of each final state
@@ -168,6 +170,8 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
     return SweepReport(eps_list=eps, errors=errors, rates=rates,
                        corrector_residuals=residuals, runtimes=np.array(runtimes),
                        ns=np.asarray(ns), dts=np.array(dts),
+                       steps=np.array([0 if tr is None else tr.steps for tr in trajectories]),
+                       paths=tuple("" if tr is None else tr.path for tr in trajectories),
                        coarse_nodes=coarse_nodes, times=record,
                        u_eps_final=finals, u_eff_final=u_eff_final,
                        p_eff=p_eff, l_eff=l_eff, initial_layers=layers,

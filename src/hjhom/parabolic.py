@@ -3,12 +3,15 @@
 The update is forward Euler on a monotone spatial operator: nonnegative
 quadrature weights for the nonlocal part, Godunov or Lax-Friedrichs for the
 gradient part, and a CFL step chosen so every off-diagonal dependence is
-nondecreasing.  When the nonlocal term is linear with one constant
-coefficient, as in the effective flow above order one, it is taken
-implicitly instead, by one FFT divide, and only the gradient part limits the
-step.  Monotonicity buys the discrete comparison principle, the sup-norm
-bound, and stability; no attempt is made at higher order.  The same scheme
-object, with its Jacobian, drives the cell solver's Newton iteration.
+nondecreasing.  When the nonlocal term is linear and its coefficient repeats
+with a short period on the grid, it is taken implicitly instead and only the
+gradient part limits the step: the effective flow above order one (one
+constant A, period 1) and the oscillating flow with a(x/eps) (period n eps
+nodes).  A shift by the period commutes with the implicit operator, so one
+FFT splits it into small dense Fourier blocks.  Monotonicity buys the
+discrete comparison principle, the sup-norm bound, and stability; no attempt
+is made at higher order.  The same scheme object, with its Jacobian, drives
+the cell solver's Newton iteration.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ if TYPE_CHECKING:
 # the difference-quadrature schemes (Biswas-Jakobsen-Karlsen 2010).
 CFL_SAFETY = 0.9
 
+# Longest period, in nodes, of a coefficient whose nonlocal term step() takes
+# implicitly: each step then solves n / P dense P x P Fourier blocks.
+MAX_PERIOD = 64
+
 
 class NumericalFailure(RuntimeError):
     """Blow-up, NaN, or an a-priori bound left during time stepping."""
@@ -40,6 +47,16 @@ class NumericalFailure(RuntimeError):
 def godunov_power_flux(m: float, ql: np.ndarray, qr: np.ndarray) -> np.ndarray:
     """Godunov flux for q -> |q|^m (convex, minimum at 0)."""
     return np.maximum(np.maximum(ql, 0.0), np.maximum(-qr, 0.0)) ** m
+
+
+def _node_period(a: np.ndarray) -> Optional[int]:
+    """Smallest period P < n, P <= MAX_PERIOD, P dividing n, with
+    a[j + P] = a[j] exactly at every node; None if there is none."""
+    n = a.size
+    for period in range(1, min(MAX_PERIOD, n // 2) + 1):
+        if n % period == 0 and np.array_equal(a[period:], a[:-period]):
+            return period
+    return None
 
 
 def _p_slope(ham_at: Callable[[np.ndarray], np.ndarray], q: np.ndarray) -> np.ndarray:
@@ -63,10 +80,15 @@ class MonotoneScheme:
 
     Explicit steps u - dt (delta u + F(u)) are monotone for dt <= 1 / (budget
     + delta); dt(delta) takes CFL_SAFETY of that.  The scheme is `implicit`
-    when its nonlocal part is -A I_h u with one constant A, no drift and
-    nonnegative off-diagonal table coefficients: then I - dt A I_h is an
-    M-matrix, diagonal in Fourier space, and step() takes that part
-    implicitly at the gradient-only step step_dt().
+    when its nonlocal part is -a I_h u with a >= 0 of some period P (see
+    _node_period), no drift, no compensator and nonnegative off-diagonal
+    table coefficients.  Then I - dt diag(a) I_h is a strictly diagonally
+    dominant M-matrix, so its inverse is >= 0, and step() takes that part
+    implicitly at the gradient-only step step_dt().  The operator commutes
+    with a shift by P nodes, so in Fourier space class r, the modes r + K t
+    (K = n / P, t < P), is one P x P block I - dt Ac diag(lam_{r + K t}),
+    with Ac[t, t'] = fft(a[:P])[(t - t') mod P] / P and lam the symbol of
+    I_h.  One constant a is the case P = 1.
     """
 
     def __init__(self, h: float, ham: Optional[Callable], p_range: float, *,
@@ -89,18 +111,24 @@ class MonotoneScheme:
             m = power[1]
             theta = float(np.max(power[0])) * m * p_range ** (m - 1.0)
         self.theta = theta
-        self._symbol = None       # A times the symbol of I_h, when implicit
+        self._coupling = None     # Ac, when implicit
+        self._inverse = None      # the block inverses at step_dt(), once met
+        period = None
         if (table is not None and a is not None and ham is not None and not drift
-                and np.ptp(a) == 0 and table.comp_coeff == 0
+                and table.comp_coeff == 0 and np.all(a >= 0.0)
                 and np.all(table.weights + table.antisym >= 0.0)):
-            lam = table.spectrum - table.mass
+            period = _node_period(a)
+        if period is not None:
+            lam = np.conj(np.fft.fft(table.weights + table.antisym)) - table.mass
             lam[0] = 0.0
-            self._symbol = -self.minus_a[0] * lam
+            self._lam = lam.reshape(period, -1).T              # [r, t]: mode r + K t
+            t = np.arange(period)
+            self._coupling = (np.fft.fft(a[:period]) / period)[(t[:, None] - t) % period]
 
     @property
     def implicit(self) -> bool:
         """Whether step() takes the nonlocal term implicitly."""
-        return self._symbol is not None
+        return self._coupling is not None
 
     @property
     def budget(self) -> float:
@@ -114,24 +142,39 @@ class MonotoneScheme:
     def step_dt(self) -> float:
         """The step solve takes: dt() for the explicit step; for the implicit
         one only the gradient part counts, dt theta / h = CFL_SAFETY."""
-        if self._symbol is None:
+        if self._coupling is None:
             return self.dt()
         return CFL_SAFETY / (self.theta / self.h + 1e-300)
+
+    def _blocks(self, dt: float) -> np.ndarray:
+        """The K Fourier blocks I - dt Ac diag(lam_{r + K t}), shape (K, P, P)."""
+        return np.eye(self._coupling.shape[0]) - dt * self._coupling * self._lam[:, None, :]
 
     def step(self, u: np.ndarray, dt: float) -> np.ndarray:
         """One monotone time step of length dt <= step_dt() from u.
 
-        Explicit: u - dt F(u).  Implicit: (I - dt A I_h) v = u - dt G(u),
-        G the rest of F, solved by one FFT divide.
+        Explicit: u - dt F(u).  Implicit: (I - dt diag(a) I_h) v = u - dt G(u),
+        G the rest of F, solved block by block between one rfft and one irfft
+        (the blocks need the full spectrum, which a real u determines); the
+        inverses at step_dt() are built once, a shortened step solves.
         """
-        if self._symbol is None:
+        if self._coupling is None:
             return u - dt * self.residual(u)
         dl, dr = one_sided_diffs(u, self.h)
         rhs = self._flux(dl, dr, None)
         if self.const is not None:
             rhs = self.const + rhs
-        rhs = u - dt * rhs
-        return np.fft.irfft(np.fft.rfft(rhs) / (1.0 - dt * self._symbol), n=u.size)
+        # modes n - k are the conjugates of modes k; [r, t] holds mode r + K t
+        half = np.fft.rfft(u - dt * rhs)
+        spec = np.concatenate((half, np.conj(half[u.size - half.size:0:-1])))
+        spec = spec.reshape(self._coupling.shape[0], -1).T[:, :, None]
+        if dt == self.step_dt():
+            if self._inverse is None:
+                self._inverse = np.linalg.inv(self._blocks(dt))
+            spec = np.matmul(self._inverse, spec)
+        else:
+            spec = np.linalg.solve(self._blocks(dt), spec)
+        return np.fft.irfft(spec[:, :, 0].T.reshape(-1)[:half.size], n=u.size)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         dl, dr = one_sided_diffs(u, self.h)
@@ -294,7 +337,10 @@ class ParabolicProblem:
         xs = self.u0.nodes()
         if self.kind == "effective":
             return self.source.scheme(xs, self.table, p_range)
-        ys = np.mod(xs / self.eps, 1.0)
+        # y = x / eps mod 1 in exact integer arithmetic, so a(x, y) repeats
+        # exactly every n eps nodes
+        n, k = self.u0.n, int(round(1.0 / self.eps))
+        ys = (np.arange(n) * k % n) / n
         a_vals = np.asarray(self.a(xs, ys), dtype=float)
         return coefficient_scheme(self.u0.h, xs, ys, a_vals, self.ham, p_range,
                                   table=self.table)

@@ -165,7 +165,7 @@ class TestCommands:
         m = re.search(r"final sup norm (\S+) \(a-priori bound \S+\), "
                       r"dt = (\S+), steps = (\d+), path = (\w+)\n", capsys.readouterr().out)
         assert float(m.group(1)) == pytest.approx(0.05, abs=1e-10)
-        assert m.group(4) == "explicit"      # a(x, x / eps) = 2 + cos varies in x
+        assert m.group(4) == "implicit"      # a(x, x / eps) = 2 + cos repeats every 16 nodes
         dt, steps = float(m.group(2)), int(m.group(3))   # dt is printed to 4 digits
         assert 0.05 * (1.0 - 1e-3) <= steps * dt <= 0.05 * (1.0 + 1e-3) + 5 * dt
 
@@ -207,12 +207,15 @@ class TestCommands:
         table = load_table(str(tmp_path / "run_effective.csv"))
         assert query(table, 0.0, 1.0, 0.0) == pytest.approx(3.0 - np.sqrt(3.0), abs=1e-10)
 
-    def test_homogenize_command(self, tmp_path):
+    def test_homogenize_command(self, tmp_path, capsys):
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 1.5", "sweep.eps_list = 1/2,1/4", "sweep.T = 0.05",
             "sweep.snapshots = 3",
         ]) + "\n")
         assert main(["homogenize", "--config", path, "--out", str(tmp_path)]) == 0
+        runs = re.findall(r"eps = \S+: n = (\d+), error = \S+, steps = (\d+), path = (\w+)\n",
+                          capsys.readouterr().out)
+        assert [(n, path) for n, _, path in runs] == [("32", "implicit"), ("64", "implicit")]
         lines = (tmp_path / "run_sweep.csv").read_text().splitlines()
         data = [l for l in lines if not l.startswith("#")]
         assert data[0] == "eps,n,dt,error,rate,corrector_residual,seconds"

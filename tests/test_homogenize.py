@@ -20,7 +20,8 @@ def _dummy_report(eps, errors):
     z = np.zeros_like(eps)
     return SweepReport(eps_list=eps, errors=errors, rates=z[:-1],
                        corrector_residuals=z, runtimes=z, ns=np.ones_like(eps, dtype=int),
-                       dts=z, coarse_nodes=np.zeros(4), times=np.zeros(2),
+                       dts=z, steps=np.zeros(eps.size, dtype=int), paths=("",) * eps.size,
+                       coarse_nodes=np.zeros(4), times=np.zeros(2),
                        u_eps_final=[], u_eff_final=np.zeros(4), p_eff=np.zeros(4),
                        l_eff=np.zeros(4), initial_layers=[], sigma=1.5)
 
@@ -76,6 +77,13 @@ def report(wavy_family, wavy_psi_provider):
 class TestWavySweep:
     def test_errors_strictly_decrease(self, report):
         assert report.errors[0] > report.errors[1] > report.errors[2]
+
+    def test_steps_and_paths_reported(self, report):
+        # a(x / eps) repeats every 16 nodes: each run steps -a I_h implicitly,
+        # at least T / dt steps, more on each finer grid
+        assert report.paths == ("implicit",) * 3
+        assert np.all(report.steps >= np.round(report.times[-1] / report.dts))
+        assert np.all(np.diff(report.steps) > 0)
 
     def test_fitted_rate_positive(self, report):
         slope, _ = convergence_rates(report)
@@ -137,6 +145,7 @@ class TestFailureHandling:
                             SweepConfig(n_fixed=64, gradient_range=0.05, snapshots=3))
         assert len(rep_bad.failures) == 2
         assert np.all(np.isnan(rep_bad.errors))
+        assert rep_bad.paths == ("", "") and np.all(rep_bad.steps == 0)
 
 
 class TestBelowOneSweep:

@@ -97,15 +97,19 @@ class TestSolve:
 
 
 class TestImplicitStep:
-    """-A I_h is stepped implicitly when A is one constant; the explicit march
-    at the nonlocal CFL step is the oracle."""
+    """-a I_h is stepped implicitly when a repeats with a short period on the
+    grid; the explicit march at the nonlocal CFL step and a dense solve of
+    the implicit operator are the oracles."""
 
     P_RANGE = 4.0 * np.pi      # twice the largest slope of sin(2 pi x)
 
-    def _wavy_effective(self, eikonal_ham, wavy_a, n, T):
+    def _wavy(self, kind, eikonal_ham, wavy_a, n, T):
         u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
-        return ParabolicProblem(kind="effective", u0=u0, T=T,
-                                table=periodized_weights(constant_kernel(1.5), n),
+        table = periodized_weights(constant_kernel(1.5), n)
+        if kind == "oscillating":
+            return ParabolicProblem(kind=kind, u0=u0, T=T, table=table, eps=1.0 / 16.0,
+                                    a=wavy_a, ham=eikonal_ham)
+        return ParabolicProblem(kind=kind, u0=u0, T=T, table=table,
                                 source=effective_source_from_formula(wavy_a, eikonal_ham))
 
     @staticmethod
@@ -118,27 +122,36 @@ class TestImplicitStep:
         return u
 
     def test_matches_explicit_oracle(self, eikonal_ham, wavy_a, wavy_sweep):
-        T, gaps = 0.2, []
-        for n in (256, 512):
-            prob = self._wavy_effective(eikonal_ham, wavy_a, n, T)
-            traj = solve(prob, SolverConfig(gradient_range=self.P_RANGE, snapshots=1))
-            assert traj.path == "implicit"
-            oracle = self._explicit_march(prob.scheme(self.P_RANGE), prob.u0.values, T)
-            gap = float(np.max(np.abs(traj.final().values - oracle)))
-            # first order in time: the measured gap is 12.8 dt (n = 256), 13.2 dt (n = 512)
-            assert gap <= 20.0 * traj.dt
-            gaps.append(gap)
-        assert gaps[1] <= 0.6 * gaps[0]
-        # the reference's time error stays below the homogenization error it measures
-        assert gaps[0] < np.min(wavy_sweep.errors)
+        T = 0.2
+        for kind in ("effective", "oscillating"):
+            gaps = []
+            for n in (256, 512):
+                prob = self._wavy(kind, eikonal_ham, wavy_a, n, T)
+                traj = solve(prob, SolverConfig(gradient_range=self.P_RANGE, snapshots=1))
+                assert traj.path == "implicit"
+                oracle = self._explicit_march(prob.scheme(self.P_RANGE), prob.u0.values, T)
+                gap = float(np.max(np.abs(traj.final().values - oracle)))
+                # first order in time: the measured gap is 12.8 dt (n = 256) and
+                # 13.2 dt (n = 512) for the closed form, 13.4 dt and 13.7 dt
+                # for the oscillating problem at eps = 1/16
+                assert gap <= 20.0 * traj.dt
+                gaps.append(gap)
+            assert gaps[1] <= 0.6 * gaps[0]
+            # the time error stays below the homogenization error it is part of
+            assert gaps[0] < np.min(wavy_sweep.errors)
 
     def test_path_reported(self, eikonal_ham, wavy_a):
         n, cfg = 64, SolverConfig(snapshots=2)
-        closed_form = self._wavy_effective(eikonal_ham, wavy_a, n, 0.02)
+        closed_form = self._wavy("effective", eikonal_ham, wavy_a, n, 0.02)
         assert solve(closed_form, cfg).path == "implicit"
         u0 = GridFunction.from_callable(lambda x: 0.3 * np.sin(2 * np.pi * x), n)
+        # a(x / eps) = 2 + cos repeats every n eps = 16 nodes
         oscillating = _oscillating(u0, eikonal_ham, wavy_a, 1.5, 0.25, 0.02)
-        assert solve(oscillating, cfg).path == "explicit"
+        assert solve(oscillating, cfg).path == "implicit"
+        # a slow x dependence has period n: explicit
+        slow_a = lambda x, y: 2.0 + np.cos(2.0 * np.pi * x)
+        assert solve(_oscillating(u0, eikonal_ham, slow_a, 1.5, 0.25, 0.02),
+                     cfg).path == "explicit"
         table = tabulate(lambda x, p, l: (p * p - l, 0.0, "formula"), [0.0],
                          np.linspace(-3.0, 3.0, 13), [-2.0, 0.0, 2.0], sigma=0.5)
         from_table = ParabolicProblem(kind="effective", u0=u0, T=0.02,
@@ -146,16 +159,45 @@ class TestImplicitStep:
                                       source=effective_source_from_table(table))
         assert solve(from_table, cfg).path == "explicit"
 
+    def test_non_dyadic_eps_is_periodic(self, eikonal_ham, wavy_a):
+        # eps = 1/3 is not a float-exact fraction; y = x / eps mod 1 still
+        # repeats exactly every 16 of the 48 nodes
+        u0 = GridFunction.from_callable(lambda x: 0.3 * np.sin(2 * np.pi * x), 48)
+        prob = _oscillating(u0, eikonal_ham, wavy_a, 1.5, 1.0 / 3.0, 0.02)
+        assert solve(prob, SolverConfig(snapshots=2)).path == "implicit"
+
+    @pytest.mark.parametrize("kernel", [constant_kernel(0.5), tilt_kernel(0.5, 0.5)],
+                             ids=["symmetric", "tilt"])
+    @pytest.mark.parametrize("n, period", [(64, 1), (64, 4), (64, 16), (45, 15)])
+    def test_block_step_matches_dense_solve(self, eikonal_ham, kernel, n, period):
+        j = np.arange(n)
+        table = periodized_weights(kernel, n)
+        y = 2.0 * np.pi * (j * (n // period) % n) / n
+        a = 2.0 + np.cos(y) + 0.5 * np.sin(y)         # not even: fft(a[:P]) is complex
+        c = table.weights + table.antisym
+        lin = c[(j[None, :] - j[:, None]) % n]       # I_h as a dense matrix
+        lin[j, j] -= table.mass
+        u = trig_poly(7, n, scale=0.5).values
+        scheme = coefficient_scheme(1.0 / n, j / n, j / n, a, eikonal_ham, 4.0, table=table)
+        assert scheme.implicit
+        rest = scheme.residual(u) + a * (lin @ u)    # the gradient part G(u)
+        for dt in (scheme.step_dt(), 0.3 * scheme.step_dt()):    # cached, shortened
+            implicit_op = np.eye(n) - dt * a[:, None] * lin
+            expected = np.linalg.solve(implicit_op, u - dt * rest)
+            assert np.max(np.abs(scheme.step(u, dt) - expected)) <= 1e-12
+            # an M-matrix: the implicit step keeps the comparison principle
+            assert np.min(np.linalg.inv(implicit_op)) >= 0.0
+
     # (kernel, whether its table admits the implicit step)
     KERNELS = [(constant_kernel(0.5), True), (constant_kernel(1.5), True),
                (tilt_kernel(0.5, 0.5), True), (tilt_kernel(1.2, 0.5), False)]
 
     @given(seed=st.integers(0, 1 << 30), lift=st.floats(0.0, 1.0),
            kernel=st.sampled_from(KERNELS), lax_friedrichs=st.booleans(),
-           constant_a=st.booleans())
+           a_kind=st.sampled_from(["constant", "eps_periodic", "x_dependent"]))
     @settings(max_examples=80, deadline=None)
     def test_one_step_is_monotone(self, eikonal_ham, seed, lift, kernel, lax_friedrichs,
-                                  constant_a):
+                                  a_kind):
         # ordered data stay ordered after one step at step_dt()
         kernel, admits = kernel
         ham = replace(eikonal_ham, power_form=None) if lax_friedrichs else eikonal_ham
@@ -165,10 +207,13 @@ class TestImplicitStep:
         p_range = max(2.0, 1.01 * max(np.max(np.abs(forward_diff(v, 1.0 / n)))
                                       for v in (lo, hi)))
         xs = np.arange(n) / n
-        a = np.full(n, 2.0) if constant_a else 2.0 + np.cos(2.0 * np.pi * xs)
+        a = {"constant": np.full(n, 2.0),
+             # a(x / eps) at eps = 1/4: period 16 nodes
+             "eps_periodic": 2.0 + np.cos(2.0 * np.pi * (np.arange(n) * 4 % n) / n),
+             "x_dependent": 2.0 + np.cos(2.0 * np.pi * xs)}[a_kind]
         scheme = coefficient_scheme(1.0 / n, xs, xs, a, ham, p_range,
                                     table=periodized_weights(kernel, n))
-        assert scheme.implicit == (constant_a and admits)
+        assert scheme.implicit == (a_kind != "x_dependent" and admits)
         assert (scheme.power is None) == lax_friedrichs
         dt = scheme.step_dt()
         assert np.all(scheme.step(lo, dt) <= scheme.step(hi, dt) + 1e-12)
