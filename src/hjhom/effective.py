@@ -163,9 +163,15 @@ class EffectiveTable:
         d = np.diff(self.values, axis=2) / np.diff(self.ls)[None, None, :]
         return float(np.max(np.abs(d[np.isfinite(d)]), initial=0.0))
 
+    def p_cell_slopes(self) -> np.ndarray:
+        """sup |dHbar/dp| over every x and l node of each p cell
+        [ps[k], ps[k + 1]]; a cell with no finite pair takes the table's bound."""
+        d = np.abs(np.diff(self.values, axis=1) / np.diff(self.ps)[None, :, None])
+        cells = np.fmax.reduce(d, axis=(0, 2))             # NaN only without a finite pair
+        return np.where(np.isnan(cells), np.fmax.reduce(cells, initial=0.0), cells)
+
     def p_slope_bound(self) -> float:
-        d = np.diff(self.values, axis=1) / np.diff(self.ps)[None, :, None]
-        return float(np.max(np.abs(d[np.isfinite(d)]), initial=0.0))
+        return float(np.max(self.p_cell_slopes(), initial=0.0))
 
 
 def _locate(axis: np.ndarray, q: np.ndarray, name: str) -> Optional[tuple]:
@@ -195,23 +201,27 @@ def _locate(axis: np.ndarray, q: np.ndarray, name: str) -> Optional[tuple]:
     return i, w
 
 
-def query_many(table: EffectiveTable, x: np.ndarray, p: np.ndarray,
+def query_many(table: EffectiveTable, x: Optional[np.ndarray], p: np.ndarray,
                l: np.ndarray) -> np.ndarray:
     """Vectorized multilinear interpolation; exact at nodes, no extrapolation.
 
     A single-node axis is checked (every query must sit on its node) and then
-    skipped, so a table with one x node interpolates over 4 corners, not 8.
+    skipped, so a table with one x node interpolates over 4 corners, not 8;
+    x None serves every query from that node unchecked, shaped as p and l.
     Corners of zero weight are skipped, so a failed (NaN) node never reaches
     a query that lands on its neighbour.
     """
-    x, p, l = np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float),
-                                  np.asarray(l, float))
-    shape = x.shape
-    flat = np.zeros(x.size, dtype=np.intp)
+    axes = ((table.xs, x, "x", table.ps.size * table.ls.size),
+            (table.ps, p, "p", table.ls.size), (table.ls, l, "l", 1))
+    if x is None:
+        if table.xs.size != 1:
+            raise ValueError("x may be left out only for a single-node x axis")
+        axes = axes[1:]
+    queries = np.broadcast_arrays(*(np.asarray(q, float) for _, q, _, _ in axes))
+    shape = queries[0].shape
+    flat = np.zeros(queries[0].size, dtype=np.intp)
     corners = [(0, 1.0)]      # (flat offset, weight) per corner, in x, p, l order
-    for axis, q, name, stride in ((table.xs, x, "x", table.ps.size * table.ls.size),
-                                  (table.ps, p, "p", table.ls.size),
-                                  (table.ls, l, "l", 1)):
+    for (axis, _, name, stride), q in zip(axes, queries):
         located = _locate(axis, q.ravel(), name)
         if located is None:
             continue
@@ -221,7 +231,7 @@ def query_many(table: EffectiveTable, x: np.ndarray, p: np.ndarray,
         corners = [(off + off_ax, c * c_ax)
                    for off, c in corners for off_ax, c_ax in ((0, low), (stride, w))]
     values = table.values.ravel()
-    out = np.zeros(x.size)
+    out = np.zeros(flat.size)
     for off, c in corners:
         cv = values[off:].take(flat)
         cv *= c
@@ -260,12 +270,17 @@ def effective_source_from_table(table: EffectiveTable) -> EffectiveSource:
     dependence, so every x is served by that node.
     """
     collapse_x = table.xs.size == 1
+    slopes = table.p_cell_slopes()
+    inner = table.ps[1:-1]
 
     def value(x, p, l):
-        x = np.asarray(x, dtype=float)
-        if collapse_x:
-            x = np.full_like(x, table.xs[0])
-        return query_many(table, x, p, l)
+        return query_many(table, None if collapse_x else x, p, l)
+
+    def theta(lo, hi):
+        # the cells [ps[k], ps[k + 1]] that meet [lo, hi]
+        first = np.searchsorted(inner, lo, side="left")
+        end = np.searchsorted(inner, hi, side="right") + 1
+        return float(np.max(slopes[first:end], initial=0.0))
 
     def explain(x, p, l):
         where = f"the query (x, p, l) = ({x:.6g}, {p:.6g}, {l:.6g})"
@@ -275,8 +290,8 @@ def effective_source_from_table(table: EffectiveTable) -> EffectiveSource:
         return (f"{where} draws on the failed table node (x, p, l) = "
                 f"({node[0]:g}, {node[1]:g}, {node[2]:g})")
 
-    return EffectiveSource(value=value, l_slope=table.l_slope_bound(),
-                           theta=table.p_slope_bound(), explain=explain)
+    return EffectiveSource(value=value, l_slope=table.l_slope_bound(), theta=theta,
+                           explain=explain)
 
 
 def tabulate(fill: Callable, xs, ps, ls, sigma: float,

@@ -76,6 +76,8 @@ class MonotoneScheme:
     problems).  A power structure H = coeff |q|^m + at_zero, both arrays over
     the nodes, selects the Godunov flux; otherwise Lax-Friedrichs with
     dissipation theta, sampled by coefficient_scheme or read from a table.
+    A table gives theta(lo, hi), a bound on |dH/dp| over the gradients
+    [lo, hi]; fit_theta sets it from the state before each step.
     ham None means there is no gradient term.
 
     Explicit steps u - dt (delta u + F(u)) are monotone for dt <= 1 / (budget
@@ -92,7 +94,8 @@ class MonotoneScheme:
     """
 
     def __init__(self, h: float, ham: Optional[Callable], p_range: float, *,
-                 power: Optional[tuple] = None, theta: Optional[float] = None,
+                 power: Optional[tuple] = None,
+                 theta: Union[None, float, Callable[[float, float], float]] = None,
                  p: float = 0.0, table: Optional[QuadratureTable] = None,
                  a: Optional[np.ndarray] = None, drift: float = 0.0,
                  const: Optional[np.ndarray] = None, l_slope: float = 0.0):
@@ -107,6 +110,9 @@ class MonotoneScheme:
         if drift:
             budget += l_slope * abs(drift) / h
         self._nonlocal_budget = budget
+        self._theta_of = theta if callable(theta) else None
+        if self._theta_of is not None:
+            theta = self._theta_of(-math.inf, math.inf)
         if power is not None:
             m = power[1]
             theta = float(np.max(power[0])) * m * p_range ** (m - 1.0)
@@ -134,6 +140,14 @@ class MonotoneScheme:
     def budget(self) -> float:
         """Diagonal mass of F per unit step: the CFL budget."""
         return self._nonlocal_budget + self.theta / self.h
+
+    def fit_theta(self, u: np.ndarray) -> None:
+        """With theta(lo, hi), set theta over the range [lo, hi] of u's
+        differences, p included: the flux is then monotone at u and at every
+        state whose differences lie in [lo, hi].  A fixed theta stays."""
+        if self._theta_of is not None:
+            d = forward_diff(u, self.h)
+            self.theta = self._theta_of(self.p + float(np.min(d)), self.p + float(np.max(d)))
 
     def dt(self, delta: float = 0.0) -> float:
         """Monotone explicit step for the discount delta."""
@@ -273,7 +287,8 @@ class EffectiveSource:
 
     value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     l_slope: float
-    theta: float                      # LF dissipation: sup |dHbar/dp| on the table
+    # LF dissipation theta(lo, hi): sup |dHbar/dp| over the p-interval [lo, hi]
+    theta: Callable[[float, float], float]
     # names what makes value non-finite at one query (x, p, l); read only
     # after a solve has failed
     explain: Optional[Callable[[float, float, float], str]] = None
@@ -352,8 +367,8 @@ class Trajectory:
     snapshots: list
     sup_norm_track: np.ndarray
     residual_track: np.ndarray
-    dt: float
-    theta: float
+    dt: float              # the smallest full step taken
+    theta: float           # the largest dissipation used
     max_gradient_seen: float
     steps: int             # time steps taken, the shortened ones included
     path: str              # "implicit" or "explicit": how the nonlocal term was stepped
@@ -398,15 +413,16 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     """March the problem to its horizon, recording exact snapshot times.
 
     Each step is MonotoneScheme.step at the scheme's step_dt(), shortened to
-    land on the recorded times.  Raises NumericalFailure on NaN (with the
-    step index) or if the gradient leaves the a-priori range backing the
-    flux's monotonicity.
+    land on the recorded times; a state-dependent theta is fitted to the
+    state first, so the step follows the gradients the state has.  Raises
+    NumericalFailure on NaN (with the step index) or if the gradient leaves
+    the a-priori range backing the flux's monotonicity.
     """
     u0 = problem.u0
     h = u0.h
     p_range = cfg.gradient_range if cfg.gradient_range is not None else _gradient_range(problem)
     scheme = problem.scheme(p_range)
-    dt = scheme.step_dt()
+    dt, theta = math.inf, 0.0
     record = cfg.resolved_record_times(problem.T)
 
     u = u0.values.copy()
@@ -419,7 +435,10 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     prev, step = u, 1.0
     for t_target in record:
         while t < t_target - 1e-14:
-            step = min(dt, t_target - t)
+            scheme.fit_theta(u)
+            full = scheme.step_dt()
+            dt, theta = min(dt, full), max(theta, scheme.theta)
+            step = min(full, t_target - t)
             nxt = scheme.step(u, step)
             t += step
             step_index += 1
@@ -439,7 +458,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
         residuals.append(float(np.max(np.abs(prev - u))) / step)
     return Trajectory(times=np.array(times), snapshots=snapshots,
                       sup_norm_track=np.array([s.sup_norm() for s in snapshots]),
-                      residual_track=np.array(residuals), dt=dt, theta=scheme.theta,
+                      residual_track=np.array(residuals), dt=dt, theta=theta,
                       max_gradient_seen=max_grad, steps=step_index,
                       path="implicit" if scheme.implicit else "explicit")
 

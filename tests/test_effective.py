@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
 from hjhom.effective import (EffectiveTable, audit_properties,
-                             effective_source_from_formula, load_table, query,
-                             query_many, save_table, tabulate)
+                             effective_source_from_formula, effective_source_from_table,
+                             load_table, query, query_many, save_table, tabulate)
 from hjhom.hamiltonians import coefficient, model_bpm
 
 WAVY = coefficient("two_plus_cos_y")
@@ -236,8 +236,14 @@ class TestQuery:
     @settings(max_examples=100, deadline=None)
     def test_matches_oracle(self, case):
         table, (x, p, l) = case
-        assert np.array_equal(query_many(table, x, p, l), query_oracle(table, x, p, l),
-                              equal_nan=True)
+        expected = query_oracle(table, x, p, l)
+        assert np.array_equal(query_many(table, x, p, l), expected, equal_nan=True)
+        # x left out: the single x node serves every query, unchecked
+        if table.xs.size == 1:
+            assert np.array_equal(query_many(table, None, p, l), expected, equal_nan=True)
+        else:
+            with pytest.raises(ValueError, match="single-node x axis"):
+                query_many(table, None, p, l)
 
     def test_matches_oracle_on_a_solver_sized_query(self):
         # the shape `hjhom effective` writes with one cell.table_x, queried
@@ -260,6 +266,50 @@ class TestQuery:
         ls = np.linspace(-1.0, 1.0, 41)
         vals = query_many(table, np.zeros_like(ls), np.full_like(ls, 1.0), ls)
         assert np.all(np.diff(vals) <= 1e-12)
+
+
+def theta_oracle(table, lo, hi):
+    """Largest finite |dHbar/dp| over the p cells that meet [lo, hi], a cell
+    with no finite pair counting as the table-wide bound."""
+    d = np.abs(np.diff(table.values, axis=1) / np.diff(table.ps)[None, :, None])
+    bound = float(np.max(d[np.isfinite(d)], initial=0.0))
+    best = 0.0
+    for k in range(table.ps.size - 1):
+        finite = d[:, k, :][np.isfinite(d[:, k, :])]
+        if table.ps[k + 1] >= lo and table.ps[k] <= hi:
+            best = max(best, float(np.max(finite)) if finite.size else bound)
+    return best
+
+
+class TestSlopeBounds:
+    @given(tables_and_queries())
+    @settings(max_examples=100, deadline=None)
+    def test_theta_matches_oracle_below_the_table_bound(self, case):
+        table, (_, p, _) = case
+        theta, bound = effective_source_from_table(table).theta, table.p_slope_bound()
+        assert bound == theta_oracle(table, -np.inf, np.inf)
+        assert theta(-np.inf, np.inf) == theta(table.ps[0], table.ps[-1]) == bound
+        for lo, hi in zip(p, p[::-1]):
+            lo, hi = min(lo, hi), max(lo, hi)
+            assert theta(lo, hi) == theta_oracle(table, lo, hi) <= bound
+
+    def test_nan_node_never_lowers_theta(self):
+        # p^2 on p = -3 .. 3: cell slopes 5, 3, 1, 1, 3, 5.  A NaN at p = 0
+        # leaves its two cells no finite pair; they take the table-wide bound
+        ps = np.linspace(-3.0, 3.0, 7)
+        values = (ps ** 2)[None, :, None]
+        tables = []
+        for v in (values, np.where(ps == 0.0, np.nan, ps ** 2)[None, :, None]):
+            tables.append(EffectiveTable(xs=[0.0], ps=ps, ls=[0.0], values=v,
+                                         err=np.zeros_like(v),
+                                         provenance=np.full(v.shape, "discount",
+                                                            dtype=object), sigma=0.5))
+        intact, broken = (effective_source_from_table(t).theta for t in tables)
+        assert np.array_equal(tables[1].p_cell_slopes(), [5.0, 3.0, 5.0, 5.0, 3.0, 5.0])
+        for lo, hi in ((0.0, 0.0), (-0.5, 0.5), (0.2, 0.9), (-1.5, -1.2), (1.0, 2.0),
+                       (-3.0, 3.0)):
+            assert broken(lo, hi) >= intact(lo, hi)
+        assert broken(-0.5, 0.5) == 5.0 > intact(-0.5, 0.5) == 1.0
 
 
 class TestPropertyAudit:

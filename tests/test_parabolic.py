@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import trig_poly
-from hjhom.effective import (effective_source_from_formula, effective_source_from_table,
-                             tabulate)
+from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
+from hjhom.effective import (EffectiveTable, effective_source_from_formula,
+                             effective_source_from_table, tabulate)
 from hjhom.grid import GridFunction, forward_diff
 from hjhom.hamiltonians import HamiltonianSpec, coefficient, growth_bound, model_bpm
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
+from hjhom.operators import apply_table
 from hjhom.parabolic import (NumericalFailure, ParabolicProblem, SolverConfig,
                              barrier_bounds, coefficient_scheme,
                              holder_exponent_alpha0, initial_layer_modulus,
@@ -22,6 +24,20 @@ def _oscillating(u0, ham, a, sigma, eps, T, kernel=None, **kw):
     table = periodized_weights(kernel, u0.n)
     return ParabolicProblem(kind="oscillating", u0=u0, T=T,
                             table=table, eps=eps, a=a, ham=ham, **kw)
+
+
+def _explicit_march(scheme, u, times):
+    """Forward Euler u - dt F(u) at the scheme's own dt(), shortened to land
+    on each of the times: (the states there, the steps taken)."""
+    dt, t, states, steps = scheme.dt(), 0.0, [], 0
+    for target in times:
+        while t < target - 1e-14:
+            step = min(dt, target - t)
+            u = u - step * scheme.residual(u)
+            t += step
+            steps += 1
+        states.append(u)
+    return states, steps
 
 
 class TestSolve:
@@ -112,15 +128,6 @@ class TestImplicitStep:
         return ParabolicProblem(kind=kind, u0=u0, T=T, table=table,
                                 source=effective_source_from_formula(wavy_a, eikonal_ham))
 
-    @staticmethod
-    def _explicit_march(scheme, u, T):
-        dt, t = scheme.dt(), 0.0
-        while t < T - 1e-14:
-            step = min(dt, T - t)
-            u = u - step * scheme.residual(u)
-            t += step
-        return u
-
     def test_matches_explicit_oracle(self, eikonal_ham, wavy_a, wavy_sweep):
         T = 0.2
         for kind in ("effective", "oscillating"):
@@ -129,7 +136,7 @@ class TestImplicitStep:
                 prob = self._wavy(kind, eikonal_ham, wavy_a, n, T)
                 traj = solve(prob, SolverConfig(gradient_range=self.P_RANGE, snapshots=1))
                 assert traj.path == "implicit"
-                oracle = self._explicit_march(prob.scheme(self.P_RANGE), prob.u0.values, T)
+                oracle = _explicit_march(prob.scheme(self.P_RANGE), prob.u0.values, [T])[0][0]
                 gap = float(np.max(np.abs(traj.final().values - oracle)))
                 # first order in time: the measured gap is 12.8 dt (n = 256) and
                 # 13.2 dt (n = 512) for the closed form, 13.4 dt and 13.7 dt
@@ -219,6 +226,113 @@ class TestImplicitStep:
         assert np.all(scheme.step(lo, dt) <= scheme.step(hi, dt) + 1e-12)
 
 
+@pytest.fixture(scope="module")
+def eikonal_table_below_one(eikonal_ham, wavy_a):
+    """Cell solves of |p|^2 - cos(2 pi y), a = 2 + cos(2 pi y), at order 1/2
+    on the p, l nodes -8, -6, ..., 8 and -6, -4, ..., 6: the p-slopes are 14,
+    10, 6 and 1.5 from the box edge inward."""
+    cfg = CellConfig(n=64)
+
+    def fill(x, p, l):
+        params = CellParams(x=x, p=p, l=l, sigma=0.5, a=wavy_a, ham=eikonal_ham)
+        sol = vanishing_discount_sweep(params, (0.1, 0.01, 0.001), cfg)
+        return sol.H_bar, sol.spread, "discount"
+
+    return tabulate(fill, [0.0], np.linspace(-8.0, 8.0, 9), np.linspace(-6.0, 6.0, 7),
+                    sigma=0.5)
+
+
+class TestStateTheta:
+    """A table source's Lax-Friedrichs dissipation is fitted to the state's
+    gradients before every step; the march at the table-wide dissipation is
+    the oracle."""
+
+    N = 64
+    TOP = 8.0        # the random tables span p in [-TOP, TOP]
+
+    @staticmethod
+    def _sine_problem(table, n):
+        u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
+        return ParabolicProblem(kind="effective", u0=u0, T=0.5,
+                                table=periodized_weights(constant_kernel(0.5), n),
+                                source=effective_source_from_table(table))
+
+    def test_matches_fixed_theta_march(self, eikonal_table_below_one):
+        table, cfg = eikonal_table_below_one, SolverConfig()
+        gaps = []
+        for n in (256, 512):
+            prob = self._sine_problem(table, n)
+            traj = solve(prob, cfg)
+            fixed = prob.scheme(2.0 * np.pi)     # never fitted: theta(-inf, inf)
+            assert fixed.theta == table.p_slope_bound()
+            states, fixed_steps = _explicit_march(fixed, prob.u0.values,
+                                                  cfg.resolved_record_times(prob.T))
+            gap = max(float(np.max(np.abs(snap.values - v)))
+                      for snap, v in zip(traj.snapshots[1:], states))
+            # over all snapshots: 2.7e-2, 1.5e-2, 8.7e-3 and 4.9e-3 at
+            # n = 256, 512, 1024 and 2048
+            assert gap <= 10.0 / n
+            gaps.append(gap)
+            # the first steps see |p| up to 2 pi, in the steepest cells
+            assert traj.theta == fixed.theta and traj.dt == fixed.dt()
+            assert 3 * traj.steps <= fixed_steps
+        assert gaps[1] <= 0.6 * gaps[0]
+
+    def _random_table(self, rng, nx):
+        """Uneven p nodes over [-TOP, TOP]; values random in p, decreasing in l."""
+        ps = np.sort(np.concatenate([[-self.TOP, self.TOP],
+                                     rng.uniform(-self.TOP, self.TOP, 5)]))
+        ls = np.linspace(-40.0, 40.0, 5)
+        values = (rng.normal(scale=10.0, size=(nx, ps.size, 1))
+                  - np.cumsum(rng.uniform(0.0, 3.0, (nx, ps.size, ls.size)), axis=2))
+        return EffectiveTable(xs=np.linspace(0.0, 1.0, nx), ps=ps, ls=ls, values=values,
+                              err=np.zeros_like(values),
+                              provenance=np.full(values.shape, "discount", dtype=object),
+                              sigma=0.5)
+
+    def _state(self, seed, slope):
+        """A trigonometric polynomial with largest forward difference slope."""
+        u = trig_poly(seed, self.N).values
+        return u * (slope / np.max(np.abs(forward_diff(u, 1.0 / self.N))))
+
+    @given(seed=st.integers(0, 1 << 30), slope=st.floats(0.1, 7.5),
+           nx=st.sampled_from([1, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_difference_quotients_within_theta(self, seed, slope, nx):
+        # the p-quotient over any part of [lo, hi] around a node's central
+        # query (x, (Dl u + Dr u) / 2, I_h u) is bounded by theta(lo, hi)
+        n, h = self.N, 1.0 / self.N
+        src = effective_source_from_table(self._random_table(np.random.default_rng(seed), nx))
+        u = self._state(seed, slope)
+        d = forward_diff(u, h)
+        lo, hi = float(np.min(d)), float(np.max(d))
+        theta = src.theta(lo, hi)
+        x = np.arange(n) / n
+        centre = 0.5 * (np.roll(d, 1) + d)
+        lv = apply_table(u, periodized_weights(constant_kernel(0.5), n))
+        for reach in (1e-3, 0.1, np.inf):
+            left, right = np.maximum(centre - reach, lo), np.minimum(centre + reach, hi)
+            quotient = (src.value(x, right, lv) - src.value(x, left, lv)) / (right - left)
+            assert np.all(np.abs(quotient) <= theta * (1.0 + 1e-9) + 1e-9)
+
+    @given(seed=st.integers(0, 1 << 30), slope=st.floats(0.1, 6.5),
+           lift=st.floats(0.0, 1.0), nx=st.sampled_from([1, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_step_keeps_order(self, seed, slope, lift, nx):
+        # u <= v stay ordered after one step at the dt of a theta covering both
+        n, h = self.N, 1.0 / self.N
+        src = effective_source_from_table(self._random_table(np.random.default_rng(seed), nx))
+        u = self._state(seed, slope)
+        w = np.abs(trig_poly(seed + 1, n).values)
+        v = u + lift * w / np.max(np.abs(forward_diff(w, h)))
+        scheme = src.scheme(np.arange(n) / n, periodized_weights(constant_kernel(0.5), n),
+                            self.TOP)
+        both = np.concatenate((forward_diff(u, h), forward_diff(v, h)))
+        scheme.theta = src.theta(float(np.min(both)), float(np.max(both)))
+        dt = scheme.step_dt()
+        assert np.all(scheme.step(u, dt) <= scheme.step(v, dt) + 1e-12)
+
+
 class TestJacobian:
     N = 64
 
@@ -267,7 +381,8 @@ class TestJacobian:
 
     def test_effective_sources_are_rejected(self):
         from hjhom.parabolic import EffectiveSource
-        src = EffectiveSource(value=lambda x, p, l: p * p - l, l_slope=1.0, theta=4.0)
+        src = EffectiveSource(value=lambda x, p, l: p * p - l, l_slope=1.0,
+                              theta=lambda lo, hi: 4.0)
         n = 16
         scheme = src.scheme(np.arange(n) / n, periodized_weights(constant_kernel(0.5), n),
                             2.0)
