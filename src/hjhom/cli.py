@@ -1,10 +1,12 @@
 """Command-line entry point: configuration in, CSV artifacts out.
 
 Commands: audit, drift, cell, effective, solve, homogenize, constants.
-Exit codes: 0 success, 2 validation or audit failure (including an
-effective table that cannot be read or does not cover the solve), 3 numerical
-failure, 4 I/O failure.  Audit-gated commands refuse to run on failed audits
-unless --force is given.  The numerics are deterministic single-process
+The model (kernel, a, H, u0) is built once per run, and `main` maps every
+failure to its exit code: 0 success, 2 validation or audit failure or invalid
+input (including an effective table that cannot be read or does not cover the
+solve), 3 numerical failure, 4 I/O failure.  The gated commands (cell,
+effective, solve, homogenize) refuse to run on failed structural audits unless
+--force is given.  The numerics are deterministic single-process
 numpy; the flux and its dissipation are worked out from the data, the
 time step is the CFL bound scaled by parabolic.CFL_SAFETY, and kernel
 tables sum a fixed 16 periodic images, so no configuration key selects any of
@@ -22,8 +24,7 @@ import numpy as np
 
 from . import csvio
 from .cell import CellConfig, CellParams, vanishing_discount_sweep
-from .config import (ConfigError, RunConfig, build_coefficient, build_hamiltonian,
-                     build_kernel, build_u0, parse_config)
+from .config import ConfigError, Model, RunConfig, build_model, parse_config
 from .effective import (audit_properties, effective_source_from_formula,
                         effective_source_from_table, save_table, tabulate)
 from .grid import GridFunction
@@ -46,46 +47,40 @@ def _out_path(args, cfg: RunConfig, suffix: str) -> str:
     return os.path.join(args.out, f"{cfg['output.prefix']}_{suffix}")
 
 
-def _run_audits(cfg: RunConfig, quick: bool = True) -> tuple:
-    kernel = build_kernel(cfg)
-    a = build_coefficient(cfg)
-    ham = build_hamiltonian(cfg)
+def _run_audits(model: Model, quick: bool = True) -> tuple:
     budget = 20 ** 3 if quick else 64 ** 3
-    ell = audit_ellipticity(a, kernel, nx=64 if quick else 512,
+    ell = audit_ellipticity(model.a, model.kernel, nx=64 if quick else 512,
                             ny=256 if quick else 512)
-    sup = audit_superlinearity(ham, sample_budget=budget)
-    reg = audit_regularity(ham, sample_budget=budget)
+    sup = audit_superlinearity(model.ham, sample_budget=budget)
+    reg = audit_regularity(model.ham, sample_budget=budget)
     return ell, sup, reg
 
 
-def _gate(cfg: RunConfig, force: bool) -> int:
-    ell, sup, reg = _run_audits(cfg, quick=True)
-    ok = ell.passed and sup.passed and reg.passed
-    if not ok:
-        for name, rep in (("ellipticity", ell), ("superlinearity", sup),
-                          ("regularity", reg)):
-            if not rep.passed:
-                print(f"audit failed: {name}: {rep}", file=sys.stderr)
-        if not force:
-            print("refusing to run on failed audits (use --force to override)",
-                  file=sys.stderr)
-            return EXIT_AUDIT
-        print("continuing despite failed audits (--force)", file=sys.stderr)
-    return EXIT_OK
+def _gate(model: Model, force: bool) -> bool:
+    """Run the quick structural audits; True when they refuse the run."""
+    ell, sup, reg = _run_audits(model, quick=True)
+    if ell.passed and sup.passed and reg.passed:
+        return False
+    for name, rep in (("ellipticity", ell), ("superlinearity", sup), ("regularity", reg)):
+        if not rep.passed:
+            print(f"audit failed: {name}: {rep}", file=sys.stderr)
+    if not force:
+        print("refusing to run on failed audits (use --force to override)", file=sys.stderr)
+        return True
+    print("continuing despite failed audits (--force)", file=sys.stderr)
+    return False
 
 
-def _drift_for(cfg: RunConfig) -> float:
-    kernel = build_kernel(cfg)
-    if kernel.sigma != 1.0 or kernel.symmetric:
+def _drift_for(model: Model) -> float:
+    if model.kernel.sigma != 1.0 or model.kernel.symmetric:
         return 0.0
-    return drift_vector(kernel, tol=1e-8).b
+    return drift_vector(model.kernel, tol=1e-8).b
 
 
-def cmd_audit(args, cfg: RunConfig) -> int:
-    ell, sup, reg = _run_audits(cfg, quick=False)
-    ham = build_hamiltonian(cfg)
-    grow = growth_bound(ham)
-    period_gap = audit_periodicity(ham)
+def cmd_audit(args, cfg: RunConfig, model: Model) -> int:
+    ell, sup, reg = _run_audits(model, quick=False)
+    grow = growth_bound(model.ham)
+    period_gap = audit_periodicity(model.ham)
     periodic_ok = period_gap <= 1e-10
     print(f"ellipticity: {'PASS' if ell.passed else 'FAIL'} a0={ell.a0:.6g} "
           f"witness={ell.witness} messages={list(ell.messages)}")
@@ -100,12 +95,11 @@ def cmd_audit(args, cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_AUDIT
 
 
-def cmd_drift(args, cfg: RunConfig) -> int:
-    kernel = build_kernel(cfg)
-    if kernel.sigma != 1.0:
+def cmd_drift(args, cfg: RunConfig, model: Model) -> int:
+    if model.kernel.sigma != 1.0:
         print("drift extraction requires kernel.sigma = 1", file=sys.stderr)
         return EXIT_AUDIT
-    dv = drift_vector(kernel, tol=1e-8)
+    dv = drift_vector(model.kernel, tol=1e-8)
     print(f"{dv.b:.17e}")
     if not dv.converged:
         print(f"warning: truncation limit not converged (residual {dv.residual:.3e})",
@@ -114,15 +108,15 @@ def cmd_drift(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cell_params(cfg: RunConfig) -> CellParams:
+def _cell_params(cfg: RunConfig, model: Model) -> CellParams:
     return CellParams(
         x=cfg["cell.x"],
         p=cfg["cell.p"],
         l=cfg["cell.l"],
         sigma=cfg["kernel.sigma"],
-        a=build_coefficient(cfg),
-        ham=build_hamiltonian(cfg),
-        drift_b=_drift_for(cfg),
+        a=model.a,
+        ham=model.ham,
+        drift_b=_drift_for(model),
     )
 
 
@@ -140,11 +134,8 @@ def _unconverged(params: CellParams, sol) -> str:
             f"Newton steps, stopped by {rec.reason}")
 
 
-def cmd_cell(args, cfg: RunConfig) -> int:
-    code = _gate(cfg, args.force)
-    if code:
-        return code
-    params = _cell_params(cfg)
+def cmd_cell(args, cfg: RunConfig, model: Model) -> int:
+    params = _cell_params(cfg, model)
     sol = vanishing_discount_sweep(params, cfg["cell.deltas"], _cell_config(cfg))
     path = _out_path(args, cfg, "cell.csv")
     csvio.emit_csv(path, ["x", "p", "l", "sigma", "H_bar", "spread", "osc", "lip",
@@ -159,10 +150,10 @@ def cmd_cell(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _discount_fill(cfg: RunConfig):
+def _discount_fill(cfg: RunConfig, model: Model):
     ccfg = _cell_config(cfg)
     deltas = cfg["cell.deltas"]
-    base = _cell_params(cfg)
+    base = _cell_params(cfg, model)
 
     def fill(x, p, l):
         params = dataclasses.replace(base, x=x, p=p, l=l)
@@ -174,41 +165,30 @@ def _discount_fill(cfg: RunConfig):
     return fill
 
 
-def _build_table(cfg: RunConfig):
+def _build_table(cfg: RunConfig, model: Model):
     """Raises ValueError, before any node is filled, when a is not strictly
     positive on the table's x nodes above order one."""
     sigma = cfg["kernel.sigma"]
     if sigma > 1.0:
-        form = effective_source_from_formula(build_coefficient(cfg), build_hamiltonian(cfg))
+        form = effective_source_from_formula(model.a, model.ham)
         form.capacity(np.asarray(cfg["cell.table_x"], dtype=float))
         fill = form.fill
     else:
-        fill = _discount_fill(cfg)
+        fill = _discount_fill(cfg, model)
     return tabulate(fill, cfg["cell.table_x"], cfg["cell.table_p"],
                     cfg["cell.table_l"], sigma=sigma,
                     meta={"model": cfg["hamiltonian.b"] + "|" + cfg["hamiltonian.f"],
                           "m": str(cfg["hamiltonian.m"])})
 
 
-def cmd_effective(args, cfg: RunConfig) -> int:
-    code = _gate(cfg, args.force)
-    if code:
-        return code
-    try:
-        table = _build_table(cfg)
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_AUDIT
-    ham = build_hamiltonian(cfg)
-    a_vals = build_coefficient(cfg)(np.zeros(512), np.arange(512) / 512)
+def cmd_effective(args, cfg: RunConfig, model: Model) -> int:
+    table = _build_table(cfg, model)
+    ham = model.ham
+    a_vals = model.a(np.zeros(512), np.arange(512) / 512)
     audit = audit_properties(table, b0=ham.power_form.b_min, C=ham.power_form.f_sup,
                              a_sup=float(np.max(np.abs(a_vals))), m=ham.m)
     path = _out_path(args, cfg, "effective.csv")
-    try:
-        save_table(table, path, config_lines=cfg.header_lines())
-    except OSError as exc:
-        print(f"cannot write table: {exc}", file=sys.stderr)
-        return EXIT_IO
+    save_table(table, path, config_lines=cfg.header_lines())
     print(f"table {table.values.shape} saved -> {path}")
     print(f"audit: monotone violations {audit.monotone_violations}, "
           f"coercivity margin {audit.coercivity_margin:.4g}, "
@@ -221,22 +201,17 @@ def cmd_effective(args, cfg: RunConfig) -> int:
     return EXIT_OK if audit.passed else EXIT_AUDIT
 
 
-def cmd_solve(args, cfg: RunConfig) -> int:
-    code = _gate(cfg, args.force)
-    if code:
-        return code
-    kernel = build_kernel(cfg)
+def cmd_solve(args, cfg: RunConfig, model: Model) -> int:
     n = cfg["grid.n"]
-    u0 = GridFunction.from_callable(build_u0(cfg), n)
-    table = periodized_weights(kernel, n)
-    ham = build_hamiltonian(cfg)
+    u0 = GridFunction.from_callable(model.u0, n)
+    table = periodized_weights(model.kernel, n)
     if cfg["grid.kind"] == "oscillating":
         problem = ParabolicProblem(kind="oscillating", u0=u0, T=cfg["grid.T"],
                                    table=table, eps=cfg["grid.eps"],
-                                   a=build_coefficient(cfg), ham=ham)
+                                   a=model.a, ham=model.ham)
     else:
-        if kernel.sigma > 1.0:
-            src = effective_source_from_formula(build_coefficient(cfg), ham)
+        if model.kernel.sigma > 1.0:
+            src = effective_source_from_formula(model.a, model.ham)
         else:
             from .effective import load_table
             path = cfg["grid.table_csv"]
@@ -244,35 +219,20 @@ def cmd_solve(args, cfg: RunConfig) -> int:
                 print("effective solves below order one need grid.table_csv",
                       file=sys.stderr)
                 return EXIT_AUDIT
-            try:
-                src = effective_source_from_table(load_table(path))
-            except OSError as exc:
-                print(f"cannot read table: {exc}", file=sys.stderr)
-                return EXIT_IO
-            except ValueError as exc:
-                print(f"invalid input: {exc}", file=sys.stderr)
-                return EXIT_AUDIT
+            src = effective_source_from_table(load_table(path))
         problem = ParabolicProblem(kind="effective", u0=u0, T=cfg["grid.T"],
                                    table=table, source=src)
     grange = cfg["grid.gradient_range"]
     scfg = SolverConfig(gradient_range=None if grange < 0 else grange,
                         snapshots=cfg["grid.snapshots"])
-    try:
-        traj = solve(problem, scfg)
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        # a table source queried outside its hull
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_AUDIT
+    traj = solve(problem, scfg)
     tpath = _out_path(args, cfg, "trajectory.csv")
     spath = _out_path(args, cfg, "summary.csv")
     csvio.emit_csv(tpath, ["t", "x", "u"], csvio.trajectory_rows(traj),
                    cfg.header_lines())
     csvio.emit_csv(spath, ["t", "sup_norm", "initial_layer"],
                    csvio.trajectory_summary_rows(traj, u0), cfg.header_lines())
-    bound = u0.sup_norm() + ham.h_at_zero_sup() * cfg["grid.T"] + 1e-8
+    bound = u0.sup_norm() + model.ham.h_at_zero_sup() * cfg["grid.T"] + 1e-8
     print(f"final sup norm {traj.sup_norm_track[-1]:.6g} "
           f"(a-priori bound {bound:.6g}), dt = {traj.dt:.3e}, steps = {traj.steps}, "
           f"path = {traj.path}")
@@ -280,40 +240,25 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_homogenize(args, cfg: RunConfig) -> int:
-    code = _gate(cfg, args.force)
-    if code:
-        return code
-    kernel = build_kernel(cfg)
-    ham = build_hamiltonian(cfg)
-    a = build_coefficient(cfg)
-    sigma = kernel.sigma
+def cmd_homogenize(args, cfg: RunConfig, model: Model) -> int:
+    sigma = model.kernel.sigma
     psi_provider = None
     if sigma > 1.0:
-        src = effective_source_from_formula(a, ham)
+        src = effective_source_from_formula(model.a, model.ham)
         psi_provider = src.corrector(sigma, cfg["cell.n"])
     else:
-        table = _build_table(cfg)
+        table = _build_table(cfg, model)
         tpath = _out_path(args, cfg, "effective.csv")
         save_table(table, tpath, config_lines=cfg.header_lines())
         print(f"effective table -> {tpath}")
         src = effective_source_from_table(table)
-    family = ProblemFamily(a=a, ham=ham, kernel=kernel, u0_func=build_u0(cfg),
-                           T=cfg["sweep.T"], effective=src)
+    family = ProblemFamily(a=model.a, ham=model.ham, kernel=model.kernel,
+                           u0_func=model.u0, T=cfg["sweep.T"], effective=src)
     n_fixed = cfg["sweep.n_fixed"]
     scfg = SweepConfig(n_per_k=cfg["sweep.n_per_k"],
                        n_fixed=None if n_fixed == 0 else n_fixed,
                        snapshots=cfg["sweep.snapshots"])
-    try:
-        report = run_sweep(family, cfg["sweep.eps_list"], scfg,
-                           psi_provider=psi_provider)
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        # the effective table does not cover the homogenized solve
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_AUDIT
+    report = run_sweep(family, cfg["sweep.eps_list"], scfg, psi_provider=psi_provider)
     path = _out_path(args, cfg, "sweep.csv")
     csvio.emit_csv(path, ["eps", "n", "dt", "error", "rate", "corrector_residual",
                           "seconds"], csvio.sweep_rows(report), cfg.header_lines())
@@ -327,8 +272,8 @@ def cmd_homogenize(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_constants(args, cfg: RunConfig) -> int:
-    ham = build_hamiltonian(cfg)
+def cmd_constants(args, cfg: RunConfig, model: Model) -> int:
+    ham = model.ham
     sigma = cfg["kernel.sigma"]
     m = ham.m
     n_struct = cfg["cell.structure_n"]
@@ -361,6 +306,7 @@ _COMMANDS = {
     "homogenize": cmd_homogenize,
     "constants": cmd_constants,
 }
+_GATED = ("cell", "effective", "solve", "homogenize")
 
 
 def main(argv=None) -> int:
@@ -381,10 +327,18 @@ def main(argv=None) -> int:
             print(line, file=sys.stderr)
         return EXIT_AUDIT if os.path.exists(args.config) else EXIT_IO
     try:
-        return _COMMANDS[args.command](args, cfg)
+        model = build_model(cfg)
+        if args.command in _GATED and _gate(model, args.force):
+            return EXIT_AUDIT
+        return _COMMANDS[args.command](args, cfg, model)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        # a table that cannot be read or does not cover the solve, or a
+        # coefficient a the solver cannot use
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_AUDIT
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO

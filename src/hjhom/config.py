@@ -11,7 +11,7 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -228,7 +228,7 @@ def _validate(cfg: RunConfig) -> list:
     if sigma == 1.0 and family != "constant" and not errors:
         from .kernels import modulus_log_integral
         try:
-            k = build_kernel(cfg, skip_validation=True)
+            k = _kernel(cfg)
         except OSError as exc:
             errors.append(f"cannot build kernel: {exc}")
             return errors
@@ -240,7 +240,7 @@ def _validate(cfg: RunConfig) -> list:
     return errors
 
 
-def build_kernel(cfg: RunConfig, skip_validation: bool = False):
+def _kernel(cfg: RunConfig):
     from . import kernels
     sigma = cfg["kernel.sigma"]
     family = cfg["kernel.family"]
@@ -254,16 +254,6 @@ def build_kernel(cfg: RunConfig, skip_validation: bool = False):
     return kernels.kernel_from_table(sigma, data[:, 0], data[:, 1])
 
 
-def build_hamiltonian(cfg: RunConfig):
-    from .hamiltonians import model_bpm
-    return model_bpm(cfg["hamiltonian.b"], cfg["hamiltonian.f"], cfg["hamiltonian.m"])
-
-
-def build_coefficient(cfg: RunConfig):
-    from .hamiltonians import coefficient
-    return coefficient(cfg["coefficient_a.kind"])
-
-
 _U0 = {
     "sin_2pi_x": lambda x: np.sin(2.0 * np.pi * x),
     "cos_2pi_x": lambda x: np.cos(2.0 * np.pi * x),
@@ -271,5 +261,19 @@ _U0 = {
 }
 
 
-def build_u0(cfg: RunConfig):
-    return _U0[cfg["grid.u0"]]
+class Model(NamedTuple):
+    """The run's model: kernel, coefficient a(x, y), Hamiltonian and initial datum."""
+
+    kernel: Any
+    a: Callable
+    ham: Any
+    u0: Callable
+
+
+def build_model(cfg: RunConfig) -> Model:
+    """Build the model a validated configuration names, once per run."""
+    from .hamiltonians import coefficient, model_bpm
+    return Model(kernel=_kernel(cfg), a=coefficient(cfg["coefficient_a.kind"]),
+                 ham=model_bpm(cfg["hamiltonian.b"], cfg["hamiltonian.f"],
+                               cfg["hamiltonian.m"]),
+                 u0=_U0[cfg["grid.u0"]])

@@ -11,6 +11,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .parabolic import initial_layer_modulus
+
 
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
@@ -43,11 +45,8 @@ def trajectory_rows(traj) -> list:
 
 
 def trajectory_summary_rows(traj, u0) -> list:
-    rows = []
-    for t, snap, sup in zip(traj.times, traj.snapshots, traj.sup_norm_track):
-        layer = float(np.max(np.abs(snap.values - u0.values)))
-        rows.append((t, sup, layer))
-    return rows
+    layer = initial_layer_modulus(traj, u0)
+    return [(t, sup, gap) for (t, gap), sup in zip(layer, traj.sup_norm_track)]
 
 
 def sweep_rows(report) -> list:

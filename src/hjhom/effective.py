@@ -361,29 +361,23 @@ def audit_properties(table: EffectiveTable, b0: float, C: float, a_sup: float,
     else:
         n1, n2, form = 1.0, 1.0, "modulus"
 
-    # continuity constants via adjacent differences, weights from the pair max
-    def pair_weight(axis_idx, t, n_exp):
-        slices = [slice(None)] * 3
-        slices[axis_idx] = slice(t, t + 2)
-        Pp = np.max(np.abs(np.broadcast_to(P, v.shape)[tuple(slices)]), axis=axis_idx)
-        Ll = np.max(np.abs(np.broadcast_to(L, v.shape)[tuple(slices)]), axis=axis_idx)
-        return (1.0 + Ll + Pp ** m) ** n_exp
-
+    # continuity constants: the largest adjacent-difference quotient along an
+    # axis, weighted by the larger |l| and |p| of each pair (failed nodes skipped)
     def smallest_C(axis, axis_idx, n_exp):
-        ax = np.asarray(axis)
-        if ax.size < 2:
+        if axis.size < 2:
             return 0.0
-        diffs = np.abs(np.diff(v, axis=axis_idx))
-        best = 0.0
-        for t in range(ax.size - 1):
-            sl = [slice(None)] * 3
-            sl[axis_idx] = t
-            dv = np.take(diffs, t, axis=axis_idx)
-            w = pair_weight(axis_idx, t, n_exp)
-            ok = np.isfinite(dv)
-            if np.any(ok):
-                best = max(best, float(np.max(dv[ok] / (abs(ax[t + 1] - ax[t]) * w[ok]))))
-        return best
+        lo, hi = [slice(None)] * 3, [slice(None)] * 3
+        lo[axis_idx], hi[axis_idx] = slice(None, -1), slice(1, None)
+
+        def pair_max(A):
+            A = np.broadcast_to(A, v.shape)
+            return np.maximum(A[tuple(lo)], A[tuple(hi)])
+
+        w = (1.0 + pair_max(L) + pair_max(P) ** m) ** n_exp
+        step = np.abs(np.diff(axis)).reshape([-1 if i == axis_idx else 1 for i in range(3)])
+        dv = np.abs(np.diff(v, axis=axis_idx))
+        ok = np.isfinite(dv)
+        return float(np.max(dv[ok] / (step * w)[ok])) if np.any(ok) else 0.0
 
     C_l = smallest_C(table.ls, 2, 0.0)
     C_x = smallest_C(table.xs, 0, n1)

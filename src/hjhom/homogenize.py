@@ -21,7 +21,7 @@ from .hamiltonians import HamiltonianSpec
 from .kernels import KernelSpec, periodized_weights
 from .operators import apply_table
 from .parabolic import (EffectiveSource, NumericalFailure, ParabolicProblem,
-                        SolverConfig, solve)
+                        SolverConfig, initial_layer_modulus, solve)
 
 
 @dataclass
@@ -137,10 +137,7 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
             gaps.append(float(np.max(np.abs(_restrict(snap.values, n_coarse) - ref))))
         errors.append(max(gaps))
         finals.append(_restrict(traj.final().values, n_coarse))
-        u0_this = GridFunction.from_callable(family.u0_func, int(n))
-        layer = [(float(t), float(np.max(np.abs(s.values - u0_this.values))))
-                 for t, s in zip(traj.times, traj.snapshots)]
-        layers.append(layer)
+        layers.append(initial_layer_modulus(traj, traj.snapshots[0]))
     errors = np.array(errors)
 
     with np.errstate(divide="ignore", invalid="ignore"):

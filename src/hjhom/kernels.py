@@ -117,12 +117,18 @@ def kernel_from_table(sigma: float, z_vals: np.ndarray, k_vals: np.ndarray,
     return KernelSpec(sigma, kbar, symmetric=sym, name=name)
 
 
-def modulus_omega_bar(k: KernelSpec, t: float, samples: int = 4096) -> float:
-    """sup over |z| <= t of |kbar(z) - kbar(0)|, on a sampled grid."""
-    if t <= 0.0:
+def modulus_omega_bar(k: KernelSpec, r, samples: int = 4097):
+    """sup over |z| <= r of |kbar(z) - kbar(0)|, sampled at r * linspace(-1, 1, samples).
+
+    r is one radius (a float is returned) or an array of radii (an array of
+    the same shape); every radius is sampled in one call of kbar.
+    """
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
         raise ValueError("radius must be positive")
-    z = np.linspace(-t, t, samples + 1)
-    return float(np.max(np.abs(np.asarray(k.kbar(z)) - k.kbar0())))
+    z = r[..., None] * np.linspace(-1.0, 1.0, samples)
+    omega = np.max(np.abs(np.asarray(k.kbar(z)) - k.kbar0()), axis=-1)
+    return float(omega) if omega.ndim == 0 else omega
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,7 @@ class ModulusIntegralReport:
 
 
 def modulus_log_integral(k: KernelSpec, panels: int = 48,
-                         samples_per_radius: int = 257) -> ModulusIntegralReport:
+                         samples: int = 257) -> ModulusIntegralReport:
     """Adaptive dyadic quadrature of omega_bar(r)/r over (0, 1].
 
     Finiteness is decided from the decay of the panel increments; a
@@ -143,23 +149,10 @@ def modulus_log_integral(k: KernelSpec, panels: int = 48,
     geometric ratio is reported as divergent.  Sampling-budget limits are
     reported, never fatal.
     """
-    k0 = k.kbar0()
-
-    def omega_at(radii: np.ndarray) -> np.ndarray:
-        out = np.empty_like(radii)
-        for i, r in enumerate(radii):
-            z = np.linspace(-r, r, samples_per_radius)
-            out[i] = np.max(np.abs(np.asarray(k.kbar(z)) - k0))
-        return out
-
-    increments = []
-    for j in range(panels):
-        lo, hi = 2.0 ** (-(j + 1)), 2.0 ** (-j)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        r = mid + half * _GAUSS_NODES
-        w = half * _GAUSS_WEIGHTS
-        increments.append(float(np.sum(w * omega_at(r) / r)))
-    inc = np.array(increments)
+    hi = 2.0 ** -np.arange(panels, dtype=float)[:, None]       # panel j is [hi/2, hi]
+    mid, half = 0.75 * hi, 0.25 * hi
+    r = mid + half * _GAUSS_NODES
+    inc = np.sum(half * _GAUSS_WEIGHTS * modulus_omega_bar(k, r, samples) / r, axis=1)
     total = float(np.sum(inc))
 
     tail = float(inc[-1])

@@ -372,6 +372,45 @@ class TestCommands:
     def test_missing_config_is_io_failure(self, tmp_path):
         assert main(["audit", "--config", str(tmp_path / "none.cfg")]) == 4
 
+    @pytest.mark.parametrize("command, lines, out_is_file, code, prefix", [
+        ("cell", ["kernel.sigma = 0.5", "coefficient_a.kind = cos_y", "cell.n = 64",
+                  "cell.deltas = 0.1,0.05"], False, 2, "invalid input: "),
+        ("cell", ["kernel.sigma = 0.5", "coefficient_a.kind = constant:1", "cell.n = 64",
+                  "cell.deltas = 0.1,0.05"], True, 4, "I/O failure: "),
+        ("effective", ["kernel.sigma = 1.5", "cell.table_p = 0,1", "cell.table_l = -1,1"],
+         True, 4, "I/O failure: "),
+        ("solve", ["kernel.sigma = 0.5", "coefficient_a.kind = constant:1", "grid.n = 64",
+                   "grid.eps = 1/4", "grid.T = 0.02", "grid.snapshots = 1"],
+         True, 4, "I/O failure: "),
+        ("homogenize", ["kernel.sigma = 1.5", "sweep.eps_list = 1/2", "sweep.T = 0.02",
+                        "sweep.snapshots = 1"], True, 4, "I/O failure: "),
+    ])
+    def test_failures_map_to_exit_codes(self, tmp_path, capsys, command, lines,
+                                        out_is_file, code, prefix):
+        # a non-positive a the cell solver refuses past --force, or an --out
+        # that names an existing regular file
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        if out_is_file:
+            out.write_text("not a directory\n")
+        capsys.readouterr()
+        assert main([command, "--config", path, "--out", str(out), "--force"]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len([line for line in err if line.startswith(prefix)]) == 1
+        assert not any(line.startswith("Traceback") for line in err)
+
+    def test_effective_builds_the_hamiltonian_at_most_twice(self, tmp_path, monkeypatch):
+        # once while the configuration is validated, once for the run's model
+        import hjhom.hamiltonians as hamiltonians
+        calls = []
+        real = hamiltonians.model_bpm
+        monkeypatch.setattr(hamiltonians, "model_bpm",
+                            lambda *args: calls.append(args) or real(*args))
+        path = write(tmp_path, "kernel.sigma = 1.5\ncell.table_p = 0,1,2\n"
+                               "cell.table_l = -1,0,1\n")
+        assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
+        assert 1 <= len(calls) <= 2
+
 
 def test_cli_imports_no_scipy():
     # scipy is a test dependency only; the command line must start without it

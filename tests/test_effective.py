@@ -343,6 +343,36 @@ class TestPropertyAudit:
         assert audit.monotone_violations == 1
         assert not audit.passed
 
+    @settings(max_examples=60, deadline=None)
+    @given(tables_and_queries(), st.sampled_from([0.5, 1.5]), st.sampled_from([1.5, 2.0, 3.0]))
+    def test_continuity_constants_match_pair_loop(self, case, sigma, m):
+        # oracle: one adjacent pair of nodes at a time, NaN (failed) nodes skipped
+        table = replace(case[0], sigma=sigma)
+        v = table.values
+        P = np.abs(table.ps)[None, :, None]
+        L = np.abs(table.ls)[None, None, :]
+
+        def pair_loop(ax, axis_idx, n_exp):
+            best = 0.0
+            diffs = np.abs(np.diff(v, axis=axis_idx))
+            for t in range(ax.size - 1):
+                sl = [slice(None)] * 3
+                sl[axis_idx] = slice(t, t + 2)
+                Pp = np.max(np.broadcast_to(P, v.shape)[tuple(sl)], axis=axis_idx)
+                Ll = np.max(np.broadcast_to(L, v.shape)[tuple(sl)], axis=axis_idx)
+                w = (1.0 + Ll + Pp ** m) ** n_exp
+                dv = np.take(diffs, t, axis=axis_idx)
+                ok = np.isfinite(dv)
+                if np.any(ok):
+                    best = max(best, float(np.max(dv[ok] / (abs(ax[t + 1] - ax[t]) * w[ok]))))
+            return best
+
+        n1, n2 = (m, m - 1.0) if sigma >= 1.0 else (1.0, 1.0)
+        audit = audit_properties(table, b0=1.0, C=1.0, a_sup=1.0, m=m)
+        assert audit.C_l == pair_loop(table.ls, 2, 0.0)
+        assert audit.C_x == pair_loop(table.xs, 0, n1)
+        assert audit.C_p == pair_loop(table.ps, 1, n2)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path, eikonal_ham):

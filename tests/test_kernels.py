@@ -70,6 +70,40 @@ class TestModulus:
         rep = modulus_log_integral(k)
         assert not rep.finite
 
+    @pytest.mark.parametrize("name, finite", [
+        ("constant", True), ("tilt", True), ("tilt_down", True), ("quadratic_tilt", True),
+        ("log_rough", False), ("table_log_rough", False), ("table_tilt", True)])
+    def test_log_integral_matches_per_radius_loop(self, name, finite):
+        # oracle: one linspace(-r, r, 257) sample of kbar per Gauss radius
+        c = normalizing_constant(1, 1.0)
+
+        def rough(z):
+            z = np.asarray(z, dtype=float)
+            mod = 0.5 / np.log(np.e / np.maximum(np.abs(z), 1e-300))
+            return c * np.where(np.abs(z) <= 1.0, 1.0 + np.where(z == 0, 0.0, mod), 1.0)
+
+        zs = np.concatenate([-np.geomspace(1e-15, 3.0, 4000)[::-1], [0.0],
+                             np.geomspace(1e-15, 3.0, 4000)])
+        k = {"constant": constant_kernel(1.0), "tilt": tilt_kernel(1.0, 0.5),
+             "tilt_down": tilt_kernel(1.0, -1.0),
+             "quadratic_tilt": quadratic_tilt_kernel(1.0, 0.5),
+             "log_rough": KernelSpec(1.0, rough, symmetric=False),
+             "table_log_rough": kernel_from_table(1.0, zs, rough(zs)),
+             "table_tilt": kernel_from_table(1.0, zs, tilt_kernel(1.0, 0.5).kbar(zs))}[name]
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        total = 0.0
+        for j in range(48):
+            lo, hi = 2.0 ** (-(j + 1)), 2.0 ** (-j)
+            r = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+            omega = np.array([np.max(np.abs(k.kbar(np.linspace(-ri, ri, 257)) - k.kbar0()))
+                              for ri in r])
+            assert np.allclose(modulus_omega_bar(k, r, 257), omega, rtol=1e-12, atol=0.0)
+            total += float(np.sum(0.5 * (hi - lo) * weights * omega / r))
+        rep = modulus_log_integral(k)
+        assert rep.finite == finite
+        assert rep.value == pytest.approx(total, rel=1e-12, abs=0.0)
+        assert modulus_omega_bar(k, 0.4) == modulus_omega_bar(k, np.array([0.4]))[0]
+
 
 class TestEllipticityAudit:
     def test_wavy_coefficient_bound(self, wavy_a):
