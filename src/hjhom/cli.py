@@ -50,7 +50,7 @@ def _out_path(args, cfg: RunConfig, suffix: str) -> str:
 def _run_audits(model: Model, quick: bool = True) -> tuple:
     budget = 20 ** 3 if quick else 64 ** 3
     ell = audit_ellipticity(model.a, model.kernel, nx=64 if quick else 512,
-                            ny=256 if quick else 512)
+                            ny=256 if quick else 512, modulus=model.modulus)
     sup = audit_superlinearity(model.ham, sample_budget=budget)
     reg = audit_regularity(model.ham, sample_budget=budget)
     return ell, sup, reg

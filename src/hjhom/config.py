@@ -11,7 +11,7 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -102,6 +102,9 @@ def _coerce(tag: str, raw: str, where: str, errors: list) -> Any:
 @dataclass
 class RunConfig:
     values: dict = field(default_factory=dict)
+    # (kernel, its ModulusIntegralReport or None) when validation built the
+    # kernel for the order-one asymmetry audit; build_model reuses both
+    kernel_audit: Optional[tuple] = field(default=None, repr=False)
 
     def __getitem__(self, dotted: str):
         return self.values[dotted]
@@ -232,11 +235,11 @@ def _validate(cfg: RunConfig) -> list:
         except OSError as exc:
             errors.append(f"cannot build kernel: {exc}")
             return errors
-        if not k.symmetric:
-            rep = modulus_log_integral(k)
-            if not rep.finite:
-                errors.append("kernel fails the order-one asymmetry audit: "
-                              f"logarithmic modulus integral diverges ({rep.detail})")
+        rep = None if k.symmetric else modulus_log_integral(k)
+        cfg.kernel_audit = (k, rep)
+        if rep is not None and not rep.finite:
+            errors.append("kernel fails the order-one asymmetry audit: "
+                          f"logarithmic modulus integral diverges ({rep.detail})")
     return errors
 
 
@@ -262,18 +265,22 @@ _U0 = {
 
 
 class Model(NamedTuple):
-    """The run's model: kernel, coefficient a(x, y), Hamiltonian and initial datum."""
+    """The run's model: kernel, coefficient a(x, y), Hamiltonian and initial
+    datum, plus the kernel's order-one modulus integral if it was taken."""
 
     kernel: Any
     a: Callable
     ham: Any
     u0: Callable
+    modulus: Any = None
 
 
 def build_model(cfg: RunConfig) -> Model:
-    """Build the model a validated configuration names, once per run."""
+    """Build the model a validated configuration names, once per run; the
+    kernel and modulus integral validation took are reused, not redone."""
     from .hamiltonians import coefficient, model_bpm
-    return Model(kernel=_kernel(cfg), a=coefficient(cfg["coefficient_a.kind"]),
+    kernel, modulus = cfg.kernel_audit or (_kernel(cfg), None)
+    return Model(kernel=kernel, a=coefficient(cfg["coefficient_a.kind"]),
                  ham=model_bpm(cfg["hamiltonian.b"], cfg["hamiltonian.f"],
                                cfg["hamiltonian.m"]),
-                 u0=_U0[cfg["grid.u0"]])
+                 u0=_U0[cfg["grid.u0"]], modulus=modulus)

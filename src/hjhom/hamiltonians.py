@@ -29,9 +29,13 @@ class PowerForm:
     f_sup: float
 
     def reach(self, forcing: float = 0.0) -> float:
-        """A-priori gradient bound: b_min |q|^m <= forcing + 2 f_sup + 4 at
-        steady gradients, the 4 a fixed slack."""
-        return ((forcing + 2.0 * self.f_sup + 4.0) / self.b_min) ** (1.0 / self.m)
+        return coercive_reach(self.b_min, self.f_sup, self.m, forcing)
+
+
+def coercive_reach(b_min: float, f_sup: float, m: float, forcing: float = 0.0) -> float:
+    """A-priori gradient bound: b_min |q|^m <= forcing + 2 f_sup + 4 at
+    steady gradients, the 4 a fixed slack."""
+    return ((forcing + 2.0 * f_sup + 4.0) / b_min) ** (1.0 / m)
 
 
 @dataclass(frozen=True)

@@ -190,12 +190,14 @@ class EllipticityReport:
 
 def audit_ellipticity(a: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       k: KernelSpec, nx: int = 512, ny: int = 512,
-                      z_extent: float = 4.0, z_samples: int = 4096) -> EllipticityReport:
+                      z_extent: float = 4.0, z_samples: int = 4096,
+                      modulus: Optional[ModulusIntegralReport] = None) -> EllipticityReport:
     """Check uniform ellipticity of a and the structural kernel conditions.
 
     Returns the largest a0 with a0 <= a <= 1/a0 on the sample, or a failure
     witness.  For sigma = 1 asymmetric kernels the logarithmic modulus
-    integral must be finite.
+    integral must be finite; `modulus` is k's modulus_log_integral when the
+    caller has already taken it.
     """
     xs = np.arange(nx) / nx
     ys = np.arange(ny) / ny
@@ -230,7 +232,7 @@ def audit_ellipticity(a: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     modulus_report = None
     if k.sigma == 1.0 and not k.symmetric:
-        modulus_report = modulus_log_integral(k)
+        modulus_report = modulus if modulus is not None else modulus_log_integral(k)
         if not modulus_report.finite:
             messages.append("logarithmic modulus integral diverges: " + modulus_report.detail)
 

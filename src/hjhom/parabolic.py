@@ -3,15 +3,20 @@
 The update is forward Euler on a monotone spatial operator: nonnegative
 quadrature weights for the nonlocal part, Godunov or Lax-Friedrichs for the
 gradient part, and a CFL step chosen so every off-diagonal dependence is
-nondecreasing.  When the nonlocal term is linear and its coefficient repeats
-with a short period on the grid, it is taken implicitly instead and only the
-gradient part limits the step: the effective flow above order one (one
-constant A, period 1) and the oscillating flow with a(x/eps) (period n eps
-nodes).  A shift by the period commutes with the implicit operator, so one
-FFT splits it into small dense Fourier blocks.  Monotonicity buys the
-discrete comparison principle, the sup-norm bound, and stability; no attempt
-is made at higher order.  The same scheme object, with its Jacobian, drives
-the cell solver's Newton iteration.
+nondecreasing.  Where the data bound the flux's slope on any range of
+gradients (a power-form Hamiltonian or an effective table), its dissipation
+theta, and with it the step, is fitted before each step to the gradients
+the run has reached rather than to an a-priori range: monotonicity is
+needed only on the states the scheme meets (Crandall-Lions 1984).  When the
+nonlocal term is linear and its coefficient repeats with a short period on
+the grid, it is taken implicitly instead and only the gradient part limits
+the step: the effective flow above order one (one constant A, period 1)
+and the oscillating flow with a(x/eps) (period n eps nodes).  A shift by
+the period commutes with the implicit operator, so one FFT splits it into
+small dense Fourier blocks.  Monotonicity buys the discrete comparison
+principle, the sup-norm bound, and stability; no attempt is made at higher
+order.  The same scheme object, with its Jacobian, drives the cell
+solver's Newton iteration.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 import numpy as np
 
 from .grid import GridFunction, forward_diff, one_sided_diffs
-from .hamiltonians import HamiltonianSpec
+from .hamiltonians import HamiltonianSpec, coercive_reach
 from .kernels import KernelSpec, QuadratureTable
 from .operators import apply_table
 
@@ -38,6 +43,11 @@ CFL_SAFETY = 0.9
 # Longest period, in nodes, of a coefficient whose nonlocal term step() takes
 # implicitly: each step then solves n / P dense P x P Fourier blocks.
 MAX_PERIOD = 64
+
+# Least factor by which fit_theta raises the Godunov flux's gradient bound G
+# when a state outgrows it, so G (and with it theta, dt and the implicit
+# step's block inverse) changes only a logarithmic number of times in a run.
+GRADIENT_RISE = 2.0 ** 0.0625
 
 
 class NumericalFailure(RuntimeError):
@@ -76,9 +86,12 @@ class MonotoneScheme:
     problems).  A power structure H = coeff |q|^m + at_zero, both arrays over
     the nodes, selects the Godunov flux; otherwise Lax-Friedrichs with
     dissipation theta, sampled by coefficient_scheme or read from a table.
-    A table gives theta(lo, hi), a bound on |dH/dp| over the gradients
-    [lo, hi]; fit_theta sets it from the state before each step.
-    ham None means there is no gradient term.
+    ham None means there is no gradient term.  theta bounds |dH/dp| (for
+    Godunov, max coeff m |q|^(m-1)) over the gradients q the flux is monotone
+    on.  As built it covers |q| <= p_range, and the cell solver keeps that;
+    solve calls fit_theta before every step, which fits theta to the
+    gradients the run has reached (a table's theta(lo, hi), or the Godunov
+    bound G).
 
     Explicit steps u - dt (delta u + F(u)) are monotone for dt <= 1 / (budget
     + delta); dt(delta) takes CFL_SAFETY of that.  The scheme is `implicit`
@@ -117,8 +130,9 @@ class MonotoneScheme:
             m = power[1]
             theta = float(np.max(power[0])) * m * p_range ** (m - 1.0)
         self.theta = theta
+        self._grad = None         # Godunov: the gradient bound G fitted so far
         self._coupling = None     # Ac, when implicit
-        self._inverse = None      # the block inverses at step_dt(), once met
+        self._inverse = None      # (dt, the block inverses at dt): the last step_dt() met
         period = None
         if (table is not None and a is not None and ham is not None and not drift
                 and table.comp_coeff == 0 and np.all(a >= 0.0)
@@ -141,13 +155,38 @@ class MonotoneScheme:
         """Diagonal mass of F per unit step: the CFL budget."""
         return self._nonlocal_budget + self.theta / self.h
 
-    def fit_theta(self, u: np.ndarray) -> None:
-        """With theta(lo, hi), set theta over the range [lo, hi] of u's
+    def fit_theta(self, u: np.ndarray) -> tuple:
+        """Fit theta to the state u; returns u's one-sided differences, which
+        step() takes, so a step builds them once.
+
+        With theta(lo, hi), theta is set over the range [lo, hi] of u's
         differences, p included: the flux is then monotone at u and at every
-        state whose differences lie in [lo, hi].  A fixed theta stays."""
+        state whose differences lie in [lo, hi].  The Godunov flux takes
+        theta = max coeff m G^(m-1), G the largest |q| the run has reached:
+        G starts at the coercive reach of the power arrays or at u's
+        max(|lo|, |hi|), whichever is larger, and a state beyond G raises it
+        to that state's bound, by GRADIENT_RISE at least.  So the Godunov
+        theta never falls and the step never grows.  A fixed theta stays.
+        """
+        diffs = one_sided_diffs(u, self.h)
+        if self._theta_of is None and self.power is None:
+            return diffs
+        d = diffs[1]          # the backward differences take the same values
+        lo, hi = self.p + float(np.min(d)), self.p + float(np.max(d))
         if self._theta_of is not None:
-            d = forward_diff(u, self.h)
-            self.theta = self._theta_of(self.p + float(np.min(d)), self.p + float(np.max(d)))
+            self.theta = self._theta_of(lo, hi)
+            return diffs
+        coeff, m, at_zero = self.power
+        g = max(-lo, hi)
+        if self._grad is None:
+            g = max(g, coercive_reach(float(np.min(coeff)), float(np.max(np.abs(at_zero))), m))
+        elif g > self._grad:
+            g = max(g, GRADIENT_RISE * self._grad)
+        else:
+            return diffs
+        self._grad = g
+        self.theta = float(np.max(coeff)) * m * g ** (m - 1.0)
+        return diffs
 
     def dt(self, delta: float = 0.0) -> float:
         """Monotone explicit step for the discount delta."""
@@ -164,17 +203,19 @@ class MonotoneScheme:
         """The K Fourier blocks I - dt Ac diag(lam_{r + K t}), shape (K, P, P)."""
         return np.eye(self._coupling.shape[0]) - dt * self._coupling * self._lam[:, None, :]
 
-    def step(self, u: np.ndarray, dt: float) -> np.ndarray:
-        """One monotone time step of length dt <= step_dt() from u.
+    def step(self, u: np.ndarray, dt: float, diffs: Optional[tuple] = None) -> np.ndarray:
+        """One monotone time step of length dt <= step_dt() from u; diffs are
+        u's one-sided differences if the caller has them (fit_theta).
 
         Explicit: u - dt F(u).  Implicit: (I - dt diag(a) I_h) v = u - dt G(u),
         G the rest of F, solved block by block between one rfft and one irfft
-        (the blocks need the full spectrum, which a real u determines); the
-        inverses at step_dt() are built once, a shortened step solves.
+        (the blocks need the full spectrum, which a real u determines).  The
+        inverses at step_dt() are kept and rebuilt when step_dt() changes,
+        which under solve means theta has risen; a shortened step solves.
         """
         if self._coupling is None:
-            return u - dt * self.residual(u)
-        dl, dr = one_sided_diffs(u, self.h)
+            return u - dt * self.residual(u, diffs)
+        dl, dr = one_sided_diffs(u, self.h) if diffs is None else diffs
         rhs = self._flux(dl, dr, None)
         if self.const is not None:
             rhs = self.const + rhs
@@ -183,15 +224,15 @@ class MonotoneScheme:
         spec = np.concatenate((half, np.conj(half[u.size - half.size:0:-1])))
         spec = spec.reshape(self._coupling.shape[0], -1).T[:, :, None]
         if dt == self.step_dt():
-            if self._inverse is None:
-                self._inverse = np.linalg.inv(self._blocks(dt))
-            spec = np.matmul(self._inverse, spec)
+            if self._inverse is None or self._inverse[0] != dt:
+                self._inverse = (dt, np.linalg.inv(self._blocks(dt)))
+            spec = np.matmul(self._inverse[1], spec)
         else:
             spec = np.linalg.solve(self._blocks(dt), spec)
         return np.fft.irfft(spec[:, :, 0].T.reshape(-1)[:half.size], n=u.size)
 
-    def residual(self, u: np.ndarray) -> np.ndarray:
-        dl, dr = one_sided_diffs(u, self.h)
+    def residual(self, u: np.ndarray, diffs: Optional[tuple] = None) -> np.ndarray:
+        dl, dr = one_sided_diffs(u, self.h) if diffs is None else diffs
         lv = None if self.table is None else apply_table(u, self.table)
         out = self.const
         if self.minus_a is not None and lv is not None:
@@ -413,8 +454,10 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     """March the problem to its horizon, recording exact snapshot times.
 
     Each step is MonotoneScheme.step at the scheme's step_dt(), shortened to
-    land on the recorded times; a state-dependent theta is fitted to the
-    state first, so the step follows the gradients the state has.  Raises
+    land on the recorded times.  fit_theta fits theta to the state first, so
+    the step follows the gradients the run has (a table's theta follows the
+    state, the Godunov theta the largest gradient so far), and its one-sided
+    differences serve the step as well.  Raises
     NumericalFailure on NaN (with the step index) or if the gradient leaves
     the a-priori range backing the flux's monotonicity.
     """
@@ -435,11 +478,11 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     prev, step = u, 1.0
     for t_target in record:
         while t < t_target - 1e-14:
-            scheme.fit_theta(u)
+            diffs = scheme.fit_theta(u)
             full = scheme.step_dt()
             dt, theta = min(dt, full), max(theta, scheme.theta)
             step = min(full, t_target - t)
-            nxt = scheme.step(u, step)
+            nxt = scheme.step(u, step, diffs)
             t += step
             step_index += 1
             if not np.all(np.isfinite(nxt)):

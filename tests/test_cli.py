@@ -222,6 +222,44 @@ class TestCommands:
         errs = [float(row.split(",")[3]) for row in data[1:]]
         assert errs[0] > errs[1]
 
+    def test_homogenize_repeats_in_process(self, tmp_path, capsys):
+        # two runs in one process write the same CSVs, the sweep's wall-clock
+        # `seconds` aside: no fitted theta or block inverse outlives its run
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 1.5", "sweep.eps_list = 1/4,1/8", "sweep.T = 0.05",
+            "sweep.snapshots = 3",
+        ]) + "\n")
+        outputs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["homogenize", "--config", path, "--out", str(out)]) == 0
+            sweep = [line if line.startswith("#") else line.rsplit(",", 1)[0]
+                     for line in (out / "run_sweep.csv").read_text().splitlines()]
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            outputs.append((sweep, (out / "run_sweep_snapshots.csv").read_bytes(), stdout))
+        assert outputs[0] == outputs[1]
+        assert "steps = " in outputs[0][2]
+
+    def test_asymmetry_audit_runs_once(self, tmp_path, monkeypatch):
+        # validation reads the csv kernel and takes its order-one modulus
+        # integral; the model and the gate reuse both
+        from hjhom import kernels
+        zs = np.linspace(-3.0, 3.0, 601)
+        csv_path = tmp_path / "kernel.csv"
+        np.savetxt(csv_path, np.column_stack([zs, kernels.tilt_kernel(1.0, 0.5).kbar(zs)]),
+                   delimiter=",")
+        calls = []
+        integral, loadtxt = kernels.modulus_log_integral, np.loadtxt
+        monkeypatch.setattr(kernels, "modulus_log_integral",
+                            lambda k: calls.append("integral") or integral(k))
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda *a, **kw: calls.append("read") or loadtxt(*a, **kw))
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 1", "kernel.family = csv", f"kernel.csv_path = {csv_path}",
+            "cell.n = 32", "cell.deltas = 0.1",
+        ]) + "\n")
+        assert main(["cell", "--config", path, "--out", str(tmp_path)]) == 0
+        assert sorted(calls) == ["integral", "read"]
+
     def test_homogenize_below_order_one_uses_table(self, tmp_path):
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 0.5", "coefficient_a.kind = constant:1",

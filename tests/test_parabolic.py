@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +11,13 @@ from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
 from hjhom.effective import (EffectiveTable, effective_source_from_formula,
                              effective_source_from_table, tabulate)
 from hjhom.grid import GridFunction, forward_diff
-from hjhom.hamiltonians import HamiltonianSpec, coefficient, growth_bound, model_bpm
+from hjhom.hamiltonians import (HamiltonianSpec, PowerForm, coefficient, coercive_reach,
+                                growth_bound, model_bpm)
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
 from hjhom.operators import apply_table
-from hjhom.parabolic import (NumericalFailure, ParabolicProblem, SolverConfig,
-                             barrier_bounds, coefficient_scheme,
+from hjhom.parabolic import (GRADIENT_RISE, MonotoneScheme, NumericalFailure,
+                             ParabolicProblem, SolverConfig, barrier_bounds,
+                             coefficient_scheme,
                              holder_exponent_alpha0, initial_layer_modulus,
                              sampled_modulus, solve, sup_convolution_time)
 
@@ -138,8 +141,8 @@ class TestImplicitStep:
                 assert traj.path == "implicit"
                 oracle = _explicit_march(prob.scheme(self.P_RANGE), prob.u0.values, [T])[0][0]
                 gap = float(np.max(np.abs(traj.final().values - oracle)))
-                # first order in time: the measured gap is 12.8 dt (n = 256) and
-                # 13.2 dt (n = 512) for the closed form, 13.4 dt and 13.7 dt
+                # first order in time: the measured gap is 13.7 dt (n = 256) and
+                # 14.0 dt (n = 512) for the closed form, 14.0 dt and 14.2 dt
                 # for the oscillating problem at eps = 1/16
                 assert gap <= 20.0 * traj.dt
                 gaps.append(gap)
@@ -224,6 +227,55 @@ class TestImplicitStep:
         assert (scheme.power is None) == lax_friedrichs
         dt = scheme.step_dt()
         assert np.all(scheme.step(lo, dt) <= scheme.step(hi, dt) + 1e-12)
+        # again at the theta fitted over both states, as solve fits it (the
+        # sampled Lax-Friedrichs theta stays); b = 1 and m = 2: theta = 2 G
+        diffs = [scheme.fit_theta(v) for v in (lo, hi)]
+        if not lax_friedrichs:
+            assert scheme.theta >= 2.0 * max(np.max(np.abs(d[1])) for d in diffs)
+        dt = scheme.step_dt()
+        assert np.all(scheme.step(lo, dt, diffs[0]) <= scheme.step(hi, dt, diffs[1]) + 1e-12)
+
+    @pytest.mark.parametrize("a_kind", ["eps_periodic", "x_dependent"])
+    @pytest.mark.parametrize("data", ["zero", "sin"])
+    def test_fitted_theta_follows_the_gradient(self, monkeypatch, wavy_a, data, a_kind):
+        # H = |p|^2 - 16 cos(2 pi y), coercive reach 6: from zero data the
+        # gradients stay below the reach, from sin(2 pi x) the forcing drives
+        # them past their start (6.27 -> 7.04), and theta rises three times
+        F, n, T = 16.0, 64, 0.5
+        f = lambda x, y: F * np.cos(2.0 * np.pi * y) + 0.0 * x
+        ham = HamiltonianSpec(eval=lambda x, y, p: p * p - f(x, y), m=2.0, b0=1.0, C0=F,
+                              power_form=PowerForm(b=coefficient("one"), f=f, m=2.0,
+                                                   b_min=1.0, f_sup=F))
+        a = wavy_a if a_kind == "eps_periodic" else (lambda x, y: 2.0 + np.cos(2.0 * np.pi * x))
+        u0 = GridFunction.from_callable(
+            (lambda x: np.sin(2.0 * np.pi * x)) if data == "sin" else np.zeros_like, n)
+        seen, builds = [], []
+        step, inv = MonotoneScheme.step, np.linalg.inv
+
+        def recording_step(self, u, dt, diffs=None):
+            seen.append((self.theta, float(np.max(np.abs(forward_diff(u, 1.0 / n))))))
+            return step(self, u, dt, diffs)
+
+        def counting_inv(blocks):
+            builds.append(blocks.shape)
+            return inv(blocks)
+
+        monkeypatch.setattr(MonotoneScheme, "step", recording_step)
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        traj = solve(_oscillating(u0, ham, a, 0.5, 0.25, T), SolverConfig(snapshots=5))
+        implicit = a_kind == "eps_periodic"
+        assert traj.path == ("implicit" if implicit else "explicit")
+        thetas, grads = np.array(seen).T
+        reach = coercive_reach(1.0, F, 2.0)
+        # theta = 2 G never falls, and G covers the reach and every state met
+        assert np.all(np.diff(thetas) >= 0.0)
+        assert np.all(thetas >= 2.0 * np.maximum(reach, grads))
+        # each rise multiplies G by GRADIENT_RISE at least: one inverse per G
+        rises = math.log(thetas[-1] / (2.0 * max(reach, grads[0]))) / math.log(GRADIENT_RISE)
+        assert len(builds) <= (1 + math.floor(rises + 1e-9) if implicit else 0)
+        assert (thetas[-1] > thetas[0]) == (data == "sin")
+        # |u(t)|_inf <= |u0|_inf + |H(., ., 0)|_inf t, snapshot by snapshot
+        assert np.all(traj.sup_norm_track <= u0.sup_norm() + F * traj.times + 1e-8)
 
 
 @pytest.fixture(scope="module")
