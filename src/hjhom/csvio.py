@@ -7,7 +7,7 @@ with comment lines echoing the configuration that produced it.
 from __future__ import annotations
 
 import csv
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,24 +24,32 @@ def _fmt(v) -> str:
 
 def emit_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
              config_lines: Sequence[str] = ()) -> None:
+    """Write the rows, streamed; a str value is written as it is, so a row
+    source may format a repeated value once (see _long_rows)."""
     try:
         with open(path, "w", newline="") as fh:
             for line in config_lines:
                 fh.write(line.rstrip("\n") + "\n")
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerows([v if type(v) is str else _fmt(v) for v in row] for row in rows)
     except OSError as exc:
         raise IOError(f"cannot write {path!r}: {exc}") from exc
 
 
-def trajectory_rows(traj) -> list:
-    rows = []
-    for t, snap in zip(traj.times, traj.snapshots):
-        for x, u in zip(snap.nodes(), snap.values):
-            rows.append((t, x, u))
-    return rows
+def _long_rows(blocks: Iterable[tuple], xs: np.ndarray) -> Iterator[tuple]:
+    """Long-format rows (label, x, u), one per node of each (label, u) block,
+    formatted as _fmt does: the x column once, each label once per block."""
+    x_col = [_fmt(x) for x in xs]
+    for label, values in blocks:
+        label = _fmt(label)
+        for x, u in zip(x_col, np.asarray(values, dtype=float).tolist()):
+            yield label, x, f"{u:.17e}"
+
+
+def trajectory_rows(traj) -> Iterator[tuple]:
+    return _long_rows(zip(traj.times, (s.values for s in traj.snapshots)),
+                      traj.snapshots[0].nodes())
 
 
 def trajectory_summary_rows(traj, u0) -> list:
@@ -58,15 +66,11 @@ def sweep_rows(report) -> list:
     return rows
 
 
-def sweep_snapshot_rows(report) -> list:
-    """Plot-ready long format: one row per (eps-label, x, u) at the final time."""
-    rows = []
-    for eps, vals in zip(report.eps_list, report.u_eps_final):
-        for x, u in zip(report.coarse_nodes, vals):
-            rows.append((eps, x, u))
-    for x, u in zip(report.coarse_nodes, report.u_eff_final):
-        rows.append((0.0, x, u))
-    return rows
+def sweep_snapshot_rows(report) -> Iterator[tuple]:
+    """Plot-ready long format: one row per (eps-label, x, u) at the final time,
+    the effective solution labelled eps = 0."""
+    return _long_rows([*zip(report.eps_list, report.u_eps_final),
+                       (0.0, report.u_eff_final)], report.coarse_nodes)
 
 
 def cell_report_rows(params, sol) -> list:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -197,7 +198,10 @@ def _locate(axis: np.ndarray, q: np.ndarray, name: str) -> Optional[tuple]:
     i = np.searchsorted(axis[1:-1], q)
     w = q - axis.take(i)
     w /= (axis[1:] - axis[:-1]).take(i)
-    np.clip(w, 0.0, 1.0, out=w)
+    # inside the hull w lies in [0, 1] already (rounding is monotone); only
+    # the 1e-12 slack beyond an end can push it out
+    if lo < axis[0] or hi > axis[-1]:
+        np.clip(w, 0.0, 1.0, out=w)
     return i, w
 
 
@@ -208,8 +212,9 @@ def query_many(table: EffectiveTable, x: Optional[np.ndarray], p: np.ndarray,
     A single-node axis is checked (every query must sit on its node) and then
     skipped, so a table with one x node interpolates over 4 corners, not 8;
     x None serves every query from that node unchecked, shaped as p and l.
-    Corners of zero weight are skipped, so a failed (NaN) node never reaches
-    a query that lands on its neighbour.
+    On a table with a failed (NaN) node, corners of zero weight add zero,
+    so that node never reaches a query that lands on its neighbour.  The
+    result is bit for bit the 8-corner sum taken from +0.0 in x, p, l order.
     """
     axes = ((table.xs, x, "x", table.ps.size * table.ls.size),
             (table.ps, p, "p", table.ls.size), (table.ls, l, "l", 1))
@@ -217,7 +222,9 @@ def query_many(table: EffectiveTable, x: Optional[np.ndarray], p: np.ndarray,
         if table.xs.size != 1:
             raise ValueError("x may be left out only for a single-node x axis")
         axes = axes[1:]
-    queries = np.broadcast_arrays(*(np.asarray(q, float) for _, q, _, _ in axes))
+    queries = [np.asarray(q, float) for _, q, _, _ in axes]
+    if any(q.shape != queries[0].shape for q in queries):
+        queries = np.broadcast_arrays(*queries)
     shape = queries[0].shape
     flat = np.zeros(queries[0].size, dtype=np.intp)
     corners = [(0, 1.0)]      # (flat offset, weight) per corner, in x, p, l order
@@ -227,15 +234,21 @@ def query_many(table: EffectiveTable, x: Optional[np.ndarray], p: np.ndarray,
             continue
         i, w = located
         flat += i * stride
-        low = 1.0 - w
-        corners = [(off + off_ax, c * c_ax)
-                   for off, c in corners for off_ax, c_ax in ((0, low), (stride, w))]
+        pair = ((0, 1.0 - w), (stride, w))
+        # 1.0 * weight is the weight, so the first axis located needs no product
+        corners = list(pair) if len(corners) == 1 else [
+            (off + off_ax, c * c_ax) for off, c in corners for off_ax, c_ax in pair]
     values = table.values.ravel()
-    out = np.zeros(flat.size)
+    failed = not np.isfinite(values).all()
+    out = None
     for off, c in corners:
         cv = values[off:].take(flat)
         cv *= c
-        np.add(out, cv, out=out, where=c != 0.0)
+        if failed:            # 0 * NaN is NaN: a zero weight must not fetch a failed node
+            np.copyto(cv, 0.0, where=c == 0.0)
+        out = cv if out is None else np.add(out, cv, out=out)
+    # a sum of zeros may come out -0.0 where a sum from +0.0 cannot
+    out += 0.0
     return out.reshape(shape)
 
 
@@ -270,17 +283,15 @@ def effective_source_from_table(table: EffectiveTable) -> EffectiveSource:
     dependence, so every x is served by that node.
     """
     collapse_x = table.xs.size == 1
-    slopes = table.p_cell_slopes()
-    inner = table.ps[1:-1]
+    slopes = table.p_cell_slopes().tolist()
+    inner = table.ps[1:-1].tolist()
 
     def value(x, p, l):
         return query_many(table, None if collapse_x else x, p, l)
 
     def theta(lo, hi):
         # the cells [ps[k], ps[k + 1]] that meet [lo, hi]
-        first = np.searchsorted(inner, lo, side="left")
-        end = np.searchsorted(inner, hi, side="right") + 1
-        return float(np.max(slopes[first:end], initial=0.0))
+        return max(slopes[bisect_left(inner, lo):bisect_right(inner, hi) + 1], default=0.0)
 
     def explain(x, p, l):
         where = f"the query (x, p, l) = ({x:.6g}, {p:.6g}, {l:.6g})"

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, central_diff, require_power_of_two
-from .kernels import KernelSpec, QuadratureTable
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
+from .kernels import _GAUSS_NODES, _GAUSS_WEIGHTS, KernelSpec, QuadratureTable
 
 
 def apply_table(values: np.ndarray, table: QuadratureTable) -> np.ndarray:
@@ -29,7 +27,7 @@ def apply_table(values: np.ndarray, table: QuadratureTable) -> np.ndarray:
     """
     if values.size != table.n:
         raise ValueError(f"table built for n = {table.n}, grid has n = {values.size}")
-    dev = values - np.mean(values)
+    dev = values - values.sum() / values.size
     out = np.fft.irfft(table.spectrum * np.fft.rfft(dev), n=values.size) - dev * table.mass
     if table.comp_coeff:
         out -= table.comp_coeff * central_diff(dev, 1.0 / table.n)

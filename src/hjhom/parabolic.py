@@ -21,6 +21,7 @@ solver's Newton iteration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Union
@@ -172,7 +173,7 @@ class MonotoneScheme:
         if self._theta_of is None and self.power is None:
             return diffs
         d = diffs[1]          # the backward differences take the same values
-        lo, hi = self.p + float(np.min(d)), self.p + float(np.max(d))
+        lo, hi = self.p + float(d.min()), self.p + float(d.max())
         if self._theta_of is not None:
             self.theta = self._theta_of(lo, hi)
             return diffs
@@ -209,9 +210,10 @@ class MonotoneScheme:
 
         Explicit: u - dt F(u).  Implicit: (I - dt diag(a) I_h) v = u - dt G(u),
         G the rest of F, solved block by block between one rfft and one irfft
-        (the blocks need the full spectrum, which a real u determines).  The
-        inverses at step_dt() are kept and rebuilt when step_dt() changes,
-        which under solve means theta has risen; a shortened step solves.
+        (P > 1 blocks need the full spectrum, which a real u determines; P = 1
+        blocks are scalars, applied to the half spectrum).  The inverses at
+        step_dt() are kept and rebuilt when step_dt() changes, which under
+        solve means theta has risen; a shortened step solves.
         """
         if self._coupling is None:
             return u - dt * self.residual(u, diffs)
@@ -219,13 +221,19 @@ class MonotoneScheme:
         rhs = self._flux(dl, dr, None)
         if self.const is not None:
             rhs = self.const + rhs
-        # modes n - k are the conjugates of modes k; [r, t] holds mode r + K t
         half = np.fft.rfft(u - dt * rhs)
+        cached = dt == self.step_dt()
+        if cached and (self._inverse is None or self._inverse[0] != dt):
+            self._inverse = (dt, np.linalg.inv(self._blocks(dt)))
+        if self._coupling.shape[0] == 1:
+            # scalar blocks: mode k alone, so the half spectrum is all it takes
+            if cached:
+                return np.fft.irfft(half * self._inverse[1][:half.size, 0, 0], n=u.size)
+            return np.fft.irfft(half / self._blocks(dt)[:half.size, 0, 0], n=u.size)
+        # modes n - k are the conjugates of modes k; [r, t] holds mode r + K t
         spec = np.concatenate((half, np.conj(half[u.size - half.size:0:-1])))
         spec = spec.reshape(self._coupling.shape[0], -1).T[:, :, None]
-        if dt == self.step_dt():
-            if self._inverse is None or self._inverse[0] != dt:
-                self._inverse = (dt, np.linalg.inv(self._blocks(dt)))
+        if cached:
             spec = np.matmul(self._inverse[1], spec)
         else:
             spec = np.linalg.solve(self._blocks(dt), spec)
@@ -485,7 +493,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
             nxt = scheme.step(u, step, diffs)
             t += step
             step_index += 1
-            if not np.all(np.isfinite(nxt)):
+            if not np.isfinite(nxt).all():
                 raise NumericalFailure(f"non-finite state at step {step_index}, t = {t:.6g}"
                                        + _nonfinite_query(problem, u, p_range))
             prev, u = u, nxt
@@ -515,8 +523,10 @@ def sampled_modulus(u0: GridFunction, r: float) -> float:
     return out
 
 
+@functools.cache
 def _bump_constants() -> tuple:
-    """L1 norms of the first two derivatives of the normalized standard bump."""
+    """L1 norms of the first two derivatives of the normalized standard bump,
+    computed on first use."""
     s = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 20001)
     rho = np.exp(-1.0 / (1.0 - s * s))
     Z = np.trapezoid(rho, s)
@@ -524,8 +534,6 @@ def _bump_constants() -> tuple:
     d1 = np.gradient(rho, s)
     d2 = np.gradient(d1, s)
     return float(np.trapezoid(np.abs(d1), s)), float(np.trapezoid(np.abs(d2), s))
-
-_R1, _R2 = _bump_constants()
 
 
 @dataclass(frozen=True)
@@ -602,8 +610,9 @@ def barrier_bounds(u0: GridFunction, h_moll: float, a_sup: float,
     u_sup = u0.sup_norm()
     S1, S2, T1 = _kernel_moments(kernel)
     C = max(growth_C, 1e-12)
-    C1 = a_sup * u_sup * (0.5 * S2 * _R2 + S1 * _R1 + 2.0 * T1) / C + 1.0
-    C2 = (_R1 * u_sup) ** m
+    R1, R2 = _bump_constants()
+    C1 = a_sup * u_sup * (0.5 * S2 * R2 + S1 * R1 + 2.0 * T1) / C + 1.0
+    C2 = (R1 * u_sup) ** m
     C_of_h = C1 * C * h_moll ** (-2.0) + C2 * C * h_moll ** (-m)
     return BarrierEnvelope(u0_smoothed=GridFunction(smoothed), h_moll=h_moll,
                            omega0=omega0, C_of_h=C_of_h, C1=C1, C2=C2, growth_C=C)

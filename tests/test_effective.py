@@ -72,8 +72,9 @@ def query_oracle(table, x, p, l):
 
 @st.composite
 def tables_and_queries(draw):
-    """A table with 1-4 unevenly spaced nodes per axis and random failed (NaN)
-    nodes, and queries at nodes, at the hull ends and inside the hull."""
+    """A table with 1-4 unevenly spaced nodes per axis, random failed (NaN)
+    nodes and signed zeros, and queries at nodes, at the hull ends, inside
+    the hull and inside the 1e-12 slack beyond either end."""
     axes = []
     for _ in range(3):
         size = draw(st.integers(1, 4))
@@ -82,8 +83,9 @@ def tables_and_queries(draw):
         axes.append(start + np.concatenate([[0.0], np.cumsum(gaps)]))
     shape = tuple(a.size for a in axes)
     count = int(np.prod(shape))
-    values = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=count,
-                                    max_size=count))).reshape(shape)
+    values = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                                              st.floats(-10.0, 10.0)),
+                                    min_size=count, max_size=count))).reshape(shape)
     failed = np.array(draw(st.lists(st.booleans(), min_size=count,
                                     max_size=count))).reshape(shape)
     values[failed] = np.nan
@@ -95,8 +97,10 @@ def tables_and_queries(draw):
     queries = []
     for axis in axes:
         inside = st.floats(0.0, 1.0).map(lambda u, a=axis: a[0] + u * (a[-1] - a[0]))
+        slack = st.tuples(st.booleans(), st.floats(1e-14, 9e-13)).map(
+            lambda t, a=axis: a[0] - t[1] if t[0] else a[-1] + t[1])
         queries.append(np.array(draw(st.lists(
-            st.one_of(st.sampled_from([float(v) for v in axis]), inside),
+            st.one_of(st.sampled_from([float(v) for v in axis]), inside, slack),
             min_size=size, max_size=size))))
     return table, queries
 
@@ -235,12 +239,20 @@ class TestQuery:
     @given(tables_and_queries())
     @settings(max_examples=100, deadline=None)
     def test_matches_oracle(self, case):
+        # bit for bit, signed zeros included; NaN where the oracle has NaN
         table, (x, p, l) = case
         expected = query_oracle(table, x, p, l)
-        assert np.array_equal(query_many(table, x, p, l), expected, equal_nan=True)
+        finite = ~np.isnan(expected)
+
+        def assert_same_bits(got):
+            assert np.array_equal(np.isnan(got), ~finite)
+            assert np.array_equal(got[finite].view(np.int64),
+                                  expected[finite].view(np.int64))
+
+        assert_same_bits(query_many(table, x, p, l))
         # x left out: the single x node serves every query, unchecked
         if table.xs.size == 1:
-            assert np.array_equal(query_many(table, None, p, l), expected, equal_nan=True)
+            assert_same_bits(query_many(table, None, p, l))
         else:
             with pytest.raises(ValueError, match="single-node x axis"):
                 query_many(table, None, p, l)
@@ -270,7 +282,9 @@ class TestQuery:
 
 def theta_oracle(table, lo, hi):
     """Largest finite |dHbar/dp| over the p cells that meet [lo, hi], a cell
-    with no finite pair counting as the table-wide bound."""
+    with no finite pair counting as the table-wide bound.  [lo, hi] is first
+    clamped to the hull: a query in the slack beyond an end takes the end cell."""
+    lo, hi = (min(max(v, table.ps[0]), table.ps[-1]) for v in (lo, hi))
     d = np.abs(np.diff(table.values, axis=1) / np.diff(table.ps)[None, :, None])
     bound = float(np.max(d[np.isfinite(d)], initial=0.0))
     best = 0.0
