@@ -3,8 +3,9 @@
 Commands: audit, drift, cell, effective, solve, homogenize, constants.
 The model (kernel, a, H, u0) is built once per run, and `main` maps every
 failure to its exit code: 0 success, 2 validation or audit failure or invalid
-input (including an effective table that cannot be read or does not cover the
-solve), 3 numerical failure, 4 I/O failure.  The gated commands (cell,
+input (including an effective table that cannot be read, was built for
+another model, or does not cover the solve), 3 numerical failure, 4 I/O
+failure.  The gated commands (cell,
 effective, solve, homogenize) refuse to run on failed structural audits unless
 --force is given.  The numerics are deterministic single-process
 numpy; the flux and its dissipation are worked out from the data, the
@@ -165,20 +166,38 @@ def _discount_fill(cfg: RunConfig, model: Model):
     return fill
 
 
+def _model_name(cfg: RunConfig) -> str:
+    return cfg["hamiltonian.b"] + "|" + cfg["hamiltonian.f"]
+
+
 def _build_table(cfg: RunConfig, model: Model):
     """Raises ValueError, before any node is filled, when a is not strictly
     positive on the table's x nodes above order one."""
     sigma = cfg["kernel.sigma"]
     if sigma > 1.0:
         form = effective_source_from_formula(model.a, model.ham)
-        form.capacity(np.asarray(cfg["cell.table_x"], dtype=float))
+        form.means(cfg["cell.table_x"])
         fill = form.fill
     else:
         fill = _discount_fill(cfg, model)
     return tabulate(fill, cfg["cell.table_x"], cfg["cell.table_p"],
                     cfg["cell.table_l"], sigma=sigma,
-                    meta={"model": cfg["hamiltonian.b"] + "|" + cfg["hamiltonian.f"],
-                          "m": str(cfg["hamiltonian.m"])})
+                    meta={"model": _model_name(cfg), "m": str(cfg["hamiltonian.m"])})
+
+
+def _load_table_for(cfg: RunConfig, path: str):
+    """The table at path; raises ValueError, naming both values, when it was
+    built for another sigma, or another m or model where it records them."""
+    from .effective import load_table
+    table = load_table(path)
+    m, model = cfg["hamiltonian.m"], _model_name(cfg)
+    for key, built, run in (("sigma", table.sigma, cfg["kernel.sigma"]),
+                            ("m", float(table.meta.get("m", m)), m),
+                            ("model", table.meta.get("model", model), model)):
+        if built != run:
+            raise ValueError(f"{path} was built for {key} = {built}, "
+                             f"but the run has {key} = {run}")
+    return table
 
 
 def cmd_effective(args, cfg: RunConfig, model: Model) -> int:
@@ -213,13 +232,12 @@ def cmd_solve(args, cfg: RunConfig, model: Model) -> int:
         if model.kernel.sigma > 1.0:
             src = effective_source_from_formula(model.a, model.ham)
         else:
-            from .effective import load_table
             path = cfg["grid.table_csv"]
             if not path:
                 print("effective solves below order one need grid.table_csv",
                       file=sys.stderr)
                 return EXIT_AUDIT
-            src = effective_source_from_table(load_table(path))
+            src = effective_source_from_table(_load_table_for(cfg, path))
         problem = ParabolicProblem(kind="effective", u0=u0, T=cfg["grid.T"],
                                    table=table, source=src)
     grange = cfg["grid.gradient_range"]
@@ -335,8 +353,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        # a table that cannot be read or does not cover the solve, or a
-        # coefficient a the solver cannot use
+        # a table that cannot be read, was built for another model or does
+        # not cover the solve, or a coefficient a the solver cannot use
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_AUDIT
     except OSError as exc:

@@ -15,14 +15,20 @@ Below and at order one the constant is only available through cell solves;
 this module tabulates it over rectangular (x, p, l) axes with error bars and
 audits the structural properties every downstream consumer relies on:
 decreasing in l, coercive in p, and finite continuity constants.
+
+Two sources serve Hbar to the time stepper, each building its own scheme:
+ClosedForm, the pair (a, H) whose cell means are taken afresh at every call,
+and EffectiveSource, a table's queries, which raise NumericalFailure naming
+the query and the failed node a query draws on.  Neither keeps state.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,8 +38,7 @@ from .cell import spectral_cell_above_one
 from .grid import GridFunction
 from .hamiltonians import HamiltonianSpec
 from .kernels import QuadratureTable
-from .parabolic import (EffectiveSource, MonotoneScheme, NumericalFailure,
-                        coefficient_scheme)
+from .parabolic import MonotoneScheme, NumericalFailure, sampled_theta
 
 # Cell nodes of the periodic quadrature behind every closed-form mean
 CLOSED_FORM_NODES = 2048
@@ -43,16 +48,55 @@ _BLOCK_ROWS = 256
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Hbar(x, p, l) = Hbar0(x, p) - A(x) l, as effective_source_from_formula
-    computes it.  hbar0 ignores its y argument."""
+    """Hbar(x, p, l) = Hbar0(x, p) - A(x) l above order one, its means taken
+    on CLOSED_FORM_NODES cell nodes at every call.
+
+    Hbar0 keeps the claims (m, b0, C0) of H, because the weights A / a
+    average to one, and a power form b |p|^m - f stays one with bbar =
+    A mean(b / a) and fbar = A mean(f / a).
+    """
 
     a: Callable[[np.ndarray, np.ndarray], np.ndarray]
     ham: HamiltonianSpec                              # the cell Hamiltonian H
-    capacity: Callable[[np.ndarray], np.ndarray]      # A at an array of x nodes
-    hbar0: HamiltonianSpec
+
+    def means(self, x, p=None) -> tuple:
+        """(A, bbar, fbar), or (A,) without a power form, for p None;
+        (A, Hbar0(x, p)) otherwise.  Shaped as x (broadcast with p).  Raises
+        ValueError, naming the node, where a is not strictly positive."""
+        x = np.asarray(x, dtype=float)
+        if p is not None:
+            x, p = np.broadcast_arrays(x, np.asarray(p, dtype=float))
+            p_flat = p.ravel()
+        ys = np.arange(CLOSED_FORM_NODES) / CLOSED_FORM_NODES
+        pf = self.ham.power_form
+        x_flat = x.ravel()
+        blocks = []
+        for s in range(0, x_flat.size, _BLOCK_ROWS):
+            block = slice(s, s + _BLOCK_ROWS)
+            X = x_flat[block, None]
+            a_vals = np.broadcast_to(np.asarray(self.a(X, ys), dtype=float),
+                                     (X.size, ys.size))
+            if not np.all(a_vals > 0.0):
+                i, j = np.unravel_index(np.argmin(a_vals), a_vals.shape)
+                raise ValueError("coefficient a must be strictly positive above order "
+                                 f"one: a(x, y) = {a_vals[i, j]:.6g} at (x, y) = "
+                                 f"({X[i, 0]:.6g}, {ys[j]:.6g})")
+            A = 1.0 / np.mean(1.0 / a_vals, axis=1)
+            if p is not None:
+                parts = (self.ham.eval(X, ys, p_flat[block, None]),)
+            else:
+                parts = () if pf is None else (pf.b(X, ys), pf.f(X, ys))
+            blocks.append([A] + [
+                A * np.mean(np.broadcast_to(np.asarray(part, dtype=float), a_vals.shape)
+                            / a_vals, axis=1) for part in parts])
+        return tuple(np.concatenate(col).reshape(x.shape) for col in zip(*blocks))
 
     def value(self, x, p, l) -> np.ndarray:
-        return self.hbar0.eval(x, x, p) - self.capacity(x) * l
+        if self.ham.power_form is None:
+            A, hbar0 = self.means(x, p)
+            return hbar0 - A * l
+        A, bbar, fbar = self.means(x)
+        return bbar * np.abs(p) ** self.ham.power_form.m - fbar - A * l
 
     def fill(self, x: float, p: float, l: float) -> tuple:
         """Node filler for tabulate: the exact value, error 0, 'formula'."""
@@ -60,9 +104,17 @@ class ClosedForm:
 
     def scheme(self, xs: np.ndarray, table: QuadratureTable,
                p_range: float) -> MonotoneScheme:
-        """-A I_h u + Hbar0(x, Du) at the nodes xs, A in the coefficient slot."""
-        return coefficient_scheme(1.0 / xs.size, xs, xs, self.capacity(xs), self.hbar0,
-                                  p_range, table=table)
+        """-A I_h u + Hbar0(x, Du) at the nodes xs, A in the coefficient slot:
+        the Godunov flux on (bbar, m, -fbar) with a power form, Lax-Friedrichs
+        on Hbar0 without one."""
+        h, pf = 1.0 / xs.size, self.ham.power_form
+        if pf is None:
+            theta = sampled_theta(lambda q: self.means(xs[:, None], q)[1], p_range)
+            return MonotoneScheme(h, lambda q, lv: self.means(xs, q)[1], p_range,
+                                  theta=theta, table=table, a=self.means(xs)[0])
+        A, bbar, fbar = self.means(xs)
+        return MonotoneScheme(h, lambda q, lv: bbar * np.abs(q) ** pf.m - fbar, p_range,
+                              power=(bbar, pf.m, -fbar), table=table, a=A)
 
     def corrector(self, sigma: float, n: int) -> Callable[[float, float, float], GridFunction]:
         """psi(x, p, l) on n cell nodes: (fractional Laplacian) psi = f for
@@ -78,63 +130,26 @@ class ClosedForm:
         return psi
 
 
-def effective_source_from_formula(a, ham: HamiltonianSpec) -> ClosedForm:
-    """The closed form above order one, its means taken on CLOSED_FORM_NODES
-    cell nodes.
+# the closed form above order one for the coefficient a and the cell Hamiltonian ham
+effective_source_from_formula = ClosedForm
 
-    Hbar0 keeps the claims (m, b0, C0) of H, because the weights A / a
-    average to one, and a power form b |p|^m - f stays one with bbar =
-    A mean(b / a) and fbar = A mean(f / a).  A, bbar and fbar are computed
-    once for each array of x nodes; without a power form the mean of H / a
-    is taken at every (x, p) asked for.  Raises ValueError, naming the node,
-    where a is not strictly positive.
-    """
-    ys = np.arange(CLOSED_FORM_NODES) / CLOSED_FORM_NODES
-    pf = ham.power_form
-    kept: dict = {}
 
-    def means(x, p=None) -> tuple:
-        """(A, bbar, fbar), or (A,) without a power form, for p None;
-        (A, Hbar0(x, p)) otherwise.  Shaped as x (broadcast with p)."""
-        x = np.asarray(x, dtype=float)
-        if p is None:
-            key = (x.shape, x.tobytes())
-            if key in kept:
-                return kept[key]
-        else:
-            x, p = np.broadcast_arrays(x, np.asarray(p, dtype=float))
-            p_flat = p.ravel()
-        x_flat = x.ravel()
-        blocks = []
-        for s in range(0, x_flat.size, _BLOCK_ROWS):
-            block = slice(s, s + _BLOCK_ROWS)
-            X = x_flat[block, None]
-            a_vals = np.broadcast_to(np.asarray(a(X, ys), dtype=float), (X.size, ys.size))
-            if not np.all(a_vals > 0.0):
-                i, j = np.unravel_index(np.argmin(a_vals), a_vals.shape)
-                raise ValueError("coefficient a must be strictly positive above order "
-                                 f"one: a(x, y) = {a_vals[i, j]:.6g} at (x, y) = "
-                                 f"({X[i, 0]:.6g}, {ys[j]:.6g})")
-            A = 1.0 / np.mean(1.0 / a_vals, axis=1)
-            if p is not None:
-                parts = (ham.eval(X, ys, p_flat[block, None]),)
-            else:
-                parts = () if pf is None else (pf.b(X, ys), pf.f(X, ys))
-            blocks.append([A] + [
-                A * np.mean(np.broadcast_to(np.asarray(part, dtype=float), a_vals.shape)
-                            / a_vals, axis=1) for part in parts])
-        result = tuple(np.concatenate(col).reshape(x.shape) for col in zip(*blocks))
-        if p is None:
-            kept[key] = result
-        return result
+@dataclass(frozen=True)
+class EffectiveSource:
+    """Effective nonlinearity read from a table (kernel order <= 1):
+    value(x, p, l) plus the bounds the Lax-Friedrichs discretization needs.
+    Above order one the effective problem is a ClosedForm instead."""
 
-    hbar0 = replace(ham, eval=lambda x, y, p: means(x, p)[1],
-                    name=f"closed form of {ham.name}")
-    if pf is not None:
-        bbar, fbar = (lambda x, y: means(x)[1]), (lambda x, y: means(x)[2])
-        hbar0 = replace(hbar0, power_form=replace(pf, b=bbar, f=fbar),
-                        eval=lambda x, y, p: bbar(x, y) * np.abs(p) ** pf.m - fbar(x, y))
-    return ClosedForm(a=a, ham=ham, capacity=lambda x: means(x)[0], hbar0=hbar0)
+    value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    l_slope: float
+    # LF dissipation theta(lo, hi): sup |dHbar/dp| over the p-interval [lo, hi]
+    theta: Callable[[float, float], float]
+
+    def scheme(self, xs: np.ndarray, table: QuadratureTable,
+               p_range: float) -> MonotoneScheme:
+        """Scheme for value(x, Du, I_h u) at the nodes xs."""
+        return MonotoneScheme(1.0 / xs.size, lambda q, lv: self.value(xs, q, lv), p_range,
+                              theta=self.theta, table=table, l_slope=self.l_slope)
 
 
 @dataclass
@@ -255,19 +270,15 @@ def query_many(table: EffectiveTable, x: Optional[np.ndarray], p: np.ndarray,
 def failed_node(table: EffectiveTable, x: float, p: float, l: float) -> Optional[tuple]:
     """(x, p, l) of a failed (NaN) node the query at (x, p, l) draws on with
     nonzero weight, or None."""
+    axes = (table.xs, table.ps, table.ls)
     corners = []
-    for axis, q, name in ((table.xs, x, "x"), (table.ps, p, "p"), (table.ls, l, "l")):
+    for axis, q, name in zip(axes, (x, p, l), "xpl"):
         located = _locate(axis, np.array([float(q)]), name)
-        if located is None:
-            corners.append([0])
-            continue
-        i, w = int(located[0][0]), float(located[1][0])
+        i, w = (0, 0.0) if located is None else (int(located[0][0]), float(located[1][0]))
         corners.append([j for j, c in ((i, 1.0 - w), (i + 1, w)) if c != 0.0])
-    for ix in corners[0]:
-        for ip in corners[1]:
-            for il in corners[2]:
-                if not np.isfinite(table.values[ix, ip, il]):
-                    return float(table.xs[ix]), float(table.ps[ip]), float(table.ls[il])
+    for node in itertools.product(*corners):
+        if not np.isfinite(table.values[node]):
+            return tuple(float(axis[j]) for axis, j in zip(axes, node))
     return None
 
 
@@ -280,29 +291,31 @@ def effective_source_from_table(table: EffectiveTable) -> EffectiveSource:
     """Table-backed source; queries abort outside the (p, l) hull.
 
     A single-node x axis means the tabulated model has no slow-variable
-    dependence, so every x is served by that node.
+    dependence, so every x is served by that node.  On a table with a failed
+    node, value raises NumericalFailure naming the first query that draws on
+    it and the node.
     """
     collapse_x = table.xs.size == 1
     slopes = table.p_cell_slopes().tolist()
     inner = table.ps[1:-1].tolist()
+    has_failed = not np.isfinite(table.values).all()
 
     def value(x, p, l):
-        return query_many(table, None if collapse_x else x, p, l)
+        out = query_many(table, None if collapse_x else x, p, l)
+        if has_failed and not np.isfinite(out).all():
+            first = np.flatnonzero(~np.isfinite(out))[0]
+            qx, qp, ql = (float(np.broadcast_to(q, out.shape).flat[first]) for q in (x, p, l))
+            node = failed_node(table, table.xs[0] if collapse_x else qx, qp, ql)
+            raise NumericalFailure(f"the query (x, p, l) = ({qx:.6g}, {qp:.6g}, {ql:.6g}) " + (
+                "is non-finite" if node is None else
+                "draws on the failed table node (x, p, l) = ({:g}, {:g}, {:g})".format(*node)))
+        return out
 
     def theta(lo, hi):
         # the cells [ps[k], ps[k + 1]] that meet [lo, hi]
         return max(slopes[bisect_left(inner, lo):bisect_right(inner, hi) + 1], default=0.0)
 
-    def explain(x, p, l):
-        where = f"the query (x, p, l) = ({x:.6g}, {p:.6g}, {l:.6g})"
-        node = failed_node(table, table.xs[0] if collapse_x else x, p, l)
-        if node is None:
-            return f"{where} is non-finite"
-        return (f"{where} draws on the failed table node (x, p, l) = "
-                f"({node[0]:g}, {node[1]:g}, {node[2]:g})")
-
-    return EffectiveSource(value=value, l_slope=table.l_slope_bound(), theta=theta,
-                           explain=explain)
+    return EffectiveSource(value=value, l_slope=table.l_slope_bound(), theta=theta)
 
 
 def tabulate(fill: Callable, xs, ps, ls, sigma: float,

@@ -12,8 +12,7 @@ class GridFunction:
     """Real 1-periodic function sampled at the n equispaced nodes j/n of [0, 1).
 
     Shifts are exact node permutations, so torus translations never introduce
-    interpolation error.  Spectral operations additionally require n to be a
-    power of two.
+    interpolation error.
     """
 
     values: np.ndarray
@@ -69,11 +68,6 @@ class GridFunction:
         """Values at arbitrary torus points by nearest-node lookup."""
         idx = np.rint(np.asarray(points) * self.n).astype(np.int64) % self.n
         return self.values[idx]
-
-
-def require_power_of_two(n: int, what: str = "grid size") -> None:
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ValueError(f"{what} must be a power of two >= 8, got {n}")
 
 
 def _padded(values: np.ndarray) -> np.ndarray:

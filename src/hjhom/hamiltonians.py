@@ -43,8 +43,7 @@ class HamiltonianSpec:
     """Evaluator (x, y, p) -> H plus the constants claimed for the audits.
 
     m is the superlinearity exponent; (b0, C0) the claimed superlinearity
-    constants; L the claimed two-scale Lipschitz constant (order-one kernels);
-    modulus_scale the linear large-argument bound of the modulus.
+    constants; L the claimed two-scale Lipschitz constant (order-one kernels).
     """
 
     eval: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -52,8 +51,6 @@ class HamiltonianSpec:
     b0: float
     C0: float
     L: float = np.inf
-    modulus_scale: float = 1.0
-    periodic_in_y: bool = True
     power_form: Optional[PowerForm] = None
     name: str = "custom"
 
@@ -62,8 +59,6 @@ class HamiltonianSpec:
             raise ValueError("superlinearity exponent must exceed 1")
         if self.b0 <= 0.0 or self.C0 < 0.0:
             raise ValueError("need b0 > 0 and C0 >= 0")
-        if not self.periodic_in_y:
-            raise ValueError("the fast variable must be 1-periodic")
 
     def h_at_zero_sup(self, nx: int = 128, ny: int = 128) -> float:
         xs = np.arange(nx) / nx

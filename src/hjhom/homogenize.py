@@ -9,19 +9,20 @@ log-ratios, a least-squares rate fit, and corrector-ansatz residuals.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .effective import ClosedForm
+from .effective import ClosedForm, EffectiveSource
 from .grid import GridFunction, central_diff
 from .hamiltonians import HamiltonianSpec
 from .kernels import KernelSpec, periodized_weights
 from .operators import apply_table
-from .parabolic import (EffectiveSource, NumericalFailure, ParabolicProblem,
-                        SolverConfig, initial_layer_modulus, solve)
+from .parabolic import (NumericalFailure, ParabolicProblem, SolverConfig,
+                        initial_layer_modulus, solve)
 
 
 @dataclass
@@ -79,7 +80,8 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
     """Run the eps sweep and assemble the comparison report.
 
     psi_provider(x, p, l) -> GridFunction supplies the corrector profile for
-    the ansatz residual; when omitted the residual column is NaN.
+    the ansatz residual; when omitted the residual column is NaN.  Every eps
+    asks for the same coarse-node profiles, so each is solved once.
     """
     cfg = cfg or SweepConfig()
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
@@ -103,7 +105,7 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
         table = periodized_weights(family.kernel, int(n))
         prob = ParabolicProblem(kind="oscillating", u0=u0, T=family.T, table=table,
                                 eps=float(e), a=family.a, ham=family.ham)
-        scfg = SolverConfig(record_times=record, gradient_range=cfg.gradient_range)
+        scfg = SolverConfig(snapshots=cfg.snapshots, gradient_range=cfg.gradient_range)
         t0 = time.perf_counter()
         try:
             trajectories.append(solve(prob, scfg))
@@ -119,8 +121,7 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
                                 table=table_fine, source=family.effective)
     # the gradient-range override describes the oscillating family; the
     # effective flow estimates its own range from its data
-    eff_cfg = SolverConfig(record_times=record)
-    eff_traj = solve(eff_prob, eff_cfg)
+    eff_traj = solve(eff_prob, SolverConfig(snapshots=cfg.snapshots))
 
     eff_coarse = [_restrict(s.values, n_coarse) for s in eff_traj.snapshots[1:]]
     errors = []
@@ -156,6 +157,7 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
 
     residuals = np.full(eps.size, np.nan)
     if psi_provider is not None:
+        psi_provider = functools.cache(psi_provider)
         for i, e in enumerate(eps):
             if not np.all(np.isfinite(finals[i])):
                 continue

@@ -22,19 +22,17 @@ import numpy as np
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def normalizing_constant(N: int, sigma: float) -> float:
-    """Constant C such that the kernel C |z|^(-N-sigma) has multiplier (2 pi |k|)^sigma.
+def normalizing_constant(sigma: float) -> float:
+    """Constant C such that the kernel C |z|^(-1-sigma) has multiplier (2 pi |k|)^sigma.
 
     Standard Gamma-function expression; validated independently by applying
     the discrete operator to cos(2 pi y) (see tests).
     """
     if not (0.0 < sigma < 2.0):
         raise ValueError(f"kernel order must lie in (0, 2), got {sigma}")
-    if N != 1:
-        raise ValueError("only the 1-D setting is supported")
     return float(
-        sigma * 2.0 ** (sigma - 1.0) * math.gamma((N + sigma) / 2.0)
-        / (np.pi ** (N / 2.0) * math.gamma(1.0 - sigma / 2.0))
+        sigma * 2.0 ** (sigma - 1.0) * math.gamma((1.0 + sigma) / 2.0)
+        / (np.pi ** 0.5 * math.gamma(1.0 - sigma / 2.0))
     )
 
 
@@ -45,19 +43,11 @@ class KernelSpec:
     sigma: float
     kbar: Callable[[np.ndarray], np.ndarray]
     symmetric: bool
-    cutoff_note: str = ""
     name: str = "custom"
 
     def __post_init__(self):
         if not (0.0 < self.sigma < 2.0):
             raise ValueError(f"kernel order must lie in (0, 2), got {self.sigma}")
-        if not self.cutoff_note:
-            note = (
-                "gradient compensator active on |z| <= 1 (sigma >= 1)"
-                if self.sigma >= 1.0
-                else "no gradient compensator (sigma < 1)"
-            )
-            object.__setattr__(self, "cutoff_note", note)
 
     def kbar0(self) -> float:
         return float(np.asarray(self.kbar(np.array([0.0])))[0])
@@ -70,7 +60,7 @@ class KernelSpec:
 
 
 def constant_kernel(sigma: float) -> KernelSpec:
-    c = normalizing_constant(1, sigma)
+    c = normalizing_constant(sigma)
     return KernelSpec(sigma, lambda z: np.full_like(np.asarray(z, dtype=float), c),
                       symmetric=True, name="constant")
 
@@ -79,7 +69,7 @@ def tilt_kernel(sigma: float, slope: float) -> KernelSpec:
     """Density C (1 + slope * z) inside the unit ball, C outside; |slope| <= 1."""
     if abs(slope) > 1.0:
         raise ValueError("tilt slope must satisfy |slope| <= 1 to keep kbar >= 0")
-    c = normalizing_constant(1, sigma)
+    c = normalizing_constant(sigma)
 
     def kbar(z):
         z = np.asarray(z, dtype=float)
@@ -92,7 +82,7 @@ def quadratic_tilt_kernel(sigma: float, slope: float) -> KernelSpec:
     """Density C (1 + slope * z |z|) inside the unit ball, C outside."""
     if abs(slope) > 1.0:
         raise ValueError("quadratic tilt slope must satisfy |slope| <= 1")
-    c = normalizing_constant(1, sigma)
+    c = normalizing_constant(sigma)
 
     def kbar(z):
         z = np.asarray(z, dtype=float)
@@ -225,7 +215,7 @@ def audit_ellipticity(a: Callable[[np.ndarray, np.ndarray], np.ndarray],
     kbar0_positive = k0 > 0.0
     if not kbar0_positive:
         messages.append(f"kbar(0) = {k0} is not positive")
-    c_ref = normalizing_constant(1, k.sigma)
+    c_ref = normalizing_constant(k.sigma)
     kbar0_matches = abs(k0 - c_ref) <= 1e-10 * max(1.0, abs(c_ref))
     if not kbar0_matches:
         messages.append(f"kbar(0) = {k0} differs from normalizing constant {c_ref}")

@@ -16,15 +16,17 @@ the period commutes with the implicit operator, so one FFT splits it into
 small dense Fourier blocks.  Monotonicity buys the discrete comparison
 principle, the sup-norm bound, and stability; no attempt is made at higher
 order.  The same scheme object, with its Jacobian, drives the cell
-solver's Newton iteration.
+solver's Newton iteration.  An effective problem takes its scheme from the
+source it is given (hjhom.effective), and a failure that source raises in a
+step reaches the caller prefixed with the step and its time.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -32,10 +34,6 @@ from .grid import GridFunction, forward_diff, one_sided_diffs
 from .hamiltonians import HamiltonianSpec, coercive_reach
 from .kernels import KernelSpec, QuadratureTable
 from .operators import apply_table
-
-if TYPE_CHECKING:
-    from .effective import ClosedForm
-
 
 # Fraction of the monotone step bound actually taken; the CFL condition of
 # the difference-quadrature schemes (Biswas-Jakobsen-Karlsen 2010).
@@ -311,6 +309,12 @@ class MonotoneScheme:
         return jac
 
 
+def sampled_theta(ham_at: Callable[[np.ndarray], np.ndarray], p_range: float) -> float:
+    """Lax-Friedrichs dissipation: sup |dH/dp| sampled at 201 gradients q
+    over |q| <= p_range; ham_at(q) takes the row q against a column of nodes."""
+    return float(np.max(np.abs(_p_slope(ham_at, np.linspace(-p_range, p_range, 201)))))
+
+
 def coefficient_scheme(h: float, xs: np.ndarray, ys: np.ndarray, a: np.ndarray,
                        ham: HamiltonianSpec, p_range: float, **kw) -> MonotoneScheme:
     """Scheme for -a (I_h u - drift D u) + H(x, y, p + D u) at the nodes (xs, ys)."""
@@ -320,33 +324,10 @@ def coefficient_scheme(h: float, xs: np.ndarray, ys: np.ndarray, a: np.ndarray,
                  -np.asarray(pf.f(xs, ys), dtype=float))
         theta = None
     else:
-        # Lax-Friedrichs dissipation: sampled sup |dH/dp| over |p| <= p_range
         power = None
-        theta = float(np.max(np.abs(_p_slope(lambda q: ham.eval(xs[:, None], ys[:, None], q),
-                                             np.linspace(-p_range, p_range, 201)))))
+        theta = sampled_theta(lambda q: ham.eval(xs[:, None], ys[:, None], q), p_range)
     return MonotoneScheme(h, lambda q, lv: ham.eval(xs, ys, q), p_range, power=power,
                           theta=theta, a=a, **kw)
-
-
-@dataclass
-class EffectiveSource:
-    """Effective nonlinearity read from a table (kernel order <= 1):
-    value(x, p, l) plus the bounds the Lax-Friedrichs discretization needs.
-    Above order one the effective problem is effective.ClosedForm instead."""
-
-    value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    l_slope: float
-    # LF dissipation theta(lo, hi): sup |dHbar/dp| over the p-interval [lo, hi]
-    theta: Callable[[float, float], float]
-    # names what makes value non-finite at one query (x, p, l); read only
-    # after a solve has failed
-    explain: Optional[Callable[[float, float, float], str]] = None
-
-    def scheme(self, xs: np.ndarray, table: QuadratureTable,
-               p_range: float) -> MonotoneScheme:
-        """Scheme for value(x, Du, I_h u) at the nodes xs."""
-        return MonotoneScheme(1.0 / xs.size, lambda q, lv: self.value(xs, q, lv), p_range,
-                              theta=self.theta, table=table, l_slope=self.l_slope)
 
 
 @dataclass
@@ -356,11 +337,8 @@ class SolverConfig:
 
     gradient_range: Optional[float] = None
     snapshots: int = 10              # recorded times beyond t = 0
-    record_times: Optional[np.ndarray] = None
 
     def resolved_record_times(self, T: float) -> np.ndarray:
-        if self.record_times is not None:
-            return np.asarray(self.record_times, dtype=float)
         return np.linspace(0.0, T, self.snapshots + 1)[1:]
 
 
@@ -368,8 +346,8 @@ class SolverConfig:
 class ParabolicProblem:
     """Either the oscillating problem (kind="oscillating") driven by (a, H)
     at scale eps = 1/k, or the homogenized problem (kind="effective") driven
-    by an effective source: an EffectiveSource or an effective.ClosedForm,
-    anything with value(x, p, l) and scheme(xs, table, p_range)."""
+    by an effective source: anything whose scheme(xs, table, p_range) gives
+    the MonotoneScheme of the effective flow at the nodes xs."""
 
     kind: str
     u0: GridFunction
@@ -378,7 +356,7 @@ class ParabolicProblem:
     eps: Optional[float] = None
     a: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     ham: Optional[HamiltonianSpec] = None
-    source: Optional[Union[EffectiveSource, "ClosedForm"]] = None
+    source: Optional[object] = None
 
     def __post_init__(self):
         if self.kind not in ("oscillating", "effective"):
@@ -436,28 +414,6 @@ def _gradient_range(problem: ParabolicProblem) -> float:
     return guess
 
 
-def _nonfinite_query(problem: ParabolicProblem, u: np.ndarray, p_range: float) -> str:
-    """The first effective-source query that comes back non-finite from the
-    (finite) state u, explained by the source; empty if there is none."""
-    src = problem.source
-    if getattr(src, "explain", None) is None:
-        return ""
-    hits = []
-
-    def value(x, p, l):
-        out = src.value(x, p, l)
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size and not hits:
-            hits.append(tuple(float(np.broadcast_to(a, out.shape).flat[bad[0]])
-                              for a in (x, p, l)))
-        return out
-
-    scheme = replace(src, value=value).scheme(problem.u0.nodes(), problem.table, p_range)
-    hits.clear()
-    scheme.residual(u)
-    return f"; {src.explain(*hits[0])}" if hits else ""
-
-
 def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     """March the problem to its horizon, recording exact snapshot times.
 
@@ -465,9 +421,10 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     land on the recorded times.  fit_theta fits theta to the state first, so
     the step follows the gradients the run has (a table's theta follows the
     state, the Godunov theta the largest gradient so far), and its one-sided
-    differences serve the step as well.  Raises
-    NumericalFailure on NaN (with the step index) or if the gradient leaves
-    the a-priori range backing the flux's monotonicity.
+    differences serve the step as well.  Raises NumericalFailure on NaN
+    (with the step index and time), on a failure the source raises within a
+    step (prefixed with them), or if the gradient leaves the a-priori range
+    backing the flux's monotonicity.
     """
     u0 = problem.u0
     h = u0.h
@@ -490,12 +447,14 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
             full = scheme.step_dt()
             dt, theta = min(dt, full), max(theta, scheme.theta)
             step = min(full, t_target - t)
-            nxt = scheme.step(u, step, diffs)
             t += step
             step_index += 1
+            try:
+                nxt = scheme.step(u, step, diffs)
+            except NumericalFailure as exc:
+                raise NumericalFailure(f"at step {step_index}, t = {t:.6g}: {exc}") from None
             if not np.isfinite(nxt).all():
-                raise NumericalFailure(f"non-finite state at step {step_index}, t = {t:.6g}"
-                                       + _nonfinite_query(problem, u, p_range))
+                raise NumericalFailure(f"non-finite state at step {step_index}, t = {t:.6g}")
             prev, u = u, nxt
         g = float(np.max(np.abs(forward_diff(u, h))))
         max_grad = max(max_grad, g)

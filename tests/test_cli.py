@@ -186,6 +186,15 @@ class TestCommands:
         body = (tmp_path / "run_cell.csv").read_text()
         assert "x,p,l,sigma,H_bar,spread,osc,lip,flap_sup" in body
 
+    def test_cell_command_at_a_grid_size_not_a_power_of_two(self, tmp_path, capsys):
+        # the regularity report takes spectral_flap of the corrector at cell.n
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 0.5", "coefficient_a.kind = constant:1",
+            "cell.n = 100", "cell.deltas = 0.1,0.05",
+        ]) + "\n")
+        assert main(["cell", "--config", path, "--out", str(tmp_path)]) == 0
+        assert "invalid input" not in capsys.readouterr().err
+
     def test_cell_command_reports_unreached_steady_state(self, tmp_path, capsys):
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 0.5", "coefficient_a.kind = constant:1",
@@ -389,9 +398,34 @@ class TestCommands:
         capsys.readouterr()
         assert main(["solve", "--config", solve_cfg, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert "non-finite state at step 1" in err
+        assert "numerical failure: at step 1, t = " in err
         assert "draws on the failed table node (x, p, l) = (0, 2, 0)" in err
         assert "the query (x, p, l) = (" in err
+
+    def test_table_built_for_another_model_is_invalid_input(self, tmp_path, capsys):
+        # a sigma = 0.5, m = 2 table as `hjhom effective` writes it
+        table_cfg = write(tmp_path, "\n".join([
+            "kernel.sigma = 0.5", "coefficient_a.kind = constant:1",
+            "hamiltonian.m = 2", "cell.n = 32", "cell.deltas = 0.1,0.05",
+            "cell.table_p = -8,0,8", "cell.table_l = -6,6",
+        ]) + "\n", name="table.cfg")
+        assert main(["effective", "--config", table_cfg, "--out", str(tmp_path)]) == 0
+        table = tmp_path / "run_effective.csv"
+        solve = ["kernel.sigma = 0.5", "coefficient_a.kind = constant:1",
+                 "grid.kind = effective", "grid.n = 64", "grid.T = 0.01",
+                 "grid.u0 = zero", f"grid.table_csv = {table}"]
+        for changed, named in (("kernel.sigma = 1", "sigma = 0.5, but the run has sigma = 1.0"),
+                               ("hamiltonian.m = 3", "m = 2.0, but the run has m = 3.0"),
+                               ("hamiltonian.f = one",
+                                "model = one|cos_y, but the run has model = one|one")):
+            path = write(tmp_path, "\n".join(solve + [changed]) + "\n", name="solve.cfg")
+            capsys.readouterr()
+            assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"invalid input: {table} was built for {named}"]
+        # the matching run solves from it
+        path = write(tmp_path, "\n".join(solve) + "\n", name="solve.cfg")
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("command", ["homogenize", "solve", "effective"])
     def test_non_positive_a_rejected_above_order_one(self, tmp_path, capsys, command):

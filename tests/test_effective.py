@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
-from hjhom.effective import (EffectiveTable, audit_properties,
+from hjhom.effective import (ClosedForm, EffectiveTable, audit_properties,
                              effective_source_from_formula, effective_source_from_table,
                              load_table, query, query_many, save_table, tabulate)
-from hjhom.hamiltonians import coefficient, model_bpm
+from hjhom.hamiltonians import HamiltonianSpec, PowerForm, coefficient, model_bpm
+from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
+from hjhom.parabolic import NumericalFailure, coefficient_scheme
 
 WAVY = coefficient("two_plus_cos_y")
 # positive and slow-variable dependent, unlike every built-in positive coefficient
@@ -118,8 +120,39 @@ class TestClosedForm:
         # mean 1/(2+cos) = 1/sqrt3 and mean cos/(2+cos) = 1 - 2/sqrt3
         got = closed_form(WAVY, eikonal_ham, 0.0, 1.0, 0.0)
         assert got == pytest.approx(3.0 - np.sqrt(3.0), abs=1e-12)
-        capacity = effective_source_from_formula(WAVY, eikonal_ham).capacity
-        assert capacity(np.array([0.0]))[0] == pytest.approx(np.sqrt(3.0), abs=1e-12)
+        A = effective_source_from_formula(WAVY, eikonal_ham).means(np.array([0.0]))[0]
+        assert A[0] == pytest.approx(np.sqrt(3.0), abs=1e-12)
+
+    def test_fields_are_the_coefficient_and_the_hamiltonian(self):
+        assert tuple(f.name for f in fields(ClosedForm)) == ("a", "ham")
+
+    @pytest.mark.parametrize("kernel, implicit", [(constant_kernel(1.5), True),
+                                                  (tilt_kernel(1.5, 0.5), False)])
+    def test_scheme_steps_as_coefficient_scheme_on_its_means(self, eikonal_ham, kernel,
+                                                             implicit):
+        n, p_range = 128, 4.0
+        xs = np.arange(n) / n
+        table = periodized_weights(kernel, n)
+        form = effective_source_from_formula(WAVY, eikonal_ham)
+        A, bbar, fbar = form.means(xs)
+        pf = PowerForm(b=lambda x, y: bbar, f=lambda x, y: fbar, m=2.0,
+                       b_min=float(np.min(bbar)), f_sup=float(np.max(np.abs(fbar))))
+        means_ham = HamiltonianSpec(eval=lambda x, y, p: bbar * np.abs(p) ** 2.0 - fbar,
+                                    m=2.0, b0=1.0, C0=1.0, power_form=pf)
+        got = form.scheme(xs, table, p_range)
+        want = coefficient_scheme(1.0 / n, xs, xs, A, means_ham, p_range, table=table)
+        assert got.implicit == want.implicit == implicit
+        u = np.sin(2 * np.pi * xs)
+        for k in range(20):
+            diffs = got.fit_theta(u)
+            want.fit_theta(u)
+            dt = got.step_dt()
+            assert dt == want.step_dt()
+            if k % 5 == 4:
+                dt *= 0.5        # a shortened step, as at a recorded time
+            nxt = got.step(u, dt, diffs)
+            assert np.array_equal(nxt, want.step(u, dt))
+            u = nxt
 
     def test_affine_in_nonlocal_slot(self, eikonal_ham):
         base = closed_form(WAVY, eikonal_ham, 0.0, 1.0, 0.0)
@@ -178,6 +211,24 @@ class TestTabulate:
         assert table.provenance[0, 0, 0] == "formula"
         assert table.provenance[0, 1, 0] == "failed"
         assert np.isnan(table.values[0, 1, 0])
+
+    def test_source_names_the_failed_node_a_query_draws_on(self):
+        def fill(x, p, l):
+            if (p, l) == (2.0, 0.0):
+                raise NumericalFailure("node (2, 0)")
+            return p * p - 1.0 - l, 0.0, "discount"
+
+        table = tabulate(fill, [0.0], np.arange(-8.0, 9.0, 2.0), np.arange(-6.0, 7.0, 2.0),
+                         sigma=0.5)
+        value = effective_source_from_table(table).value
+        xs = np.array([0.25, 0.5, 0.75])
+        # p = 4 and l = 0 sit on nodes: the failed node's corners have zero weight
+        assert np.array_equal(value(xs, np.array([0.0, 4.0, -3.0]), np.zeros(3)),
+                              np.array([-1.0, 15.0, 9.0]))
+        with pytest.raises(NumericalFailure, match=re.escape(
+                "the query (x, p, l) = (0.5, 1, 0.5) draws on the failed table node "
+                "(x, p, l) = (0, 2, 0)")):
+            value(xs, np.array([0.0, 1.0, 3.0]), np.array([0.0, 0.5, 0.0]))
 
 
 class TestQuery:

@@ -138,7 +138,3 @@ class TestCoefficients:
         f = coefficient("constant:2.5")
         assert np.all(f(np.zeros(4), np.linspace(0, 1, 4)) == 2.5)
 
-    def test_periodicity_required(self):
-        with pytest.raises(ValueError):
-            HamiltonianSpec(eval=lambda x, y, p: p, m=2.0, b0=1.0, C0=0.0,
-                            periodic_in_y=False)

@@ -12,11 +12,11 @@ from hjhom.operators import apply_table
 
 class TestNormalizingConstant:
     def test_order_one_is_inverse_pi(self):
-        assert normalizing_constant(1, 1.0) == pytest.approx(1.0 / np.pi, abs=1e-14)
+        assert normalizing_constant(1.0) == pytest.approx(1.0 / np.pi, abs=1e-14)
 
     def test_literal_values(self):
-        assert normalizing_constant(1, 0.5) == pytest.approx(0.19947, abs=1e-4)
-        assert normalizing_constant(1, 1.5) == pytest.approx(0.29924, abs=1e-4)
+        assert normalizing_constant(0.5) == pytest.approx(0.19947, abs=1e-4)
+        assert normalizing_constant(1.5) == pytest.approx(0.29924, abs=1e-4)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5])
     def test_eigenfunction_oracle(self, sigma):
@@ -33,9 +33,7 @@ class TestNormalizingConstant:
     @pytest.mark.parametrize("sigma", [0.0, 2.0, -0.3, 2.4])
     def test_domain_errors(self, sigma):
         with pytest.raises(ValueError):
-            normalizing_constant(1, sigma)
-        with pytest.raises(ValueError):
-            normalizing_constant(2, 1.0)
+            normalizing_constant(sigma)
 
 
 class TestModulus:
@@ -46,20 +44,20 @@ class TestModulus:
 
     def test_linear_tilt_modulus(self):
         k = tilt_kernel(1.0, 0.5)
-        c = normalizing_constant(1, 1.0)
+        c = normalizing_constant(1.0)
         # sup of |C z/2| over |z| <= 0.4
         assert modulus_omega_bar(k, 0.4) == pytest.approx(c * 0.2, rel=1e-3)
 
     def test_log_integral_of_linear_tilt(self):
         # omega(r) = C r / 2, so the integral of omega(r)/r over (0, 1] is C/2
         k = tilt_kernel(1.0, 0.5)
-        c = normalizing_constant(1, 1.0)
+        c = normalizing_constant(1.0)
         rep = modulus_log_integral(k)
         assert rep.finite
         assert rep.value + rep.tail_estimate == pytest.approx(c / 2, rel=1e-3)
 
     def test_log_integral_divergence_detected(self):
-        c = normalizing_constant(1, 1.0)
+        c = normalizing_constant(1.0)
 
         def kbar(z):
             z = np.asarray(z, dtype=float)
@@ -75,7 +73,7 @@ class TestModulus:
         ("log_rough", False), ("table_log_rough", False), ("table_tilt", True)])
     def test_log_integral_matches_per_radius_loop(self, name, finite):
         # oracle: one linspace(-r, r, 257) sample of kbar per Gauss radius
-        c = normalizing_constant(1, 1.0)
+        c = normalizing_constant(1.0)
 
         def rough(z):
             z = np.asarray(z, dtype=float)

@@ -432,7 +432,7 @@ class TestJacobian:
             assert np.max(off) <= 0.0      # M-matrix sign pattern
 
     def test_effective_sources_are_rejected(self):
-        from hjhom.parabolic import EffectiveSource
+        from hjhom.effective import EffectiveSource
         src = EffectiveSource(value=lambda x, p, l: p * p - l, l_slope=1.0,
                               theta=lambda lo, hi: 4.0)
         n = 16
