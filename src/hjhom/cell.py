@@ -115,7 +115,10 @@ def _holder_quotients(psi: np.ndarray, gammas=(0.25, 0.5, 0.75, 0.9)) -> tuple:
 
 
 def _cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
-    """The frozen-coefficient stationary operator of the parameters' regime."""
+    """The frozen-coefficient stationary operator of the parameters' regime.
+
+    Newton reads no theta on the Godunov flux; without a power form the
+    Lax-Friedrichs theta is sampled over |q| <= |p| + 5, a fixed slack."""
     n = cfg.n
     ys = np.arange(n) / n
     xs = np.full(n, params.x)
@@ -129,15 +132,8 @@ def _cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
     const = -a_vals * params.l
     if regime == "above_one":
         hp = np.asarray(ham.eval(xs, ys, np.full(n, p)), dtype=float)
-        return MonotoneScheme(1.0 / n, None, abs(p), theta=0.0, table=table, a=a_vals,
-                              const=const + hp)
-
-    # gradient-coupled regimes: a-priori range for p + Dv from coercivity,
-    # with the nonlocal value as forcing; a fixed slack without a power form
-    reach = 4.0
-    if ham.power_form is not None:
-        reach = ham.power_form.reach(float(np.max(a_vals)) * abs(params.l))
-    return coefficient_scheme(1.0 / n, xs, ys, a_vals, ham, abs(p) + reach + 1.0,
+        return MonotoneScheme(1.0 / n, None, table=table, a=a_vals, const=const + hp)
+    return coefficient_scheme(1.0 / n, xs, ys, a_vals, ham, abs(p) + 4.0 + 1.0,
                               p=p, table=table, const=const,
                               drift=params.drift_b if regime == "equal_one" else 0.0)
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import csvio
 from .cell import CellConfig, CellParams, vanishing_discount_sweep
 from .config import ConfigError, Model, RunConfig, build_model, parse_config
-from .effective import (audit_properties, effective_source_from_formula,
+from .effective import (EffectiveTable, audit_properties, effective_source_from_formula,
                         effective_source_from_table, save_table, tabulate)
 from .grid import GridFunction
 from .hamiltonians import (audit_periodicity, audit_regularity,
@@ -170,19 +170,20 @@ def _model_name(cfg: RunConfig) -> str:
     return cfg["hamiltonian.b"] + "|" + cfg["hamiltonian.f"]
 
 
-def _build_table(cfg: RunConfig, model: Model):
-    """Raises ValueError, before any node is filled, when a is not strictly
-    positive on the table's x nodes above order one."""
+def _build_table(cfg: RunConfig, model: Model) -> EffectiveTable:
+    """Above order one the closed form fills the whole table in one call, so
+    its cell means are taken once; it raises ValueError, before any table
+    exists, when a is not strictly positive on the table's x nodes."""
     sigma = cfg["kernel.sigma"]
-    if sigma > 1.0:
-        form = effective_source_from_formula(model.a, model.ham)
-        form.means(cfg["cell.table_x"])
-        fill = form.fill
-    else:
-        fill = _discount_fill(cfg, model)
-    return tabulate(fill, cfg["cell.table_x"], cfg["cell.table_p"],
-                    cfg["cell.table_l"], sigma=sigma,
-                    meta={"model": _model_name(cfg), "m": str(cfg["hamiltonian.m"])})
+    xs, ps, ls = (np.asarray(cfg[f"cell.table_{axis}"], dtype=float) for axis in "xpl")
+    meta = {"model": _model_name(cfg), "m": str(cfg["hamiltonian.m"])}
+    if sigma <= 1.0:
+        return tabulate(_discount_fill(cfg, model), xs, ps, ls, sigma=sigma, meta=meta)
+    values = effective_source_from_formula(model.a, model.ham).value(
+        xs[:, None, None], ps[None, :, None], ls[None, None, :])
+    return EffectiveTable(xs=xs, ps=ps, ls=ls, values=values, err=np.zeros_like(values),
+                          provenance=np.full(values.shape, "formula", dtype=object),
+                          sigma=sigma, meta=meta)
 
 
 def _load_table_for(cfg: RunConfig, path: str):
@@ -240,10 +241,7 @@ def cmd_solve(args, cfg: RunConfig, model: Model) -> int:
             src = effective_source_from_table(_load_table_for(cfg, path))
         problem = ParabolicProblem(kind="effective", u0=u0, T=cfg["grid.T"],
                                    table=table, source=src)
-    grange = cfg["grid.gradient_range"]
-    scfg = SolverConfig(gradient_range=None if grange < 0 else grange,
-                        snapshots=cfg["grid.snapshots"])
-    traj = solve(problem, scfg)
+    traj = solve(problem, SolverConfig(snapshots=cfg["grid.snapshots"]))
     tpath = _out_path(args, cfg, "trajectory.csv")
     spath = _out_path(args, cfg, "summary.csv")
     csvio.emit_csv(tpath, ["t", "x", "u"], csvio.trajectory_rows(traj),

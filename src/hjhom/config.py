@@ -41,7 +41,6 @@ SCHEMA = {
         "T": ("float", 0.2),
         "eps": ("float", Fraction(1, 8)),
         "table_csv": ("str", ""),             # effective solves below order one
-        "gradient_range": ("float", -1.0),    # negative: estimated
     },
     "cell": {
         "x": ("float", 0.0),

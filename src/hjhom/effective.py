@@ -38,7 +38,7 @@ from .cell import spectral_cell_above_one
 from .grid import GridFunction
 from .hamiltonians import HamiltonianSpec
 from .kernels import QuadratureTable
-from .parabolic import MonotoneScheme, NumericalFailure, sampled_theta
+from .parabolic import MonotoneScheme, NumericalFailure
 
 # Cell nodes of the periodic quadrature behind every closed-form mean
 CLOSED_FORM_NODES = 2048
@@ -96,24 +96,20 @@ class ClosedForm:
             A, hbar0 = self.means(x, p)
             return hbar0 - A * l
         A, bbar, fbar = self.means(x)
-        return bbar * np.abs(p) ** self.ham.power_form.m - fbar - A * l
-
-    def fill(self, x: float, p: float, l: float) -> tuple:
-        """Node filler for tabulate: the exact value, error 0, 'formula'."""
-        return float(self.value(np.array([x]), p, l)[0]), 0.0, "formula"
+        # float_power takes the scalar pow at every element, as at one node
+        return bbar * np.float_power(np.abs(p), self.ham.power_form.m) - fbar - A * l
 
     def scheme(self, xs: np.ndarray, table: QuadratureTable,
                p_range: float) -> MonotoneScheme:
         """-A I_h u + Hbar0(x, Du) at the nodes xs, A in the coefficient slot:
         the Godunov flux on (bbar, m, -fbar) with a power form, Lax-Friedrichs
-        on Hbar0 without one."""
+        on Hbar0, sampled over |q| <= p_range, without one."""
         h, pf = 1.0 / xs.size, self.ham.power_form
         if pf is None:
-            theta = sampled_theta(lambda q: self.means(xs[:, None], q)[1], p_range)
-            return MonotoneScheme(h, lambda q, lv: self.means(xs, q)[1], p_range,
-                                  theta=theta, table=table, a=self.means(xs)[0])
+            return MonotoneScheme(h, lambda q, lv: self.means(xs, q)[1], p_range=p_range,
+                                  table=table, a=self.means(xs)[0])
         A, bbar, fbar = self.means(xs)
-        return MonotoneScheme(h, lambda q, lv: bbar * np.abs(q) ** pf.m - fbar, p_range,
+        return MonotoneScheme(h, lambda q, lv: bbar * np.abs(q) ** pf.m - fbar,
                               power=(bbar, pf.m, -fbar), table=table, a=A)
 
     def corrector(self, sigma: float, n: int) -> Callable[[float, float, float], GridFunction]:
@@ -147,8 +143,9 @@ class EffectiveSource:
 
     def scheme(self, xs: np.ndarray, table: QuadratureTable,
                p_range: float) -> MonotoneScheme:
-        """Scheme for value(x, Du, I_h u) at the nodes xs."""
-        return MonotoneScheme(1.0 / xs.size, lambda q, lv: self.value(xs, q, lv), p_range,
+        """Scheme for value(x, Du, I_h u) at the nodes xs; theta is the
+        table's own, so p_range goes unread."""
+        return MonotoneScheme(1.0 / xs.size, lambda q, lv: self.value(xs, q, lv),
                               theta=self.theta, table=table, l_slope=self.l_slope)
 
 

@@ -18,8 +18,8 @@ import numpy as np
 class PowerForm:
     """Structure hint H = b(x, y) |p|^m - f(x, y), enabling the Godunov flux.
 
-    b_min = min b and f_sup = sup |f| are the sampled bounds behind the
-    coercive gradient reach.
+    b_min = min b and f_sup = sup |f| are the sampled bounds the effective
+    table's coercivity audit takes.
     """
 
     b: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -28,14 +28,11 @@ class PowerForm:
     b_min: float
     f_sup: float
 
-    def reach(self, forcing: float = 0.0) -> float:
-        return coercive_reach(self.b_min, self.f_sup, self.m, forcing)
 
-
-def coercive_reach(b_min: float, f_sup: float, m: float, forcing: float = 0.0) -> float:
-    """A-priori gradient bound: b_min |q|^m <= forcing + 2 f_sup + 4 at
-    steady gradients, the 4 a fixed slack."""
-    return ((forcing + 2.0 * f_sup + 4.0) / b_min) ** (1.0 / m)
+def coercive_reach(b_min: float, f_sup: float, m: float) -> float:
+    """Gradient bound where the Godunov theta starts: b_min |q|^m <= 2 f_sup
+    + 4 at steady gradients, the 4 a fixed slack."""
+    return ((2.0 * f_sup + 4.0) / b_min) ** (1.0 / m)
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,6 @@ class HamiltonianSpec:
     C0: float
     L: float = np.inf
     power_form: Optional[PowerForm] = None
-    name: str = "custom"
 
     def __post_init__(self):
         if self.m <= 1.0:
@@ -122,8 +118,7 @@ def model_bpm(b_spec: str, f_spec: str, m: float) -> HamiltonianSpec:
              float(np.max(np.abs(np.gradient(F, 1.0 / 256, axis=1)))))
     L = max(db + df, m * b_max, 1.0)
     return HamiltonianSpec(eval=H, m=m, b0=(m - 1.0) * b_min, C0=f_sup, L=L,
-                           power_form=PowerForm(b=b, f=f, m=m, b_min=b_min, f_sup=f_sup),
-                           name=f"{b_spec}*|p|^{m}-{f_spec}")
+                           power_form=PowerForm(b=b, f=f, m=m, b_min=b_min, f_sup=f_sup))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ class ProblemFamily:
     u0_func: Callable[[np.ndarray], np.ndarray]
     T: float
     effective: Union[EffectiveSource, ClosedForm]
-    name: str = "model"
 
 
 @dataclass
@@ -43,7 +42,6 @@ class SweepConfig:
     n_per_k: int = 16
     n_fixed: Optional[int] = None     # control runs: same grid for every eps
     snapshots: int = 10
-    gradient_range: Optional[float] = None
 
 
 @dataclass
@@ -93,19 +91,19 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
     ns = (np.full(eps.size, cfg.n_fixed, dtype=int) if cfg.n_fixed is not None
           else cfg.n_per_k * ks)
     n_coarse = int(np.min(ns))
-    n_fine = int(np.max(ns))
-    record = np.linspace(0.0, family.T, cfg.snapshots + 1)[1:]
+    scfg = SolverConfig(snapshots=cfg.snapshots)
+    record = scfg.resolved_record_times(family.T)
+    # one kernel table per grid size: the n_fixed control runs share one
+    tables = {n: periodized_weights(family.kernel, n) for n in dict.fromkeys(ns.tolist())}
 
     trajectories = []
     runtimes = []
     dts = []
     failures = []
-    for e, n in zip(eps, ns):
-        u0 = GridFunction.from_callable(family.u0_func, int(n))
-        table = periodized_weights(family.kernel, int(n))
-        prob = ParabolicProblem(kind="oscillating", u0=u0, T=family.T, table=table,
+    for e, n in zip(eps, ns.tolist()):
+        u0 = GridFunction.from_callable(family.u0_func, n)
+        prob = ParabolicProblem(kind="oscillating", u0=u0, T=family.T, table=tables[n],
                                 eps=float(e), a=family.a, ham=family.ham)
-        scfg = SolverConfig(snapshots=cfg.snapshots, gradient_range=cfg.gradient_range)
         t0 = time.perf_counter()
         try:
             trajectories.append(solve(prob, scfg))
@@ -115,13 +113,11 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
         runtimes.append(time.perf_counter() - t0)
         dts.append(trajectories[-1].dt if trajectories[-1] is not None else np.nan)
 
-    u0_fine = GridFunction.from_callable(family.u0_func, n_fine)
-    table_fine = periodized_weights(family.kernel, n_fine)
-    eff_prob = ParabolicProblem(kind="effective", u0=u0_fine, T=family.T,
+    # eps falls along the list, so the last run's grid, and its u0, is the finest
+    table_fine = tables[n]
+    eff_prob = ParabolicProblem(kind="effective", u0=u0, T=family.T,
                                 table=table_fine, source=family.effective)
-    # the gradient-range override describes the oscillating family; the
-    # effective flow estimates its own range from its data
-    eff_traj = solve(eff_prob, SolverConfig(snapshots=cfg.snapshots))
+    eff_traj = solve(eff_prob, scfg)
 
     eff_coarse = [_restrict(s.values, n_coarse) for s in eff_traj.snapshots[1:]]
     errors = []

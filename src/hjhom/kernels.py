@@ -43,7 +43,6 @@ class KernelSpec:
     sigma: float
     kbar: Callable[[np.ndarray], np.ndarray]
     symmetric: bool
-    name: str = "custom"
 
     def __post_init__(self):
         if not (0.0 < self.sigma < 2.0):
@@ -62,7 +61,7 @@ class KernelSpec:
 def constant_kernel(sigma: float) -> KernelSpec:
     c = normalizing_constant(sigma)
     return KernelSpec(sigma, lambda z: np.full_like(np.asarray(z, dtype=float), c),
-                      symmetric=True, name="constant")
+                      symmetric=True)
 
 
 def tilt_kernel(sigma: float, slope: float) -> KernelSpec:
@@ -75,7 +74,7 @@ def tilt_kernel(sigma: float, slope: float) -> KernelSpec:
         z = np.asarray(z, dtype=float)
         return c * np.where(np.abs(z) <= 1.0, 1.0 + slope * z, 1.0)
 
-    return KernelSpec(sigma, kbar, symmetric=(slope == 0.0), name=f"tilt({slope})")
+    return KernelSpec(sigma, kbar, symmetric=(slope == 0.0))
 
 
 def quadratic_tilt_kernel(sigma: float, slope: float) -> KernelSpec:
@@ -88,12 +87,10 @@ def quadratic_tilt_kernel(sigma: float, slope: float) -> KernelSpec:
         z = np.asarray(z, dtype=float)
         return c * np.where(np.abs(z) <= 1.0, 1.0 + slope * z * np.abs(z), 1.0)
 
-    return KernelSpec(sigma, kbar, symmetric=(slope == 0.0),
-                      name=f"quadratic_tilt({slope})")
+    return KernelSpec(sigma, kbar, symmetric=(slope == 0.0))
 
 
-def kernel_from_table(sigma: float, z_vals: np.ndarray, k_vals: np.ndarray,
-                      name: str = "tabulated") -> KernelSpec:
+def kernel_from_table(sigma: float, z_vals: np.ndarray, k_vals: np.ndarray) -> KernelSpec:
     """Kernel density interpolated from (z, kbar) samples, constant beyond the range."""
     z_vals = np.asarray(z_vals, dtype=float)
     k_vals = np.asarray(k_vals, dtype=float)
@@ -104,7 +101,7 @@ def kernel_from_table(sigma: float, z_vals: np.ndarray, k_vals: np.ndarray,
         return np.interp(np.asarray(z, dtype=float), z_vals, k_vals)
 
     sym = bool(np.allclose(kbar(z_vals), kbar(-z_vals), rtol=0.0, atol=1e-14))
-    return KernelSpec(sigma, kbar, symmetric=sym, name=name)
+    return KernelSpec(sigma, kbar, symmetric=sym)
 
 
 def modulus_omega_bar(k: KernelSpec, r, samples: int = 4097):
@@ -340,17 +337,22 @@ def periodized_weights(k: KernelSpec, n: int, image_budget: int = 16) -> Quadrat
     lo = m * h
     hi = (m + 1) * h
 
-    def ksym_kernel(z):
-        return k.kbar_sym(z) * z ** (-1.0 - sigma)
+    def spread(density, sign):
+        """Hat-spread the cell integrals of density(z) z^(-1-sigma) onto the
+        offsets m, m + 1 and, times sign, -m, -(m + 1)."""
+        def kernel(z):
+            return density(z) * z ** (-1.0 - sigma)
 
-    sym0 = _cell_integrals(ksym_kernel, lo, hi)
-    sym1 = _cell_integrals(lambda z: ksym_kernel(z) * (z - lo[:, None]) / h, lo, hi)
+        k0 = _cell_integrals(kernel, lo, hi)
+        k1 = _cell_integrals(lambda z: kernel(z) * (z - lo[:, None]) / h, lo, hi)
+        out = np.zeros(n)
+        np.add.at(out, m % n, k0 - k1)
+        np.add.at(out, (m + 1) % n, k1)
+        np.add.at(out, (-m) % n, sign * (k0 - k1))
+        np.add.at(out, (-(m + 1)) % n, sign * k1)
+        return out
 
-    weights = np.zeros(n)
-    np.add.at(weights, m % n, sym0 - sym1)
-    np.add.at(weights, (m + 1) % n, sym1)
-    np.add.at(weights, (-m) % n, sym0 - sym1)
-    np.add.at(weights, (-(m + 1)) % n, sym1)
+    weights = spread(k.kbar_sym, 1.0)
 
     # singular interval: int_0^h kbar_sym(z) z^(1-sigma) dz against the offset-1
     # second difference, via the regularizing substitution z = h u^(1/(2-sigma))
@@ -369,19 +371,12 @@ def periodized_weights(k: KernelSpec, n: int, image_budget: int = 16) -> Quadrat
     antisym = np.zeros(n)
     comp = 0.0
     if not k.symmetric:
-        def kasym_kernel(z):
-            return k.kbar_asym(z) * z ** (-1.0 - sigma)
-
-        asym0 = _cell_integrals(kasym_kernel, lo, hi)
-        asym1 = _cell_integrals(lambda z: kasym_kernel(z) * (z - lo[:, None]) / h, lo, hi)
-        np.add.at(antisym, m % n, asym0 - asym1)
-        np.add.at(antisym, (m + 1) % n, asym1)
-        np.add.at(antisym, (-m) % n, -(asym0 - asym1))
-        np.add.at(antisym, (-(m + 1)) % n, -asym1)
+        antisym = spread(k.kbar_asym, -1.0)
         # inner interval: linear profile (z/h) of the one-sided difference,
         # substitution z = h u^2 regularizes kbar_asym(z) z^-sigma
-        a_lin = h ** (-sigma) * float(np.sum(
+        inner = float(np.sum(
             0.5 * _GAUSS_WEIGHTS * k.kbar_asym(h * u ** 2) * 2.0 * u ** (1.0 - 2.0 * sigma)))
+        a_lin = h ** (-sigma) * inner
         antisym[1 % n] += a_lin
         antisym[(-1) % n] -= a_lin
         if sigma >= 1.0:
@@ -390,10 +385,7 @@ def periodized_weights(k: KernelSpec, n: int, image_budget: int = 16) -> Quadrat
             keep = clip_hi > lo
             comp_cells = _cell_integrals(lambda z: k.kbar_asym(z) * z ** (-sigma),
                                          lo[keep], clip_hi[keep])
-            inner_comp = h ** (1.0 - sigma) * float(np.sum(
-                0.5 * _GAUSS_WEIGHTS * k.kbar_asym(h * u ** 2)
-                * 2.0 * u ** (1.0 - 2.0 * sigma)))
-            comp = 2.0 * (float(np.sum(comp_cells)) + inner_comp)
+            comp = 2.0 * (float(np.sum(comp_cells)) + h ** (1.0 - sigma) * inner)
 
     if np.any(weights < 0.0):
         raise ValueError("negative symmetric weight; kernel density must be nonnegative")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -82,15 +82,18 @@ class MonotoneScheme:
     time problems) and D the upwind difference of the drift's sign.  The
     nonlocal value enters either through the coefficient `a` or, when `a` is
     None, as the argument l of ham(q, l) (the table-driven effective
-    problems).  A power structure H = coeff |q|^m + at_zero, both arrays over
-    the nodes, selects the Godunov flux; otherwise Lax-Friedrichs with
-    dissipation theta, sampled by coefficient_scheme or read from a table.
-    ham None means there is no gradient term.  theta bounds |dH/dp| (for
-    Godunov, max coeff m |q|^(m-1)) over the gradients q the flux is monotone
-    on.  As built it covers |q| <= p_range, and the cell solver keeps that;
-    solve calls fit_theta before every step, which fits theta to the
-    gradients the run has reached (a table's theta(lo, hi), or the Godunov
-    bound G).
+    problems).  ham None means there is no gradient term.
+
+    theta bounds |dH/dp| over the gradients q the flux is monotone on, and
+    the scheme sets it itself.  A power structure H = coeff |q|^m + at_zero,
+    both arrays over the nodes, selects the Godunov flux, whose theta is
+    max coeff m G^(m-1): G starts at the coercive reach of the arrays and
+    fit_theta raises it to the gradients a run reaches (the cell Newton
+    solver never reads it).  A table source passes theta(lo, hi), the
+    bound over [lo, hi]; as built it covers every gradient.  Otherwise the
+    flux is Lax-Friedrichs on ham, and theta is sup |dH/dp| sampled at 201
+    gradients over |q| <= p_range; that range is kept as `p_range` (None
+    for the other fluxes), and solve stops a run that leaves it.
 
     Explicit steps u - dt (delta u + F(u)) are monotone for dt <= 1 / (budget
     + delta); dt(delta) takes CFL_SAFETY of that.  The scheme is `implicit`
@@ -105,12 +108,11 @@ class MonotoneScheme:
     I_h.  One constant a is the case P = 1.
     """
 
-    def __init__(self, h: float, ham: Optional[Callable], p_range: float, *,
-                 power: Optional[tuple] = None,
-                 theta: Union[None, float, Callable[[float, float], float]] = None,
-                 p: float = 0.0, table: Optional[QuadratureTable] = None,
-                 a: Optional[np.ndarray] = None, drift: float = 0.0,
-                 const: Optional[np.ndarray] = None, l_slope: float = 0.0):
+    def __init__(self, h: float, ham: Optional[Callable], *, power: Optional[tuple] = None,
+                 theta: Optional[Callable[[float, float], float]] = None,
+                 p_range: Optional[float] = None, p: float = 0.0,
+                 table: Optional[QuadratureTable] = None, a: Optional[np.ndarray] = None,
+                 drift: float = 0.0, const: Optional[np.ndarray] = None, l_slope: float = 0.0):
         self.h, self.ham, self.power, self.p, self.table = h, ham, power, p, table
         self.minus_a = None if a is None else -a
         self.drift, self.const = drift, const
@@ -122,14 +124,20 @@ class MonotoneScheme:
         if drift:
             budget += l_slope * abs(drift) / h
         self._nonlocal_budget = budget
-        self._theta_of = theta if callable(theta) else None
-        if self._theta_of is not None:
-            theta = self._theta_of(-math.inf, math.inf)
-        if power is not None:
-            m = power[1]
-            theta = float(np.max(power[0])) * m * p_range ** (m - 1.0)
-        self.theta = theta
+        self._theta_of, self.p_range = theta, None
         self._grad = None         # Godunov: the gradient bound G fitted so far
+        if power is not None:
+            coeff, m, at_zero = power
+            self._reach = coercive_reach(float(np.min(coeff)), float(np.max(np.abs(at_zero))), m)
+            self.theta = self._godunov_theta(self._reach)
+        elif theta is not None:
+            self.theta = theta(-math.inf, math.inf)
+        elif ham is not None:
+            qs = np.linspace(-p_range, p_range, 201)[:, None]     # a row per gradient
+            self.theta = float(np.max(np.abs(_p_slope(lambda q: ham(q, None), qs))))
+            self.p_range = p_range
+        else:
+            self.theta = 0.0
         self._coupling = None     # Ac, when implicit
         self._inverse = None      # (dt, the block inverses at dt): the last step_dt() met
         period = None
@@ -154,6 +162,11 @@ class MonotoneScheme:
         """Diagonal mass of F per unit step: the CFL budget."""
         return self._nonlocal_budget + self.theta / self.h
 
+    def _godunov_theta(self, g: float) -> float:
+        """max coeff m g^(m-1): the Godunov theta for gradients |q| <= g."""
+        coeff, m, _ = self.power
+        return float(np.max(coeff)) * m * g ** (m - 1.0)
+
     def fit_theta(self, u: np.ndarray) -> tuple:
         """Fit theta to the state u; returns u's one-sided differences, which
         step() takes, so a step builds them once.
@@ -165,7 +178,7 @@ class MonotoneScheme:
         G starts at the coercive reach of the power arrays or at u's
         max(|lo|, |hi|), whichever is larger, and a state beyond G raises it
         to that state's bound, by GRADIENT_RISE at least.  So the Godunov
-        theta never falls and the step never grows.  A fixed theta stays.
+        theta never falls and the step never grows.  A sampled theta stays.
         """
         diffs = one_sided_diffs(u, self.h)
         if self._theta_of is None and self.power is None:
@@ -175,16 +188,15 @@ class MonotoneScheme:
         if self._theta_of is not None:
             self.theta = self._theta_of(lo, hi)
             return diffs
-        coeff, m, at_zero = self.power
         g = max(-lo, hi)
         if self._grad is None:
-            g = max(g, coercive_reach(float(np.min(coeff)), float(np.max(np.abs(at_zero))), m))
+            g = max(g, self._reach)
         elif g > self._grad:
             g = max(g, GRADIENT_RISE * self._grad)
         else:
             return diffs
         self._grad = g
-        self.theta = float(np.max(coeff)) * m * g ** (m - 1.0)
+        self.theta = self._godunov_theta(g)
         return diffs
 
     def dt(self, delta: float = 0.0) -> float:
@@ -309,31 +321,23 @@ class MonotoneScheme:
         return jac
 
 
-def sampled_theta(ham_at: Callable[[np.ndarray], np.ndarray], p_range: float) -> float:
-    """Lax-Friedrichs dissipation: sup |dH/dp| sampled at 201 gradients q
-    over |q| <= p_range; ham_at(q) takes the row q against a column of nodes."""
-    return float(np.max(np.abs(_p_slope(ham_at, np.linspace(-p_range, p_range, 201)))))
-
-
 def coefficient_scheme(h: float, xs: np.ndarray, ys: np.ndarray, a: np.ndarray,
                        ham: HamiltonianSpec, p_range: float, **kw) -> MonotoneScheme:
-    """Scheme for -a (I_h u - drift D u) + H(x, y, p + D u) at the nodes (xs, ys)."""
+    """Scheme for -a (I_h u - drift D u) + H(x, y, p + D u) at the nodes (xs, ys);
+    p_range is the Lax-Friedrichs sampling range, unread with a power form."""
     pf = ham.power_form
-    if pf is not None:
-        power = (np.asarray(pf.b(xs, ys), dtype=float), pf.m,
-                 -np.asarray(pf.f(xs, ys), dtype=float))
-        theta = None
-    else:
-        power = None
-        theta = sampled_theta(lambda q: ham.eval(xs[:, None], ys[:, None], q), p_range)
-    return MonotoneScheme(h, lambda q, lv: ham.eval(xs, ys, q), p_range, power=power,
-                          theta=theta, a=a, **kw)
+    power = None if pf is None else (np.asarray(pf.b(xs, ys), dtype=float), pf.m,
+                                     -np.asarray(pf.f(xs, ys), dtype=float))
+    return MonotoneScheme(h, lambda q, lv: ham.eval(xs, ys, q), power=power,
+                          p_range=p_range, a=a, **kw)
 
 
 @dataclass
 class SolverConfig:
     """Discretization knobs; dt is always derived from the CFL bound, and the
-    flux and its dissipation from the problem data."""
+    flux and its dissipation from the problem data.  gradient_range is the
+    range a Lax-Friedrichs flux on a general H samples its theta over
+    (estimated from u0 when None); the other fluxes do not read it."""
 
     gradient_range: Optional[float] = None
     snapshots: int = 10              # recorded times beyond t = 0
@@ -347,7 +351,8 @@ class ParabolicProblem:
     """Either the oscillating problem (kind="oscillating") driven by (a, H)
     at scale eps = 1/k, or the homogenized problem (kind="effective") driven
     by an effective source: anything whose scheme(xs, table, p_range) gives
-    the MonotoneScheme of the effective flow at the nodes xs."""
+    the MonotoneScheme of the effective flow at the nodes xs, p_range being
+    the Lax-Friedrichs sampling range for a source without its own theta."""
 
     kind: str
     u0: GridFunction
@@ -404,16 +409,6 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def _gradient_range(problem: ParabolicProblem) -> float:
-    u0 = problem.u0
-    p0 = float(np.max(np.abs(forward_diff(u0.values, u0.h))))
-    guess = max(2.0, 2.0 * p0)
-    ham = problem.ham
-    if ham is not None and ham.power_form is not None:
-        guess = max(guess, ham.power_form.reach() + p0)
-    return guess
-
-
 def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     """March the problem to its horizon, recording exact snapshot times.
 
@@ -423,22 +418,24 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     state, the Godunov theta the largest gradient so far), and its one-sided
     differences serve the step as well.  Raises NumericalFailure on NaN
     (with the step index and time), on a failure the source raises within a
-    step (prefixed with them), or if the gradient leaves the a-priori range
-    backing the flux's monotonicity.
+    step (prefixed with them), or, for a Lax-Friedrichs flux on a general H,
+    if a recorded state's gradient leaves the range its theta was sampled
+    over (scheme.p_range).
     """
     u0 = problem.u0
     h = u0.h
-    p_range = cfg.gradient_range if cfg.gradient_range is not None else _gradient_range(problem)
+    u = u0.values.copy()
+    max_grad = float(np.max(np.abs(forward_diff(u, h))))
+    # without a given range, twice the data's slope (and at least 2)
+    p_range = cfg.gradient_range if cfg.gradient_range is not None else max(2.0, 2.0 * max_grad)
     scheme = problem.scheme(p_range)
     dt, theta = math.inf, 0.0
     record = cfg.resolved_record_times(problem.T)
 
-    u = u0.values.copy()
     t = 0.0
     times = [0.0]
     snapshots = [GridFunction(u)]
     residuals = [0.0]
-    max_grad = float(np.max(np.abs(forward_diff(u, h))))
     step_index = 0
     prev, step = u, 1.0
     for t_target in record:
@@ -458,9 +455,9 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
             prev, u = u, nxt
         g = float(np.max(np.abs(forward_diff(u, h))))
         max_grad = max(max_grad, g)
-        if g > p_range * (1.0 + 1e-9):
+        if scheme.p_range is not None and g > scheme.p_range * (1.0 + 1e-9):
             raise NumericalFailure(
-                f"gradient {g:.3g} left the a-priori range {p_range:.3g}; "
+                f"gradient {g:.3g} left the a-priori range {scheme.p_range:.3g}; "
                 "enlarge gradient_range")
         times.append(t)
         snapshots.append(GridFunction(u))

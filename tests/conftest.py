@@ -41,6 +41,13 @@ def wavy_sweep(eikonal_ham, wavy_a):
                      psi_provider=family.effective.corrector(1.5, 256))
 
 
+def formula_fill(a, ham):
+    """Node filler for tabulate from the closed form above order one: the
+    value at one (x, p, l), error 0, 'formula'."""
+    form = effective_source_from_formula(a, ham)
+    return lambda x, p, l: (float(form.value(np.array([x]), p, l)[0]), 0.0, "formula")
+
+
 def trig_poly(seed: int, n: int, modes: int = 4, scale: float = 1.0) -> GridFunction:
     rng = np.random.default_rng(seed)
     x = np.arange(n) / n

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import trig_poly
+from conftest import formula_fill, trig_poly
 from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
 from hjhom.effective import (EffectiveTable, audit_properties,
                              effective_source_from_formula, tabulate)
@@ -76,7 +76,7 @@ def above_one_solutions():
 
 @pytest.fixture(scope="module")
 def formula_table():
-    return tabulate(effective_source_from_formula(WAVY_A, EIKONAL).fill, [0.0],
+    return tabulate(formula_fill(WAVY_A, EIKONAL), [0.0],
                     np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 1.0, 5), sigma=1.5)
 
 

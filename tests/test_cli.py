@@ -45,7 +45,8 @@ class TestParsing:
         assert cfg["sweep.eps_list"] == (0.5, 0.25)
 
     @pytest.mark.parametrize("key", ["grid.cfl_safety", "kernel.image_budget",
-                                     "grid.flux", "grid.theta", "hamiltonian.model"])
+                                     "grid.flux", "grid.theta", "hamiltonian.model",
+                                     "grid.gradient_range"])
     def test_removed_keys_rejected(self, tmp_path, key):
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, f"{key} = 1\n"))
@@ -169,13 +170,21 @@ class TestCommands:
         dt, steps = float(m.group(2)), int(m.group(3))   # dt is printed to 4 digits
         assert 0.05 * (1.0 - 1e-3) <= steps * dt <= 0.05 * (1.0 + 1e-3) + 5 * dt
 
-    def test_solve_numerical_failure_exit_code(self, tmp_path):
+    def test_solve_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        import hjhom.cli
+        from hjhom.parabolic import NumericalFailure
+
+        def blow_up(problem, cfg):
+            raise NumericalFailure("non-finite state at step 7, t = 0.01")
+
+        monkeypatch.setattr(hjhom.cli, "solve", blow_up)
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 0.5", "grid.n = 64", "grid.eps = 1/4",
-            "grid.T = 0.1", "grid.gradient_range = 0.05",
-            "coefficient_a.kind = constant:1",
+            "grid.T = 0.1", "coefficient_a.kind = constant:1",
         ]) + "\n")
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 3
+        assert ("numerical failure: non-finite state at step 7, t = 0.01"
+                in capsys.readouterr().err)
 
     def test_cell_command(self, tmp_path, capsys):
         path = write(tmp_path, "\n".join([
@@ -215,6 +224,28 @@ class TestCommands:
         from hjhom.effective import load_table, query
         table = load_table(str(tmp_path / "run_effective.csv"))
         assert query(table, 0.0, 1.0, 0.0) == pytest.approx(3.0 - np.sqrt(3.0), abs=1e-10)
+
+    @pytest.mark.parametrize("m", ["2", "3"])
+    def test_effective_above_one_takes_the_means_once(self, tmp_path, monkeypatch, m):
+        # the closed form fills the whole table in one call, bit for bit as
+        # node by node
+        from conftest import formula_fill
+        from hjhom.effective import ClosedForm, load_table
+        from hjhom.hamiltonians import coefficient, model_bpm
+        calls, means = [], ClosedForm.means
+        monkeypatch.setattr(ClosedForm, "means",
+                            lambda self, *args: calls.append(args) or means(self, *args))
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 1.5", f"hamiltonian.m = {m}", "cell.table_x = 0,0.25,0.5,0.75",
+            "cell.table_p = -2,-0.75,0,0.3,1,2", "cell.table_l = -1,-0.2,0,0.5,1",
+        ]) + "\n")
+        assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        table = load_table(str(tmp_path / "run_effective.csv"))
+        fill = formula_fill(coefficient("two_plus_cos_y"), model_bpm("one", "cos_y", float(m)))
+        want = [[[fill(x, p, l)[0] for l in table.ls] for p in table.ps] for x in table.xs]
+        assert np.array_equal(table.values, np.array(want))
+        assert np.all(table.err == 0.0) and np.all(table.provenance == "formula")
 
     def test_homogenize_command(self, tmp_path, capsys):
         path = write(tmp_path, "\n".join([

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import formula_fill
 from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
 from hjhom.effective import (ClosedForm, EffectiveTable, audit_properties,
                              effective_source_from_formula, effective_source_from_table,
@@ -34,7 +35,7 @@ def closed_form_oracle(a, ham, x, p, l, nquad=4096):
 
 def closed_form(a, ham, x, p, l):
     """effective_source_from_formula at one (x, p, l)."""
-    return effective_source_from_formula(a, ham).fill(x, p, l)[0]
+    return formula_fill(a, ham)(x, p, l)[0]
 
 
 def _axis_locate_oracle(axis, q, name):
@@ -179,7 +180,7 @@ class TestClosedForm:
 
 class TestTabulate:
     def test_single_node_equals_direct(self, eikonal_ham):
-        table = tabulate(effective_source_from_formula(WAVY, eikonal_ham).fill,
+        table = tabulate(formula_fill(WAVY, eikonal_ham),
                          [0.0], [1.0], [0.0], sigma=1.5)
         assert table.values.shape == (1, 1, 1)
         assert table.values[0, 0, 0] == pytest.approx(3.0 - np.sqrt(3.0), abs=1e-12)
@@ -194,7 +195,7 @@ class TestTabulate:
             return sol.H_bar, sol.spread, "discount"
 
         solver_tab = tabulate(fill, [0.0], [0.0, 1.0], [-1.0, 1.0], sigma=1.5)
-        formula_tab = tabulate(effective_source_from_formula(WAVY, eikonal_ham).fill,
+        formula_tab = tabulate(formula_fill(WAVY, eikonal_ham),
                                [0.0], [0.0, 1.0], [-1.0, 1.0], sigma=1.5)
         gap = np.abs(solver_tab.values - formula_tab.values)
         assert np.all(gap <= solver_tab.err + 1e-2)
@@ -234,7 +235,7 @@ class TestTabulate:
 class TestQuery:
     @pytest.fixture()
     def table(self, eikonal_ham):
-        return tabulate(effective_source_from_formula(WAVY, eikonal_ham).fill, [0.0],
+        return tabulate(formula_fill(WAVY, eikonal_ham), [0.0],
                         np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 1.0, 5),
                         sigma=1.5)
 
@@ -379,7 +380,7 @@ class TestSlopeBounds:
 
 class TestPropertyAudit:
     def test_formula_table_clean(self, eikonal_ham):
-        table = tabulate(effective_source_from_formula(WAVY, eikonal_ham).fill, [0.0],
+        table = tabulate(formula_fill(WAVY, eikonal_ham), [0.0],
                          np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 1.0, 5),
                          sigma=1.5)
         audit = audit_properties(table, b0=1.0, C=1.0, a_sup=3.0, m=2.0)
@@ -391,8 +392,8 @@ class TestPropertyAudit:
 
     def test_constant_coefficient_slice_affine(self, eikonal_ham):
         a0 = 2.0
-        form = effective_source_from_formula(coefficient(f"constant:{a0}"), eikonal_ham)
-        table = tabulate(form.fill, [0.0], [1.0], np.linspace(-1.0, 1.0, 5), sigma=1.5)
+        fill = formula_fill(coefficient(f"constant:{a0}"), eikonal_ham)
+        table = tabulate(fill, [0.0], [1.0], np.linspace(-1.0, 1.0, 5), sigma=1.5)
         diffs = np.diff(table.values[0, 0, :]) / np.diff(table.ls)
         assert np.max(np.abs(diffs + a0)) <= 1e-12
 
@@ -441,7 +442,7 @@ class TestPropertyAudit:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path, eikonal_ham):
-        table = tabulate(effective_source_from_formula(WAVY, eikonal_ham).fill, [0.0],
+        table = tabulate(formula_fill(WAVY, eikonal_ham), [0.0],
                          np.linspace(0.0, 2.0, 5), np.linspace(-1.0, 1.0, 3),
                          sigma=1.5, meta={"model": "demo"})
         path = tmp_path / "table.csv"
@@ -461,7 +462,7 @@ class TestPersistence:
         assert again.read_bytes() == path.read_bytes()
 
     def test_repeated_and_missing_nodes_rejected(self, tmp_path, eikonal_ham):
-        table = tabulate(effective_source_from_formula(WAVY, eikonal_ham).fill, [0.0],
+        table = tabulate(formula_fill(WAVY, eikonal_ham), [0.0],
                          np.linspace(0.0, 2.0, 3), [-1.0, 1.0], sigma=1.5)
         path = tmp_path / "table.csv"
         save_table(table, str(path))

@@ -9,9 +9,10 @@ from hjhom.hamiltonians import coefficient, model_bpm
 from hjhom.homogenize import (EffectiveSource, ProblemFamily, SweepConfig,
                               SweepReport, convergence_rates,
                               corrector_reconstruction, run_sweep)
+from hjhom import homogenize
 from hjhom.kernels import constant_kernel
 from hjhom.hamiltonians import growth_bound
-from hjhom.parabolic import barrier_bounds
+from hjhom.parabolic import NumericalFailure, barrier_bounds
 
 
 def _dummy_report(eps, errors):
@@ -131,21 +132,30 @@ class TestCorrectorReconstruction:
 
 
 class TestFailureHandling:
-    def test_per_eps_failures_recorded_and_sweep_continues(self, eikonal_ham, unit_a):
+    def test_per_eps_failures_recorded_and_sweep_continues(self, monkeypatch, eikonal_ham,
+                                                           unit_a):
         family = ProblemFamily(a=unit_a, ham=eikonal_ham, kernel=constant_kernel(1.5),
                                u0_func=lambda x: np.sin(2 * np.pi * x), T=0.1,
                                effective=effective_source_from_formula(unit_a,
                                                                        eikonal_ham))
-        # a gradient range this tight aborts every oscillating run but must
-        # still yield a report with the failures listed
-        rep = run_sweep(family, [1 / 2, 1 / 4],
-                        SweepConfig(n_fixed=64, gradient_range=40.0, snapshots=3))
+        rep = run_sweep(family, [1 / 2, 1 / 4], SweepConfig(n_fixed=64, snapshots=3))
         assert rep.failures == ()
-        rep_bad = run_sweep(family, [1 / 2, 1 / 4],
-                            SweepConfig(n_fixed=64, gradient_range=0.05, snapshots=3))
-        assert len(rep_bad.failures) == 2
+        # oscillating runs that blow up must still yield a report with the
+        # failures listed; the effective run goes through
+        solve = homogenize.solve
+
+        def failing(problem, cfg):
+            if problem.kind == "oscillating":
+                raise NumericalFailure(f"non-finite state at step 3, eps = {problem.eps}")
+            return solve(problem, cfg)
+
+        monkeypatch.setattr(homogenize, "solve", failing)
+        rep_bad = run_sweep(family, [1 / 2, 1 / 4], SweepConfig(n_fixed=64, snapshots=3))
+        assert rep_bad.failures == ((0.5, "non-finite state at step 3, eps = 0.5"),
+                                    (0.25, "non-finite state at step 3, eps = 0.25"))
         assert np.all(np.isnan(rep_bad.errors))
         assert rep_bad.paths == ("", "") and np.all(rep_bad.steps == 0)
+        assert np.array_equal(rep_bad.u_eff_final, rep.u_eff_final)
 
 
 class TestBelowOneSweep:

@@ -64,7 +64,7 @@ class TestModulus:
             mod = 0.5 / np.log(np.e / np.maximum(np.abs(z), 1e-300))
             return c * np.where(np.abs(z) <= 1.0, 1.0 + np.where(z == 0, 0.0, mod), 1.0)
 
-        k = KernelSpec(1.0, kbar, symmetric=False, name="log-rough")
+        k = KernelSpec(1.0, kbar, symmetric=False)
         rep = modulus_log_integral(k)
         assert not rep.finite
 
@@ -121,7 +121,7 @@ class TestEllipticityAudit:
 
     def test_zero_at_origin_fails(self):
         k = KernelSpec(1.0, lambda z: np.asarray(z, dtype=float) ** 2,
-                       symmetric=True, name="degenerate")
+                       symmetric=True)
         rep = audit_ellipticity(lambda x, y: 1.0 + 0.0 * x * y, k)
         assert not rep.passed
         assert not rep.kbar0_positive

@@ -109,10 +109,27 @@ class TestSolve:
             _oscillating(u0, eikonal_ham, unit_a, 0.5, 1.0 / 8.0, 0.1)
 
     def test_gradient_range_breach_aborts(self, eikonal_ham, unit_a):
+        # a Lax-Friedrichs flux on a general H samples its theta over the range
         u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), 64)
-        prob = _oscillating(u0, eikonal_ham, unit_a, 1.0, 0.25, 0.2)
-        with pytest.raises(NumericalFailure):
+        prob = _oscillating(u0, replace(eikonal_ham, power_form=None), unit_a, 1.0, 0.25, 0.2)
+        with pytest.raises(NumericalFailure, match="left the a-priori range 0.05"):
             solve(prob, SolverConfig(gradient_range=0.05))
+
+    @pytest.mark.parametrize("flux", ["godunov", "table"])
+    def test_gradient_range_unread_by_fitted_theta(self, eikonal_ham, unit_a, flux):
+        # the Godunov and table fluxes fit theta to every state they meet, so
+        # a range they do not use neither stops them nor moves a bit
+        u0 = GridFunction.from_callable(lambda x: 0.3 * np.sin(2 * np.pi * x), 64)
+        prob = _oscillating(u0, eikonal_ham, unit_a, 1.0, 0.25, 0.2)
+        if flux == "table":
+            table = tabulate(lambda x, p, l: (p * p - l, 0.0, "formula"), [0.0],
+                             np.linspace(-3.0, 3.0, 13), [-2.0, 0.0, 2.0], sigma=0.5)
+            prob = ParabolicProblem(kind="effective", u0=u0, T=0.2,
+                                    table=periodized_weights(constant_kernel(0.5), 64),
+                                    source=effective_source_from_table(table))
+        traj = solve(prob, SolverConfig(gradient_range=0.05))
+        assert traj.max_gradient_seen > 0.05 and prob.scheme(0.05).p_range is None
+        assert np.array_equal(traj.final().values, solve(prob, SolverConfig()).final().values)
 
 
 class TestImplicitStep:
@@ -139,7 +156,11 @@ class TestImplicitStep:
                 prob = self._wavy(kind, eikonal_ham, wavy_a, n, T)
                 traj = solve(prob, SolverConfig(gradient_range=self.P_RANGE, snapshots=1))
                 assert traj.path == "implicit"
-                oracle = _explicit_march(prob.scheme(self.P_RANGE), prob.u0.values, [T])[0][0]
+                # the oracle's theta covers the range, so its march is monotone
+                # on every state it meets
+                fixed = prob.scheme(self.P_RANGE)
+                fixed.theta = fixed._godunov_theta(self.P_RANGE)
+                oracle = _explicit_march(fixed, prob.u0.values, [T])[0][0]
                 gap = float(np.max(np.abs(traj.final().values - oracle)))
                 # first order in time: the measured gap is 13.7 dt (n = 256) and
                 # 14.0 dt (n = 512) for the closed form, 14.0 dt and 14.2 dt
@@ -225,9 +246,12 @@ class TestImplicitStep:
                                     table=periodized_weights(kernel, n))
         assert scheme.implicit == (a_kind != "x_dependent" and admits)
         assert (scheme.power is None) == lax_friedrichs
-        dt = scheme.step_dt()
-        assert np.all(scheme.step(lo, dt) <= scheme.step(hi, dt) + 1e-12)
-        # again at the theta fitted over both states, as solve fits it (the
+        if lax_friedrichs:
+            # as built, only the sampled Lax-Friedrichs theta covers both
+            # states; the Godunov theta covers the coercive reach until fitted
+            dt = scheme.step_dt()
+            assert np.all(scheme.step(lo, dt) <= scheme.step(hi, dt) + 1e-12)
+        # at the theta fitted over both states, as solve fits it (the
         # sampled Lax-Friedrichs theta stays); b = 1 and m = 2: theta = 2 G
         diffs = [scheme.fit_theta(v) for v in (lo, hi)]
         if not lax_friedrichs:
