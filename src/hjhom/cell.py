@@ -33,6 +33,7 @@ its Newton steps:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -41,7 +42,7 @@ import numpy as np
 
 from .grid import GridFunction, forward_diff
 from .hamiltonians import HamiltonianSpec
-from .kernels import constant_kernel, periodized_weights
+from .kernels import QuadratureTable, constant_kernel, periodized_weights
 from .operators import spectral_flap
 from .parabolic import MonotoneScheme, NumericalFailure, coefficient_scheme
 
@@ -114,6 +115,14 @@ def _holder_quotients(psi: np.ndarray, gammas=(0.25, 0.5, 0.75, 0.9)) -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=1)
+def _cell_table(sigma: float, n: int) -> QuadratureTable:
+    """The constant kernel's table on the n-node cell, kept for the last
+    (sigma, n) asked for: a table fill builds it once for all its nodes.
+    Callers only read it."""
+    return periodized_weights(constant_kernel(sigma), n)
+
+
 def _cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
     """The frozen-coefficient stationary operator of the parameters' regime.
 
@@ -128,7 +137,7 @@ def _cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
     ham, p, regime = params.ham, params.p, params.regime
     table = None
     if regime in ("equal_one", "above_one"):
-        table = periodized_weights(constant_kernel(params.sigma), n)
+        table = _cell_table(params.sigma, n)
     const = -a_vals * params.l
     if regime == "above_one":
         hp = np.asarray(ham.eval(xs, ys, np.full(n, p)), dtype=float)

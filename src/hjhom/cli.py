@@ -250,8 +250,8 @@ def cmd_solve(args, cfg: RunConfig, model: Model) -> int:
                    csvio.trajectory_summary_rows(traj, u0), cfg.header_lines())
     bound = u0.sup_norm() + model.ham.h_at_zero_sup() * cfg["grid.T"] + 1e-8
     print(f"final sup norm {traj.sup_norm_track[-1]:.6g} "
-          f"(a-priori bound {bound:.6g}), dt = {traj.dt:.3e}, steps = {traj.steps}, "
-          f"path = {traj.path}")
+          f"(a-priori bound {bound:.6g}), dt = {traj.dt:.3e} to {traj.max_dt:.3e}, "
+          f"steps = {traj.steps}, path = {traj.path}")
     print(f"trajectory -> {tpath}\nsummary -> {spath}")
     return EXIT_OK
 
@@ -283,6 +283,7 @@ def cmd_homogenize(args, cfg: RunConfig, model: Model) -> int:
                    cfg.header_lines())
     for i, eps in enumerate(report.eps_list):
         print(f"eps = {eps:.6g}: n = {report.ns[i]}, error = {report.errors[i]:.6g}, "
+              f"dt = {report.dts[i]:.3e} to {report.max_dts[i]:.3e}, "
               f"steps = {report.steps[i]}, path = {report.paths[i]}")
     print(f"sweep -> {path}\nsnapshots -> {snap_path}")
     return EXIT_OK

@@ -24,30 +24,38 @@ def _fmt(v) -> str:
 
 def emit_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
              config_lines: Sequence[str] = ()) -> None:
-    """Write the rows, streamed; a str value is written as it is, so a row
-    source may format a repeated value once (see _long_rows)."""
+    """Write the rows, streamed.  A str value is written as it is, so a row
+    source may format a repeated value once; a str in place of a row is a
+    run of formatted lines, each ending in csv's \r\n, also written as it
+    is (see _long_rows)."""
     try:
         with open(path, "w", newline="") as fh:
             for line in config_lines:
                 fh.write(line.rstrip("\n") + "\n")
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows([v if type(v) is str else _fmt(v) for v in row] for row in rows)
+            for row in rows:
+                if type(row) is str:
+                    fh.write(row)
+                else:
+                    writer.writerow([v if type(v) is str else _fmt(v) for v in row])
     except OSError as exc:
         raise IOError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _long_rows(blocks: Iterable[tuple], xs: np.ndarray) -> Iterator[tuple]:
+def _long_rows(blocks: Iterable[tuple], xs: np.ndarray) -> Iterator[str]:
     """Long-format rows (label, x, u), one per node of each (label, u) block,
-    formatted as _fmt does: the x column once, each label once per block."""
+    formatted as _fmt does and joined as csv.writer joins them (no value
+    needs quoting): one str of lines per block, the x column formatted once
+    and each label once per block."""
     x_col = [_fmt(x) for x in xs]
     for label, values in blocks:
         label = _fmt(label)
-        for x, u in zip(x_col, np.asarray(values, dtype=float).tolist()):
-            yield label, x, f"{u:.17e}"
+        yield "".join([f"{label},{x},{u:.17e}\r\n"
+                       for x, u in zip(x_col, np.asarray(values, dtype=float).tolist())])
 
 
-def trajectory_rows(traj) -> Iterator[tuple]:
+def trajectory_rows(traj) -> Iterator[str]:
     return _long_rows(zip(traj.times, (s.values for s in traj.snapshots)),
                       traj.snapshots[0].nodes())
 
@@ -66,7 +74,7 @@ def sweep_rows(report) -> list:
     return rows
 
 
-def sweep_snapshot_rows(report) -> Iterator[tuple]:
+def sweep_snapshot_rows(report) -> Iterator[str]:
     """Plot-ready long format: one row per (eps-label, x, u) at the final time,
     the effective solution labelled eps = 0."""
     return _long_rows([*zip(report.eps_list, report.u_eps_final),

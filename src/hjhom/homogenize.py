@@ -52,7 +52,8 @@ class SweepReport:
     corrector_residuals: np.ndarray
     runtimes: np.ndarray
     ns: np.ndarray
-    dts: np.ndarray
+    dts: np.ndarray                   # smallest full step of each run (NaN if it failed)
+    max_dts: np.ndarray               # largest full step of each run (NaN if it failed)
     steps: np.ndarray                 # time steps of each oscillating run (0 if it failed)
     paths: tuple                      # "implicit"/"explicit" per run ("" if it failed)
     coarse_nodes: np.ndarray
@@ -98,7 +99,7 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
 
     trajectories = []
     runtimes = []
-    dts = []
+    dts, max_dts = [], []
     failures = []
     for e, n in zip(eps, ns.tolist()):
         u0 = GridFunction.from_callable(family.u0_func, n)
@@ -111,7 +112,9 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
             failures.append((float(e), str(exc)))
             trajectories.append(None)
         runtimes.append(time.perf_counter() - t0)
-        dts.append(trajectories[-1].dt if trajectories[-1] is not None else np.nan)
+        traj = trajectories[-1]
+        dts.append(np.nan if traj is None else traj.dt)
+        max_dts.append(np.nan if traj is None else traj.max_dt)
 
     # eps falls along the list, so the last run's grid, and its u0, is the finest
     table_fine = tables[n]
@@ -165,6 +168,7 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
     return SweepReport(eps_list=eps, errors=errors, rates=rates,
                        corrector_residuals=residuals, runtimes=np.array(runtimes),
                        ns=np.asarray(ns), dts=np.array(dts),
+                       max_dts=np.array(max_dts),
                        steps=np.array([0 if tr is None else tr.steps for tr in trajectories]),
                        paths=tuple("" if tr is None else tr.path for tr in trajectories),
                        coarse_nodes=coarse_nodes, times=record,

@@ -5,20 +5,20 @@ quadrature weights for the nonlocal part, Godunov or Lax-Friedrichs for the
 gradient part, and a CFL step chosen so every off-diagonal dependence is
 nondecreasing.  Where the data bound the flux's slope on any range of
 gradients (a power-form Hamiltonian or an effective table), its dissipation
-theta, and with it the step, is fitted before each step to the gradients
-the run has reached rather than to an a-priori range: monotonicity is
-needed only on the states the scheme meets (Crandall-Lions 1984).  When the
-nonlocal term is linear and its coefficient repeats with a short period on
-the grid, it is taken implicitly instead and only the gradient part limits
-the step: the effective flow above order one (one constant A, period 1)
-and the oscillating flow with a(x/eps) (period n eps nodes).  A shift by
-the period commutes with the implicit operator, so one FFT splits it into
-small dense Fourier blocks.  Monotonicity buys the discrete comparison
+theta, and with it the step, is fitted before each step to the state's
+gradients rather than to an a-priori range, and falls as they decay:
+monotonicity is needed only on the states the scheme meets (Crandall-Lions
+1984).  When the nonlocal term is linear and its coefficient repeats with a
+short period on the grid, it is taken implicitly instead and only the gradient
+part limits the step: the effective flow above order one (one constant A,
+period 1) and the oscillating flow with a(x/eps) (period n eps nodes).  A
+shift by the period commutes with the implicit operator, so one FFT splits it
+into small dense Fourier blocks.  Monotonicity buys the discrete comparison
 principle, the sup-norm bound, and stability; no attempt is made at higher
-order.  The same scheme object, with its Jacobian, drives the cell
-solver's Newton iteration.  An effective problem takes its scheme from the
-source it is given (hjhom.effective), and a failure that source raises in a
-step reaches the caller prefixed with the step and its time.
+order.  The same scheme object, with its Jacobian, drives the cell solver's
+Newton iteration.  An effective problem takes its scheme from the source it is
+given (hjhom.effective), and a failure that source raises in a step reaches
+the caller prefixed with the step and its time.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ CFL_SAFETY = 0.9
 # implicitly: each step then solves n / P dense P x P Fourier blocks.
 MAX_PERIOD = 64
 
-# Least factor by which fit_theta raises the Godunov flux's gradient bound G
-# when a state outgrows it, so G (and with it theta, dt and the implicit
-# step's block inverse) changes only a logarithmic number of times in a run.
+# Least factor by which fit_theta moves the Godunov flux's gradient bound G,
+# up when a state outgrows it or down when the state's gradients fall well
+# below it, so G (and with it theta, dt and the implicit step's block
+# inverse) changes only a logarithmic number of times in a run.
 GRADIENT_RISE = 2.0 ** 0.0625
 
 
@@ -84,16 +85,17 @@ class MonotoneScheme:
     None, as the argument l of ham(q, l) (the table-driven effective
     problems).  ham None means there is no gradient term.
 
-    theta bounds |dH/dp| over the gradients q the flux is monotone on, and
-    the scheme sets it itself.  A power structure H = coeff |q|^m + at_zero,
-    both arrays over the nodes, selects the Godunov flux, whose theta is
-    max coeff m G^(m-1): G starts at the coercive reach of the arrays and
-    fit_theta raises it to the gradients a run reaches (the cell Newton
-    solver never reads it).  A table source passes theta(lo, hi), the
-    bound over [lo, hi]; as built it covers every gradient.  Otherwise the
-    flux is Lax-Friedrichs on ham, and theta is sup |dH/dp| sampled at 201
-    gradients over |q| <= p_range; that range is kept as `p_range` (None
-    for the other fluxes), and solve stops a run that leaves it.
+    theta bounds |dH/dp| over the gradients q the flux is monotone on, and the
+    scheme sets it itself.  A power structure H = coeff |q|^m + at_zero, both
+    arrays over the nodes, selects the Godunov flux, whose theta is max coeff
+    m G^(m-1): G starts at the coercive reach of the arrays and fit_theta
+    keeps it above the larger of that reach and the gradients of the state
+    about to be stepped (the cell Newton solver never reads it).  A table
+    source passes theta(lo, hi), the bound over [lo, hi]; as built it covers
+    every gradient.  Otherwise the flux is Lax-Friedrichs on ham, and theta is
+    sup |dH/dp| sampled at 201 gradients over |q| <= p_range; that range is
+    kept as `p_range` (None for the other fluxes), and solve stops a run that
+    leaves it.
 
     Explicit steps u - dt (delta u + F(u)) are monotone for dt <= 1 / (budget
     + delta); dt(delta) takes CFL_SAFETY of that.  The scheme is `implicit`
@@ -174,11 +176,14 @@ class MonotoneScheme:
         With theta(lo, hi), theta is set over the range [lo, hi] of u's
         differences, p included: the flux is then monotone at u and at every
         state whose differences lie in [lo, hi].  The Godunov flux takes
-        theta = max coeff m G^(m-1), G the largest |q| the run has reached:
-        G starts at the coercive reach of the power arrays or at u's
-        max(|lo|, |hi|), whichever is larger, and a state beyond G raises it
-        to that state's bound, by GRADIENT_RISE at least.  So the Godunov
-        theta never falls and the step never grows.  A sampled theta stays.
+        theta = max coeff m G^(m-1), with G >= max(reach, g) at every call,
+        reach the coercive reach of the power arrays and g = max(|lo|, |hi|).
+        G starts at max(reach, g).  A state beyond G raises it to g, by
+        GRADIENT_RISE at least; a state whose g has fallen so far that
+        max(reach, GRADIENT_RISE g) lies more than a factor GRADIENT_RISE
+        below G lowers it to that value.  So every change of G is by
+        GRADIENT_RISE at least, and theta and the step follow the state both
+        ways.  A sampled theta stays.
         """
         diffs = one_sided_diffs(u, self.h)
         if self._theta_of is None and self.power is None:
@@ -188,13 +193,15 @@ class MonotoneScheme:
         if self._theta_of is not None:
             self.theta = self._theta_of(lo, hi)
             return diffs
-        g = max(-lo, hi)
-        if self._grad is None:
+        g, grad = max(-lo, hi), self._grad
+        if grad is None:
             g = max(g, self._reach)
-        elif g > self._grad:
-            g = max(g, GRADIENT_RISE * self._grad)
+        elif g > grad:
+            g = max(g, GRADIENT_RISE * grad)
         else:
-            return diffs
+            g = max(self._reach, GRADIENT_RISE * g)
+            if GRADIENT_RISE * g >= grad:
+                return diffs
         self._grad = g
         self.theta = self._godunov_theta(g)
         return diffs
@@ -223,7 +230,7 @@ class MonotoneScheme:
         (P > 1 blocks need the full spectrum, which a real u determines; P = 1
         blocks are scalars, applied to the half spectrum).  The inverses at
         step_dt() are kept and rebuilt when step_dt() changes, which under
-        solve means theta has risen; a shortened step solves.
+        solve means G has moved; a shortened step solves.
         """
         if self._coupling is None:
             return u - dt * self.residual(u, diffs)
@@ -234,6 +241,7 @@ class MonotoneScheme:
         half = np.fft.rfft(u - dt * rhs)
         cached = dt == self.step_dt()
         if cached and (self._inverse is None or self._inverse[0] != dt):
+            self._inverse = None      # one set alive at a time, also while rebuilding
             self._inverse = (dt, np.linalg.inv(self._blocks(dt)))
         if self._coupling.shape[0] == 1:
             # scalar blocks: mode k alone, so the half spectrum is all it takes
@@ -395,6 +403,10 @@ class ParabolicProblem:
 
 @dataclass
 class Trajectory:
+    """A solve's recorded states and what it did to reach them.  The step
+    follows the fitted theta: dt and max_dt bound the full steps, not the
+    shortened ones that land on the recorded times."""
+
     times: np.ndarray
     snapshots: list
     sup_norm_track: np.ndarray
@@ -404,6 +416,7 @@ class Trajectory:
     max_gradient_seen: float
     steps: int             # time steps taken, the shortened ones included
     path: str              # "implicit" or "explicit": how the nonlocal term was stepped
+    max_dt: float = math.nan     # the largest full step taken
 
     def final(self) -> GridFunction:
         return self.snapshots[-1]
@@ -414,13 +427,14 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
 
     Each step is MonotoneScheme.step at the scheme's step_dt(), shortened to
     land on the recorded times.  fit_theta fits theta to the state first, so
-    the step follows the gradients the run has (a table's theta follows the
-    state, the Godunov theta the largest gradient so far), and its one-sided
-    differences serve the step as well.  Raises NumericalFailure on NaN
-    (with the step index and time), on a failure the source raises within a
-    step (prefixed with them), or, for a Lax-Friedrichs flux on a general H,
-    if a recorded state's gradient leaves the range its theta was sampled
-    over (scheme.p_range).
+    the step follows the gradients the state has (a table's theta over their
+    range, the Godunov theta by factors of GRADIENT_RISE both ways), and its
+    one-sided differences serve the step as well.  The trajectory keeps the
+    smallest and the largest full step (dt, max_dt).  Raises NumericalFailure
+    on NaN (with the step index and time), on a failure the source raises
+    within a step (prefixed with them), or, for a Lax-Friedrichs flux on a
+    general H, if a recorded state's gradient leaves the range its theta was
+    sampled over (scheme.p_range).
     """
     u0 = problem.u0
     h = u0.h
@@ -429,7 +443,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     # without a given range, twice the data's slope (and at least 2)
     p_range = cfg.gradient_range if cfg.gradient_range is not None else max(2.0, 2.0 * max_grad)
     scheme = problem.scheme(p_range)
-    dt, theta = math.inf, 0.0
+    dt, max_dt, theta = math.inf, 0.0, 0.0
     record = cfg.resolved_record_times(problem.T)
 
     t = 0.0
@@ -442,7 +456,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
         while t < t_target - 1e-14:
             diffs = scheme.fit_theta(u)
             full = scheme.step_dt()
-            dt, theta = min(dt, full), max(theta, scheme.theta)
+            dt, max_dt, theta = min(dt, full), max(max_dt, full), max(theta, scheme.theta)
             step = min(full, t_target - t)
             t += step
             step_index += 1
@@ -467,7 +481,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
                       sup_norm_track=np.array([s.sup_norm() for s in snapshots]),
                       residual_track=np.array(residuals), dt=dt, theta=theta,
                       max_gradient_seen=max_grad, steps=step_index,
-                      path="implicit" if scheme.implicit else "explicit")
+                      path="implicit" if scheme.implicit else "explicit", max_dt=max_dt)
 
 
 def sampled_modulus(u0: GridFunction, r: float) -> float:

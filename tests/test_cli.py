@@ -164,11 +164,15 @@ class TestCommands:
             assert float(sup) == pytest.approx(float(t), abs=1e-10)
             assert float(layer) == pytest.approx(float(t), abs=1e-10)
         m = re.search(r"final sup norm (\S+) \(a-priori bound \S+\), "
-                      r"dt = (\S+), steps = (\d+), path = (\w+)\n", capsys.readouterr().out)
+                      r"dt = (\S+) to (\S+), steps = (\d+), path = (\w+)\n",
+                      capsys.readouterr().out)
         assert float(m.group(1)) == pytest.approx(0.05, abs=1e-10)
-        assert m.group(4) == "implicit"      # a(x, x / eps) = 2 + cos repeats every 16 nodes
-        dt, steps = float(m.group(2)), int(m.group(3))   # dt is printed to 4 digits
-        assert 0.05 * (1.0 - 1e-3) <= steps * dt <= 0.05 * (1.0 + 1e-3) + 5 * dt
+        assert m.group(5) == "implicit"      # a(x, x / eps) = 2 + cos repeats every 16 nodes
+        # the smallest and the largest full step, printed to 4 digits
+        dt, max_dt, steps = float(m.group(2)), float(m.group(3)), int(m.group(4))
+        assert dt <= max_dt
+        assert 0.05 * (1.0 - 1e-3) <= steps * max_dt
+        assert steps * dt <= 0.05 * (1.0 + 1e-3) + 5 * dt
 
     def test_solve_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         import hjhom.cli
@@ -253,8 +257,8 @@ class TestCommands:
             "sweep.snapshots = 3",
         ]) + "\n")
         assert main(["homogenize", "--config", path, "--out", str(tmp_path)]) == 0
-        runs = re.findall(r"eps = \S+: n = (\d+), error = \S+, steps = (\d+), path = (\w+)\n",
-                          capsys.readouterr().out)
+        runs = re.findall(r"eps = \S+: n = (\d+), error = \S+, dt = \S+ to \S+, "
+                          r"steps = (\d+), path = (\w+)\n", capsys.readouterr().out)
         assert [(n, path) for n, _, path in runs] == [("32", "implicit"), ("64", "implicit")]
         lines = (tmp_path / "run_sweep.csv").read_text().splitlines()
         data = [l for l in lines if not l.startswith("#")]

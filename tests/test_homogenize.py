@@ -21,7 +21,8 @@ def _dummy_report(eps, errors):
     z = np.zeros_like(eps)
     return SweepReport(eps_list=eps, errors=errors, rates=z[:-1],
                        corrector_residuals=z, runtimes=z, ns=np.ones_like(eps, dtype=int),
-                       dts=z, steps=np.zeros(eps.size, dtype=int), paths=("",) * eps.size,
+                       dts=z, max_dts=z, steps=np.zeros(eps.size, dtype=int),
+                       paths=("",) * eps.size,
                        coarse_nodes=np.zeros(4), times=np.zeros(2),
                        u_eps_final=[], u_eff_final=np.zeros(4), p_eff=np.zeros(4),
                        l_eff=np.zeros(4), initial_layers=[], sigma=1.5)
@@ -81,9 +82,12 @@ class TestWavySweep:
 
     def test_steps_and_paths_reported(self, report):
         # a(x / eps) repeats every 16 nodes: each run steps -a I_h implicitly,
-        # at least T / dt steps, more on each finer grid
+        # every full step in [dt, max_dt] and each recorded time shortening
+        # at most one, more steps on each finer grid
+        T, snapshots = report.times[-1], report.times.size
         assert report.paths == ("implicit",) * 3
-        assert np.all(report.steps >= np.round(report.times[-1] / report.dts))
+        assert np.all(report.steps >= np.round(T / report.max_dts))
+        assert np.all(report.steps <= T / report.dts + snapshots)
         assert np.all(np.diff(report.steps) > 0)
 
     def test_fitted_rate_positive(self, report):
