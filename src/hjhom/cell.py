@@ -98,6 +98,7 @@ class CellSolution:
     converged: bool
     psi_delta_sup: float           # sup |psi^delta| at the smallest discount
     delta_min: float
+    warm_start: bool = False       # whether the first discount began from `start`
 
 
 def _holder_quotients(psi: np.ndarray, gammas=(0.25, 0.5, 0.75, 0.9)) -> tuple:
@@ -166,6 +167,12 @@ class DiscountSolve(tuple):
         return self.reason != "budget"
 
 
+def _mean_free_sup(scheme: MonotoneScheme, phi: np.ndarray, delta: float) -> float:
+    """max |r| of the mean-free residual r of delta phi + F(phi)."""
+    full = delta * phi + scheme.residual(phi)
+    return float(np.max(np.abs(full - np.mean(full))))
+
+
 def _newton(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
             cfg: CellConfig, source=0.0) -> tuple:
     """Mean-pinned Newton for delta phi + F(phi) = source + const, with a
@@ -195,14 +202,17 @@ def _newton(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
         steps += 1
 
 
-def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfig] = None
-                             ) -> CellSolution:
+def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfig] = None,
+                             start: Optional[np.ndarray] = None) -> CellSolution:
     """Solve the discounted stationary problem along a decreasing discount list.
 
-    Each discount starts Newton from the previous discount's solution.  The
-    ergodic constant estimate is the midpoint of [min, max] of the scaled
-    discounted solution at the smallest discount; the max - min spread is the
-    reported error bar (the convergence to the constant is uniform).
+    Each discount starts Newton from the previous discount's solution; the
+    first starts from zero, or from `start` when its mean-free residual at
+    that discount is smaller than zero's (so a node that zero solves exactly
+    stays exact).  The ergodic constant estimate is the midpoint of
+    [min, max] of the scaled discounted solution at the smallest discount;
+    the max - min spread is the reported error bar (the convergence to the
+    constant is uniform).
     """
     cfg = cfg or CellConfig()
     deltas = sorted(set(float(d) for d in deltas), reverse=True)
@@ -210,6 +220,13 @@ def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfi
         raise ValueError("discounts must be positive")
     scheme = _cell_scheme(params, cfg)
     phi = np.zeros(cfg.n)
+    warm = False
+    if start is not None:
+        start = np.asarray(start, dtype=float) - np.mean(start)
+        warm = (_mean_free_sup(scheme, start, deltas[0])
+                < _mean_free_sup(scheme, phi, deltas[0]))
+        if warm:
+            phi = start
     trace = []
     residuals = []
     minus_dpsi = None
@@ -234,51 +251,7 @@ def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfi
                         spread=hi - lo, regularity=reg, residuals=tuple(residuals),
                         converged=all(rec.converged for rec in residuals),
                         psi_delta_sup=psi_delta_sup,
-                        delta_min=deltas[-1])
-
-
-# backward Euler steps of one long-time march, whatever its horizon
-LONG_TIME_STEPS = 640
-
-
-def long_time_average(params: CellParams, T_max: float,
-                      cfg: Optional[CellConfig] = None) -> tuple:
-    """Ergodic constant from the undiscounted flow: -v(T)/T from v(0) = 0.
-
-    The flow v_t + F(v) = 0 takes LONG_TIME_STEPS backward Euler steps
-    v_{k+1} + dt F(v_{k+1}) = v_k, each solved by the mean-pinned Newton of
-    the discount sweep with delta = 1/dt and source delta (v_k - mean v_k);
-    the mean then follows exactly from mean v_{k+1} = mean v_k - dt mean F.
-    A travelling solution w - c t needs F(w) = c for every dt, as it does
-    for the explicit march, so the step size does not move the constant.
-
-    Returns (estimate, error_bar, checkpoints); the error bar is the drift of
-    the running estimate over the last decade of time.
-    """
-    cfg = cfg or CellConfig()
-    scheme = _cell_scheme(params, cfg)
-    dt = T_max / LONG_TIME_STEPS
-    v = np.zeros(cfg.n)
-    checkpoints = []
-    next_check = T_max / 64.0
-    t = 0.0
-    for s in range(LONG_TIME_STEPS):
-        mean_v = float(np.mean(v))
-        phi, rec = _newton(scheme, v, 1.0 / dt, cfg, source=(v - mean_v) / dt)
-        if not rec.converged:
-            raise NumericalFailure(f"long-time step {s + 1} stopped at residual "
-                                   f"{rec[1]:.3g} after {rec[2]} Newton steps")
-        v = phi + (mean_v - dt * float(np.mean(scheme.residual(phi))))
-        t += dt
-        if t >= next_check or s == LONG_TIME_STEPS - 1:
-            checkpoints.append((t, -float(np.mean(v)) / t))
-            next_check = max(next_check * 1.25, t + dt)
-            if not np.all(np.isfinite(v)):
-                raise NumericalFailure(f"long-time march produced non-finite state at t={t:.3g}")
-    est = checkpoints[-1][1]
-    window = [e for (tt, e) in checkpoints if tt >= T_max / 10.0]
-    err = max(abs(e - est) for e in window) if window else float("inf")
-    return est, err, tuple(checkpoints)
+                        delta_min=deltas[-1], warm_start=warm)
 
 
 def spectral_cell_above_one(sigma: float, f: GridFunction) -> GridFunction:

@@ -151,19 +151,51 @@ def cmd_cell(args, cfg: RunConfig, model: Model) -> int:
     return EXIT_OK
 
 
-def _discount_fill(cfg: RunConfig, model: Model):
+@dataclasses.dataclass
+class FillCount:
+    """What a discount fill did: nodes solved, Newton steps over every
+    discount tried, nodes started from the previous node's corrector, and
+    nodes whose smallest-discount solve ran out of steps and took the ladder."""
+
+    nodes: int = 0
+    steps: int = 0
+    warm: int = 0
+    fallbacks: int = 0
+
+    def line(self) -> str:
+        return (f"fill: {self.nodes} nodes, {self.steps} Newton steps, "
+                f"{self.warm} warm-started, {self.fallbacks} ladder fallbacks")
+
+
+def _discount_fill(cfg: RunConfig, model: Model) -> tuple:
+    """(fill, count): fill(x, p, l) solves the node at the smallest discount
+    only, by continuation from the previous node's corrector (or zero, when
+    zero has the smaller residual); a solve that stops on its step budget
+    falls back to the whole `cell.deltas` ladder from zero."""
     ccfg = _cell_config(cfg)
     deltas = cfg["cell.deltas"]
     base = _cell_params(cfg, model)
+    count = FillCount()
+    last = None               # the previous node's corrector, None after a failure
 
     def fill(x, p, l):
+        nonlocal last
         params = dataclasses.replace(base, x=x, p=p, l=l)
-        sol = vanishing_discount_sweep(params, deltas, ccfg)
+        start, last = last, None
+        sol = vanishing_discount_sweep(params, [min(deltas)], ccfg, start=start)
+        count.nodes += 1
+        count.warm += sol.warm_start
+        count.steps += sum(rec[2] for rec in sol.residuals)
+        if not sol.converged:
+            count.fallbacks += 1
+            sol = vanishing_discount_sweep(params, deltas, ccfg)
+            count.steps += sum(rec[2] for rec in sol.residuals)
         if not sol.converged:
             raise NumericalFailure(_unconverged(params, sol))
+        last = sol.psi.values
         return sol.H_bar, sol.spread, "discount"
 
-    return fill
+    return fill, count
 
 
 def _model_name(cfg: RunConfig) -> str:
@@ -178,7 +210,10 @@ def _build_table(cfg: RunConfig, model: Model) -> EffectiveTable:
     xs, ps, ls = (np.asarray(cfg[f"cell.table_{axis}"], dtype=float) for axis in "xpl")
     meta = {"model": _model_name(cfg), "m": str(cfg["hamiltonian.m"])}
     if sigma <= 1.0:
-        return tabulate(_discount_fill(cfg, model), xs, ps, ls, sigma=sigma, meta=meta)
+        fill, count = _discount_fill(cfg, model)
+        table = tabulate(fill, xs, ps, ls, sigma=sigma, meta=meta)
+        print(count.line())
+        return table
     values = effective_source_from_formula(model.a, model.ham).value(
         xs[:, None, None], ps[None, :, None], ls[None, None, :])
     return EffectiveTable(xs=xs, ps=ps, ls=ls, values=values, err=np.zeros_like(values),

@@ -158,7 +158,7 @@ class EffectiveTable:
     ls: np.ndarray
     values: np.ndarray       # shape (nx, np, nl)
     err: np.ndarray
-    provenance: np.ndarray   # strings: formula | discount | longtime | failed
+    provenance: np.ndarray   # strings: formula | discount | failed
     sigma: float
     meta: dict = field(default_factory=dict)
     failures: tuple = ()     # why each failed node failed, as tabulate saw it

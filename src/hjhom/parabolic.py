@@ -141,6 +141,7 @@ class MonotoneScheme:
         else:
             self.theta = 0.0
         self._coupling = None     # Ac, when implicit
+        self._linear_jac = None   # the state-free part of jacobian, built at its first call
         self._inverse = None      # (dt, the block inverses at dt): the last step_dt() met
         period = None
         if (table is not None and a is not None and ham is not None and not drift
@@ -288,26 +289,30 @@ class MonotoneScheme:
         flux through a centered dH/dp.  The rows of F's part sum to zero; with a symmetric kernel
         every off-diagonal entry is <= 0 as well, so the matrix is an
         M-matrix, singular only when delta = 0, with the constants as its
-        kernel.
+        kernel.  The state-free part, -diag(a) times the quadrature circulant,
+        is built at the first call and copied at every later one.
         """
         if self.table is not None and self.minus_a is None:
             raise ValueError("jacobian needs the nonlocal value to enter through a")
         n, h = u.size, self.h
         j = np.arange(n)
         up, dn = (j + 1) % n, (j - 1) % n
-        jac = np.zeros((n, n))
-        if self.table is not None:
-            t = self.table
-            lin = (t.weights + t.antisym)[(j[None, :] - j[:, None]) % n]
-            lin[j, j] -= t.mass
-            if t.comp_coeff:
-                lin[j, up] -= t.comp_coeff * n / 2.0
-                lin[j, dn] += t.comp_coeff * n / 2.0
-            if self.drift:
-                side = dn if self.drift > 0.0 else up
-                lin[j, j] -= abs(self.drift) / h
-                lin[j, side] += abs(self.drift) / h
-            jac = self.minus_a[:, None] * lin
+        if self._linear_jac is None:
+            lin_jac = np.zeros((n, n))
+            if self.table is not None:
+                t = self.table
+                lin = (t.weights + t.antisym)[(j[None, :] - j[:, None]) % n]
+                lin[j, j] -= t.mass
+                if t.comp_coeff:
+                    lin[j, up] -= t.comp_coeff * n / 2.0
+                    lin[j, dn] += t.comp_coeff * n / 2.0
+                if self.drift:
+                    side = dn if self.drift > 0.0 else up
+                    lin[j, j] -= abs(self.drift) / h
+                    lin[j, side] += abs(self.drift) / h
+                lin_jac = self.minus_a[:, None] * lin
+            self._linear_jac = lin_jac
+        jac = self._linear_jac.copy()
         jac[j, j] += delta
         if self.ham is None:
             return jac

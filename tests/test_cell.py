@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from hjhom.cell import (CellConfig, CellParams, _cell_scheme, long_time_average,
-                        regime_of, regularity_audit, regularity_sweep_audit,
-                        spectral_cell_above_one, vanishing_discount_sweep)
+from hjhom.cell import (CellConfig, CellParams, _cell_scheme, regime_of, regularity_audit,
+                        regularity_sweep_audit, spectral_cell_above_one,
+                        vanishing_discount_sweep)
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, model_bpm
 from hjhom.kernels import constant_kernel, drift_vector, tilt_kernel
 from hjhom.operators import spectral_flap
+from long_time import long_time_average
 
 FAST = CellConfig(n=128, tol=1e-9)
 DELTAS = (0.1, 0.05, 0.025, 0.0125)
@@ -190,6 +193,35 @@ class TestNewtonAgainstMarch:
                                        CellConfig(n=256))
         assert abs(sol.H_bar - (2.0 + p * p)) <= 1e-12
         assert all(rec[2] == 0 for rec in sol.residuals)
+
+
+class TestContinuationStart:
+    DELTA_MIN = (0.0125,)
+
+    def test_start_ignored_when_zero_has_the_smaller_residual(self, eikonal_ham, wavy_a):
+        # at l = -1, a = 2 + cos(2 pi y) cancels -cos(2 pi y): zero is exact
+        exact = CellParams(x=0.0, p=0.5, l=-1.0, sigma=1.0, a=wavy_a, ham=eikonal_ham)
+        other = vanishing_discount_sweep(replace(exact, l=1.0), self.DELTA_MIN, FAST)
+        cold = vanishing_discount_sweep(exact, self.DELTA_MIN, FAST)
+        warm = vanishing_discount_sweep(exact, self.DELTA_MIN, FAST, start=other.psi.values)
+        assert other.residuals[0][2] > 0
+        assert not warm.warm_start
+        assert cold.residuals[0][2] == 0
+        assert tuple(warm.residuals) == tuple(cold.residuals)
+        assert warm.H_bar == cold.H_bar
+        assert abs(cold.H_bar - 2.25) <= 1e-12
+        assert np.array_equal(warm.psi.values, cold.psi.values)
+
+    def test_start_taken_when_its_residual_is_smaller(self, eikonal_ham, wavy_a):
+        params = CellParams(x=0.0, p=0.5, l=0.0, sigma=0.5, a=wavy_a, ham=eikonal_ham)
+        cold = vanishing_discount_sweep(params, self.DELTA_MIN, FAST)
+        # a constant shift of the solution is the solution: Newton pins the mean
+        warm = vanishing_discount_sweep(params, self.DELTA_MIN, FAST,
+                                        start=cold.psi.values + 3.0)
+        assert cold.residuals[0][2] > 0 and not cold.warm_start
+        assert warm.warm_start
+        assert warm.residuals[0][2] == 0
+        assert abs(warm.H_bar - cold.H_bar) <= FAST.tol
 
 
 class TestConstantCoefficientShift:

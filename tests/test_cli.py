@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 import hjhom
-from hjhom.cli import main
-from hjhom.config import ConfigError, defaults, parse_config, parse_text
+from hjhom.cell import vanishing_discount_sweep
+from hjhom.cli import _cell_config, _cell_params, _discount_fill, main
+from hjhom.config import ConfigError, build_model, defaults, parse_config, parse_text
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -517,6 +519,91 @@ class TestCommands:
                                "cell.table_l = -1,0,1\n")
         assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
         assert 1 <= len(calls) <= 2
+
+
+class TestContinuationFill:
+    """A table fill solves each node at the smallest discount only, from the
+    previous node's corrector where that beats zero's residual, and falls
+    back to the whole discount ladder when that solve runs out of steps."""
+
+    def _fill(self, tmp_path, lines):
+        cfg = parse_config(write(tmp_path, "\n".join(lines) + "\n"))
+        model = build_model(cfg)
+        return (cfg, model) + _discount_fill(cfg, model)
+
+    @staticmethod
+    def _ladder(cfg, model, p, l):
+        params = dataclasses.replace(_cell_params(cfg, model), p=p, l=l)
+        sol = vanishing_discount_sweep(params, cfg["cell.deltas"], _cell_config(cfg))
+        return sol, sum(rec[2] for rec in sol.residuals)
+
+    @pytest.mark.parametrize("sigma", ["0.5", "1"])
+    def test_matches_the_ladder_in_fewer_steps(self, tmp_path, sigma):
+        cfg, model, fill, count = self._fill(tmp_path, [
+            f"kernel.sigma = {sigma}", "coefficient_a.kind = two_plus_cos_y", "cell.n = 64"])
+        tol, ladder_steps = cfg["cell.tol"], 0
+        for p in (0.0, 0.5, 1.0):
+            for l in (0.0, 0.5, 1.0):
+                value, spread, tag = fill(0.0, p, l)
+                sol, steps = self._ladder(cfg, model, p, l)
+                ladder_steps += steps
+                assert abs(value - sol.H_bar) <= 10.0 * tol
+                assert abs(spread - sol.spread) <= 10.0 * tol
+                assert tag == "discount"
+        assert (count.nodes, count.fallbacks) == (9, 0)
+        assert count.warm > 0
+        assert count.steps < ladder_steps
+
+    def test_exact_column_stays_exact_in_no_steps(self, tmp_path):
+        # a = 2 + cos(2 pi y) against H = |p|^2 - cos(2 pi y): at l = -1 the
+        # zero corrector is exact, H_bar = 2 + p^2, whatever came before
+        cfg, model, fill, count = self._fill(tmp_path, [
+            "kernel.sigma = 1", "kernel.family = tilt", "kernel.slope = 0.5",
+            "coefficient_a.kind = two_plus_cos_y", "cell.n = 64",
+            "cell.deltas = 0.1,0.05,0.025,0.0125"])
+        steps = {}
+        for p in (0.0, 0.5, 1.0):
+            for l in (-1.0, 0.0, 1.0):
+                before = count.steps
+                value, _, _ = fill(0.0, p, l)
+                steps[p, l] = count.steps - before
+                if l == -1.0:
+                    assert abs(value - (2.0 + p * p)) <= 1e-12
+        assert all(steps[p, -1.0] == 0 for p in (0.0, 0.5, 1.0))
+        # the node before each exact one, (p, 1) of the previous line, was not exact
+        assert steps[0.0, 1.0] > 0 and steps[0.5, 1.0] > 0
+        assert count.fallbacks == 0
+
+    def test_budget_stop_falls_back_to_the_ladder(self, tmp_path, capsys):
+        # at p = 0 the smallest default discount takes 18 Newton steps from
+        # zero, and the ladder at most 11 per discount
+        lines = ["kernel.sigma = 0.5", "coefficient_a.kind = constant:1", "cell.n = 64",
+                 "cell.max_steps = 14", "cell.table_p = 0", "cell.table_l = 0"]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
+        cfg = parse_config(path)
+        sol, steps = self._ladder(cfg, build_model(cfg), 0.0, 0.0)
+        assert sol.converged
+        out = capsys.readouterr().out
+        assert (f"fill: 1 nodes, {14 + steps} Newton steps, 0 warm-started, "
+                f"1 ladder fallbacks") in out.splitlines()
+        from hjhom.effective import load_table
+        table = load_table(str(tmp_path / "run_effective.csv"))
+        assert table.values[0, 0, 0] == sol.H_bar
+        assert table.err[0, 0, 0] == sol.spread
+
+    def test_fill_line_below_and_at_order_one_only(self, tmp_path, capsys):
+        for sigma, shown in (("1", True), ("1.5", False)):
+            path = write(tmp_path, "\n".join([
+                f"kernel.sigma = {sigma}", "cell.n = 32", "cell.deltas = 0.1",
+                "cell.table_p = 0,1", "cell.table_l = 0"]) + "\n")
+            assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            fill = [line for line in lines if line.startswith("fill: ")]
+            assert fill == ([fill[0]] if shown else [])
+            if shown:
+                assert re.fullmatch(r"fill: 2 nodes, \d+ Newton steps, [01] warm-started, "
+                                    r"0 ladder fallbacks", fill[0])
 
 
 def test_cli_imports_no_scipy():

@@ -473,6 +473,23 @@ class TestJacobian:
             off = jac - np.diag(np.diag(jac))
             assert np.max(off) <= 0.0      # M-matrix sign pattern
 
+    @pytest.mark.parametrize("kernel, drift, closed_form", [
+        pytest.param(constant_kernel(1.0), 0.3, False, id="drift"),
+        pytest.param(tilt_kernel(1.2, 0.5), 0.0, False, id="tilt"),
+        pytest.param(constant_kernel(1.5), 0.0, True, id="closed_form"),
+    ])
+    def test_cached_linear_part_is_bit_identical(self, kernel, drift, closed_form,
+                                                  eikonal_ham):
+        # the state-free part is built once; later calls, at other states and
+        # discounts, equal a fresh scheme's first call bit for bit
+        u = 0.3 * trig_poly(5, self.N).values
+        scheme = self._scheme(eikonal_ham, kernel, drift, closed_form)
+        first = scheme.jacobian(u, 0.05)
+        first[:] = np.nan          # the caller's copy, not the cache
+        for state, delta in ((u, 0.05), (1.7 * u, 0.01), (np.zeros(self.N), 0.0)):
+            fresh = self._scheme(eikonal_ham, kernel, drift, closed_form)
+            assert scheme.jacobian(state, delta).tobytes() == fresh.jacobian(state, delta).tobytes()
+
     def test_effective_sources_are_rejected(self):
         from hjhom.effective import EffectiveSource
         src = EffectiveSource(value=lambda x, p, l: p * p - l, l_slope=1.0,
