@@ -182,7 +182,7 @@ def _discount_fill(cfg: RunConfig, model: Model) -> tuple:
         nonlocal last
         params = dataclasses.replace(base, x=x, p=p, l=l)
         start, last = last, None
-        sol = vanishing_discount_sweep(params, [min(deltas)], ccfg, start=start)
+        sol = vanishing_discount_sweep(params, deltas[-1:], ccfg, start=start)
         count.nodes += 1
         count.warm += sol.warm_start
         count.steps += sum(rec[2] for rec in sol.residuals)
