@@ -4,11 +4,11 @@ from .grid import GridFunction
 from .kernels import (KernelSpec, QuadratureTable, constant_kernel, drift_vector,
                       modulus_omega_bar, normalizing_constant, periodized_weights,
                       quadratic_tilt_kernel, tilt_kernel)
-from .operators import eval_operator, spectral_flap
+from .operators import spectral_flap
 
 __all__ = [
     "GridFunction", "KernelSpec", "QuadratureTable", "constant_kernel",
     "drift_vector", "modulus_omega_bar", "normalizing_constant",
     "periodized_weights", "quadratic_tilt_kernel", "tilt_kernel",
-    "eval_operator", "spectral_flap",
+    "spectral_flap",
 ]

@@ -125,10 +125,8 @@ def _cell_table(sigma: float, n: int) -> QuadratureTable:
 
 
 def _cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
-    """The frozen-coefficient stationary operator of the parameters' regime.
-
-    Newton reads no theta on the Godunov flux; without a power form the
-    Lax-Friedrichs theta is sampled over |q| <= |p| + 5, a fixed slack."""
+    """The frozen-coefficient stationary operator of the parameters' regime;
+    Newton reads no theta on its Godunov flux."""
     n = cfg.n
     ys = np.arange(n) / n
     xs = np.full(n, params.x)
@@ -142,9 +140,8 @@ def _cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
     const = -a_vals * params.l
     if regime == "above_one":
         hp = np.asarray(ham.eval(xs, ys, np.full(n, p)), dtype=float)
-        return MonotoneScheme(1.0 / n, None, table=table, a=a_vals, const=const + hp)
-    return coefficient_scheme(1.0 / n, xs, ys, a_vals, ham, abs(p) + 4.0 + 1.0,
-                              p=p, table=table, const=const,
+        return MonotoneScheme(1.0 / n, table=table, a=a_vals, const=const + hp)
+    return coefficient_scheme(1.0 / n, xs, ys, a_vals, ham, p=p, table=table, const=const,
                               drift=params.drift_b if regime == "equal_one" else 0.0)
 
 

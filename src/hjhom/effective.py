@@ -52,21 +52,21 @@ class ClosedForm:
     on CLOSED_FORM_NODES cell nodes at every call.
 
     Hbar0 keeps the claims (m, b0, C0) of H, because the weights A / a
-    average to one, and a power form b |p|^m - f stays one with bbar =
-    A mean(b / a) and fbar = A mean(f / a).
+    average to one, and H's power form b |p|^m - f stays one with bbar =
+    A mean(b / a) and fbar = A mean(f / a).  Raises ValueError when H has
+    no power form.
     """
 
     a: Callable[[np.ndarray, np.ndarray], np.ndarray]
     ham: HamiltonianSpec                              # the cell Hamiltonian H
 
-    def means(self, x, p=None) -> tuple:
-        """(A, bbar, fbar), or (A,) without a power form, for p None;
-        (A, Hbar0(x, p)) otherwise.  Shaped as x (broadcast with p).  Raises
-        ValueError, naming the node, where a is not strictly positive."""
+    def __post_init__(self):
+        self.ham.required_power_form()
+
+    def means(self, x) -> tuple:
+        """(A, bbar, fbar), shaped as x.  Raises ValueError, naming the node,
+        where a is not strictly positive."""
         x = np.asarray(x, dtype=float)
-        if p is not None:
-            x, p = np.broadcast_arrays(x, np.asarray(p, dtype=float))
-            p_flat = p.ravel()
         ys = np.arange(CLOSED_FORM_NODES) / CLOSED_FORM_NODES
         pf = self.ham.power_form
         x_flat = x.ravel()
@@ -82,35 +82,22 @@ class ClosedForm:
                                  f"one: a(x, y) = {a_vals[i, j]:.6g} at (x, y) = "
                                  f"({X[i, 0]:.6g}, {ys[j]:.6g})")
             A = 1.0 / np.mean(1.0 / a_vals, axis=1)
-            if p is not None:
-                parts = (self.ham.eval(X, ys, p_flat[block, None]),)
-            else:
-                parts = () if pf is None else (pf.b(X, ys), pf.f(X, ys))
             blocks.append([A] + [
                 A * np.mean(np.broadcast_to(np.asarray(part, dtype=float), a_vals.shape)
-                            / a_vals, axis=1) for part in parts])
+                            / a_vals, axis=1) for part in (pf.b(X, ys), pf.f(X, ys))])
         return tuple(np.concatenate(col).reshape(x.shape) for col in zip(*blocks))
 
     def value(self, x, p, l) -> np.ndarray:
-        if self.ham.power_form is None:
-            A, hbar0 = self.means(x, p)
-            return hbar0 - A * l
         A, bbar, fbar = self.means(x)
         # float_power takes the scalar pow at every element, as at one node
         return bbar * np.float_power(np.abs(p), self.ham.power_form.m) - fbar - A * l
 
-    def scheme(self, xs: np.ndarray, table: QuadratureTable,
-               p_range: float) -> MonotoneScheme:
+    def scheme(self, xs: np.ndarray, table: QuadratureTable) -> MonotoneScheme:
         """-A I_h u + Hbar0(x, Du) at the nodes xs, A in the coefficient slot:
-        the Godunov flux on (bbar, m, -fbar) with a power form, Lax-Friedrichs
-        on Hbar0, sampled over |q| <= p_range, without one."""
-        h, pf = 1.0 / xs.size, self.ham.power_form
-        if pf is None:
-            return MonotoneScheme(h, lambda q, lv: self.means(xs, q)[1], p_range=p_range,
-                                  table=table, a=self.means(xs)[0])
+        the Godunov flux on (bbar, m, -fbar)."""
         A, bbar, fbar = self.means(xs)
-        return MonotoneScheme(h, lambda q, lv: bbar * np.abs(q) ** pf.m - fbar,
-                              power=(bbar, pf.m, -fbar), table=table, a=A)
+        return MonotoneScheme(1.0 / xs.size, power=(bbar, self.ham.power_form.m, -fbar),
+                              table=table, a=A)
 
     def corrector(self, sigma: float, n: int) -> Callable[[float, float, float], GridFunction]:
         """psi(x, p, l) on n cell nodes: (fractional Laplacian) psi = f for
@@ -141,10 +128,9 @@ class EffectiveSource:
     # LF dissipation theta(lo, hi): sup |dHbar/dp| over the p-interval [lo, hi]
     theta: Callable[[float, float], float]
 
-    def scheme(self, xs: np.ndarray, table: QuadratureTable,
-               p_range: float) -> MonotoneScheme:
-        """Scheme for value(x, Du, I_h u) at the nodes xs; theta is the
-        table's own, so p_range goes unread."""
+    def scheme(self, xs: np.ndarray, table: QuadratureTable) -> MonotoneScheme:
+        """Scheme for value(x, Du, I_h u) at the nodes xs, its Lax-Friedrichs
+        theta the table's own."""
         return MonotoneScheme(1.0 / xs.size, lambda q, lv: self.value(xs, q, lv),
                               theta=self.theta, table=table, l_slope=self.l_slope)
 

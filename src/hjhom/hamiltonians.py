@@ -16,7 +16,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PowerForm:
-    """Structure hint H = b(x, y) |p|^m - f(x, y), enabling the Godunov flux.
+    """The structure H = b(x, y) |p|^m - f(x, y) that every solver's Godunov
+    flux is built from (HamiltonianSpec.required_power_form).
 
     b_min = min b and f_sup = sup |f| are the sampled bounds the effective
     table's coercivity audit takes.
@@ -55,6 +56,13 @@ class HamiltonianSpec:
             raise ValueError("superlinearity exponent must exceed 1")
         if self.b0 <= 0.0 or self.C0 < 0.0:
             raise ValueError("need b0 > 0 and C0 >= 0")
+
+    def required_power_form(self) -> PowerForm:
+        """The power form every solver needs; ValueError without one."""
+        if self.power_form is None:
+            raise ValueError("the solvers need H in power form b |p|^m - f, "
+                             "and this Hamiltonian has no power_form")
+        return self.power_form
 
     def h_at_zero_sup(self, nx: int = 128, ny: int = 128) -> float:
         xs = np.arange(nx) / nx

@@ -34,13 +34,6 @@ def apply_table(values: np.ndarray, table: QuadratureTable) -> np.ndarray:
     return out
 
 
-def eval_operator(u: GridFunction, k: KernelSpec, table: QuadratureTable) -> GridFunction:
-    """Nonlocal operator of u at every node (linear in u)."""
-    if table.sigma != k.sigma:
-        raise ValueError("table and kernel disagree on the order sigma")
-    return GridFunction(apply_table(u.values, table))
-
-
 def spectral_flap(u: GridFunction, sigma: float) -> GridFunction:
     """Fractional Laplacian of order sigma via the multiplier (2 pi |k|)^sigma.
 

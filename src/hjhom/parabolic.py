@@ -3,15 +3,14 @@
 The update is forward Euler on a monotone spatial operator: nonnegative
 quadrature weights for the nonlocal part, Godunov or Lax-Friedrichs for the
 gradient part, and a CFL step chosen so every off-diagonal dependence is
-nondecreasing.  Where the data bound the flux's slope on any range of
-gradients (a power-form Hamiltonian or an effective table), its dissipation
-theta, and with it the step, is fitted before each step to the state's
-gradients rather than to an a-priori range, and falls as they decay:
-monotonicity is needed only on the states the scheme meets (Crandall-Lions
-1984).  When the nonlocal term is linear and its coefficient repeats with a
-short period on the grid, it is taken implicitly instead and only the gradient
-part limits the step: the effective flow above order one (one constant A,
-period 1) and the oscillating flow with a(x/eps) (period n eps nodes).  A
+nondecreasing.  The flux's dissipation theta, and with it the step, is
+fitted before each step to the state's gradients rather than to an a-priori
+range, and falls as they decay: monotonicity is needed only on the states the
+scheme meets (Crandall-Lions 1984).  When the nonlocal term is linear and its
+coefficient repeats with a short period on the grid, it is taken implicitly
+instead and only the gradient part limits the step: the effective flow above
+order one (one constant A, period 1) and the oscillating flow with a(x/eps)
+(period n eps nodes).  A
 shift by the period commutes with the implicit operator, so one FFT splits it
 into small dense Fourier blocks.  Monotonicity buys the discrete comparison
 principle, the sup-norm bound, and stability; no attempt is made at higher
@@ -51,7 +50,8 @@ GRADIENT_RISE = 2.0 ** 0.0625
 
 
 class NumericalFailure(RuntimeError):
-    """Blow-up, NaN, or an a-priori bound left during time stepping."""
+    """A computation with no usable number: a non-finite state or residual,
+    an unconverged cell solve, or a query on a failed table node."""
 
 
 def godunov_power_flux(m: float, ql: np.ndarray, qr: np.ndarray) -> np.ndarray:
@@ -69,12 +69,6 @@ def _node_period(a: np.ndarray) -> Optional[int]:
     return None
 
 
-def _p_slope(ham_at: Callable[[np.ndarray], np.ndarray], q: np.ndarray) -> np.ndarray:
-    """dH/dp at the gradients q by a centered difference."""
-    d = 1e-5
-    return (ham_at(q + d) - ham_at(q - d)) / (2.0 * d)
-
-
 class MonotoneScheme:
     """One monotone discretization F of the spatial operator on n nodes.
 
@@ -83,19 +77,17 @@ class MonotoneScheme:
     time problems) and D the upwind difference of the drift's sign.  The
     nonlocal value enters either through the coefficient `a` or, when `a` is
     None, as the argument l of ham(q, l) (the table-driven effective
-    problems).  ham None means there is no gradient term.
+    problems).
 
-    theta bounds |dH/dp| over the gradients q the flux is monotone on, and the
-    scheme sets it itself.  A power structure H = coeff |q|^m + at_zero, both
-    arrays over the nodes, selects the Godunov flux, whose theta is max coeff
-    m G^(m-1): G starts at the coercive reach of the arrays and fit_theta
-    keeps it above the larger of that reach and the gradients of the state
-    about to be stepped (the cell Newton solver never reads it).  A table
-    source passes theta(lo, hi), the bound over [lo, hi]; as built it covers
-    every gradient.  Otherwise the flux is Lax-Friedrichs on ham, and theta is
-    sup |dH/dp| sampled at 201 gradients over |q| <= p_range; that range is
-    kept as `p_range` (None for the other fluxes), and solve stops a run that
-    leaves it.
+    The gradient term takes one of two fluxes, and theta, the bound on |dH/dp|
+    over the gradients q the flux is monotone on, follows its rule.  A power
+    structure H = coeff |q|^m + at_zero, both arrays over the nodes, selects
+    the Godunov flux, whose theta is max coeff m G^(m-1): G starts at the
+    coercive reach of the arrays and fit_theta keeps it above the larger of
+    that reach and the gradients of the state about to be stepped (the cell
+    Newton solver never reads it).  A table source passes ham(q, l) with
+    theta(lo, hi), the bound over [lo, hi], for a Lax-Friedrichs flux; as
+    built it covers every gradient.  With neither there is no gradient term.
 
     Explicit steps u - dt (delta u + F(u)) are monotone for dt <= 1 / (budget
     + delta); dt(delta) takes CFL_SAFETY of that.  The scheme is `implicit`
@@ -110,9 +102,9 @@ class MonotoneScheme:
     I_h.  One constant a is the case P = 1.
     """
 
-    def __init__(self, h: float, ham: Optional[Callable], *, power: Optional[tuple] = None,
-                 theta: Optional[Callable[[float, float], float]] = None,
-                 p_range: Optional[float] = None, p: float = 0.0,
+    def __init__(self, h: float, ham: Optional[Callable] = None, *,
+                 power: Optional[tuple] = None,
+                 theta: Optional[Callable[[float, float], float]] = None, p: float = 0.0,
                  table: Optional[QuadratureTable] = None, a: Optional[np.ndarray] = None,
                  drift: float = 0.0, const: Optional[np.ndarray] = None, l_slope: float = 0.0):
         self.h, self.ham, self.power, self.p, self.table = h, ham, power, p, table
@@ -126,25 +118,21 @@ class MonotoneScheme:
         if drift:
             budget += l_slope * abs(drift) / h
         self._nonlocal_budget = budget
-        self._theta_of, self.p_range = theta, None
+        self._theta_of = theta
         self._grad = None         # Godunov: the gradient bound G fitted so far
         if power is not None:
             coeff, m, at_zero = power
             self._reach = coercive_reach(float(np.min(coeff)), float(np.max(np.abs(at_zero))), m)
             self.theta = self._godunov_theta(self._reach)
-        elif theta is not None:
-            self.theta = theta(-math.inf, math.inf)
         elif ham is not None:
-            qs = np.linspace(-p_range, p_range, 201)[:, None]     # a row per gradient
-            self.theta = float(np.max(np.abs(_p_slope(lambda q: ham(q, None), qs))))
-            self.p_range = p_range
+            self.theta = theta(-math.inf, math.inf)
         else:
             self.theta = 0.0
         self._coupling = None     # Ac, when implicit
         self._linear_jac = None   # the state-free part of jacobian, built at its first call
         self._inverse = None      # (dt, the block inverses at dt): the last step_dt() met
         period = None
-        if (table is not None and a is not None and ham is not None and not drift
+        if (table is not None and a is not None and power is not None and not drift
                 and table.comp_coeff == 0 and np.all(a >= 0.0)
                 and np.all(table.weights + table.antisym >= 0.0)):
             period = _node_period(a)
@@ -184,7 +172,7 @@ class MonotoneScheme:
         max(reach, GRADIENT_RISE g) lies more than a factor GRADIENT_RISE
         below G lowers it to that value.  So every change of G is by
         GRADIENT_RISE at least, and theta and the step follow the state both
-        ways.  A sampled theta stays.
+        ways.
         """
         diffs = one_sided_diffs(u, self.h)
         if self._theta_of is None and self.power is None:
@@ -267,7 +255,7 @@ class MonotoneScheme:
                 lv = lv - self.drift * (dl if self.drift > 0.0 else dr)
             nonlocal_part = self.minus_a * lv
             out = nonlocal_part if out is None else out + nonlocal_part
-        if self.ham is None:
+        if self.ham is None and self.power is None:
             return out
         flux = self._flux(dl, dr, lv)
         return flux if out is None else out + flux
@@ -284,15 +272,15 @@ class MonotoneScheme:
         """Dense n x n derivative of delta u + F(u) at u, for Newton solves.
 
         The nonlocal value must enter through the coefficient a, as in every
-        cell scheme and the closed-form effective scheme.  The Godunov flux is
-        differentiated on its active one-sided difference, the Lax-Friedrichs
-        flux through a centered dH/dp.  The rows of F's part sum to zero; with a symmetric kernel
-        every off-diagonal entry is <= 0 as well, so the matrix is an
-        M-matrix, singular only when delta = 0, with the constants as its
-        kernel.  The state-free part, -diag(a) times the quadrature circulant,
-        is built at the first call and copied at every later one.
+        cell scheme and the closed-form effective scheme, and the flux, if
+        any, be Godunov's; it is differentiated on its active one-sided
+        difference.  The rows of F's part sum to zero; with a symmetric kernel
+        every off-diagonal entry is <= 0 as well, so the matrix is an M-matrix,
+        singular only when delta = 0, with the constants as its kernel.  The
+        state-free part, -diag(a) times the quadrature circulant, is built at
+        the first call and copied at every later one.
         """
-        if self.table is not None and self.minus_a is None:
+        if self.ham is not None:
             raise ValueError("jacobian needs the nonlocal value to enter through a")
         n, h = u.size, self.h
         j = np.arange(n)
@@ -314,45 +302,33 @@ class MonotoneScheme:
             self._linear_jac = lin_jac
         jac = self._linear_jac.copy()
         jac[j, j] += delta
-        if self.ham is None:
+        if self.power is None:
             return jac
         dl, dr = one_sided_diffs(u, h)
-        ql, qr = self.p + dl, self.p + dr
-        if self.power is not None:
-            coeff, m, _ = self.power
-            left, right = np.maximum(ql, 0.0), np.maximum(-qr, 0.0)
-            use_left = left >= right
-            g = coeff * m * np.where(use_left, left, right) ** (m - 1.0) / h
-            jac[j, j] += g
-            jac[j, dn] -= np.where(use_left, g, 0.0)
-            jac[j, up] -= np.where(use_left, 0.0, g)
-        else:
-            hq = _p_slope(lambda q: self.ham(q, None), 0.5 * (ql + qr))
-            jac[j, j] += self.theta / h
-            jac[j, up] += 0.5 * (hq - self.theta) / h
-            jac[j, dn] -= 0.5 * (hq + self.theta) / h
+        coeff, m, _ = self.power
+        left, right = np.maximum(self.p + dl, 0.0), np.maximum(-(self.p + dr), 0.0)
+        use_left = left >= right
+        g = coeff * m * np.where(use_left, left, right) ** (m - 1.0) / h
+        jac[j, j] += g
+        jac[j, dn] -= np.where(use_left, g, 0.0)
+        jac[j, up] -= np.where(use_left, 0.0, g)
         return jac
 
 
 def coefficient_scheme(h: float, xs: np.ndarray, ys: np.ndarray, a: np.ndarray,
-                       ham: HamiltonianSpec, p_range: float, **kw) -> MonotoneScheme:
-    """Scheme for -a (I_h u - drift D u) + H(x, y, p + D u) at the nodes (xs, ys);
-    p_range is the Lax-Friedrichs sampling range, unread with a power form."""
-    pf = ham.power_form
-    power = None if pf is None else (np.asarray(pf.b(xs, ys), dtype=float), pf.m,
-                                     -np.asarray(pf.f(xs, ys), dtype=float))
-    return MonotoneScheme(h, lambda q, lv: ham.eval(xs, ys, q), power=power,
-                          p_range=p_range, a=a, **kw)
+                       ham: HamiltonianSpec, **kw) -> MonotoneScheme:
+    """Scheme for -a (I_h u - drift D u) + H(x, y, p + D u) at the nodes (xs, ys):
+    the Godunov flux on H's power form; ValueError when H has none."""
+    pf = ham.required_power_form()
+    power = (np.asarray(pf.b(xs, ys), dtype=float), pf.m, -np.asarray(pf.f(xs, ys), dtype=float))
+    return MonotoneScheme(h, power=power, a=a, **kw)
 
 
 @dataclass
 class SolverConfig:
     """Discretization knobs; dt is always derived from the CFL bound, and the
-    flux and its dissipation from the problem data.  gradient_range is the
-    range a Lax-Friedrichs flux on a general H samples its theta over
-    (estimated from u0 when None); the other fluxes do not read it."""
+    flux and its dissipation from the problem data."""
 
-    gradient_range: Optional[float] = None
     snapshots: int = 10              # recorded times beyond t = 0
 
     def resolved_record_times(self, T: float) -> np.ndarray:
@@ -363,9 +339,8 @@ class SolverConfig:
 class ParabolicProblem:
     """Either the oscillating problem (kind="oscillating") driven by (a, H)
     at scale eps = 1/k, or the homogenized problem (kind="effective") driven
-    by an effective source: anything whose scheme(xs, table, p_range) gives
-    the MonotoneScheme of the effective flow at the nodes xs, p_range being
-    the Lax-Friedrichs sampling range for a source without its own theta."""
+    by an effective source: anything whose scheme(xs, table) gives the
+    MonotoneScheme of the effective flow at the nodes xs."""
 
     kind: str
     u0: GridFunction
@@ -393,17 +368,16 @@ class ParabolicProblem:
             if self.source is None:
                 raise ValueError("effective problem needs an effective source")
 
-    def scheme(self, p_range: float) -> MonotoneScheme:
+    def scheme(self) -> MonotoneScheme:
         xs = self.u0.nodes()
         if self.kind == "effective":
-            return self.source.scheme(xs, self.table, p_range)
+            return self.source.scheme(xs, self.table)
         # y = x / eps mod 1 in exact integer arithmetic, so a(x, y) repeats
         # exactly every n eps nodes
         n, k = self.u0.n, int(round(1.0 / self.eps))
         ys = (np.arange(n) * k % n) / n
         a_vals = np.asarray(self.a(xs, ys), dtype=float)
-        return coefficient_scheme(self.u0.h, xs, ys, a_vals, self.ham, p_range,
-                                  table=self.table)
+        return coefficient_scheme(self.u0.h, xs, ys, a_vals, self.ham, table=self.table)
 
 
 @dataclass
@@ -436,18 +410,14 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     range, the Godunov theta by factors of GRADIENT_RISE both ways), and its
     one-sided differences serve the step as well.  The trajectory keeps the
     smallest and the largest full step (dt, max_dt).  Raises NumericalFailure
-    on NaN (with the step index and time), on a failure the source raises
-    within a step (prefixed with them), or, for a Lax-Friedrichs flux on a
-    general H, if a recorded state's gradient leaves the range its theta was
-    sampled over (scheme.p_range).
+    on NaN (with the step index and time) or on a failure the source raises
+    within a step (prefixed with them).
     """
     u0 = problem.u0
     h = u0.h
     u = u0.values.copy()
     max_grad = float(np.max(np.abs(forward_diff(u, h))))
-    # without a given range, twice the data's slope (and at least 2)
-    p_range = cfg.gradient_range if cfg.gradient_range is not None else max(2.0, 2.0 * max_grad)
-    scheme = problem.scheme(p_range)
+    scheme = problem.scheme()
     dt, max_dt, theta = math.inf, 0.0, 0.0
     record = cfg.resolved_record_times(problem.T)
 
@@ -472,12 +442,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
             if not np.isfinite(nxt).all():
                 raise NumericalFailure(f"non-finite state at step {step_index}, t = {t:.6g}")
             prev, u = u, nxt
-        g = float(np.max(np.abs(forward_diff(u, h))))
-        max_grad = max(max_grad, g)
-        if scheme.p_range is not None and g > scheme.p_range * (1.0 + 1e-9):
-            raise NumericalFailure(
-                f"gradient {g:.3g} left the a-priori range {scheme.p_range:.3g}; "
-                "enlarge gradient_range")
+        max_grad = max(max_grad, float(np.max(np.abs(forward_diff(u, h)))))
         times.append(t)
         snapshots.append(GridFunction(u))
         # rate of the last step, (u_prev - u) / step: F(u_prev) when explicit

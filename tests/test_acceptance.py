@@ -190,7 +190,7 @@ def test_criterion_07_maximum_bound_and_comparison():
     for _ in range(10):
         lo = trig_poly(int(rng.integers(1 << 30)), 64, scale=0.5)
         hi = GridFunction(lo.values + np.abs(trig_poly(int(rng.integers(1 << 30)), 64).values))
-        cfg = SolverConfig(snapshots=4, gradient_range=60.0)
+        cfg = SolverConfig(snapshots=4)
         args = dict(kind="oscillating", T=0.1, table=table1,
                     eps=1 / 4, a=UNIT_A, ham=EIKONAL)
         t_lo = solve(ParabolicProblem(u0=lo, **args), cfg)

@@ -574,6 +574,21 @@ class TestContinuationFill:
         assert steps[0.0, 1.0] > 0 and steps[0.5, 1.0] > 0
         assert count.fallbacks == 0
 
+    def test_rerun_writes_identical_bytes(self, tmp_path, capsys):
+        # each node starts from the previous node's corrector; a second run,
+        # which finds the cell table already built, repeats every byte
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 0.5", "coefficient_a.kind = two_plus_cos_y", "cell.n = 32",
+            "cell.table_p = 0,0.5,1", "cell.table_l = 0,0.5,1"]) + "\n")
+        tables = []
+        for run in ("first", "second"):
+            (tmp_path / run).mkdir()
+            assert main(["effective", "--config", path, "--out", str(tmp_path / run)]) == 0
+            tables.append((tmp_path / run / "run_effective.csv").read_bytes())
+        warm = [int(w) for w in re.findall(r"(\d+) warm-started", capsys.readouterr().out)]
+        assert len(warm) == 2 and warm[0] == warm[1] > 0
+        assert tables[0] == tables[1]
+
     def test_budget_stop_falls_back_to_the_ladder(self, tmp_path, capsys):
         # at p = 0 the smallest default discount takes 18 Newton steps from
         # zero, and the ladder at most 11 per discount

@@ -131,7 +131,7 @@ class TestClosedForm:
                                                   (tilt_kernel(1.5, 0.5), False)])
     def test_scheme_steps_as_coefficient_scheme_on_its_means(self, eikonal_ham, kernel,
                                                              implicit):
-        n, p_range = 128, 4.0
+        n = 128
         xs = np.arange(n) / n
         table = periodized_weights(kernel, n)
         form = effective_source_from_formula(WAVY, eikonal_ham)
@@ -140,8 +140,8 @@ class TestClosedForm:
                        b_min=float(np.min(bbar)), f_sup=float(np.max(np.abs(fbar))))
         means_ham = HamiltonianSpec(eval=lambda x, y, p: bbar * np.abs(p) ** 2.0 - fbar,
                                     m=2.0, b0=1.0, C0=1.0, power_form=pf)
-        got = form.scheme(xs, table, p_range)
-        want = coefficient_scheme(1.0 / n, xs, xs, A, means_ham, p_range, table=table)
+        got = form.scheme(xs, table)
+        want = coefficient_scheme(1.0 / n, xs, xs, A, means_ham, table=table)
         assert got.implicit == want.implicit == implicit
         u = np.sin(2 * np.pi * xs)
         for k in range(20):
@@ -161,12 +161,10 @@ class TestClosedForm:
         assert got == pytest.approx(base - np.sqrt(3.0), abs=1e-12)
         assert got == pytest.approx(3.0 - 2.0 * np.sqrt(3.0), abs=1e-12)
 
-    @pytest.mark.parametrize("power_form", [True, False])
     @pytest.mark.parametrize("a_spec", ["one", "two_plus_cos_y", "constant:1.7",
                                         "x_dependent"])
-    def test_matches_scalar_oracle(self, eikonal_ham, a_spec, power_form):
-        a = X_DEPENDENT if a_spec == "x_dependent" else coefficient(a_spec)
-        ham = eikonal_ham if power_form else replace(eikonal_ham, power_form=None)
+    def test_matches_scalar_oracle(self, eikonal_ham, a_spec):
+        a, ham = X_DEPENDENT if a_spec == "x_dependent" else coefficient(a_spec), eikonal_ham
         X, P, L = np.meshgrid([0.0, 0.3, 0.7], np.linspace(-2.0, 2.0, 9),
                               [-1.0, 0.0, 0.5], indexing="ij")
         got = effective_source_from_formula(a, ham).value(X, P, L)

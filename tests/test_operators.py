@@ -5,23 +5,24 @@ from conftest import trig_poly
 from hjhom.grid import GridFunction
 from hjhom.kernels import constant_kernel, normalizing_constant, periodized_weights, tilt_kernel
 from hjhom.operators import (apply_table, corrector_remainder_J, eval_localized,
-                             eval_operator, spectral_flap, spectral_gradient)
+                             spectral_flap, spectral_gradient)
 
 
 class TestEvalOperator:
+    """The operator evaluated by apply_table on its quadrature table."""
+
     def test_constants_map_to_zero(self):
-        k = tilt_kernel(1.0, 0.5)
-        table = periodized_weights(k, 64)
-        out = eval_operator(GridFunction.constant(5.0, 64), k, table)
-        assert out.sup_norm() == 0.0
+        table = periodized_weights(tilt_kernel(1.0, 0.5), 64)
+        out = apply_table(np.full(64, 5.0), table)
+        assert np.max(np.abs(out)) == 0.0
 
     def test_cosine_eigenfunction(self):
         k = constant_kernel(1.0)
         n = 512
         table = periodized_weights(k, n)
         u = GridFunction.from_callable(lambda y: np.cos(2 * np.pi * y), n)
-        out = eval_operator(u, k, table)
-        assert np.max(np.abs(out.values + 2 * np.pi * u.values)) <= 2e-2 * 2 * np.pi
+        out = apply_table(u.values, table)
+        assert np.max(np.abs(out + 2 * np.pi * u.values)) <= 2e-2 * 2 * np.pi
 
     def test_tilted_kernel_self_convergence(self):
         # reference from the finest grid; coarser values must approach it
@@ -35,10 +36,9 @@ class TestEvalOperator:
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_table_grid_mismatch(self):
-        k = constant_kernel(1.0)
-        table = periodized_weights(k, 64)
-        with pytest.raises(ValueError):
-            eval_operator(GridFunction.constant(0.0, 128), k, table)
+        table = periodized_weights(constant_kernel(1.0), 64)
+        with pytest.raises(ValueError, match="table built for n = 64, grid has n = 128"):
+            apply_table(np.zeros(128), table)
 
     def test_monotonicity_at_touching_point(self):
         # u <= v with u(x0) = v(x0) forces I(u)(x0) <= I(v)(x0)

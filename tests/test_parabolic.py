@@ -11,12 +11,13 @@ from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
 from hjhom.effective import (EffectiveTable, effective_source_from_formula,
                              effective_source_from_table, tabulate)
 from hjhom.grid import GridFunction, forward_diff
-from hjhom.hamiltonians import (HamiltonianSpec, PowerForm, coefficient, coercive_reach,
+from hjhom.hamiltonians import (HamiltonianSpec, PowerForm, audit_regularity,
+                                audit_superlinearity, coefficient, coercive_reach,
                                 growth_bound, model_bpm)
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
 from hjhom.operators import apply_table
-from hjhom.parabolic import (GRADIENT_RISE, MonotoneScheme, NumericalFailure,
-                             ParabolicProblem, SolverConfig, barrier_bounds,
+from hjhom.parabolic import (GRADIENT_RISE, MonotoneScheme, ParabolicProblem,
+                             SolverConfig, barrier_bounds,
                              coefficient_scheme,
                              holder_exponent_alpha0, initial_layer_modulus,
                              sampled_modulus, solve, sup_convolution_time)
@@ -79,11 +80,8 @@ class TestSolve:
         assert np.all(traj.sup_norm_track <= 1.0 + 1.0 * traj.times + 1e-8)
 
     @pytest.mark.parametrize("kernel", [constant_kernel(1.0), tilt_kernel(1.0, 0.5)],
-                             ids=["constant", "tilt"])
-    @pytest.mark.parametrize("flux", ["godunov", "lax_friedrichs"])
-    def test_discrete_comparison(self, eikonal_ham, unit_a, flux, kernel):
-        # without the power-form hint the scheme falls back to Lax-Friedrichs
-        ham = eikonal_ham if flux == "godunov" else replace(eikonal_ham, power_form=None)
+                             ids=["godunov-constant", "godunov-tilt"])
+    def test_discrete_comparison(self, eikonal_ham, unit_a, kernel):
         n = 64
         rng = np.random.default_rng(123)
         for _ in range(10):
@@ -92,9 +90,8 @@ class TestSolve:
                               + np.abs(trig_poly(int(rng.integers(1 << 30)), n).values)
                               + 1e-3)
             cfg = SolverConfig(snapshots=4)
-            prob_lo = _oscillating(lo, ham, unit_a, 1.0, 0.25, 0.1, kernel=kernel)
-            prob_hi = _oscillating(hi, ham, unit_a, 1.0, 0.25, 0.1, kernel=kernel)
-            cfg.gradient_range = 60.0
+            prob_lo = _oscillating(lo, eikonal_ham, unit_a, 1.0, 0.25, 0.1, kernel=kernel)
+            prob_hi = _oscillating(hi, eikonal_ham, unit_a, 1.0, 0.25, 0.1, kernel=kernel)
             t_lo = solve(prob_lo, cfg)
             t_hi = solve(prob_hi, cfg)
             for a_snap, b_snap in zip(t_lo.snapshots, t_hi.snapshots):
@@ -110,28 +107,33 @@ class TestSolve:
         with pytest.raises(ValueError):
             _oscillating(u0, eikonal_ham, unit_a, 0.5, 1.0 / 8.0, 0.1)
 
-    def test_gradient_range_breach_aborts(self, eikonal_ham, unit_a):
-        # a Lax-Friedrichs flux on a general H samples its theta over the range
-        u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), 64)
-        prob = _oscillating(u0, replace(eikonal_ham, power_form=None), unit_a, 1.0, 0.25, 0.2)
-        with pytest.raises(NumericalFailure, match="left the a-priori range 0.05"):
-            solve(prob, SolverConfig(gradient_range=0.05))
 
-    @pytest.mark.parametrize("flux", ["godunov", "table"])
-    def test_gradient_range_unread_by_fitted_theta(self, eikonal_ham, unit_a, flux):
-        # the Godunov and table fluxes fit theta to every state they meet, so
-        # a range they do not use neither stops them nor moves a bit
-        u0 = GridFunction.from_callable(lambda x: 0.3 * np.sin(2 * np.pi * x), 64)
-        prob = _oscillating(u0, eikonal_ham, unit_a, 1.0, 0.25, 0.2)
-        if flux == "table":
-            table = tabulate(lambda x, p, l: (p * p - l, 0.0, "formula"), [0.0],
-                             np.linspace(-3.0, 3.0, 13), [-2.0, 0.0, 2.0], sigma=0.5)
-            prob = ParabolicProblem(kind="effective", u0=u0, T=0.2,
-                                    table=periodized_weights(constant_kernel(0.5), 64),
-                                    source=effective_source_from_table(table))
-        traj = solve(prob, SolverConfig(gradient_range=0.05))
-        assert traj.max_gradient_seen > 0.05 and prob.scheme(0.05).p_range is None
-        assert np.array_equal(traj.final().values, solve(prob, SolverConfig()).final().values)
+class TestPowerFormRequired:
+    """Every solver builds its flux from H's power form; the audits take any
+    evaluator."""
+
+    def test_rejected_before_any_step(self, monkeypatch, eikonal_ham, unit_a, wavy_a):
+        ham = replace(eikonal_ham, power_form=None)
+        calls = []
+        for name in ("residual", "step", "jacobian"):
+            monkeypatch.setattr(MonotoneScheme, name,
+                                lambda *args, name=name, **kw: calls.append(name))
+        n, missing = 64, "this Hamiltonian has no power_form"
+        xs = np.arange(n) / n
+        with pytest.raises(ValueError, match=missing):
+            coefficient_scheme(1.0 / n, xs, xs, np.full(n, 2.0), ham,
+                               table=periodized_weights(constant_kernel(0.5), n))
+        u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
+        with pytest.raises(ValueError, match=missing):
+            solve(_oscillating(u0, ham, unit_a, 0.5, 0.25, 0.1), SolverConfig())
+        for sigma in (0.5, 1.0):       # the cell regimes with a gradient flux
+            params = CellParams(x=0.0, p=0.5, l=0.0, sigma=sigma, a=wavy_a, ham=ham)
+            with pytest.raises(ValueError, match=missing):
+                vanishing_discount_sweep(params, (0.1, 0.01), CellConfig(n=32))
+        with pytest.raises(ValueError, match=missing):
+            effective_source_from_formula(wavy_a, ham)
+        assert calls == []
+        assert audit_superlinearity(ham).passed and audit_regularity(ham).passed
 
 
 class TestImplicitStep:
@@ -139,7 +141,7 @@ class TestImplicitStep:
     grid; the explicit march at the nonlocal CFL step and a dense solve of
     the implicit operator are the oracles."""
 
-    P_RANGE = 4.0 * np.pi      # twice the largest slope of sin(2 pi x)
+    P_RANGE = 4.0 * np.pi      # the oracle's gradient bound: twice the largest slope of sin(2 pi x)
 
     def _wavy(self, kind, eikonal_ham, wavy_a, n, T):
         u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
@@ -156,11 +158,11 @@ class TestImplicitStep:
             gaps = []
             for n in (256, 512):
                 prob = self._wavy(kind, eikonal_ham, wavy_a, n, T)
-                traj = solve(prob, SolverConfig(gradient_range=self.P_RANGE, snapshots=1))
+                traj = solve(prob, SolverConfig(snapshots=1))
                 assert traj.path == "implicit"
                 # the oracle's theta covers the range, so its march is monotone
                 # on every state it meets
-                fixed = prob.scheme(self.P_RANGE)
+                fixed = prob.scheme()
                 fixed.theta = fixed._godunov_theta(self.P_RANGE)
                 oracle = _explicit_march(fixed, prob.u0.values, [T])[0][0]
                 gap = float(np.max(np.abs(traj.final().values - oracle)))
@@ -212,7 +214,7 @@ class TestImplicitStep:
         lin = c[(j[None, :] - j[:, None]) % n]       # I_h as a dense matrix
         lin[j, j] -= table.mass
         u = trig_poly(7, n, scale=0.5).values
-        scheme = coefficient_scheme(1.0 / n, j / n, j / n, a, eikonal_ham, 4.0, table=table)
+        scheme = coefficient_scheme(1.0 / n, j / n, j / n, a, eikonal_ham, table=table)
         assert scheme.implicit
         rest = scheme.residual(u) + a * (lin @ u)    # the gradient part G(u)
         for dt in (scheme.step_dt(), 0.3 * scheme.step_dt()):    # cached, shortened
@@ -227,48 +229,37 @@ class TestImplicitStep:
                (tilt_kernel(0.5, 0.5), True), (tilt_kernel(1.2, 0.5), False)]
 
     @given(seed=st.integers(0, 1 << 30), lift=st.floats(0.0, 1.0),
-           kernel=st.sampled_from(KERNELS), lax_friedrichs=st.booleans(),
+           kernel=st.sampled_from(KERNELS),
            a_kind=st.sampled_from(["constant", "eps_periodic", "x_dependent"]),
            steeper_first=st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_one_step_is_monotone(self, eikonal_ham, seed, lift, kernel, lax_friedrichs,
-                                  a_kind, steeper_first):
+    def test_one_step_is_monotone(self, eikonal_ham, seed, lift, kernel, a_kind,
+                                  steeper_first):
         # ordered data stay ordered after one step at step_dt()
         kernel, admits = kernel
-        ham = replace(eikonal_ham, power_form=None) if lax_friedrichs else eikonal_ham
         n = 64
         lo = trig_poly(seed, n, scale=0.5).values
         hi = lo + lift * np.abs(trig_poly(seed + 1, n).values)
-        p_range = max(2.0, 1.01 * max(np.max(np.abs(forward_diff(v, 1.0 / n)))
-                                      for v in (lo, hi)))
         xs = np.arange(n) / n
         a = {"constant": np.full(n, 2.0),
              # a(x / eps) at eps = 1/4: period 16 nodes
              "eps_periodic": 2.0 + np.cos(2.0 * np.pi * (np.arange(n) * 4 % n) / n),
              "x_dependent": 2.0 + np.cos(2.0 * np.pi * xs)}[a_kind]
-        scheme = coefficient_scheme(1.0 / n, xs, xs, a, ham, p_range,
+        scheme = coefficient_scheme(1.0 / n, xs, xs, a, eikonal_ham,
                                     table=periodized_weights(kernel, n))
         assert scheme.implicit == (a_kind != "x_dependent" and admits)
-        assert (scheme.power is None) == lax_friedrichs
-        if lax_friedrichs:
-            # as built, only the sampled Lax-Friedrichs theta covers both
-            # states; the Godunov theta covers the coercive reach until fitted
-            dt = scheme.step_dt()
-            assert np.all(scheme.step(lo, dt) <= scheme.step(hi, dt) + 1e-12)
-        # at the theta fitted over both states (the sampled Lax-Friedrichs
-        # theta stays): fitted to each state in turn, the steeper one last, as
-        # a run whose gradients steepen fits it.  When the steeper state also
-        # comes first, the fit to the flatter one may lower theta, but never
-        # below what that state needs; b = 1 and m = 2: theta = 2 G
+        # at the theta fitted over both states: fitted to each state in turn,
+        # the steeper one last, as a run whose gradients steepen fits it.
+        # When the steeper state also comes first, the fit to the flatter one
+        # may lower theta, but never below what that state needs; b = 1 and
+        # m = 2: theta = 2 G
         steepness = lambda v: float(np.max(np.abs(forward_diff(v, 1.0 / n))))
         flat, steep = sorted((lo, hi), key=steepness)
         diffs, reach = {}, coercive_reach(1.0, 1.0, 2.0)
         for v in (steep, flat, steep) if steeper_first else (flat, steep):
             diffs[id(v)] = scheme.fit_theta(v)
-            if not lax_friedrichs:
-                assert scheme.theta >= 2.0 * max(reach, np.max(np.abs(diffs[id(v)][1])))
-        if not lax_friedrichs:
-            assert scheme.theta >= 2.0 * max(steepness(lo), steepness(hi))
+            assert scheme.theta >= 2.0 * max(reach, np.max(np.abs(diffs[id(v)][1])))
+        assert scheme.theta >= 2.0 * max(steepness(lo), steepness(hi))
         dt = scheme.step_dt()
         assert np.all(scheme.step(lo, dt, diffs[id(lo)])
                       <= scheme.step(hi, dt, diffs[id(hi)]) + 1e-12)
@@ -357,7 +348,7 @@ class TestStateTheta:
         for n in (256, 512):
             prob = self._sine_problem(table, n)
             traj = solve(prob, cfg)
-            fixed = prob.scheme(2.0 * np.pi)     # never fitted: theta(-inf, inf)
+            fixed = prob.scheme()     # never fitted: theta(-inf, inf)
             assert fixed.theta == table.p_slope_bound()
             states, fixed_steps = _explicit_march(fixed, prob.u0.values,
                                                   cfg.resolved_record_times(prob.T))
@@ -419,8 +410,7 @@ class TestStateTheta:
         u = self._state(seed, slope)
         w = np.abs(trig_poly(seed + 1, n).values)
         v = u + lift * w / np.max(np.abs(forward_diff(w, h)))
-        scheme = src.scheme(np.arange(n) / n, periodized_weights(constant_kernel(0.5), n),
-                            self.TOP)
+        scheme = src.scheme(np.arange(n) / n, periodized_weights(constant_kernel(0.5), n))
         both = np.concatenate((forward_diff(u, h), forward_diff(v, h)))
         scheme.theta = src.theta(float(np.min(both)), float(np.max(both)))
         dt = scheme.step_dt()
@@ -437,26 +427,20 @@ class TestJacobian:
         if closed_form:
             # the effective scheme above order one: A(x) in the coefficient slot
             form = effective_source_from_formula(coefficient("two_plus_cos_y"), ham)
-            return form.scheme(ys, table, 6.0)
+            return form.scheme(ys, table)
         a = 2.0 + np.cos(2.0 * np.pi * ys)
-        return coefficient_scheme(1.0 / n, xs, ys, a, ham, 6.0, p=0.7, table=table,
+        return coefficient_scheme(1.0 / n, xs, ys, a, ham, p=0.7, table=table,
                                   const=-0.3 * a, drift=drift)
 
-    @pytest.mark.parametrize("flux", ["godunov", "lax_friedrichs"])
     @pytest.mark.parametrize("kernel, drift, closed_form", [
-        pytest.param(constant_kernel(0.5), 0.0, False, id="kernel0-0.0"),
-        pytest.param(constant_kernel(1.0), 0.3, False, id="kernel1-0.3"),
-        pytest.param(constant_kernel(1.0), -0.3, False, id="kernel2--0.3"),
-        pytest.param(tilt_kernel(1.2, 0.5), 0.0, False, id="kernel3-0.0"),
-        pytest.param(constant_kernel(1.5), 0.0, True, id="closed_form"),
+        pytest.param(constant_kernel(0.5), 0.0, False, id="kernel0-0.0-godunov"),
+        pytest.param(constant_kernel(1.0), 0.3, False, id="kernel1-0.3-godunov"),
+        pytest.param(constant_kernel(1.0), -0.3, False, id="kernel2--0.3-godunov"),
+        pytest.param(tilt_kernel(1.2, 0.5), 0.0, False, id="kernel3-0.0-godunov"),
+        pytest.param(constant_kernel(1.5), 0.0, True, id="closed_form-godunov"),
     ])
-    def test_matches_finite_differences(self, flux, kernel, drift, closed_form, eikonal_ham):
-        ham = eikonal_ham
-        if flux == "lax_friedrichs":
-            ham = HamiltonianSpec(eval=lambda x, y, p: (1.5 + np.cos(2 * np.pi * y))
-                                  * np.sqrt(1.0 + p * p) ** 3, m=3.0, b0=1.0, C0=1.0)
-        scheme = self._scheme(ham, kernel, drift, closed_form)
-        assert (scheme.power is None) == (flux == "lax_friedrichs")
+    def test_matches_finite_differences(self, kernel, drift, closed_form, eikonal_ham):
+        scheme = self._scheme(eikonal_ham, kernel, drift, closed_form)
         u = 0.3 * trig_poly(5, self.N).values
         delta, e = 0.05, 1e-6
         jac = scheme.jacobian(u, delta)
@@ -495,8 +479,7 @@ class TestJacobian:
         src = EffectiveSource(value=lambda x, p, l: p * p - l, l_slope=1.0,
                               theta=lambda lo, hi: 4.0)
         n = 16
-        scheme = src.scheme(np.arange(n) / n, periodized_weights(constant_kernel(0.5), n),
-                            2.0)
+        scheme = src.scheme(np.arange(n) / n, periodized_weights(constant_kernel(0.5), n))
         with pytest.raises(ValueError):
             scheme.jacobian(np.zeros(n))
 
