@@ -83,7 +83,6 @@ class CellConfig:
 class RegularityReport:
     osc: float
     lip: float
-    holder: tuple          # ((gamma, quotient), ...)
     flap_sup: float
 
 
@@ -96,24 +95,7 @@ class CellSolution:
     regularity: RegularityReport
     residuals: tuple               # (DiscountSolve, ...) per discount
     converged: bool
-    psi_delta_sup: float           # sup |psi^delta| at the smallest discount
-    delta_min: float
     warm_start: bool = False       # whether the first discount began from `start`
-
-
-def _holder_quotients(psi: np.ndarray, gammas=(0.25, 0.5, 0.75, 0.9)) -> tuple:
-    n = psi.size
-    shifts = [2 ** j for j in range(0, int(math.log2(n)))]
-    out = []
-    for g in gammas:
-        q = 0.0
-        for s in shifts:
-            d = min(s / n, 1.0 - s / n)
-            if d <= 0.0:
-                continue
-            q = max(q, float(np.max(np.abs(np.roll(psi, -s) - psi))) / d ** g)
-        out.append((g, q))
-    return tuple(out)
 
 
 @functools.lru_cache(maxsize=1)
@@ -226,13 +208,10 @@ def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfi
             phi = start
     trace = []
     residuals = []
-    minus_dpsi = None
-    psi_delta_sup = 0.0
     for d in deltas:
         phi, rec = _newton(scheme, phi, d, cfg)
         mean_F = float(np.mean(scheme.residual(phi)))
         minus_dpsi = -d * phi + mean_F
-        psi_delta_sup = float(np.max(np.abs(phi - mean_F / d)))
         trace.append((d, float(np.min(minus_dpsi)), float(np.max(minus_dpsi))))
         residuals.append(rec)
     lo, hi = trace[-1][1], trace[-1][2]
@@ -241,14 +220,12 @@ def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfi
     reg = RegularityReport(
         osc=float(np.max(psi_vals) - np.min(psi_vals)),
         lip=float(np.max(np.abs(forward_diff(psi_vals, scheme.h)))),
-        holder=_holder_quotients(psi_vals),
         flap_sup=float(np.max(np.abs(spectral_flap(psi, 1.0).values))),
     )
     return CellSolution(psi=psi, H_bar=0.5 * (lo + hi), delta_trace=tuple(trace),
                         spread=hi - lo, regularity=reg, residuals=tuple(residuals),
                         converged=all(rec.converged for rec in residuals),
-                        psi_delta_sup=psi_delta_sup,
-                        delta_min=deltas[-1], warm_start=warm)
+                        warm_start=warm)
 
 
 def spectral_cell_above_one(sigma: float, f: GridFunction) -> GridFunction:
@@ -268,40 +245,3 @@ def spectral_cell_above_one(sigma: float, f: GridFunction) -> GridFunction:
     mult[1:] = (2.0 * np.pi * freq[1:]) ** (-sigma)
     psi = np.fft.irfft(mult * np.fft.rfft(f.values), n=f.n)
     return GridFunction(psi - psi[0])
-
-
-@dataclass(frozen=True)
-class RegularityRatios:
-    psi_delta: float   # delta |psi^delta|_inf / (1 + |l| + |p|^m)
-    osc: float         # osc(psi) / (1 + |p| + |l|^(1/m))
-    lip: float         # Lip(psi) / (1 + |l| + |p|^m)
-    flap: float        # sup |order-1 fractional Laplacian of psi| / (1+|l|+|p|^m)^m
-
-
-def regularity_audit(sol: CellSolution, params: CellParams) -> RegularityRatios:
-    m = params.ham.m
-    pl = 1.0 + abs(params.l) + abs(params.p) ** m
-    return RegularityRatios(
-        psi_delta=sol.delta_min * sol.psi_delta_sup / pl,
-        osc=sol.regularity.osc / (1.0 + abs(params.p) + abs(params.l) ** (1.0 / m)),
-        lip=sol.regularity.lip / pl,
-        flap=sol.regularity.flap_sup / pl ** m,
-    )
-
-
-def regularity_sweep_audit(entries) -> dict:
-    """Ratios across a (p, l) sweep with a growth flag per estimate.
-
-    entries: iterable of (params, solution).  A ratio family is flagged when
-    its last value exceeds 1.25x its first (growth would contradict the
-    uniform-in-parameters character of the bounds).
-    """
-    ratios = [regularity_audit(sol, par) for par, sol in entries]
-    out = {}
-    for name in ("psi_delta", "osc", "lip", "flap"):
-        series = [getattr(r, name) for r in ratios]
-        out[name] = {
-            "series": series,
-            "growth_flagged": bool(series[-1] > 1.25 * series[0] + 1e-12),
-        }
-    return out

@@ -321,7 +321,9 @@ def cmd_homogenize(args, cfg: RunConfig, model: Model) -> int:
               f"dt = {report.dts[i]:.3e} to {report.max_dts[i]:.3e}, "
               f"steps = {report.steps[i]}, path = {report.paths[i]}")
     print(f"sweep -> {path}\nsnapshots -> {snap_path}")
-    return EXIT_OK
+    for eps, message in report.failures:
+        print(f"eps = {eps:.6g} failed: {message}", file=sys.stderr)
+    return EXIT_NUMERICAL if report.failures else EXIT_OK
 
 
 def cmd_constants(args, cfg: RunConfig, model: Model) -> int:

@@ -265,11 +265,6 @@ def failed_node(table: EffectiveTable, x: float, p: float, l: float) -> Optional
     return None
 
 
-def query(table: EffectiveTable, x: float, p: float, l: float) -> float:
-    """Scalar form of query_many."""
-    return float(query_many(table, x, p, l))
-
-
 def effective_source_from_table(table: EffectiveTable) -> EffectiveSource:
     """Table-backed source; queries abort outside the (p, l) hull.
 

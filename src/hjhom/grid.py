@@ -87,10 +87,6 @@ def forward_diff(values: np.ndarray, h: float) -> np.ndarray:
     return one_sided_diffs(values, h)[1]
 
 
-def backward_diff(values: np.ndarray, h: float) -> np.ndarray:
-    return one_sided_diffs(values, h)[0]
-
-
 def central_diff(values: np.ndarray, h: float) -> np.ndarray:
     pad = _padded(values)
     return (pad[2:] - pad[:-2]) / (2.0 * h)

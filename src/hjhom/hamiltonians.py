@@ -13,6 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+# The audits sample gradients |p| <= AUDIT_P_MAX.
+AUDIT_P_MAX = 10.0
+
 
 @dataclass(frozen=True)
 class PowerForm:
@@ -64,18 +67,18 @@ class HamiltonianSpec:
                              "and this Hamiltonian has no power_form")
         return self.power_form
 
-    def h_at_zero_sup(self, nx: int = 128, ny: int = 128) -> float:
-        xs = np.arange(nx) / nx
-        ys = np.arange(ny) / ny
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
+    def h_at_zero_sup(self) -> float:
+        """sup |H(x, y, 0)| on the 128 x 128 grid."""
+        xs = np.arange(128) / 128
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
         return float(np.max(np.abs(self.eval(X, Y, np.zeros_like(X)))))
 
 
-def audit_periodicity(h: HamiltonianSpec, samples: int = 64,
-                      p_max: float = 10.0) -> float:
-    """Largest sampled |H(x, y + 1, p) - H(x, y, p)| (must vanish)."""
-    xs = np.arange(samples) / samples
-    ps = np.linspace(-p_max, p_max, samples + 1)
+def audit_periodicity(h: HamiltonianSpec) -> float:
+    """Largest sampled |H(x, y + 1, p) - H(x, y, p)| (must vanish), on 64
+    nodes per variable."""
+    xs = np.arange(64) / 64
+    ps = np.linspace(-AUDIT_P_MAX, AUDIT_P_MAX, 65)
     X, Y, P = np.meshgrid(xs, xs, ps, indexing="ij")
     return float(np.max(np.abs(h.eval(X, Y + 1.0, P) - h.eval(X, Y, P))))
 
@@ -136,13 +139,12 @@ class SuperlinearityAudit:
     passed: bool
 
 
-def audit_superlinearity(h: HamiltonianSpec, sample_budget: int = 64 ** 3,
-                         p_max: float = 10.0) -> SuperlinearityAudit:
+def audit_superlinearity(h: HamiltonianSpec, sample_budget: int = 64 ** 3) -> SuperlinearityAudit:
     """Minimum over samples of mu H(x,y,p/mu) - H(x,y,p) - (1-mu)(b0 |p|^m - C0)."""
     side = max(8, int(round(sample_budget ** (1.0 / 4.0))))
     xs = np.arange(side) / side
     ys = np.arange(side) / side
-    ps = np.linspace(-p_max, p_max, side + 1)
+    ps = np.linspace(-AUDIT_P_MAX, AUDIT_P_MAX, side + 1)
     mus = np.linspace(1.0 / (side + 1), 1.0 - 1.0 / (side + 1), side)
     X, Y, P, MU = np.meshgrid(xs, ys, ps, mus, indexing="ij")
     slack = (MU * h.eval(X, Y, P / MU) - h.eval(X, Y, P)
@@ -165,11 +167,12 @@ class RegularityAudit:
     witness: Optional[tuple]
 
 
-def audit_regularity(h: HamiltonianSpec, sample_budget: int = 64 ** 3,
-                     radii: tuple = (1.0, 2.0, 5.0, 10.0)) -> RegularityAudit:
+def audit_regularity(h: HamiltonianSpec, sample_budget: int = 64 ** 3) -> RegularityAudit:
     """Smallest L fitting the sampled increments
-    |H(X,p)-H(X',p')| <= L (1+R^m)|X-X'| + L (1+R^(m-1))|p-p'| over |p| <= R.
+    |H(X,p)-H(X',p')| <= L (1+R^m)|X-X'| + L (1+R^(m-1))|p-p'| over |p| <= R,
+    for R = 1, 2, 5, 10.
     """
+    radii = (1.0, 2.0, 5.0, 10.0)
     side = max(8, int(round((sample_budget / len(radii)) ** (1.0 / 3.0))))
     xs = np.arange(side) / side
     ys = np.arange(side) / side
@@ -192,13 +195,12 @@ def audit_regularity(h: HamiltonianSpec, sample_budget: int = 64 ** 3,
                            radii=radii, passed=passed, witness=witness)
 
 
-def growth_bound(h: HamiltonianSpec, sample_budget: int = 64 ** 3,
-                 p_max: float = 10.0) -> float:
+def growth_bound(h: HamiltonianSpec, sample_budget: int = 64 ** 3) -> float:
     """Smallest sampled C with |H(x,y,p)| <= C (1 + |p|^m)."""
     side = max(8, int(round(sample_budget ** (1.0 / 3.0))))
     xs = np.arange(side) / side
     ys = np.arange(side) / side
-    ps = np.linspace(-p_max, p_max, 2 * side + 1)
+    ps = np.linspace(-AUDIT_P_MAX, AUDIT_P_MAX, 2 * side + 1)
     X, Y, P = np.meshgrid(xs, ys, ps, indexing="ij")
     ratio = np.abs(h.eval(X, Y, P)) / (1.0 + np.abs(P) ** h.m)
     return float(np.max(ratio))

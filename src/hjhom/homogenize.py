@@ -4,7 +4,7 @@ A sweep runs the oscillating problem for eps = 1/k over a decreasing list,
 solves the effective problem once on the finest grid, and compares at the
 shared coarse nodes and at exactly shared snapshot times.  No rate is claimed
 beyond what the runs show; the report carries observed errors, pairwise
-log-ratios, a least-squares rate fit, and corrector-ansatz residuals.
+log-ratios, and corrector-ansatz residuals.
 """
 
 from __future__ import annotations
@@ -214,15 +214,3 @@ def corrector_reconstruction(u_eps: GridFunction, u_bar: GridFunction,
     return CorrectorReport(sup_residual=float(np.max(np.abs(residual))),
                            sup_gap=float(np.max(np.abs(gap))),
                            exponent=exponent, residual=residual, gap=gap)
-
-
-def convergence_rates(report: SweepReport) -> tuple:
-    """Least-squares slope of log error against log eps, with fit residual."""
-    e = report.errors
-    if e.size < 3:
-        raise ValueError("need at least 3 sweep points for a rate fit")
-    x = np.log(report.eps_list)
-    y = np.log(np.maximum(e, 1e-300))
-    coeffs = np.polyfit(x, y, 1)
-    fit = np.polyval(coeffs, x)
-    return float(coeffs[0]), float(np.sqrt(np.mean((y - fit) ** 2)))

@@ -127,15 +127,16 @@ class ModulusIntegralReport:
     detail: str = ""
 
 
-def modulus_log_integral(k: KernelSpec, panels: int = 48,
-                         samples: int = 257) -> ModulusIntegralReport:
-    """Adaptive dyadic quadrature of omega_bar(r)/r over (0, 1].
+def modulus_log_integral(k: KernelSpec) -> ModulusIntegralReport:
+    """Adaptive dyadic quadrature of omega_bar(r)/r over (0, 1], on 48
+    panels with omega_bar sampled at 257 points per radius.
 
     Finiteness is decided from the decay of the panel increments; a
     harmonic-like signature (j * increment roughly constant) or a stalled
     geometric ratio is reported as divergent.  Sampling-budget limits are
     reported, never fatal.
     """
+    panels, samples = 48, 257
     hi = 2.0 ** -np.arange(panels, dtype=float)[:, None]       # panel j is [hi/2, hi]
     mid, half = 0.75 * hi, 0.25 * hi
     r = mid + half * _GAUSS_NODES
@@ -177,14 +178,14 @@ class EllipticityReport:
 
 def audit_ellipticity(a: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       k: KernelSpec, nx: int = 512, ny: int = 512,
-                      z_extent: float = 4.0, z_samples: int = 4096,
                       modulus: Optional[ModulusIntegralReport] = None) -> EllipticityReport:
     """Check uniform ellipticity of a and the structural kernel conditions.
 
     Returns the largest a0 with a0 <= a <= 1/a0 on the sample, or a failure
-    witness.  For sigma = 1 asymmetric kernels the logarithmic modulus
-    integral must be finite; `modulus` is k's modulus_log_integral when the
-    caller has already taken it.
+    witness; kbar must be finite at 4097 points of [-4, 4].  For sigma = 1
+    asymmetric kernels the logarithmic modulus integral must be finite;
+    `modulus` is k's modulus_log_integral when the caller has already taken
+    it.
     """
     xs = np.arange(nx) / nx
     ys = np.arange(ny) / ny
@@ -203,7 +204,7 @@ def audit_ellipticity(a: Callable[[np.ndarray, np.ndarray], np.ndarray],
     else:
         a0 = min(a_min, 1.0 / a_max)
 
-    z = np.linspace(-z_extent, z_extent, z_samples + 1)
+    z = np.linspace(-4.0, 4.0, 4097)
     kv = np.asarray(k.kbar(z), dtype=float)
     kbar_bounded = bool(np.all(np.isfinite(kv)))
     if not kbar_bounded:
@@ -241,11 +242,11 @@ class DriftVector:
     residual: float
 
 
-def drift_vector(k: KernelSpec, tol: float = 1e-8, max_panels: int = 60) -> DriftVector:
+def drift_vector(k: KernelSpec, tol: float = 1e-8) -> DriftVector:
     """Drift coefficient b = int_0^1 (kbar(z) - kbar(-z)) / z dz, by shrinking truncation.
 
-    Dyadic panels [2^-(j+1), 2^-j] are accumulated until successive
-    truncations differ by less than tol.  Requires sigma = 1.
+    Dyadic panels [2^-(j+1), 2^-j], at most 60 of them, are accumulated until
+    successive truncations differ by less than tol.  Requires sigma = 1.
     """
     if k.sigma != 1.0:
         raise ValueError("drift extraction is defined for kernels of order sigma = 1")
@@ -256,7 +257,7 @@ def drift_vector(k: KernelSpec, tol: float = 1e-8, max_panels: int = 60) -> Drif
     total = 0.0
     rhos = [1.0]
     increment = np.inf
-    for j in range(max_panels):
+    for j in range(60):
         lo, hi = 2.0 ** (-(j + 1)), 2.0 ** (-j)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         increment = float(np.sum(half * _GAUSS_WEIGHTS * g(mid + half * _GAUSS_NODES)))

@@ -22,7 +22,6 @@ the caller prefixed with the step and its time.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -31,7 +30,7 @@ import numpy as np
 
 from .grid import GridFunction, forward_diff, one_sided_diffs
 from .hamiltonians import HamiltonianSpec, coercive_reach
-from .kernels import KernelSpec, QuadratureTable
+from .kernels import QuadratureTable
 from .operators import apply_table
 
 # Fraction of the monotone step bound actually taken; the CFL condition of
@@ -454,136 +453,10 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
                       path="implicit" if scheme.implicit else "explicit", max_dt=max_dt)
 
 
-def sampled_modulus(u0: GridFunction, r: float) -> float:
-    """sup |u0(x) - u0(x')| over node pairs with torus distance <= r."""
-    shifts = int(math.floor(r * u0.n + 1e-12))
-    out = 0.0
-    for s in range(1, shifts + 1):
-        out = max(out, float(np.max(np.abs(np.roll(u0.values, -s) - u0.values))))
-    return out
-
-
-@functools.cache
-def _bump_constants() -> tuple:
-    """L1 norms of the first two derivatives of the normalized standard bump,
-    computed on first use."""
-    s = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 20001)
-    rho = np.exp(-1.0 / (1.0 - s * s))
-    Z = np.trapezoid(rho, s)
-    rho /= Z
-    d1 = np.gradient(rho, s)
-    d2 = np.gradient(d1, s)
-    return float(np.trapezoid(np.abs(d1), s)), float(np.trapezoid(np.abs(d2), s))
-
-
-@dataclass(frozen=True)
-class BarrierEnvelope:
-    """Time-affine envelopes u0_h -/+ (omega0 + C(h) t) around the solution."""
-
-    u0_smoothed: GridFunction
-    h_moll: float
-    omega0: float
-    C_of_h: float
-    C1: float
-    C2: float
-    growth_C: float
-
-    def lower(self, t: float) -> np.ndarray:
-        return self.u0_smoothed.values - (self.omega0 + self.C_of_h * t)
-
-    def upper(self, t: float) -> np.ndarray:
-        return self.u0_smoothed.values + (self.omega0 + self.C_of_h * t)
-
-    def alpha(self, m: float) -> float:
-        return max(2.0, m)
-
-    def C3(self) -> float:
-        return self.growth_C * (self.C1 + self.C2)
-
-    def initial_layer_bound(self, t: np.ndarray, u0: GridFunction, m: float) -> np.ndarray:
-        """2 omega0(t^(1/(2 alpha))) + C3 sqrt(t), the optimized envelope gap."""
-        alpha = self.alpha(m)
-        t = np.asarray(t, dtype=float)
-        return np.array([2.0 * sampled_modulus(u0, min(ti ** (1.0 / (2 * alpha)), 1.0))
-                         + self.C3() * math.sqrt(ti) for ti in t])
-
-
-def _kernel_moments(k: KernelSpec, h_cut: float = 1e-4) -> tuple:
-    """(S1, S2, T1): first/second absolute moments inside the unit ball and
-    total mass outside, for the full kernel density."""
-    def kabs(z):
-        return np.abs(np.asarray(k.kbar(z))) * z ** (-1.0 - k.sigma)
-
-    edges = np.geomspace(h_cut, 1.0, 200)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    widths = np.diff(edges)
-    S1 = float(2.0 * np.sum(widths * mids * kabs(mids)))
-    S2 = float(2.0 * np.sum(widths * mids ** 2 * kabs(mids)))
-    far = np.geomspace(1.0, 1e4, 400)
-    fmids = 0.5 * (far[1:] + far[:-1])
-    T1 = float(2.0 * np.sum(np.diff(far) * kabs(fmids)))
-    return S1, S2, T1
-
-
-def barrier_bounds(u0: GridFunction, h_moll: float, a_sup: float,
-                   growth_C: float, m: float, kernel: KernelSpec) -> BarrierEnvelope:
-    """Mollify u0 at radius h and assemble C(h) = C1 C h^-2 + C2 C h^-m.
-
-    C1 collects the nonlocal budget of the mollified data (second/first kernel
-    moments against the bump derivative bounds |Du0_h| <= |u0| R1/h,
-    |D2 u0_h| <= |u0| R2/h^2); C2 the Hamiltonian growth against |Du0_h|^m.
-    """
-    if not (0.0 < h_moll <= 1.0):
-        raise ValueError("mollification radius must lie in (0, 1]")
-    n = u0.n
-    xs = np.arange(n) / n
-    d = xs.copy()
-    d = np.minimum(d, 1.0 - d)  # torus distance to 0
-    prof = np.where(d < h_moll, np.exp(-1.0 / np.maximum(1.0 - (d / h_moll) ** 2, 1e-300)), 0.0)
-    if np.sum(prof) <= 0.0:
-        prof = np.zeros(n)
-        prof[0] = 1.0
-    prof = prof / np.sum(prof)
-    smoothed = np.real(np.fft.ifft(np.fft.fft(u0.values) * np.fft.fft(prof)))
-
-    omega0 = sampled_modulus(u0, h_moll)
-    u_sup = u0.sup_norm()
-    S1, S2, T1 = _kernel_moments(kernel)
-    C = max(growth_C, 1e-12)
-    R1, R2 = _bump_constants()
-    C1 = a_sup * u_sup * (0.5 * S2 * R2 + S1 * R1 + 2.0 * T1) / C + 1.0
-    C2 = (R1 * u_sup) ** m
-    C_of_h = C1 * C * h_moll ** (-2.0) + C2 * C * h_moll ** (-m)
-    return BarrierEnvelope(u0_smoothed=GridFunction(smoothed), h_moll=h_moll,
-                           omega0=omega0, C_of_h=C_of_h, C1=C1, C2=C2, growth_C=C)
-
-
 def initial_layer_modulus(traj: Trajectory, u0: GridFunction) -> np.ndarray:
     """Table t -> sup_x |u(x, t) - u0(x)| over the recorded snapshots."""
     gaps = [float(np.max(np.abs(s.values - u0.values))) for s in traj.snapshots]
     return np.column_stack([traj.times, gaps])
-
-
-def sup_convolution_time(u: np.ndarray, times: np.ndarray, gamma: float) -> tuple:
-    """Regularize in time: out[x, t] = max_s { u[x, s] - (t_s - t_t)^2 / gamma }.
-
-    Returns (values, lip) where lip is the largest per-x discrete time slope;
-    the maximizer construction guarantees out >= u and lip <= 4 |u|_inf / sqrt(gamma).
-    """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    u = np.asarray(u, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if u.ndim != 2 or u.shape[1] != times.size:
-        raise ValueError("need u of shape (nx, nt) matching times")
-    penalty = (times[None, :] - times[:, None]) ** 2 / gamma  # [s, t]
-    out = np.max(u[:, :, None] - penalty[None, :, :], axis=1)
-    if times.size > 1:
-        dts = np.diff(times)
-        lip = float(np.max(np.abs(np.diff(out, axis=1)) / dts[None, :]))
-    else:
-        lip = 0.0
-    return out, lip
 
 
 def holder_exponent_alpha0(n: float, sigma: float, m: float) -> float:

@@ -18,9 +18,9 @@ from hjhom.hamiltonians import coefficient, coercivity_constants, model_bpm
 from hjhom.homogenize import ProblemFamily, SweepConfig, run_sweep
 from hjhom.kernels import (constant_kernel, drift_vector, periodized_weights,
                            quadratic_tilt_kernel, tilt_kernel)
-from hjhom.operators import apply_table, corrector_remainder_J, spectral_flap
-from hjhom.parabolic import (ParabolicProblem, SolverConfig, holder_exponent_alpha0,
-                             solve, sup_convolution_time)
+from hjhom.operators import apply_table, spectral_flap
+from hjhom.parabolic import ParabolicProblem, SolverConfig, holder_exponent_alpha0, solve
+from lemmas import corrector_remainder_J, sup_convolution_time
 
 EIKONAL = model_bpm("one", "cos_y", 2.0)      # H = |p|^2 - cos(2 pi y)
 UNIT_A = coefficient("one")

@@ -5,13 +5,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from hjhom.cell import (CellConfig, CellParams, _cell_scheme, regime_of, regularity_audit,
-                        regularity_sweep_audit, spectral_cell_above_one,
-                        vanishing_discount_sweep)
+from hjhom.cell import (CellConfig, CellParams, _cell_scheme, regime_of,
+                        spectral_cell_above_one, vanishing_discount_sweep)
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, model_bpm
 from hjhom.kernels import constant_kernel, drift_vector, tilt_kernel
 from hjhom.operators import spectral_flap
+from lemmas import holder_quotients, regularity_audit, regularity_sweep_audit
 from long_time import long_time_average
 
 FAST = CellConfig(n=128, tol=1e-9)
@@ -92,7 +92,7 @@ class TestEikonalCell:
         assert sol.regularity.lip == pytest.approx(np.sqrt(2.0), abs=0.05)
         assert sol.regularity.osc == pytest.approx(np.sqrt(2.0) / np.pi, abs=0.03)
         # Lipschitz profiles keep every Holder quotient below the slope bound
-        for gamma, quotient in sol.regularity.holder:
+        for gamma, quotient in holder_quotients(sol.psi.values):
             assert quotient <= sol.regularity.lip * 0.5 ** (1.0 - gamma) + 1e-9
 
     def test_beyond_threshold_matches_root(self, eikonal_ham, unit_a):

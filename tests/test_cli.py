@@ -227,9 +227,10 @@ class TestCommands:
             "cell.table_p = 0,1,2", "cell.table_l = -1,0,1",
         ]) + "\n")
         assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
-        from hjhom.effective import load_table, query
+        from hjhom.effective import load_table, query_many
         table = load_table(str(tmp_path / "run_effective.csv"))
-        assert query(table, 0.0, 1.0, 0.0) == pytest.approx(3.0 - np.sqrt(3.0), abs=1e-10)
+        got = float(query_many(table, 0.0, 1.0, 0.0))
+        assert got == pytest.approx(3.0 - np.sqrt(3.0), abs=1e-10)
 
     @pytest.mark.parametrize("m", ["2", "3"])
     def test_effective_above_one_takes_the_means_once(self, tmp_path, monkeypatch, m):
@@ -284,6 +285,32 @@ class TestCommands:
             outputs.append((sweep, (out / "run_sweep_snapshots.csv").read_bytes(), stdout))
         assert outputs[0] == outputs[1]
         assert "steps = " in outputs[0][2]
+
+    def test_homogenize_failed_runs_exit_numerical(self, tmp_path, monkeypatch, capsys):
+        # blown-up eps runs still leave both CSVs, then name themselves on
+        # stderr and set the exit code
+        import hjhom.homogenize
+        from hjhom.parabolic import NumericalFailure
+        solve = hjhom.homogenize.solve
+
+        def failing(problem, cfg):
+            if problem.kind == "oscillating":
+                raise NumericalFailure(f"non-finite state at step 3, eps = {problem.eps}")
+            return solve(problem, cfg)
+
+        monkeypatch.setattr(hjhom.homogenize, "solve", failing)
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 1.5", "sweep.eps_list = 1/2,1/4", "sweep.T = 0.05",
+            "sweep.snapshots = 3",
+        ]) + "\n")
+        assert main(["homogenize", "--config", path, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["eps = 0.5 failed: non-finite state at step 3, eps = 0.5",
+                       "eps = 0.25 failed: non-finite state at step 3, eps = 0.25"]
+        sweep = [l for l in (tmp_path / "run_sweep.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        assert [row.split(",")[3] for row in sweep[1:]] == ["nan", "nan"]
+        assert (tmp_path / "run_sweep_snapshots.csv").stat().st_size > 0
 
     def test_asymmetry_audit_runs_once(self, tmp_path, monkeypatch):
         # validation reads the csv kernel and takes its order-one modulus

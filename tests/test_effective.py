@@ -10,7 +10,7 @@ from conftest import formula_fill
 from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
 from hjhom.effective import (ClosedForm, EffectiveTable, audit_properties,
                              effective_source_from_formula, effective_source_from_table,
-                             load_table, query, query_many, save_table, tabulate)
+                             load_table, query_many, save_table, tabulate)
 from hjhom.hamiltonians import HamiltonianSpec, PowerForm, coefficient, model_bpm
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
 from hjhom.parabolic import NumericalFailure, coefficient_scheme
@@ -240,25 +240,27 @@ class TestQuery:
     def test_nodes_exact(self, table):
         for j, p in enumerate(table.ps):
             for k, l in enumerate(table.ls):
-                assert query(table, 0.0, float(p), float(l)) == table.values[0, j, k]
+                got = float(query_many(table, 0.0, float(p), float(l)))
+                assert got == table.values[0, j, k]
 
     def test_affine_data_interpolated_exactly(self, table, eikonal_ham):
         # the closed form is affine in l, so interpolation along l is exact
         for l in (-0.31, 0.12, 0.77):
-            got = query(table, 0.0, 1.0, l)
+            got = float(query_many(table, 0.0, 1.0, l))
             assert got == pytest.approx(
                 closed_form(WAVY, eikonal_ham, 0.0, 1.0, l), abs=1e-12)
 
     def test_midpoint_average(self, table):
-        mid = query(table, 0.0, 1.0, 0.25)
-        assert mid == pytest.approx(0.5 * (query(table, 0.0, 1.0, 0.0)
-                                           + query(table, 0.0, 1.0, 0.5)), abs=1e-13)
+        mid = float(query_many(table, 0.0, 1.0, 0.25))
+        assert mid == pytest.approx(0.5 * (float(query_many(table, 0.0, 1.0, 0.0))
+                                           + float(query_many(table, 0.0, 1.0, 0.5))),
+                                    abs=1e-13)
 
     def test_out_of_hull_rejected(self, table):
         with pytest.raises(ValueError):
-            query(table, 0.0, 3.0, 0.0)
+            query_many(table, 0.0, 3.0, 0.0)
         with pytest.raises(ValueError):
-            query(table, 0.5, 1.0, 0.0)
+            query_many(table, 0.5, 1.0, 0.0)
         with pytest.raises(ValueError):
             query_many(table, np.zeros(3), np.array([0.0, 1.0, 2.5]), np.zeros(3))
 
@@ -282,7 +284,7 @@ class TestQuery:
                                provenance=np.array([[["failed"], ["discount"],
                                                      ["discount"]]], dtype=object),
                                sigma=0.5)
-        assert query(table, 0.0, 1.0, 0.0) == 2.0
+        assert float(query_many(table, 0.0, 1.0, 0.0)) == 2.0
         got = query_many(table, np.zeros(2), np.array([1.0, 1.5]), np.zeros(2))
         assert np.array_equal(got, [2.0, 2.5])
 

@@ -6,13 +6,13 @@ from hjhom.effective import (effective_source_from_formula, effective_source_fro
                              tabulate)
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, model_bpm
-from hjhom.homogenize import (EffectiveSource, ProblemFamily, SweepConfig,
-                              SweepReport, convergence_rates,
+from hjhom.homogenize import (ProblemFamily, SweepConfig, SweepReport,
                               corrector_reconstruction, run_sweep)
 from hjhom import homogenize
 from hjhom.kernels import constant_kernel
 from hjhom.hamiltonians import growth_bound
-from hjhom.parabolic import NumericalFailure, barrier_bounds
+from hjhom.parabolic import NumericalFailure
+from lemmas import barrier_bounds, convergence_rates
 
 
 def _dummy_report(eps, errors):

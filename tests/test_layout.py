@@ -1,0 +1,115 @@
+"""Every top-level name in src/hjhom is one the program runs.
+
+The guard reads the syntax trees of src/hjhom/*.py and collects the
+top-level functions, classes and constants reachable by name reference from
+three places: hjhom.cli.main, the names in hjhom.__all__, and the module's
+own top-level statements (the command table, constants, decorators).  A name
+outside that set is reached only from the tests; such code belongs beside
+them, in tests/lemmas.py.
+"""
+
+import ast
+import shutil
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hjhom"
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _imports(tree: ast.Module) -> tuple:
+    """(names, modules): name -> (module, name) for every `from .m import n`
+    or `from hjhom.m import n`, function-local ones included, and alias ->
+    module for every `from . import m`."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            source = node.module
+        elif node.level == 0 and (node.module or "").startswith("hjhom."):
+            source = node.module.split(".", 1)[1]
+        else:
+            continue
+        for alias in node.names:
+            if source is None:
+                modules[alias.asname or alias.name] = alias.name
+            else:
+                names[alias.asname or alias.name] = (source, alias.name)
+    return names, modules
+
+
+def _top_level(tree: ast.Module) -> dict:
+    """Top-level name -> its statement: defs, classes and assigned names."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, DEFS):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        out[name.id] = node
+    return out
+
+
+def unreached(src: Path) -> list:
+    """`module.name` of every top-level name of the package at src that no
+    path of name references from the three roots reaches, sorted."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    defined = {mod: _top_level(tree) for mod, tree in trees.items()}
+    imported = {mod: _imports(tree) for mod, tree in trees.items()}
+
+    def resolve(mod, name, seen=()):
+        if name in defined.get(mod, {}):
+            return (mod, name)
+        source = imported.get(mod, ({}, {}))[0].get(name)
+        if source is None or source in seen:
+            return None
+        return resolve(*source, seen + (source,))
+
+    def refs(mod, node):
+        out = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(resolve(mod, sub.id))
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                target = imported[mod][1].get(sub.value.id)
+                if target is not None:
+                    out.add(resolve(target, sub.attr))
+        return out
+
+    roots = {("cli", "main")}
+    for node in trees.get("__init__", ast.Module(body=[])).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            roots |= {resolve("__init__", elt.value) for elt in node.value.elts}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, DEFS):
+                roots |= refs(mod, node)
+    reached, todo = set(), [r for r in roots if r is not None]
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        node = defined[key[0]][key[1]]
+        if isinstance(node, DEFS):
+            todo.extend(r for r in refs(key[0], node) if r is not None and r not in reached)
+    return sorted(f"{mod}.{name}" for mod, names in defined.items() for name in names
+                  if (mod, name) not in reached)
+
+
+def test_every_top_level_name_is_run_by_the_program():
+    missing = unreached(SRC)
+    assert not missing, "reached only from the tests: " + ", ".join(missing)
+
+
+def test_guard_names_a_test_only_function(tmp_path):
+    # the same package with one function that only a test could call
+    for path in SRC.glob("*.py"):
+        shutil.copy(path, tmp_path / path.name)
+    with open(tmp_path / "operators.py", "a") as fh:
+        fh.write("\n\ndef orphan(values, table):\n    return apply_table(values, table)\n")
+    assert unreached(tmp_path) == ["operators.orphan"]

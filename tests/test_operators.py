@@ -4,8 +4,8 @@ import pytest
 from conftest import trig_poly
 from hjhom.grid import GridFunction
 from hjhom.kernels import constant_kernel, normalizing_constant, periodized_weights, tilt_kernel
-from hjhom.operators import (apply_table, corrector_remainder_J, eval_localized,
-                             spectral_flap, spectral_gradient)
+from hjhom.operators import apply_table, spectral_flap
+from lemmas import corrector_remainder_J, eval_localized, spectral_gradient
 
 
 class TestEvalOperator:

@@ -17,10 +17,9 @@ from hjhom.hamiltonians import (HamiltonianSpec, PowerForm, audit_regularity,
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
 from hjhom.operators import apply_table
 from hjhom.parabolic import (GRADIENT_RISE, MonotoneScheme, ParabolicProblem,
-                             SolverConfig, barrier_bounds,
-                             coefficient_scheme,
-                             holder_exponent_alpha0, initial_layer_modulus,
-                             sampled_modulus, solve, sup_convolution_time)
+                             SolverConfig, coefficient_scheme,
+                             holder_exponent_alpha0, initial_layer_modulus, solve)
+from lemmas import barrier_bounds, sampled_modulus, sup_convolution_time
 
 
 def _oscillating(u0, ham, a, sigma, eps, T, kernel=None, **kw):
