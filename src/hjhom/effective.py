@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -119,20 +118,20 @@ effective_source_from_formula = ClosedForm
 
 @dataclass(frozen=True)
 class EffectiveSource:
-    """Effective nonlinearity read from a table (kernel order <= 1):
-    value(x, p, l) plus the bounds the Lax-Friedrichs discretization needs.
-    Above order one the effective problem is a ClosedForm instead."""
+    """Effective nonlinearity read from a table (kernel order <= 1): at(x) gives
+    (p, l) -> Hbar(x, p, l), plus the bounds the Lax-Friedrichs discretization
+    needs.  Above order one the effective problem is a ClosedForm instead."""
 
-    value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    at: Callable[[np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]]
     l_slope: float
     # LF dissipation theta(lo, hi): sup |dHbar/dp| over the p-interval [lo, hi]
     theta: Callable[[float, float], float]
 
     def scheme(self, xs: np.ndarray, table: QuadratureTable) -> MonotoneScheme:
-        """Scheme for value(x, Du, I_h u) at the nodes xs, its Lax-Friedrichs
-        theta the table's own."""
-        return MonotoneScheme(1.0 / xs.size, lambda q, lv: self.value(xs, q, lv),
-                              theta=self.theta, table=table, l_slope=self.l_slope)
+        """Scheme for Hbar(x, Du, I_h u) at the nodes xs, located once, its
+        Lax-Friedrichs theta the table's own."""
+        return MonotoneScheme(1.0 / xs.size, self.at(xs), theta=self.theta, table=table,
+                              l_slope=self.l_slope)
 
 
 @dataclass
@@ -173,13 +172,11 @@ class EffectiveTable:
         return float(np.max(self.p_cell_slopes(), initial=0.0))
 
 
-def _locate(axis: np.ndarray, q: np.ndarray, name: str) -> Optional[tuple]:
-    """(i, w) per query of the 1-D array q: the node at or left of it on the
-    axis and the weight of node i + 1; None for a single-node axis, once every
-    query sits on its node.
-
-    Raises ValueError naming the worst query outside the hull.
-    """
+def _locate(axis: np.ndarray, q: np.ndarray, name: str) -> tuple:
+    """(i, d) per query of the 1-D array q: its cell [axis[i], axis[i + 1]),
+    the last node's own padded cell at or past the upper end, and d = q -
+    axis[i], 0 in the slack below the lower end.  Raises ValueError naming the
+    worst query beyond 1e-12 past an end or 1e-9 relative off a single node."""
     # fmin/fmax pass over NaN queries, so a NaN does not hide an off-hull one
     lo = np.fmin.reduce(q, initial=axis[0])
     hi = np.fmax.reduce(q, initial=axis[-1])
@@ -188,112 +185,132 @@ def _locate(axis: np.ndarray, q: np.ndarray, name: str) -> Optional[tuple]:
         if max(axis[0] - lo, hi - axis[0]) > 1e-9 * max(1.0, abs(axis[0])):
             raise ValueError(f"{name} = {bad} outside the single-node axis; "
                              "enlarge the table box")
-        return None
-    if lo < axis[0] - 1e-12 or hi > axis[-1] + 1e-12:
+    elif lo < axis[0] - 1e-12 or hi > axis[-1] + 1e-12:
         raise ValueError(f"{name} = {bad} outside the table hull "
                          f"[{axis[0]}, {axis[-1]}]; enlarge the table box")
-    # counting interior nodes below q gives the cell index clipped to [0, size - 2]
-    i = np.searchsorted(axis[1:-1], q)
-    w = q - axis.take(i)
-    w /= (axis[1:] - axis[:-1]).take(i)
-    # inside the hull w lies in [0, 1] already (rounding is monotone); only
-    # the 1e-12 slack beyond an end can push it out
-    if lo < axis[0] or hi > axis[-1]:
-        np.clip(w, 0.0, 1.0, out=w)
-    return i, w
+    i = np.searchsorted(axis[1:], q, side="right")
+    d = q - axis.take(i)
+    if lo < axis[0]:
+        np.maximum(d, 0.0, out=d)
+    return i, d
 
 
-def query_many(table: EffectiveTable, x: Optional[np.ndarray], p: np.ndarray,
+def _weighted(axis: np.ndarray, q: np.ndarray, name: str) -> tuple:
+    """(i, w): _locate's cells and the weight of node i + 1, 0 when padded."""
+    i, d = _locate(axis, q, name)
+    return i, d / np.diff(axis, append=np.inf).take(i)
+
+
+class TableCells:
+    """The bilinear form Hbar = c0 + dq (c1 + dl c3) + dl c2, dq = p - ps[i] and
+    dl = l - ls[k], of each (x node, p cell, l cell) of a table, its cell (i, k)
+    anchored at node (i, k); `coef` holds c0 .. c3 flat in (x, p, l) order.  A
+    padded cell past the upper end of each axis (flat in p and l, zero in x)
+    anchors a query on any node there, so it returns the node value exactly.
+    A failed node enters as 0 and `flagged` marks its cells (None if none)."""
+
+    def __init__(self, table: EffectiveTable):
+        self.table = table
+        failed = np.pad(~np.isfinite(table.values), ((0, 1), (0, 1), (0, 1)))
+        v = np.where(failed[:, :-1, :-1], 0.0, np.pad(table.values, ((0, 1), (0, 0), (0, 0))))
+        dp, dl = (np.diff(axis, append=np.inf) for axis in (table.ps, table.ls))
+        c2 = np.diff(v, axis=2, append=v[:, :, -1:]) / dl
+        self.coef = np.stack([v, np.diff(v, axis=1, append=v[:, -1:]) / dp[:, None], c2,
+                              np.diff(c2, axis=1, append=c2[:, -1:]) / dp[:, None]]
+                             ).reshape(4, -1)
+        self.flagged = (failed[:, :-1, :-1] | failed[:, 1:, :-1] | failed[:, :-1, 1:]
+                        | failed[:, 1:, 1:]).ravel() if failed.any() else None
+
+
+def _failed_nodes(table: EffectiveTable, x: Optional[tuple], p: np.ndarray,
+                  l: np.ndarray) -> np.ndarray:
+    """Per query, the flat index of the first failed node, in x, p, l order,
+    that the 8-corner sum weighs nonzero, or -1; x is as query_many takes it."""
+    corners = [(0, 1.0)]      # (flat index, weight) per corner, in x, p, l order
+    for lw, stride in ((x, table.ps.size * table.ls.size), (_weighted(table.ps, p, "p"),
+                       table.ls.size), (_weighted(table.ls, l, "l"), 1)):
+        if lw is not None:
+            i, w = lw
+            corners = [(off + i * stride + step, c * c_ax) for off, c in corners
+                       for step, c_ax in ((0, 1.0 - w), (stride, w))]
+    failed = ~np.isfinite(table.values.ravel())
+    found = np.full(p.size, -1)
+    # a padded corner may index past the end, but it has weight 0
+    for node, c in reversed(corners):
+        found = np.where((c != 0.0) & failed.take(node, mode="clip"), node, found)
+    return found
+
+
+def query_many(cells: TableCells, x: Optional[tuple], p: np.ndarray,
                l: np.ndarray) -> np.ndarray:
-    """Vectorized multilinear interpolation; exact at nodes, no extrapolation.
+    """Multilinear interpolation at queries p, l of one shape: exact at nodes,
+    no extrapolation, NaN where a failed node weighs nonzero and only there.
+    x is _weighted's (i, w) of the queries on the x axis, or None to serve
+    them all from the one x node.  Raises ValueError naming an off-hull query."""
+    table, stride = cells.table, cells.table.ls.size
+    shape = np.shape(p)
+    p, l = np.ravel(np.asarray(p, dtype=float)), np.ravel(np.asarray(l, dtype=float))
+    (ip, dq), (ik, dl) = _locate(table.ps, p, "p"), _locate(table.ls, l, "l")
+    flat = ip * stride
+    flat += ik
 
-    A single-node axis is checked (every query must sit on its node) and then
-    skipped, so a table with one x node interpolates over 4 corners, not 8;
-    x None serves every query from that node unchecked, shaped as p and l.
-    On a table with a failed (NaN) node, corners of zero weight add zero,
-    so that node never reaches a query that lands on its neighbour.  The
-    result is bit for bit the 8-corner sum taken from +0.0 in x, p, l order.
-    """
-    axes = ((table.xs, x, "x", table.ps.size * table.ls.size),
-            (table.ps, p, "p", table.ls.size), (table.ls, l, "l", 1))
-    if x is None:
-        if table.xs.size != 1:
-            raise ValueError("x may be left out only for a single-node x axis")
-        axes = axes[1:]
-    queries = [np.asarray(q, float) for _, q, _, _ in axes]
-    if any(q.shape != queries[0].shape for q in queries):
-        queries = np.broadcast_arrays(*queries)
-    shape = queries[0].shape
-    flat = np.zeros(queries[0].size, dtype=np.intp)
-    corners = [(0, 1.0)]      # (flat offset, weight) per corner, in x, p, l order
-    for (axis, _, name, stride), q in zip(axes, queries):
-        located = _locate(axis, q.ravel(), name)
-        if located is None:
-            continue
-        i, w = located
-        flat += i * stride
-        pair = ((0, 1.0 - w), (stride, w))
-        # 1.0 * weight is the weight, so the first axis located needs no product
-        corners = list(pair) if len(corners) == 1 else [
-            (off + off_ax, c * c_ax) for off, c in corners for off_ax, c_ax in pair]
-    values = table.values.ravel()
-    failed = not np.isfinite(values).all()
-    out = None
-    for off, c in corners:
-        cv = values[off:].take(flat)
-        cv *= c
-        if failed:            # 0 * NaN is NaN: a zero weight must not fetch a failed node
-            np.copyto(cv, 0.0, where=c == 0.0)
-        out = cv if out is None else np.add(out, cv, out=out)
-    # a sum of zeros may come out -0.0 where a sum from +0.0 cannot
-    out += 0.0
+    def bilinear(flat):
+        c0, c1, c2, c3 = (c.take(flat) for c in cells.coef)
+        c3 *= dl
+        c3 += c1
+        c3 *= dq
+        c3 += c0
+        c2 *= dl
+        c3 += c2
+        return c3
+
+    offsets = [0] if x is None else [0, table.ps.size * stride]    # of the x nodes drawn on
+    if x is not None:
+        flat += x[0] * offsets[1]
+    out = bilinear(flat)
+    if x is not None:
+        out = out * (1.0 - x[1]) + bilinear(flat + offsets[1]) * x[1]
+    if cells.flagged is not None:
+        hit = np.flatnonzero(np.logical_or.reduce([cells.flagged.take(flat + off)
+                                                   for off in offsets]))
+        xh = None if x is None else (x[0][hit], x[1][hit])
+        out[hit[_failed_nodes(table, xh, p[hit], l[hit]) >= 0]] = np.nan
     return out.reshape(shape)
 
 
-def failed_node(table: EffectiveTable, x: float, p: float, l: float) -> Optional[tuple]:
-    """(x, p, l) of a failed (NaN) node the query at (x, p, l) draws on with
-    nonzero weight, or None."""
-    axes = (table.xs, table.ps, table.ls)
-    corners = []
-    for axis, q, name in zip(axes, (x, p, l), "xpl"):
-        located = _locate(axis, np.array([float(q)]), name)
-        i, w = (0, 0.0) if located is None else (int(located[0][0]), float(located[1][0]))
-        corners.append([j for j, c in ((i, 1.0 - w), (i + 1, w)) if c != 0.0])
-    for node in itertools.product(*corners):
-        if not np.isfinite(table.values[node]):
-            return tuple(float(axis[j]) for axis, j in zip(axes, node))
-    return None
-
-
 def effective_source_from_table(table: EffectiveTable) -> EffectiveSource:
-    """Table-backed source; queries abort outside the (p, l) hull.
-
-    A single-node x axis means the tabulated model has no slow-variable
-    dependence, so every x is served by that node.  On a table with a failed
-    node, value raises NumericalFailure naming the first query that draws on
-    it and the node.
-    """
-    collapse_x = table.xs.size == 1
+    """Table-backed source; queries abort outside the (p, l) hull.  A single x
+    node serves every x (the model has no slow variable); otherwise at(x)
+    locates x once.  A query that draws on a failed node raises
+    NumericalFailure naming the first such query and the node."""
+    cells = TableCells(table)
     slopes = table.p_cell_slopes().tolist()
     inner = table.ps[1:-1].tolist()
-    has_failed = not np.isfinite(table.values).all()
 
-    def value(x, p, l):
-        out = query_many(table, None if collapse_x else x, p, l)
-        if has_failed and not np.isfinite(out).all():
-            first = np.flatnonzero(~np.isfinite(out))[0]
-            qx, qp, ql = (float(np.broadcast_to(q, out.shape).flat[first]) for q in (x, p, l))
-            node = failed_node(table, table.xs[0] if collapse_x else qx, qp, ql)
-            raise NumericalFailure(f"the query (x, p, l) = ({qx:.6g}, {qp:.6g}, {ql:.6g}) " + (
-                "is non-finite" if node is None else
-                "draws on the failed table node (x, p, l) = ({:g}, {:g}, {:g})".format(*node)))
-        return out
+    def at(x):
+        located = None if table.xs.size == 1 else _weighted(table.xs, np.ravel(x), "x")
+
+        def value(p, l):
+            out = query_many(cells, located, p, l)
+            if cells.flagged is None or np.isfinite(out).all():
+                return out
+            first = np.flatnonzero(~np.isfinite(out))[:1]
+            qx, qp, ql = (np.broadcast_to(q, out.shape).ravel()[first] for q in (x, p, l))
+            node = _failed_nodes(table, located and (located[0][first], located[1][first]),
+                                 qp, ql)[0]
+            where = "is non-finite" if node < 0 else "draws on the failed table node " + (
+                "(x, p, l) = ({:g}, {:g}, {:g})".format(*(axis[j] for axis, j in zip(
+                    (table.xs, table.ps, table.ls), np.unravel_index(node, table.values.shape)))))
+            raise NumericalFailure(
+                f"the query (x, p, l) = ({qx[0]:.6g}, {qp[0]:.6g}, {ql[0]:.6g}) {where}")
+
+        return value
 
     def theta(lo, hi):
         # the cells [ps[k], ps[k + 1]] that meet [lo, hi]
         return max(slopes[bisect_left(inner, lo):bisect_right(inner, hi) + 1], default=0.0)
 
-    return EffectiveSource(value=value, l_slope=table.l_slope_bound(), theta=theta)
+    return EffectiveSource(at=at, l_slope=table.l_slope_bound(), theta=theta)
 
 
 def tabulate(fill: Callable, xs, ps, ls, sigma: float,

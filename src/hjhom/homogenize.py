@@ -60,8 +60,6 @@ class SweepReport:
     times: np.ndarray
     u_eps_final: list                 # coarse restrictions of each final state
     u_eff_final: np.ndarray
-    p_eff: np.ndarray                 # effective gradient at final time (coarse)
-    l_eff: np.ndarray                 # effective nonlocal value at final time
     initial_layers: list              # per-eps (t, sup gap) tables
     sigma: float
     failures: tuple = ()              # (eps, message) for runs that blew up
@@ -172,8 +170,7 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
                        steps=np.array([0 if tr is None else tr.steps for tr in trajectories]),
                        paths=tuple("" if tr is None else tr.path for tr in trajectories),
                        coarse_nodes=coarse_nodes, times=record,
-                       u_eps_final=finals, u_eff_final=u_eff_final,
-                       p_eff=p_eff, l_eff=l_eff, initial_layers=layers,
+                       u_eps_final=finals, u_eff_final=u_eff_final, initial_layers=layers,
                        sigma=sigma, failures=tuple(failures))
 
 

@@ -237,7 +237,6 @@ class DriftVector:
     """Limit of the truncated odd moment of kbar - kbar(0) (scalar in 1-D)."""
 
     b: float
-    rho_sequence: tuple
     converged: bool
     residual: float
 
@@ -255,21 +254,18 @@ def drift_vector(k: KernelSpec, tol: float = 1e-8) -> DriftVector:
         return (np.asarray(k.kbar(z)) - np.asarray(k.kbar(-z))) / z
 
     total = 0.0
-    rhos = [1.0]
     increment = np.inf
     for j in range(60):
         lo, hi = 2.0 ** (-(j + 1)), 2.0 ** (-j)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         increment = float(np.sum(half * _GAUSS_WEIGHTS * g(mid + half * _GAUSS_NODES)))
         total += increment
-        rhos.append(lo)
         if j >= 4 and abs(increment) < 0.05 * tol:
             break
-    rho = rhos[-1]
+    rho = lo
     near = np.array([rho / 2.0, rho / 4.0])
     residual = float(rho * np.max(np.abs(g(near))) + abs(increment))
-    return DriftVector(b=total, rho_sequence=tuple(rhos),
-                       converged=residual < tol, residual=residual)
+    return DriftVector(b=total, converged=residual < tol, residual=residual)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridFunction, forward_diff, one_sided_diffs
+from .grid import GridFunction, one_sided_diffs
 from .hamiltonians import HamiltonianSpec, coercive_reach
 from .kernels import QuadratureTable
 from .operators import apply_table
@@ -388,10 +388,8 @@ class Trajectory:
     times: np.ndarray
     snapshots: list
     sup_norm_track: np.ndarray
-    residual_track: np.ndarray
     dt: float              # the smallest full step taken
     theta: float           # the largest dissipation used
-    max_gradient_seen: float
     steps: int             # time steps taken, the shortened ones included
     path: str              # "implicit" or "explicit": how the nonlocal term was stepped
     max_dt: float = math.nan     # the largest full step taken
@@ -412,10 +410,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     on NaN (with the step index and time) or on a failure the source raises
     within a step (prefixed with them).
     """
-    u0 = problem.u0
-    h = u0.h
-    u = u0.values.copy()
-    max_grad = float(np.max(np.abs(forward_diff(u, h))))
+    u = problem.u0.values.copy()
     scheme = problem.scheme()
     dt, max_dt, theta = math.inf, 0.0, 0.0
     record = cfg.resolved_record_times(problem.T)
@@ -423,9 +418,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     t = 0.0
     times = [0.0]
     snapshots = [GridFunction(u)]
-    residuals = [0.0]
     step_index = 0
-    prev, step = u, 1.0
     for t_target in record:
         while t < t_target - 1e-14:
             diffs = scheme.fit_theta(u)
@@ -440,16 +433,12 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
                 raise NumericalFailure(f"at step {step_index}, t = {t:.6g}: {exc}") from None
             if not np.isfinite(nxt).all():
                 raise NumericalFailure(f"non-finite state at step {step_index}, t = {t:.6g}")
-            prev, u = u, nxt
-        max_grad = max(max_grad, float(np.max(np.abs(forward_diff(u, h)))))
+            u = nxt
         times.append(t)
         snapshots.append(GridFunction(u))
-        # rate of the last step, (u_prev - u) / step: F(u_prev) when explicit
-        residuals.append(float(np.max(np.abs(prev - u))) / step)
     return Trajectory(times=np.array(times), snapshots=snapshots,
                       sup_norm_track=np.array([s.sup_norm() for s in snapshots]),
-                      residual_track=np.array(residuals), dt=dt, theta=theta,
-                      max_gradient_seen=max_grad, steps=step_index,
+                      dt=dt, theta=theta, steps=step_index,
                       path="implicit" if scheme.implicit else "explicit", max_dt=max_dt)
 
 

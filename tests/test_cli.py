@@ -227,9 +227,9 @@ class TestCommands:
             "cell.table_p = 0,1,2", "cell.table_l = -1,0,1",
         ]) + "\n")
         assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
-        from hjhom.effective import load_table, query_many
+        from hjhom.effective import effective_source_from_table, load_table
         table = load_table(str(tmp_path / "run_effective.csv"))
-        got = float(query_many(table, 0.0, 1.0, 0.0))
+        got = float(effective_source_from_table(table).at(0.0)(1.0, 0.0))
         assert got == pytest.approx(3.0 - np.sqrt(3.0), abs=1e-10)
 
     @pytest.mark.parametrize("m", ["2", "3"])

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from conftest import formula_fill
 from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
-from hjhom.effective import (ClosedForm, EffectiveTable, audit_properties,
-                             effective_source_from_formula, effective_source_from_table,
-                             load_table, query_many, save_table, tabulate)
+from hjhom.effective import (ClosedForm, EffectiveTable, TableCells, _weighted,
+                             audit_properties, effective_source_from_formula,
+                             effective_source_from_table, load_table, query_many,
+                             save_table, tabulate)
+from hjhom.grid import GridFunction
 from hjhom.hamiltonians import HamiltonianSpec, PowerForm, coefficient, model_bpm
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
-from hjhom.parabolic import NumericalFailure, coefficient_scheme
+from hjhom.parabolic import (MonotoneScheme, NumericalFailure, ParabolicProblem,
+                             SolverConfig, coefficient_scheme, solve)
 
 WAVY = coefficient("two_plus_cos_y")
 # positive and slow-variable dependent, unlike every built-in positive coefficient
@@ -56,8 +59,8 @@ def _axis_locate_oracle(axis, q, name):
 
 
 def query_oracle(table, x, p, l):
-    """The straightforward 8-corner multilinear query that query_many must
-    reproduce bit for bit."""
+    """The straightforward 8-corner multilinear query: corner_sum reproduces
+    it bit for bit, the per-cell bilinear query within rounding."""
     x, p, l = np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float),
                                   np.asarray(l, float))
     ix0, ix1, wx = _axis_locate_oracle(table.xs, x, "x")
@@ -71,6 +74,47 @@ def query_oracle(table, x, p, l):
                 c = cx * cp * cl
                 out += np.where(c != 0.0, c * v[ix, ip, il], 0.0)
     return out
+
+
+def corner_sum(table, x, p, l):
+    """The exact 8-corner sum the table source used before its per-cell
+    bilinear forms, kept beside its oracle: each axis located once, a
+    single-node axis checked and skipped, corners of zero weight adding zero,
+    summed from +0.0 in x, p, l order.  x None serves every query from the
+    single x node unchecked."""
+    axes = ((table.xs, x, "x", table.ps.size * table.ls.size),
+            (table.ps, p, "p", table.ls.size), (table.ls, l, "l", 1))
+    if x is None:
+        if table.xs.size != 1:
+            raise ValueError("x may be left out only for a single-node x axis")
+        axes = axes[1:]
+    queries = np.broadcast_arrays(*(np.asarray(q, float) for _, q, _, _ in axes))
+    flat = np.zeros(queries[0].size, dtype=np.intp)
+    corners = [(0, 1.0)]      # (flat offset, weight) per corner, in x, p, l order
+    for (axis, _, name, stride), q in zip(axes, queries):
+        i, _, w = _axis_locate_oracle(axis, q.ravel(), name)
+        if axis.size == 1:
+            continue
+        flat += i * stride
+        pair = ((0, 1.0 - w), (stride, w))
+        corners = list(pair) if len(corners) == 1 else [
+            (off + off_ax, c * c_ax) for off, c in corners for off_ax, c_ax in pair]
+    values = table.values.ravel()
+    out = np.zeros(flat.size)
+    for off, c in corners:
+        cv = values[off:].take(flat) * c
+        # 0 * NaN is NaN: a zero weight must not fetch a failed node
+        out += np.where(c == 0.0, 0.0, cv)
+    return out.reshape(queries[0].shape)
+
+
+def table_query(table, x, p, l):
+    """The table source's query at (x, p, l), broadcast together, from the
+    table's per-cell bilinear forms; x is checked on a single-node axis too,
+    and a failed node a query draws on gives NaN."""
+    x, p, l = np.broadcast_arrays(*(np.asarray(q, float) for q in (x, p, l)))
+    located = _weighted(table.xs, x.ravel(), "x")
+    return query_many(TableCells(table), None if table.xs.size == 1 else located, p, l)
 
 
 @st.composite
@@ -219,7 +263,8 @@ class TestTabulate:
 
         table = tabulate(fill, [0.0], np.arange(-8.0, 9.0, 2.0), np.arange(-6.0, 7.0, 2.0),
                          sigma=0.5)
-        value = effective_source_from_table(table).value
+        at = effective_source_from_table(table).at
+        value = lambda x, p, l: at(x)(p, l)
         xs = np.array([0.25, 0.5, 0.75])
         # p = 4 and l = 0 sit on nodes: the failed node's corners have zero weight
         assert np.array_equal(value(xs, np.array([0.0, 4.0, -3.0]), np.zeros(3)),
@@ -240,40 +285,40 @@ class TestQuery:
     def test_nodes_exact(self, table):
         for j, p in enumerate(table.ps):
             for k, l in enumerate(table.ls):
-                got = float(query_many(table, 0.0, float(p), float(l)))
+                got = float(table_query(table, 0.0, float(p), float(l)))
                 assert got == table.values[0, j, k]
 
     def test_affine_data_interpolated_exactly(self, table, eikonal_ham):
         # the closed form is affine in l, so interpolation along l is exact
         for l in (-0.31, 0.12, 0.77):
-            got = float(query_many(table, 0.0, 1.0, l))
+            got = float(table_query(table, 0.0, 1.0, l))
             assert got == pytest.approx(
                 closed_form(WAVY, eikonal_ham, 0.0, 1.0, l), abs=1e-12)
 
     def test_midpoint_average(self, table):
-        mid = float(query_many(table, 0.0, 1.0, 0.25))
-        assert mid == pytest.approx(0.5 * (float(query_many(table, 0.0, 1.0, 0.0))
-                                           + float(query_many(table, 0.0, 1.0, 0.5))),
+        mid = float(table_query(table, 0.0, 1.0, 0.25))
+        assert mid == pytest.approx(0.5 * (float(table_query(table, 0.0, 1.0, 0.0))
+                                           + float(table_query(table, 0.0, 1.0, 0.5))),
                                     abs=1e-13)
 
     def test_out_of_hull_rejected(self, table):
         with pytest.raises(ValueError):
-            query_many(table, 0.0, 3.0, 0.0)
+            table_query(table, 0.0, 3.0, 0.0)
         with pytest.raises(ValueError):
-            query_many(table, 0.5, 1.0, 0.0)
+            table_query(table, 0.5, 1.0, 0.0)
         with pytest.raises(ValueError):
-            query_many(table, np.zeros(3), np.array([0.0, 1.0, 2.5]), np.zeros(3))
+            table_query(table, np.zeros(3), np.array([0.0, 1.0, 2.5]), np.zeros(3))
 
     def test_off_hull_errors_name_the_worst_query(self, table):
         cases = [((0.0, 0.0, 0.0), (0.0, 2.5, -0.3), "p = 2.5 outside the table hull [0.0, 2.0]"),
                  ((0.0, 0.3, -0.1), (1.0, 1.0, 1.0), "x = 0.3 outside the single-node axis")]
         for x, p, msg in cases:
-            for query_fn in (query_many, query_oracle):
+            for query_fn in (table_query, query_oracle):
                 with pytest.raises(ValueError, match=re.escape(msg)):
                     query_fn(table, np.array(x), np.array(p), np.zeros(3))
         # a NaN query does not hide an off-hull one
         with pytest.raises(ValueError, match=r"p = 2\.5 outside"):
-            query_many(table, np.zeros(2), np.array([np.nan, 2.5]), np.zeros(2))
+            table_query(table, np.zeros(2), np.array([np.nan, 2.5]), np.zeros(2))
 
     def test_failed_neighbour_of_a_node_is_skipped(self):
         # the node p = 1 is exact; its zero-weight neighbour p = 0 failed
@@ -284,8 +329,8 @@ class TestQuery:
                                provenance=np.array([[["failed"], ["discount"],
                                                      ["discount"]]], dtype=object),
                                sigma=0.5)
-        assert float(query_many(table, 0.0, 1.0, 0.0)) == 2.0
-        got = query_many(table, np.zeros(2), np.array([1.0, 1.5]), np.zeros(2))
+        assert float(table_query(table, 0.0, 1.0, 0.0)) == 2.0
+        got = table_query(table, np.zeros(2), np.array([1.0, 1.5]), np.zeros(2))
         assert np.array_equal(got, [2.0, 2.5])
 
     @given(tables_and_queries())
@@ -301,13 +346,45 @@ class TestQuery:
             assert np.array_equal(got[finite].view(np.int64),
                                   expected[finite].view(np.int64))
 
-        assert_same_bits(query_many(table, x, p, l))
+        assert_same_bits(corner_sum(table, x, p, l))
         # x left out: the single x node serves every query, unchecked
         if table.xs.size == 1:
-            assert_same_bits(query_many(table, None, p, l))
+            assert_same_bits(corner_sum(table, None, p, l))
         else:
             with pytest.raises(ValueError, match="single-node x axis"):
-                query_many(table, None, p, l)
+                corner_sum(table, None, p, l)
+
+    @given(tables_and_queries(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bilinear_cells_match_oracle(self, case, data):
+        # NaN exactly where the oracle has NaN, within 8 eps max|Hbar| elsewhere;
+        # with subnormal values each rounding can lose one smallest subnormal
+        table, (x, p, l) = case
+        expected = query_oracle(table, x, p, l)
+        got = table_query(table, x, p, l)
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        finite = ~np.isnan(expected)
+        scale = np.max(np.abs(table.values), initial=0.0, where=~np.isnan(table.values))
+        assert np.all(np.abs(got[finite] - expected[finite])
+                      <= 8.0 * np.finfo(float).eps * scale
+                      + 32.0 * np.finfo(float).smallest_subnormal)
+        # every node exactly, failed ones NaN
+        nodes = np.meshgrid(table.xs, table.ps, table.ls, indexing="ij")
+        at_nodes = table_query(table, *nodes)
+        assert np.array_equal(at_nodes, table.values, equal_nan=True)
+        assert np.array_equal(at_nodes, query_oracle(table, *nodes), equal_nan=True)
+        # one query moved off the hull along one axis: the same message
+        axis_idx = data.draw(st.integers(0, 2))
+        axis = (table.xs, table.ps, table.ls)[axis_idx]
+        off = [q.copy() for q in (x, p, l)]
+        off[axis_idx][data.draw(st.integers(0, x.size - 1))] = data.draw(st.one_of(
+            st.floats(axis[-1] + 1e-6, axis[-1] + 5.0), st.floats(axis[0] - 5.0, axis[0] - 1e-6)))
+        messages = []
+        for query_fn in (table_query, query_oracle):
+            with pytest.raises(ValueError) as info:
+                query_fn(table, *off)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     def test_matches_oracle_on_a_solver_sized_query(self):
         # the shape `hjhom effective` writes with one cell.table_x, queried
@@ -324,12 +401,61 @@ class TestQuery:
         p[::7] = np.round(p[::7] / 2.0) * 2.0    # exact nodes
         l[::5] = np.round(l[::5] / 2.0) * 2.0
         x = np.zeros_like(p)
-        assert np.array_equal(query_many(table, x, p, l), query_oracle(table, x, p, l))
+        assert np.array_equal(corner_sum(table, x, p, l), query_oracle(table, x, p, l))
 
     def test_monotone_data_interpolates_monotone(self, table):
         ls = np.linspace(-1.0, 1.0, 41)
-        vals = query_many(table, np.zeros_like(ls), np.full_like(ls, 1.0), ls)
+        vals = table_query(table, np.zeros_like(ls), np.full_like(ls, 1.0), ls)
         assert np.all(np.diff(vals) <= 1e-12)
+
+
+class TestTableSource:
+    """The table source's scheme, queried through the per-cell bilinear
+    forms, against the same scheme on the exact 8-corner sum."""
+
+    N = 256
+
+    @staticmethod
+    def _table(failed=()):
+        # shaped as the solve_from_table fixture: one x node, p step 2 over
+        # [-8, 8], l step 2 over [-6, 6]; coercive in p, decreasing in l
+        ps, ls = np.linspace(-8.0, 8.0, 9), np.linspace(-6.0, 6.0, 7)
+        P, L = np.meshgrid(ps, ls, indexing="ij")
+        values = (P ** 2 + 0.5 * np.cos(P) - (1.0 + 0.1 * np.sin(P)) * L)[None]
+        for p, l in failed:
+            values[0, ps == p, ls == l] = np.nan
+        return EffectiveTable(xs=np.array([0.0]), ps=ps, ls=ls, values=values,
+                              err=np.zeros_like(values),
+                              provenance=np.where(np.isnan(values), "failed",
+                                                  "discount").astype(object),
+                              sigma=0.5)
+
+    def test_steps_as_the_exact_sum(self):
+        n, table = self.N, self._table()
+        src = effective_source_from_table(table)
+        xs, qtable = np.arange(n) / n, periodized_weights(constant_kernel(0.5), n)
+        cells = src.scheme(xs, qtable)
+        exact = MonotoneScheme(1.0 / n, lambda q, lv: query_oracle(table, 0.0, q, lv),
+                               theta=src.theta, table=qtable, l_slope=src.l_slope)
+        u = v = np.sin(2 * np.pi * xs)
+        for _ in range(200):
+            du, dv = cells.fit_theta(u), exact.fit_theta(v)
+            assert cells.theta == exact.theta and cells.step_dt() == exact.step_dt()
+            u, v = cells.step(u, cells.step_dt(), du), exact.step(v, exact.step_dt(), dv)
+        assert np.max(np.abs(u - v)) <= 1e-12
+
+    def test_failed_node_out_of_reach_changes_nothing(self):
+        # the solve reaches |p| <= 2 pi and l in about [-4, 2.5]: no query
+        # lands in a cell of the node (p, l) = (8, 6), and the p cell [6, 8]
+        # that theta covers keeps its largest slope, at l = -6
+        u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), self.N)
+        finals = []
+        for table in (self._table(), self._table(failed=[(8.0, 6.0)])):
+            problem = ParabolicProblem(kind="effective", u0=u0, T=0.05,
+                                       table=periodized_weights(constant_kernel(0.5), self.N),
+                                       source=effective_source_from_table(table))
+            finals.append(solve(problem, SolverConfig(snapshots=1)).final().values)
+        assert finals[0].tobytes() == finals[1].tobytes()
 
 
 def theta_oracle(table, lo, hi):

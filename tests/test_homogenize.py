@@ -24,8 +24,7 @@ def _dummy_report(eps, errors):
                        dts=z, max_dts=z, steps=np.zeros(eps.size, dtype=int),
                        paths=("",) * eps.size,
                        coarse_nodes=np.zeros(4), times=np.zeros(2),
-                       u_eps_final=[], u_eff_final=np.zeros(4), p_eff=np.zeros(4),
-                       l_eff=np.zeros(4), initial_layers=[], sigma=1.5)
+                       u_eps_final=[], u_eff_final=np.zeros(4), initial_layers=[], sigma=1.5)
 
 
 @pytest.fixture(scope="module")

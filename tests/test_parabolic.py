@@ -396,7 +396,8 @@ class TestStateTheta:
         lv = apply_table(u, periodized_weights(constant_kernel(0.5), n))
         for reach in (1e-3, 0.1, np.inf):
             left, right = np.maximum(centre - reach, lo), np.minimum(centre + reach, hi)
-            quotient = (src.value(x, right, lv) - src.value(x, left, lv)) / (right - left)
+            value = src.at(x)
+            quotient = (value(right, lv) - value(left, lv)) / (right - left)
             assert np.all(np.abs(quotient) <= theta * (1.0 + 1e-9) + 1e-9)
 
     @given(seed=st.integers(0, 1 << 30), slope=st.floats(0.1, 6.5),
@@ -475,7 +476,7 @@ class TestJacobian:
 
     def test_effective_sources_are_rejected(self):
         from hjhom.effective import EffectiveSource
-        src = EffectiveSource(value=lambda x, p, l: p * p - l, l_slope=1.0,
+        src = EffectiveSource(at=lambda x: lambda p, l: p * p - l, l_slope=1.0,
                               theta=lambda lo, hi: 4.0)
         n = 16
         scheme = src.scheme(np.arange(n) / n, periodized_weights(constant_kernel(0.5), n))
