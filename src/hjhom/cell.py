@@ -27,7 +27,10 @@ its Newton steps:
   * stagnated: max |r| sits at the rounding floor of its own evaluation,
     ROUNDOFF_MULTIPLE * eps * (|J|_inf |phi|_inf + |delta phi + F(phi)|_inf),
     above tol.  The iterate is then the discrete solution to working
-    precision and counts as converged; no further step can lower r;
+    precision and counts as converged; no further step can lower r.  The
+    floor grows with phi, so the stop counts only while delta |phi|_inf <=
+    2 |F(0)|_inf, the comparison principle's bound on the solution's
+    oscillation; a larger iterate raises NumericalFailure;
   * budget: max_steps Newton steps were taken without either; not converged.
 """
 
@@ -173,6 +176,14 @@ def _newton(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
                                         * float(np.max(np.abs(phi)))
                                         + float(np.max(np.abs(full))))
         if nr <= floor:
+            # the comparison principle bounds the solution w by max|F(0)| / delta,
+            # so its mean-free part by twice that; a larger iterate blew up
+            size = delta * float(np.max(np.abs(phi)))
+            bound = 2.0 * float(np.max(np.abs(scheme.residual(np.zeros_like(phi)) - source)))
+            if size > bound:
+                raise NumericalFailure(f"cell Newton stagnated at delta = {delta:g}, step "
+                                       f"{steps}, on an iterate with delta max|phi| = "
+                                       f"{size:.6g} > 2 max|F(0)| = {bound:.6g}")
             return phi, DiscountSolve(delta, nr, steps, "stagnated")
         if steps >= cfg.max_steps:
             return phi, DiscountSolve(delta, nr, steps, "budget")

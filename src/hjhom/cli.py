@@ -170,8 +170,9 @@ class FillCount:
 def _discount_fill(cfg: RunConfig, model: Model) -> tuple:
     """(fill, count): fill(x, p, l) solves the node at the smallest discount
     only, by continuation from the previous node's corrector (or zero, when
-    zero has the smaller residual); a solve that stops on its step budget
-    falls back to the whole `cell.deltas` ladder from zero."""
+    zero has the smaller residual); a solve that stops on its step budget or
+    raises NumericalFailure falls back to the whole `cell.deltas` ladder from
+    zero.  The steps of a solve that raised are not counted."""
     ccfg = _cell_config(cfg)
     deltas = cfg["cell.deltas"]
     base = _cell_params(cfg, model)
@@ -182,11 +183,14 @@ def _discount_fill(cfg: RunConfig, model: Model) -> tuple:
         nonlocal last
         params = dataclasses.replace(base, x=x, p=p, l=l)
         start, last = last, None
-        sol = vanishing_discount_sweep(params, deltas[-1:], ccfg, start=start)
         count.nodes += 1
-        count.warm += sol.warm_start
-        count.steps += sum(rec[2] for rec in sol.residuals)
-        if not sol.converged:
+        try:
+            sol = vanishing_discount_sweep(params, deltas[-1:], ccfg, start=start)
+            count.warm += sol.warm_start
+            count.steps += sum(rec[2] for rec in sol.residuals)
+        except NumericalFailure:
+            sol = None
+        if sol is None or not sol.converged:
             count.fallbacks += 1
             sol = vanishing_discount_sweep(params, deltas, ccfg)
             count.steps += sum(rec[2] for rec in sol.residuals)

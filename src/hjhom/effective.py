@@ -36,13 +36,13 @@ from . import csvio
 from .cell import spectral_cell_above_one
 from .grid import GridFunction
 from .hamiltonians import HamiltonianSpec
-from .kernels import QuadratureTable
+from .kernels import BLOCK_VALUES, QuadratureTable
 from .parabolic import MonotoneScheme, NumericalFailure
 
 # Cell nodes of the periodic quadrature behind every closed-form mean
 CLOSED_FORM_NODES = 2048
-# x nodes per quadrature block, so no block holds more than 256 x 2048 values
-_BLOCK_ROWS = 256
+# x nodes per quadrature block, so no block holds more than BLOCK_VALUES values
+_BLOCK_ROWS = BLOCK_VALUES // CLOSED_FORM_NODES
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,6 @@ class EffectiveTable:
         d = np.abs(np.diff(self.values, axis=1) / np.diff(self.ps)[None, :, None])
         cells = np.fmax.reduce(d, axis=(0, 2))             # NaN only without a finite pair
         return np.where(np.isnan(cells), np.fmax.reduce(cells, initial=0.0), cells)
-
-    def p_slope_bound(self) -> float:
-        return float(np.max(self.p_cell_slopes(), initial=0.0))
 
 
 def _locate(axis: np.ndarray, q: np.ndarray, name: str) -> tuple:

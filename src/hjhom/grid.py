@@ -61,9 +61,6 @@ class GridFunction:
         k %= self.n
         return GridFunction(np.concatenate((self.values[k:], self.values[:k])))
 
-    def minus_mean(self) -> "GridFunction":
-        return GridFunction(self.values - np.mean(self.values))
-
     def value_near(self, points: np.ndarray) -> np.ndarray:
         """Values at arbitrary torus points by nearest-node lookup."""
         idx = np.rint(np.asarray(points) * self.n).astype(np.int64) % self.n

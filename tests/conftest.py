@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 # One BLAS/OpenMP thread: the dense Newton solves are small, and a pool that
 # spins on a core another process holds slows them by orders of magnitude.
@@ -56,3 +57,14 @@ def trig_poly(seed: int, n: int, modes: int = 4, scale: float = 1.0) -> GridFunc
         vals += rng.normal() * np.cos(2 * np.pi * k * x) / k
         vals += rng.normal() * np.sin(2 * np.pi * k * x) / k
     return GridFunction(scale * vals)
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak traced allocation while fn runs, numpy's buffers included, in MB."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()

@@ -5,12 +5,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from hjhom.cell import (CellConfig, CellParams, _cell_scheme, regime_of,
+import hjhom.cell
+from hjhom.cell import (CellConfig, CellParams, _cell_scheme, _newton, regime_of,
                         spectral_cell_above_one, vanishing_discount_sweep)
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, model_bpm
 from hjhom.kernels import constant_kernel, drift_vector, tilt_kernel
 from hjhom.operators import spectral_flap
+from hjhom.parabolic import NumericalFailure
 from lemmas import holder_quotients, regularity_audit, regularity_sweep_audit
 from long_time import long_time_average
 
@@ -117,6 +119,22 @@ class TestEikonalCell:
         for rec in sol.residuals:
             assert rec.reason == "stagnated"
             assert rec[1] <= 1e-11 and rec[2] <= 50
+
+    def test_stagnated_stop_needs_the_comparison_bound(self, eikonal_ham, unit_a,
+                                                       monkeypatch):
+        # with the rounding floor made huge every iterate stops at once; the
+        # bound delta max|phi| <= 2 max|F(0)| (about 2.4 here) takes zero and
+        # refuses an iterate of oscillation 2000 at delta = 0.1
+        monkeypatch.setattr(hjhom.cell, "ROUNDOFF_MULTIPLE", 1e300)
+        params = CellParams(x=0.0, p=0.45, l=0.0, sigma=0.5, a=unit_a, ham=eikonal_ham)
+        cfg = CellConfig(n=64, tol=0.0)
+        scheme = _cell_scheme(params, cfg)
+        _, rec = _newton(scheme, np.zeros(64), 0.1, cfg)
+        assert (rec.reason, rec[2]) == ("stagnated", 0)
+        blown_up = 1e3 * np.cos(2 * np.pi * np.arange(64) / 64)
+        with pytest.raises(NumericalFailure, match=r"stagnated at delta = 0\.1, step 0, "
+                                                   r".* = 100 > 2 max\|F\(0\)\| = 2\.4"):
+            _newton(scheme, blown_up, 0.1, cfg)
 
     @pytest.mark.parametrize("p", [0.0, 0.45, 1.2, 2.0])
     def test_fine_grid_small_discount(self, p, eikonal_ham, unit_a):

@@ -634,6 +634,28 @@ class TestContinuationFill:
         assert table.values[0, 0, 0] == sol.H_bar
         assert table.err[0, 0, 0] == sol.spread
 
+    @pytest.mark.parametrize("table_l, fallbacks", [("-1,1", 2), ("0,1", 1)])
+    def test_failed_solve_falls_back_to_the_ladder(self, tmp_path, capsys, table_l,
+                                                   fallbacks):
+        # discounts to 1e-6 on the flat piece.  At l = -1, 1 the continuation
+        # solve of (0.45, 1) meets a non-finite residual; at l = 0, 1 the one
+        # of (1.2, 1) stagnates on an iterate that has blown up (H_bar was
+        # saved as -4.6e12).  The ladder solves each of them
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 0.5", "coefficient_a.kind = two_plus_cos_y",
+            "hamiltonian.f = cos_y", "cell.n = 128",
+            "cell.deltas = 0.1,0.01,0.001,0.0001,0.00001,0.000001",
+            "cell.table_p = 0.0,0.45,1.2", f"cell.table_l = {table_l}"]) + "\n")
+        assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(rf"fill: 6 nodes, \d+ Newton steps, \d+ warm-started, "
+                            rf"{fallbacks} ladder fallbacks", out[0])
+        from hjhom.effective import load_table
+        table = load_table(str(tmp_path / "run_effective.csv"))
+        assert np.all(table.provenance == "discount")
+        # l = 1 puts every p on the flat piece at H_bar = 0 (a + f = 2 + 2 cos)
+        assert np.max(np.abs(table.values[0, :, 1])) <= 1e-6
+
     def test_fill_line_below_and_at_order_one_only(self, tmp_path, capsys):
         for sigma, shown in (("1", True), ("1.5", False)):
             path = write(tmp_path, "\n".join([

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import formula_fill
+from conftest import formula_fill, traced_peak_mb
 from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
-from hjhom.effective import (ClosedForm, EffectiveTable, TableCells, _weighted,
+from hjhom.effective import (_BLOCK_ROWS, CLOSED_FORM_NODES, ClosedForm, EffectiveTable,
+                             TableCells, _weighted,
                              audit_properties, effective_source_from_formula,
                              effective_source_from_table, load_table, query_many,
                              save_table, tabulate)
@@ -218,6 +219,25 @@ class TestClosedForm:
     def test_positive_coefficient_required(self, eikonal_ham):
         with pytest.raises(ValueError):
             closed_form(coefficient("cos_y"), eikonal_ham, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("f", ["cos_y", "cos_x_cos_y"])
+    def test_blocked_means_match_one_block(self, f):
+        # the oracle takes every x node's cell means in one block
+        form = ClosedForm(X_DEPENDENT, model_bpm("one", f, 2.0))
+        x = np.arange(3 * _BLOCK_ROWS + 5) / (3 * _BLOCK_ROWS + 5)
+        X, ys = x[:, None], np.arange(CLOSED_FORM_NODES) / CLOSED_FORM_NODES
+        a_vals = np.broadcast_to(X_DEPENDENT(X, ys), (x.size, ys.size))
+        A = 1.0 / np.mean(1.0 / a_vals, axis=1)
+        pf = form.ham.power_form
+        want = [A] + [A * np.mean(np.broadcast_to(part, a_vals.shape) / a_vals, axis=1)
+                      for part in (pf.b(X, ys), pf.f(X, ys))]
+        got = form.means(x)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_traced_peak_of_many_means(self, eikonal_ham):
+        # one block of 256 x nodes peaked near 16 MB here
+        form = ClosedForm(WAVY, eikonal_ham)
+        assert traced_peak_mb(lambda: form.means(np.arange(1024) / 1024)) < 4.0
 
 
 class TestTabulate:
@@ -478,7 +498,8 @@ class TestSlopeBounds:
     @settings(max_examples=100, deadline=None)
     def test_theta_matches_oracle_below_the_table_bound(self, case):
         table, (_, p, _) = case
-        theta, bound = effective_source_from_table(table).theta, table.p_slope_bound()
+        theta = effective_source_from_table(table).theta
+        bound = float(np.max(table.p_cell_slopes(), initial=0.0))
         assert bound == theta_oracle(table, -np.inf, np.inf)
         assert theta(-np.inf, np.inf) == theta(table.ps[0], table.ps[-1]) == bound
         for lo, hi in zip(p, p[::-1]):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import traced_peak_mb
 from hjhom.grid import GridFunction
-from hjhom.kernels import (KernelSpec, audit_ellipticity, constant_kernel,
+from hjhom.kernels import (_GAUSS_NODES, _GAUSS_WEIGHTS, BLOCK_VALUES, KernelSpec,
+                           audit_ellipticity, constant_kernel,
                            drift_vector, kernel_from_table, modulus_log_integral,
                            modulus_omega_bar, normalizing_constant,
                            periodized_weights, quadratic_tilt_kernel, tilt_kernel)
@@ -217,3 +219,89 @@ class TestPeriodizedWeights:
             periodized_weights(constant_kernel(1.0), 4)
         with pytest.raises(ValueError):
             periodized_weights(constant_kernel(1.0), 64, image_budget=0)
+
+
+def _cell_integrals(fun, lo, hi):
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    z = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
+    return np.sum(half[:, None] * _GAUSS_WEIGHTS[None, :] * fun(z), axis=1)
+
+
+def two_pass_weights(k, n, image_budget=16):
+    """The unblocked build: every cell's Gauss nodes in one array, and the
+    kernel evaluated once for the zeroth moment and again for the hat moment.
+    Returns (weights, antisym, comp_coeff, tail_mass)."""
+    sigma = k.sigma
+    h = 1.0 / n
+    M = image_budget * n
+    m = np.arange(1, M + 1)
+    lo = m * h
+    hi = (m + 1) * h
+
+    def spread(density, sign):
+        def kernel(z):
+            return density(z) * z ** (-1.0 - sigma)
+
+        k0 = _cell_integrals(kernel, lo, hi)
+        k1 = _cell_integrals(lambda z: kernel(z) * (z - lo[:, None]) / h, lo, hi)
+        out = np.zeros(n)
+        np.add.at(out, m % n, k0 - k1)
+        np.add.at(out, (m + 1) % n, k1)
+        np.add.at(out, (-m) % n, sign * (k0 - k1))
+        np.add.at(out, (-(m + 1)) % n, sign * k1)
+        return out
+
+    weights = spread(k.kbar_sym, 1.0)
+    beta = 1.0 / (2.0 - sigma)
+    u = 0.5 + 0.5 * _GAUSS_NODES
+    s_inner = h ** (2.0 - sigma) * beta * float(
+        np.sum(0.5 * _GAUSS_WEIGHTS * k.kbar_sym(h * u ** beta)))
+    weights[1 % n] += s_inner / h ** 2
+    weights[(-1) % n] += s_inner / h ** 2
+    z_far = hi[-1]
+    k_far = float(k.kbar_sym(np.array([z_far]))[0])
+    weights += 2.0 * (k_far * z_far ** (-sigma) / sigma) / n
+
+    antisym = np.zeros(n)
+    comp = 0.0
+    if not k.symmetric:
+        antisym = spread(k.kbar_asym, -1.0)
+        inner = float(np.sum(
+            0.5 * _GAUSS_WEIGHTS * k.kbar_asym(h * u ** 2) * 2.0 * u ** (1.0 - 2.0 * sigma)))
+        a_lin = h ** (-sigma) * inner
+        antisym[1 % n] += a_lin
+        antisym[(-1) % n] -= a_lin
+        if sigma >= 1.0:
+            clip_hi = np.minimum(hi, 1.0)
+            keep = clip_hi > lo
+            comp_cells = _cell_integrals(lambda z: k.kbar_asym(z) * z ** (-sigma),
+                                         lo[keep], clip_hi[keep])
+            comp = 2.0 * (float(np.sum(comp_cells)) + h ** (1.0 - sigma) * inner)
+    return weights, antisym, comp, float(np.sum(weights))
+
+
+class TestBlockedBuild:
+    """periodized_weights takes its cells BLOCK_VALUES Gauss nodes at a time;
+    every cell's sums, and so every table entry, match the two-pass build."""
+
+    ROWS = BLOCK_VALUES // _GAUSS_NODES.size      # cells per block
+
+    @pytest.mark.parametrize("n", [8, 1000])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("family", ["constant", "tilt", "quadratic_tilt"])
+    def test_matches_two_pass_oracle(self, family, sigma, n):
+        cells = 16 * n
+        assert cells < self.ROWS or (cells > self.ROWS and cells % self.ROWS != 0)
+        k = {"constant": constant_kernel(sigma), "tilt": tilt_kernel(sigma, 0.5),
+             "quadratic_tilt": quadratic_tilt_kernel(sigma, -0.75)}[family]
+        table = periodized_weights(k, n)
+        weights, antisym, comp, tail = two_pass_weights(k, n)
+        assert np.array_equal(table.weights, weights)
+        assert np.array_equal(table.antisym, antisym)
+        assert table.comp_coeff == comp
+        assert table.tail_mass == tail
+
+    def test_traced_peak_of_a_large_build(self):
+        # the two-pass build peaks near 80 MB here
+        assert traced_peak_mb(lambda: periodized_weights(tilt_kernel(1.0, 0.5), 8192)) < 12.0

@@ -348,7 +348,7 @@ class TestStateTheta:
             prob = self._sine_problem(table, n)
             traj = solve(prob, cfg)
             fixed = prob.scheme()     # never fitted: theta(-inf, inf)
-            assert fixed.theta == table.p_slope_bound()
+            assert fixed.theta == float(np.max(table.p_cell_slopes(), initial=0.0))
             states, fixed_steps = _explicit_march(fixed, prob.u0.values,
                                                   cfg.resolved_record_times(prob.T))
             gap = max(float(np.max(np.abs(snap.values - v)))
