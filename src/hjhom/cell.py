@@ -8,6 +8,10 @@ operator F:
     kernel asymmetry, and the gradient coupling;
   * order > 1: the linear problem -a l + a (fractional Laplacian) v + H(y, p).
 
+Below order one the ergodic constant also has a closed form, the
+one-dimensional cell formula of formula_below_one, which fills effective
+tables; the discrete solve below stays for `hjhom cell` and as its oracle.
+
 The discounted equation delta v + F(v) = 0 is solved by Newton's method on
 the monotone scheme itself (semismooth at the Godunov flux's switches): F is
 convex and monotone, so delta I plus its Jacobian is an M-matrix, every
@@ -45,9 +49,15 @@ import numpy as np
 
 from .grid import GridFunction, forward_diff
 from .hamiltonians import HamiltonianSpec
-from .kernels import QuadratureTable, constant_kernel, periodized_weights
+from .kernels import BLOCK_VALUES, QuadratureTable, constant_kernel, periodized_weights
 from .operators import spectral_flap
 from .parabolic import MonotoneScheme, NumericalFailure, coefficient_scheme
+
+
+# Cell nodes of the periodic quadrature behind every closed-form mean: the
+# closed form above order one (hjhom.effective.ClosedForm) and the cell
+# formula below it
+CLOSED_FORM_NODES = 2048
 
 
 def regime_of(sigma: float) -> str:
@@ -158,7 +168,8 @@ def _mean_free_sup(scheme: MonotoneScheme, phi: np.ndarray, delta: float) -> flo
 def _newton(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
             cfg: CellConfig, source=0.0) -> tuple:
     """Mean-pinned Newton for delta phi + F(phi) = source + const, with a
-    mean-free source; (phi, DiscountSolve)."""
+    mean-free source; (phi, DiscountSolve).  A NumericalFailure it raises
+    carries the steps taken."""
     eps = np.finfo(float).eps
     phi = phi - np.mean(phi)
     steps = 0
@@ -168,7 +179,7 @@ def _newton(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
         nr = float(np.max(np.abs(r)))
         if not math.isfinite(nr):
             raise NumericalFailure(f"cell Newton produced a non-finite residual at "
-                                   f"delta = {delta:g}, step {steps}")
+                                   f"delta = {delta:g}, step {steps}", steps)
         if nr < cfg.tol:
             return phi, DiscountSolve(delta, nr, steps, "tol")
         jac = scheme.jacobian(phi, delta)
@@ -183,7 +194,7 @@ def _newton(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
             if size > bound:
                 raise NumericalFailure(f"cell Newton stagnated at delta = {delta:g}, step "
                                        f"{steps}, on an iterate with delta max|phi| = "
-                                       f"{size:.6g} > 2 max|F(0)| = {bound:.6g}")
+                                       f"{size:.6g} > 2 max|F(0)| = {bound:.6g}", steps)
             return phi, DiscountSolve(delta, nr, steps, "stagnated")
         if steps >= cfg.max_steps:
             return phi, DiscountSolve(delta, nr, steps, "budget")
@@ -256,3 +267,78 @@ def spectral_cell_above_one(sigma: float, f: GridFunction) -> GridFunction:
     mult[1:] = (2.0 * np.pi * freq[1:]) ** (-sigma)
     psi = np.fft.irfft(mult * np.fft.rfft(f.values), n=f.n)
     return GridFunction(psi - psi[0])
+
+
+# Newton and bisection steps per root of the formula below order one
+_ROOT_STEPS = 100
+
+
+def formula_below_one(a: Callable, ham: HamiltonianSpec, x, p, l,
+                      nodes: int = CLOSED_FORM_NODES) -> np.ndarray:
+    """Hbar(x, p, l) below order one from the one-dimensional cell formula
+    (Lions-Papanicolaou-Varadhan; Concordel 1996), broadcast over x, p, l.
+
+    The cell problem is b(y) |p + v'|^m = Hbar + g(y) at the frozen x.  On
+    the cell nodes y_k = k / nodes, with g = f + a l at the frozen x,
+    lambda0 = max(-g) and I(lambda) = mean(((lambda + g) / b)^(1/m)).  Hbar
+    = lambda0 where |p| <= I(lambda0), the flat piece, and otherwise the
+    root of I(lambda) = |p| above lambda0.  The nodes are taken in blocks of
+    at most BLOCK_VALUES values; each query's value does not depend on the
+    block that holds it.  Raises ValueError when H has no power form.
+    """
+    pf = ham.required_power_form()
+    x, p, l = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, p, l)))
+    ys = np.arange(nodes) / nodes
+    rows = max(1, BLOCK_VALUES // nodes)
+    xf, qf, lf = x.ravel(), np.abs(p.ravel()), l.ravel()
+    out = np.empty(xf.size)
+    for s in range(0, xf.size, rows):
+        block = slice(s, s + rows)
+        X = xf[block, None]
+        g = pf.f(X, ys) + a(X, ys) * lf[block, None]
+        b = np.broadcast_to(np.asarray(pf.b(X, ys), dtype=float), g.shape)
+        out[block] = _ergodic_root(g, b, pf.m, qf[block])
+    return out.reshape(x.shape)
+
+
+def _ergodic_root(g: np.ndarray, b: np.ndarray, m: float, q: np.ndarray) -> np.ndarray:
+    """Per row of g and b: lambda0 on the flat piece q <= I(lambda0), else
+    the root of I(lambda) = q.
+
+    I is increasing and concave, so Newton from a point left of the root
+    climbs to it monotonically, and a Newton step from the right lands left
+    of it.  The root is bracketed by lo = max(lambda0, Jensen's bound
+    (q^m - mean(g/b)) / mean(1/b)) and hi = max(b) q^m - min(g); the first
+    step is from the bracket's midpoint, since I' is infinite at lambda0, and
+    a Newton step that leaves the bracket is replaced by its midpoint.  A
+    root stops at the first left point whose Newton step does not climb.
+    Raises NumericalFailure naming the row's q if none does in _ROOT_STEPS.
+    """
+    r = 1.0 / m
+    lam = np.max(-g, axis=1)
+    steep = np.mean(((lam[:, None] + g) / b) ** r, axis=1) < q
+    rows = np.flatnonzero(steep)
+    g, b, q = g[rows], b[rows], q[rows]
+    lo = np.maximum(lam[rows], (q ** m - np.mean(g / b, axis=1)) / np.mean(1.0 / b, axis=1))
+    hi = np.max(b, axis=1) * q ** m - np.min(g, axis=1)
+    at = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_STEPS):
+            if rows.size == 0:
+                return lam
+            s = at[:, None] + g
+            t = (s / b) ** r
+            val = np.mean(t, axis=1)
+            left = val <= q
+            lo = np.where(left, at, lo)
+            hi = np.where(left, hi, at)
+            newton = at + (q - val) / (r * np.mean(t / s, axis=1))
+            nxt = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+            done = (left & ~(newton > at)) | (nxt == at)
+            lam[rows[done]] = at[done]
+            keep = ~done
+            rows, g, b, q, lo, hi, at = (v[keep] for v in (rows, g, b, q, lo, hi, nxt))
+    if rows.size:
+        raise NumericalFailure(f"the cell formula found no root for |p| = {q[0]:.17g} "
+                               f"in {_ROOT_STEPS} steps")
+    return lam

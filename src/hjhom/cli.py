@@ -24,7 +24,8 @@ import sys
 import numpy as np
 
 from . import csvio
-from .cell import CellConfig, CellParams, vanishing_discount_sweep
+from .cell import (CLOSED_FORM_NODES, CellConfig, CellParams, formula_below_one,
+                   vanishing_discount_sweep)
 from .config import ConfigError, Model, RunConfig, build_model, parse_config
 from .effective import (EffectiveTable, audit_properties, effective_source_from_formula,
                         effective_source_from_table, save_table, tabulate)
@@ -145,6 +146,10 @@ def cmd_cell(args, cfg: RunConfig, model: Model) -> int:
     print(f"regime {params.regime}: H_bar = {sol.H_bar:.10g} +/- {sol.spread / 2:.3g} "
           f"(spread {sol.spread:.3g}), corrector osc {sol.regularity.osc:.4g}, "
           f"report -> {path}")
+    if params.sigma < 1.0:
+        exact = float(formula_below_one(model.a, model.ham, params.x, params.p, params.l))
+        print(f"cell formula: H_bar = {exact:.10g}, discrete - formula = "
+              f"{sol.H_bar - exact:.3g} against half spread {sol.spread / 2:.3g}")
     if not sol.converged:
         print(_unconverged(params, sol), file=sys.stderr)
         return EXIT_NUMERICAL
@@ -154,8 +159,9 @@ def cmd_cell(args, cfg: RunConfig, model: Model) -> int:
 @dataclasses.dataclass
 class FillCount:
     """What a discount fill did: nodes solved, Newton steps over every
-    discount tried, nodes started from the previous node's corrector, and
-    nodes whose smallest-discount solve ran out of steps and took the ladder."""
+    discount tried (a solve that raised included), nodes started from the
+    previous node's corrector, and nodes whose smallest-discount solve ran
+    out of steps or raised and took the ladder."""
 
     nodes: int = 0
     steps: int = 0
@@ -172,7 +178,8 @@ def _discount_fill(cfg: RunConfig, model: Model) -> tuple:
     only, by continuation from the previous node's corrector (or zero, when
     zero has the smaller residual); a solve that stops on its step budget or
     raises NumericalFailure falls back to the whole `cell.deltas` ladder from
-    zero.  The steps of a solve that raised are not counted."""
+    zero.  The count takes every Newton step, those of a solve that raised
+    included.  `hjhom effective` fills only order one this way."""
     ccfg = _cell_config(cfg)
     deltas = cfg["cell.deltas"]
     base = _cell_params(cfg, model)
@@ -188,7 +195,8 @@ def _discount_fill(cfg: RunConfig, model: Model) -> tuple:
             sol = vanishing_discount_sweep(params, deltas[-1:], ccfg, start=start)
             count.warm += sol.warm_start
             count.steps += sum(rec[2] for rec in sol.residuals)
-        except NumericalFailure:
+        except NumericalFailure as exc:
+            count.steps += exc.steps
             sol = None
         if sol is None or not sol.converged:
             count.fallbacks += 1
@@ -207,20 +215,35 @@ def _model_name(cfg: RunConfig) -> str:
 
 
 def _build_table(cfg: RunConfig, model: Model) -> EffectiveTable:
-    """Above order one the closed form fills the whole table in one call, so
-    its cell means are taken once; it raises ValueError, before any table
-    exists, when a is not strictly positive on the table's x nodes."""
+    """Off order one a formula fills the whole table in one call.  Below
+    order one it is the one-dimensional cell formula, its `err` the gap
+    between CLOSED_FORM_NODES and half as many cell nodes; above order one
+    the closed form, whose cell means are taken once and which raises
+    ValueError, before any table exists, when a is not strictly positive on
+    the table's x nodes.  At order one each node is a discount fill."""
     sigma = cfg["kernel.sigma"]
     xs, ps, ls = (np.asarray(cfg[f"cell.table_{axis}"], dtype=float) for axis in "xpl")
     meta = {"model": _model_name(cfg), "m": str(cfg["hamiltonian.m"])}
-    if sigma <= 1.0:
+    if sigma == 1.0:
         fill, count = _discount_fill(cfg, model)
         table = tabulate(fill, xs, ps, ls, sigma=sigma, meta=meta)
         print(count.line())
         return table
-    values = effective_source_from_formula(model.a, model.ham).value(
-        xs[:, None, None], ps[None, :, None], ls[None, None, :])
-    return EffectiveTable(xs=xs, ps=ps, ls=ls, values=values, err=np.zeros_like(values),
+    axes = xs[:, None, None], ps[None, :, None], ls[None, None, :]
+    if sigma < 1.0:
+        values = formula_below_one(model.a, model.ham, *axes)
+        err = np.abs(values - formula_below_one(model.a, model.ham, *axes,
+                                                nodes=CLOSED_FORM_NODES // 2))
+        worst = np.unravel_index(np.argmax(err), err.shape)
+        # the integrand's root singularity where -g touches lambda0 makes
+        # the quadrature converge slowly near the edge of the flat piece
+        print(f"fill: cell formula on {CLOSED_FORM_NODES} nodes, largest gap to "
+              f"{CLOSED_FORM_NODES // 2} nodes {err[worst]:.3g} at (x, p, l) = "
+              f"({xs[worst[0]]:g}, {ps[worst[1]]:g}, {ls[worst[2]]:g})")
+    else:
+        values = effective_source_from_formula(model.a, model.ham).value(*axes)
+        err = np.zeros_like(values)
+    return EffectiveTable(xs=xs, ps=ps, ls=ls, values=values, err=err,
                           provenance=np.full(values.shape, "formula", dtype=object),
                           sigma=sigma, meta=meta)
 

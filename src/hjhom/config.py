@@ -104,6 +104,9 @@ class RunConfig:
     # (kernel, its ModulusIntegralReport or None) when validation built the
     # kernel for the order-one asymmetry audit; build_model reuses both
     kernel_audit: Optional[tuple] = field(default=None, repr=False)
+    # the Hamiltonian validation built from hamiltonian.b, f and m; build_model
+    # reuses it
+    hamiltonian: Any = field(default=None, repr=False)
 
     def __getitem__(self, dotted: str):
         return self.values[dotted]
@@ -204,7 +207,8 @@ def _validate(cfg: RunConfig) -> list:
             named = False
     if named and cfg["hamiltonian.m"] > 1.0:
         try:
-            model_bpm(cfg["hamiltonian.b"], cfg["hamiltonian.f"], cfg["hamiltonian.m"])
+            cfg.hamiltonian = model_bpm(cfg["hamiltonian.b"], cfg["hamiltonian.f"],
+                                        cfg["hamiltonian.m"])
         except ValueError as exc:
             errors.append(f"hamiltonian.b = {cfg['hamiltonian.b']!r}: {exc}")
     if cfg["grid.kind"] not in ("oscillating", "effective"):
@@ -276,10 +280,11 @@ class Model(NamedTuple):
 
 def build_model(cfg: RunConfig) -> Model:
     """Build the model a validated configuration names, once per run; the
-    kernel and modulus integral validation took are reused, not redone."""
+    kernel, modulus integral and Hamiltonian validation built are reused,
+    not redone."""
     from .hamiltonians import coefficient, model_bpm
     kernel, modulus = cfg.kernel_audit or (_kernel(cfg), None)
-    return Model(kernel=kernel, a=coefficient(cfg["coefficient_a.kind"]),
-                 ham=model_bpm(cfg["hamiltonian.b"], cfg["hamiltonian.f"],
-                               cfg["hamiltonian.m"]),
+    ham = cfg.hamiltonian or model_bpm(cfg["hamiltonian.b"], cfg["hamiltonian.f"],
+                                       cfg["hamiltonian.m"])
+    return Model(kernel=kernel, a=coefficient(cfg["coefficient_a.kind"]), ham=ham,
                  u0=_U0[cfg["grid.u0"]], modulus=modulus)

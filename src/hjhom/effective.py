@@ -11,10 +11,12 @@ constant-coefficient sanity reduction Hbar = mean_y H - a0 l, which pins this
 form.)  So the effective equation is the original one again,
 u_t - A(x) I u + Hbar0(x, Du) = 0 with Hbar0 = A mean_y(H / a).
 
-Below and at order one the constant is only available through cell solves;
-this module tabulates it over rectangular (x, p, l) axes with error bars and
-audits the structural properties every downstream consumer relies on:
-decreasing in l, coercive in p, and finite continuity constants.
+Below order one the ergodic constant has a closed form too, the
+one-dimensional cell formula (hjhom.cell.formula_below_one); at order one it
+is only available through cell solves.  This module tabulates Hbar over
+rectangular (x, p, l) axes with error bars and audits the structural
+properties every downstream consumer relies on: decreasing in l, coercive in
+p, and finite continuity constants.
 
 Two sources serve Hbar to the time stepper, each building its own scheme:
 ClosedForm, the pair (a, H) whose cell means are taken afresh at every call,
@@ -33,14 +35,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import csvio
-from .cell import spectral_cell_above_one
+from .cell import CLOSED_FORM_NODES, spectral_cell_above_one
 from .grid import GridFunction
 from .hamiltonians import HamiltonianSpec
 from .kernels import BLOCK_VALUES, QuadratureTable
 from .parabolic import MonotoneScheme, NumericalFailure
 
-# Cell nodes of the periodic quadrature behind every closed-form mean
-CLOSED_FORM_NODES = 2048
 # x nodes per quadrature block, so no block holds more than BLOCK_VALUES values
 _BLOCK_ROWS = BLOCK_VALUES // CLOSED_FORM_NODES
 

@@ -122,12 +122,20 @@ def model_bpm(b_spec: str, f_spec: str, m: float) -> HamiltonianSpec:
     def H(x, y, p):
         return b(x, y) * np.abs(p) ** m - f(x, y)
 
+    def slope_sup(V):
+        """max |np.gradient(V, 1 / 256)| over both axes: central differences
+        inside, formed in place, and one-sided ones at the edges."""
+        sup = 0.0
+        for W in (V, V.T):
+            inner = W[2:] - W[:-2]
+            inner /= 2.0 / 256
+            edges = np.array([W[1] - W[0], W[-1] - W[-2]]) / (1.0 / 256)
+            sup = max(sup, float(np.max(np.abs(inner, out=inner))),
+                      float(np.max(np.abs(edges))))
+        return sup
+
     # two-scale Lipschitz surrogate: |grad_(x,y)| of b, f sampled, p-slope m b_max
-    db = float(np.max(np.abs(np.gradient(B, 1.0 / 256, axis=0)))) if B.size > 1 else 0.0
-    db = max(db, float(np.max(np.abs(np.gradient(B, 1.0 / 256, axis=1)))))
-    df = max(float(np.max(np.abs(np.gradient(F, 1.0 / 256, axis=0)))),
-             float(np.max(np.abs(np.gradient(F, 1.0 / 256, axis=1)))))
-    L = max(db + df, m * b_max, 1.0)
+    L = max(slope_sup(B) + slope_sup(F), m * b_max, 1.0)
     return HamiltonianSpec(eval=H, m=m, b0=(m - 1.0) * b_min, C0=f_sup, L=L,
                            power_form=PowerForm(b=b, f=f, m=m, b_min=b_min, f_sup=f_sup))
 

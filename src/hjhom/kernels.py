@@ -308,25 +308,40 @@ class QuadratureTable:
         return float(np.sum(np.abs(self.antisym)) + abs(self.comp_coeff) * self.n)
 
 
-def _cell_moments(density: Callable[[np.ndarray], np.ndarray], power: float,
-                  lo: np.ndarray, hi: np.ndarray, h: float) -> tuple:
-    """(k0, k1): the 12-node Gauss integrals over each cell [lo, hi] of
-    f(z) = density(z) z^power and of the hat moment f(z) (z - lo) / h.
+def _cell_moments(k: KernelSpec, lo: np.ndarray, hi: np.ndarray, h: float,
+                  comp_cells: int) -> tuple:
+    """(k0, k1, comp): row 0 of k0 and k1 holds the 12-node Gauss integrals
+    over each cell [lo, hi] of f(z) = kbar_sym(z) z^(-1-sigma) and of the hat
+    moment f(z) (z - lo) / h; an asymmetric k adds row 1, the same pair for
+    kbar_asym.  comp holds the integrals of kbar_asym(z) z^(-sigma) over the
+    first comp_cells cells.
 
-    f is evaluated once per node, on blocks of cells holding BLOCK_VALUES
-    nodes; a cell's two sums do not depend on the block that holds it.
+    kbar is evaluated once at every node z and once at -z, on blocks of cells
+    holding BLOCK_VALUES nodes, and both parts and comp are taken from those
+    values; a cell's sums do not depend on the block that holds it.
     """
     rows = BLOCK_VALUES // _GAUSS_NODES.size
-    k0, k1 = np.empty(lo.size), np.empty(lo.size)
+    parts = 1 if k.symmetric else 2
+    k0, k1 = np.empty((parts, lo.size)), np.empty((parts, lo.size))
+    comp = np.empty(comp_cells)
     for s in range(0, lo.size, rows):
         cell_lo, cell_hi = lo[s:s + rows, None], hi[s:s + rows, None]
         half = 0.5 * (cell_hi - cell_lo)
         z = 0.5 * (cell_lo + cell_hi) + half * _GAUSS_NODES
         w = half * _GAUSS_WEIGHTS
-        f = density(z) * z ** power
-        k0[s:s + rows] = np.sum(w * f, axis=1)
-        k1[s:s + rows] = np.sum(w * (f * (z - cell_lo) / h), axis=1)
-    return k0, k1
+        plus, minus = np.asarray(k.kbar(z)), np.asarray(k.kbar(-z))
+        densities = [0.5 * (plus + minus)]
+        if not k.symmetric:
+            densities.append(0.5 * (plus - minus))
+        power, offset = z ** (-1.0 - k.sigma), z - cell_lo
+        for i, density in enumerate(densities):
+            f = density * power
+            k0[i, s:s + rows] = np.sum(w * f, axis=1)
+            k1[i, s:s + rows] = np.sum(w * (f * offset / h), axis=1)
+        j = max(0, min(rows, comp_cells - s))
+        if j:
+            comp[s:s + j] = np.sum(w[:j] * (densities[-1][:j] * z[:j] ** -k.sigma), axis=1)
+    return k0, k1, comp
 
 
 def periodized_weights(k: KernelSpec, n: int, image_budget: int = 16) -> QuadratureTable:
@@ -350,18 +365,21 @@ def periodized_weights(k: KernelSpec, n: int, image_budget: int = 16) -> Quadrat
     lo = m * h
     hi = (m + 1) * h
 
-    def spread(density, sign):
-        """Hat-spread the cell integrals of density(z) z^(-1-sigma) onto the
-        offsets m, m + 1 and, times sign, -m, -(m + 1)."""
-        k0, k1 = _cell_moments(density, -1.0 - sigma, lo, hi, h)
+    # cells below z = 1 feed the sigma >= 1 compensator from the same nodes
+    below_one = int(np.sum(hi <= 1.0)) if sigma >= 1.0 and not k.symmetric else 0
+    k0, k1, comp_head = _cell_moments(k, lo, hi, h, below_one)
+
+    def spread(part, sign):
+        """Hat-spread the cell integrals of row `part` onto the offsets m,
+        m + 1 and, times sign, -m, -(m + 1)."""
         out = np.zeros(n)
-        np.add.at(out, m % n, k0 - k1)
-        np.add.at(out, (m + 1) % n, k1)
-        np.add.at(out, (-m) % n, sign * (k0 - k1))
-        np.add.at(out, (-(m + 1)) % n, sign * k1)
+        np.add.at(out, m % n, k0[part] - k1[part])
+        np.add.at(out, (m + 1) % n, k1[part])
+        np.add.at(out, (-m) % n, sign * (k0[part] - k1[part]))
+        np.add.at(out, (-(m + 1)) % n, sign * k1[part])
         return out
 
-    weights = spread(k.kbar_sym, 1.0)
+    weights = spread(0, 1.0)
 
     # singular interval: int_0^h kbar_sym(z) z^(1-sigma) dz against the offset-1
     # second difference, via the regularizing substitution z = h u^(1/(2-sigma))
@@ -380,7 +398,7 @@ def periodized_weights(k: KernelSpec, n: int, image_budget: int = 16) -> Quadrat
     antisym = np.zeros(n)
     comp = 0.0
     if not k.symmetric:
-        antisym = spread(k.kbar_asym, -1.0)
+        antisym = spread(1, -1.0)
         # inner interval: linear profile (z/h) of the one-sided difference,
         # substitution z = h u^2 regularizes kbar_asym(z) z^-sigma
         inner = float(np.sum(
@@ -389,10 +407,14 @@ def periodized_weights(k: KernelSpec, n: int, image_budget: int = 16) -> Quadrat
         antisym[1 % n] += a_lin
         antisym[(-1) % n] -= a_lin
         if sigma >= 1.0:
-            # kappa = 2 int_0^1 kbar_asym(z) z^-sigma dz, inner piece as above
-            clip_hi = np.minimum(hi, 1.0)
-            keep = clip_hi > lo
-            comp_cells = _cell_moments(k.kbar_asym, -sigma, lo[keep], clip_hi[keep], h)[0]
+            # kappa = 2 int_0^1 kbar_asym(z) z^-sigma dz, inner piece as above;
+            # a cell that z = 1 cuts (only by rounding of (m + 1) h) is
+            # integrated afresh up to 1
+            cut = np.flatnonzero((hi > 1.0) & (lo < 1.0))
+            half = 0.5 * (1.0 - lo[cut, None])
+            z = 0.5 * (lo[cut, None] + 1.0) + half * _GAUSS_NODES
+            comp_cells = np.concatenate([comp_head, np.sum(
+                half * _GAUSS_WEIGHTS * (k.kbar_asym(z) * z ** -sigma), axis=1)])
             comp = 2.0 * (float(np.sum(comp_cells)) + h ** (1.0 - sigma) * inner)
 
     if np.any(weights < 0.0):

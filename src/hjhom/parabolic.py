@@ -50,7 +50,13 @@ GRADIENT_RISE = 2.0 ** 0.0625
 
 class NumericalFailure(RuntimeError):
     """A computation with no usable number: a non-finite state or residual,
-    an unconverged cell solve, or a query on a failed table node."""
+    an unconverged cell solve, or a query on a failed table node.  `steps`
+    holds the Newton steps a cell solve took at its discount before it
+    raised (0 where no Newton solve raised)."""
+
+    def __init__(self, message: str, steps: int = 0):
+        super().__init__(message)
+        self.steps = steps
 
 
 def godunov_power_flux(m: float, ql: np.ndarray, qr: np.ndarray) -> np.ndarray:

@@ -8,6 +8,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from hjhom.effective import effective_source_from_formula
 from hjhom.grid import GridFunction
@@ -47,6 +49,17 @@ def formula_fill(a, ham):
     value at one (x, p, l), error 0, 'formula'."""
     form = effective_source_from_formula(a, ham)
     return lambda x, p, l: (float(form.value(np.array([x]), p, l)[0]), 0.0, "formula")
+
+
+def eikonal_root(p: float) -> float:
+    """H_bar of H = |p|^2 - cos(2 pi y), a = 1, l = 0 from the classical 1-D
+    root condition: 1 on the flat piece |p| <= 2 sqrt(2) / pi, else the c
+    with int_0^1 sqrt(c + cos(2 pi y)) dy = |p|, by adaptive quadrature."""
+    if abs(p) <= 2.0 * np.sqrt(2.0) / np.pi:
+        return 1.0
+    F = lambda c: quad(lambda y: np.sqrt(c + np.cos(2 * np.pi * y)), 0.0, 1.0,
+                       limit=200)[0] - abs(p)
+    return brentq(F, 1.0, abs(p) ** 2 + 2.0, xtol=1e-12)
 
 
 def trig_poly(seed: int, n: int, modes: int = 4, scale: float = 1.0) -> GridFunction:

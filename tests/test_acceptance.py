@@ -6,10 +6,8 @@ lines; every tolerance is pinned here, nothing is deferred to calibration.
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from conftest import formula_fill, trig_poly
+from conftest import eikonal_root, formula_fill, trig_poly
 from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
 from hjhom.effective import (EffectiveTable, audit_properties,
                              effective_source_from_formula, tabulate)
@@ -25,20 +23,11 @@ from lemmas import corrector_remainder_J, sup_convolution_time
 EIKONAL = model_bpm("one", "cos_y", 2.0)      # H = |p|^2 - cos(2 pi y)
 UNIT_A = coefficient("one")
 WAVY_A = coefficient("two_plus_cos_y")
-THRESHOLD = 2.0 * np.sqrt(2.0) / np.pi
 
 
 def _report(num, ok, detail):
     print(f"criterion {num:>2}: {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
     assert ok, detail
-
-
-def eikonal_root(p: float) -> float:
-    if abs(p) <= THRESHOLD:
-        return 1.0
-    F = lambda c: quad(lambda y: np.sqrt(c + np.cos(2 * np.pi * y)), 0.0, 1.0,
-                       limit=200)[0] - abs(p)
-    return brentq(F, 1.0, abs(p) ** 2 + 2.0, xtol=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -2,14 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.optimize import brentq
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import eikonal_root, traced_peak_mb
 import hjhom.cell
-from hjhom.cell import (CellConfig, CellParams, _cell_scheme, _newton, regime_of,
-                        spectral_cell_above_one, vanishing_discount_sweep)
+from hjhom.cell import (CellConfig, CellParams, _cell_scheme, _newton, formula_below_one,
+                        regime_of, spectral_cell_above_one, vanishing_discount_sweep)
+from hjhom.effective import EffectiveTable, audit_properties
 from hjhom.grid import GridFunction
-from hjhom.hamiltonians import coefficient, model_bpm
+from hjhom.hamiltonians import HamiltonianSpec, coefficient, model_bpm
 from hjhom.kernels import constant_kernel, drift_vector, tilt_kernel
 from hjhom.operators import spectral_flap
 from hjhom.parabolic import NumericalFailure
@@ -18,15 +20,7 @@ from long_time import long_time_average
 
 FAST = CellConfig(n=128, tol=1e-9)
 DELTAS = (0.1, 0.05, 0.025, 0.0125)
-
-
-def eikonal_root(p: float) -> float:
-    """Classical 1-D oracle: periodic solvability of |psi'|^2 = c + cos(2 pi y)."""
-    if abs(p) <= 2.0 * np.sqrt(2.0) / np.pi:
-        return 1.0
-    F = lambda c: quad(lambda y: np.sqrt(c + np.cos(2 * np.pi * y)), 0.0, 1.0,
-                       limit=200)[0] - abs(p)
-    return brentq(F, 1.0, abs(p) ** 2 + 2.0, xtol=1e-12)
+WAVY = coefficient("two_plus_cos_y")
 
 
 def march_oracle(params: CellParams, deltas, n: int, tol: float = 1e-11) -> tuple:
@@ -153,6 +147,59 @@ class TestEikonalCell:
         spreads = [hi - lo for _, lo, hi in sol.delta_trace]
         for a, b in zip(spreads, spreads[1:]):
             assert b <= a + 1e-12
+
+
+class TestFormulaBelowOne:
+    """The one-dimensional cell formula below order one."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.45, -0.9, 0.95, 1.2, -1.6, 2.0, 4.5])
+    def test_matches_the_eikonal_root(self, eikonal_ham, p):
+        # b = a = 1, m = 2, l = 0: the flat piece and the root beyond it
+        got = float(formula_below_one(coefficient("one"), eikonal_ham, 0.0, p, 0.0))
+        assert abs(got - eikonal_root(p)) <= 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0))
+    def test_discrete_solve_within_its_spread(self, p, l):
+        # a non-constant b: the n = 256 discrete solve against the formula
+        ham = model_bpm("two_plus_cos_y", "cos_y", 2.0)
+        params = CellParams(x=0.0, p=p, l=l, sigma=0.5, a=WAVY, ham=ham)
+        sol = vanishing_discount_sweep(params, (0.1, 0.01, 0.001), CellConfig(n=256))
+        assert sol.converged
+        exact = float(formula_below_one(WAVY, ham, 0.0, p, l))
+        assert abs(sol.H_bar - exact) <= sol.spread + 1e-5
+
+    def test_each_value_is_the_value_alone(self):
+        # 512 nodes give blocks of 32 queries; no value depends on its block
+        ham = model_bpm("two_plus_cos_y", "cos_x_cos_y", 3.0)
+        a = lambda x, y: 2.0 + np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+        X, P, L = np.meshgrid([0.0, 0.3], np.linspace(-3.0, 3.0, 13), [-1.0, 0.0, 0.7],
+                              indexing="ij")
+        got = formula_below_one(a, ham, X, P, L, nodes=512)
+        alone = np.vectorize(lambda x, p, l: float(
+            formula_below_one(a, ham, x, p, l, nodes=512)))(X, P, L)
+        assert np.array_equal(got, alone)
+
+    def test_table_passes_the_property_audit(self, eikonal_ham):
+        xs, ps, ls = np.array([0.0]), np.linspace(-4.0, 4.0, 17), np.linspace(-3.0, 3.0, 7)
+        values = formula_below_one(WAVY, eikonal_ham, 0.0, ps[:, None], ls)[None]
+        table = EffectiveTable(xs=xs, ps=ps, ls=ls, values=values,
+                               err=np.zeros_like(values),
+                               provenance=np.full(values.shape, "formula", dtype=object),
+                               sigma=0.5)
+        audit = audit_properties(table, b0=1.0, C=1.0, a_sup=3.0, m=2.0)
+        assert audit.passed and np.all(np.diff(values, axis=2) < 0.0)
+        assert np.array_equal(values, values[:, ::-1])        # even in p
+
+    def test_traced_peak_of_a_large_table(self, eikonal_ham):
+        # 1,024 queries on 2,048 nodes peaked near 113 MB in one block
+        P, L = np.meshgrid(np.linspace(-5.0, 5.0, 32), np.linspace(-3.0, 3.0, 32))
+        assert traced_peak_mb(lambda: formula_below_one(WAVY, eikonal_ham, 0.0, P, L)) < 4.0
+
+    def test_power_form_required(self):
+        ham = HamiltonianSpec(eval=lambda x, y, p: p * p, m=2.0, b0=1.0, C0=0.0)
+        with pytest.raises(ValueError, match="power form"):
+            formula_below_one(WAVY, ham, 0.0, 1.0, 0.0)
 
 
 class TestFractionalCell:

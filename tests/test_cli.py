@@ -221,6 +221,56 @@ class TestCommands:
         assert "(x, p, l) = (0, 0, 0)" in err and "delta = 0.1:" in err
         assert "after 1 Newton steps, stopped by budget" in err
 
+    def test_cell_command_below_order_one_prints_the_formula(self, tmp_path, capsys):
+        from hjhom.cell import formula_below_one
+        from hjhom.hamiltonians import coefficient, model_bpm
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 0.5", "hamiltonian.b = two_plus_cos_y", "cell.n = 64",
+            "cell.p = 1.5", "cell.l = 0.5", "cell.deltas = 0.1,0.01,0.001",
+        ]) + "\n")
+        assert main(["cell", "--config", path, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        h_bar, half = (float(v) for v in re.search(
+            r"H_bar = (\S+) \+/- (\S+) \(spread", out).groups())
+        exact, gap, shown_half = (float(v) for v in re.search(
+            r"cell formula: H_bar = (\S+), discrete - formula = (\S+) against half "
+            r"spread (\S+)\n", out).groups())
+        want = float(formula_below_one(coefficient("two_plus_cos_y"),
+                                       model_bpm("two_plus_cos_y", "cos_y", 2.0), 0.0, 1.5, 0.5))
+        assert exact == pytest.approx(want, rel=1e-9)
+        assert gap == pytest.approx(h_bar - exact, abs=1e-9) and shown_half == half
+        # one header plus one data row, as at every order
+        rows = [l for l in (tmp_path / "run_cell.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        assert rows[0] == "x,p,l,sigma,H_bar,spread,osc,lip,flap_sup" and len(rows) == 2
+
+    def test_effective_below_order_one_fills_from_the_formula(self, tmp_path, capsys,
+                                                              monkeypatch):
+        import hjhom.cli
+        from hjhom.cell import CLOSED_FORM_NODES, formula_below_one
+        from hjhom.effective import load_table
+        from hjhom.hamiltonians import coefficient, model_bpm
+        monkeypatch.setattr(hjhom.cli, "vanishing_discount_sweep",
+                            lambda *args, **kw: pytest.fail("a cell solve ran"))
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 0.5", "coefficient_a.kind = two_plus_cos_y",
+            "cell.table_x = 0,0.5", "cell.table_p = -2,0,0.45,1.2,2",
+            "cell.table_l = -1,0,1",
+        ]) + "\n")
+        assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
+        fill = [l for l in capsys.readouterr().out.splitlines() if l.startswith("fill: ")]
+        assert len(fill) == 1 and re.fullmatch(
+            r"fill: cell formula on 2048 nodes, largest gap to 1024 nodes \S+ at "
+            r"\(x, p, l\) = \(\S+, \S+, \S+\)", fill[0])
+        table = load_table(str(tmp_path / "run_effective.csv"))
+        assert np.all(table.provenance == "formula")
+        a, ham = coefficient("two_plus_cos_y"), model_bpm("one", "cos_y", 2.0)
+        X, P, L = table.xs[:, None, None], table.ps[None, :, None], table.ls[None, None, :]
+        values = formula_below_one(a, ham, X, P, L)
+        half = formula_below_one(a, ham, X, P, L, nodes=CLOSED_FORM_NODES // 2)
+        assert np.array_equal(table.values, values)
+        assert np.array_equal(table.err, np.abs(values - half))
+
     def test_effective_command_and_reload(self, tmp_path):
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 1.5",
@@ -535,8 +585,8 @@ class TestCommands:
         assert len([line for line in err if line.startswith(prefix)]) == 1
         assert not any(line.startswith("Traceback") for line in err)
 
-    def test_effective_builds_the_hamiltonian_at_most_twice(self, tmp_path, monkeypatch):
-        # once while the configuration is validated, once for the run's model
+    def test_effective_builds_the_hamiltonian_once(self, tmp_path, monkeypatch):
+        # while the configuration is validated; the run's model reuses it
         import hjhom.hamiltonians as hamiltonians
         calls = []
         real = hamiltonians.model_bpm
@@ -545,18 +595,34 @@ class TestCommands:
         path = write(tmp_path, "kernel.sigma = 1.5\ncell.table_p = 0,1,2\n"
                                "cell.table_l = -1,0,1\n")
         assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
-        assert 1 <= len(calls) <= 2
+        assert len(calls) == 1
 
 
 class TestContinuationFill:
     """A table fill solves each node at the smallest discount only, from the
     previous node's corrector where that beats zero's residual, and falls
-    back to the whole discount ladder when that solve runs out of steps."""
+    back to the whole discount ladder when that solve runs out of steps.
+    `hjhom effective` fills only order one this way, so the tests below
+    order one drive _discount_fill itself."""
 
     def _fill(self, tmp_path, lines):
         cfg = parse_config(write(tmp_path, "\n".join(lines) + "\n"))
         model = build_model(cfg)
         return (cfg, model) + _discount_fill(cfg, model)
+
+    @staticmethod
+    def _effective(path, out):
+        """`hjhom effective` with the discount fill at any order: fill the
+        configured table node by node, save it to out/run_effective.csv,
+        print the fill line; 0, or 3 when a node failed."""
+        from hjhom.effective import save_table, tabulate
+        cfg = parse_config(path)
+        fill, count = _discount_fill(cfg, build_model(cfg))
+        table = tabulate(fill, *(cfg[f"cell.table_{axis}"] for axis in "xpl"),
+                         sigma=cfg["kernel.sigma"])
+        save_table(table, str(out / "run_effective.csv"), config_lines=cfg.header_lines())
+        print(count.line())
+        return 3 if table.failures else 0
 
     @staticmethod
     def _ladder(cfg, model, p, l):
@@ -610,7 +676,7 @@ class TestContinuationFill:
         tables = []
         for run in ("first", "second"):
             (tmp_path / run).mkdir()
-            assert main(["effective", "--config", path, "--out", str(tmp_path / run)]) == 0
+            assert self._effective(path, tmp_path / run) == 0
             tables.append((tmp_path / run / "run_effective.csv").read_bytes())
         warm = [int(w) for w in re.findall(r"(\d+) warm-started", capsys.readouterr().out)]
         assert len(warm) == 2 and warm[0] == warm[1] > 0
@@ -622,7 +688,7 @@ class TestContinuationFill:
         lines = ["kernel.sigma = 0.5", "coefficient_a.kind = constant:1", "cell.n = 64",
                  "cell.max_steps = 14", "cell.table_p = 0", "cell.table_l = 0"]
         path = write(tmp_path, "\n".join(lines) + "\n")
-        assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
+        assert self._effective(path, tmp_path) == 0
         cfg = parse_config(path)
         sol, steps = self._ladder(cfg, build_model(cfg), 0.0, 0.0)
         assert sol.converged
@@ -646,7 +712,7 @@ class TestContinuationFill:
             "hamiltonian.f = cos_y", "cell.n = 128",
             "cell.deltas = 0.1,0.01,0.001,0.0001,0.00001,0.000001",
             "cell.table_p = 0.0,0.45,1.2", f"cell.table_l = {table_l}"]) + "\n")
-        assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
+        assert self._effective(path, tmp_path) == 0
         out = capsys.readouterr().out.splitlines()
         assert re.fullmatch(rf"fill: 6 nodes, \d+ Newton steps, \d+ warm-started, "
                             rf"{fallbacks} ladder fallbacks", out[0])
@@ -655,6 +721,23 @@ class TestContinuationFill:
         assert np.all(table.provenance == "discount")
         # l = 1 puts every p on the flat piece at H_bar = 0 (a + f = 2 + 2 cos)
         assert np.max(np.abs(table.values[0, :, 1])) <= 1e-6
+
+    def test_steps_of_a_raised_solve_are_counted(self, tmp_path, monkeypatch):
+        # the table above at l = -1, 1: the continuation solve of (0.45, 1)
+        # raises after some Newton steps, and the count keeps them.  Every
+        # Newton step is one linear solve, so the solves recount the total
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: solves.append(1) or solve(*args))
+        *_, fill, count = self._fill(tmp_path, [
+            "kernel.sigma = 0.5", "coefficient_a.kind = two_plus_cos_y", "cell.n = 128",
+            "cell.deltas = 0.1,0.01,0.001,0.0001,0.00001,0.000001"])
+        for p in (0.0, 0.45, 1.2):
+            for l in (-1.0, 1.0):
+                fill(0.0, p, l)
+        assert (count.nodes, count.fallbacks) == (6, 2)
+        assert count.steps == len(solves)
 
     def test_fill_line_below_and_at_order_one_only(self, tmp_path, capsys):
         for sigma, shown in (("1", True), ("1.5", False)):

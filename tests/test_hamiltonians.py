@@ -68,6 +68,19 @@ class TestRegularity:
         rep = audit_regularity(ham)
         assert 2.4 <= rep.L_p <= 3.0 + 1e-9
 
+    @pytest.mark.parametrize("b, f", [("one", "cos_y"), ("two_plus_cos_y", "cos_x_cos_y"),
+                                      ("constant:2.5", "two_plus_cos_y")])
+    @pytest.mark.parametrize("m", [1.5, 3.0])
+    def test_claimed_constant_matches_gradient_oracle(self, b, f, m):
+        # the claim from np.gradient's differences of b and f sampled on 256 x 256
+        xs = np.arange(256) / 256
+        slopes = [float(np.max(np.abs(np.gradient(coefficient(spec)(xs[:, None], xs), 1.0 / 256,
+                                                  axis=axis))))
+                  for spec in (b, f) for axis in (0, 1)]
+        b_max = float(np.max(coefficient(b)(xs[:, None], xs)))
+        want = max(max(slopes[:2]) + max(slopes[2:]), m * b_max, 1.0)
+        assert model_bpm(b, f, m).L == want
+
     def test_understated_claim_flagged(self, eikonal_ham):
         tight = HamiltonianSpec(eval=eikonal_ham.eval, m=2.0, b0=1.0, C0=1.0, L=0.1)
         rep = audit_regularity(tight)

@@ -287,7 +287,8 @@ class TestBlockedBuild:
 
     ROWS = BLOCK_VALUES // _GAUSS_NODES.size      # cells per block
 
-    @pytest.mark.parametrize("n", [8, 1000])
+    # at n = 49, 49 * (1 / 49) < 1, so z = 1 cuts a compensator cell
+    @pytest.mark.parametrize("n", [8, 49, 1000])
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("family", ["constant", "tilt", "quadratic_tilt"])
     def test_matches_two_pass_oracle(self, family, sigma, n):
@@ -301,6 +302,18 @@ class TestBlockedBuild:
         assert np.array_equal(table.antisym, antisym)
         assert table.comp_coeff == comp
         assert table.tail_mass == tail
+
+    @pytest.mark.parametrize("n", [49, 256])
+    @pytest.mark.parametrize("kernel", [constant_kernel(1.0), tilt_kernel(1.0, 0.5)])
+    def test_kbar_evaluated_once_at_each_node_and_its_mirror(self, kernel, n):
+        # both parts and the compensator share kbar(z) and kbar(-z) of every
+        # cell node; the inner and far pieces and a cut cell add a few dozen
+        seen = []
+        counted = KernelSpec(kernel.sigma, lambda z: seen.append(np.size(z)) or kernel.kbar(z),
+                             kernel.symmetric)
+        periodized_weights(counted, n)
+        nodes = 16 * n * _GAUSS_NODES.size
+        assert 2 * nodes <= sum(seen) <= 2 * nodes + 100
 
     def test_traced_peak_of_a_large_build(self):
         # the two-pass build peaks near 80 MB here
