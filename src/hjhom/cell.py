@@ -92,20 +92,11 @@ class CellConfig:
     max_steps: int = 500          # Newton steps per discount
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    osc: float
-    lip: float
-    flap_sup: float
-
-
 @dataclass
 class CellSolution:
     psi: GridFunction              # corrector, normalized psi(0) = 0
     H_bar: float
-    delta_trace: tuple             # ((delta, min -d psi^d, max -d psi^d), ...)
     spread: float
-    regularity: RegularityReport
     residuals: tuple               # (DiscountSolve, ...) per discount
     converged: bool
     warm_start: bool = False       # whether the first discount began from `start`
@@ -228,26 +219,25 @@ def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfi
                 < _mean_free_sup(scheme, phi, deltas[0]))
         if warm:
             phi = start
-    trace = []
     residuals = []
     for d in deltas:
         phi, rec = _newton(scheme, phi, d, cfg)
-        mean_F = float(np.mean(scheme.residual(phi)))
-        minus_dpsi = -d * phi + mean_F
-        trace.append((d, float(np.min(minus_dpsi)), float(np.max(minus_dpsi))))
         residuals.append(rec)
-    lo, hi = trace[-1][1], trace[-1][2]
-    psi_vals = phi - phi[0]
-    psi = GridFunction(psi_vals)
-    reg = RegularityReport(
-        osc=float(np.max(psi_vals) - np.min(psi_vals)),
-        lip=float(np.max(np.abs(forward_diff(psi_vals, scheme.h)))),
-        flap_sup=float(np.max(np.abs(spectral_flap(psi, 1.0).values))),
-    )
-    return CellSolution(psi=psi, H_bar=0.5 * (lo + hi), delta_trace=tuple(trace),
-                        spread=hi - lo, regularity=reg, residuals=tuple(residuals),
+    minus_dpsi = -deltas[-1] * phi + float(np.mean(scheme.residual(phi)))
+    lo, hi = float(np.min(minus_dpsi)), float(np.max(minus_dpsi))
+    return CellSolution(psi=GridFunction(phi - phi[0]), H_bar=0.5 * (lo + hi),
+                        spread=hi - lo, residuals=tuple(residuals),
                         converged=all(rec.converged for rec in residuals),
                         warm_start=warm)
+
+
+def corrector_regularity(psi: GridFunction) -> tuple:
+    """(osc, lip, flap_sup) of a corrector: max - min, the largest forward
+    difference quotient in absolute value, and sup |order-1 fractional
+    Laplacian| by the spectral multiplier 2 pi |k|."""
+    v = psi.values
+    return (float(np.max(v) - np.min(v)), float(np.max(np.abs(forward_diff(v, psi.h)))),
+            float(np.max(np.abs(spectral_flap(psi, 1.0).values))))
 
 
 def spectral_cell_above_one(sigma: float, f: GridFunction) -> GridFunction:

@@ -24,8 +24,8 @@ import sys
 import numpy as np
 
 from . import csvio
-from .cell import (CLOSED_FORM_NODES, CellConfig, CellParams, formula_below_one,
-                   vanishing_discount_sweep)
+from .cell import (CLOSED_FORM_NODES, CellConfig, CellParams, corrector_regularity,
+                   formula_below_one, vanishing_discount_sweep)
 from .config import ConfigError, Model, RunConfig, build_model, parse_config
 from .effective import (EffectiveTable, audit_properties, effective_source_from_formula,
                         effective_source_from_table, save_table, tabulate)
@@ -84,8 +84,11 @@ def cmd_audit(args, cfg: RunConfig, model: Model) -> int:
     grow = growth_bound(model.ham)
     period_gap = audit_periodicity(model.ham)
     periodic_ok = period_gap <= 1e-10
+    mod = ell.modulus_integral
     print(f"ellipticity: {'PASS' if ell.passed else 'FAIL'} a0={ell.a0:.6g} "
-          f"witness={ell.witness} messages={list(ell.messages)}")
+          f"witness={ell.witness} messages={list(ell.messages)}"
+          + ("" if mod is None else f" modulus_integral={mod.value:.6g} "
+             f"tail_estimate={mod.tail_estimate:.3g}"))
     print(f"superlinearity: {'PASS' if sup.passed else 'FAIL'} "
           f"worst_slack={sup.worst_slack:.6g} witness={sup.witness}")
     print(f"regularity: {'PASS' if reg.passed else 'FAIL'} measured_L={reg.measured_L:.6g} "
@@ -139,13 +142,14 @@ def _unconverged(params: CellParams, sol) -> str:
 def cmd_cell(args, cfg: RunConfig, model: Model) -> int:
     params = _cell_params(cfg, model)
     sol = vanishing_discount_sweep(params, cfg["cell.deltas"], _cell_config(cfg))
+    reg = corrector_regularity(sol.psi)
     path = _out_path(args, cfg, "cell.csv")
     csvio.emit_csv(path, ["x", "p", "l", "sigma", "H_bar", "spread", "osc", "lip",
                           "flap_sup"],
-                   csvio.cell_report_rows(params, sol), cfg.header_lines())
+                   [(params.x, params.p, params.l, params.sigma, sol.H_bar, sol.spread, *reg)],
+                   cfg.header_lines())
     print(f"regime {params.regime}: H_bar = {sol.H_bar:.10g} +/- {sol.spread / 2:.3g} "
-          f"(spread {sol.spread:.3g}), corrector osc {sol.regularity.osc:.4g}, "
-          f"report -> {path}")
+          f"(spread {sol.spread:.3g}), corrector osc {reg[0]:.4g}, report -> {path}")
     if params.sigma < 1.0:
         exact = float(formula_below_one(model.a, model.ham, params.x, params.p, params.l))
         print(f"cell formula: H_bar = {exact:.10g}, discrete - formula = "

@@ -215,15 +215,20 @@ def _validate(cfg: RunConfig) -> list:
         errors.append(f"grid.kind = {cfg['grid.kind']!r} not oscillating/effective")
     if cfg["grid.n"] < 8:
         errors.append("grid.n must be at least 8")
-    deltas = cfg["cell.deltas"]
-    if any(d <= 0 for d in deltas) or list(deltas) != sorted(deltas, reverse=True):
-        errors.append("cell.deltas must be positive and strictly decreasing")
-    eps_list = cfg["sweep.eps_list"]
-    for e in eps_list:
+    # every list is non-empty; discounts and scales fall, table axes rise
+    for key, sign in (("cell.deltas", -1), ("sweep.eps_list", -1), ("cell.table_x", 1),
+                      ("cell.table_p", 1), ("cell.table_l", 1)):
+        vals = cfg[key]
+        if not vals:
+            errors.append(f"{key} must not be empty")
+        elif any(sign * (b - a) <= 0 for a, b in zip(vals, vals[1:])):
+            errors.append(f"{key} must be strictly "
+                          + ("increasing" if sign > 0 else "decreasing"))
+    if any(d <= 0 for d in cfg["cell.deltas"]):
+        errors.append("cell.deltas must be positive")
+    for e in cfg["sweep.eps_list"]:
         if e <= 0 or abs(1.0 / e - round(1.0 / e)) > 1e-12:
             errors.append(f"sweep.eps_list entry {e} is not the reciprocal of an integer")
-    if list(eps_list) != sorted(eps_list, reverse=True):
-        errors.append("sweep.eps_list must be strictly decreasing")
     e0 = cfg["grid.eps"]
     if cfg["grid.kind"] == "oscillating" and (e0 <= 0 or abs(1.0 / e0 - round(1.0 / e0)) > 1e-12):
         errors.append(f"grid.eps = {e0} is not the reciprocal of an integer")

@@ -80,7 +80,3 @@ def sweep_snapshot_rows(report) -> Iterator[str]:
     return _long_rows([*zip(report.eps_list, report.u_eps_final),
                        (0.0, report.u_eff_final)], report.coarse_nodes)
 
-
-def cell_report_rows(params, sol) -> list:
-    return [(params.x, params.p, params.l, params.sigma, sol.H_bar, sol.spread,
-             sol.regularity.osc, sol.regularity.lip, sol.regularity.flap_sup)]

@@ -336,20 +336,23 @@ def tabulate(fill: Callable, xs, ps, ls, sigma: float,
                           failures=tuple(failures))
 
 
+# slack of the property audit: an l-increment above it breaks monotonicity,
+# a coercivity margin below minus it breaks coercivity
+AUDIT_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class PropertyAudit:
     monotone_violations: int
-    worst_positive_l_diff: float
     coercivity_margin: float       # min of Hbar + a_sup |l| + C - b0 |p|^m
     C_l: float
     C_x: float
     C_p: float
-    form: str                      # "lipschitz" (order >= 1) or "modulus" (order < 1)
     passed: bool
 
 
 def audit_properties(table: EffectiveTable, b0: float, C: float, a_sup: float,
-                     m: float, tol: float = 1e-8) -> PropertyAudit:
+                     m: float) -> PropertyAudit:
     """Nodewise checks of monotonicity in l, coercivity, and continuity constants.
 
     The continuity constants are the smallest C making the sampled increments
@@ -360,22 +363,16 @@ def audit_properties(table: EffectiveTable, b0: float, C: float, a_sup: float,
     finite = np.isfinite(v)
 
     viol = 0
-    worst = 0.0
     if table.ls.size > 1:
         d = np.diff(v, axis=2)
-        ok = np.isfinite(d)
-        viol = int(np.sum(d[ok] > tol))
-        worst = float(np.max(d[ok])) if np.any(ok) else 0.0
+        viol = int(np.sum(d[np.isfinite(d)] > AUDIT_TOL))
 
     P = np.abs(table.ps)[None, :, None]
     L = np.abs(table.ls)[None, None, :]
     margin_arr = v + a_sup * L + C - b0 * P ** m
     coercivity_margin = float(np.min(margin_arr[finite])) if np.any(finite) else np.nan
 
-    if table.sigma >= 1.0:
-        n1, n2, form = m, m - 1.0, "lipschitz"
-    else:
-        n1, n2, form = 1.0, 1.0, "modulus"
+    n1, n2 = (m, m - 1.0) if table.sigma >= 1.0 else (1.0, 1.0)
 
     # continuity constants: the largest adjacent-difference quotient along an
     # axis, weighted by the larger |l| and |p| of each pair (failed nodes skipped)
@@ -399,10 +396,9 @@ def audit_properties(table: EffectiveTable, b0: float, C: float, a_sup: float,
     C_x = smallest_C(table.xs, 0, n1)
     C_p = smallest_C(table.ps, 1, n2)
     passed = (viol == 0 and np.isfinite(coercivity_margin)
-              and coercivity_margin >= -tol)
-    return PropertyAudit(monotone_violations=viol, worst_positive_l_diff=worst,
-                         coercivity_margin=coercivity_margin, C_l=C_l, C_x=C_x,
-                         C_p=C_p, form=form, passed=passed)
+              and coercivity_margin >= -AUDIT_TOL)
+    return PropertyAudit(monotone_violations=viol, coercivity_margin=coercivity_margin,
+                         C_l=C_l, C_x=C_x, C_p=C_p, passed=passed)
 
 
 def save_table(table: EffectiveTable, path: str, config_lines=()) -> None:

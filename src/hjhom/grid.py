@@ -9,11 +9,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real 1-periodic function sampled at the n equispaced nodes j/n of [0, 1).
-
-    Shifts are exact node permutations, so torus translations never introduce
-    interpolation error.
-    """
+    """Real 1-periodic function sampled at the n equispaced nodes j/n of [0, 1)."""
 
     values: np.ndarray
 
@@ -32,10 +28,6 @@ class GridFunction:
     def from_callable(cls, f, n: int) -> "GridFunction":
         return cls(np.asarray(f(np.arange(n) / n), dtype=float))
 
-    @classmethod
-    def constant(cls, c: float, n: int) -> "GridFunction":
-        return cls(np.full(n, float(c)))
-
     @property
     def n(self) -> int:
         return self.values.size
@@ -52,14 +44,6 @@ class GridFunction:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def osc(self) -> float:
-        return float(np.max(self.values) - np.min(self.values))
-
-    def shift(self, k: int) -> "GridFunction":
-        """Exact translation by k nodes: result[j] = self[(j + k) mod n]."""
-        k %= self.n
-        return GridFunction(np.concatenate((self.values[k:], self.values[:k])))
 
     def value_near(self, points: np.ndarray) -> np.ndarray:
         """Values at arbitrary torus points by nearest-node lookup."""

@@ -15,6 +15,8 @@ import numpy as np
 
 # The audits sample gradients |p| <= AUDIT_P_MAX.
 AUDIT_P_MAX = 10.0
+# growth_bound samples this many (x, y, p) points, give or take rounding
+GROWTH_SAMPLES = 64 ** 3
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,6 @@ class RegularityAudit:
     L_y: float
     L_p: float
     measured_L: float
-    radii: tuple
     passed: bool
     witness: Optional[tuple]
 
@@ -200,12 +201,13 @@ def audit_regularity(h: HamiltonianSpec, sample_budget: int = 64 ** 3) -> Regula
     passed = measured <= h.L * (1.0 + 1e-8)
     witness = None if passed else ("measured", measured, "claimed", h.L)
     return RegularityAudit(L_x=L_x, L_y=L_y, L_p=L_p, measured_L=measured,
-                           radii=radii, passed=passed, witness=witness)
+                           passed=passed, witness=witness)
 
 
-def growth_bound(h: HamiltonianSpec, sample_budget: int = 64 ** 3) -> float:
-    """Smallest sampled C with |H(x,y,p)| <= C (1 + |p|^m)."""
-    side = max(8, int(round(sample_budget ** (1.0 / 3.0))))
+def growth_bound(h: HamiltonianSpec) -> float:
+    """Smallest sampled C with |H(x,y,p)| <= C (1 + |p|^m), on about
+    GROWTH_SAMPLES points."""
+    side = max(8, int(round(GROWTH_SAMPLES ** (1.0 / 3.0))))
     xs = np.arange(side) / side
     ys = np.arange(side) / side
     ps = np.linspace(-AUDIT_P_MAX, AUDIT_P_MAX, 2 * side + 1)

@@ -21,8 +21,7 @@ from .grid import GridFunction, central_diff
 from .hamiltonians import HamiltonianSpec
 from .kernels import KernelSpec, periodized_weights
 from .operators import apply_table
-from .parabolic import (NumericalFailure, ParabolicProblem, SolverConfig,
-                        initial_layer_modulus, solve)
+from .parabolic import NumericalFailure, ParabolicProblem, SolverConfig, solve
 
 
 @dataclass
@@ -57,10 +56,8 @@ class SweepReport:
     steps: np.ndarray                 # time steps of each oscillating run (0 if it failed)
     paths: tuple                      # "implicit"/"explicit" per run ("" if it failed)
     coarse_nodes: np.ndarray
-    times: np.ndarray
     u_eps_final: list                 # coarse restrictions of each final state
     u_eff_final: np.ndarray
-    initial_layers: list              # per-eps (t, sup gap) tables
     sigma: float
     failures: tuple = ()              # (eps, message) for runs that blew up
 
@@ -91,7 +88,6 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
           else cfg.n_per_k * ks)
     n_coarse = int(np.min(ns))
     scfg = SolverConfig(snapshots=cfg.snapshots)
-    record = scfg.resolved_record_times(family.T)
     # one kernel table per grid size: the n_fixed control runs share one
     tables = {n: periodized_weights(family.kernel, n) for n in dict.fromkeys(ns.tolist())}
 
@@ -123,19 +119,16 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
     eff_coarse = [_restrict(s.values, n_coarse) for s in eff_traj.snapshots[1:]]
     errors = []
     finals = []
-    layers = []
     for traj, n in zip(trajectories, ns):
         if traj is None:
             errors.append(np.nan)
             finals.append(np.full(n_coarse, np.nan))
-            layers.append([])
             continue
         gaps = []
         for snap, ref in zip(traj.snapshots[1:], eff_coarse):
             gaps.append(float(np.max(np.abs(_restrict(snap.values, n_coarse) - ref))))
         errors.append(max(gaps))
         finals.append(_restrict(traj.final().values, n_coarse))
-        layers.append(initial_layer_modulus(traj, traj.snapshots[0]))
     errors = np.array(errors)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -158,10 +151,9 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
         for i, e in enumerate(eps):
             if not np.all(np.isfinite(finals[i])):
                 continue
-            rep = corrector_reconstruction(
+            residuals[i] = corrector_reconstruction(
                 GridFunction(finals[i]), GridFunction(u_eff_final),
                 p_eff, l_eff, psi_provider, float(e), sigma)
-            residuals[i] = rep.sup_residual
 
     return SweepReport(eps_list=eps, errors=errors, rates=rates,
                        corrector_residuals=residuals, runtimes=np.array(runtimes),
@@ -169,25 +161,14 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
                        max_dts=np.array(max_dts),
                        steps=np.array([0 if tr is None else tr.steps for tr in trajectories]),
                        paths=tuple("" if tr is None else tr.path for tr in trajectories),
-                       coarse_nodes=coarse_nodes, times=record,
-                       u_eps_final=finals, u_eff_final=u_eff_final, initial_layers=layers,
-                       sigma=sigma, failures=tuple(failures))
-
-
-@dataclass(frozen=True)
-class CorrectorReport:
-    sup_residual: float
-    sup_gap: float
-    exponent: float
-    residual: np.ndarray
-    gap: np.ndarray
+                       coarse_nodes=coarse_nodes, u_eps_final=finals,
+                       u_eff_final=u_eff_final, sigma=sigma, failures=tuple(failures))
 
 
 def corrector_reconstruction(u_eps: GridFunction, u_bar: GridFunction,
                              p_vals: np.ndarray, l_vals: np.ndarray,
-                             psi_provider: Callable, eps: float,
-                             sigma: float) -> CorrectorReport:
-    """Residual of the two-scale ansatz at the final time.
+                             psi_provider: Callable, eps: float, sigma: float) -> float:
+    """sup |r| of the residual r of the two-scale ansatz at the final time.
 
     r(x) = u_eps(x) - u_bar(x) - eps^(1 v sigma) psi(x / eps), with psi frozen
     at (x, p(x), l(x)).  Correctors are determined up to an additive constant;
@@ -198,7 +179,6 @@ def corrector_reconstruction(u_eps: GridFunction, u_bar: GridFunction,
     """
     if u_eps.n != u_bar.n:
         raise ValueError("ansatz comparison needs matching grids")
-    exponent = max(1.0, sigma)
     n = u_eps.n
     xs = u_eps.nodes()
     corr = np.empty(n)
@@ -206,8 +186,5 @@ def corrector_reconstruction(u_eps: GridFunction, u_bar: GridFunction,
         psi_i = psi_provider(float(xs[i]), float(p_vals[i]), float(l_vals[i]))
         y = (xs[i] / eps) % 1.0
         corr[i] = float(psi_i.value_near(np.array([y]))[0]) - psi_i.mean()
-    gap = u_eps.values - u_bar.values
-    residual = gap - eps ** exponent * corr
-    return CorrectorReport(sup_residual=float(np.max(np.abs(residual))),
-                           sup_gap=float(np.max(np.abs(gap))),
-                           exponent=exponent, residual=residual, gap=gap)
+    residual = u_eps.values - u_bar.values - eps ** max(1.0, sigma) * corr
+    return float(np.max(np.abs(residual)))

@@ -95,8 +95,8 @@ class MonotoneScheme:
     built it covers every gradient.  With neither there is no gradient term.
 
     Explicit steps u - dt (delta u + F(u)) are monotone for dt <= 1 / (budget
-    + delta); dt(delta) takes CFL_SAFETY of that.  The scheme is `implicit`
-    when its nonlocal part is -a I_h u with a >= 0 of some period P (see
+    + delta); step_dt() takes CFL_SAFETY of that at delta = 0.  The scheme
+    is `implicit` when its nonlocal part is -a I_h u with a >= 0 of some period P (see
     _node_period), no drift, no compensator and nonnegative off-diagonal
     table coefficients.  Then I - dt diag(a) I_h is a strictly diagonally
     dominant M-matrix, so its inverse is >= 0, and step() takes that part
@@ -200,15 +200,12 @@ class MonotoneScheme:
         self.theta = self._godunov_theta(g)
         return diffs
 
-    def dt(self, delta: float = 0.0) -> float:
-        """Monotone explicit step for the discount delta."""
-        return CFL_SAFETY / (self.budget + delta + 1e-300)
-
     def step_dt(self) -> float:
-        """The step solve takes: dt() for the explicit step; for the implicit
-        one only the gradient part counts, dt theta / h = CFL_SAFETY."""
+        """The step solve takes: dt budget = CFL_SAFETY for the explicit step;
+        for the implicit one only the gradient part counts, dt theta / h =
+        CFL_SAFETY."""
         if self._coupling is None:
-            return self.dt()
+            return CFL_SAFETY / (self.budget + 1e-300)
         return CFL_SAFETY / (self.theta / self.h + 1e-300)
 
     def _blocks(self, dt: float) -> np.ndarray:
@@ -395,7 +392,6 @@ class Trajectory:
     snapshots: list
     sup_norm_track: np.ndarray
     dt: float              # the smallest full step taken
-    theta: float           # the largest dissipation used
     steps: int             # time steps taken, the shortened ones included
     path: str              # "implicit" or "explicit": how the nonlocal term was stepped
     max_dt: float = math.nan     # the largest full step taken
@@ -418,7 +414,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     """
     u = problem.u0.values.copy()
     scheme = problem.scheme()
-    dt, max_dt, theta = math.inf, 0.0, 0.0
+    dt, max_dt = math.inf, 0.0
     record = cfg.resolved_record_times(problem.T)
 
     t = 0.0
@@ -429,7 +425,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
         while t < t_target - 1e-14:
             diffs = scheme.fit_theta(u)
             full = scheme.step_dt()
-            dt, max_dt, theta = min(dt, full), max(max_dt, full), max(theta, scheme.theta)
+            dt, max_dt = min(dt, full), max(max_dt, full)
             step = min(full, t_target - t)
             t += step
             step_index += 1
@@ -444,7 +440,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
         snapshots.append(GridFunction(u))
     return Trajectory(times=np.array(times), snapshots=snapshots,
                       sup_norm_track=np.array([s.sup_norm() for s in snapshots]),
-                      dt=dt, theta=theta, steps=step_index,
+                      dt=dt, steps=step_index,
                       path="implicit" if scheme.implicit else "explicit", max_dt=max_dt)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hjhom.cell import CellParams, CellSolution
+from hjhom.cell import CellParams, CellSolution, corrector_regularity
 from hjhom.grid import GridFunction
 from hjhom.homogenize import SweepReport
 from hjhom.kernels import _GAUSS_NODES, _GAUSS_WEIGHTS, KernelSpec
@@ -346,14 +346,15 @@ class RegularityRatios:
 def regularity_audit(sol: CellSolution, params: CellParams) -> RegularityRatios:
     m = params.ham.m
     pl = 1.0 + abs(params.l) + abs(params.p) ** m
-    # -delta psi^delta spans [lo, hi] at the smallest discount delta
-    delta_min, lo, hi = sol.delta_trace[-1]
-    psi_delta_sup = max(abs(lo), abs(hi)) / delta_min
+    # -delta psi^delta spans [lo, hi] = H_bar -/+ spread / 2 at the smallest
+    # discount delta, so delta |psi^delta|_inf = max(|lo|, |hi|)
+    lo, hi = sol.H_bar - sol.spread / 2, sol.H_bar + sol.spread / 2
+    osc, lip, flap_sup = corrector_regularity(sol.psi)
     return RegularityRatios(
-        psi_delta=delta_min * psi_delta_sup / pl,
-        osc=sol.regularity.osc / (1.0 + abs(params.p) + abs(params.l) ** (1.0 / m)),
-        lip=sol.regularity.lip / pl,
-        flap=sol.regularity.flap_sup / pl ** m,
+        psi_delta=max(abs(lo), abs(hi)) / pl,
+        osc=osc / (1.0 + abs(params.p) + abs(params.l) ** (1.0 / m)),
+        lip=lip / pl,
+        flap=flap_sup / pl ** m,
     )
 
 

@@ -72,6 +72,22 @@ class TestParsing:
         assert main(["audit", "--config", path, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, good", [
+        ("cell.deltas", "1/4,1/8,1/16"), ("sweep.eps_list", "1/4,1/8,1/16"),
+        ("cell.table_x", "0,0.5,1"), ("cell.table_p", "0,0.5,1"), ("cell.table_l", "0,0.5,1")])
+    @pytest.mark.parametrize("case", ["empty", "unsorted", "repeated"])
+    def test_bad_lists_rejected_at_validation(self, tmp_path, capsys, key, good, case):
+        first, second, rest = good.split(",")
+        value = {"empty": "", "unsorted": f"{second},{first},{rest}",
+                 "repeated": f"{first},{first},{second},{rest}"}[case]
+        path = write(tmp_path, f"{key} = {value}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert len(err.value.errors) == 1 and err.value.errors[0].startswith(key + " must")
+        capsys.readouterr()
+        assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == err.value.errors[0] + "\n"
+
     def test_round_trip(self, tmp_path):
         cfg = parse_config(write(tmp_path, "kernel.sigma = 0.5\ncell.p = 0.25\n"))
         again = parse_text(cfg.to_text())
@@ -200,6 +216,27 @@ class TestCommands:
         assert main(["cell", "--config", path, "--out", str(tmp_path)]) == 0
         body = (tmp_path / "run_cell.csv").read_text()
         assert "x,p,l,sigma,H_bar,spread,osc,lip,flap_sup" in body
+
+    @pytest.mark.parametrize("sigma", ["0.5", "1", "1.5"])
+    def test_cell_report_columns_match_the_corrector(self, tmp_path, sigma):
+        # osc, lip and flap_sup as written, bit for bit, from the corrector:
+        # max - min, the largest wrapped forward difference times n, and
+        # sup |irfft(2 pi |k| rfft(psi))|
+        path = write(tmp_path, "\n".join([
+            f"kernel.sigma = {sigma}", "cell.n = 64", "cell.p = 0.5", "cell.l = 0.25",
+            "cell.deltas = 0.1,0.01"]) + "\n")
+        assert main(["cell", "--config", path, "--out", str(tmp_path)]) == 0
+        rows = [l for l in (tmp_path / "run_cell.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        osc, lip, flap_sup = (float(v) for v in rows[1].split(",")[6:])
+        cfg = parse_config(path)
+        psi = vanishing_discount_sweep(_cell_params(cfg, build_model(cfg)), cfg["cell.deltas"],
+                                       _cell_config(cfg)).psi.values
+        n = psi.size
+        assert osc == np.ptp(psi) > 0.0
+        assert lip == np.max(np.abs(np.append(psi[1:], psi[:1]) - psi) * n)
+        k = np.arange(n // 2 + 1)
+        assert flap_sup == np.max(np.abs(np.fft.irfft(2 * np.pi * k * np.fft.rfft(psi), n=n)))
 
     def test_cell_command_at_a_grid_size_not_a_power_of_two(self, tmp_path, capsys):
         # the regularity report takes spectral_flap of the corrector at cell.n
@@ -739,6 +776,21 @@ class TestContinuationFill:
         assert (count.nodes, count.fallbacks) == (6, 2)
         assert count.steps == len(solves)
 
+    def test_order_one_fill_takes_no_regularity(self, tmp_path, monkeypatch):
+        # the corrector's osc, lip and flap_sup are hjhom cell's alone: a
+        # table fill takes no fractional Laplacian of its correctors
+        import hjhom.cell
+        calls, flap = [], hjhom.cell.spectral_flap
+        monkeypatch.setattr(hjhom.cell, "spectral_flap",
+                            lambda *args: calls.append(1) or flap(*args))
+        *_, fill, count = self._fill(tmp_path, [
+            "kernel.sigma = 1", "cell.n = 32", "cell.deltas = 0.1,0.05"])
+        for p in (0.0, 1.0):
+            for l in (0.0, 1.0):
+                fill(0.0, p, l)
+        assert count.nodes == 4 and count.steps > 0
+        assert calls == []
+
     def test_fill_line_below_and_at_order_one_only(self, tmp_path, capsys):
         for sigma, shown in (("1", True), ("1.5", False)):
             path = write(tmp_path, "\n".join([
@@ -753,13 +805,23 @@ class TestContinuationFill:
                                     r"0 ladder fallbacks", fill[0])
 
 
-def test_cli_imports_no_scipy():
-    # scipy is a test dependency only; the command line must start without it
+def _imported_by_the_cli(prefix: str) -> str:
+    """The modules under prefix that a fresh `import hjhom.cli` loads, as printed."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hjhom.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = ("import sys, hjhom.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})))")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_cli_imports_no_scipy():
+    # scipy is a test dependency only; the command line must start without it
+    assert _imported_by_the_cli("scipy") == "[]"
+
+
+def test_cli_imports_no_numpy_polynomial():
+    # the Gauss rule is written out in hjhom.kernels; numpy.polynomial would
+    # add about 1.3 MB to every command's peak resident set
+    assert _imported_by_the_cli("numpy.polynomial") == "[]"

@@ -39,7 +39,7 @@ def test_trajectory_rows_match_the_row_by_row_oracle(tmp_path):
                  GridFunction(np.linspace(-1.0, 1.0, n))]
     times = np.array([0.0, 1e-300, 0.5])
     traj = Trajectory(times=times, snapshots=snapshots, sup_norm_track=np.zeros(3),
-                      dt=0.1, theta=1.0, steps=2, path="explicit")
+                      dt=0.1, steps=2, path="explicit")
     rows = [(t, x, u) for t, snap in zip(times, snapshots)
             for x, u in zip(snap.nodes(), snap.values)]
     config = ["# grid.n = 8", "# grid.T = 0.5"]

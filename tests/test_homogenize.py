@@ -11,7 +11,7 @@ from hjhom.homogenize import (ProblemFamily, SweepConfig, SweepReport,
 from hjhom import homogenize
 from hjhom.kernels import constant_kernel
 from hjhom.hamiltonians import growth_bound
-from hjhom.parabolic import NumericalFailure
+from hjhom.parabolic import NumericalFailure, initial_layer_modulus
 from lemmas import barrier_bounds, convergence_rates
 
 
@@ -23,8 +23,8 @@ def _dummy_report(eps, errors):
                        corrector_residuals=z, runtimes=z, ns=np.ones_like(eps, dtype=int),
                        dts=z, max_dts=z, steps=np.zeros(eps.size, dtype=int),
                        paths=("",) * eps.size,
-                       coarse_nodes=np.zeros(4), times=np.zeros(2),
-                       u_eps_final=[], u_eff_final=np.zeros(4), initial_layers=[], sigma=1.5)
+                       coarse_nodes=np.zeros(4), u_eps_final=[], u_eff_final=np.zeros(4),
+                       sigma=1.5)
 
 
 @pytest.fixture(scope="module")
@@ -70,20 +70,36 @@ class TestControlCase:
 
 
 @pytest.fixture(scope="module")
-def report(wavy_family, wavy_psi_provider):
-    return run_sweep(wavy_family, [1 / 4, 1 / 8, 1 / 16],
-                     SweepConfig(n_per_k=16), psi_provider=wavy_psi_provider)
+def wavy_sweep(wavy_family, wavy_psi_provider):
+    """(report, trajectories): the sweep and the trajectories of its solves,
+    the effective one last."""
+    trajectories, solve = [], homogenize.solve
+
+    def recording(problem, cfg):
+        trajectories.append(solve(problem, cfg))
+        return trajectories[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homogenize, "solve", recording)
+        report = run_sweep(wavy_family, [1 / 4, 1 / 8, 1 / 16],
+                           SweepConfig(n_per_k=16), psi_provider=wavy_psi_provider)
+    return report, trajectories
+
+
+@pytest.fixture(scope="module")
+def report(wavy_sweep):
+    return wavy_sweep[0]
 
 
 class TestWavySweep:
     def test_errors_strictly_decrease(self, report):
         assert report.errors[0] > report.errors[1] > report.errors[2]
 
-    def test_steps_and_paths_reported(self, report):
+    def test_steps_and_paths_reported(self, report, wavy_family):
         # a(x / eps) repeats every 16 nodes: each run steps -a I_h implicitly,
         # every full step in [dt, max_dt] and each recorded time shortening
         # at most one, more steps on each finer grid
-        T, snapshots = report.times[-1], report.times.size
+        T, snapshots = wavy_family.T, SweepConfig().snapshots
         assert report.paths == ("implicit",) * 3
         assert np.all(report.steps >= np.round(T / report.max_dts))
         assert np.all(report.steps <= T / report.dts + snapshots)
@@ -101,12 +117,14 @@ class TestWavySweep:
         lower = np.minimum.reduce(report.u_eps_final)
         assert np.all(lower <= report.u_eff_final + np.max(report.errors) + 1e-12)
 
-    def test_initial_layers_dominated_by_one_modulus(self, report, eikonal_ham):
+    def test_initial_layers_dominated_by_one_modulus(self, wavy_sweep, eikonal_ham):
         u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), 256)
         env = barrier_bounds(u0, 0.25, a_sup=3.0,
                              growth_C=growth_bound(eikonal_ham), m=2.0,
                              kernel=constant_kernel(1.5))
-        for layer in report.initial_layers:
+        oscillating = wavy_sweep[1][:-1]
+        assert len(oscillating) == 3
+        for layer in (initial_layer_modulus(tr, tr.snapshots[0]) for tr in oscillating):
             ts = np.array([t for t, _ in layer[1:]])
             gaps = np.array([g for _, g in layer[1:]])
             assert np.all(gaps <= env.initial_layer_bound(ts, u0, 2.0) + 1e-9)
@@ -117,21 +135,25 @@ class TestCorrectorReconstruction:
         n = 64
         u_eps = GridFunction(np.sin(2 * np.pi * np.arange(n) / n))
         u_bar = GridFunction(np.cos(2 * np.pi * np.arange(n) / n))
-        provider = lambda x, p, l: GridFunction.constant(0.0, 64)
-        rep = corrector_reconstruction(u_eps, u_bar, np.zeros(n), np.zeros(n),
+        provider = lambda x, p, l: GridFunction(np.zeros(64))
+        sup = corrector_reconstruction(u_eps, u_bar, np.zeros(n), np.zeros(n),
                                        provider, 1 / 8, 1.5)
-        assert np.array_equal(rep.residual, rep.gap)
+        assert sup == np.max(np.abs(u_eps.values - u_bar.values))
 
     def test_exponent_selector(self):
+        # u_eps = u_bar: the residual is eps^max(1, sigma) times the mean-free
+        # profile read at y = x / eps mod 1, here node 8 j mod 64 of x node j
         n = 64
         u = GridFunction(np.zeros(n))
-        provider = lambda x, p, l: GridFunction.constant(0.0, 64)
+        profile = np.cos(2 * np.pi * np.arange(64) / 64)
+        provider = lambda x, p, l: GridFunction(profile)
+        corr = profile[8 * np.arange(n) % 64] - np.mean(profile)
         lo = corrector_reconstruction(u, u, np.zeros(n), np.zeros(n), provider,
                                       1 / 8, 0.5)
         hi = corrector_reconstruction(u, u, np.zeros(n), np.zeros(n), provider,
                                       1 / 8, 1.5)
-        assert lo.exponent == 1.0
-        assert hi.exponent == 1.5
+        assert lo == (1 / 8) ** 1.0 * np.max(np.abs(corr))
+        assert hi == (1 / 8) ** 1.5 * np.max(np.abs(corr))
 
 
 class TestFailureHandling:

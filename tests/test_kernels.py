@@ -12,6 +12,12 @@ from hjhom.kernels import (_GAUSS_NODES, _GAUSS_WEIGHTS, BLOCK_VALUES, KernelSpe
 from hjhom.operators import apply_table
 
 
+def test_gauss_rule_is_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(_GAUSS_NODES, nodes) and np.array_equal(_GAUSS_WEIGHTS, weights)
+    assert _GAUSS_NODES.dtype == nodes.dtype and _GAUSS_WEIGHTS.dtype == weights.dtype
+
+
 class TestNormalizingConstant:
     def test_order_one_is_inverse_pi(self):
         assert normalizing_constant(1.0) == pytest.approx(1.0 / np.pi, abs=1e-14)
@@ -126,7 +132,7 @@ class TestEllipticityAudit:
                        symmetric=True)
         rep = audit_ellipticity(lambda x, y: 1.0 + 0.0 * x * y, k)
         assert not rep.passed
-        assert not rep.kbar0_positive
+        assert "kbar(0) = 0.0 is not positive" in rep.messages
 
     def test_asymmetric_order_one_requires_finite_modulus_integral(self):
         rep = audit_ellipticity(lambda x, y: 1.0 + 0.0 * x * y, tilt_kernel(1.0, 0.5))

@@ -6,6 +6,9 @@ three places: hjhom.cli.main, the names in hjhom.__all__, and the module's
 own top-level statements (the command table, constants, decorators).  A name
 outside that set is reached only from the tests; such code belongs beside
 them, in tests/lemmas.py.
+
+The same holds one level down: every method, property and dataclass or
+NamedTuple field of a class is one some src/hjhom expression reads.
 """
 
 import ast
@@ -101,15 +104,67 @@ def unreached(src: Path) -> list:
                   if (mod, name) not in reached)
 
 
+def unread_members(src: Path) -> list:
+    """`Class.member` of every method, property and dataclass or NamedTuple
+    field of a top-level class of the package at src whose name no expression
+    of the package loads as an attribute (`x.name`), sorted.  Definitions,
+    stores and constructor keywords do not count, and dunder methods run
+    implicitly.  The match is by name alone, so a member another class's
+    loaded member of the same name shadows goes unnoticed."""
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")) and name not in loaded:
+                    out.append(f"{cls.name}.{name}")
+    return sorted(out)
+
+
+def _copy_of_src(tmp_path) -> Path:
+    for path in SRC.glob("*.py"):
+        shutil.copy(path, tmp_path / path.name)
+    return tmp_path
+
+
 def test_every_top_level_name_is_run_by_the_program():
     missing = unreached(SRC)
     assert not missing, "reached only from the tests: " + ", ".join(missing)
 
 
+def test_every_class_member_is_read_by_the_program():
+    unread = unread_members(SRC)
+    assert not unread, "members no src/ expression reads: " + ", ".join(unread)
+
+
 def test_guard_names_a_test_only_function(tmp_path):
     # the same package with one function that only a test could call
-    for path in SRC.glob("*.py"):
-        shutil.copy(path, tmp_path / path.name)
-    with open(tmp_path / "operators.py", "a") as fh:
+    src = _copy_of_src(tmp_path)
+    with open(src / "operators.py", "a") as fh:
         fh.write("\n\ndef orphan(values, table):\n    return apply_table(values, table)\n")
-    assert unreached(tmp_path) == ["operators.orphan"]
+    assert unreached(src) == ["operators.orphan"]
+
+
+def test_guard_names_an_unread_field(tmp_path):
+    # the same package with one dataclass field that nothing reads, though a
+    # constructor keyword sets it
+    src = _copy_of_src(tmp_path)
+    cli = src / "cli.py"
+    text = cli.read_text()
+    field_line = "    fallbacks: int = 0\n"
+    call = "count = FillCount()"
+    assert text.count(field_line) == 1 and text.count(call) == 1
+    cli.write_text(text.replace(field_line, field_line + "    orphan: int = 0\n")
+                   .replace(call, "count = FillCount(orphan=1)"))
+    assert unread_members(src) == ["FillCount.orphan"]
+    assert unreached(src) == []

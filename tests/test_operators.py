@@ -130,7 +130,7 @@ class TestLocalizedSplit:
     def test_quadratic_model_inner_closed_form(self):
         # model z^2/2 against the order-one constant density: inner = C delta
         k = constant_kernel(1.0)
-        u = GridFunction.constant(0.0, 256)
+        u = GridFunction(np.full(256, 0.0))
         c = normalizing_constant(1.0)
         for delta in (0.05, 0.2, 0.4):
             sp = eval_localized(u, 0.0, 1.0, 0, delta, k)
@@ -138,7 +138,7 @@ class TestLocalizedSplit:
 
     def test_radius_below_one_cell_rejected(self):
         k = constant_kernel(1.0)
-        u = GridFunction.constant(0.0, 64)
+        u = GridFunction(np.full(64, 0.0))
         with pytest.raises(ValueError):
             eval_localized(u, 0.0, 0.0, 0, 0.5 / 64, k)
 

@@ -16,7 +16,7 @@ from hjhom.hamiltonians import (HamiltonianSpec, PowerForm, audit_regularity,
                                 growth_bound, model_bpm)
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
 from hjhom.operators import apply_table
-from hjhom.parabolic import (GRADIENT_RISE, MonotoneScheme, ParabolicProblem,
+from hjhom.parabolic import (CFL_SAFETY, GRADIENT_RISE, MonotoneScheme, ParabolicProblem,
                              SolverConfig, coefficient_scheme,
                              holder_exponent_alpha0, initial_layer_modulus, solve)
 from lemmas import barrier_bounds, sampled_modulus, sup_convolution_time
@@ -30,9 +30,10 @@ def _oscillating(u0, ham, a, sigma, eps, T, kernel=None, **kw):
 
 
 def _explicit_march(scheme, u, times):
-    """Forward Euler u - dt F(u) at the scheme's own dt(), shortened to land
-    on each of the times: (the states there, the steps taken)."""
-    dt, t, states, steps = scheme.dt(), 0.0, [], 0
+    """Forward Euler u - dt F(u) at the scheme's explicit CFL step
+    CFL_SAFETY / budget, shortened to land on each of the times: (the states
+    there, the steps taken)."""
+    dt, t, states, steps = CFL_SAFETY / scheme.budget, 0.0, [], 0
     for target in times:
         while t < target - 1e-14:
             step = min(dt, target - t)
@@ -46,7 +47,7 @@ def _explicit_march(scheme, u, times):
 class TestSolve:
     def test_constants_are_exact_solutions(self, unit_a):
         ham = model_bpm("one", "constant:0", 2.0)  # H(.,.,0) = 0
-        u0 = GridFunction.constant(3.25, 64)
+        u0 = GridFunction(np.full(64, 3.25))
         traj = solve(_oscillating(u0, ham, unit_a, 0.5, 0.25, 0.3), SolverConfig())
         for snap in traj.snapshots:
             assert np.all(snap.values == 3.25)
@@ -54,7 +55,7 @@ class TestSolve:
     def test_linear_in_time_exact_solution(self, unit_a):
         # H = |p|^2 - 1 and flat data: u(x, t) = t
         ham = model_bpm("one", "constant:1", 2.0)
-        u0 = GridFunction.constant(0.0, 64)
+        u0 = GridFunction(np.full(64, 0.0))
         traj = solve(_oscillating(u0, ham, unit_a, 1.0, 0.25, 0.4), SolverConfig())
         final = traj.final().values
         assert np.max(np.abs(final - traj.times[-1])) <= 1e-10
@@ -97,12 +98,12 @@ class TestSolve:
                 assert np.all(a_snap.values <= b_snap.values + 1e-12)
 
     def test_eps_must_be_reciprocal_integer(self, eikonal_ham, unit_a):
-        u0 = GridFunction.constant(0.0, 64)
+        u0 = GridFunction(np.full(64, 0.0))
         with pytest.raises(ValueError):
             _oscillating(u0, eikonal_ham, unit_a, 0.5, 0.3, 0.1)
 
     def test_fast_variable_resolution_enforced(self, eikonal_ham, unit_a):
-        u0 = GridFunction.constant(0.0, 64)
+        u0 = GridFunction(np.full(64, 0.0))
         with pytest.raises(ValueError):
             _oscillating(u0, eikonal_ham, unit_a, 0.5, 1.0 / 8.0, 0.1)
 
@@ -357,8 +358,9 @@ class TestStateTheta:
             # n = 256, 512, 1024 and 2048
             assert gap <= 10.0 / n
             gaps.append(gap)
-            # the first steps see |p| up to 2 pi, in the steepest cells
-            assert traj.theta == fixed.theta and traj.dt == fixed.dt()
+            # the first steps see |p| up to 2 pi, in the steepest cells: the
+            # smallest step, which falls as theta rises, is the table-wide one
+            assert traj.dt == fixed.step_dt()
             assert 3 * traj.steps <= fixed_steps
         assert gaps[1] <= 0.6 * gaps[0]
 
@@ -486,7 +488,7 @@ class TestJacobian:
 
 class TestBarriers:
     def test_constant_data_envelope(self, eikonal_ham):
-        u0 = GridFunction.constant(1.0, 64)
+        u0 = GridFunction(np.full(64, 1.0))
         env = barrier_bounds(u0, 0.3, a_sup=1.0, growth_C=growth_bound(eikonal_ham),
                              m=2.0, kernel=constant_kernel(0.5))
         assert env.omega0 == 0.0
@@ -516,14 +518,14 @@ class TestBarriers:
     def test_initial_layer_tables(self, eikonal_ham, wavy_a, unit_a):
         # the linear-in-time exact solution has layer table exactly t
         ham = model_bpm("one", "constant:1", 2.0)
-        u0 = GridFunction.constant(0.0, 64)
+        u0 = GridFunction(np.full(64, 0.0))
         traj = solve(_oscillating(u0, ham, unit_a, 1.0, 0.25, 0.4), SolverConfig())
         table = initial_layer_modulus(traj, u0)
         assert np.max(np.abs(table[:, 1] - table[:, 0])) <= 1e-10
 
         # flat data with vanishing forcing: the table is identically zero
         ham0 = model_bpm("one", "constant:0", 2.0)
-        u0c = GridFunction.constant(2.0, 64)
+        u0c = GridFunction(np.full(64, 2.0))
         traj0 = solve(_oscillating(u0c, ham0, unit_a, 0.5, 0.25, 0.3), SolverConfig())
         assert np.max(initial_layer_modulus(traj0, u0c)[:, 1]) == 0.0
 

@@ -1,0 +1,39 @@
+"""The benchmark's traced child (perfbench/child.py --trace) runs against
+the package as it stands: a removed member or a changed signature that one
+of its observers reads makes the child raise, and the run read as incorrect.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("effective", ["kernel.sigma = 1", "kernel.family = tilt", "cell.n = 32",
+                   "cell.deltas = 0.1,0.05", "cell.table_p = 0,1", "cell.table_l = -1,0"]),
+    ("homogenize", ["kernel.sigma = 1.5", "cell.n = 32", "sweep.eps_list = 1/2,1/4",
+                    "sweep.T = 0.02", "sweep.snapshots = 2"]),
+])
+def test_traced_child_observes_the_run(tmp_path, command, lines):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    report_path = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(report_path), "--trace",
+         command, "--config", str(cfg), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(report_path.read_text())
+    assert report["exit"] == 0
+    if command == "effective":
+        assert report["counts"]["cell.march_steps"] > 0
+    else:
+        assert report["layers"]["parabolic.solve"]["calls"] > 0
