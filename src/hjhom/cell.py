@@ -274,9 +274,8 @@ def formula_below_one(a: Callable, ham: HamiltonianSpec, x, p, l,
     = lambda0 where |p| <= I(lambda0), the flat piece, and otherwise the
     root of I(lambda) = |p| above lambda0.  The nodes are taken in blocks of
     at most BLOCK_VALUES values; each query's value does not depend on the
-    block that holds it.  Raises ValueError when H has no power form.
+    block that holds it.
     """
-    pf = ham.required_power_form()
     x, p, l = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, p, l)))
     ys = np.arange(nodes) / nodes
     rows = max(1, BLOCK_VALUES // nodes)
@@ -285,9 +284,9 @@ def formula_below_one(a: Callable, ham: HamiltonianSpec, x, p, l,
     for s in range(0, xf.size, rows):
         block = slice(s, s + rows)
         X = xf[block, None]
-        g = pf.f(X, ys) + a(X, ys) * lf[block, None]
-        b = np.broadcast_to(np.asarray(pf.b(X, ys), dtype=float), g.shape)
-        out[block] = _ergodic_root(g, b, pf.m, qf[block])
+        g = ham.f(X, ys) + a(X, ys) * lf[block, None]
+        b = np.broadcast_to(np.asarray(ham.b(X, ys), dtype=float), g.shape)
+        out[block] = _ergodic_root(g, b, ham.m, qf[block])
     return out.reshape(x.shape)
 
 

@@ -271,7 +271,7 @@ def cmd_effective(args, cfg: RunConfig, model: Model) -> int:
     table = _build_table(cfg, model)
     ham = model.ham
     a_vals = model.a(np.zeros(512), np.arange(512) / 512)
-    audit = audit_properties(table, b0=ham.power_form.b_min, C=ham.power_form.f_sup,
+    audit = audit_properties(table, b0=ham.b_min, C=ham.f_sup,
                              a_sup=float(np.max(np.abs(a_vals))), m=ham.m)
     path = _out_path(args, cfg, "effective.csv")
     save_table(table, path, config_lines=cfg.header_lines())
@@ -314,7 +314,7 @@ def cmd_solve(args, cfg: RunConfig, model: Model) -> int:
                    cfg.header_lines())
     csvio.emit_csv(spath, ["t", "sup_norm", "initial_layer"],
                    csvio.trajectory_summary_rows(traj, u0), cfg.header_lines())
-    bound = u0.sup_norm() + model.ham.h_at_zero_sup() * cfg["grid.T"] + 1e-8
+    bound = u0.sup_norm() + model.ham.f_sup * cfg["grid.T"] + 1e-8
     print(f"final sup norm {traj.sup_norm_track[-1]:.6g} "
           f"(a-priori bound {bound:.6g}), dt = {traj.dt:.3e} to {traj.max_dt:.3e}, "
           f"steps = {traj.steps}, path = {traj.path}")

@@ -8,9 +8,7 @@ configuration it came from, so a run is reproducible from any artifact.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
@@ -39,7 +37,7 @@ SCHEMA = {
         "kind": ("str", "oscillating"),       # oscillating | effective
         "u0": ("str", "sin_2pi_x"),
         "T": ("float", 0.2),
-        "eps": ("float", Fraction(1, 8)),
+        "eps": ("float", "1/8"),
         "table_csv": ("str", ""),             # effective solves below order one
     },
     "cell": {
@@ -77,10 +75,14 @@ class ConfigError(ValueError):
 
 
 def _parse_number(text: str) -> float:
-    text = text.strip()
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    """A float, or a ratio "a/b" of integers, b unsigned, as the correctly
+    rounded int(a) / int(b)."""
+    num, slash, den = text.strip().partition("/")
+    if not slash:
+        return float(num)
+    if den.lstrip().startswith(("+", "-")):
+        raise ValueError(f"signed denominator in {text!r}")
+    return int(num) / int(den)
 
 
 def _coerce(tag: str, raw: str, where: str, errors: list) -> Any:
@@ -135,8 +137,6 @@ def defaults() -> RunConfig:
         for key, (tag, default) in keys.items():
             if isinstance(default, str):
                 vals[f"{section}.{key}"] = _coerce(tag, default, "default", errors)
-            elif isinstance(default, Fraction):
-                vals[f"{section}.{key}"] = float(default)
             else:
                 vals[f"{section}.{key}"] = default
     assert not errors
@@ -157,6 +157,7 @@ def parse_text(text: str, source: str = "<config>") -> RunConfig:
         dotted, _, raw = stripped.partition("=")
         dotted = dotted.strip()
         if dotted not in known:
+            import difflib
             hint = difflib.get_close_matches(dotted, sorted(known), n=1)
             section_hint = difflib.get_close_matches(dotted.split(".")[0],
                                                      sorted(SCHEMA), n=1)
@@ -213,8 +214,10 @@ def _validate(cfg: RunConfig) -> list:
             errors.append(f"hamiltonian.b = {cfg['hamiltonian.b']!r}: {exc}")
     if cfg["grid.kind"] not in ("oscillating", "effective"):
         errors.append(f"grid.kind = {cfg['grid.kind']!r} not oscillating/effective")
-    if cfg["grid.n"] < 8:
-        errors.append("grid.n must be at least 8")
+    for key, least in (("grid.n", 8), ("grid.snapshots", 1), ("cell.n", 8),
+                       ("cell.max_steps", 1), ("sweep.n_per_k", 16), ("sweep.snapshots", 1)):
+        if cfg[key] < least:
+            errors.append(f"{key} = {cfg[key]} must be at least {least}")
     # every list is non-empty; discounts and scales fall, table axes rise
     for key, sign in (("cell.deltas", -1), ("sweep.eps_list", -1), ("cell.table_x", 1),
                       ("cell.table_p", 1), ("cell.table_l", 1)):

@@ -52,22 +52,17 @@ class ClosedForm:
 
     Hbar0 keeps the claims (m, b0, C0) of H, because the weights A / a
     average to one, and H's power form b |p|^m - f stays one with bbar =
-    A mean(b / a) and fbar = A mean(f / a).  Raises ValueError when H has
-    no power form.
+    A mean(b / a) and fbar = A mean(f / a).
     """
 
     a: Callable[[np.ndarray, np.ndarray], np.ndarray]
     ham: HamiltonianSpec                              # the cell Hamiltonian H
-
-    def __post_init__(self):
-        self.ham.required_power_form()
 
     def means(self, x) -> tuple:
         """(A, bbar, fbar), shaped as x.  Raises ValueError, naming the node,
         where a is not strictly positive."""
         x = np.asarray(x, dtype=float)
         ys = np.arange(CLOSED_FORM_NODES) / CLOSED_FORM_NODES
-        pf = self.ham.power_form
         x_flat = x.ravel()
         blocks = []
         for s in range(0, x_flat.size, _BLOCK_ROWS):
@@ -83,19 +78,19 @@ class ClosedForm:
             A = 1.0 / np.mean(1.0 / a_vals, axis=1)
             blocks.append([A] + [
                 A * np.mean(np.broadcast_to(np.asarray(part, dtype=float), a_vals.shape)
-                            / a_vals, axis=1) for part in (pf.b(X, ys), pf.f(X, ys))])
+                            / a_vals, axis=1) for part in (self.ham.b(X, ys), self.ham.f(X, ys))])
         return tuple(np.concatenate(col).reshape(x.shape) for col in zip(*blocks))
 
     def value(self, x, p, l) -> np.ndarray:
         A, bbar, fbar = self.means(x)
         # float_power takes the scalar pow at every element, as at one node
-        return bbar * np.float_power(np.abs(p), self.ham.power_form.m) - fbar - A * l
+        return bbar * np.float_power(np.abs(p), self.ham.m) - fbar - A * l
 
     def scheme(self, xs: np.ndarray, table: QuadratureTable) -> MonotoneScheme:
         """-A I_h u + Hbar0(x, Du) at the nodes xs, A in the coefficient slot:
         the Godunov flux on (bbar, m, -fbar)."""
         A, bbar, fbar = self.means(xs)
-        return MonotoneScheme(1.0 / xs.size, power=(bbar, self.ham.power_form.m, -fbar),
+        return MonotoneScheme(1.0 / xs.size, power=(bbar, self.ham.m, -fbar),
                               table=table, a=A)
 
     def corrector(self, sigma: float, n: int) -> Callable[[float, float, float], GridFunction]:

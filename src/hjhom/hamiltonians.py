@@ -19,22 +19,6 @@ AUDIT_P_MAX = 10.0
 GROWTH_SAMPLES = 64 ** 3
 
 
-@dataclass(frozen=True)
-class PowerForm:
-    """The structure H = b(x, y) |p|^m - f(x, y) that every solver's Godunov
-    flux is built from (HamiltonianSpec.required_power_form).
-
-    b_min = min b and f_sup = sup |f| are the sampled bounds the effective
-    table's coercivity audit takes.
-    """
-
-    b: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    m: float
-    b_min: float
-    f_sup: float
-
-
 def coercive_reach(b_min: float, f_sup: float, m: float) -> float:
     """Gradient bound where the Godunov theta starts: b_min |q|^m <= 2 f_sup
     + 4 at steady gradients, the 4 a fixed slack."""
@@ -43,18 +27,23 @@ def coercive_reach(b_min: float, f_sup: float, m: float) -> float:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Evaluator (x, y, p) -> H plus the constants claimed for the audits.
+    """H(x, y, p) = b(x, y) |p|^m - f(x, y), the form every solver's Godunov
+    flux is built from, plus the constants claimed for the audits.
 
-    m is the superlinearity exponent; (b0, C0) the claimed superlinearity
+    b_min = min b and f_sup = sup |f| are sampled bounds, which the effective
+    table's coercivity audit and the a-priori bound of a solve take.  m is
+    the superlinearity exponent; (b0, C0) the claimed superlinearity
     constants; L the claimed two-scale Lipschitz constant (order-one kernels).
     """
 
-    eval: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    b: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     m: float
+    b_min: float
+    f_sup: float
     b0: float
     C0: float
-    L: float = np.inf
-    power_form: Optional[PowerForm] = None
+    L: float
 
     def __post_init__(self):
         if self.m <= 1.0:
@@ -62,18 +51,8 @@ class HamiltonianSpec:
         if self.b0 <= 0.0 or self.C0 < 0.0:
             raise ValueError("need b0 > 0 and C0 >= 0")
 
-    def required_power_form(self) -> PowerForm:
-        """The power form every solver needs; ValueError without one."""
-        if self.power_form is None:
-            raise ValueError("the solvers need H in power form b |p|^m - f, "
-                             "and this Hamiltonian has no power_form")
-        return self.power_form
-
-    def h_at_zero_sup(self) -> float:
-        """sup |H(x, y, 0)| on the 128 x 128 grid."""
-        xs = np.arange(128) / 128
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        return float(np.max(np.abs(self.eval(X, Y, np.zeros_like(X)))))
+    def eval(self, x, y, p):
+        return self.b(x, y) * np.abs(p) ** self.m - self.f(x, y)
 
 
 def audit_periodicity(h: HamiltonianSpec) -> float:
@@ -121,9 +100,6 @@ def model_bpm(b_spec: str, f_spec: str, m: float) -> HamiltonianSpec:
         raise ValueError("coefficient b must be strictly positive")
     b_max, f_sup = float(np.max(B)), float(np.max(np.abs(F)))
 
-    def H(x, y, p):
-        return b(x, y) * np.abs(p) ** m - f(x, y)
-
     def slope_sup(V):
         """max |np.gradient(V, 1 / 256)| over both axes: central differences
         inside, formed in place, and one-sided ones at the edges."""
@@ -138,8 +114,8 @@ def model_bpm(b_spec: str, f_spec: str, m: float) -> HamiltonianSpec:
 
     # two-scale Lipschitz surrogate: |grad_(x,y)| of b, f sampled, p-slope m b_max
     L = max(slope_sup(B) + slope_sup(F), m * b_max, 1.0)
-    return HamiltonianSpec(eval=H, m=m, b0=(m - 1.0) * b_min, C0=f_sup, L=L,
-                           power_form=PowerForm(b=b, f=f, m=m, b_min=b_min, f_sup=f_sup))
+    return HamiltonianSpec(b=b, f=f, m=m, b_min=b_min, f_sup=f_sup,
+                           b0=(m - 1.0) * b_min, C0=f_sup, L=L)
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,6 @@ class SweepReport:
     coarse_nodes: np.ndarray
     u_eps_final: list                 # coarse restrictions of each final state
     u_eff_final: np.ndarray
-    sigma: float
     failures: tuple = ()              # (eps, message) for runs that blew up
 
 
@@ -82,7 +81,6 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
     ks = np.round(1.0 / eps).astype(int)
     if np.any(np.abs(1.0 / eps - ks) > 1e-12):
         raise ValueError("every eps must be the reciprocal of an integer")
-    sigma = family.kernel.sigma
 
     ns = (np.full(eps.size, cfg.n_fixed, dtype=int) if cfg.n_fixed is not None
           else cfg.n_per_k * ks)
@@ -153,7 +151,7 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
                 continue
             residuals[i] = corrector_reconstruction(
                 GridFunction(finals[i]), GridFunction(u_eff_final),
-                p_eff, l_eff, psi_provider, float(e), sigma)
+                p_eff, l_eff, psi_provider, float(e), family.kernel.sigma)
 
     return SweepReport(eps_list=eps, errors=errors, rates=rates,
                        corrector_residuals=residuals, runtimes=np.array(runtimes),
@@ -162,7 +160,7 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
                        steps=np.array([0 if tr is None else tr.steps for tr in trajectories]),
                        paths=tuple("" if tr is None else tr.path for tr in trajectories),
                        coarse_nodes=coarse_nodes, u_eps_final=finals,
-                       u_eff_final=u_eff_final, sigma=sigma, failures=tuple(failures))
+                       u_eff_final=u_eff_final, failures=tuple(failures))
 
 
 def corrector_reconstruction(u_eps: GridFunction, u_bar: GridFunction,

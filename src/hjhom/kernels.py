@@ -29,6 +29,8 @@ _HALF_WEIGHTS = np.array([0.2491470458134027, 0.2334925365383546, 0.203167426723
                           0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
 _GAUSS_NODES = np.concatenate((-_HALF_NODES[::-1], _HALF_NODES))
 _GAUSS_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
+# periods of the kernel each table sums before its analytic tail
+IMAGES = 16
 # float64 values in one temporary of a blocked build: the kernel table takes
 # its cells, and the closed form its x nodes, this many values at a time
 BLOCK_VALUES = 16_384
@@ -347,24 +349,21 @@ def _cell_moments(k: KernelSpec, lo: np.ndarray, hi: np.ndarray, h: float,
     return k0, k1, comp
 
 
-def periodized_weights(k: KernelSpec, n: int, image_budget: int = 16) -> QuadratureTable:
+def periodized_weights(k: KernelSpec, n: int) -> QuadratureTable:
     """Build the per-offset quadrature table for grid size n.
 
     On each interval [mh, (m+1)h] the grid difference is linearly interpolated
     between the offsets m and m+1 (hat weights), which preserves the kernel's
     first moments and keeps every weight nonnegative.  The singular interval
     (0, h) is paired across +z/-z so only second differences meet the
-    singularity.  Mass beyond image_budget periods is added analytically with
+    singularity.  Mass beyond IMAGES periods is added analytically with
     the density frozen at its far value and spread uniformly over offsets.
     """
     if n < 8:
         raise ValueError("grid size must be at least 8")
-    if image_budget < 1:
-        raise ValueError("image budget must be at least 1")
     sigma = k.sigma
     h = 1.0 / n
-    M = image_budget * n
-    m = np.arange(1, M + 1)
+    m = np.arange(1, IMAGES * n + 1)
     lo = m * h
     hi = (m + 1) * h
 

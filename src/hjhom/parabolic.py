@@ -320,9 +320,9 @@ class MonotoneScheme:
 def coefficient_scheme(h: float, xs: np.ndarray, ys: np.ndarray, a: np.ndarray,
                        ham: HamiltonianSpec, **kw) -> MonotoneScheme:
     """Scheme for -a (I_h u - drift D u) + H(x, y, p + D u) at the nodes (xs, ys):
-    the Godunov flux on H's power form; ValueError when H has none."""
-    pf = ham.required_power_form()
-    power = (np.asarray(pf.b(xs, ys), dtype=float), pf.m, -np.asarray(pf.f(xs, ys), dtype=float))
+    the Godunov flux on H's power form."""
+    power = (np.asarray(ham.b(xs, ys), dtype=float), ham.m,
+             -np.asarray(ham.f(xs, ys), dtype=float))
     return MonotoneScheme(h, power=power, a=a, **kw)
 
 

@@ -34,14 +34,19 @@ def wavy_a():
     return coefficient("two_plus_cos_y")
 
 
+# the kernel order of the wavy_sweep fixture
+WAVY_SWEEP_SIGMA = 1.5
+
+
 @pytest.fixture(scope="session")
 def wavy_sweep(eikonal_ham, wavy_a):
     """The eps = 1/4, 1/8, 1/16 sweep of the wavy model above order one, T = 0.2."""
-    family = ProblemFamily(a=wavy_a, ham=eikonal_ham, kernel=constant_kernel(1.5),
+    family = ProblemFamily(a=wavy_a, ham=eikonal_ham,
+                           kernel=constant_kernel(WAVY_SWEEP_SIGMA),
                            u0_func=lambda x: np.sin(2 * np.pi * x), T=0.2,
                            effective=effective_source_from_formula(wavy_a, eikonal_ham))
     return run_sweep(family, [1 / 4, 1 / 8, 1 / 16], SweepConfig(n_per_k=16),
-                     psi_provider=family.effective.corrector(1.5, 256))
+                     psi_provider=family.effective.corrector(WAVY_SWEEP_SIGMA, 256))
 
 
 def formula_fill(a, ham):

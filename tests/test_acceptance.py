@@ -7,7 +7,7 @@ lines; every tolerance is pinned here, nothing is deferred to calibration.
 import numpy as np
 import pytest
 
-from conftest import eikonal_root, formula_fill, trig_poly
+from conftest import WAVY_SWEEP_SIGMA, eikonal_root, formula_fill, trig_poly
 from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
 from hjhom.effective import (EffectiveTable, audit_properties,
                              effective_source_from_formula, tabulate)
@@ -267,4 +267,4 @@ def test_criterion_12_corrector_ansatz(wavy_sweep):
     resid = float(wavy_sweep.corrector_residuals[-1])
     ok = resid < gap_final
     _report(12, ok, f"sup residual {resid:.2e} < sup gap {gap_final:.2e} at eps = 1/16 "
-                    f"(exponent {max(1.0, wavy_sweep.sigma)})")
+                    f"(exponent {max(1.0, WAVY_SWEEP_SIGMA)})")

@@ -12,7 +12,7 @@ from hjhom.cell import (CellConfig, CellParams, _cell_scheme, _newton, corrector
                         vanishing_discount_sweep)
 from hjhom.effective import EffectiveTable, audit_properties
 from hjhom.grid import GridFunction
-from hjhom.hamiltonians import HamiltonianSpec, coefficient, model_bpm
+from hjhom.hamiltonians import coefficient, model_bpm
 from hjhom.kernels import constant_kernel, drift_vector, tilt_kernel
 from hjhom.operators import spectral_flap
 from hjhom.parabolic import CFL_SAFETY, NumericalFailure
@@ -207,11 +207,6 @@ class TestFormulaBelowOne:
         # 1,024 queries on 2,048 nodes peaked near 113 MB in one block
         P, L = np.meshgrid(np.linspace(-5.0, 5.0, 32), np.linspace(-3.0, 3.0, 32))
         assert traced_peak_mb(lambda: formula_below_one(WAVY, eikonal_ham, 0.0, P, L)) < 4.0
-
-    def test_power_form_required(self):
-        ham = HamiltonianSpec(eval=lambda x, y, p: p * p, m=2.0, b0=1.0, C0=0.0)
-        with pytest.raises(ValueError, match="power form"):
-            formula_below_one(WAVY, ham, 0.0, 1.0, 0.0)
 
 
 class TestFractionalCell:

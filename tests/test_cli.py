@@ -46,6 +46,29 @@ class TestParsing:
         assert cfg["grid.eps"] == pytest.approx(1.0 / 16.0)
         assert cfg["sweep.eps_list"] == (0.5, 0.25)
 
+    @pytest.mark.parametrize("line", ["grid.eps = 1/-4", "grid.eps = 1/+4",
+                                      "sweep.eps_list = 1/2,1/-4", "cell.p = 1/2/3"])
+    def test_bad_ratios_rejected(self, tmp_path, line):
+        key, _, raw = line.partition(" = ")
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, line + "\n"))
+        assert err.value.errors == [f"{tmp_path / 'run.cfg'}:1: {key}: cannot parse "
+                                    f"{raw!r} as {'floats' if ',' in raw else 'float'}"]
+
+    @pytest.mark.parametrize("key, least", [("grid.snapshots", 1), ("sweep.snapshots", 1),
+                                            ("cell.n", 8), ("cell.max_steps", 1),
+                                            ("sweep.n_per_k", 16)])
+    def test_lower_bounds_rejected_at_validation(self, tmp_path, capsys, key, least):
+        path = write(tmp_path, f"{key} = {least - 1}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.errors == [f"{key} = {least - 1} must be at least {least}"]
+        parse_config(write(tmp_path, f"{key} = {least}\n", name="least.cfg"))
+        capsys.readouterr()
+        command = "homogenize" if key.startswith("sweep") else "solve"
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == err.value.errors[0] + "\n"
+
     @pytest.mark.parametrize("key", ["grid.cfl_safety", "kernel.image_budget",
                                      "grid.flux", "grid.theta", "hamiltonian.model",
                                      "grid.gradient_range"])
@@ -816,12 +839,11 @@ def _imported_by_the_cli(prefix: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
-def test_cli_imports_no_scipy():
-    # scipy is a test dependency only; the command line must start without it
-    assert _imported_by_the_cli("scipy") == "[]"
-
-
-def test_cli_imports_no_numpy_polynomial():
-    # the Gauss rule is written out in hjhom.kernels; numpy.polynomial would
-    # add about 1.3 MB to every command's peak resident set
-    assert _imported_by_the_cli("numpy.polynomial") == "[]"
+# scipy is a test dependency only; the Gauss rule is written out in
+# hjhom.kernels, since numpy.polynomial adds about 1.3 MB to every command's
+# peak resident set; ratios are parsed as int / int, not through fractions
+# (which loads decimal); difflib loads only to suggest a key for an unknown one
+@pytest.mark.parametrize("prefix", ["scipy", "numpy.polynomial", "fractions", "decimal",
+                                    "difflib"])
+def test_cli_imports_none_of(prefix):
+    assert _imported_by_the_cli(prefix) == "[]"

@@ -14,7 +14,7 @@ from hjhom.effective import (_BLOCK_ROWS, CLOSED_FORM_NODES, ClosedForm, Effecti
                              effective_source_from_table, load_table, query_many,
                              save_table, tabulate)
 from hjhom.grid import GridFunction
-from hjhom.hamiltonians import HamiltonianSpec, PowerForm, coefficient, model_bpm
+from hjhom.hamiltonians import HamiltonianSpec, coefficient, model_bpm
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
 from hjhom.parabolic import (MonotoneScheme, NumericalFailure, ParabolicProblem,
                              SolverConfig, coefficient_scheme, solve)
@@ -181,10 +181,10 @@ class TestClosedForm:
         table = periodized_weights(kernel, n)
         form = effective_source_from_formula(WAVY, eikonal_ham)
         A, bbar, fbar = form.means(xs)
-        pf = PowerForm(b=lambda x, y: bbar, f=lambda x, y: fbar, m=2.0,
-                       b_min=float(np.min(bbar)), f_sup=float(np.max(np.abs(fbar))))
-        means_ham = HamiltonianSpec(eval=lambda x, y, p: bbar * np.abs(p) ** 2.0 - fbar,
-                                    m=2.0, b0=1.0, C0=1.0, power_form=pf)
+        means_ham = HamiltonianSpec(b=lambda x, y: bbar, f=lambda x, y: fbar, m=2.0,
+                                    b_min=float(np.min(bbar)),
+                                    f_sup=float(np.max(np.abs(fbar))), b0=1.0, C0=1.0,
+                                    L=np.inf)
         got = form.scheme(xs, table)
         want = coefficient_scheme(1.0 / n, xs, xs, A, means_ham, table=table)
         assert got.implicit == want.implicit == implicit
@@ -228,9 +228,8 @@ class TestClosedForm:
         X, ys = x[:, None], np.arange(CLOSED_FORM_NODES) / CLOSED_FORM_NODES
         a_vals = np.broadcast_to(X_DEPENDENT(X, ys), (x.size, ys.size))
         A = 1.0 / np.mean(1.0 / a_vals, axis=1)
-        pf = form.ham.power_form
         want = [A] + [A * np.mean(np.broadcast_to(part, a_vals.shape) / a_vals, axis=1)
-                      for part in (pf.b(X, ys), pf.f(X, ys))]
+                      for part in (form.ham.b(X, ys), form.ham.f(X, ys))]
         got = form.means(x)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 

@@ -1,3 +1,4 @@
+from dataclasses import MISSING, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ class TestSuperlinearity:
         assert abs(slack[0]) <= 1e-7
 
     def test_inflated_claim_caught_with_witness(self, eikonal_ham):
-        inflated = HamiltonianSpec(eval=eikonal_ham.eval, m=2.0, b0=5.0, C0=1.0)
+        inflated = replace(eikonal_ham, b0=5.0)
         rep = audit_superlinearity(inflated)
         assert not rep.passed
         assert rep.worst_slack < 0.0
@@ -82,7 +83,7 @@ class TestRegularity:
         assert model_bpm(b, f, m).L == want
 
     def test_understated_claim_flagged(self, eikonal_ham):
-        tight = HamiltonianSpec(eval=eikonal_ham.eval, m=2.0, b0=1.0, C0=1.0, L=0.1)
+        tight = replace(eikonal_ham, L=0.1)
         rep = audit_regularity(tight)
         assert not rep.passed
         assert rep.witness is not None
@@ -92,14 +93,14 @@ class TestGrowthBound:
     def test_eikonal_constant_is_one(self, eikonal_ham):
         assert growth_bound(eikonal_ham) == pytest.approx(1.0, abs=1e-12)
 
-    def test_zero_hamiltonian(self):
-        ham = HamiltonianSpec(eval=lambda x, y, p: 0.0 * (x + y + p), m=2.0,
-                              b0=1.0, C0=0.0)
+    def test_zero_hamiltonian(self, eikonal_ham):
+        zero = coefficient("constant:0")
+        ham = replace(eikonal_ham, b=zero, f=zero, b_min=0.0, f_sup=0.0, C0=0.0)
         assert growth_bound(ham) == 0.0
 
-    def test_doubled_quadratic(self):
-        ham = HamiltonianSpec(eval=lambda x, y, p: 2.0 * p ** 2 + 0.0 * (x + y),
-                              m=2.0, b0=1.0, C0=0.0)
+    def test_doubled_quadratic(self, eikonal_ham):
+        ham = replace(eikonal_ham, b=coefficient("constant:2"), f=coefficient("constant:0"),
+                      b_min=2.0, f_sup=0.0, C0=0.0)
         assert growth_bound(ham) == pytest.approx(2.0, abs=0.02)
 
 
@@ -140,6 +141,22 @@ class TestCoercivityConstants:
         H = eikonal_ham.eval(X, Y, P)
         bound = cert.C_tilde * (1 + np.abs(P) ** 2) - cert.K
         assert np.min(H - bound) >= -1e-10
+
+
+class TestPowerForm:
+    def test_fields_are_the_power_form_and_the_claims(self):
+        assert tuple(f.name for f in fields(HamiltonianSpec)) == (
+            "b", "f", "m", "b_min", "f_sup", "b0", "C0", "L")
+        assert all(f.default is MISSING and f.default_factory is MISSING
+                   for f in fields(HamiltonianSpec))
+
+    @pytest.mark.parametrize("b, f, m", [("two_plus_cos_y", "cos_x_cos_y", 2.0),
+                                         ("constant:0.5", "cos_y", 1.5)])
+    def test_eval_is_the_power_form(self, b, f, m):
+        xs = np.arange(16) / 16
+        X, Y, P = np.meshgrid(xs, xs, np.linspace(-3.0, 3.0, 13), indexing="ij")
+        want = coefficient(b)(X, Y) * np.abs(P) ** m - coefficient(f)(X, Y)
+        assert np.array_equal(model_bpm(b, f, m).eval(X, Y, P), want)
 
 
 class TestCoefficients:

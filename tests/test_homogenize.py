@@ -23,8 +23,7 @@ def _dummy_report(eps, errors):
                        corrector_residuals=z, runtimes=z, ns=np.ones_like(eps, dtype=int),
                        dts=z, max_dts=z, steps=np.zeros(eps.size, dtype=int),
                        paths=("",) * eps.size,
-                       coarse_nodes=np.zeros(4), u_eps_final=[], u_eff_final=np.zeros(4),
-                       sigma=1.5)
+                       coarse_nodes=np.zeros(4), u_eps_final=[], u_eff_final=np.zeros(4))
 
 
 @pytest.fixture(scope="module")

@@ -223,8 +223,6 @@ class TestPeriodizedWeights:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             periodized_weights(constant_kernel(1.0), 4)
-        with pytest.raises(ValueError):
-            periodized_weights(constant_kernel(1.0), 64, image_budget=0)
 
 
 def _cell_integrals(fun, lo, hi):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import trig_poly
+from hjhom import kernels
 from hjhom.grid import GridFunction
 from hjhom.kernels import constant_kernel, normalizing_constant, periodized_weights, tilt_kernel
 from hjhom.operators import apply_table, spectral_flap
@@ -96,7 +97,8 @@ class TestSpectralFlap:
 
 
 class TestLocalizedSplit:
-    def test_additivity_for_smooth_function(self):
+    def test_additivity_for_smooth_function(self, monkeypatch):
+        monkeypatch.setattr(kernels, "IMAGES", 64)
         f = lambda y: np.sin(2 * np.pi * y) + 0.3 * np.cos(4 * np.pi * y)
         fp = lambda y: 2 * np.pi * np.cos(2 * np.pi * y) - 1.2 * np.pi * np.sin(4 * np.pi * y)
         fpp = lambda y: -(2 * np.pi) ** 2 * np.sin(2 * np.pi * y) \
@@ -106,7 +108,7 @@ class TestLocalizedSplit:
             sups = []
             for n in (256, 1024):
                 u = GridFunction.from_callable(f, n)
-                table = periodized_weights(k, n, image_budget=64)
+                table = periodized_weights(k, n)
                 full = apply_table(u.values, table)
                 j0 = n // 5
                 x0 = j0 / n

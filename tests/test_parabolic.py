@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +10,8 @@ from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
 from hjhom.effective import (EffectiveTable, effective_source_from_formula,
                              effective_source_from_table, tabulate)
 from hjhom.grid import GridFunction, forward_diff
-from hjhom.hamiltonians import (HamiltonianSpec, PowerForm, audit_regularity,
-                                audit_superlinearity, coefficient, coercive_reach,
-                                growth_bound, model_bpm)
+from hjhom.hamiltonians import (HamiltonianSpec, coefficient, coercive_reach, growth_bound,
+                                model_bpm)
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
 from hjhom.operators import apply_table
 from hjhom.parabolic import (CFL_SAFETY, GRADIENT_RISE, MonotoneScheme, ParabolicProblem,
@@ -106,34 +104,6 @@ class TestSolve:
         u0 = GridFunction(np.full(64, 0.0))
         with pytest.raises(ValueError):
             _oscillating(u0, eikonal_ham, unit_a, 0.5, 1.0 / 8.0, 0.1)
-
-
-class TestPowerFormRequired:
-    """Every solver builds its flux from H's power form; the audits take any
-    evaluator."""
-
-    def test_rejected_before_any_step(self, monkeypatch, eikonal_ham, unit_a, wavy_a):
-        ham = replace(eikonal_ham, power_form=None)
-        calls = []
-        for name in ("residual", "step", "jacobian"):
-            monkeypatch.setattr(MonotoneScheme, name,
-                                lambda *args, name=name, **kw: calls.append(name))
-        n, missing = 64, "this Hamiltonian has no power_form"
-        xs = np.arange(n) / n
-        with pytest.raises(ValueError, match=missing):
-            coefficient_scheme(1.0 / n, xs, xs, np.full(n, 2.0), ham,
-                               table=periodized_weights(constant_kernel(0.5), n))
-        u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
-        with pytest.raises(ValueError, match=missing):
-            solve(_oscillating(u0, ham, unit_a, 0.5, 0.25, 0.1), SolverConfig())
-        for sigma in (0.5, 1.0):       # the cell regimes with a gradient flux
-            params = CellParams(x=0.0, p=0.5, l=0.0, sigma=sigma, a=wavy_a, ham=ham)
-            with pytest.raises(ValueError, match=missing):
-                vanishing_discount_sweep(params, (0.1, 0.01), CellConfig(n=32))
-        with pytest.raises(ValueError, match=missing):
-            effective_source_from_formula(wavy_a, ham)
-        assert calls == []
-        assert audit_superlinearity(ham).passed and audit_regularity(ham).passed
 
 
 class TestImplicitStep:
@@ -273,9 +243,8 @@ class TestImplicitStep:
         # theta rises three times and falls three times
         F, n, T = 16.0, 64, 0.5
         f = lambda x, y: F * np.cos(2.0 * np.pi * y) + 0.0 * x
-        ham = HamiltonianSpec(eval=lambda x, y, p: p * p - f(x, y), m=2.0, b0=1.0, C0=F,
-                              power_form=PowerForm(b=coefficient("one"), f=f, m=2.0,
-                                                   b_min=1.0, f_sup=F))
+        ham = HamiltonianSpec(b=coefficient("one"), f=f, m=2.0, b_min=1.0, f_sup=F,
+                              b0=1.0, C0=F, L=np.inf)
         a = wavy_a if a_kind == "eps_periodic" else (lambda x, y: 2.0 + np.cos(2.0 * np.pi * x))
         u0 = GridFunction.from_callable(
             (lambda x: np.sin(2.0 * np.pi * x)) if data == "sin" else np.zeros_like, n)
