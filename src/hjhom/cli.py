@@ -36,7 +36,7 @@ from .hamiltonians import (audit_periodicity, audit_regularity,
 from .homogenize import ProblemFamily, SweepConfig, run_sweep
 from .kernels import audit_ellipticity, drift_vector, periodized_weights
 from .parabolic import (NumericalFailure, ParabolicProblem, SolverConfig,
-                        holder_exponent_alpha0, solve)
+                        holder_exponent_alpha0, oscillating_scheme, solve)
 
 EXIT_OK = 0
 EXIT_AUDIT = 2
@@ -292,9 +292,7 @@ def cmd_solve(args, cfg: RunConfig, model: Model) -> int:
     u0 = GridFunction.from_callable(model.u0, n)
     table = periodized_weights(model.kernel, n)
     if cfg["grid.kind"] == "oscillating":
-        problem = ParabolicProblem(kind="oscillating", u0=u0, T=cfg["grid.T"],
-                                   table=table, eps=cfg["grid.eps"],
-                                   a=model.a, ham=model.ham)
+        scheme = oscillating_scheme(cfg["grid.eps"], model.a, model.ham, table)
     else:
         if model.kernel.sigma > 1.0:
             src = effective_source_from_formula(model.a, model.ham)
@@ -305,9 +303,9 @@ def cmd_solve(args, cfg: RunConfig, model: Model) -> int:
                       file=sys.stderr)
                 return EXIT_AUDIT
             src = effective_source_from_table(_load_table_for(cfg, path))
-        problem = ParabolicProblem(kind="effective", u0=u0, T=cfg["grid.T"],
-                                   table=table, source=src)
-    traj = solve(problem, SolverConfig(snapshots=cfg["grid.snapshots"]))
+        scheme = src.scheme(u0.nodes(), table)
+    traj = solve(ParabolicProblem(scheme, u0, cfg["grid.T"]),
+                 SolverConfig(snapshots=cfg["grid.snapshots"]))
     tpath = _out_path(args, cfg, "trajectory.csv")
     spath = _out_path(args, cfg, "summary.csv")
     csvio.emit_csv(tpath, ["t", "x", "u"], csvio.trajectory_rows(traj),

@@ -232,9 +232,20 @@ def _validate(cfg: RunConfig) -> list:
     for e in cfg["sweep.eps_list"]:
         if e <= 0 or abs(1.0 / e - round(1.0 / e)) > 1e-12:
             errors.append(f"sweep.eps_list entry {e} is not the reciprocal of an integer")
-    e0 = cfg["grid.eps"]
-    if cfg["grid.kind"] == "oscillating" and (e0 <= 0 or abs(1.0 / e0 - round(1.0 / e0)) > 1e-12):
-        errors.append(f"grid.eps = {e0} is not the reciprocal of an integer")
+    # a scale eps needs n >= 16 / eps nodes to resolve the fast variable
+    n_fixed, eps_min = cfg["sweep.n_fixed"], min(cfg["sweep.eps_list"], default=1.0)
+    if n_fixed != 0 and eps_min > 0 and n_fixed < round(16.0 / eps_min):
+        errors.append(f"sweep.n_fixed = {n_fixed} must be 0 or at least 16 / min eps = "
+                      f"{round(16.0 / eps_min)}")
+    e0, n = cfg["grid.eps"], cfg["grid.n"]
+    if cfg["grid.kind"] == "oscillating":
+        if e0 <= 0 or abs(1.0 / e0 - round(1.0 / e0)) > 1e-12:
+            errors.append(f"grid.eps = {e0} is not the reciprocal of an integer")
+        elif n < round(16.0 / e0):
+            errors.append(f"grid.n = {n} must be at least 16 / grid.eps = {round(16.0 / e0)}")
+    for key in ("grid.T", "sweep.T"):
+        if cfg[key] <= 0:
+            errors.append(f"{key} = {cfg[key]} must be positive")
     if cfg["grid.u0"] not in ("sin_2pi_x", "cos_2pi_x", "zero"):
         errors.append(f"grid.u0 = {cfg['grid.u0']!r} not one of sin_2pi_x/cos_2pi_x/zero")
 
@@ -243,9 +254,8 @@ def _validate(cfg: RunConfig) -> list:
         from .kernels import modulus_log_integral
         try:
             k = _kernel(cfg)
-        except OSError as exc:
-            errors.append(f"cannot build kernel: {exc}")
-            return errors
+        except (OSError, ValueError):
+            return errors     # build_model reads it again and raises through main
         rep = None if k.symmetric else modulus_log_integral(k)
         cfg.kernel_audit = (k, rep)
         if rep is not None and not rep.finite:
@@ -264,8 +274,8 @@ def _kernel(cfg: RunConfig):
         return kernels.tilt_kernel(sigma, cfg["kernel.slope"])
     if family == "quadratic_tilt":
         return kernels.quadratic_tilt_kernel(sigma, cfg["kernel.slope"])
-    data = np.loadtxt(cfg["kernel.csv_path"], delimiter=",")
-    return kernels.kernel_from_table(sigma, data[:, 0], data[:, 1])
+    z, kbar = np.loadtxt(cfg["kernel.csv_path"], delimiter=",", usecols=(0, 1), ndmin=2).T
+    return kernels.kernel_from_table(sigma, z, kbar)
 
 
 _U0 = {

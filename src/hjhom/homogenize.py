@@ -21,7 +21,8 @@ from .grid import GridFunction, central_diff
 from .hamiltonians import HamiltonianSpec
 from .kernels import KernelSpec, periodized_weights
 from .operators import apply_table
-from .parabolic import NumericalFailure, ParabolicProblem, SolverConfig, solve
+from .parabolic import (NumericalFailure, ParabolicProblem, SolverConfig,
+                        oscillating_scheme, solve)
 
 
 @dataclass
@@ -78,12 +79,8 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
     """
     cfg = cfg or SweepConfig()
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    ks = np.round(1.0 / eps).astype(int)
-    if np.any(np.abs(1.0 / eps - ks) > 1e-12):
-        raise ValueError("every eps must be the reciprocal of an integer")
-
     ns = (np.full(eps.size, cfg.n_fixed, dtype=int) if cfg.n_fixed is not None
-          else cfg.n_per_k * ks)
+          else cfg.n_per_k * np.round(1.0 / eps).astype(int))
     n_coarse = int(np.min(ns))
     scfg = SolverConfig(snapshots=cfg.snapshots)
     # one kernel table per grid size: the n_fixed control runs share one
@@ -95,11 +92,10 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
     failures = []
     for e, n in zip(eps, ns.tolist()):
         u0 = GridFunction.from_callable(family.u0_func, n)
-        prob = ParabolicProblem(kind="oscillating", u0=u0, T=family.T, table=tables[n],
-                                eps=float(e), a=family.a, ham=family.ham)
         t0 = time.perf_counter()
         try:
-            trajectories.append(solve(prob, scfg))
+            scheme = oscillating_scheme(float(e), family.a, family.ham, tables[n])
+            trajectories.append(solve(ParabolicProblem(scheme, u0, family.T), scfg))
         except NumericalFailure as exc:
             failures.append((float(e), str(exc)))
             trajectories.append(None)
@@ -110,9 +106,8 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
 
     # eps falls along the list, so the last run's grid, and its u0, is the finest
     table_fine = tables[n]
-    eff_prob = ParabolicProblem(kind="effective", u0=u0, T=family.T,
-                                table=table_fine, source=family.effective)
-    eff_traj = solve(eff_prob, scfg)
+    eff_traj = solve(ParabolicProblem(family.effective.scheme(u0.nodes(), table_fine), u0,
+                                      family.T), scfg)
 
     eff_coarse = [_restrict(s.values, n_coarse) for s in eff_traj.snapshots[1:]]
     errors = []

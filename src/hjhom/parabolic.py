@@ -15,8 +15,9 @@ shift by the period commutes with the implicit operator, so one FFT splits it
 into small dense Fourier blocks.  Monotonicity buys the discrete comparison
 principle, the sup-norm bound, and stability; no attempt is made at higher
 order.  The same scheme object, with its Jacobian, drives the cell solver's
-Newton iteration.  An effective problem takes its scheme from the source it is
-given (hjhom.effective), and a failure that source raises in a step reaches
+Newton iteration.  A time problem is a scheme, its datum and its horizon: the
+oscillating scheme comes from oscillating_scheme, an effective one from its
+source (hjhom.effective), and a failure that source raises in a step reaches
 the caller prefixed with the step and its time.
 """
 
@@ -165,7 +166,7 @@ class MonotoneScheme:
 
     def fit_theta(self, u: np.ndarray) -> tuple:
         """Fit theta to the state u; returns u's one-sided differences, which
-        step() takes, so a step builds them once.
+        step() takes, so a step builds them once.  The scheme needs a flux.
 
         With theta(lo, hi), theta is set over the range [lo, hi] of u's
         differences, p included: the flux is then monotone at u and at every
@@ -180,8 +181,6 @@ class MonotoneScheme:
         ways.
         """
         diffs = one_sided_diffs(u, self.h)
-        if self._theta_of is None and self.power is None:
-            return diffs
         d = diffs[1]          # the backward differences take the same values
         lo, hi = self.p + float(d.min()), self.p + float(d.max())
         if self._theta_of is not None:
@@ -326,6 +325,23 @@ def coefficient_scheme(h: float, xs: np.ndarray, ys: np.ndarray, a: np.ndarray,
     return MonotoneScheme(h, power=power, a=a, **kw)
 
 
+def oscillating_scheme(eps: float, a: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                       ham: HamiltonianSpec, table: QuadratureTable) -> MonotoneScheme:
+    """Scheme for -a(x, x/eps) I_h u + H(x, x/eps, Du) on the table's n nodes;
+    raises ValueError unless eps = 1/k for an integer k and n >= 16 k."""
+    k = 1.0 / eps
+    if abs(k - round(k)) > 1e-12:
+        raise ValueError("eps must be the reciprocal of a positive integer")
+    n, k = table.n, round(k)
+    if n < 16 * k:
+        raise ValueError("need n >= 16 / eps to resolve the fast variable")
+    # y = x / eps mod 1 in exact integer arithmetic, so a(x, y) repeats
+    # exactly every n eps nodes
+    xs, ys = np.arange(n) / n, (np.arange(n) * k % n) / n
+    return coefficient_scheme(1.0 / n, xs, ys, np.asarray(a(xs, ys), dtype=float), ham,
+                              table=table)
+
+
 @dataclass
 class SolverConfig:
     """Discretization knobs; dt is always derived from the CFL bound, and the
@@ -339,47 +355,13 @@ class SolverConfig:
 
 @dataclass
 class ParabolicProblem:
-    """Either the oscillating problem (kind="oscillating") driven by (a, H)
-    at scale eps = 1/k, or the homogenized problem (kind="effective") driven
-    by an effective source: anything whose scheme(xs, table) gives the
-    MonotoneScheme of the effective flow at the nodes xs."""
+    """u_t + F(u) = 0 from u0 on [0, T], F the MonotoneScheme `scheme` on
+    u0's nodes.  solve fits the scheme's theta in place, so each problem is
+    solved once."""
 
-    kind: str
+    scheme: MonotoneScheme
     u0: GridFunction
     T: float
-    table: QuadratureTable
-    eps: Optional[float] = None
-    a: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    ham: Optional[HamiltonianSpec] = None
-    source: Optional[object] = None
-
-    def __post_init__(self):
-        if self.kind not in ("oscillating", "effective"):
-            raise ValueError(f"unknown problem kind '{self.kind}'")
-        if self.T <= 0.0:
-            raise ValueError("horizon must be positive")
-        if self.kind == "oscillating":
-            if self.eps is None or self.a is None or self.ham is None:
-                raise ValueError("oscillating problem needs eps, a, and a Hamiltonian")
-            k = 1.0 / self.eps
-            if abs(k - round(k)) > 1e-12:
-                raise ValueError("eps must be the reciprocal of a positive integer")
-            if self.u0.n < 16 * int(round(k)):
-                raise ValueError("need n >= 16 / eps to resolve the fast variable")
-        else:
-            if self.source is None:
-                raise ValueError("effective problem needs an effective source")
-
-    def scheme(self) -> MonotoneScheme:
-        xs = self.u0.nodes()
-        if self.kind == "effective":
-            return self.source.scheme(xs, self.table)
-        # y = x / eps mod 1 in exact integer arithmetic, so a(x, y) repeats
-        # exactly every n eps nodes
-        n, k = self.u0.n, int(round(1.0 / self.eps))
-        ys = (np.arange(n) * k % n) / n
-        a_vals = np.asarray(self.a(xs, ys), dtype=float)
-        return coefficient_scheme(self.u0.h, xs, ys, a_vals, self.ham, table=self.table)
 
 
 @dataclass
@@ -413,7 +395,7 @@ def solve(problem: ParabolicProblem, cfg: SolverConfig) -> Trajectory:
     within a step (prefixed with them).
     """
     u = problem.u0.values.copy()
-    scheme = problem.scheme()
+    scheme = problem.scheme
     dt, max_dt = math.inf, 0.0
     record = cfg.resolved_record_times(problem.T)
 

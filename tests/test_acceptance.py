@@ -17,7 +17,8 @@ from hjhom.homogenize import ProblemFamily, SweepConfig, run_sweep
 from hjhom.kernels import (constant_kernel, drift_vector, periodized_weights,
                            quadratic_tilt_kernel, tilt_kernel)
 from hjhom.operators import apply_table, spectral_flap
-from hjhom.parabolic import ParabolicProblem, SolverConfig, holder_exponent_alpha0, solve
+from hjhom.parabolic import (ParabolicProblem, SolverConfig, holder_exponent_alpha0,
+                             oscillating_scheme, solve)
 from lemmas import corrector_remainder_J, sup_convolution_time
 
 EIKONAL = model_bpm("one", "cos_y", 2.0)      # H = |p|^2 - cos(2 pi y)
@@ -164,8 +165,7 @@ def test_criterion_07_maximum_bound_and_comparison():
     kernel = constant_kernel(1.5)
     table = periodized_weights(kernel, n)
     u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
-    prob = ParabolicProblem(kind="oscillating", u0=u0, T=T,
-                            table=table, eps=1 / 8, a=WAVY_A, ham=EIKONAL)
+    prob = ParabolicProblem(oscillating_scheme(1 / 8, WAVY_A, EIKONAL, table), u0, T)
     traj = solve(prob, SolverConfig())
     bound = 1.0 + 1.0 * T + 1e-8
     sup_ok = bool(np.all(traj.sup_norm_track <= 1.0 + 1.0 * traj.times + 1e-8))
@@ -180,10 +180,8 @@ def test_criterion_07_maximum_bound_and_comparison():
         lo = trig_poly(int(rng.integers(1 << 30)), 64, scale=0.5)
         hi = GridFunction(lo.values + np.abs(trig_poly(int(rng.integers(1 << 30)), 64).values))
         cfg = SolverConfig(snapshots=4)
-        args = dict(kind="oscillating", T=0.1, table=table1,
-                    eps=1 / 4, a=UNIT_A, ham=EIKONAL)
-        t_lo = solve(ParabolicProblem(u0=lo, **args), cfg)
-        t_hi = solve(ParabolicProblem(u0=hi, **args), cfg)
+        t_lo, t_hi = (solve(ParabolicProblem(oscillating_scheme(1 / 4, UNIT_A, EIKONAL, table1),
+                                             u0, 0.1), cfg) for u0 in (lo, hi))
         for tr, u0_run in ((t_lo, lo), (t_hi, hi)):
             sup_ok &= bool(np.all(tr.sup_norm_track
                                   <= u0_run.sup_norm() + 1.0 * tr.times + 1e-8))
@@ -231,8 +229,7 @@ def test_criterion_10_sup_convolution():
     kernel = constant_kernel(1.0)
     table = periodized_weights(kernel, n)
     u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
-    prob = ParabolicProblem(kind="oscillating", u0=u0, T=T,
-                            table=table, eps=1 / 4, a=UNIT_A, ham=EIKONAL)
+    prob = ParabolicProblem(oscillating_scheme(1 / 4, UNIT_A, EIKONAL, table), u0, T)
     traj = solve(prob, SolverConfig(snapshots=12))
     u = np.column_stack([s.values for s in traj.snapshots])
     gamma = 0.5

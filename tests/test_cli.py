@@ -69,6 +69,29 @@ class TestParsing:
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == err.value.errors[0] + "\n"
 
+    @pytest.mark.parametrize("bad, message, good", [
+        ("grid.T = 0", "grid.T = 0.0 must be positive", "grid.T = 1e-3"),
+        ("sweep.T = -0.1", "sweep.T = -0.1 must be positive", "sweep.T = 1e-3"),
+        ("grid.n = 64\ngrid.eps = 1/8", "grid.n = 64 must be at least 16 / grid.eps = 128",
+         "grid.n = 64\ngrid.eps = 1/8\ngrid.kind = effective"),
+        ("sweep.n_fixed = 32\nsweep.eps_list = 1/2,1/4",
+         "sweep.n_fixed = 32 must be 0 or at least 16 / min eps = 64",
+         "sweep.n_fixed = 64\nsweep.eps_list = 1/2,1/4"),
+    ], ids=["grid.T", "sweep.T", "grid.n", "sweep.n_fixed"])
+    def test_unworkable_runs_rejected_at_validation(self, tmp_path, capsys, bad, message,
+                                                    good):
+        # a horizon that is not positive, or a grid too coarse for its
+        # smallest eps, exits 2 naming the key before any model is built
+        path = write(tmp_path, bad + "\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.errors == [message]
+        parse_config(write(tmp_path, good + "\n", name="good.cfg"))
+        capsys.readouterr()
+        command = "homogenize" if bad.startswith("sweep") else "solve"
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
     @pytest.mark.parametrize("key", ["grid.cfl_safety", "kernel.image_budget",
                                      "grid.flux", "grid.theta", "hamiltonian.model",
                                      "grid.gradient_range"])
@@ -401,13 +424,21 @@ class TestCommands:
         # stderr and set the exit code
         import hjhom.homogenize
         from hjhom.parabolic import NumericalFailure
-        solve = hjhom.homogenize.solve
+        solve, oscillating_scheme = hjhom.homogenize.solve, hjhom.homogenize.oscillating_scheme
+        eps_of = {}           # each oscillating scheme's eps
+
+        def tagged(eps, *args):
+            scheme = oscillating_scheme(eps, *args)
+            eps_of[scheme] = eps
+            return scheme
 
         def failing(problem, cfg):
-            if problem.kind == "oscillating":
-                raise NumericalFailure(f"non-finite state at step 3, eps = {problem.eps}")
+            if problem.scheme in eps_of:
+                eps = eps_of[problem.scheme]
+                raise NumericalFailure(f"non-finite state at step 3, eps = {eps}")
             return solve(problem, cfg)
 
+        monkeypatch.setattr(hjhom.homogenize, "oscillating_scheme", tagged)
         monkeypatch.setattr(hjhom.homogenize, "solve", failing)
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 1.5", "sweep.eps_list = 1/2,1/4", "sweep.T = 0.05",
@@ -644,6 +675,44 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len([line for line in err if line.startswith(prefix)]) == 1
         assert not any(line.startswith("Traceback") for line in err)
+
+    @pytest.mark.parametrize("sigma", ["0.5", "1"])
+    @pytest.mark.parametrize("content, code, prefix", [
+        (None, 4, "I/O failure: "), ("z,kbar\n0,1\n", 2, "invalid input: "),
+        ("0\n1\n", 2, "invalid input: ")], ids=["missing", "not-numbers", "one-column"])
+    def test_csv_kernel_read_failures_map_to_exit_codes(self, tmp_path, capsys, sigma,
+                                                        content, code, prefix):
+        # the kernel file is read on one path at every sigma, validation's
+        # order-one audit included: one line, no traceback
+        csv_path = tmp_path / "kernel.csv"
+        if content is not None:
+            csv_path.write_text(content)
+        path = write(tmp_path, f"kernel.sigma = {sigma}\nkernel.family = csv\n"
+                               f"kernel.csv_path = {csv_path}\n")
+        capsys.readouterr()
+        assert main(["audit", "--config", path]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(prefix)
+
+    def test_effective_failed_nodes_exit_numerical(self, tmp_path, capsys):
+        # one Newton step per discount: every node stops on its budget, in the
+        # continuation and again in the ladder, and is listed and saved as failed
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 1", "kernel.family = tilt", "cell.n = 32", "cell.max_steps = 1",
+            "cell.deltas = 0.1,0.05", "cell.table_p = 0,1", "cell.table_l = 0,1"]) + "\n")
+        capsys.readouterr()
+        assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert "fill: 4 nodes, 12 Newton steps, 0 warm-started, 4 ladder fallbacks" in out
+        err = err.splitlines()
+        assert err[0] == "some nodes failed to converge (marked 'failed'):"
+        assert [re.match(r"  cell solve at \(x, p, l\) = \(0, (\d), (\d)\) not converged "
+                         r"at delta = 0\.1: .* after 1 Newton steps, stopped by budget$",
+                         line).groups() for line in err[1:]] == [
+            ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+        from hjhom.effective import load_table
+        table = load_table(str(tmp_path / "run_effective.csv"))
+        assert np.all(table.provenance == "failed") and np.all(np.isnan(table.values))
 
     def test_effective_builds_the_hamiltonian_once(self, tmp_path, monkeypatch):
         # while the configuration is validated; the run's model reuses it

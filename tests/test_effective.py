@@ -470,9 +470,9 @@ class TestTableSource:
         u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), self.N)
         finals = []
         for table in (self._table(), self._table(failed=[(8.0, 6.0)])):
-            problem = ParabolicProblem(kind="effective", u0=u0, T=0.05,
-                                       table=periodized_weights(constant_kernel(0.5), self.N),
-                                       source=effective_source_from_table(table))
+            scheme = effective_source_from_table(table).scheme(
+                u0.nodes(), periodized_weights(constant_kernel(0.5), self.N))
+            problem = ParabolicProblem(scheme, u0, 0.05)
             finals.append(solve(problem, SolverConfig(snapshots=1)).final().values)
         assert finals[0].tobytes() == finals[1].tobytes()
 

@@ -166,13 +166,21 @@ class TestFailureHandling:
         assert rep.failures == ()
         # oscillating runs that blow up must still yield a report with the
         # failures listed; the effective run goes through
-        solve = homogenize.solve
+        solve, oscillating_scheme = homogenize.solve, homogenize.oscillating_scheme
+        eps_of = {}           # each oscillating scheme's eps
+
+        def tagged(eps, *args):
+            scheme = oscillating_scheme(eps, *args)
+            eps_of[scheme] = eps
+            return scheme
 
         def failing(problem, cfg):
-            if problem.kind == "oscillating":
-                raise NumericalFailure(f"non-finite state at step 3, eps = {problem.eps}")
+            if problem.scheme in eps_of:
+                eps = eps_of[problem.scheme]
+                raise NumericalFailure(f"non-finite state at step 3, eps = {eps}")
             return solve(problem, cfg)
 
+        monkeypatch.setattr(homogenize, "oscillating_scheme", tagged)
         monkeypatch.setattr(homogenize, "solve", failing)
         rep_bad = run_sweep(family, [1 / 2, 1 / 4], SweepConfig(n_fixed=64, snapshots=3))
         assert rep_bad.failures == ((0.5, "non-finite state at step 3, eps = 0.5"),

@@ -15,16 +15,15 @@ from hjhom.hamiltonians import (HamiltonianSpec, coefficient, coercive_reach, gr
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
 from hjhom.operators import apply_table
 from hjhom.parabolic import (CFL_SAFETY, GRADIENT_RISE, MonotoneScheme, ParabolicProblem,
-                             SolverConfig, coefficient_scheme,
-                             holder_exponent_alpha0, initial_layer_modulus, solve)
+                             SolverConfig, coefficient_scheme, holder_exponent_alpha0,
+                             initial_layer_modulus, oscillating_scheme, solve)
 from lemmas import barrier_bounds, sampled_modulus, sup_convolution_time
 
 
-def _oscillating(u0, ham, a, sigma, eps, T, kernel=None, **kw):
+def _oscillating(u0, ham, a, sigma, eps, T, kernel=None):
     kernel = kernel or constant_kernel(sigma)
     table = periodized_weights(kernel, u0.n)
-    return ParabolicProblem(kind="oscillating", u0=u0, T=T,
-                            table=table, eps=eps, a=a, ham=ham, **kw)
+    return ParabolicProblem(oscillating_scheme(eps, a, ham, table), u0, T)
 
 
 def _explicit_march(scheme, u, times):
@@ -117,10 +116,10 @@ class TestImplicitStep:
         u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
         table = periodized_weights(constant_kernel(1.5), n)
         if kind == "oscillating":
-            return ParabolicProblem(kind=kind, u0=u0, T=T, table=table, eps=1.0 / 16.0,
-                                    a=wavy_a, ham=eikonal_ham)
-        return ParabolicProblem(kind=kind, u0=u0, T=T, table=table,
-                                source=effective_source_from_formula(wavy_a, eikonal_ham))
+            scheme = oscillating_scheme(1.0 / 16.0, wavy_a, eikonal_ham, table)
+        else:
+            scheme = effective_source_from_formula(wavy_a, eikonal_ham).scheme(u0.nodes(), table)
+        return ParabolicProblem(scheme, u0, T)
 
     def test_matches_explicit_oracle(self, eikonal_ham, wavy_a, wavy_sweep):
         T = 0.2
@@ -132,7 +131,7 @@ class TestImplicitStep:
                 assert traj.path == "implicit"
                 # the oracle's theta covers the range, so its march is monotone
                 # on every state it meets
-                fixed = prob.scheme()
+                fixed = self._wavy(kind, eikonal_ham, wavy_a, n, T).scheme
                 fixed.theta = fixed._godunov_theta(self.P_RANGE)
                 oracle = _explicit_march(fixed, prob.u0.values, [T])[0][0]
                 gap = float(np.max(np.abs(traj.final().values - oracle)))
@@ -160,9 +159,8 @@ class TestImplicitStep:
                      cfg).path == "explicit"
         table = tabulate(lambda x, p, l: (p * p - l, 0.0, "formula"), [0.0],
                          np.linspace(-3.0, 3.0, 13), [-2.0, 0.0, 2.0], sigma=0.5)
-        from_table = ParabolicProblem(kind="effective", u0=u0, T=0.02,
-                                      table=periodized_weights(constant_kernel(0.5), n),
-                                      source=effective_source_from_table(table))
+        from_table = ParabolicProblem(effective_source_from_table(table).scheme(
+            u0.nodes(), periodized_weights(constant_kernel(0.5), n)), u0, 0.02)
         assert solve(from_table, cfg).path == "explicit"
 
     def test_non_dyadic_eps_is_periodic(self, eikonal_ham, wavy_a):
@@ -307,9 +305,9 @@ class TestStateTheta:
     @staticmethod
     def _sine_problem(table, n):
         u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
-        return ParabolicProblem(kind="effective", u0=u0, T=0.5,
-                                table=periodized_weights(constant_kernel(0.5), n),
-                                source=effective_source_from_table(table))
+        scheme = effective_source_from_table(table).scheme(
+            u0.nodes(), periodized_weights(constant_kernel(0.5), n))
+        return ParabolicProblem(scheme, u0, 0.5)
 
     def test_matches_fixed_theta_march(self, eikonal_table_below_one):
         table, cfg = eikonal_table_below_one, SolverConfig()
@@ -317,7 +315,7 @@ class TestStateTheta:
         for n in (256, 512):
             prob = self._sine_problem(table, n)
             traj = solve(prob, cfg)
-            fixed = prob.scheme()     # never fitted: theta(-inf, inf)
+            fixed = self._sine_problem(table, n).scheme     # never fitted: theta(-inf, inf)
             assert fixed.theta == float(np.max(table.p_cell_slopes(), initial=0.0))
             states, fixed_steps = _explicit_march(fixed, prob.u0.values,
                                                   cfg.resolved_record_times(prob.T))
@@ -475,8 +473,7 @@ class TestBarriers:
         u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
         kernel = constant_kernel(1.5)
         table = periodized_weights(kernel, n)
-        prob = ParabolicProblem(kind="oscillating", u0=u0, T=0.3,
-                                table=table, eps=1.0 / 8.0, a=wavy_a, ham=eikonal_ham)
+        prob = ParabolicProblem(oscillating_scheme(1.0 / 8.0, wavy_a, eikonal_ham, table), u0, 0.3)
         traj = solve(prob, SolverConfig())
         env = barrier_bounds(u0, 0.25, a_sup=3.0, growth_C=growth_bound(eikonal_ham),
                              m=2.0, kernel=kernel)
@@ -502,9 +499,8 @@ class TestBarriers:
         n = 128
         u0s = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
         kernel = constant_kernel(1.5)
-        prob = ParabolicProblem(kind="oscillating", u0=u0s, T=0.3,
-                                table=periodized_weights(kernel, n), eps=1.0 / 8.0,
-                                a=wavy_a, ham=eikonal_ham)
+        scheme = oscillating_scheme(1.0 / 8.0, wavy_a, eikonal_ham, periodized_weights(kernel, n))
+        prob = ParabolicProblem(scheme, u0s, 0.3)
         traj = solve(prob, SolverConfig())
         env = barrier_bounds(u0s, 0.25, a_sup=3.0,
                              growth_C=growth_bound(eikonal_ham), m=2.0, kernel=kernel)

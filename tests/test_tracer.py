@@ -19,6 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
                    "cell.deltas = 0.1,0.05", "cell.table_p = 0,1", "cell.table_l = -1,0"]),
     ("homogenize", ["kernel.sigma = 1.5", "cell.n = 32", "sweep.eps_list = 1/2,1/4",
                     "sweep.T = 0.02", "sweep.snapshots = 2"]),
+    ("solve", ["kernel.sigma = 1.5", "grid.n = 64", "grid.eps = 1/4", "grid.T = 0.02",
+               "grid.snapshots = 2"]),
 ])
 def test_traced_child_observes_the_run(tmp_path, command, lines):
     cfg = tmp_path / "run.cfg"
@@ -35,5 +37,7 @@ def test_traced_child_observes_the_run(tmp_path, command, lines):
     assert report["exit"] == 0
     if command == "effective":
         assert report["counts"]["cell.march_steps"] > 0
+    elif command == "solve":
+        assert report["layers"]["parabolic.solve"]["calls"] == 1
     else:
         assert report["layers"]["parabolic.solve"]["calls"] > 0
