@@ -12,17 +12,20 @@ Below order one the ergodic constant also has a closed form, the
 one-dimensional cell formula of formula_below_one, which fills effective
 tables; the discrete solve below stays for `hjhom cell` and as its oracle.
 
-The discounted equation delta v + F(v) = 0 is solved by Newton's method on
-the monotone scheme itself (semismooth at the Godunov flux's switches): F is
-convex and monotone, so delta I plus its Jacobian is an M-matrix, every
-iterate after the first is a supersolution, and the iterates decrease
-monotonically to the solution.  Because F is invariant under adding
-constants, a Newton step does not depend on the iterate's constant part, and
-that additive mode, the only delta-slow direction, is pinned to mean zero:
-each step solves the Jacobian against the mean-free residual
-r = delta phi + F(phi) - mean(.), and the constant is recovered exactly from
-delta * M = -mean(F(phi)) afterwards.  The cost is therefore independent of
-how small the discount is.
+delta v + F(v) = 0 is solved by Newton's method on the monotone scheme
+itself (semismooth at the Godunov flux's switches).  F is invariant under
+adding constants, so each step solves against the mean-free residual
+r = delta phi + F(phi) - mean(.), with the Jacobian plus the all-ones matrix
+(the ergodic system's border as a rank-one term), and pins phi to mean zero.
+At delta > 0 the border moves the step only by a constant; there delta I
+plus the Jacobian is an M-matrix (F is convex and monotone), and the
+iterates after the first decrease monotonically to the solution.  At
+delta = 0 the step is Newton's for the ergodic pair F(phi) = Hbar,
+mean phi = 0 (Cacace-Camilli, SIAM J. Sci. Comput. 38, 2016), well defined
+at order >= 1, where the nonlocal term couples every node, but not on the
+flat piece below order one, where the upwind Jacobian decouples.  Hbar is
+the midpoint of [min, max] of F(phi): the discrete comparison bracket at
+delta = 0, the vanishing-discount one to within r at delta > 0.
 
 Each discount stops for one of three reasons, recorded with its residual and
 its Newton steps:
@@ -33,8 +36,8 @@ its Newton steps:
     above tol.  The iterate is then the discrete solution to working
     precision and counts as converged; no further step can lower r.  The
     floor grows with phi, so the stop counts only while delta |phi|_inf <=
-    2 |F(0)|_inf, the comparison principle's bound on the solution's
-    oscillation; a larger iterate raises NumericalFailure;
+    2 |F(0)|_inf (vacuous at delta = 0), the comparison principle's bound on
+    the solution's oscillation; a larger iterate raises NumericalFailure;
   * budget: max_steps Newton steps were taken without either; not converged.
 """
 
@@ -150,12 +153,6 @@ class DiscountSolve(tuple):
         return self.reason != "budget"
 
 
-def _mean_free_sup(scheme: MonotoneScheme, phi: np.ndarray, delta: float) -> float:
-    """max |r| of the mean-free residual r of delta phi + F(phi)."""
-    full = delta * phi + scheme.residual(phi)
-    return float(np.max(np.abs(full - np.mean(full))))
-
-
 def _newton(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
             cfg: CellConfig, source=0.0) -> tuple:
     """Mean-pinned Newton for delta phi + F(phi) = source + const, with a
@@ -189,6 +186,7 @@ def _newton(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
             return phi, DiscountSolve(delta, nr, steps, "stagnated")
         if steps >= cfg.max_steps:
             return phi, DiscountSolve(delta, nr, steps, "budget")
+        jac += 1.0                # the ergodic border, as a rank-one term
         phi = phi - np.linalg.solve(jac, r)
         phi -= np.mean(phi)
         steps += 1
@@ -201,30 +199,30 @@ def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfi
     Each discount starts Newton from the previous discount's solution; the
     first starts from zero, or from `start` when its mean-free residual at
     that discount is smaller than zero's (so a node that zero solves exactly
-    stays exact).  The ergodic constant estimate is the midpoint of
-    [min, max] of the scaled discounted solution at the smallest discount;
-    the max - min spread is the reported error bar (the convergence to the
-    constant is uniform).
+    stays exact).  The last discount may be 0, the ergodic pair itself (see
+    the module docstring).  The ergodic constant estimate is the midpoint of
+    [min, max] of F(phi) at the last discount, max - min its error bar.
     """
     cfg = cfg or CellConfig()
     deltas = sorted(set(float(d) for d in deltas), reverse=True)
-    if not deltas or deltas[-1] <= 0.0:
-        raise ValueError("discounts must be positive")
+    if not deltas or not deltas[-1] >= 0.0:
+        raise ValueError("discounts must not be negative")
     scheme = _cell_scheme(params, cfg)
     phi = np.zeros(cfg.n)
     warm = False
     if start is not None:
         start = np.asarray(start, dtype=float) - np.mean(start)
-        warm = (_mean_free_sup(scheme, start, deltas[0])
-                < _mean_free_sup(scheme, phi, deltas[0]))
+        sups = [np.max(np.abs(full - np.mean(full))) for full in
+                (deltas[0] * v + scheme.residual(v) for v in (start, phi))]
+        warm = bool(sups[0] < sups[1])
         if warm:
             phi = start
     residuals = []
     for d in deltas:
         phi, rec = _newton(scheme, phi, d, cfg)
         residuals.append(rec)
-    minus_dpsi = -deltas[-1] * phi + float(np.mean(scheme.residual(phi)))
-    lo, hi = float(np.min(minus_dpsi)), float(np.max(minus_dpsi))
+    f_phi = scheme.residual(phi)
+    lo, hi = float(np.min(f_phi)), float(np.max(f_phi))
     return CellSolution(psi=GridFunction(phi - phi[0]), H_bar=0.5 * (lo + hi),
                         spread=hi - lo, residuals=tuple(residuals),
                         converged=all(rec.converged for rec in residuals),

@@ -114,20 +114,13 @@ def cmd_drift(args, cfg: RunConfig, model: Model) -> int:
 
 
 def _cell_params(cfg: RunConfig, model: Model) -> CellParams:
-    return CellParams(
-        x=cfg["cell.x"],
-        p=cfg["cell.p"],
-        l=cfg["cell.l"],
-        sigma=cfg["kernel.sigma"],
-        a=model.a,
-        ham=model.ham,
-        drift_b=_drift_for(model),
-    )
+    return CellParams(x=cfg["cell.x"], p=cfg["cell.p"], l=cfg["cell.l"],
+                      sigma=cfg["kernel.sigma"], a=model.a, ham=model.ham,
+                      drift_b=_drift_for(model))
 
 
 def _cell_config(cfg: RunConfig) -> CellConfig:
-    return CellConfig(n=cfg["cell.n"], tol=cfg["cell.tol"],
-                      max_steps=cfg["cell.max_steps"])
+    return CellConfig(n=cfg["cell.n"], tol=cfg["cell.tol"], max_steps=cfg["cell.max_steps"])
 
 
 def _unconverged(params: CellParams, sol) -> str:
@@ -141,7 +134,9 @@ def _unconverged(params: CellParams, sol) -> str:
 
 def cmd_cell(args, cfg: RunConfig, model: Model) -> int:
     params = _cell_params(cfg, model)
-    sol = vanishing_discount_sweep(params, cfg["cell.deltas"], _cell_config(cfg))
+    # zero discount is singular on the flat piece below order one: a ladder there
+    sol = vanishing_discount_sweep(params, cfg["cell.deltas"] if params.sigma < 1.0
+                                   else (0.0,), _cell_config(cfg))
     reg = corrector_regularity(sol.psi)
     path = _out_path(args, cfg, "cell.csv")
     csvio.emit_csv(path, ["x", "p", "l", "sigma", "H_bar", "spread", "osc", "lip",
@@ -162,30 +157,23 @@ def cmd_cell(args, cfg: RunConfig, model: Model) -> int:
 
 @dataclasses.dataclass
 class FillCount:
-    """What a discount fill did: nodes solved, Newton steps over every
-    discount tried (a solve that raised included), nodes started from the
-    previous node's corrector, and nodes whose smallest-discount solve ran
-    out of steps or raised and took the ladder."""
+    """What an order-one fill did: nodes, Newton steps, warm-started nodes."""
 
     nodes: int = 0
     steps: int = 0
     warm: int = 0
-    fallbacks: int = 0
 
     def line(self) -> str:
         return (f"fill: {self.nodes} nodes, {self.steps} Newton steps, "
-                f"{self.warm} warm-started, {self.fallbacks} ladder fallbacks")
+                f"{self.warm} warm-started")
 
 
-def _discount_fill(cfg: RunConfig, model: Model) -> tuple:
-    """(fill, count): fill(x, p, l) solves the node at the smallest discount
-    only, by continuation from the previous node's corrector (or zero, when
-    zero has the smaller residual); a solve that stops on its step budget or
-    raises NumericalFailure falls back to the whole `cell.deltas` ladder from
-    zero.  The count takes every Newton step, those of a solve that raised
-    included.  `hjhom effective` fills only order one this way."""
+def _ergodic_fill(cfg: RunConfig, model: Model) -> tuple:
+    """(fill, count): fill(x, p, l) solves the node's ergodic pair at zero
+    discount from the previous node's corrector, or from zero where that has
+    the smaller residual or the previous node failed; a budget stop raises
+    NumericalFailure naming the node.  count takes a raised solve's steps too."""
     ccfg = _cell_config(cfg)
-    deltas = cfg["cell.deltas"]
     base = _cell_params(cfg, model)
     count = FillCount()
     last = None               # the previous node's corrector, None after a failure
@@ -196,16 +184,12 @@ def _discount_fill(cfg: RunConfig, model: Model) -> tuple:
         start, last = last, None
         count.nodes += 1
         try:
-            sol = vanishing_discount_sweep(params, deltas[-1:], ccfg, start=start)
-            count.warm += sol.warm_start
-            count.steps += sum(rec[2] for rec in sol.residuals)
+            sol = vanishing_discount_sweep(params, (0.0,), ccfg, start=start)
         except NumericalFailure as exc:
             count.steps += exc.steps
-            sol = None
-        if sol is None or not sol.converged:
-            count.fallbacks += 1
-            sol = vanishing_discount_sweep(params, deltas, ccfg)
-            count.steps += sum(rec[2] for rec in sol.residuals)
+            raise
+        count.warm += sol.warm_start
+        count.steps += sol.residuals[0][2]
         if not sol.converged:
             raise NumericalFailure(_unconverged(params, sol))
         last = sol.psi.values
@@ -224,12 +208,13 @@ def _build_table(cfg: RunConfig, model: Model) -> EffectiveTable:
     between CLOSED_FORM_NODES and half as many cell nodes; above order one
     the closed form, whose cell means are taken once and which raises
     ValueError, before any table exists, when a is not strictly positive on
-    the table's x nodes.  At order one each node is a discount fill."""
+    the table's x nodes.  At order one each node is a zero-discount Newton
+    solve of its ergodic pair."""
     sigma = cfg["kernel.sigma"]
     xs, ps, ls = (np.asarray(cfg[f"cell.table_{axis}"], dtype=float) for axis in "xpl")
     meta = {"model": _model_name(cfg), "m": str(cfg["hamiltonian.m"])}
     if sigma == 1.0:
-        fill, count = _discount_fill(cfg, model)
+        fill, count = _ergodic_fill(cfg, model)
         table = tabulate(fill, xs, ps, ls, sigma=sigma, meta=meta)
         print(count.line())
         return table

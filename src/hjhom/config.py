@@ -8,12 +8,15 @@ configuration it came from, so a run is reproducible from any artifact.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 _DEFAULT_DELTAS = "0.1,0.05,0.025,0.0125,0.00625,0.003125,0.0015625,0.001"
+M_MAX = 100.0     # largest hamiltonian.m: the audits' |p|^m overflows above 129
 
 # (type tag, default); type tags: int, float, str, floats (comma list, fractions ok)
 SCHEMA = {
@@ -90,14 +93,17 @@ def _coerce(tag: str, raw: str, where: str, errors: list) -> Any:
     try:
         if tag == "int":
             return int(raw)
-        if tag == "float":
-            return _parse_number(raw)
-        if tag == "floats":
-            return tuple(_parse_number(tok) for tok in raw.split(",") if tok.strip())
-        return raw
+        if tag == "str":
+            return raw
+        val = _parse_number(raw) if tag == "float" else tuple(
+            _parse_number(tok) for tok in raw.split(",") if tok.strip())
     except (ValueError, ZeroDivisionError):
         errors.append(f"{where}: cannot parse {raw!r} as {tag}")
         return None
+    if not np.all(np.isfinite(val)):       # nan, inf, 1e400
+        errors.append(f"{where}: {raw!r} is not finite")
+        return None
+    return val
 
 
 @dataclass
@@ -196,8 +202,11 @@ def _validate(cfg: RunConfig) -> list:
         errors.append(f"kernel.family = {family!r} not one of constant/tilt/quadratic_tilt/csv")
     if family == "csv" and not cfg["kernel.csv_path"]:
         errors.append("kernel.family = csv requires kernel.csv_path")
-    if cfg["hamiltonian.m"] <= 1.0:
-        errors.append(f"hamiltonian.m = {cfg['hamiltonian.m']} must exceed 1")
+    if family in ("tilt", "quadratic_tilt") and abs(cfg["kernel.slope"]) > 1.0:
+        errors.append(f"kernel.slope = {cfg['kernel.slope']} must satisfy |slope| <= 1")
+    m = cfg["hamiltonian.m"]
+    if not 1.0 < m <= M_MAX:
+        errors.append(f"hamiltonian.m = {m} must exceed 1 and be at most {M_MAX:g}")
     from .hamiltonians import coefficient, model_bpm
     named = True
     for key in ("coefficient_a.kind", "hamiltonian.b", "hamiltonian.f"):
@@ -206,10 +215,9 @@ def _validate(cfg: RunConfig) -> list:
         except ValueError as exc:
             errors.append(f"{key} = {cfg[key]!r}: {exc}")
             named = False
-    if named and cfg["hamiltonian.m"] > 1.0:
+    if named and 1.0 < m <= M_MAX:
         try:
-            cfg.hamiltonian = model_bpm(cfg["hamiltonian.b"], cfg["hamiltonian.f"],
-                                        cfg["hamiltonian.m"])
+            cfg.hamiltonian = model_bpm(cfg["hamiltonian.b"], cfg["hamiltonian.f"], m)
         except ValueError as exc:
             errors.append(f"hamiltonian.b = {cfg['hamiltonian.b']!r}: {exc}")
     if cfg["grid.kind"] not in ("oscillating", "effective"):
@@ -229,21 +237,24 @@ def _validate(cfg: RunConfig) -> list:
                           + ("increasing" if sign > 0 else "decreasing"))
     if any(d <= 0 for d in cfg["cell.deltas"]):
         errors.append("cell.deltas must be positive")
-    for e in cfg["sweep.eps_list"]:
-        if e <= 0 or abs(1.0 / e - round(1.0 / e)) > 1e-12:
-            errors.append(f"sweep.eps_list entry {e} is not the reciprocal of an integer")
-    # a scale eps needs n >= 16 / eps nodes to resolve the fast variable
-    n_fixed, eps_min = cfg["sweep.n_fixed"], min(cfg["sweep.eps_list"], default=1.0)
-    if n_fixed != 0 and eps_min > 0 and n_fixed < round(16.0 / eps_min):
+    # a scale eps is 1 / k for a whole k >= 1 (k = inf for a subnormal eps)
+    # and needs n >= 16 k nodes to resolve the fast variable
+    ks = [1.0 / e if e > 0 else 0.0 for e in cfg["sweep.eps_list"]]
+    bad = [e for e, k in zip(cfg["sweep.eps_list"], ks)
+           if not (1.0 <= k < math.inf and abs(k - round(k)) <= 1e-12)]
+    errors.extend(f"sweep.eps_list entry {e} is not the reciprocal of an integer" for e in bad)
+    n_fixed = cfg["sweep.n_fixed"]
+    if n_fixed != 0 and ks and not bad and n_fixed < 16 * round(max(ks)):
         errors.append(f"sweep.n_fixed = {n_fixed} must be 0 or at least 16 / min eps = "
-                      f"{round(16.0 / eps_min)}")
+                      f"{16 * round(max(ks))}")
     e0, n = cfg["grid.eps"], cfg["grid.n"]
+    k0 = 1.0 / e0 if e0 > 0 else 0.0
     if cfg["grid.kind"] == "oscillating":
-        if e0 <= 0 or abs(1.0 / e0 - round(1.0 / e0)) > 1e-12:
+        if not (1.0 <= k0 < math.inf and abs(k0 - round(k0)) <= 1e-12):
             errors.append(f"grid.eps = {e0} is not the reciprocal of an integer")
-        elif n < round(16.0 / e0):
-            errors.append(f"grid.n = {n} must be at least 16 / grid.eps = {round(16.0 / e0)}")
-    for key in ("grid.T", "sweep.T"):
+        elif n < 16 * round(k0):
+            errors.append(f"grid.n = {n} must be at least 16 / grid.eps = {16 * round(k0)}")
+    for key in ("grid.T", "sweep.T", "cell.tol"):
         if cfg[key] <= 0:
             errors.append(f"{key} = {cfg[key]} must be positive")
     if cfg["grid.u0"] not in ("sin_2pi_x", "cos_2pi_x", "zero"):
@@ -274,7 +285,12 @@ def _kernel(cfg: RunConfig):
         return kernels.tilt_kernel(sigma, cfg["kernel.slope"])
     if family == "quadratic_tilt":
         return kernels.quadratic_tilt_kernel(sigma, cfg["kernel.slope"])
-    z, kbar = np.loadtxt(cfg["kernel.csv_path"], delimiter=",", usecols=(0, 1), ndmin=2).T
+    path = cfg["kernel.csv_path"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")       # numpy's warning on an empty file
+        z, kbar = np.loadtxt(path, delimiter=",", usecols=(0, 1), ndmin=2).T
+    if z.size == 0:
+        raise ValueError(f"kernel.csv_path = {path} holds no samples")
     return kernels.kernel_from_table(sigma, z, kbar)
 
 

@@ -267,6 +267,49 @@ class TestNewtonAgainstMarch:
         assert all(rec[2] == 0 for rec in sol.residuals)
 
 
+class TestErgodicPair:
+    """Zero discount: Newton on F(phi) = Hbar, mean phi = 0, where the
+    Jacobian couples the whole cell."""
+
+    @pytest.mark.parametrize("slope", [0.3, 0.5])
+    def test_matches_the_ladder_richardson_value(self, slope, eikonal_ham, wavy_a):
+        # the ladder's bias is linear in delta: 2 Hbar(delta / 2) - Hbar(delta)
+        # at delta = 1e-3 removes it
+        b = drift_vector(tilt_kernel(1.0, slope), tol=1e-8).b
+        for p, l in ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)):
+            params = CellParams(x=0.0, p=p, l=l, sigma=1.0, a=wavy_a, ham=eikonal_ham,
+                                drift_b=b)
+            sol = vanishing_discount_sweep(params, (0.0,), FAST)
+            coarse, fine = (vanishing_discount_sweep(params, deltas, FAST).H_bar
+                            for deltas in ((0.1, 0.01, 1e-3), (0.1, 0.01, 1e-3, 5e-4)))
+            assert sol.converged and sol.spread <= 2.0 * FAST.tol
+            assert abs(sol.H_bar - (2.0 * fine - coarse)) <= 1e-8
+            assert abs(sol.H_bar - coarse) > 1e-5
+
+    def test_positive_discounts_give_the_old_bracket(self, eikonal_ham, wavy_a):
+        # at delta > 0, min and max of F(phi) are those of -delta phi +
+        # mean F(phi) to within the mean-free residual
+        params = CellParams(x=0.0, p=0.5, l=0.3, sigma=0.5, a=wavy_a, ham=eikonal_ham)
+        sol = vanishing_discount_sweep(params, DELTAS, FAST)
+        scheme = _cell_scheme(params, FAST)
+        phi = sol.psi.values - np.mean(sol.psi.values)
+        scaled = -DELTAS[-1] * phi + np.mean(scheme.residual(phi))
+        assert abs(sol.H_bar - 0.5 * (scaled.min() + scaled.max())) <= FAST.tol
+        assert abs(sol.spread - np.ptp(scaled)) <= 2.0 * FAST.tol
+
+    def test_flat_piece_below_order_one_is_singular(self, eikonal_ham, unit_a):
+        # below order one the upwind Jacobian decouples on the flat piece, so
+        # hjhom cell walks the ladder there
+        params = CellParams(x=0.0, p=0.0, l=0.0, sigma=0.5, a=unit_a, ham=eikonal_ham)
+        with pytest.raises(np.linalg.LinAlgError):
+            vanishing_discount_sweep(params, (0.0,), FAST)
+
+    def test_negative_discount_rejected(self, eikonal_ham, unit_a):
+        params = CellParams(x=0.0, p=0.0, l=0.0, sigma=1.0, a=unit_a, ham=eikonal_ham)
+        with pytest.raises(ValueError, match="must not be negative"):
+            vanishing_discount_sweep(params, (0.1, -0.01), FAST)
+
+
 class TestContinuationStart:
     DELTA_MIN = (0.0125,)
 

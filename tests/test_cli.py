@@ -3,14 +3,18 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hjhom
 from hjhom.cell import vanishing_discount_sweep
-from hjhom.cli import _cell_config, _cell_params, _discount_fill, main
-from hjhom.config import ConfigError, build_model, defaults, parse_config, parse_text
+from hjhom.cli import _cell_config, _cell_params, _ergodic_fill, main
+from hjhom.config import (SCHEMA, ConfigError, build_model, defaults, parse_config,
+                          parse_text)
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -91,6 +95,50 @@ class TestParsing:
         command = "homogenize" if bad.startswith("sweep") else "solve"
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("grid.eps = 1e-320", "grid.eps = 1e-320 is not the reciprocal of an integer"),
+        ("grid.eps = nan", "{cfg}:1: grid.eps: 'nan' is not finite"),
+        ("sweep.eps_list = 1/2,1e-320",
+         "sweep.eps_list entry 1e-320 is not the reciprocal of an integer"),
+        ("sweep.eps_list = 1/2,nan", "{cfg}:1: sweep.eps_list: '1/2,nan' is not finite"),
+        ("hamiltonian.m = 1e308", "hamiltonian.m = 1e+308 must exceed 1 and be at most 100"),
+        ("hamiltonian.m = inf", "{cfg}:1: hamiltonian.m: 'inf' is not finite"),
+        ("cell.tol = nan", "{cfg}:1: cell.tol: 'nan' is not finite"),
+        ("cell.tol = inf", "{cfg}:1: cell.tol: 'inf' is not finite"),
+        ("cell.tol = -1", "cell.tol = -1.0 must be positive"),
+        ("kernel.family = csv\nkernel.csv_path = {empty}",
+         "invalid input: kernel.csv_path = {empty} holds no samples"),
+    ], ids=["grid.eps-subnormal", "grid.eps-nan", "sweep.eps_list-subnormal",
+            "sweep.eps_list-nan", "hamiltonian.m-huge", "hamiltonian.m-inf", "cell.tol-nan",
+            "cell.tol-inf", "cell.tol-negative", "kernel.csv_path-empty"])
+    def test_unusable_numbers_exit_2_naming_the_key(self, tmp_path, capsys, line, message):
+        # one line on stderr, naming the key: no traceback and no numpy warning
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        path = write(tmp_path, line.format(empty=empty) + "\n")
+        capsys.readouterr()
+        assert main(["audit", "--config", path]) == 2
+        assert capsys.readouterr().err == message.format(cfg=path, empty=empty) + "\n"
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from(["", "kernel.sigma = 1\nkernel.family = tilt\n"]),
+           st.sampled_from([f"{section}.{key}" for section, keys in SCHEMA.items()
+                            for key, (tag, _) in keys.items() if tag in ("float", "floats")]),
+           st.lists(st.sampled_from(["nan", "inf", "-inf", "1e-320", "-1e-320", "1e308",
+                                     "-1e308", "1e400", "0", "-1", "-0.5"]),
+                    min_size=1, max_size=3))
+    def test_schema_numbers_never_raise(self, base, key, values):
+        # any of these in any number key is accepted and builds a model, or is
+        # rejected with every message naming the key; nothing raises or warns
+        if SCHEMA[key.split(".")[0]][key.split(".")[1]][0] == "float":
+            values = values[:1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                build_model(parse_text(base + f"{key} = {','.join(values)}\n"))
+            except ConfigError as exc:
+                assert exc.errors and all(key in line for line in exc.errors)
 
     @pytest.mark.parametrize("key", ["grid.cfl_safety", "kernel.image_budget",
                                      "grid.flux", "grid.theta", "hamiltonian.model",
@@ -276,7 +324,8 @@ class TestCommands:
                 if not l.startswith("#")]
         osc, lip, flap_sup = (float(v) for v in rows[1].split(",")[6:])
         cfg = parse_config(path)
-        psi = vanishing_discount_sweep(_cell_params(cfg, build_model(cfg)), cfg["cell.deltas"],
+        deltas = cfg["cell.deltas"] if sigma == "0.5" else (0.0,)
+        psi = vanishing_discount_sweep(_cell_params(cfg, build_model(cfg)), deltas,
                                        _cell_config(cfg)).psi.values
         n = psi.size
         assert osc == np.ptp(psi) > 0.0
@@ -695,24 +744,62 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith(prefix)
 
     def test_effective_failed_nodes_exit_numerical(self, tmp_path, capsys):
-        # one Newton step per discount: every node stops on its budget, in the
-        # continuation and again in the ladder, and is listed and saved as failed
+        # one Newton step: every node stops on its budget at zero discount,
+        # and is listed and saved as failed
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 1", "kernel.family = tilt", "cell.n = 32", "cell.max_steps = 1",
-            "cell.deltas = 0.1,0.05", "cell.table_p = 0,1", "cell.table_l = 0,1"]) + "\n")
+            "cell.table_p = 0,1", "cell.table_l = 0,1"]) + "\n")
         capsys.readouterr()
         assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 3
         out, err = capsys.readouterr()
-        assert "fill: 4 nodes, 12 Newton steps, 0 warm-started, 4 ladder fallbacks" in out
+        assert "fill: 4 nodes, 4 Newton steps, 0 warm-started" in out.splitlines()
         err = err.splitlines()
         assert err[0] == "some nodes failed to converge (marked 'failed'):"
         assert [re.match(r"  cell solve at \(x, p, l\) = \(0, (\d), (\d)\) not converged "
-                         r"at delta = 0\.1: .* after 1 Newton steps, stopped by budget$",
+                         r"at delta = 0: .* after 1 Newton steps, stopped by budget$",
                          line).groups() for line in err[1:]] == [
             ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
         from hjhom.effective import load_table
         table = load_table(str(tmp_path / "run_effective.csv"))
         assert np.all(table.provenance == "failed") and np.all(np.isnan(table.values))
+
+    @pytest.mark.parametrize("sigma", ["1.1", "1.5"])
+    def test_cell_above_order_one_is_the_closed_form(self, tmp_path, monkeypatch, sigma):
+        # the cell problem is linear above order one: one Newton step at zero
+        # discount reaches the closed form
+        import hjhom.cli
+        from hjhom.effective import ClosedForm
+        from hjhom.hamiltonians import coefficient, model_bpm
+        sols = []
+        monkeypatch.setattr(hjhom.cli, "vanishing_discount_sweep",
+                            lambda *args: sols.append(vanishing_discount_sweep(*args))
+                            or sols[-1])
+        path = write(tmp_path, f"kernel.sigma = {sigma}\ncell.p = 0.7\ncell.l = 0.3\n")
+        assert main(["cell", "--config", path, "--out", str(tmp_path)]) == 0
+        rows = [l for l in (tmp_path / "run_cell.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        h_bar, spread = (float(v) for v in rows[1].split(",")[4:6])
+        exact = float(ClosedForm(coefficient("two_plus_cos_y"),
+                                 model_bpm("one", "cos_y", 2.0)).value(0.0, 0.7, 0.3))
+        assert abs(h_bar - exact) <= 1e-10 and spread <= 1e-10
+        assert [tuple(rec)[::2] for rec in sols[0].residuals] == [(0.0, 1)]
+
+    @pytest.mark.parametrize("sigma", ["1", "1.5"])
+    @pytest.mark.parametrize("command", ["cell", "effective"])
+    def test_cell_deltas_unread_at_and_above_order_one(self, tmp_path, sigma, command):
+        # two runs apart only in cell.deltas write the same data rows; the
+        # header echoes the configuration, so it differs in that one line
+        data = []
+        for deltas in ("0.1,0.05", "0.2,0.01,0.001"):
+            path = write(tmp_path, "\n".join([
+                f"kernel.sigma = {sigma}", "kernel.family = tilt", "cell.n = 32",
+                "cell.p = 0.5", f"cell.deltas = {deltas}", "cell.table_p = 0,1",
+                "cell.table_l = 0,1"]) + "\n")
+            out = tmp_path / deltas
+            assert main([command, "--config", path, "--out", str(out)]) == 0
+            data.append([line for line in (out / f"run_{command}.csv").read_text()
+                         .splitlines() if not line.startswith("#")])
+        assert data[0] == data[1]
 
     def test_effective_builds_the_hamiltonian_once(self, tmp_path, monkeypatch):
         # while the configuration is validated; the run's model reuses it
@@ -728,52 +815,33 @@ class TestCommands:
 
 
 class TestContinuationFill:
-    """A table fill solves each node at the smallest discount only, from the
-    previous node's corrector where that beats zero's residual, and falls
-    back to the whole discount ladder when that solve runs out of steps.
-    `hjhom effective` fills only order one this way, so the tests below
-    order one drive _discount_fill itself."""
+    """A table fill at order one solves each node's ergodic pair at zero
+    discount, from the previous node's corrector where that beats zero's
+    residual; a node that fails is marked failed and the next starts from
+    zero.  The fill reads no discount list."""
 
     def _fill(self, tmp_path, lines):
         cfg = parse_config(write(tmp_path, "\n".join(lines) + "\n"))
         model = build_model(cfg)
-        return (cfg, model) + _discount_fill(cfg, model)
+        return (cfg, model) + _ergodic_fill(cfg, model)
 
-    @staticmethod
-    def _effective(path, out):
-        """`hjhom effective` with the discount fill at any order: fill the
-        configured table node by node, save it to out/run_effective.csv,
-        print the fill line; 0, or 3 when a node failed."""
-        from hjhom.effective import save_table, tabulate
-        cfg = parse_config(path)
-        fill, count = _discount_fill(cfg, build_model(cfg))
-        table = tabulate(fill, *(cfg[f"cell.table_{axis}"] for axis in "xpl"),
-                         sigma=cfg["kernel.sigma"])
-        save_table(table, str(out / "run_effective.csv"), config_lines=cfg.header_lines())
-        print(count.line())
-        return 3 if table.failures else 0
-
-    @staticmethod
-    def _ladder(cfg, model, p, l):
-        params = dataclasses.replace(_cell_params(cfg, model), p=p, l=l)
-        sol = vanishing_discount_sweep(params, cfg["cell.deltas"], _cell_config(cfg))
-        return sol, sum(rec[2] for rec in sol.residuals)
-
-    @pytest.mark.parametrize("sigma", ["0.5", "1"])
+    @pytest.mark.parametrize("sigma", ["1"])
     def test_matches_the_ladder_in_fewer_steps(self, tmp_path, sigma):
+        # the ladder's Richardson value 2 Hbar(delta / 2) - Hbar(delta) at
+        # delta = 1e-3 removes its bias linear in delta
         cfg, model, fill, count = self._fill(tmp_path, [
             f"kernel.sigma = {sigma}", "coefficient_a.kind = two_plus_cos_y", "cell.n = 64"])
-        tol, ladder_steps = cfg["cell.tol"], 0
+        ladder_steps = 0
         for p in (0.0, 0.5, 1.0):
             for l in (0.0, 0.5, 1.0):
                 value, spread, tag = fill(0.0, p, l)
-                sol, steps = self._ladder(cfg, model, p, l)
-                ladder_steps += steps
-                assert abs(value - sol.H_bar) <= 10.0 * tol
-                assert abs(spread - sol.spread) <= 10.0 * tol
-                assert tag == "discount"
-        assert (count.nodes, count.fallbacks) == (9, 0)
-        assert count.warm > 0
+                params = dataclasses.replace(_cell_params(cfg, model), p=p, l=l)
+                sols = [vanishing_discount_sweep(params, deltas, _cell_config(cfg))
+                        for deltas in (cfg["cell.deltas"], cfg["cell.deltas"] + (5e-4,))]
+                ladder_steps += sum(rec[2] for rec in sols[0].residuals)
+                assert abs(value - (2.0 * sols[1].H_bar - sols[0].H_bar)) <= 1e-8
+                assert spread <= 2.0 * cfg["cell.tol"] and tag == "discount"
+        assert count.nodes == 9 and count.warm > 0
         assert count.steps < ladder_steps
 
     def test_exact_column_stays_exact_in_no_steps(self, tmp_path):
@@ -781,8 +849,7 @@ class TestContinuationFill:
         # zero corrector is exact, H_bar = 2 + p^2, whatever came before
         cfg, model, fill, count = self._fill(tmp_path, [
             "kernel.sigma = 1", "kernel.family = tilt", "kernel.slope = 0.5",
-            "coefficient_a.kind = two_plus_cos_y", "cell.n = 64",
-            "cell.deltas = 0.1,0.05,0.025,0.0125"])
+            "coefficient_a.kind = two_plus_cos_y", "cell.n = 64"])
         steps = {}
         for p in (0.0, 0.5, 1.0):
             for l in (-1.0, 0.0, 1.0):
@@ -794,79 +861,44 @@ class TestContinuationFill:
         assert all(steps[p, -1.0] == 0 for p in (0.0, 0.5, 1.0))
         # the node before each exact one, (p, 1) of the previous line, was not exact
         assert steps[0.0, 1.0] > 0 and steps[0.5, 1.0] > 0
-        assert count.fallbacks == 0
 
     def test_rerun_writes_identical_bytes(self, tmp_path, capsys):
         # each node starts from the previous node's corrector; a second run,
         # which finds the cell table already built, repeats every byte
         path = write(tmp_path, "\n".join([
-            "kernel.sigma = 0.5", "coefficient_a.kind = two_plus_cos_y", "cell.n = 32",
+            "kernel.sigma = 1", "kernel.family = tilt",
+            "coefficient_a.kind = two_plus_cos_y", "cell.n = 32",
             "cell.table_p = 0,0.5,1", "cell.table_l = 0,0.5,1"]) + "\n")
         tables = []
         for run in ("first", "second"):
-            (tmp_path / run).mkdir()
-            assert self._effective(path, tmp_path / run) == 0
+            assert main(["effective", "--config", path, "--out", str(tmp_path / run)]) == 0
             tables.append((tmp_path / run / "run_effective.csv").read_bytes())
         warm = [int(w) for w in re.findall(r"(\d+) warm-started", capsys.readouterr().out)]
         assert len(warm) == 2 and warm[0] == warm[1] > 0
         assert tables[0] == tables[1]
 
-    def test_budget_stop_falls_back_to_the_ladder(self, tmp_path, capsys):
-        # at p = 0 the smallest default discount takes 18 Newton steps from
-        # zero, and the ladder at most 11 per discount
-        lines = ["kernel.sigma = 0.5", "coefficient_a.kind = constant:1", "cell.n = 64",
-                 "cell.max_steps = 14", "cell.table_p = 0", "cell.table_l = 0"]
-        path = write(tmp_path, "\n".join(lines) + "\n")
-        assert self._effective(path, tmp_path) == 0
-        cfg = parse_config(path)
-        sol, steps = self._ladder(cfg, build_model(cfg), 0.0, 0.0)
-        assert sol.converged
-        out = capsys.readouterr().out
-        assert (f"fill: 1 nodes, {14 + steps} Newton steps, 0 warm-started, "
-                f"1 ladder fallbacks") in out.splitlines()
-        from hjhom.effective import load_table
-        table = load_table(str(tmp_path / "run_effective.csv"))
-        assert table.values[0, 0, 0] == sol.H_bar
-        assert table.err[0, 0, 0] == sol.spread
-
-    @pytest.mark.parametrize("table_l, fallbacks", [("-1,1", 2), ("0,1", 1)])
-    def test_failed_solve_falls_back_to_the_ladder(self, tmp_path, capsys, table_l,
-                                                   fallbacks):
-        # discounts to 1e-6 on the flat piece.  At l = -1, 1 the continuation
-        # solve of (0.45, 1) meets a non-finite residual; at l = 0, 1 the one
-        # of (1.2, 1) stagnates on an iterate that has blown up (H_bar was
-        # saved as -4.6e12).  The ladder solves each of them
-        path = write(tmp_path, "\n".join([
-            "kernel.sigma = 0.5", "coefficient_a.kind = two_plus_cos_y",
-            "hamiltonian.f = cos_y", "cell.n = 128",
-            "cell.deltas = 0.1,0.01,0.001,0.0001,0.00001,0.000001",
-            "cell.table_p = 0.0,0.45,1.2", f"cell.table_l = {table_l}"]) + "\n")
-        assert self._effective(path, tmp_path) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert re.fullmatch(rf"fill: 6 nodes, \d+ Newton steps, \d+ warm-started, "
-                            rf"{fallbacks} ladder fallbacks", out[0])
-        from hjhom.effective import load_table
-        table = load_table(str(tmp_path / "run_effective.csv"))
-        assert np.all(table.provenance == "discount")
-        # l = 1 puts every p on the flat piece at H_bar = 0 (a + f = 2 + 2 cos)
-        assert np.max(np.abs(table.values[0, :, 1])) <= 1e-6
-
     def test_steps_of_a_raised_solve_are_counted(self, tmp_path, monkeypatch):
-        # the table above at l = -1, 1: the continuation solve of (0.45, 1)
-        # raises after some Newton steps, and the count keeps them.  Every
-        # Newton step is one linear solve, so the solves recount the total
+        # the second node's second Newton step is made non-finite: its solve
+        # raises after two steps, the count keeps them, and the next node
+        # starts from zero.  Every Newton step is one linear solve, so the
+        # solves recount the total
+        from hjhom.parabolic import NumericalFailure
         solves = []
         solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda *args: solves.append(1) or solve(*args))
-        *_, fill, count = self._fill(tmp_path, [
-            "kernel.sigma = 0.5", "coefficient_a.kind = two_plus_cos_y", "cell.n = 128",
-            "cell.deltas = 0.1,0.01,0.001,0.0001,0.00001,0.000001"])
-        for p in (0.0, 0.45, 1.2):
-            for l in (-1.0, 1.0):
-                fill(0.0, p, l)
-        assert (count.nodes, count.fallbacks) == (6, 2)
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or (
+            np.full(args[1].shape, np.nan) if len(solves) == 6 else solve(*args)))
+        cfg, model, fill, count = self._fill(tmp_path, [
+            "kernel.sigma = 1", "coefficient_a.kind = two_plus_cos_y", "cell.n = 64"])
+        fill(0.0, 0.0, 0.0)
+        assert count.steps == 4
+        with pytest.raises(NumericalFailure, match=r"non-finite residual at delta = 0, "
+                                                   r"step 2$"):
+            fill(0.0, 0.5, 0.0)
+        value = fill(0.0, 1.0, 0.0)[0]
+        assert (count.nodes, count.warm) == (3, 0)
         assert count.steps == len(solves)
+        params = dataclasses.replace(_cell_params(cfg, model), p=1.0, l=0.0)
+        assert value == vanishing_discount_sweep(params, (0.0,), _cell_config(cfg)).H_bar
 
     def test_order_one_fill_takes_no_regularity(self, tmp_path, monkeypatch):
         # the corrector's osc, lip and flap_sup are hjhom cell's alone: a
@@ -875,8 +907,7 @@ class TestContinuationFill:
         calls, flap = [], hjhom.cell.spectral_flap
         monkeypatch.setattr(hjhom.cell, "spectral_flap",
                             lambda *args: calls.append(1) or flap(*args))
-        *_, fill, count = self._fill(tmp_path, [
-            "kernel.sigma = 1", "cell.n = 32", "cell.deltas = 0.1,0.05"])
+        *_, fill, count = self._fill(tmp_path, ["kernel.sigma = 1", "cell.n = 32"])
         for p in (0.0, 1.0):
             for l in (0.0, 1.0):
                 fill(0.0, p, l)
@@ -886,15 +917,15 @@ class TestContinuationFill:
     def test_fill_line_below_and_at_order_one_only(self, tmp_path, capsys):
         for sigma, shown in (("1", True), ("1.5", False)):
             path = write(tmp_path, "\n".join([
-                f"kernel.sigma = {sigma}", "cell.n = 32", "cell.deltas = 0.1",
+                f"kernel.sigma = {sigma}", "cell.n = 32",
                 "cell.table_p = 0,1", "cell.table_l = 0"]) + "\n")
             assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
             lines = capsys.readouterr().out.splitlines()
             fill = [line for line in lines if line.startswith("fill: ")]
             assert fill == ([fill[0]] if shown else [])
             if shown:
-                assert re.fullmatch(r"fill: 2 nodes, \d+ Newton steps, [01] warm-started, "
-                                    r"0 ladder fallbacks", fill[0])
+                assert re.fullmatch(r"fill: 2 nodes, \d+ Newton steps, [01] warm-started",
+                                    fill[0])
 
 
 def _imported_by_the_cli(prefix: str) -> str:

@@ -161,7 +161,7 @@ def test_guard_names_an_unread_field(tmp_path):
     src = _copy_of_src(tmp_path)
     cli = src / "cli.py"
     text = cli.read_text()
-    field_line = "    fallbacks: int = 0\n"
+    field_line = "    warm: int = 0\n"
     call = "count = FillCount()"
     assert text.count(field_line) == 1 and text.count(call) == 1
     cli.write_text(text.replace(field_line, field_line + "    orphan: int = 0\n")
