@@ -286,11 +286,17 @@ def _kernel(cfg: RunConfig):
     if family == "quadratic_tilt":
         return kernels.quadratic_tilt_kernel(sigma, cfg["kernel.slope"])
     path = cfg["kernel.csv_path"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")       # numpy's warning on an empty file
-        z, kbar = np.loadtxt(path, delimiter=",", usecols=(0, 1), ndmin=2).T
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")       # numpy's warning on an empty file
+            z, kbar = np.loadtxt(path, delimiter=",", usecols=(0, 1), ndmin=2).T
+    except (OSError, ValueError) as exc:          # missing, unreadable, malformed
+        kind = OSError if isinstance(exc, OSError) else ValueError
+        raise kind(f"kernel.csv_path = {path}: {exc}") from None
     if z.size == 0:
         raise ValueError(f"kernel.csv_path = {path} holds no samples")
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(kbar))):
+        raise ValueError(f"kernel.csv_path = {path} holds a sample that is not finite")
     return kernels.kernel_from_table(sigma, z, kbar)
 
 

@@ -155,7 +155,8 @@ class RegularityAudit:
 def audit_regularity(h: HamiltonianSpec, sample_budget: int = 64 ** 3) -> RegularityAudit:
     """Smallest L fitting the sampled increments
     |H(X,p)-H(X',p')| <= L (1+R^m)|X-X'| + L (1+R^(m-1))|p-p'| over |p| <= R,
-    for R = 1, 2, 5, 10.
+    for R = 1, 2, 5, 10.  The p-increment steps toward p = 0: H is convex in
+    p, so the quotient stays below |dH/dp| at the sample.
     """
     radii = (1.0, 2.0, 5.0, 10.0)
     side = max(8, int(round((sample_budget / len(radii)) ** (1.0 / 3.0))))
@@ -169,7 +170,7 @@ def audit_regularity(h: HamiltonianSpec, sample_budget: int = 64 ** 3) -> Regula
         base = h.eval(X, Y, P)
         gx = np.max(np.abs(h.eval(X + d, Y, P) - base)) / d
         gy = np.max(np.abs(h.eval(X, Y + d, P) - base)) / d
-        gp = np.max(np.abs(h.eval(X, Y, P + d) - base)) / d
+        gp = np.max(np.abs(h.eval(X, Y, P - np.copysign(d, P)) - base)) / d
         L_x = max(L_x, float(gx) / (1.0 + R ** h.m))
         L_y = max(L_y, float(gy) / (1.0 + R ** h.m))
         L_p = max(L_p, float(gp) / (1.0 + R ** (h.m - 1.0)))

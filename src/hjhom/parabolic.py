@@ -10,15 +10,15 @@ scheme meets (Crandall-Lions 1984).  When the nonlocal term is linear and its
 coefficient repeats with a short period on the grid, it is taken implicitly
 instead and only the gradient part limits the step: the effective flow above
 order one (one constant A, period 1) and the oscillating flow with a(x/eps)
-(period n eps nodes).  A
-shift by the period commutes with the implicit operator, so one FFT splits it
-into small dense Fourier blocks.  Monotonicity buys the discrete comparison
-principle, the sup-norm bound, and stability; no attempt is made at higher
-order.  The same scheme object, with its Jacobian, drives the cell solver's
-Newton iteration.  A time problem is a scheme, its datum and its horizon: the
-oscillating scheme comes from oscillating_scheme, an effective one from its
-source (hjhom.effective), and a failure that source raises in a step reaches
-the caller prefixed with the step and its time.
+(period n eps nodes).  A shift by the period commutes with the implicit
+operator, so one rfft's half spectrum splits it into small dense Fourier
+blocks.  Monotonicity buys the discrete comparison principle, the sup-norm
+bound, and stability; no attempt is made at higher order.  The same scheme
+object, with its Jacobian, drives the cell solver's Newton iteration.  A
+time problem is a scheme, its datum and its horizon: the oscillating scheme
+comes from oscillating_scheme, an effective one from its source
+(hjhom.effective), and a failure that source raises in a step reaches the
+caller prefixed with the step and its time.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .operators import apply_table
 CFL_SAFETY = 0.9
 
 # Longest period, in nodes, of a coefficient whose nonlocal term step() takes
-# implicitly: each step then solves n / P dense P x P Fourier blocks.
+# implicitly: each step then solves n / 2P + 1 dense P x P Fourier blocks.
 MAX_PERIOD = 64
 
 # Least factor by which fit_theta moves the Godunov flux's gradient bound G,
@@ -75,6 +75,12 @@ def _node_period(a: np.ndarray) -> Optional[int]:
     return None
 
 
+def _take(values: np.ndarray, index: tuple) -> np.ndarray:
+    """values[i], conjugated where the mask is set; index = (i, mask)."""
+    out = values[index[0]]
+    return np.conjugate(out, out=out, where=index[1])
+
+
 class MonotoneScheme:
     """One monotone discretization F of the spatial operator on n nodes.
 
@@ -96,16 +102,18 @@ class MonotoneScheme:
     built it covers every gradient.  With neither there is no gradient term.
 
     Explicit steps u - dt (delta u + F(u)) are monotone for dt <= 1 / (budget
-    + delta); step_dt() takes CFL_SAFETY of that at delta = 0.  The scheme
-    is `implicit` when its nonlocal part is -a I_h u with a >= 0 of some period P (see
-    _node_period), no drift, no compensator and nonnegative off-diagonal
+    + delta); step_dt() takes CFL_SAFETY of that at delta = 0.  The scheme is
+    `implicit` when its nonlocal part is -a I_h u with a >= 0 of some period P
+    (see _node_period), no drift, no compensator and nonnegative off-diagonal
     table coefficients.  Then I - dt diag(a) I_h is a strictly diagonally
     dominant M-matrix, so its inverse is >= 0, and step() takes that part
     implicitly at the gradient-only step step_dt().  The operator commutes
-    with a shift by P nodes, so in Fourier space class r, the modes r + K t
-    (K = n / P, t < P), is one P x P block I - dt Ac diag(lam_{r + K t}),
-    with Ac[t, t'] = fft(a[:P])[(t - t') mod P] / P and lam the symbol of
-    I_h.  One constant a is the case P = 1.
+    with a shift by P nodes (one constant a: P = 1), so in Fourier space
+    class r, the modes r + K t (K = n / P, t < P), is one P x P block
+    I - dt Ac diag(lam_{r + K t}), Ac[t, t'] = fft(a[:P])[(t - t') mod P] / P
+    and lam the symbol of I_h, the table's spectrum less its mass.  Class
+    K - r is the conjugate of class r, so the K/2 + 1 classes r <= K / 2
+    carry a real state.
     """
 
     def __init__(self, h: float, ham: Optional[Callable] = None, *,
@@ -134,20 +142,26 @@ class MonotoneScheme:
             self.theta = theta(-math.inf, math.inf)
         else:
             self.theta = 0.0
-        self._coupling = None     # Ac, when implicit
+        self._coupling = None     # Ac diag(lam_{r + K t}) per class r, when implicit
         self._linear_jac = None   # the state-free part of jacobian, built at its first call
         self._inverse = None      # (dt, the block inverses at dt): the last step_dt() met
-        period = None
         if (table is not None and a is not None and power is not None and not drift
                 and table.comp_coeff == 0 and np.all(a >= 0.0)
-                and np.all(table.weights + table.antisym >= 0.0)):
-            period = _node_period(a)
-        if period is not None:
-            lam = np.conj(np.fft.fft(table.weights + table.antisym)) - table.mass
+                and np.all(table.weights + table.antisym >= 0.0)
+                and (period := _node_period(a)) is not None):
+            # [r, t] holds mode r + K t (r <= K / 2), above n / 2 the conjugate of
+            # mode n - r - K t; back, mode j comes from its class, else from n - j's
+            n, k = a.size, a.size // period       # k = K, the number of classes
+            mode = np.arange(k // 2 + 1)[:, None] + k * np.arange(period)
+            self._gather = (np.minimum(mode, n - mode), mode > n // 2)
+            j = np.arange(n // 2 + 1)
+            j = np.where(j % k <= k // 2, j, n - j)
+            self._scatter = ((j % k) * period + j // k, j > n // 2)
+            lam = table.spectrum - table.mass      # the symbol of I_h, exactly 0 at mode 0
             lam[0] = 0.0
-            self._lam = lam.reshape(period, -1).T              # [r, t]: mode r + K t
-            t = np.arange(period)
-            self._coupling = (np.fft.fft(a[:period]) / period)[(t[:, None] - t) % period]
+            s = (np.arange(period)[:, None] - np.arange(period)) % period
+            ac = _take(np.fft.rfft(a[:period]), (np.minimum(s, period - s), s > period // 2))
+            self._coupling = ac / period * _take(lam, self._gather)[:, None, :]
 
     @property
     def implicit(self) -> bool:
@@ -207,45 +221,30 @@ class MonotoneScheme:
             return CFL_SAFETY / (self.budget + 1e-300)
         return CFL_SAFETY / (self.theta / self.h + 1e-300)
 
-    def _blocks(self, dt: float) -> np.ndarray:
-        """The K Fourier blocks I - dt Ac diag(lam_{r + K t}), shape (K, P, P)."""
-        return np.eye(self._coupling.shape[0]) - dt * self._coupling * self._lam[:, None, :]
-
     def step(self, u: np.ndarray, dt: float, diffs: Optional[tuple] = None) -> np.ndarray:
         """One monotone time step of length dt <= step_dt() from u; diffs are
         u's one-sided differences if the caller has them (fit_theta).
 
         Explicit: u - dt F(u).  Implicit: (I - dt diag(a) I_h) v = u - dt G(u),
-        G the rest of F, solved block by block between one rfft and one irfft
-        (P > 1 blocks need the full spectrum, which a real u determines; P = 1
-        blocks are scalars, applied to the half spectrum).  The inverses at
-        step_dt() are kept and rebuilt when step_dt() changes, which under
-        solve means G has moved; a shortened step solves.
+        G the rest of F, solved between one rfft and one irfft: the half
+        spectrum is gathered into the classes r <= K / 2, solved block by
+        block and scattered back.  The inverses at step_dt() are kept and
+        rebuilt when step_dt() changes, which under solve means G has moved;
+        a shortened step solves and keeps nothing.
         """
         if self._coupling is None:
             return u - dt * self.residual(u, diffs)
-        dl, dr = one_sided_diffs(u, self.h) if diffs is None else diffs
-        rhs = self._flux(dl, dr, None)
-        if self.const is not None:
-            rhs = self.const + rhs
-        half = np.fft.rfft(u - dt * rhs)
-        cached = dt == self.step_dt()
-        if cached and (self._inverse is None or self._inverse[0] != dt):
-            self._inverse = None      # one set alive at a time, also while rebuilding
-            self._inverse = (dt, np.linalg.inv(self._blocks(dt)))
-        if self._coupling.shape[0] == 1:
-            # scalar blocks: mode k alone, so the half spectrum is all it takes
-            if cached:
-                return np.fft.irfft(half * self._inverse[1][:half.size, 0, 0], n=u.size)
-            return np.fft.irfft(half / self._blocks(dt)[:half.size, 0, 0], n=u.size)
-        # modes n - k are the conjugates of modes k; [r, t] holds mode r + K t
-        spec = np.concatenate((half, np.conj(half[u.size - half.size:0:-1])))
-        spec = spec.reshape(self._coupling.shape[0], -1).T[:, :, None]
-        if cached:
-            spec = np.matmul(self._inverse[1], spec)
+        rhs = self._flux(*(diffs or one_sided_diffs(u, self.h)), None)
+        rhs = rhs if self.const is None else self.const + rhs
+        spec = _take(np.fft.rfft(u - dt * rhs), self._gather)[:, :, None]
+        if dt != self.step_dt():
+            spec = np.linalg.solve(np.eye(spec.shape[1]) - dt * self._coupling, spec)
         else:
-            spec = np.linalg.solve(self._blocks(dt), spec)
-        return np.fft.irfft(spec[:, :, 0].T.reshape(-1)[:half.size], n=u.size)
+            if self._inverse is None or self._inverse[0] != dt:
+                self._inverse = None      # one set alive at a time, also while rebuilding
+                self._inverse = (dt, np.linalg.inv(np.eye(spec.shape[1]) - dt * self._coupling))
+            spec = np.matmul(self._inverse[1], spec)
+        return np.fft.irfft(_take(spec.reshape(-1), self._scatter), n=u.size)
 
     def residual(self, u: np.ndarray, diffs: Optional[tuple] = None) -> np.ndarray:
         dl, dr = one_sided_diffs(u, self.h) if diffs is None else diffs

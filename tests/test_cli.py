@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import os
 import re
 import subprocess
@@ -15,6 +17,7 @@ from hjhom.cell import vanishing_discount_sweep
 from hjhom.cli import _cell_config, _cell_params, _ergodic_fill, main
 from hjhom.config import (SCHEMA, ConfigError, build_model, defaults, parse_config,
                           parse_text)
+from hjhom.kernels import normalizing_constant
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -109,36 +112,77 @@ class TestParsing:
         ("cell.tol = -1", "cell.tol = -1.0 must be positive"),
         ("kernel.family = csv\nkernel.csv_path = {empty}",
          "invalid input: kernel.csv_path = {empty} holds no samples"),
+        ("kernel.family = csv\nkernel.csv_path = {one_column}",
+         "invalid input: kernel.csv_path = {one_column}: invalid column index 1 at row 1 "
+         "with 1 columns"),
+        ("kernel.family = csv\nkernel.csv_path = {not_finite}",
+         "invalid input: kernel.csv_path = {not_finite} holds a sample that is not finite"),
     ], ids=["grid.eps-subnormal", "grid.eps-nan", "sweep.eps_list-subnormal",
             "sweep.eps_list-nan", "hamiltonian.m-huge", "hamiltonian.m-inf", "cell.tol-nan",
-            "cell.tol-inf", "cell.tol-negative", "kernel.csv_path-empty"])
+            "cell.tol-inf", "cell.tol-negative", "kernel.csv_path-empty",
+            "kernel.csv_path-one-column", "kernel.csv_path-not-finite"])
     def test_unusable_numbers_exit_2_naming_the_key(self, tmp_path, capsys, line, message):
         # one line on stderr, naming the key: no traceback and no numpy warning
-        empty = tmp_path / "empty.csv"
-        empty.write_text("")
-        path = write(tmp_path, line.format(empty=empty) + "\n")
+        files = {"empty": "", "one_column": "0\n0.5\n1\n", "not_finite": "-1,1\n0,nan\n1,1\n"}
+        for name, content in files.items():
+            (tmp_path / f"{name}.csv").write_text(content)
+        files = {name: tmp_path / f"{name}.csv" for name in files}
+        path = write(tmp_path, line.format(**files) + "\n")
         capsys.readouterr()
-        assert main(["audit", "--config", path]) == 2
-        assert capsys.readouterr().err == message.format(cfg=path, empty=empty) + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["audit", "--config", path]) == 2
+        assert capsys.readouterr().err == message.format(cfg=path, **files) + "\n"
+
+    # kernel files the property draws; {c} is the order's normalizing
+    # constant, so the valid file passes the ellipticity audit
+    CSV_KERNELS = {"missing": None, "empty": "", "one-column": "0\n0.5\n1\n",
+                   "not-finite": "-inf,{c}\n0,nan\n1,{c}\n", "valid": "-1,{c}\n0,{c}\n1,{c}\n"}
 
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(st.sampled_from(["", "kernel.sigma = 1\nkernel.family = tilt\n"]),
+    @given(st.one_of(st.sampled_from(["", "kernel.sigma = 1\nkernel.family = tilt\n"]),
+                     st.tuples(st.sampled_from(["0.5", "1", "1.5"]),
+                               st.sampled_from(sorted(CSV_KERNELS)))),
            st.sampled_from([f"{section}.{key}" for section, keys in SCHEMA.items()
                             for key, (tag, _) in keys.items() if tag in ("float", "floats")]),
            st.lists(st.sampled_from(["nan", "inf", "-inf", "1e-320", "-1e-320", "1e308",
                                      "-1e308", "1e400", "0", "-1", "-0.5"]),
                     min_size=1, max_size=3))
-    def test_schema_numbers_never_raise(self, base, key, values):
-        # any of these in any number key is accepted and builds a model, or is
-        # rejected with every message naming the key; nothing raises or warns
+    def test_schema_numbers_never_raise(self, tmp_path_factory, base, key, values):
+        # any of these in any number key, on a built-in or a csv kernel, is
+        # accepted and builds a model, or is rejected with every message
+        # naming the key or the kernel file; nothing raises or warns.  On a
+        # csv kernel `hjhom audit` runs too: exit 0, 2, 3 or 4, every stderr
+        # line one of those named errors
         if SCHEMA[key.split(".")[0]][key.split(".")[1]][0] == "float":
             values = values[:1]
+        csv_errors = ("invalid input: kernel.csv_path = ", "I/O failure: kernel.csv_path = ")
+        csv = isinstance(base, tuple)
+        if csv:
+            sigma, kind = base
+            kernel = tmp_path_factory.mktemp("kernel") / "kernel.csv"
+            if self.CSV_KERNELS[kind] is not None:
+                c = repr(normalizing_constant(float(sigma)))
+                kernel.write_text(self.CSV_KERNELS[kind].format(c=c))
+            base = f"kernel.sigma = {sigma}\nkernel.family = csv\nkernel.csv_path = {kernel}\n"
+        text = base + f"{key} = {','.join(values)}\n"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                build_model(parse_text(base + f"{key} = {','.join(values)}\n"))
+                build_model(parse_text(text))
             except ConfigError as exc:
                 assert exc.errors and all(key in line for line in exc.errors)
+            except (OSError, ValueError) as exc:      # the kernel file, read by build_model
+                assert csv and str(exc).startswith("kernel.csv_path = ")
+            if csv:
+                path = kernel.parent / "run.cfg"
+                path.write_text(text)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["audit", "--config", str(path)])
+                assert code in (0, 2, 3, 4)
+                assert all(key in line or line.startswith(csv_errors)
+                           for line in err.getvalue().splitlines())
 
     @pytest.mark.parametrize("key", ["grid.cfl_safety", "kernel.image_budget",
                                      "grid.flux", "grid.theta", "hamiltonian.model",

@@ -82,6 +82,16 @@ class TestRegularity:
         want = max(max(slopes[:2]) + max(slopes[2:]), m * b_max, 1.0)
         assert model_bpm(b, f, m).L == want
 
+    @pytest.mark.parametrize("m", [8.0, 12.0, 100.0])
+    def test_high_power_meets_its_claim(self, m):
+        # L = m b_max is the sup of |dH/dp| / (1 + R^(m-1)); a quotient that
+        # steps away from p = 0 overshoots it by 3.8e-6 relative at m = 8
+        ham = model_bpm("one", "cos_y", m)
+        rep = audit_regularity(ham)
+        assert ham.L == m
+        assert rep.passed, rep.witness
+        assert 0.99 * m <= rep.L_p <= m
+
     def test_understated_claim_flagged(self, eikonal_ham):
         tight = replace(eikonal_ham, L=0.1)
         rep = audit_regularity(tight)

@@ -172,7 +172,8 @@ class TestImplicitStep:
 
     @pytest.mark.parametrize("kernel", [constant_kernel(0.5), tilt_kernel(0.5, 0.5)],
                              ids=["symmetric", "tilt"])
-    @pytest.mark.parametrize("n, period", [(64, 1), (64, 4), (64, 16), (45, 15)])
+    @pytest.mark.parametrize("n, period", [(64, 1), (64, 2), (64, 4), (64, 16), (64, 32),
+                                           (48, 16), (45, 1), (45, 15)])
     def test_block_step_matches_dense_solve(self, eikonal_ham, kernel, n, period):
         j = np.arange(n)
         table = periodized_weights(kernel, n)
@@ -191,6 +192,8 @@ class TestImplicitStep:
             assert np.max(np.abs(scheme.step(u, dt) - expected)) <= 1e-12
             # an M-matrix: the implicit step keeps the comparison principle
             assert np.min(np.linalg.inv(implicit_op)) >= 0.0
+        # the inverses kept at step_dt(): one block per class r <= K / 2
+        assert scheme._inverse[1].shape == (n // period // 2 + 1, period, period)
 
     # (kernel, whether its table admits the implicit step)
     KERNELS = [(constant_kernel(0.5), True), (constant_kernel(1.5), True),
