@@ -1,43 +1,28 @@
 """Stationary problems on the unit cell and the ergodic constant.
 
-Each regime of the kernel order gets its own frozen-coefficient stationary
-operator F:
+Each regime of the kernel order gets its own cell problem:
 
-  * order < 1: first-order only, F(v) = -a l + H(y, p + Dv);
+  * order < 1: first order and one-dimensional, -a l + H(y, p + v') = Hbar,
+    with an exact ergodic constant and corrector (Lions-Papanicolaou-Varadhan
+    1987; Concordel 1996): formula_below_one and corrector_below_one;
   * order = 1: fractional Laplacian of order 1, an upwinded drift from the
     kernel asymmetry, and the gradient coupling;
   * order > 1: the linear problem -a l + a (fractional Laplacian) v + H(y, p).
 
-Below order one the ergodic constant also has a closed form, the
-one-dimensional cell formula of formula_below_one, which fills effective
-tables; the discrete solve below stays for `hjhom cell` and as its oracle.
-
-delta v + F(v) = 0 is solved by Newton's method on the monotone scheme
-itself (semismooth at the Godunov flux's switches).  F is invariant under
-adding constants, so each step solves against the mean-free residual
-r = delta phi + F(phi) - mean(.), with the Jacobian plus the all-ones matrix
-(the ergodic system's border as a rank-one term), and pins phi to mean zero.
-At delta > 0 the border moves the step only by a constant; there delta I
-plus the Jacobian is an M-matrix (F is convex and monotone), and the
-iterates after the first decrease monotonically to the solution.  At
-delta = 0 the step is Newton's for the ergodic pair F(phi) = Hbar,
-mean phi = 0 (Cacace-Camilli, SIAM J. Sci. Comput. 38, 2016), well defined
-at order >= 1, where the nonlocal term couples every node, but not on the
-flat piece below order one, where the upwind Jacobian decouples.  Hbar is
-the midpoint of [min, max] of F(phi): the discrete comparison bracket at
-delta = 0, the vanishing-discount one to within r at delta > 0.
-
-Each discount stops for one of three reasons, recorded with its residual and
-its Newton steps:
+At order >= 1 Newton's method on the monotone scheme itself (semismooth at
+the Godunov flux's switches) solves the ergodic pair F(phi) = Hbar, mean phi
+= 0 (Cacace-Camilli, SIAM J. Sci. Comput. 38, 2016).  Each step solves the
+mean-free residual r = F(phi) - mean(F(phi)) against the Jacobian plus the
+all-ones matrix (the border as a rank-one term), which the nonlocal term
+makes nonsingular (below order one the upwind Jacobian decouples on the
+flat piece), and pins phi to mean zero.  Hbar is the midpoint of [min, max]
+of F(phi), the discrete comparison bracket.  Newton stops for one of three
+reasons, recorded with its residual and its steps:
 
   * tol: max |r| < tol;
   * stagnated: max |r| sits at the rounding floor of its own evaluation,
-    ROUNDOFF_MULTIPLE * eps * (|J|_inf |phi|_inf + |delta phi + F(phi)|_inf),
-    above tol.  The iterate is then the discrete solution to working
-    precision and counts as converged; no further step can lower r.  The
-    floor grows with phi, so the stop counts only while delta |phi|_inf <=
-    2 |F(0)|_inf (vacuous at delta = 0), the comparison principle's bound on
-    the solution's oscillation; a larger iterate raises NumericalFailure;
+    ROUNDOFF_MULTIPLE * eps * (|J|_inf |phi|_inf + |F(phi)|_inf), above tol:
+    converged to working precision, since no further step can lower r;
   * budget: max_steps Newton steps were taken without either; not converged.
 """
 
@@ -46,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -92,7 +77,19 @@ class CellParams:
 class CellConfig:
     n: int = 256
     tol: float = 1e-9
-    max_steps: int = 500          # Newton steps per discount
+    max_steps: int = 500          # Newton steps per solve
+
+
+class NewtonStop(NamedTuple):
+    """How Newton stopped: residual, steps and reason (tol, stagnated or budget)."""
+
+    residual: float
+    steps: int
+    reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.reason != "budget"
 
 
 @dataclass
@@ -100,133 +97,97 @@ class CellSolution:
     psi: GridFunction              # corrector, normalized psi(0) = 0
     H_bar: float
     spread: float
-    residuals: tuple               # (DiscountSolve, ...) per discount
-    converged: bool
-    warm_start: bool = False       # whether the first discount began from `start`
+    stop: NewtonStop
+    warm_start: bool = False       # whether Newton began from `start`
 
 
 @functools.lru_cache(maxsize=1)
 def _cell_table(sigma: float, n: int) -> QuadratureTable:
-    """The constant kernel's table on the n-node cell, kept for the last
-    (sigma, n) asked for: a table fill builds it once for all its nodes.
-    Callers only read it."""
+    """The constant kernel's table on the n-node cell, kept for the last (sigma,
+    n) asked for: a table fill builds it once for all nodes.  Callers only read it."""
     return periodized_weights(constant_kernel(sigma), n)
 
 
+def _cell_a(params: CellParams, ys: np.ndarray) -> np.ndarray:
+    """a at the frozen x on the cell nodes ys, where it must be positive."""
+    a_vals = np.asarray(params.a(np.full(ys.size, params.x), ys), dtype=float)
+    if np.min(a_vals) <= 0.0:
+        raise ValueError("coefficient a must be positive on the cell")
+    return a_vals
+
+
 def _cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
-    """The frozen-coefficient stationary operator of the parameters' regime;
-    Newton reads no theta on its Godunov flux."""
+    """The frozen-coefficient stationary operator at order >= 1; Newton reads
+    no theta on its Godunov flux."""
     n = cfg.n
     ys = np.arange(n) / n
     xs = np.full(n, params.x)
-    a_vals = np.asarray(params.a(xs, ys), dtype=float)
-    if np.min(a_vals) <= 0.0:
-        raise ValueError("coefficient a must be positive on the cell")
-    ham, p, regime = params.ham, params.p, params.regime
-    table = None
-    if regime in ("equal_one", "above_one"):
-        table = _cell_table(params.sigma, n)
+    a_vals = _cell_a(params, ys)
+    table = _cell_table(params.sigma, n)
     const = -a_vals * params.l
-    if regime == "above_one":
-        hp = np.asarray(ham.eval(xs, ys, np.full(n, p)), dtype=float)
+    if params.regime == "above_one":
+        hp = np.asarray(params.ham.eval(xs, ys, np.full(n, params.p)), dtype=float)
         return MonotoneScheme(1.0 / n, table=table, a=a_vals, const=const + hp)
-    return coefficient_scheme(1.0 / n, xs, ys, a_vals, ham, p=p, table=table, const=const,
-                              drift=params.drift_b if regime == "equal_one" else 0.0)
+    return coefficient_scheme(1.0 / n, xs, ys, a_vals, params.ham, p=params.p, table=table,
+                              const=const, drift=params.drift_b)
 
 
-# multiple of eps * (|J| |phi| + |delta phi + F(phi)|) below which the
-# mean-free residual is rounding noise of its own evaluation
+# multiple of eps * (|J| |phi| + |F(phi)|) below which the mean-free
+# residual is rounding noise of its own evaluation
 ROUNDOFF_MULTIPLE = 64.0
 
 
-class DiscountSolve(tuple):
-    """(delta, residual, steps) of one discount, unpacking as that triple,
-    plus `reason`: why Newton stopped (tol, stagnated or budget)."""
-
-    def __new__(cls, delta: float, residual: float, steps: int, reason: str):
-        rec = super().__new__(cls, (delta, residual, steps))
-        rec.reason = reason
-        return rec
-
-    @property
-    def converged(self) -> bool:
-        return self.reason != "budget"
-
-
-def _newton(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
-            cfg: CellConfig, source=0.0) -> tuple:
-    """Mean-pinned Newton for delta phi + F(phi) = source + const, with a
-    mean-free source; (phi, DiscountSolve).  A NumericalFailure it raises
-    carries the steps taken."""
+def _newton(scheme: MonotoneScheme, phi: np.ndarray, cfg: CellConfig) -> tuple:
+    """Mean-pinned Newton for F(phi) = Hbar, mean phi = 0; (phi, NewtonStop).
+    A NumericalFailure it raises carries the steps taken."""
     eps = np.finfo(float).eps
     phi = phi - np.mean(phi)
     steps = 0
     while True:
-        full = delta * phi + scheme.residual(phi) - source
+        full = scheme.residual(phi)
         r = full - np.mean(full)
         nr = float(np.max(np.abs(r)))
         if not math.isfinite(nr):
-            raise NumericalFailure(f"cell Newton produced a non-finite residual at "
-                                   f"delta = {delta:g}, step {steps}", steps)
+            raise NumericalFailure(f"cell Newton produced a non-finite residual at step {steps}",
+                                   steps)
         if nr < cfg.tol:
-            return phi, DiscountSolve(delta, nr, steps, "tol")
-        jac = scheme.jacobian(phi, delta)
+            return phi, NewtonStop(nr, steps, "tol")
+        jac = scheme.jacobian(phi)
         floor = ROUNDOFF_MULTIPLE * eps * (float(np.max(np.sum(np.abs(jac), axis=1)))
                                         * float(np.max(np.abs(phi)))
                                         + float(np.max(np.abs(full))))
         if nr <= floor:
-            # the comparison principle bounds the solution w by max|F(0)| / delta,
-            # so its mean-free part by twice that; a larger iterate blew up
-            size = delta * float(np.max(np.abs(phi)))
-            bound = 2.0 * float(np.max(np.abs(scheme.residual(np.zeros_like(phi)) - source)))
-            if size > bound:
-                raise NumericalFailure(f"cell Newton stagnated at delta = {delta:g}, step "
-                                       f"{steps}, on an iterate with delta max|phi| = "
-                                       f"{size:.6g} > 2 max|F(0)| = {bound:.6g}", steps)
-            return phi, DiscountSolve(delta, nr, steps, "stagnated")
+            return phi, NewtonStop(nr, steps, "stagnated")
         if steps >= cfg.max_steps:
-            return phi, DiscountSolve(delta, nr, steps, "budget")
+            return phi, NewtonStop(nr, steps, "budget")
         jac += 1.0                # the ergodic border, as a rank-one term
         phi = phi - np.linalg.solve(jac, r)
         phi -= np.mean(phi)
         steps += 1
 
 
-def vanishing_discount_sweep(params: CellParams, deltas, cfg: Optional[CellConfig] = None,
-                             start: Optional[np.ndarray] = None) -> CellSolution:
-    """Solve the discounted stationary problem along a decreasing discount list.
-
-    Each discount starts Newton from the previous discount's solution; the
-    first starts from zero, or from `start` when its mean-free residual at
-    that discount is smaller than zero's (so a node that zero solves exactly
-    stays exact).  The last discount may be 0, the ergodic pair itself (see
-    the module docstring).  The ergodic constant estimate is the midpoint of
-    [min, max] of F(phi) at the last discount, max - min its error bar.
-    """
+def solve_ergodic_pair(params: CellParams, cfg: Optional[CellConfig] = None,
+                       start: Optional[np.ndarray] = None) -> CellSolution:
+    """The cell problem at order >= 1 as its ergodic pair (see the module
+    docstring), from zero, or from `start` where its mean-free residual is
+    smaller than zero's (so a node that zero solves exactly stays exact);
+    Hbar is the midpoint of [min, max] of F(phi), max - min its spread."""
     cfg = cfg or CellConfig()
-    deltas = sorted(set(float(d) for d in deltas), reverse=True)
-    if not deltas or not deltas[-1] >= 0.0:
-        raise ValueError("discounts must not be negative")
     scheme = _cell_scheme(params, cfg)
     phi = np.zeros(cfg.n)
     warm = False
     if start is not None:
         start = np.asarray(start, dtype=float) - np.mean(start)
         sups = [np.max(np.abs(full - np.mean(full))) for full in
-                (deltas[0] * v + scheme.residual(v) for v in (start, phi))]
+                (scheme.residual(v) for v in (start, phi))]
         warm = bool(sups[0] < sups[1])
         if warm:
             phi = start
-    residuals = []
-    for d in deltas:
-        phi, rec = _newton(scheme, phi, d, cfg)
-        residuals.append(rec)
+    phi, stop = _newton(scheme, phi, cfg)
     f_phi = scheme.residual(phi)
     lo, hi = float(np.min(f_phi)), float(np.max(f_phi))
     return CellSolution(psi=GridFunction(phi - phi[0]), H_bar=0.5 * (lo + hi),
-                        spread=hi - lo, residuals=tuple(residuals),
-                        converged=all(rec.converged for rec in residuals),
-                        warm_start=warm)
+                        spread=hi - lo, stop=stop, warm_start=warm)
 
 
 def corrector_regularity(psi: GridFunction) -> tuple:
@@ -281,11 +242,45 @@ def formula_below_one(a: Callable, ham: HamiltonianSpec, x, p, l,
     out = np.empty(xf.size)
     for s in range(0, xf.size, rows):
         block = slice(s, s + rows)
-        X = xf[block, None]
-        g = ham.f(X, ys) + a(X, ys) * lf[block, None]
-        b = np.broadcast_to(np.asarray(ham.b(X, ys), dtype=float), g.shape)
+        g, b = _cell_data(a, ham, xf[block, None], ys, lf[block, None])
         out[block] = _ergodic_root(g, b, ham.m, qf[block])
     return out.reshape(x.shape)
+
+
+def _cell_data(a: Callable, ham: HamiltonianSpec, X, ys: np.ndarray, l) -> tuple:
+    """(g, b) of the cell formula, one row per frozen x of the column X, on
+    the cell nodes ys: g = f + a l."""
+    g = ham.f(X, ys) + a(X, ys) * l
+    return g, np.broadcast_to(np.asarray(ham.b(X, ys), dtype=float), g.shape)
+
+
+def corrector_below_one(params: CellParams, n: int) -> np.ndarray:
+    """The corrector below order one at the nodes k / n, k = 0..n, psi(0) =
+    0, of b |p + psi'|^m = Hbar + g (Concordel 1996), from formula_below_one's
+    g, b and Hbar on the n nodes k / n, so that psi(1) = psi(0) to rounding.
+
+    psi' = s w - p on each node interval, w = ((Hbar + g) / b)^(1/m), where s
+    is +1 from the argmin of g and switches once to -1, inside one node (a
+    fractional s there), so that mean(s w) = p: the one downward kink a
+    viscosity solution of a convex H may have.  Off the flat piece mean(w) =
+    |p|, so s = sign p.  Raises ValueError unless a is positive on the cell.
+    """
+    ys = np.arange(n) / n
+    _cell_a(params, ys)
+    g, b = _cell_data(params.a, params.ham, np.array([[params.x]]), ys, params.l)
+    hbar = _ergodic_root(g, b, params.ham.m, np.array([abs(params.p)]))[0]
+    w = ((hbar + g[0]) / b[0]) ** (1.0 / params.ham.m)
+    sweep = (int(np.argmin(g[0])) + np.arange(n)) % n
+    mass = np.cumsum(w[sweep])
+    half = 0.5 * (mass[-1] + params.p * n)      # sum(s w) = p n
+    c = min(int(np.searchsorted(mass, half, side="right")), n - 1)
+    s = np.where(np.arange(n) < c, 1.0, -1.0)
+    wc = w[sweep[c]]
+    if wc > 0.0:
+        s[c] = (2.0 * (half - mass[c]) + wc) / wc
+    slope = np.empty(n)
+    slope[sweep] = s * w[sweep] - params.p
+    return np.concatenate(([0.0], np.cumsum(slope))) / n
 
 
 def _ergodic_root(g: np.ndarray, b: np.ndarray, m: float, q: np.ndarray) -> np.ndarray:

@@ -24,8 +24,9 @@ import sys
 import numpy as np
 
 from . import csvio
-from .cell import (CLOSED_FORM_NODES, CellConfig, CellParams, corrector_regularity,
-                   formula_below_one, vanishing_discount_sweep)
+from .cell import (CLOSED_FORM_NODES, CellConfig, CellParams, NewtonStop,
+                   corrector_below_one, corrector_regularity, formula_below_one,
+                   solve_ergodic_pair)
 from .config import ConfigError, Model, RunConfig, build_model, parse_config
 from .effective import (EffectiveTable, audit_properties, effective_source_from_formula,
                         effective_source_from_table, save_table, tabulate)
@@ -123,34 +124,32 @@ def _cell_config(cfg: RunConfig) -> CellConfig:
     return CellConfig(n=cfg["cell.n"], tol=cfg["cell.tol"], max_steps=cfg["cell.max_steps"])
 
 
-def _unconverged(params: CellParams, sol) -> str:
-    """Name the node and the first discount whose Newton solve ran out of steps."""
-    rec = next(rec for rec in sol.residuals if not rec.converged)
-    d, res, steps = rec
+def _unconverged(params: CellParams, stop: NewtonStop) -> str:
+    """Name the node whose Newton solve ran out of steps, and how it stopped."""
     return (f"cell solve at (x, p, l) = ({params.x:g}, {params.p:g}, {params.l:g}) "
-            f"not converged at delta = {d:g}: residual {res:.3e} after {steps} "
-            f"Newton steps, stopped by {rec.reason}")
+            f"not converged: residual {stop.residual:.3e} after {stop.steps} "
+            f"Newton steps, stopped by {stop.reason}")
 
 
 def cmd_cell(args, cfg: RunConfig, model: Model) -> int:
     params = _cell_params(cfg, model)
-    # zero discount is singular on the flat piece below order one: a ladder there
-    sol = vanishing_discount_sweep(params, cfg["cell.deltas"] if params.sigma < 1.0
-                                   else (0.0,), _cell_config(cfg))
-    reg = corrector_regularity(sol.psi)
+    if params.sigma < 1.0:
+        # exact forms: a table fill's value and err, the corrector on cell.n nodes
+        psi, stop = GridFunction(corrector_below_one(params, cfg["cell.n"])[:-1]), None
+        H_bar, spread = map(float, _formula_fill(model, params.x, params.p, params.l))
+    else:
+        sol = solve_ergodic_pair(params, _cell_config(cfg))
+        psi, H_bar, spread, stop = sol.psi, sol.H_bar, sol.spread, sol.stop
+    reg = corrector_regularity(psi)
     path = _out_path(args, cfg, "cell.csv")
     csvio.emit_csv(path, ["x", "p", "l", "sigma", "H_bar", "spread", "osc", "lip",
                           "flap_sup"],
-                   [(params.x, params.p, params.l, params.sigma, sol.H_bar, sol.spread, *reg)],
+                   [(params.x, params.p, params.l, params.sigma, H_bar, spread, *reg)],
                    cfg.header_lines())
-    print(f"regime {params.regime}: H_bar = {sol.H_bar:.10g} +/- {sol.spread / 2:.3g} "
-          f"(spread {sol.spread:.3g}), corrector osc {reg[0]:.4g}, report -> {path}")
-    if params.sigma < 1.0:
-        exact = float(formula_below_one(model.a, model.ham, params.x, params.p, params.l))
-        print(f"cell formula: H_bar = {exact:.10g}, discrete - formula = "
-              f"{sol.H_bar - exact:.3g} against half spread {sol.spread / 2:.3g}")
-    if not sol.converged:
-        print(_unconverged(params, sol), file=sys.stderr)
+    print(f"regime {params.regime}: H_bar = {H_bar:.10g} +/- {spread / 2:.3g} "
+          f"(spread {spread:.3g}), corrector osc {reg[0]:.4g}, report -> {path}")
+    if stop is not None and not stop.converged:
+        print(_unconverged(params, stop), file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -169,9 +168,9 @@ class FillCount:
 
 
 def _ergodic_fill(cfg: RunConfig, model: Model) -> tuple:
-    """(fill, count): fill(x, p, l) solves the node's ergodic pair at zero
-    discount from the previous node's corrector, or from zero where that has
-    the smaller residual or the previous node failed; a budget stop raises
+    """(fill, count): fill(x, p, l) solves the node's ergodic pair from the
+    previous node's corrector, or from zero where that has the smaller
+    residual or the previous node failed; a budget stop raises
     NumericalFailure naming the node.  count takes a raised solve's steps too."""
     ccfg = _cell_config(cfg)
     base = _cell_params(cfg, model)
@@ -184,14 +183,14 @@ def _ergodic_fill(cfg: RunConfig, model: Model) -> tuple:
         start, last = last, None
         count.nodes += 1
         try:
-            sol = vanishing_discount_sweep(params, (0.0,), ccfg, start=start)
+            sol = solve_ergodic_pair(params, ccfg, start=start)
         except NumericalFailure as exc:
             count.steps += exc.steps
             raise
         count.warm += sol.warm_start
-        count.steps += sol.residuals[0][2]
-        if not sol.converged:
-            raise NumericalFailure(_unconverged(params, sol))
+        count.steps += sol.stop.steps
+        if not sol.stop.converged:
+            raise NumericalFailure(_unconverged(params, sol.stop))
         last = sol.psi.values
         return sol.H_bar, sol.spread, "discount"
 
@@ -202,14 +201,22 @@ def _model_name(cfg: RunConfig) -> str:
     return cfg["hamiltonian.b"] + "|" + cfg["hamiltonian.f"]
 
 
+def _formula_fill(model: Model, x, p, l) -> tuple:
+    """(values, err) below order one, broadcast over x, p, l: the cell
+    formula on CLOSED_FORM_NODES cell nodes, and its gap to half as many."""
+    values = formula_below_one(model.a, model.ham, x, p, l)
+    return values, np.abs(values - formula_below_one(model.a, model.ham, x, p, l,
+                                                     nodes=CLOSED_FORM_NODES // 2))
+
+
 def _build_table(cfg: RunConfig, model: Model) -> EffectiveTable:
     """Off order one a formula fills the whole table in one call.  Below
     order one it is the one-dimensional cell formula, its `err` the gap
     between CLOSED_FORM_NODES and half as many cell nodes; above order one
     the closed form, whose cell means are taken once and which raises
     ValueError, before any table exists, when a is not strictly positive on
-    the table's x nodes.  At order one each node is a zero-discount Newton
-    solve of its ergodic pair."""
+    the table's x nodes.  At order one each node is a Newton solve of its
+    ergodic pair."""
     sigma = cfg["kernel.sigma"]
     xs, ps, ls = (np.asarray(cfg[f"cell.table_{axis}"], dtype=float) for axis in "xpl")
     meta = {"model": _model_name(cfg), "m": str(cfg["hamiltonian.m"])}
@@ -220,9 +227,7 @@ def _build_table(cfg: RunConfig, model: Model) -> EffectiveTable:
         return table
     axes = xs[:, None, None], ps[None, :, None], ls[None, None, :]
     if sigma < 1.0:
-        values = formula_below_one(model.a, model.ham, *axes)
-        err = np.abs(values - formula_below_one(model.a, model.ham, *axes,
-                                                nodes=CLOSED_FORM_NODES // 2))
+        values, err = _formula_fill(model, *axes)
         worst = np.unravel_index(np.argmax(err), err.shape)
         # the integrand's root singularity where -g touches lambda0 makes
         # the quadrature converge slowly near the edge of the flat piece
@@ -284,8 +289,8 @@ def cmd_solve(args, cfg: RunConfig, model: Model) -> int:
         else:
             path = cfg["grid.table_csv"]
             if not path:
-                print("effective solves below order one need grid.table_csv",
-                      file=sys.stderr)
+                print(f"effective solves at kernel.sigma = {model.kernel.sigma:g} <= 1 need "
+                      f"grid.table_csv", file=sys.stderr)
                 return EXIT_AUDIT
             src = effective_source_from_table(_load_table_for(cfg, path))
         scheme = src.scheme(u0.nodes(), table)

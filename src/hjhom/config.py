@@ -47,10 +47,10 @@ SCHEMA = {
         "x": ("float", 0.0),
         "p": ("float", 0.0),
         "l": ("float", 0.0),
-        "deltas": ("floats", _DEFAULT_DELTAS),
+        "deltas": ("floats", _DEFAULT_DELTAS),   # read by no command
         "n": ("int", 256),
         "tol": ("float", 1e-9),
-        "max_steps": ("int", 500),            # Newton steps per discount
+        "max_steps": ("int", 500),            # Newton steps per solve
         "structure_n": ("float", 1.0),        # exponent slot of the threshold formula
         "table_x": ("floats", "0"),
         "table_p": ("floats", "0,0.25,0.5,0.75,1,1.25,1.5,1.75,2"),

@@ -52,8 +52,8 @@ GRADIENT_RISE = 2.0 ** 0.0625
 class NumericalFailure(RuntimeError):
     """A computation with no usable number: a non-finite state or residual,
     an unconverged cell solve, or a query on a failed table node.  `steps`
-    holds the Newton steps a cell solve took at its discount before it
-    raised (0 where no Newton solve raised)."""
+    holds the Newton steps a cell solve took before it raised (0 where no
+    Newton solve raised)."""
 
     def __init__(self, message: str, steps: int = 0):
         super().__init__(message)
@@ -101,15 +101,15 @@ class MonotoneScheme:
     theta(lo, hi), the bound over [lo, hi], for a Lax-Friedrichs flux; as
     built it covers every gradient.  With neither there is no gradient term.
 
-    Explicit steps u - dt (delta u + F(u)) are monotone for dt <= 1 / (budget
-    + delta); step_dt() takes CFL_SAFETY of that at delta = 0.  The scheme is
-    `implicit` when its nonlocal part is -a I_h u with a >= 0 of some period P
-    (see _node_period), no drift, no compensator and nonnegative off-diagonal
-    table coefficients.  Then I - dt diag(a) I_h is a strictly diagonally
-    dominant M-matrix, so its inverse is >= 0, and step() takes that part
-    implicitly at the gradient-only step step_dt().  The operator commutes
-    with a shift by P nodes (one constant a: P = 1), so in Fourier space
-    class r, the modes r + K t (K = n / P, t < P), is one P x P block
+    Explicit steps u - dt F(u) are monotone for dt <= 1 / budget; step_dt()
+    takes CFL_SAFETY of that.  The scheme is `implicit` when its nonlocal
+    part is -a I_h u with a >= 0 of some period P (see _node_period), no
+    drift, no compensator and nonnegative off-diagonal table coefficients.
+    Then I - dt diag(a) I_h is a strictly diagonally dominant M-matrix, so
+    its inverse is >= 0, and step() takes that part implicitly at the
+    gradient-only step step_dt().  The operator commutes with a shift by P
+    nodes (one constant a: P = 1), so in Fourier space class r, the modes
+    r + K t (K = n / P, t < P), is one P x P block
     I - dt Ac diag(lam_{r + K t}), Ac[t, t'] = fft(a[:P])[(t - t') mod P] / P
     and lam the symbol of I_h, the table's spectrum less its mass.  Class
     K - r is the conjugate of class r, so the K/2 + 1 classes r <= K / 2
@@ -268,17 +268,17 @@ class MonotoneScheme:
             return at_zero + coeff * godunov_power_flux(m, ql, qr)
         return self.ham(0.5 * (ql + qr), lv) - 0.5 * self.theta * (qr - ql)
 
-    def jacobian(self, u: np.ndarray, delta: float = 0.0) -> np.ndarray:
-        """Dense n x n derivative of delta u + F(u) at u, for Newton solves.
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        """Dense n x n derivative of F at u, for Newton solves.
 
         The nonlocal value must enter through the coefficient a, as in every
         cell scheme and the closed-form effective scheme, and the flux, if
         any, be Godunov's; it is differentiated on its active one-sided
-        difference.  The rows of F's part sum to zero; with a symmetric kernel
-        every off-diagonal entry is <= 0 as well, so the matrix is an M-matrix,
-        singular only when delta = 0, with the constants as its kernel.  The
-        state-free part, -diag(a) times the quadrature circulant, is built at
-        the first call and copied at every later one.
+        difference.  The rows sum to zero, so the constants are in the
+        kernel.  For the built-in kernel families, the tilts included, every
+        off-diagonal entry is <= 0 as well, so the matrix is a singular
+        M-matrix.  The state-free part, -diag(a) times the quadrature
+        circulant, is built at the first call and copied at every later one.
         """
         if self.ham is not None:
             raise ValueError("jacobian needs the nonlocal value to enter through a")
@@ -301,7 +301,6 @@ class MonotoneScheme:
                 lin_jac = self.minus_a[:, None] * lin
             self._linear_jac = lin_jac
         jac = self._linear_jac.copy()
-        jac[j, j] += delta
         if self.power is None:
             return jac
         dl, dr = one_sided_diffs(u, h)

@@ -2,21 +2,25 @@
 
 Barrier envelopes and the time sup-convolution of the comparison principle,
 the localized split of the nonlocal operator and the two-scale remainder J,
-the corrector regularity ratios, and the least-squares rate fit of a sweep.
-The tests check the paper's lemmas against them; hjhom itself never calls
-them.
+the vanishing-discount ladder of the cell problem in all three regimes, the
+corrector regularity ratios, and the least-squares rate fit of a sweep.
+The tests check the paper's lemmas and hjhom's direct cell solvers against
+them; hjhom itself never calls them.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from hjhom.cell import CellParams, CellSolution, corrector_regularity
+import hjhom.cell
+from hjhom.cell import CellConfig, CellParams, _cell_a, _cell_scheme, corrector_regularity
 from hjhom.grid import GridFunction
 from hjhom.homogenize import SweepReport
 from hjhom.kernels import _GAUSS_NODES, _GAUSS_WEIGHTS, KernelSpec
+from hjhom.parabolic import MonotoneScheme, NumericalFailure, coefficient_scheme
 
 
 # Barrier envelopes and the time sup-convolution (comparison principle).
@@ -315,6 +319,128 @@ def corrector_remainder_J(psi: GridFunction, k: KernelSpec, eps: float,
     return total, err
 
 
+# The vanishing-discount ladder of the cell problem.
+
+
+class DiscountSolve(tuple):
+    """(delta, residual, steps) of one discount, unpacking as that triple,
+    plus `reason`: why Newton stopped (tol, stagnated or budget)."""
+
+    def __new__(cls, delta: float, residual: float, steps: int, reason: str):
+        rec = super().__new__(cls, (delta, residual, steps))
+        rec.reason = reason
+        return rec
+
+    @property
+    def converged(self) -> bool:
+        return self.reason != "budget"
+
+
+@dataclass
+class LadderSolution:
+    psi: GridFunction              # corrector, normalized psi(0) = 0
+    H_bar: float
+    spread: float
+    residuals: tuple               # (DiscountSolve, ...) per discount
+
+    @property
+    def converged(self) -> bool:
+        return all(rec.converged for rec in self.residuals)
+
+
+def cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
+    """The cell operator of the parameters' regime: hjhom's at order >= 1,
+    and below order one the first-order F(v) = -a l + H(y, p + Dv), with no
+    nonlocal term."""
+    if params.sigma >= 1.0:
+        return _cell_scheme(params, cfg)
+    n = cfg.n
+    ys = np.arange(n) / n
+    a_vals = _cell_a(params, ys)
+    return coefficient_scheme(1.0 / n, np.full(n, params.x), ys, a_vals, params.ham,
+                              p=params.p, const=-a_vals * params.l)
+
+
+def discounted_newton(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
+                      cfg: CellConfig, source=0.0) -> tuple:
+    """Mean-pinned Newton for delta phi + F(phi) = source + const, with a
+    mean-free source; (phi, DiscountSolve).
+
+    The step matrix is delta I plus the Jacobian plus the all-ones matrix,
+    as in hjhom's ergodic Newton; at delta > 0 the border moves the step only
+    by a constant, delta I plus the Jacobian is an M-matrix, and the iterates
+    after the first decrease monotonically to the solution.  It stops as
+    hjhom's does (tol, stagnated or budget), with delta phi added to F(phi)
+    in the rounding floor.  The floor grows with phi, so the stagnated stop
+    counts only while delta |phi|_inf <= 2 |F(0) - source|_inf, the
+    comparison principle's bound on the solution's oscillation; a larger
+    iterate raises NumericalFailure.  A NumericalFailure it raises carries
+    the steps taken.
+    """
+    eps = np.finfo(float).eps
+    diag = np.arange(phi.size)
+    phi = phi - np.mean(phi)
+    steps = 0
+    while True:
+        full = delta * phi + scheme.residual(phi) - source
+        r = full - np.mean(full)
+        nr = float(np.max(np.abs(r)))
+        if not math.isfinite(nr):
+            raise NumericalFailure(f"cell Newton produced a non-finite residual at "
+                                   f"delta = {delta:g}, step {steps}", steps)
+        if nr < cfg.tol:
+            return phi, DiscountSolve(delta, nr, steps, "tol")
+        jac = scheme.jacobian(phi)
+        jac[diag, diag] += delta
+        floor = hjhom.cell.ROUNDOFF_MULTIPLE * eps * (
+            float(np.max(np.sum(np.abs(jac), axis=1))) * float(np.max(np.abs(phi)))
+            + float(np.max(np.abs(full))))
+        if nr <= floor:
+            # the comparison principle bounds the solution w by max|F(0)| / delta,
+            # so its mean-free part by twice that; a larger iterate blew up
+            size = delta * float(np.max(np.abs(phi)))
+            bound = 2.0 * float(np.max(np.abs(scheme.residual(np.zeros_like(phi)) - source)))
+            if size > bound:
+                raise NumericalFailure(f"cell Newton stagnated at delta = {delta:g}, step "
+                                       f"{steps}, on an iterate with delta max|phi| = "
+                                       f"{size:.6g} > 2 max|F(0)| = {bound:.6g}", steps)
+            return phi, DiscountSolve(delta, nr, steps, "stagnated")
+        if steps >= cfg.max_steps:
+            return phi, DiscountSolve(delta, nr, steps, "budget")
+        jac += 1.0                # the ergodic border, as a rank-one term
+        phi = phi - np.linalg.solve(jac, r)
+        phi -= np.mean(phi)
+        steps += 1
+
+
+def vanishing_discount_sweep(params: CellParams, deltas,
+                             cfg: Optional[CellConfig] = None) -> LadderSolution:
+    """Solve the discounted cell problem along a decreasing discount list.
+
+    The first discount starts Newton from zero, each later one from the
+    previous discount's solution.  The last discount may be 0, the ergodic
+    pair itself, which is singular on the flat piece below order one.  The
+    ergodic constant estimate is the midpoint of [min, max] of F(phi) at the
+    last discount, max - min its error bar: at delta > 0 the
+    vanishing-discount bracket of -delta phi + mean F(phi) to within the
+    residual, leaving out the discount's own bias, linear in delta.
+    """
+    cfg = cfg or CellConfig()
+    deltas = sorted(set(float(d) for d in deltas), reverse=True)
+    if not deltas or not deltas[-1] >= 0.0:
+        raise ValueError("discounts must not be negative")
+    scheme = cell_scheme(params, cfg)
+    phi = np.zeros(cfg.n)
+    residuals = []
+    for d in deltas:
+        phi, rec = discounted_newton(scheme, phi, d, cfg)
+        residuals.append(rec)
+    f_phi = scheme.residual(phi)
+    lo, hi = float(np.min(f_phi)), float(np.max(f_phi))
+    return LadderSolution(psi=GridFunction(phi - phi[0]), H_bar=0.5 * (lo + hi),
+                          spread=hi - lo, residuals=tuple(residuals))
+
+
 # Regularity of the cell correctors.
 
 
@@ -343,7 +469,7 @@ class RegularityRatios:
     flap: float        # sup |order-1 fractional Laplacian of psi| / (1+|l|+|p|^m)^m
 
 
-def regularity_audit(sol: CellSolution, params: CellParams) -> RegularityRatios:
+def regularity_audit(sol: LadderSolution, params: CellParams) -> RegularityRatios:
     m = params.ham.m
     pl = 1.0 + abs(params.l) + abs(params.p) ** m
     # -delta psi^delta spans [lo, hi] = H_bar -/+ spread / 2 at the smallest

@@ -6,8 +6,9 @@ from typing import Optional
 
 import numpy as np
 
-from hjhom.cell import CellConfig, CellParams, _cell_scheme, _newton
+from hjhom.cell import CellConfig, CellParams
 from hjhom.parabolic import NumericalFailure
+from lemmas import cell_scheme, discounted_newton
 
 # backward Euler steps of one long-time march, whatever its horizon
 LONG_TIME_STEPS = 640
@@ -28,7 +29,7 @@ def long_time_average(params: CellParams, T_max: float,
     the running estimate over the last decade of time.
     """
     cfg = cfg or CellConfig()
-    scheme = _cell_scheme(params, cfg)
+    scheme = cell_scheme(params, cfg)
     dt = T_max / LONG_TIME_STEPS
     v = np.zeros(cfg.n)
     checkpoints = []
@@ -36,7 +37,7 @@ def long_time_average(params: CellParams, T_max: float,
     t = 0.0
     for s in range(LONG_TIME_STEPS):
         mean_v = float(np.mean(v))
-        phi, rec = _newton(scheme, v, 1.0 / dt, cfg, source=(v - mean_v) / dt)
+        phi, rec = discounted_newton(scheme, v, 1.0 / dt, cfg, source=(v - mean_v) / dt)
         if not rec.converged:
             raise NumericalFailure(f"long-time step {s + 1} stopped at residual "
                                    f"{rec[1]:.3g} after {rec[2]} Newton steps")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import WAVY_SWEEP_SIGMA, eikonal_root, formula_fill, trig_poly
-from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
+from hjhom.cell import CellConfig, CellParams
 from hjhom.effective import (EffectiveTable, audit_properties,
                              effective_source_from_formula, tabulate)
 from hjhom.grid import GridFunction
@@ -19,7 +19,7 @@ from hjhom.kernels import (constant_kernel, drift_vector, periodized_weights,
 from hjhom.operators import apply_table, spectral_flap
 from hjhom.parabolic import (ParabolicProblem, SolverConfig, holder_exponent_alpha0,
                              oscillating_scheme, solve)
-from lemmas import corrector_remainder_J, sup_convolution_time
+from lemmas import corrector_remainder_J, sup_convolution_time, vanishing_discount_sweep
 
 EIKONAL = model_bpm("one", "cos_y", 2.0)      # H = |p|^2 - cos(2 pi y)
 UNIT_A = coefficient("one")

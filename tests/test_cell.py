@@ -7,16 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import eikonal_root, traced_peak_mb
 import hjhom.cell
-from hjhom.cell import (CellConfig, CellParams, _cell_scheme, _newton, corrector_regularity,
-                        formula_below_one, regime_of, spectral_cell_above_one,
-                        vanishing_discount_sweep)
+from hjhom.cell import (CellConfig, CellParams, corrector_below_one, corrector_regularity,
+                        formula_below_one, regime_of, solve_ergodic_pair,
+                        spectral_cell_above_one)
 from hjhom.effective import EffectiveTable, audit_properties
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, model_bpm
 from hjhom.kernels import constant_kernel, drift_vector, tilt_kernel
 from hjhom.operators import spectral_flap
 from hjhom.parabolic import CFL_SAFETY, NumericalFailure
-from lemmas import holder_quotients, regularity_audit, regularity_sweep_audit
+from lemmas import (cell_scheme, discounted_newton, holder_quotients, regularity_audit,
+                    regularity_sweep_audit, vanishing_discount_sweep)
 from long_time import long_time_average
 
 FAST = CellConfig(n=128, tol=1e-9)
@@ -37,7 +38,7 @@ def discount_trace(params: CellParams, deltas, cfg: CellConfig) -> list:
 
 def march_oracle(params: CellParams, deltas, n: int, tol: float = 1e-11) -> tuple:
     """(H_bar, spread) by explicit monotone steps to steady state, mean pinned."""
-    scheme = _cell_scheme(params, CellConfig(n=n))
+    scheme = cell_scheme(params, CellConfig(n=n))
     phi = np.zeros(n)
     for d in deltas:
         dt = CFL_SAFETY / (scheme.budget + d)
@@ -135,13 +136,13 @@ class TestEikonalCell:
         monkeypatch.setattr(hjhom.cell, "ROUNDOFF_MULTIPLE", 1e300)
         params = CellParams(x=0.0, p=0.45, l=0.0, sigma=0.5, a=unit_a, ham=eikonal_ham)
         cfg = CellConfig(n=64, tol=0.0)
-        scheme = _cell_scheme(params, cfg)
-        _, rec = _newton(scheme, np.zeros(64), 0.1, cfg)
+        scheme = cell_scheme(params, cfg)
+        _, rec = discounted_newton(scheme, np.zeros(64), 0.1, cfg)
         assert (rec.reason, rec[2]) == ("stagnated", 0)
         blown_up = 1e3 * np.cos(2 * np.pi * np.arange(64) / 64)
         with pytest.raises(NumericalFailure, match=r"stagnated at delta = 0\.1, step 0, "
                                                    r".* = 100 > 2 max\|F\(0\)\| = 2\.4"):
-            _newton(scheme, blown_up, 0.1, cfg)
+            discounted_newton(scheme, blown_up, 0.1, cfg)
 
     @pytest.mark.parametrize("p", [0.0, 0.45, 1.2, 2.0])
     def test_fine_grid_small_discount(self, p, eikonal_ham, unit_a):
@@ -207,6 +208,51 @@ class TestFormulaBelowOne:
         # 1,024 queries on 2,048 nodes peaked near 113 MB in one block
         P, L = np.meshgrid(np.linspace(-5.0, 5.0, 32), np.linspace(-3.0, 3.0, 32))
         assert traced_peak_mb(lambda: formula_below_one(WAVY, eikonal_ham, 0.0, P, L)) < 4.0
+
+
+class TestCorrectorBelowOne:
+    """hjhom cell's corrector below order one, a cumulative sum of the cell
+    formula's slopes on the cell nodes."""
+
+    @pytest.mark.parametrize("a_name", ["one", "two_plus_cos_y"])
+    @pytest.mark.parametrize("p", [0.0, 0.45, -0.45, 1.2])
+    def test_closes_and_matches_the_ladder(self, eikonal_ham, a_name, p):
+        # the mean-free sup gap to the ladder's corrector at discounts down to
+        # 1e-3 is first order in the cell step: it halves from n = 128 to 256
+        for l in (0.0, 0.5):
+            params = CellParams(x=0.0, p=p, l=l, sigma=0.5, a=coefficient(a_name),
+                                ham=eikonal_ham)
+            gaps = []
+            for n in (128, 256):
+                psi = corrector_below_one(params, n)
+                assert psi.size == n + 1 and psi[0] == 0.0
+                assert abs(psi[-1] - psi[0]) <= 1e-12
+                ladder = vanishing_discount_sweep(params, (0.1, 0.01, 0.001),
+                                                  CellConfig(n=n)).psi.values
+                gaps.append(np.max(np.abs((psi[:-1] - np.mean(psi[:-1]))
+                                          - (ladder - np.mean(ladder)))))
+            assert gaps[0] <= 1.2e-2 and gaps[0] >= 1.8 * gaps[1]
+
+    @pytest.mark.parametrize("p, switches", [(0.45, 1), (-0.6, 1), (1.2, 0), (-2.0, 0)])
+    def test_solves_the_cell_problem_off_the_switch(self, p, switches):
+        # b |p + psi'|^m - g is the formula's Hbar on those nodes on every node
+        # interval but the one where s switches inside the flat piece, |p| <= 0.69
+        n, l = 64, 0.3
+        ham = model_bpm("two_plus_cos_y", "cos_y", 2.0)
+        params = CellParams(x=0.0, p=p, l=l, sigma=0.5, a=WAVY, ham=ham)
+        ys = np.arange(n) / n
+        q = p + np.diff(corrector_below_one(params, n)) * n
+        hbar = float(formula_below_one(WAVY, ham, 0.0, p, l, nodes=n))
+        gap = ham.b(0.0, ys) * np.abs(q) ** 2 - ham.f(0.0, ys) - WAVY(0.0, ys) * l - hbar
+        assert np.count_nonzero(np.abs(gap) > 1e-9) == switches
+
+    @pytest.mark.parametrize("p", [0.0, 0.7])
+    def test_slow_data_give_a_zero_corrector(self, p):
+        # y-independent data: w is constant, and zero where the flat piece
+        # is the one point p = 0
+        params = CellParams(x=0.0, p=p, l=0.4, sigma=0.5, a=coefficient("constant:1.5"),
+                            ham=model_bpm("constant:2.0", "constant:0.3", 2.0))
+        assert np.max(np.abs(corrector_below_one(params, 64))) <= 1e-12
 
 
 class TestFractionalCell:
@@ -279,10 +325,10 @@ class TestErgodicPair:
         for p, l in ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)):
             params = CellParams(x=0.0, p=p, l=l, sigma=1.0, a=wavy_a, ham=eikonal_ham,
                                 drift_b=b)
-            sol = vanishing_discount_sweep(params, (0.0,), FAST)
+            sol = solve_ergodic_pair(params, FAST)
             coarse, fine = (vanishing_discount_sweep(params, deltas, FAST).H_bar
                             for deltas in ((0.1, 0.01, 1e-3), (0.1, 0.01, 1e-3, 5e-4)))
-            assert sol.converged and sol.spread <= 2.0 * FAST.tol
+            assert sol.stop.converged and sol.spread <= 2.0 * FAST.tol
             assert abs(sol.H_bar - (2.0 * fine - coarse)) <= 1e-8
             assert abs(sol.H_bar - coarse) > 1e-5
 
@@ -291,7 +337,7 @@ class TestErgodicPair:
         # mean F(phi) to within the mean-free residual
         params = CellParams(x=0.0, p=0.5, l=0.3, sigma=0.5, a=wavy_a, ham=eikonal_ham)
         sol = vanishing_discount_sweep(params, DELTAS, FAST)
-        scheme = _cell_scheme(params, FAST)
+        scheme = cell_scheme(params, FAST)
         phi = sol.psi.values - np.mean(sol.psi.values)
         scaled = -DELTAS[-1] * phi + np.mean(scheme.residual(phi))
         assert abs(sol.H_bar - 0.5 * (scaled.min() + scaled.max())) <= FAST.tol
@@ -299,7 +345,7 @@ class TestErgodicPair:
 
     def test_flat_piece_below_order_one_is_singular(self, eikonal_ham, unit_a):
         # below order one the upwind Jacobian decouples on the flat piece, so
-        # hjhom cell walks the ladder there
+        # hjhom cell takes the exact forms there
         params = CellParams(x=0.0, p=0.0, l=0.0, sigma=0.5, a=unit_a, ham=eikonal_ham)
         with pytest.raises(np.linalg.LinAlgError):
             vanishing_discount_sweep(params, (0.0,), FAST)
@@ -311,31 +357,30 @@ class TestErgodicPair:
 
 
 class TestContinuationStart:
-    DELTA_MIN = (0.0125,)
+    """The ergodic solve's `start`, which the order-one table fill passes."""
 
     def test_start_ignored_when_zero_has_the_smaller_residual(self, eikonal_ham, wavy_a):
         # at l = -1, a = 2 + cos(2 pi y) cancels -cos(2 pi y): zero is exact
         exact = CellParams(x=0.0, p=0.5, l=-1.0, sigma=1.0, a=wavy_a, ham=eikonal_ham)
-        other = vanishing_discount_sweep(replace(exact, l=1.0), self.DELTA_MIN, FAST)
-        cold = vanishing_discount_sweep(exact, self.DELTA_MIN, FAST)
-        warm = vanishing_discount_sweep(exact, self.DELTA_MIN, FAST, start=other.psi.values)
-        assert other.residuals[0][2] > 0
+        other = solve_ergodic_pair(replace(exact, l=1.0), FAST)
+        cold = solve_ergodic_pair(exact, FAST)
+        warm = solve_ergodic_pair(exact, FAST, start=other.psi.values)
+        assert other.stop.steps > 0
         assert not warm.warm_start
-        assert cold.residuals[0][2] == 0
-        assert tuple(warm.residuals) == tuple(cold.residuals)
+        assert cold.stop.steps == 0
+        assert warm.stop == cold.stop
         assert warm.H_bar == cold.H_bar
         assert abs(cold.H_bar - 2.25) <= 1e-12
         assert np.array_equal(warm.psi.values, cold.psi.values)
 
     def test_start_taken_when_its_residual_is_smaller(self, eikonal_ham, wavy_a):
-        params = CellParams(x=0.0, p=0.5, l=0.0, sigma=0.5, a=wavy_a, ham=eikonal_ham)
-        cold = vanishing_discount_sweep(params, self.DELTA_MIN, FAST)
+        params = CellParams(x=0.0, p=0.5, l=0.0, sigma=1.0, a=wavy_a, ham=eikonal_ham)
+        cold = solve_ergodic_pair(params, FAST)
         # a constant shift of the solution is the solution: Newton pins the mean
-        warm = vanishing_discount_sweep(params, self.DELTA_MIN, FAST,
-                                        start=cold.psi.values + 3.0)
-        assert cold.residuals[0][2] > 0 and not cold.warm_start
+        warm = solve_ergodic_pair(params, FAST, start=cold.psi.values + 3.0)
+        assert cold.stop.steps > 0 and not cold.warm_start
         assert warm.warm_start
-        assert warm.residuals[0][2] == 0
+        assert warm.stop.steps == 0
         assert abs(warm.H_bar - cold.H_bar) <= FAST.tol
 
 

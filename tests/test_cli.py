@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hjhom
-from hjhom.cell import vanishing_discount_sweep
+from hjhom.cell import corrector_below_one, solve_ergodic_pair
 from hjhom.cli import _cell_config, _cell_params, _ergodic_fill, main
 from hjhom.config import (SCHEMA, ConfigError, build_model, defaults, parse_config,
                           parse_text)
 from hjhom.kernels import normalizing_constant
+from lemmas import vanishing_discount_sweep
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -368,9 +369,9 @@ class TestCommands:
                 if not l.startswith("#")]
         osc, lip, flap_sup = (float(v) for v in rows[1].split(",")[6:])
         cfg = parse_config(path)
-        deltas = cfg["cell.deltas"] if sigma == "0.5" else (0.0,)
-        psi = vanishing_discount_sweep(_cell_params(cfg, build_model(cfg)), deltas,
-                                       _cell_config(cfg)).psi.values
+        params = _cell_params(cfg, build_model(cfg))
+        psi = (corrector_below_one(params, cfg["cell.n"])[:-1] if sigma == "0.5"
+               else solve_ergodic_pair(params, _cell_config(cfg)).psi.values)
         n = psi.size
         assert osc == np.ptp(psi) > 0.0
         assert lip == np.max(np.abs(np.append(psi[1:], psi[:1]) - psi) * n)
@@ -387,38 +388,64 @@ class TestCommands:
         assert "invalid input" not in capsys.readouterr().err
 
     def test_cell_command_reports_unreached_steady_state(self, tmp_path, capsys):
+        # only order >= 1 takes Newton steps; below it the cell is exact
         path = write(tmp_path, "\n".join([
-            "kernel.sigma = 0.5", "coefficient_a.kind = constant:1",
-            "cell.n = 64", "cell.deltas = 0.1,0.05", "cell.max_steps = 1",
+            "kernel.sigma = 1", "coefficient_a.kind = constant:1",
+            "cell.n = 64", "cell.max_steps = 1",
         ]) + "\n")
         assert main(["cell", "--config", path, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert "residual" in err
-        assert "(x, p, l) = (0, 0, 0)" in err and "delta = 0.1:" in err
-        assert "after 1 Newton steps, stopped by budget" in err
+        assert re.search(r"cell solve at \(x, p, l\) = \(0, 0, 0\) not converged: "
+                         r"residual \S+ after 1 Newton steps, stopped by budget\n", err)
 
-    def test_cell_command_below_order_one_prints_the_formula(self, tmp_path, capsys):
+    def test_cell_command_below_order_one_prints_the_formula(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # H_bar is the cell formula's, and no Newton solve runs
+        import hjhom.cli
         from hjhom.cell import formula_below_one
         from hjhom.hamiltonians import coefficient, model_bpm
+        monkeypatch.setattr(hjhom.cli, "solve_ergodic_pair",
+                            lambda *args, **kw: pytest.fail("a Newton solve ran"))
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 0.5", "hamiltonian.b = two_plus_cos_y", "cell.n = 64",
             "cell.p = 1.5", "cell.l = 0.5", "cell.deltas = 0.1,0.01,0.001",
         ]) + "\n")
         assert main(["cell", "--config", path, "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        h_bar, half = (float(v) for v in re.search(
-            r"H_bar = (\S+) \+/- (\S+) \(spread", out).groups())
-        exact, gap, shown_half = (float(v) for v in re.search(
-            r"cell formula: H_bar = (\S+), discrete - formula = (\S+) against half "
-            r"spread (\S+)\n", out).groups())
+        out = capsys.readouterr().out.splitlines()
         want = float(formula_below_one(coefficient("two_plus_cos_y"),
                                        model_bpm("two_plus_cos_y", "cos_y", 2.0), 0.0, 1.5, 0.5))
-        assert exact == pytest.approx(want, rel=1e-9)
-        assert gap == pytest.approx(h_bar - exact, abs=1e-9) and shown_half == half
+        assert len(out) == 1 and out[0].startswith(f"regime below_one: H_bar = {want:.10g} +/- ")
         # one header plus one data row, as at every order
         rows = [l for l in (tmp_path / "run_cell.csv").read_text().splitlines()
                 if not l.startswith("#")]
         assert rows[0] == "x,p,l,sigma,H_bar,spread,osc,lip,flap_sup" and len(rows) == 2
+
+    @pytest.mark.parametrize("p, l", [(0.45, 0.0), (1.2, 0.5), (-2.0, -1.0)])
+    def test_cell_below_order_one_is_the_table_fill_value(self, tmp_path, p, l):
+        # hjhom cell writes the H_bar and err that hjhom effective stores for
+        # the same node, bit for bit
+        lines = ["kernel.sigma = 0.5", "hamiltonian.b = two_plus_cos_y", "cell.n = 64",
+                 "cell.x = 0.25", f"cell.p = {p}", f"cell.l = {l}", "cell.table_x = 0.25",
+                 f"cell.table_p = {p}", f"cell.table_l = {l}"]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        rows = {}
+        for command in ("cell", "effective"):
+            assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
+            body = [line.split(",") for line in (tmp_path / f"run_{command}.csv")
+                    .read_text().splitlines() if not line.startswith("#")]
+            rows[command] = dict(zip(body[0], body[1]))
+        assert rows["cell"]["H_bar"] == rows["effective"]["H_bar"]
+        assert rows["cell"]["spread"] == rows["effective"]["err"]
+
+    @pytest.mark.parametrize("sigma", ["0.5", "1"])
+    def test_effective_solve_without_a_table_names_the_key(self, tmp_path, capsys, sigma):
+        path = write(tmp_path, "\n".join([
+            f"kernel.sigma = {sigma}", "coefficient_a.kind = constant:1",
+            "grid.kind = effective", "grid.n = 64", "grid.T = 0.05"]) + "\n")
+        capsys.readouterr()
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"effective solves at kernel.sigma = {sigma} <= 1 need grid.table_csv"]
 
     def test_effective_below_order_one_fills_from_the_formula(self, tmp_path, capsys,
                                                               monkeypatch):
@@ -426,7 +453,7 @@ class TestCommands:
         from hjhom.cell import CLOSED_FORM_NODES, formula_below_one
         from hjhom.effective import load_table
         from hjhom.hamiltonians import coefficient, model_bpm
-        monkeypatch.setattr(hjhom.cli, "vanishing_discount_sweep",
+        monkeypatch.setattr(hjhom.cli, "solve_ergodic_pair",
                             lambda *args, **kw: pytest.fail("a cell solve ran"))
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 0.5", "coefficient_a.kind = two_plus_cos_y",
@@ -799,8 +826,8 @@ class TestCommands:
         assert "fill: 4 nodes, 4 Newton steps, 0 warm-started" in out.splitlines()
         err = err.splitlines()
         assert err[0] == "some nodes failed to converge (marked 'failed'):"
-        assert [re.match(r"  cell solve at \(x, p, l\) = \(0, (\d), (\d)\) not converged "
-                         r"at delta = 0: .* after 1 Newton steps, stopped by budget$",
+        assert [re.match(r"  cell solve at \(x, p, l\) = \(0, (\d), (\d)\) not converged: "
+                         r"residual .* after 1 Newton steps, stopped by budget$",
                          line).groups() for line in err[1:]] == [
             ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
         from hjhom.effective import load_table
@@ -815,9 +842,8 @@ class TestCommands:
         from hjhom.effective import ClosedForm
         from hjhom.hamiltonians import coefficient, model_bpm
         sols = []
-        monkeypatch.setattr(hjhom.cli, "vanishing_discount_sweep",
-                            lambda *args: sols.append(vanishing_discount_sweep(*args))
-                            or sols[-1])
+        monkeypatch.setattr(hjhom.cli, "solve_ergodic_pair",
+                            lambda *args: sols.append(solve_ergodic_pair(*args)) or sols[-1])
         path = write(tmp_path, f"kernel.sigma = {sigma}\ncell.p = 0.7\ncell.l = 0.3\n")
         assert main(["cell", "--config", path, "--out", str(tmp_path)]) == 0
         rows = [l for l in (tmp_path / "run_cell.csv").read_text().splitlines()
@@ -826,9 +852,9 @@ class TestCommands:
         exact = float(ClosedForm(coefficient("two_plus_cos_y"),
                                  model_bpm("one", "cos_y", 2.0)).value(0.0, 0.7, 0.3))
         assert abs(h_bar - exact) <= 1e-10 and spread <= 1e-10
-        assert [tuple(rec)[::2] for rec in sols[0].residuals] == [(0.0, 1)]
+        assert len(sols) == 1 and sols[0].stop.steps == 1
 
-    @pytest.mark.parametrize("sigma", ["1", "1.5"])
+    @pytest.mark.parametrize("sigma", ["0.5", "1", "1.5"])
     @pytest.mark.parametrize("command", ["cell", "effective"])
     def test_cell_deltas_unread_at_and_above_order_one(self, tmp_path, sigma, command):
         # two runs apart only in cell.deltas write the same data rows; the
@@ -935,14 +961,13 @@ class TestContinuationFill:
             "kernel.sigma = 1", "coefficient_a.kind = two_plus_cos_y", "cell.n = 64"])
         fill(0.0, 0.0, 0.0)
         assert count.steps == 4
-        with pytest.raises(NumericalFailure, match=r"non-finite residual at delta = 0, "
-                                                   r"step 2$"):
+        with pytest.raises(NumericalFailure, match=r"non-finite residual at step 2$"):
             fill(0.0, 0.5, 0.0)
         value = fill(0.0, 1.0, 0.0)[0]
         assert (count.nodes, count.warm) == (3, 0)
         assert count.steps == len(solves)
         params = dataclasses.replace(_cell_params(cfg, model), p=1.0, l=0.0)
-        assert value == vanishing_discount_sweep(params, (0.0,), _cell_config(cfg)).H_bar
+        assert value == solve_ergodic_pair(params, _cell_config(cfg)).H_bar
 
     def test_order_one_fill_takes_no_regularity(self, tmp_path, monkeypatch):
         # the corrector's osc, lip and flap_sup are hjhom cell's alone: a

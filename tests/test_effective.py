@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import formula_fill, traced_peak_mb
-from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
+from hjhom.cell import CellConfig, CellParams
 from hjhom.effective import (_BLOCK_ROWS, CLOSED_FORM_NODES, ClosedForm, EffectiveTable,
                              TableCells, _weighted,
                              audit_properties, effective_source_from_formula,
@@ -18,6 +18,7 @@ from hjhom.hamiltonians import HamiltonianSpec, coefficient, model_bpm
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
 from hjhom.parabolic import (MonotoneScheme, NumericalFailure, ParabolicProblem,
                              SolverConfig, coefficient_scheme, solve)
+from lemmas import vanishing_discount_sweep
 
 WAVY = coefficient("two_plus_cos_y")
 # positive and slow-variable dependent, unlike every built-in positive coefficient

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
+from hjhom.cell import CellConfig, CellParams
 from hjhom.effective import (effective_source_from_formula, effective_source_from_table,
                              tabulate)
 from hjhom.grid import GridFunction
@@ -12,7 +12,7 @@ from hjhom import homogenize
 from hjhom.kernels import constant_kernel
 from hjhom.hamiltonians import growth_bound
 from hjhom.parabolic import NumericalFailure, initial_layer_modulus
-from lemmas import barrier_bounds, convergence_rates
+from lemmas import barrier_bounds, convergence_rates, vanishing_discount_sweep
 
 
 def _dummy_report(eps, errors):

@@ -8,7 +8,9 @@ outside that set is reached only from the tests; such code belongs beside
 them, in tests/lemmas.py.
 
 The same holds one level down: every method, property and dataclass or
-NamedTuple field of a class is one some src/hjhom expression reads.
+NamedTuple field of a class is one some src/hjhom expression reads.  And
+every configuration key of config.SCHEMA is one that some src/hjhom
+expression outside config._validate names, bar the keys of SCHEMA_UNREAD.
 """
 
 import ast
@@ -17,6 +19,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hjhom"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# configuration keys that no command reads, each with why it stays
+SCHEMA_UNREAD = {
+    "cell.deltas": "the benchmark's cell workloads (perfbench/workloads.py) set it, "
+                   "and an unknown key fails a configuration",
+}
 
 
 def _imports(tree: ast.Module) -> tuple:
@@ -131,6 +138,35 @@ def unread_members(src: Path) -> list:
     return sorted(out)
 
 
+def unread_keys(src: Path) -> list:
+    """`section.key` of every config.SCHEMA key of the package at src that no
+    expression outside config._validate names, sorted.  A key is named by a
+    string constant equal to it, or by an f-string whose literal prefix,
+    section and dot included, it starts with (`f"cell.table_{axis}"` names
+    cell.table_x, cell.table_p and cell.table_l)."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    schema = next(node.value for node in trees["config"].body
+                  if isinstance(node, ast.Assign) and any(
+                      isinstance(t, ast.Name) and t.id == "SCHEMA" for t in node.targets))
+    keys = [f"{section.value}.{key.value}" for section, body in zip(schema.keys, schema.values)
+            for key in body.keys]
+    skip = {id(node) for node in ast.walk(trees["config"])
+            if isinstance(node, ast.FunctionDef) and node.name == "_validate"}
+    names, prefixes, todo = set(), set(), list(trees.values())
+    while todo:
+        node = todo.pop()
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        elif isinstance(node, ast.JoinedStr) and node.values and isinstance(
+                node.values[0], ast.Constant) and "." in node.values[0].value:
+            prefixes.add(node.values[0].value)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(k for k in keys
+                  if k not in names and not any(k.startswith(p) for p in prefixes))
+
+
 def _copy_of_src(tmp_path) -> Path:
     for path in SRC.glob("*.py"):
         shutil.copy(path, tmp_path / path.name)
@@ -145,6 +181,35 @@ def test_every_top_level_name_is_run_by_the_program():
 def test_every_class_member_is_read_by_the_program():
     unread = unread_members(SRC)
     assert not unread, "members no src/ expression reads: " + ", ".join(unread)
+
+
+def test_every_schema_key_is_read_by_the_program():
+    unread = unread_keys(SRC)
+    stray = sorted(set(unread) - set(SCHEMA_UNREAD))
+    assert not stray, "configuration keys no src/ expression reads: " + ", ".join(stray)
+    # the allow-list cannot go stale: each of its keys really is unread
+    read = sorted(set(SCHEMA_UNREAD) - set(unread))
+    assert not read, "allowed as unread, but read: " + ", ".join(read)
+
+
+def test_guard_names_an_unread_key(tmp_path):
+    # the same package with one more key that only validation names, and
+    # with the one f-string that reads the table axes spelled out
+    src = _copy_of_src(tmp_path)
+    config, cli = src / "config.py", src / "cli.py"
+    text = config.read_text()
+    entry = '        "tol": ("float", 1e-9),\n'
+    check = "def _validate(cfg: RunConfig) -> list:\n    errors = []\n"
+    assert text.count(entry) == 1 and text.count(check) == 1
+    config.write_text(text.replace(entry, entry + '        "orphan": ("int", 0),\n')
+                      .replace(check, check + '    errors += [] if cfg["cell.orphan"] else []\n'))
+    assert unread_keys(src) == ["cell.deltas", "cell.orphan"]
+    text = cli.read_text()
+    axes = 'cfg[f"cell.table_{axis}"]'
+    assert text.count(axes) == 1
+    cli.write_text(text.replace(axes, 'cfg["cell.table_" + axis]'))
+    assert unread_keys(src) == ["cell.deltas", "cell.orphan", "cell.table_l", "cell.table_p",
+                                "cell.table_x"]
 
 
 def test_guard_names_a_test_only_function(tmp_path):

@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import trig_poly
-from hjhom.cell import CellConfig, CellParams, vanishing_discount_sweep
+from hjhom.cell import CellConfig, CellParams
 from hjhom.effective import (EffectiveTable, effective_source_from_formula,
                              effective_source_from_table, tabulate)
 from hjhom.grid import GridFunction, forward_diff
 from hjhom.hamiltonians import (HamiltonianSpec, coefficient, coercive_reach, growth_bound,
                                 model_bpm)
-from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
+from hjhom.kernels import (constant_kernel, drift_vector, periodized_weights,
+                           quadratic_tilt_kernel, tilt_kernel)
 from hjhom.operators import apply_table
 from hjhom.parabolic import (CFL_SAFETY, GRADIENT_RISE, MonotoneScheme, ParabolicProblem,
                              SolverConfig, coefficient_scheme, holder_exponent_alpha0,
                              initial_layer_modulus, oscillating_scheme, solve)
-from lemmas import barrier_bounds, sampled_modulus, sup_convolution_time
+from lemmas import (barrier_bounds, sampled_modulus, sup_convolution_time,
+                    vanishing_discount_sweep)
 
 
 def _oscillating(u0, ham, a, sigma, eps, T, kernel=None):
@@ -410,24 +412,31 @@ class TestJacobian:
         pytest.param(constant_kernel(1.0), -0.3, False, id="kernel2--0.3-godunov"),
         pytest.param(tilt_kernel(1.2, 0.5), 0.0, False, id="kernel3-0.0-godunov"),
         pytest.param(constant_kernel(1.5), 0.0, True, id="closed_form-godunov"),
+        # order one with the kernel's own drift (None: drift_vector's)
+        pytest.param(tilt_kernel(1.0, 0.5), None, False, id="tilt1-drift-godunov"),
+        pytest.param(quadratic_tilt_kernel(1.0, 0.5), None, False,
+                     id="quadratic_tilt1-drift-godunov"),
     ])
     def test_matches_finite_differences(self, kernel, drift, closed_form, eikonal_ham):
+        if drift is None:
+            drift = drift_vector(kernel, tol=1e-8).b
         scheme = self._scheme(eikonal_ham, kernel, drift, closed_form)
         u = 0.3 * trig_poly(5, self.N).values
-        delta, e = 0.05, 1e-6
-        jac = scheme.jacobian(u, delta)
+        e = 1e-6
+        jac = scheme.jacobian(u)
         fd = np.empty_like(jac)
         for k in range(self.N):
             up, dn = u.copy(), u.copy()
             up[k] += e
             dn[k] -= e
-            fd[:, k] = (delta * (up - dn) + scheme.residual(up) - scheme.residual(dn)) / (2 * e)
+            fd[:, k] = (scheme.residual(up) - scheme.residual(dn)) / (2 * e)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
-        # rows of F's part sum to zero: constants are annihilated
-        assert np.max(np.abs(jac.sum(axis=1) - delta)) <= 1e-9 * np.max(np.abs(jac))
-        if kernel.symmetric:
-            off = jac - np.diag(np.diag(jac))
-            assert np.max(off) <= 0.0      # M-matrix sign pattern
+        # rows sum to zero: constants are annihilated
+        assert np.max(np.abs(jac.sum(axis=1))) <= 1e-9 * np.max(np.abs(jac))
+        # the M-matrix sign pattern, asymmetric kernels' compensator and drift
+        # included: what makes the order-one spread a comparison bracket
+        off = jac - np.diag(np.diag(jac))
+        assert np.max(off) <= 0.0
 
     @pytest.mark.parametrize("kernel, drift, closed_form", [
         pytest.param(constant_kernel(1.0), 0.3, False, id="drift"),
@@ -436,15 +445,15 @@ class TestJacobian:
     ])
     def test_cached_linear_part_is_bit_identical(self, kernel, drift, closed_form,
                                                   eikonal_ham):
-        # the state-free part is built once; later calls, at other states and
-        # discounts, equal a fresh scheme's first call bit for bit
+        # the state-free part is built once; later calls, at other states,
+        # equal a fresh scheme's first call bit for bit
         u = 0.3 * trig_poly(5, self.N).values
         scheme = self._scheme(eikonal_ham, kernel, drift, closed_form)
-        first = scheme.jacobian(u, 0.05)
+        first = scheme.jacobian(u)
         first[:] = np.nan          # the caller's copy, not the cache
-        for state, delta in ((u, 0.05), (1.7 * u, 0.01), (np.zeros(self.N), 0.0)):
+        for state in (u, 1.7 * u, np.zeros(self.N)):
             fresh = self._scheme(eikonal_ham, kernel, drift, closed_form)
-            assert scheme.jacobian(state, delta).tobytes() == fresh.jacobian(state, delta).tobytes()
+            assert scheme.jacobian(state).tobytes() == fresh.jacobian(state).tobytes()
 
     def test_effective_sources_are_rejected(self):
         from hjhom.effective import EffectiveSource
