@@ -48,6 +48,16 @@ from .parabolic import MonotoneScheme, NumericalFailure, coefficient_scheme
 CLOSED_FORM_NODES = 2048
 
 
+def require_positive_a(a_vals: np.ndarray, X: np.ndarray, ys: np.ndarray, rule: str) -> None:
+    """Raise ValueError "coefficient a must be <rule>: ...", naming the least
+    value and its (x, y), unless a_vals, a at the x of each row of the column
+    X and at the cell nodes ys, is positive."""
+    if not np.all(a_vals > 0.0):
+        i, j = np.unravel_index(np.argmin(a_vals), a_vals.shape)
+        raise ValueError(f"coefficient a must be {rule}: a(x, y) = {a_vals[i, j]:.6g} at "
+                         f"(x, y) = ({X[i, 0]:.6g}, {ys[j]:.6g})")
+
+
 def regime_of(sigma: float) -> str:
     if sigma < 1.0:
         return "below_one"
@@ -111,8 +121,7 @@ def _cell_table(sigma: float, n: int) -> QuadratureTable:
 def _cell_a(params: CellParams, ys: np.ndarray) -> np.ndarray:
     """a at the frozen x on the cell nodes ys, where it must be positive."""
     a_vals = np.asarray(params.a(np.full(ys.size, params.x), ys), dtype=float)
-    if np.min(a_vals) <= 0.0:
-        raise ValueError("coefficient a must be positive on the cell")
+    require_positive_a(a_vals[None], np.array([[params.x]]), ys, "positive on the cell")
     return a_vals
 
 
@@ -249,8 +258,11 @@ def formula_below_one(a: Callable, ham: HamiltonianSpec, x, p, l,
 
 def _cell_data(a: Callable, ham: HamiltonianSpec, X, ys: np.ndarray, l) -> tuple:
     """(g, b) of the cell formula, one row per frozen x of the column X, on
-    the cell nodes ys: g = f + a l."""
-    g = ham.f(X, ys) + a(X, ys) * l
+    the cell nodes ys: g = f + a l.  Raises ValueError, naming the node,
+    where a is not positive."""
+    a_vals = np.asarray(a(X, ys), dtype=float)
+    require_positive_a(np.broadcast_to(a_vals, (X.size, ys.size)), X, ys, "positive on the cell")
+    g = ham.f(X, ys) + a_vals * l
     return g, np.broadcast_to(np.asarray(ham.b(X, ys), dtype=float), g.shape)
 
 
@@ -266,7 +278,6 @@ def corrector_below_one(params: CellParams, n: int) -> np.ndarray:
     |p|, so s = sign p.  Raises ValueError unless a is positive on the cell.
     """
     ys = np.arange(n) / n
-    _cell_a(params, ys)
     g, b = _cell_data(params.a, params.ham, np.array([[params.x]]), ys, params.l)
     hbar = _ergodic_root(g, b, params.ham.m, np.array([abs(params.p)]))[0]
     w = ((hbar + g[0]) / b[0]) ** (1.0 / params.ham.m)

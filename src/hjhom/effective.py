@@ -21,7 +21,8 @@ p, and finite continuity constants.
 Two sources serve Hbar to the time stepper, each building its own scheme:
 ClosedForm, the pair (a, H) whose cell means are taken afresh at every call,
 and EffectiveSource, a table's queries, which raise NumericalFailure naming
-the query and the failed node a query draws on.  Neither keeps state.
+the query and the failed node it draws on.  ClosedForm keeps no state; the
+table source keeps each node's cell, and nothing that changes a value.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import csvio
-from .cell import CLOSED_FORM_NODES, spectral_cell_above_one
+from .cell import CLOSED_FORM_NODES, require_positive_a, spectral_cell_above_one
 from .grid import GridFunction
 from .hamiltonians import HamiltonianSpec
 from .kernels import BLOCK_VALUES, QuadratureTable
@@ -63,18 +64,12 @@ class ClosedForm:
         where a is not strictly positive."""
         x = np.asarray(x, dtype=float)
         ys = np.arange(CLOSED_FORM_NODES) / CLOSED_FORM_NODES
-        x_flat = x.ravel()
         blocks = []
-        for s in range(0, x_flat.size, _BLOCK_ROWS):
-            block = slice(s, s + _BLOCK_ROWS)
-            X = x_flat[block, None]
+        for s in range(0, x.size, _BLOCK_ROWS):
+            X = x.ravel()[s:s + _BLOCK_ROWS, None]
             a_vals = np.broadcast_to(np.asarray(self.a(X, ys), dtype=float),
                                      (X.size, ys.size))
-            if not np.all(a_vals > 0.0):
-                i, j = np.unravel_index(np.argmin(a_vals), a_vals.shape)
-                raise ValueError("coefficient a must be strictly positive above order "
-                                 f"one: a(x, y) = {a_vals[i, j]:.6g} at (x, y) = "
-                                 f"({X[i, 0]:.6g}, {ys[j]:.6g})")
+            require_positive_a(a_vals, X, ys, "strictly positive above order one")
             A = 1.0 / np.mean(1.0 / a_vals, axis=1)
             blocks.append([A] + [
                 A * np.mean(np.broadcast_to(np.asarray(part, dtype=float), a_vals.shape)
@@ -144,9 +139,8 @@ class EffectiveTable:
     failures: tuple = ()     # why each failed node failed, as tabulate saw it
 
     def __post_init__(self):
-        self.xs = np.asarray(self.xs, dtype=float)
-        self.ps = np.asarray(self.ps, dtype=float)
-        self.ls = np.asarray(self.ls, dtype=float)
+        self.xs, self.ps, self.ls = (np.asarray(axis, dtype=float)
+                                     for axis in (self.xs, self.ps, self.ls))
         shape = (self.xs.size, self.ps.size, self.ls.size)
         if self.values.shape != shape:
             raise ValueError(f"values shape {self.values.shape} != axes shape {shape}")
@@ -196,8 +190,9 @@ def _weighted(axis: np.ndarray, q: np.ndarray, name: str) -> tuple:
 class TableCells:
     """The bilinear form Hbar = c0 + dq (c1 + dl c3) + dl c2, dq = p - ps[i] and
     dl = l - ls[k], of each (x node, p cell, l cell) of a table, its cell (i, k)
-    anchored at node (i, k); `coef` holds c0 .. c3 flat in (x, p, l) order.  A
-    padded cell past the upper end of each axis (flat in p and l, zero in x)
+    anchored at node (i, k); `coef` holds c0 .. c3 flat in (x, p, l) order, and
+    `bounds` p_i, p_i+1, l_k, l_k+1 flat in (p, l) order.  A padded cell past
+    the upper end of each axis (flat in p and l, zero in x, upper node NaN)
     anchors a query on any node there, so it returns the node value exactly.
     A failed node enters as 0 and `flagged` marks its cells (None if none)."""
 
@@ -210,8 +205,26 @@ class TableCells:
         self.coef = np.stack([v, np.diff(v, axis=1, append=v[:, -1:]) / dp[:, None], c2,
                               np.diff(c2, axis=1, append=c2[:, -1:]) / dp[:, None]]
                              ).reshape(4, -1)
+        (p0, p1), (l0, l1) = ((axis, np.append(axis[1:], np.nan)) for axis in (table.ps, table.ls))
+        self.bounds = np.stack(np.broadcast_arrays(p0[:, None], p1[:, None], l0, l1)).reshape(4, -1)
         self.flagged = (failed[:, :-1, :-1] | failed[:, 1:, :-1] | failed[:, :-1, 1:]
                         | failed[:, 1:, 1:]).ravel() if failed.any() else None
+
+
+class CellMemo:
+    """Each query node's cell as the last query_many call with this memo left
+    it: its TableCells bounds, its coefficients at each x node drawn on, and
+    the failed node it drew on or -1.  x is as query_many takes it;
+    `relocated` counts the nodes located so far."""
+
+    def __init__(self, x: Optional[tuple]):
+        self.x, self.relocated = x, 0
+        self.clear(0)
+
+    def clear(self, size: int) -> None:
+        self.bounds = np.full((4, size), np.nan)
+        self.coef = np.empty((4, 1 if self.x is None else 2, size))
+        self.failed = np.full(size, -1)
 
 
 def _failed_nodes(table: EffectiveTable, x: Optional[tuple], p: np.ndarray,
@@ -227,75 +240,81 @@ def _failed_nodes(table: EffectiveTable, x: Optional[tuple], p: np.ndarray,
                        for step, c_ax in ((0, 1.0 - w), (stride, w))]
     failed = ~np.isfinite(table.values.ravel())
     found = np.full(p.size, -1)
-    # a padded corner may index past the end, but it has weight 0
+    # a padded corner may index past the end, but its weight is 0, or NaN for a NaN query
     for node, c in reversed(corners):
-        found = np.where((c != 0.0) & failed.take(node, mode="clip"), node, found)
+        found = np.where((c > 0.0) & failed.take(node, mode="clip"), node, found)
     return found
 
 
-def query_many(cells: TableCells, x: Optional[tuple], p: np.ndarray,
+def query_many(cells: TableCells, x: Optional[tuple | CellMemo], p: np.ndarray,
                l: np.ndarray) -> np.ndarray:
     """Multilinear interpolation at queries p, l of one shape: exact at nodes,
     no extrapolation, NaN where a failed node weighs nonzero and only there.
-    x is _weighted's (i, w) of the queries on the x axis, or None to serve
-    them all from the one x node.  Raises ValueError naming an off-hull query."""
-    table, stride = cells.table, cells.table.ls.size
+    x is _weighted's (i, w) of the queries on the x axis, None to serve them
+    all from the one x node, or a CellMemo of either: only the nodes that left
+    their cell are located.  Raises ValueError naming an off-hull query."""
+    table, memo = cells.table, x if isinstance(x, CellMemo) else CellMemo(x)
     shape = np.shape(p)
     p, l = np.ravel(np.asarray(p, dtype=float)), np.ravel(np.asarray(l, dtype=float))
-    (ip, dq), (ik, dl) = _locate(table.ps, p, "p"), _locate(table.ls, l, "l")
-    flat = ip * stride
-    flat += ik
-
-    def bilinear(flat):
-        c0, c1, c2, c3 = (c.take(flat) for c in cells.coef)
-        c3 *= dl
-        c3 += c1
-        c3 *= dq
-        c3 += c0
-        c2 *= dl
-        c3 += c2
-        return c3
-
-    offsets = [0] if x is None else [0, table.ps.size * stride]    # of the x nodes drawn on
-    if x is not None:
-        flat += x[0] * offsets[1]
-    out = bilinear(flat)
-    if x is not None:
-        out = out * (1.0 - x[1]) + bilinear(flat + offsets[1]) * x[1]
-    if cells.flagged is not None:
-        hit = np.flatnonzero(np.logical_or.reduce([cells.flagged.take(flat + off)
-                                                   for off in offsets]))
-        xh = None if x is None else (x[0][hit], x[1][hit])
-        out[hit[_failed_nodes(table, xh, p[hit], l[hit]) >= 0]] = np.nan
+    if memo.failed.size != p.size:
+        memo.clear(p.size)
+    b = memo.bounds
+    # a NaN query or bound (a padded or flagged cell, or no call yet)
+    # compares false: that node moves
+    moved = np.flatnonzero(~((b[0] <= p) & (p < b[1]) & (b[2] <= l) & (l < b[3])))
+    dq, dl = p - b[0], l - b[2]
+    if moved.size:
+        (ip, dq[moved]), (ik, dl[moved]) = (_locate(table.ps, p[moved], "p"),
+                                            _locate(table.ls, l[moved], "l"))
+        cell = ip * table.ls.size + ik
+        b[:, moved] = cells.bounds[:, cell]
+        flat = cell[None] if memo.x is None else (      # the cells at x nodes i and i + 1
+            (memo.x[0][moved] + [[0], [1]]) * table.values[0].size + cell)
+        memo.coef[:, :, moved] = cells.coef[:, flat]
+        memo.relocated += moved.size
+        if cells.flagged is not None:
+            hit = moved[cells.flagged[flat].any(axis=0)]
+            b[1, hit] = np.nan
+            memo.failed = np.full(p.size, -1)
+            memo.failed[hit] = _failed_nodes(table, memo.x and (memo.x[0][hit], memo.x[1][hit]),
+                                             p[hit], l[hit])
+            memo.coef[0, :, hit[memo.failed[hit] >= 0]] = np.nan    # until the node moves
+    c0, c1, c2, c3 = memo.coef
+    out = c3 * dl
+    out += c1
+    out *= dq
+    out += c0
+    out += c2 * dl
+    out = out[0] if memo.x is None else out[0] * (1.0 - memo.x[1]) + out[1] * memo.x[1]
     return out.reshape(shape)
 
 
 def effective_source_from_table(table: EffectiveTable) -> EffectiveSource:
     """Table-backed source; queries abort outside the (p, l) hull.  A single x
     node serves every x (the model has no slow variable); otherwise at(x)
-    locates x once.  A query that draws on a failed node raises
-    NumericalFailure naming the first such query and the node."""
+    locates x once.  at(x)'s query function keeps a CellMemo as `memo`.  A query
+    that draws on a failed node raises NumericalFailure naming it and the node."""
     cells = TableCells(table)
     slopes = table.p_cell_slopes().tolist()
     inner = table.ps[1:-1].tolist()
 
     def at(x):
-        located = None if table.xs.size == 1 else _weighted(table.xs, np.ravel(x), "x")
+        memo = CellMemo(None if table.xs.size == 1 else _weighted(table.xs, np.ravel(x), "x"))
 
         def value(p, l):
-            out = query_many(cells, located, p, l)
+            out = query_many(cells, memo, p, l)
             if cells.flagged is None or np.isfinite(out).all():
                 return out
             first = np.flatnonzero(~np.isfinite(out))[:1]
             qx, qp, ql = (np.broadcast_to(q, out.shape).ravel()[first] for q in (x, p, l))
-            node = _failed_nodes(table, located and (located[0][first], located[1][first]),
-                                 qp, ql)[0]
+            node = memo.failed[first[0]]
             where = "is non-finite" if node < 0 else "draws on the failed table node " + (
                 "(x, p, l) = ({:g}, {:g}, {:g})".format(*(axis[j] for axis, j in zip(
                     (table.xs, table.ps, table.ls), np.unravel_index(node, table.values.shape)))))
             raise NumericalFailure(
                 f"the query (x, p, l) = ({qx[0]:.6g}, {qp[0]:.6g}, {ql[0]:.6g}) {where}")
 
+        value.memo = memo
         return value
 
     def theta(lo, hi):
@@ -308,24 +327,17 @@ def effective_source_from_table(table: EffectiveTable) -> EffectiveSource:
 def tabulate(fill: Callable, xs, ps, ls, sigma: float,
              meta: Optional[dict] = None) -> EffectiveTable:
     """Fill the table node by node; a failing node is marked, not fatal."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ps = np.atleast_1d(np.asarray(ps, dtype=float))
-    ls = np.atleast_1d(np.asarray(ls, dtype=float))
+    xs, ps, ls = (np.atleast_1d(np.asarray(axis, dtype=float)) for axis in (xs, ps, ls))
     values = np.full((xs.size, ps.size, ls.size), np.nan)
     err = np.full_like(values, np.inf)
     prov = np.full(values.shape, "failed", dtype=object)
     failures = []
-    for i, x in enumerate(xs):
-        for j, p in enumerate(ps):
-            for k, l in enumerate(ls):
-                try:
-                    v, e, tag = fill(float(x), float(p), float(l))
-                except (NumericalFailure, ValueError) as exc:
-                    failures.append(str(exc))
-                    continue
-                values[i, j, k] = v
-                err[i, j, k] = e
-                prov[i, j, k] = tag
+    for node in np.ndindex(values.shape):       # in x, p, l order
+        try:
+            values[node], err[node], prov[node] = fill(
+                *(float(axis[i]) for axis, i in zip((xs, ps, ls), node)))
+        except (NumericalFailure, ValueError) as exc:
+            failures.append(str(exc))
     return EffectiveTable(xs=xs, ps=ps, ls=ls, values=values, err=err,
                           provenance=prov, sigma=sigma, meta=dict(meta or {}),
                           failures=tuple(failures))
@@ -357,10 +369,8 @@ def audit_properties(table: EffectiveTable, b0: float, C: float, a_sup: float,
     v = table.values
     finite = np.isfinite(v)
 
-    viol = 0
-    if table.ls.size > 1:
-        d = np.diff(v, axis=2)
-        viol = int(np.sum(d[np.isfinite(d)] > AUDIT_TOL))
+    d = np.diff(v, axis=2)
+    viol = int(np.sum(d[np.isfinite(d)] > AUDIT_TOL))
 
     P = np.abs(table.ps)[None, :, None]
     L = np.abs(table.ls)[None, None, :]
@@ -372,8 +382,6 @@ def audit_properties(table: EffectiveTable, b0: float, C: float, a_sup: float,
     # continuity constants: the largest adjacent-difference quotient along an
     # axis, weighted by the larger |l| and |p| of each pair (failed nodes skipped)
     def smallest_C(axis, axis_idx, n_exp):
-        if axis.size < 2:
-            return 0.0
         lo, hi = [slice(None)] * 3, [slice(None)] * 3
         lo[axis_idx], hi[axis_idx] = slice(None, -1), slice(1, None)
 
@@ -387,13 +395,11 @@ def audit_properties(table: EffectiveTable, b0: float, C: float, a_sup: float,
         ok = np.isfinite(dv)
         return float(np.max(dv[ok] / (step * w)[ok])) if np.any(ok) else 0.0
 
-    C_l = smallest_C(table.ls, 2, 0.0)
-    C_x = smallest_C(table.xs, 0, n1)
-    C_p = smallest_C(table.ps, 1, n2)
     passed = (viol == 0 and np.isfinite(coercivity_margin)
               and coercivity_margin >= -AUDIT_TOL)
     return PropertyAudit(monotone_violations=viol, coercivity_margin=coercivity_margin,
-                         C_l=C_l, C_x=C_x, C_p=C_p, passed=passed)
+                         C_l=smallest_C(table.ls, 2, 0.0), C_x=smallest_C(table.xs, 0, n1),
+                         C_p=smallest_C(table.ps, 1, n2), passed=passed)
 
 
 def save_table(table: EffectiveTable, path: str, config_lines=()) -> None:
@@ -416,24 +422,18 @@ def load_table(path: str) -> EffectiveTable:
     appear exactly once; a repeated or missing node raises ValueError naming
     the line or the node.
     """
-    meta = {}
-    sigma = None
-    lines, line_numbers = [], []
+    meta, lines, line_numbers = {}, [], []
     with open(path) as fh:
         for number, line in enumerate(fh, start=1):
             if line.startswith("#cfg"):
                 continue
             if line.startswith("#"):
                 key, _, val = line[1:].partition("=")
-                key, val = key.strip(), val.strip()
-                if key == "sigma":
-                    sigma = float(val)
-                else:
-                    meta[key] = val
+                meta[key.strip()] = val.strip()
             else:
                 lines.append(line)
                 line_numbers.append(number)
-    if sigma is None:
+    if "sigma" not in meta:
         raise ValueError(f"{path} lacks the '# sigma =' header line")
     fields = ["x", "p", "l", "H_bar", "err", "provenance"]
     reader = csv.DictReader(io.StringIO("".join(lines)))
@@ -464,4 +464,4 @@ def load_table(path: str) -> EffectiveTable:
                          f"grid; no row for the node (x, p, l) = ({float(axes[0][i])!r}, "
                          f"{float(axes[1][j])!r}, {float(axes[2][k])!r})")
     return EffectiveTable(xs=axes[0], ps=axes[1], ls=axes[2], values=values, err=err,
-                          provenance=prov, sigma=sigma, meta=meta)
+                          provenance=prov, sigma=float(meta.pop("sigma")), meta=meta)

@@ -766,6 +766,25 @@ class TestCommands:
         assert err == ["invalid input: coefficient a must be strictly positive above "
                        "order one: a(x, y) = -1 at (x, y) = (0, 0.5)"]
 
+    @pytest.mark.parametrize("command", ["effective", "homogenize", "cell"])
+    def test_non_positive_a_rejected_below_order_one(self, tmp_path, capsys, command):
+        # the cell formula refuses a, naming its least value, in every
+        # command, before any table is filled or written
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 0.5", "coefficient_a.kind = cos_y",
+            "sweep.eps_list = 1/2,1/4", "sweep.T = 0.05", "sweep.snapshots = 3",
+        ]) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--config", path, "--out", str(out), "--force"]) == 2
+        captured = capsys.readouterr()
+        err = [line for line in captured.err.splitlines()
+               if line.startswith("invalid input: ")]
+        assert err == ["invalid input: coefficient a must be positive on the cell: "
+                       "a(x, y) = -1 at (x, y) = (0, 0.5)"]
+        assert "fill:" not in captured.out
+        assert not list(tmp_path.rglob("*_effective.csv"))
+
     def test_missing_config_is_io_failure(self, tmp_path):
         assert main(["audit", "--config", str(tmp_path / "none.cfg")]) == 4
 

@@ -1,3 +1,4 @@
+import contextlib
 import re
 from dataclasses import fields, replace
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import formula_fill, traced_peak_mb
-from hjhom.cell import CellConfig, CellParams
+from hjhom.cell import CellConfig, CellParams, formula_below_one
 from hjhom.effective import (_BLOCK_ROWS, CLOSED_FORM_NODES, ClosedForm, EffectiveTable,
                              TableCells, _weighted,
                              audit_properties, effective_source_from_formula,
@@ -294,6 +295,21 @@ class TestTabulate:
                 "(x, p, l) = (0, 2, 0)")):
             value(xs, np.array([0.0, 1.0, 3.0]), np.array([0.0, 0.5, 0.0]))
 
+    @pytest.mark.parametrize("l", [0.5, 1.5])
+    def test_nan_query_beside_a_failed_node_is_non_finite(self, l):
+        # a NaN p takes the padded p cell, whose cells touch the failed top
+        # corner: its NaN weights name no node, in the table or past its end
+        def fill(x, p, l):
+            if (p, l) == (2.0, 2.0):
+                raise NumericalFailure("node (2, 2)")
+            return p * p - l, 0.0, "discount"
+
+        table = tabulate(fill, [0.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0], sigma=0.5)
+        with pytest.raises(NumericalFailure, match=re.escape(
+                f"the query (x, p, l) = (0, nan, {l:g}) is non-finite")):
+            effective_source_from_table(table).at(np.zeros(2))(np.array([0.5, np.nan]),
+                                                               np.array([0.5, l]))
+
 
 class TestQuery:
     @pytest.fixture()
@@ -476,6 +492,161 @@ class TestTableSource:
             problem = ParabolicProblem(scheme, u0, 0.05)
             finals.append(solve(problem, SolverConfig(snapshots=1)).final().values)
         assert finals[0].tobytes() == finals[1].tobytes()
+
+
+def _query_values(axis, size, draw):
+    """size queries on one table axis: at nodes, inside the hull, in the
+    1e-12 slack beyond either end, NaN, and now and then off the hull."""
+    inside = st.floats(0.0, 1.0).map(lambda u: axis[0] + u * (axis[-1] - axis[0]))
+    slack = st.tuples(st.booleans(), st.floats(1e-14, 9e-13)).map(
+        lambda t: axis[0] - t[1] if t[0] else axis[-1] + t[1])
+    off = st.one_of(st.floats(axis[-1] + 1e-6, axis[-1] + 5.0),
+                    st.floats(axis[0] - 5.0, axis[0] - 1e-6))
+    one = st.one_of(st.sampled_from([float(v) for v in axis]), inside, slack,
+                    st.just(np.nan)) if draw(st.integers(0, 9)) else off
+    return np.array(draw(st.lists(one, min_size=size, max_size=size)))
+
+
+@st.composite
+def memo_batches(draw):
+    """A table, the x of one at(x) and a sequence of (p, l) batches for it.
+    Each axis has 1-4 uniform or jittered nodes; some tables have failed
+    nodes.  After the first batch each query is kept, nudged within or
+    across a table line, moved onto the line above it, or drawn afresh as
+    _query_values draws it."""
+    axes = []
+    for _ in range(3):
+        size, start = draw(st.integers(1, 4)), draw(st.floats(-4.0, 4.0))
+        if draw(st.booleans()):
+            axes.append(start + draw(st.floats(0.25, 2.0)) * np.arange(size))
+        else:
+            gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=size - 1, max_size=size - 1))
+            axes.append(start + np.concatenate([[0.0], np.cumsum(gaps)]))
+    shape = tuple(a.size for a in axes)
+    values = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))).reshape(shape)
+    if draw(st.booleans()):
+        values[np.array(draw(st.lists(st.integers(0, 3), min_size=values.size,
+                                      max_size=values.size))).reshape(shape) == 0] = np.nan
+    table = EffectiveTable(xs=axes[0], ps=axes[1], ls=axes[2], values=values,
+                           err=np.zeros(shape),
+                           provenance=np.where(np.isnan(values), "failed",
+                                               "discount").astype(object), sigma=0.5)
+    size = draw(st.integers(1, 10))
+    x = np.clip(_query_values(axes[0], size, draw), axes[0][0], axes[0][-1])
+    x[np.isnan(x)] = axes[0][0]
+    batches = [tuple(_query_values(axis, size, draw) for axis in axes[1:])]
+    for _ in range(draw(st.integers(1, 5))):
+        batch = []
+        for axis, prev in zip(axes[1:], batches[-1]):
+            fresh = _query_values(axis, size, draw)
+            nudged = np.clip(prev + np.array(draw(st.lists(
+                st.floats(-2.0, 2.0), min_size=size, max_size=size))), axis[0], axis[-1])
+            # the next node up: the line that closes the query's cell
+            line = axis[np.minimum(np.searchsorted(axis, prev, side="right"), axis.size - 1)]
+            pick = np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)))
+            batch.append(np.choose(pick, [prev, nudged, fresh, line]))
+        batches.append(tuple(batch))
+    return table, x, batches
+
+
+def _outcome(query, *args):
+    """The query's values, or the type and text of what it raised."""
+    try:
+        return query(*args)
+    except (ValueError, NumericalFailure) as exc:
+        return type(exc), str(exc)
+
+
+class TestCellMemo:
+    """The table source's query keeps each node's cell between calls; its
+    values and errors are the stateless query's, bit for bit."""
+
+    @given(memo_batches())
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_kept_cells_give_the_stateless_values(self, case):
+        table, x, batches = case
+        cells = TableCells(table)
+        located = None if table.xs.size == 1 else _weighted(table.xs, x, "x")
+        value = effective_source_from_table(table).at(x)
+        for p, l in batches:
+            got = _outcome(value, p, l)
+            stateless = _outcome(query_many, cells, located, p, l)
+            if isinstance(got, tuple):
+                # as a fresh at(x), whose nodes have no cell yet, raises it
+                assert got == _outcome(effective_source_from_table(table).at(x), p, l)
+                # the NumericalFailure names a NaN of the stateless query
+                assert stateless == got if got[0] is ValueError else np.isnan(stateless).any()
+            else:
+                assert got.view(np.int64).tolist() == stateless.view(np.int64).tolist()
+
+    @staticmethod
+    def _table(nx):
+        ps, ls = np.linspace(-8.0, 8.0, 9), np.linspace(-6.0, 6.0, 7)
+        xs = np.linspace(0.0, 1.0, nx)
+        X, P, L = np.meshgrid(xs, ps, ls, indexing="ij")
+        values = P ** 2 - (1.0 + 0.1 * np.sin(P) + X) * L
+        values[:, -1, -1] = np.nan           # flags the cell [6, 8] x [4, 6]
+        return EffectiveTable(xs=xs, ps=ps, ls=ls, values=values, err=np.zeros_like(values),
+                              provenance=np.where(np.isnan(values), "failed",
+                                                  "discount").astype(object), sigma=0.5)
+
+    @pytest.mark.parametrize("nx", [1, 3])
+    def test_relocates_only_the_nodes_that_crossed_a_line(self, nx):
+        rng = np.random.default_rng(nx)
+        n, k = 64, 5
+        # off the nodes and the flagged cell, a step 2 below the top p and l cells
+        p = rng.uniform(-7.9, 3.9, n)
+        l = rng.uniform(-5.9, 1.9, n)
+        value = effective_source_from_table(self._table(nx)).at(rng.uniform(0.0, 1.0, n))
+        memo = value.memo
+        value(p, l)
+        assert memo.relocated == n
+        value(p, l)
+        assert memo.relocated == n
+        # moved within the cell: nothing relocated
+        value(p + 1e-3, l - 1e-3)
+        assert memo.relocated == n
+        # k nodes each cross one p line, k one l line, and two land on the
+        # line that closes their p or l cell, which opens the next cell
+        p2, l2 = p.copy(), l.copy()
+        p2[:k] += 2.0
+        l2[k:2 * k] += 2.0
+        p2[2 * k] = 2.0 * np.floor(p2[2 * k] / 2.0) + 2.0
+        l2[2 * k + 1] = 2.0 * np.floor(l2[2 * k + 1] / 2.0) + 2.0
+        value(p2, l2)
+        assert memo.relocated == n + 2 * k + 2
+        # on the last p node (a padded cell), in the slack below the first l
+        # node and in the flagged cell: located at every call
+        p2[-3:], l2[-3:] = [8.0, 0.5, 7.0], [0.5, -6.0 - 1e-13, 5.0]
+        for calls in (1, 2, 3):
+            with contextlib.suppress(NumericalFailure):
+                value(p2, l2)
+            assert memo.relocated == n + 2 * k + 2 + 3 * calls
+
+    def test_solve_equals_the_stateless_solve(self, eikonal_ham):
+        # sigma = 0.5 from a formula-filled table: the scheme whose queries
+        # keep their cells steps bit for bit as one whose queries do not
+        n = 256
+        ps, ls = np.linspace(-8.0, 8.0, 9), np.linspace(-6.0, 6.0, 7)
+        values = formula_below_one(WAVY, eikonal_ham, 0.0, ps[:, None], ls[None, :])[None]
+        table = EffectiveTable(xs=np.array([0.0]), ps=ps, ls=ls, values=values,
+                               err=np.zeros_like(values),
+                               provenance=np.full(values.shape, "formula", dtype=object),
+                               sigma=0.5)
+        src, cells = effective_source_from_table(table), TableCells(table)
+        u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
+        qtable = periodized_weights(constant_kernel(0.5), n)
+        kept = src.scheme(u0.nodes(), qtable)
+        bare = MonotoneScheme(1.0 / n, lambda q, lv: query_many(cells, None, q, lv),
+                              theta=src.theta, table=qtable, l_slope=src.l_slope)
+        runs = [solve(ParabolicProblem(scheme, u0, 0.1), SolverConfig(snapshots=4))
+                for scheme in (kept, bare)]
+        assert runs[0].steps == runs[1].steps and runs[0].times.tolist() == runs[1].times.tolist()
+        for a, b in zip(runs[0].snapshots, runs[1].snapshots):
+            assert a.values.tobytes() == b.values.tobytes()
+        # and the kept cells spared most of the locating
+        assert kept.ham.memo.relocated < 0.1 * runs[0].steps * n
 
 
 def theta_oracle(table, lo, hi):
