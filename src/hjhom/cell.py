@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -66,8 +65,7 @@ def regime_of(sigma: float) -> str:
     return "above_one"
 
 
-@dataclass(frozen=True)
-class CellParams:
+class CellParams(NamedTuple):
     """Frozen slow variable, gradient, and nonlocal value for one cell solve."""
 
     x: float
@@ -83,8 +81,7 @@ class CellParams:
         return regime_of(self.sigma)
 
 
-@dataclass
-class CellConfig:
+class CellConfig(NamedTuple):
     n: int = 256
     tol: float = 1e-9
     max_steps: int = 500          # Newton steps per solve
@@ -102,8 +99,7 @@ class NewtonStop(NamedTuple):
         return self.reason != "budget"
 
 
-@dataclass
-class CellSolution:
+class CellSolution(NamedTuple):
     psi: GridFunction              # corrector, normalized psi(0) = 0
     H_bar: float
     spread: float

@@ -17,7 +17,6 @@ them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -154,7 +153,6 @@ def cmd_cell(args, cfg: RunConfig, model: Model) -> int:
     return EXIT_OK
 
 
-@dataclasses.dataclass
 class FillCount:
     """What an order-one fill did: nodes, Newton steps, warm-started nodes."""
 
@@ -179,7 +177,7 @@ def _ergodic_fill(cfg: RunConfig, model: Model) -> tuple:
 
     def fill(x, p, l):
         nonlocal last
-        params = dataclasses.replace(base, x=x, p=p, l=l)
+        params = base._replace(x=x, p=p, l=l)
         start, last = last, None
         count.nodes += 1
         try:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
@@ -106,15 +105,17 @@ def _coerce(tag: str, raw: str, where: str, errors: list) -> Any:
     return val
 
 
-@dataclass
 class RunConfig:
-    values: dict = field(default_factory=dict)
+    values: dict
     # (kernel, its ModulusIntegralReport or None) when validation built the
     # kernel for the order-one asymmetry audit; build_model reuses both
-    kernel_audit: Optional[tuple] = field(default=None, repr=False)
+    kernel_audit: Optional[tuple] = None
     # the Hamiltonian validation built from hamiltonian.b, f and m; build_model
     # reuses it
-    hamiltonian: Any = field(default=None, repr=False)
+    hamiltonian: Any = None
+
+    def __init__(self, values: dict):
+        self.values = values
 
     def __getitem__(self, dotted: str):
         return self.values[dotted]

@@ -30,8 +30,7 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,8 +45,7 @@ from .parabolic import MonotoneScheme, NumericalFailure
 _BLOCK_ROWS = BLOCK_VALUES // CLOSED_FORM_NODES
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     """Hbar(x, p, l) = Hbar0(x, p) - A(x) l above order one, its means taken
     on CLOSED_FORM_NODES cell nodes at every call.
 
@@ -106,8 +104,7 @@ class ClosedForm:
 effective_source_from_formula = ClosedForm
 
 
-@dataclass(frozen=True)
-class EffectiveSource:
+class EffectiveSource(NamedTuple):
     """Effective nonlinearity read from a table (kernel order <= 1): at(x) gives
     (p, l) -> Hbar(x, p, l), plus the bounds the Lax-Friedrichs discretization
     needs.  Above order one the effective problem is a ClosedForm instead."""
@@ -124,7 +121,6 @@ class EffectiveSource:
                               l_slope=self.l_slope)
 
 
-@dataclass
 class EffectiveTable:
     """Hbar samples over rectangular (x, p, l) axes with multilinear queries."""
 
@@ -135,15 +131,17 @@ class EffectiveTable:
     err: np.ndarray
     provenance: np.ndarray   # strings: formula | discount | failed
     sigma: float
-    meta: dict = field(default_factory=dict)
-    failures: tuple = ()     # why each failed node failed, as tabulate saw it
+    meta: dict
+    failures: tuple          # why each failed node failed, as tabulate saw it
 
-    def __post_init__(self):
-        self.xs, self.ps, self.ls = (np.asarray(axis, dtype=float)
-                                     for axis in (self.xs, self.ps, self.ls))
+    def __init__(self, xs, ps, ls, values, err, provenance, sigma, meta=None, failures=()):
+        self.xs, self.ps, self.ls = (np.asarray(axis, dtype=float) for axis in (xs, ps, ls))
         shape = (self.xs.size, self.ps.size, self.ls.size)
-        if self.values.shape != shape:
-            raise ValueError(f"values shape {self.values.shape} != axes shape {shape}")
+        if values.shape != shape:
+            raise ValueError(f"values shape {values.shape} != axes shape {shape}")
+        self.values, self.err, self.provenance, self.sigma = values, err, provenance, sigma
+        self.meta = {} if meta is None else meta
+        self.failures = failures
 
     # slope bounds over pairs of finite nodes: a failed (NaN) node bounds nothing
     def l_slope_bound(self) -> float:
@@ -348,8 +346,7 @@ def tabulate(fill: Callable, xs, ps, ls, sigma: float,
 AUDIT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class PropertyAudit:
+class PropertyAudit(NamedTuple):
     monotone_violations: int
     coercivity_margin: float       # min of Hbar + a_sup |l| + C - b0 |p|^m
     C_l: float

@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
 class GridFunction:
     """Real 1-periodic function sampled at the n equispaced nodes j/n of [0, 1)."""
 
     values: np.ndarray
 
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+    def __init__(self, values):
+        v = np.array(values, dtype=float)
         if v.ndim != 1:
             raise ValueError("grid function values must be a 1-D array")
         if v.size < 8:
@@ -22,7 +19,7 @@ class GridFunction:
         if not np.all(np.isfinite(v)):
             raise ValueError("grid function values must be finite")
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        self.values = v
 
     @classmethod
     def from_callable(cls, f, n: int) -> "GridFunction":

@@ -8,8 +8,7 @@ refuse to run on failed audits unless forced).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,7 +24,6 @@ def coercive_reach(b_min: float, f_sup: float, m: float) -> float:
     return ((2.0 * f_sup + 4.0) / b_min) ** (1.0 / m)
 
 
-@dataclass(frozen=True)
 class HamiltonianSpec:
     """H(x, y, p) = b(x, y) |p|^m - f(x, y), the form every solver's Godunov
     flux is built from, plus the constants claimed for the audits.
@@ -45,11 +43,13 @@ class HamiltonianSpec:
     C0: float
     L: float
 
-    def __post_init__(self):
-        if self.m <= 1.0:
+    def __init__(self, b, f, m, b_min, f_sup, b0, C0, L):
+        if m <= 1.0:
             raise ValueError("superlinearity exponent must exceed 1")
-        if self.b0 <= 0.0 or self.C0 < 0.0:
+        if b0 <= 0.0 or C0 < 0.0:
             raise ValueError("need b0 > 0 and C0 >= 0")
+        self.b, self.f, self.m, self.b_min, self.f_sup = b, f, m, b_min, f_sup
+        self.b0, self.C0, self.L = b0, C0, L
 
     def eval(self, x, y, p):
         return self.b(x, y) * np.abs(p) ** self.m - self.f(x, y)
@@ -118,8 +118,7 @@ def model_bpm(b_spec: str, f_spec: str, m: float) -> HamiltonianSpec:
                            b0=(m - 1.0) * b_min, C0=f_sup, L=L)
 
 
-@dataclass(frozen=True)
-class SuperlinearityAudit:
+class SuperlinearityAudit(NamedTuple):
     worst_slack: float
     witness: tuple  # (x, y, p, mu) at the sampled minimum
     passed: bool
@@ -142,8 +141,7 @@ def audit_superlinearity(h: HamiltonianSpec, sample_budget: int = 64 ** 3) -> Su
                                passed=worst >= -1e-12)
 
 
-@dataclass(frozen=True)
-class RegularityAudit:
+class RegularityAudit(NamedTuple):
     L_x: float
     L_y: float
     L_p: float
@@ -193,8 +191,7 @@ def growth_bound(h: HamiltonianSpec) -> float:
     return float(np.max(ratio))
 
 
-@dataclass(frozen=True)
-class CoercivityCertificate:
+class CoercivityCertificate(NamedTuple):
     c_m: float
     C_m: float
     C_tilde: float

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -25,8 +24,7 @@ from .parabolic import (NumericalFailure, ParabolicProblem, SolverConfig,
                         oscillating_scheme, solve)
 
 
-@dataclass
-class ProblemFamily:
+class ProblemFamily(NamedTuple):
     """One oscillating model and its effective counterpart."""
 
     a: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -37,15 +35,13 @@ class ProblemFamily:
     effective: Union[EffectiveSource, ClosedForm]
 
 
-@dataclass
-class SweepConfig:
+class SweepConfig(NamedTuple):
     n_per_k: int = 16
     n_fixed: Optional[int] = None     # control runs: same grid for every eps
     snapshots: int = 10
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     eps_list: np.ndarray
     errors: np.ndarray                # sup over recorded times and coarse nodes
     rates: np.ndarray                 # log2(e_i / e_{i+1}) along the list

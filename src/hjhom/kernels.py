@@ -14,8 +14,7 @@ periodized quadrature weights used by the grid operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -50,7 +49,6 @@ def normalizing_constant(sigma: float) -> float:
     )
 
 
-@dataclass(frozen=True)
 class KernelSpec:
     """Order sigma plus bounded density kbar (vectorized callable on z)."""
 
@@ -58,9 +56,10 @@ class KernelSpec:
     kbar: Callable[[np.ndarray], np.ndarray]
     symmetric: bool
 
-    def __post_init__(self):
-        if not (0.0 < self.sigma < 2.0):
-            raise ValueError(f"kernel order must lie in (0, 2), got {self.sigma}")
+    def __init__(self, sigma, kbar, symmetric):
+        if not (0.0 < sigma < 2.0):
+            raise ValueError(f"kernel order must lie in (0, 2), got {sigma}")
+        self.sigma, self.kbar, self.symmetric = sigma, kbar, symmetric
 
     def kbar0(self) -> float:
         return float(np.asarray(self.kbar(np.array([0.0])))[0])
@@ -132,8 +131,7 @@ def modulus_omega_bar(k: KernelSpec, r, samples: int = 4097):
     return float(omega) if omega.ndim == 0 else omega
 
 
-@dataclass(frozen=True)
-class ModulusIntegralReport:
+class ModulusIntegralReport(NamedTuple):
     value: float            # partial dyadic-panel sum of omega_bar(r)/r over (0, 1]
     tail_estimate: float
     finite: bool
@@ -177,8 +175,7 @@ def modulus_log_integral(k: KernelSpec) -> ModulusIntegralReport:
                                  detail=detail)
 
 
-@dataclass(frozen=True)
-class EllipticityReport:
+class EllipticityReport(NamedTuple):
     passed: bool
     a0: float
     witness: Optional[tuple]
@@ -240,8 +237,7 @@ def audit_ellipticity(a: Callable[[np.ndarray, np.ndarray], np.ndarray],
                              modulus_integral=modulus_report, messages=tuple(messages))
 
 
-@dataclass(frozen=True)
-class DriftVector:
+class DriftVector(NamedTuple):
     """Limit of the truncated odd moment of kbar - kbar(0) (scalar in 1-D)."""
 
     b: float
@@ -276,7 +272,6 @@ def drift_vector(k: KernelSpec, tol: float = 1e-8) -> DriftVector:
     return DriftVector(b=total, converged=residual < tol, residual=residual)
 
 
-@dataclass(frozen=True)
 class QuadratureTable:
     """Periodized kernel mass per node offset for grid functions on the torus.
 
@@ -296,17 +291,17 @@ class QuadratureTable:
     antisym: np.ndarray
     comp_coeff: float
     tail_mass: float
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-    mass: float = field(init=False, compare=False)
+    spectrum: np.ndarray
+    mass: float
 
-    def __post_init__(self):
-        for name in ("weights", "antisym"):
-            v = np.array(getattr(self, name), dtype=float)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+    def __init__(self, n, sigma, weights, antisym, comp_coeff, tail_mass):
+        self.n, self.sigma, self.comp_coeff, self.tail_mass = n, sigma, comp_coeff, tail_mass
+        self.weights, self.antisym = (np.array(v, dtype=float) for v in (weights, antisym))
+        self.weights.setflags(write=False)
+        self.antisym.setflags(write=False)
         coeffs = self.weights + self.antisym
-        object.__setattr__(self, "spectrum", np.conj(np.fft.rfft(coeffs)))
-        object.__setattr__(self, "mass", np.sum(coeffs))
+        self.spectrum = np.conj(np.fft.rfft(coeffs))
+        self.mass = np.sum(coeffs)
 
     def antisym_cfl_mass(self) -> float:
         """Extra diagonal budget from the signed part, for CFL bookkeeping."""

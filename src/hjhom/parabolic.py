@@ -24,8 +24,7 @@ caller prefixed with the step and its time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -340,8 +339,7 @@ def oscillating_scheme(eps: float, a: Callable[[np.ndarray, np.ndarray], np.ndar
                               table=table)
 
 
-@dataclass
-class SolverConfig:
+class SolverConfig(NamedTuple):
     """Discretization knobs; dt is always derived from the CFL bound, and the
     flux and its dissipation from the problem data."""
 
@@ -351,8 +349,7 @@ class SolverConfig:
         return np.linspace(0.0, T, self.snapshots + 1)[1:]
 
 
-@dataclass
-class ParabolicProblem:
+class ParabolicProblem(NamedTuple):
     """u_t + F(u) = 0 from u0 on [0, T], F the MonotoneScheme `scheme` on
     u0's nodes.  solve fits the scheme's theta in place, so each problem is
     solved once."""
@@ -362,8 +359,7 @@ class ParabolicProblem:
     T: float
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """A solve's recorded states and what it did to reach them.  The step
     follows the fitted theta: dt and max_dt bound the full steps, not the
     shortened ones that land on the recorded times."""

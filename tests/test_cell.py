@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -362,7 +360,7 @@ class TestContinuationStart:
     def test_start_ignored_when_zero_has_the_smaller_residual(self, eikonal_ham, wavy_a):
         # at l = -1, a = 2 + cos(2 pi y) cancels -cos(2 pi y): zero is exact
         exact = CellParams(x=0.0, p=0.5, l=-1.0, sigma=1.0, a=wavy_a, ham=eikonal_ham)
-        other = solve_ergodic_pair(replace(exact, l=1.0), FAST)
+        other = solve_ergodic_pair(exact._replace(l=1.0), FAST)
         cold = solve_ergodic_pair(exact, FAST)
         warm = solve_ergodic_pair(exact, FAST, start=other.psi.values)
         assert other.stop.steps > 0

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import os
 import re
@@ -785,6 +784,24 @@ class TestCommands:
         assert "fill:" not in captured.out
         assert not list(tmp_path.rglob("*_effective.csv"))
 
+    def test_failed_audit_prints_its_report(self, tmp_path, capsys):
+        # the gate prints the failed report's repr, the nested modulus report
+        # included, byte for byte, then the command goes on under --force
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 1", "kernel.family = tilt", "kernel.slope = 0.5",
+            "coefficient_a.kind = cos_y", "cell.n = 64"]) + "\n")
+        capsys.readouterr()
+        assert main(["cell", "--config", path, "--out", str(tmp_path / "out"), "--force"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "audit failed: ellipticity: EllipticityReport(passed=False, a0=0.0, "
+            "witness=(0.0, 0.5, -1.0), modulus_integral=ModulusIntegralReport("
+            "value=0.15915494309189507, tail_estimate=5.7543199113012e-16, finite=True, "
+            "detail='increments decayed'), messages=('coefficient a vanishes or is "
+            "negative at (0.0, 0.5, -1.0)',))",
+            "continuing despite failed audits (--force)",
+            "invalid input: coefficient a must be positive on the cell: "
+            "a(x, y) = -1 at (x, y) = (0, 0.5)"]
+
     def test_missing_config_is_io_failure(self, tmp_path):
         assert main(["audit", "--config", str(tmp_path / "none.cfg")]) == 4
 
@@ -924,7 +941,7 @@ class TestContinuationFill:
         for p in (0.0, 0.5, 1.0):
             for l in (0.0, 0.5, 1.0):
                 value, spread, tag = fill(0.0, p, l)
-                params = dataclasses.replace(_cell_params(cfg, model), p=p, l=l)
+                params = _cell_params(cfg, model)._replace(p=p, l=l)
                 sols = [vanishing_discount_sweep(params, deltas, _cell_config(cfg))
                         for deltas in (cfg["cell.deltas"], cfg["cell.deltas"] + (5e-4,))]
                 ladder_steps += sum(rec[2] for rec in sols[0].residuals)
@@ -985,7 +1002,7 @@ class TestContinuationFill:
         value = fill(0.0, 1.0, 0.0)[0]
         assert (count.nodes, count.warm) == (3, 0)
         assert count.steps == len(solves)
-        params = dataclasses.replace(_cell_params(cfg, model), p=1.0, l=0.0)
+        params = _cell_params(cfg, model)._replace(p=1.0, l=0.0)
         assert value == solve_ergodic_pair(params, _cell_config(cfg)).H_bar
 
     def test_order_one_fill_takes_no_regularity(self, tmp_path, monkeypatch):
@@ -1030,8 +1047,11 @@ def _imported_by_the_cli(prefix: str) -> str:
 # scipy is a test dependency only; the Gauss rule is written out in
 # hjhom.kernels, since numpy.polynomial adds about 1.3 MB to every command's
 # peak resident set; ratios are parsed as int / int, not through fractions
-# (which loads decimal); difflib loads only to suggest a key for an unknown one
+# (which loads decimal); difflib loads only to suggest a key for an unknown one;
+# records are NamedTuples or plain classes, since the methods @dataclass
+# generates for the package's 25 records cost about 25 ms of every command's
+# start without a bytecode cache
 @pytest.mark.parametrize("prefix", ["scipy", "numpy.polynomial", "fractions", "decimal",
-                                    "difflib"])
+                                    "difflib", "dataclasses"])
 def test_cli_imports_none_of(prefix):
     assert _imported_by_the_cli(prefix) == "[]"

@@ -1,4 +1,4 @@
-from dataclasses import MISSING, fields, replace
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 from hjhom.hamiltonians import (HamiltonianSpec, audit_regularity,
                                 audit_superlinearity, coefficient,
                                 coercivity_constants, growth_bound, model_bpm)
+
+
+def replace(ham, **changes):
+    """ham with the given fields changed, built (and checked) anew."""
+    return HamiltonianSpec(**{**vars(ham), **changes})
 
 
 class TestSuperlinearity:
@@ -155,10 +160,10 @@ class TestCoercivityConstants:
 
 class TestPowerForm:
     def test_fields_are_the_power_form_and_the_claims(self):
-        assert tuple(f.name for f in fields(HamiltonianSpec)) == (
+        params = inspect.signature(HamiltonianSpec).parameters
+        assert tuple(HamiltonianSpec.__annotations__) == tuple(params) == (
             "b", "f", "m", "b_min", "f_sup", "b0", "C0", "L")
-        assert all(f.default is MISSING and f.default_factory is MISSING
-                   for f in fields(HamiltonianSpec))
+        assert all(p.default is inspect.Parameter.empty for p in params.values())
 
     @pytest.mark.parametrize("b, f, m", [("two_plus_cos_y", "cos_x_cos_y", 2.0),
                                          ("constant:0.5", "cos_y", 1.5)])

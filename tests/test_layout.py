@@ -7,10 +7,11 @@ own top-level statements (the command table, constants, decorators).  A name
 outside that set is reached only from the tests; such code belongs beside
 them, in tests/lemmas.py.
 
-The same holds one level down: every method, property and dataclass or
-NamedTuple field of a class is one some src/hjhom expression reads.  And
-every configuration key of config.SCHEMA is one that some src/hjhom
-expression outside config._validate names, bar the keys of SCHEMA_UNREAD.
+The same holds one level down: every method, property and record field (a
+class-level annotation, of a NamedTuple or a plain class) of a class is one
+some src/hjhom expression reads.  And every configuration key of
+config.SCHEMA is one that some src/hjhom expression outside config._validate
+names, bar the keys of SCHEMA_UNREAD.
 """
 
 import ast
@@ -112,7 +113,7 @@ def unreached(src: Path) -> list:
 
 
 def unread_members(src: Path) -> list:
-    """`Class.member` of every method, property and dataclass or NamedTuple
+    """`Class.member` of every method, property and class-level annotated
     field of a top-level class of the package at src whose name no expression
     of the package loads as an attribute (`x.name`), sorted.  Definitions,
     stores and constructor keywords do not count, and dunder methods run
@@ -221,7 +222,7 @@ def test_guard_names_a_test_only_function(tmp_path):
 
 
 def test_guard_names_an_unread_field(tmp_path):
-    # the same package with one dataclass field that nothing reads, though a
+    # the same package with one record field that nothing reads, though a
     # constructor keyword sets it
     src = _copy_of_src(tmp_path)
     cli = src / "cli.py"
