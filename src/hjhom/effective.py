@@ -164,15 +164,13 @@ def _locate(axis: np.ndarray, q: np.ndarray, name: str) -> tuple:
     # fmin/fmax pass over NaN queries, so a NaN does not hide an off-hull one
     lo = np.fmin.reduce(q, initial=axis[0])
     hi = np.fmax.reduce(q, initial=axis[-1])
-    bad = float(lo if axis[0] - lo >= hi - axis[-1] else hi)
-    if axis.size == 1:
-        if max(axis[0] - lo, hi - axis[0]) > 1e-9 * max(1.0, abs(axis[0])):
-            raise ValueError(f"{name} = {bad} outside the single-node axis; "
-                             "enlarge the table box")
-    elif lo < axis[0] - 1e-12 or hi > axis[-1] + 1e-12:
-        raise ValueError(f"{name} = {bad} outside the table hull "
-                         f"[{axis[0]}, {axis[-1]}]; enlarge the table box")
-    i = np.searchsorted(axis[1:], q, side="right")
+    if (max(axis[0] - lo, hi - axis[0]) > 1e-9 * max(1.0, abs(axis[0])) if axis.size == 1
+            else lo < axis[0] - 1e-12 or hi > axis[-1] + 1e-12):
+        bad = float(lo if axis[0] - lo >= hi - axis[-1] else hi)
+        where = ("the single-node axis" if axis.size == 1
+                 else f"the table hull [{axis[0]}, {axis[-1]}]")
+        raise ValueError(f"{name} = {bad} outside {where}; enlarge the table box")
+    i = axis[1:].searchsorted(q, side="right")
     d = q - axis.take(i)
     if lo < axis[0]:
         np.maximum(d, 0.0, out=d)
@@ -188,11 +186,11 @@ def _weighted(axis: np.ndarray, q: np.ndarray, name: str) -> tuple:
 class TableCells:
     """The bilinear form Hbar = c0 + dq (c1 + dl c3) + dl c2, dq = p - ps[i] and
     dl = l - ls[k], of each (x node, p cell, l cell) of a table, its cell (i, k)
-    anchored at node (i, k); `coef` holds c0 .. c3 flat in (x, p, l) order, and
-    `bounds` p_i, p_i+1, l_k, l_k+1 flat in (p, l) order.  A padded cell past
-    the upper end of each axis (flat in p and l, zero in x, upper node NaN)
-    anchors a query on any node there, so it returns the node value exactly.
-    A failed node enters as 0 and `flagged` marks its cells (None if none)."""
+    anchored at node (i, k); `block` rows: bounds p_i, l_k, p_i+1, l_k+1, then
+    c0 .. c3, flat in (x, p, l) order.  A padded cell past the upper end of
+    each axis (flat in p and l, zero in x, upper node NaN) anchors a query on
+    any node there, so it returns the node value exactly.  A failed node
+    enters as 0 and `flagged` marks its cells (None if none)."""
 
     def __init__(self, table: EffectiveTable):
         self.table = table
@@ -200,19 +198,18 @@ class TableCells:
         v = np.where(failed[:, :-1, :-1], 0.0, np.pad(table.values, ((0, 1), (0, 0), (0, 0))))
         dp, dl = (np.diff(axis, append=np.inf) for axis in (table.ps, table.ls))
         c2 = np.diff(v, axis=2, append=v[:, :, -1:]) / dl
-        self.coef = np.stack([v, np.diff(v, axis=1, append=v[:, -1:]) / dp[:, None], c2,
-                              np.diff(c2, axis=1, append=c2[:, -1:]) / dp[:, None]]
-                             ).reshape(4, -1)
         (p0, p1), (l0, l1) = ((axis, np.append(axis[1:], np.nan)) for axis in (table.ps, table.ls))
-        self.bounds = np.stack(np.broadcast_arrays(p0[:, None], p1[:, None], l0, l1)).reshape(4, -1)
+        self.block = np.stack(np.broadcast_arrays(
+            p0[:, None], l0, p1[:, None], l1, v, np.diff(v, axis=1, append=v[:, -1:]) / dp[:, None],
+            c2, np.diff(c2, axis=1, append=c2[:, -1:]) / dp[:, None])).reshape(8, -1)
         self.flagged = (failed[:, :-1, :-1] | failed[:, 1:, :-1] | failed[:, :-1, 1:]
                         | failed[:, 1:, 1:]).ravel() if failed.any() else None
 
 
 class CellMemo:
     """Each query node's cell as the last query_many call with this memo left
-    it: its TableCells bounds, its coefficients at each x node drawn on, and
-    the failed node it drew on or -1.  x is as query_many takes it;
+    it: its TableCells block column at each x node drawn on, (8, 1 or 2, size),
+    and the failed node it drew on or -1.  x is as query_many takes it;
     `relocated` counts the nodes located so far."""
 
     def __init__(self, x: Optional[tuple]):
@@ -220,8 +217,7 @@ class CellMemo:
         self.clear(0)
 
     def clear(self, size: int) -> None:
-        self.bounds = np.full((4, size), np.nan)
-        self.coef = np.empty((4, 1 if self.x is None else 2, size))
+        self.block = np.full((8, 1 if self.x is None else 2, size), np.nan)
         self.failed = np.full(size, -1)
 
 
@@ -253,31 +249,32 @@ def query_many(cells: TableCells, x: Optional[tuple | CellMemo], p: np.ndarray,
     their cell are located.  Raises ValueError naming an off-hull query."""
     table, memo = cells.table, x if isinstance(x, CellMemo) else CellMemo(x)
     shape = np.shape(p)
-    p, l = np.ravel(np.asarray(p, dtype=float)), np.ravel(np.asarray(l, dtype=float))
-    if memo.failed.size != p.size:
-        memo.clear(p.size)
-    b = memo.bounds
+    q = np.array((p, l), dtype=float).reshape(2, -1)       # the rows p and l
+    if memo.failed.size != q.shape[1]:
+        memo.clear(q.shape[1])
+    b = memo.block[:4, 0]
     # a NaN query or bound (a padded or flagged cell, or no call yet)
     # compares false: that node moves
-    moved = np.flatnonzero(~((b[0] <= p) & (p < b[1]) & (b[2] <= l) & (l < b[3])))
-    dq, dl = p - b[0], l - b[2]
+    inside = (b[:2] <= q) & (q < b[2:])
+    moved = (~(inside[0] & inside[1])).nonzero()[0]
+    d = q - b[:2]
     if moved.size:
-        (ip, dq[moved]), (ik, dl[moved]) = (_locate(table.ps, p[moved], "p"),
-                                            _locate(table.ls, l[moved], "l"))
+        qm = q[:, moved]
+        (ip, d[0, moved]), (ik, d[1, moved]) = (_locate(table.ps, qm[0], "p"),
+                                                _locate(table.ls, qm[1], "l"))
         cell = ip * table.ls.size + ik
-        b[:, moved] = cells.bounds[:, cell]
         flat = cell[None] if memo.x is None else (      # the cells at x nodes i and i + 1
             (memo.x[0][moved] + [[0], [1]]) * table.values[0].size + cell)
-        memo.coef[:, :, moved] = cells.coef[:, flat]
+        memo.block[:, :, moved] = cells.block[:, flat]
         memo.relocated += moved.size
         if cells.flagged is not None:
             hit = moved[cells.flagged[flat].any(axis=0)]
-            b[1, hit] = np.nan
-            memo.failed = np.full(p.size, -1)
+            b[2, hit] = np.nan
+            memo.failed = np.full(q.shape[1], -1)
             memo.failed[hit] = _failed_nodes(table, memo.x and (memo.x[0][hit], memo.x[1][hit]),
-                                             p[hit], l[hit])
-            memo.coef[0, :, hit[memo.failed[hit] >= 0]] = np.nan    # until the node moves
-    c0, c1, c2, c3 = memo.coef
+                                             *q[:, hit])
+            memo.block[4, :, hit[memo.failed[hit] >= 0]] = np.nan    # until the node moves
+    (dq, dl), (c0, c1, c2, c3) = d, memo.block[4:]
     out = c3 * dl
     out += c1
     out *= dq

@@ -48,16 +48,13 @@ class GridFunction:
         return self.values[idx]
 
 
-def _padded(values: np.ndarray) -> np.ndarray:
-    """values between its periodic neighbours: v[n-1], v[0], ..., v[n-1], v[0]."""
-    return np.concatenate((values[-1:], values, values[:1]))
-
-
 def one_sided_diffs(values: np.ndarray, h: float) -> tuple:
     """(backward, forward) differences from one pass: the two views d[:-1]
     and d[1:] of d[k] = (v[k] - v[k-1]) / h, k = 0..n, indices mod n."""
-    pad = _padded(values)
-    d = (pad[1:] - pad[:-1]) / h
+    d = np.empty(values.size + 1)
+    np.subtract(values[1:], values[:-1], out=d[1:-1])
+    d[0] = d[-1] = values[0] - values[-1]
+    d /= h
     return d[:-1], d[1:]
 
 
@@ -66,5 +63,5 @@ def forward_diff(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def central_diff(values: np.ndarray, h: float) -> np.ndarray:
-    pad = _padded(values)
+    pad = np.concatenate((values[-1:], values, values[:1]))
     return (pad[2:] - pad[:-2]) / (2.0 * h)

@@ -281,8 +281,8 @@ class QuadratureTable:
     asymmetric density adds the signed antisym[r] coefficients plus, for
     sigma >= 1, a first-order compensator coefficient applied to a centered
     difference (comp_coeff is 0.0 when there is none).  Both parts act
-    through one correlation, so the conjugate spectrum and the total mass of
-    weights + antisym are kept.
+    through one correlation c = weights + antisym: its mass and its symbol
+    conj(rfft(c)) - mass, exactly 0 at mode 0, are kept.
     """
 
     n: int
@@ -291,7 +291,7 @@ class QuadratureTable:
     antisym: np.ndarray
     comp_coeff: float
     tail_mass: float
-    spectrum: np.ndarray
+    symbol: np.ndarray
     mass: float
 
     def __init__(self, n, sigma, weights, antisym, comp_coeff, tail_mass):
@@ -300,8 +300,9 @@ class QuadratureTable:
         self.weights.setflags(write=False)
         self.antisym.setflags(write=False)
         coeffs = self.weights + self.antisym
-        self.spectrum = np.conj(np.fft.rfft(coeffs))
         self.mass = np.sum(coeffs)
+        self.symbol = np.conj(np.fft.rfft(coeffs)) - self.mass
+        self.symbol[0] = 0.0
 
     def antisym_cfl_mass(self) -> float:
         """Extra diagonal budget from the signed part, for CFL bookkeeping."""

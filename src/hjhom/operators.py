@@ -18,17 +18,14 @@ from .kernels import QuadratureTable
 def apply_table(values: np.ndarray, table: QuadratureTable) -> np.ndarray:
     """Operator values at every node, as a plain array.
 
-    out[j] = sum_r c[r] (values[j + r] - values[j]) with c = weights + antisym,
-    one FFT pair against the table's stored spectrum.  Evaluates on the
-    deviation from the mean so that constants are annihilated exactly, not
-    just to FFT roundoff.
+    out[j] = sum_r c[r] (values[j + r] - values[j]) with c = weights + antisym:
+    one FFT pair against the table's symbol, exactly 0 at mode 0.
     """
     if values.size != table.n:
         raise ValueError(f"table built for n = {table.n}, grid has n = {values.size}")
-    dev = values - values.sum() / values.size
-    out = np.fft.irfft(table.spectrum * np.fft.rfft(dev), n=values.size) - dev * table.mass
+    out = np.fft.irfft(table.symbol * np.fft.rfft(values), n=values.size)
     if table.comp_coeff:
-        out -= table.comp_coeff * central_diff(dev, 1.0 / table.n)
+        out -= table.comp_coeff * central_diff(values, 1.0 / table.n)
     return out
 
 

@@ -110,9 +110,9 @@ class MonotoneScheme:
     nodes (one constant a: P = 1), so in Fourier space class r, the modes
     r + K t (K = n / P, t < P), is one P x P block
     I - dt Ac diag(lam_{r + K t}), Ac[t, t'] = fft(a[:P])[(t - t') mod P] / P
-    and lam the symbol of I_h, the table's spectrum less its mass.  Class
-    K - r is the conjugate of class r, so the K/2 + 1 classes r <= K / 2
-    carry a real state.
+    and lam the table's symbol.  Class K - r is the conjugate of class r, so
+    the K/2 + 1 classes r <= K / 2 carry a real state; for P = 1 they are
+    the modes 0 .. n/2, with scalar blocks and no gather or scatter.
     """
 
     def __init__(self, h: float, ham: Optional[Callable] = None, *,
@@ -156,11 +156,9 @@ class MonotoneScheme:
             j = np.arange(n // 2 + 1)
             j = np.where(j % k <= k // 2, j, n - j)
             self._scatter = ((j % k) * period + j // k, j > n // 2)
-            lam = table.spectrum - table.mass      # the symbol of I_h, exactly 0 at mode 0
-            lam[0] = 0.0
             s = (np.arange(period)[:, None] - np.arange(period)) % period
             ac = _take(np.fft.rfft(a[:period]), (np.minimum(s, period - s), s > period // 2))
-            self._coupling = ac / period * _take(lam, self._gather)[:, None, :]
+            self._coupling = ac / period * _take(table.symbol, self._gather)[:, None, :]
 
     @property
     def implicit(self) -> bool:
@@ -226,23 +224,31 @@ class MonotoneScheme:
 
         Explicit: u - dt F(u).  Implicit: (I - dt diag(a) I_h) v = u - dt G(u),
         G the rest of F, solved between one rfft and one irfft: the half
-        spectrum is gathered into the classes r <= K / 2, solved block by
-        block and scattered back.  The inverses at step_dt() are kept and
-        rebuilt when step_dt() changes, which under solve means G has moved;
-        a shortened step solves and keeps nothing.
+        spectrum is gathered into the classes r <= K / 2 (for P = 1, the modes
+        themselves), solved block by block and scattered back.  The inverses
+        at step_dt() are kept and rebuilt when step_dt() changes, which under
+        solve means G has moved; a shortened step solves and keeps nothing.
         """
         if self._coupling is None:
-            return u - dt * self.residual(u, diffs)
+            f = self.residual(u, diffs)       # a new array, so updated in place
+            return np.subtract(u, np.multiply(f, dt, out=f), out=f)
         rhs = self._flux(*(diffs or one_sided_diffs(u, self.h)), None)
         rhs = rhs if self.const is None else self.const + rhs
-        spec = _take(np.fft.rfft(u - dt * rhs), self._gather)[:, :, None]
+        spec = np.fft.rfft(np.subtract(u, np.multiply(rhs, dt, out=rhs), out=rhs))
+        period, inverse = self._coupling.shape[1], None
         if dt != self.step_dt():
-            spec = np.linalg.solve(np.eye(spec.shape[1]) - dt * self._coupling, spec)
+            blocks = np.eye(period) - dt * self._coupling     # solved, not kept
         else:
             if self._inverse is None or self._inverse[0] != dt:
                 self._inverse = None      # one set alive at a time, also while rebuilding
-                self._inverse = (dt, np.linalg.inv(np.eye(spec.shape[1]) - dt * self._coupling))
-            spec = np.matmul(self._inverse[1], spec)
+                blocks = np.eye(period) - dt * self._coupling
+                self._inverse = (dt, 1.0 / blocks if period == 1 else np.linalg.inv(blocks))
+            inverse = self._inverse[1]
+        if period == 1:
+            spec *= (1.0 / blocks if inverse is None else inverse).reshape(-1)
+            return np.fft.irfft(spec, n=u.size)
+        spec = _take(spec, self._gather)[:, :, None]
+        spec = np.linalg.solve(blocks, spec) if inverse is None else np.matmul(inverse, spec)
         return np.fft.irfft(_take(spec.reshape(-1), self._scatter), n=u.size)
 
     def residual(self, u: np.ndarray, diffs: Optional[tuple] = None) -> np.ndarray:
@@ -255,7 +261,7 @@ class MonotoneScheme:
             nonlocal_part = self.minus_a * lv
             out = nonlocal_part if out is None else out + nonlocal_part
         if self.ham is None and self.power is None:
-            return out
+            return out.copy() if out is self.const else out
         flux = self._flux(dl, dr, lv)
         return flux if out is None else out + flux
 
@@ -265,7 +271,9 @@ class MonotoneScheme:
         if self.power is not None:
             coeff, m, at_zero = self.power
             return at_zero + coeff * godunov_power_flux(m, ql, qr)
-        return self.ham(0.5 * (ql + qr), lv) - 0.5 * self.theta * (qr - ql)
+        mid, diss = ql + qr, qr - ql
+        diss *= 0.5 * self.theta
+        return np.subtract(self.ham(np.multiply(mid, 0.5, out=mid), lv), diss, out=diss)
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         """Dense n x n derivative of F at u, for Newton solves.

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import trig_poly
 from hjhom.cell import CellConfig, CellParams
-from hjhom.effective import (EffectiveTable, effective_source_from_formula,
-                             effective_source_from_table, tabulate)
+from hjhom.effective import (EffectiveTable, TableCells, effective_source_from_formula,
+                             effective_source_from_table, query_many, tabulate)
 from hjhom.grid import GridFunction, forward_diff
 from hjhom.hamiltonians import (HamiltonianSpec, coefficient, coercive_reach, growth_bound,
                                 model_bpm)
@@ -389,6 +389,83 @@ class TestStateTheta:
         scheme.theta = src.theta(float(np.min(both)), float(np.max(both)))
         dt = scheme.step_dt()
         assert np.all(scheme.step(u, dt) <= scheme.step(v, dt) + 1e-12)
+
+
+class TestStepWork:
+    """A step of either path costs one FFT pair, and the explicit table-source
+    step is the Lax-Friedrichs update written out."""
+
+    N = 256
+
+    @classmethod
+    def _state(cls):
+        # gradients within 6 of 0 and I_h u within [-6, 6]: inside the table hull
+        x = np.arange(cls.N) / cls.N
+        return 0.6 * np.sin(2 * np.pi * x) + 0.1 * np.cos(6 * np.pi * x + 1.0)
+
+    @staticmethod
+    def _table():
+        ps, ls = np.linspace(-8.0, 8.0, 9), np.linspace(-6.0, 6.0, 7)
+        P, L = np.meshgrid(ps, ls, indexing="ij")
+        values = (P ** 2 + 0.5 * np.cos(P) - (1.0 + 0.1 * np.sin(P)) * L)[None]
+        return EffectiveTable(xs=np.array([0.0]), ps=ps, ls=ls, values=values,
+                              err=np.zeros_like(values),
+                              provenance=np.full(values.shape, "formula", dtype=object),
+                              sigma=0.5)
+
+    def test_one_fft_pair_per_step(self, monkeypatch, eikonal_ham, wavy_a):
+        n, u = self.N, self._state()
+        xs = np.arange(n) / n
+        schemes = {
+            "table source": effective_source_from_table(self._table()).scheme(
+                xs, periodized_weights(constant_kernel(0.5), n)),
+            # one constant A: P = 1
+            "closed form": effective_source_from_formula(wavy_a, eikonal_ham).scheme(
+                xs, periodized_weights(constant_kernel(1.5), n)),
+            # a(x / eps) at eps = 1/16: P = 16
+            "oscillating": oscillating_scheme(1.0 / 16.0, wavy_a, eikonal_ham,
+                                              periodized_weights(constant_kernel(1.5), n)),
+        }
+        for name, scheme in schemes.items():
+            assert scheme.implicit == (name != "table source")
+            diffs = scheme.fit_theta(u)
+            calls = []
+
+            def counted(fft):
+                def call(*args, **kwargs):
+                    calls.append(fft.__name__)
+                    return fft(*args, **kwargs)
+                return call
+
+            for fft in ("rfft", "irfft"):
+                monkeypatch.setattr(np.fft, fft, counted(getattr(np.fft, fft)))
+            # twice at step_dt() (an implicit step builds, then reuses, its
+            # block inverses) and once shortened
+            for dt in (scheme.step_dt(), scheme.step_dt(), 0.3 * scheme.step_dt()):
+                scheme.step(u, dt, diffs)
+                assert sorted(calls) == ["irfft", "rfft"], name
+                calls.clear()
+            monkeypatch.undo()
+
+    def test_explicit_step_is_the_written_out_update(self):
+        n, table = self.N, self._table()
+        qtable = periodized_weights(constant_kernel(0.5), n)
+        scheme = effective_source_from_table(table).scheme(np.arange(n) / n, qtable)
+        # the dense quadrature operator
+        j = np.arange(n)
+        lin = (qtable.weights + qtable.antisym)[(j[None, :] - j[:, None]) % n]
+        lin[j, j] -= qtable.mass
+        u = self._state()
+        for _ in range(3):
+            scheme.fit_theta(u)
+            dt = scheme.step_dt()
+            got = scheme.step(u, dt)
+            ql, qr = (u - np.roll(u, 1)) * n, (np.roll(u, -1) - u) * n
+            flux = (query_many(TableCells(table), None, 0.5 * (ql + qr), lin @ u)
+                    - 0.5 * scheme.theta * (qr - ql))
+            # measured: at most 1.1e-16
+            assert np.max(np.abs(got - (u - dt * flux))) <= 1e-13
+            u = got
 
 
 class TestJacobian:
