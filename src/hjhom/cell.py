@@ -99,6 +99,13 @@ class NewtonStop(NamedTuple):
         return self.reason != "budget"
 
 
+def unconverged(params: CellParams, stop: NewtonStop) -> str:
+    """Name the node whose Newton solve ran out of steps, and how it stopped."""
+    return (f"cell solve at (x, p, l) = ({params.x:g}, {params.p:g}, {params.l:g}) "
+            f"not converged: residual {stop.residual:.3e} after {stop.steps} "
+            f"Newton steps, stopped by {stop.reason}")
+
+
 class CellSolution(NamedTuple):
     psi: GridFunction              # corrector, normalized psi(0) = 0
     H_bar: float

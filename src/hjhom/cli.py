@@ -1,17 +1,17 @@
 """Command-line entry point: configuration in, CSV artifacts out.
 
-Commands: audit, drift, cell, effective, solve, homogenize, constants.
-The model (kernel, a, H, u0) is built once per run, and `main` maps every
-failure to its exit code: 0 success, 2 validation or audit failure or invalid
-input (including an effective table that cannot be read, was built for
-another model, or does not cover the solve), 3 numerical failure, 4 I/O
-failure.  The gated commands (cell,
-effective, solve, homogenize) refuse to run on failed structural audits unless
---force is given.  The numerics are deterministic single-process
-numpy; the flux and its dissipation are worked out from the data, the
-time step is the CFL bound scaled by parabolic.CFL_SAFETY, and kernel
-tables sum a fixed 16 periodic images, so no configuration key selects any of
-them.
+Commands: audit, drift, cell, effective, solve, homogenize, constants.  The
+model (kernel, a, H, u0) is built once per run and mapped here to the
+solvers' parameters; every effective table is filled by hjhom.fill.  `main`
+maps every failure to its exit code: 0 success, 2 validation or audit failure
+or invalid input (including an effective table that cannot be read, was built
+for another model, or does not cover the solve), 3 numerical failure, 4 I/O
+failure.  The gated commands (cell, effective, solve, homogenize) refuse to
+run on failed structural audits unless --force is given.  The numerics are
+deterministic single-process numpy; the flux and its dissipation are worked
+out from the data, the time step is the CFL bound scaled by
+parabolic.CFL_SAFETY, and kernel tables sum a fixed 16 periodic images, so no
+configuration key selects any of them.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ import sys
 import numpy as np
 
 from . import csvio
-from .cell import (CLOSED_FORM_NODES, CellConfig, CellParams, NewtonStop,
-                   corrector_below_one, corrector_regularity, formula_below_one,
-                   solve_ergodic_pair)
+from .cell import (CellConfig, CellParams, corrector_below_one, corrector_regularity,
+                   solve_ergodic_pair, unconverged)
 from .config import ConfigError, Model, RunConfig, build_model, parse_config
 from .effective import (EffectiveTable, audit_properties, effective_source_from_formula,
-                        effective_source_from_table, save_table, tabulate)
+                        effective_source_from_table, save_table)
+from .fill import fill_table
 from .grid import GridFunction
 from .hamiltonians import (audit_periodicity, audit_regularity,
                            audit_superlinearity, coercivity_constants,
@@ -123,19 +123,13 @@ def _cell_config(cfg: RunConfig) -> CellConfig:
     return CellConfig(n=cfg["cell.n"], tol=cfg["cell.tol"], max_steps=cfg["cell.max_steps"])
 
 
-def _unconverged(params: CellParams, stop: NewtonStop) -> str:
-    """Name the node whose Newton solve ran out of steps, and how it stopped."""
-    return (f"cell solve at (x, p, l) = ({params.x:g}, {params.p:g}, {params.l:g}) "
-            f"not converged: residual {stop.residual:.3e} after {stop.steps} "
-            f"Newton steps, stopped by {stop.reason}")
-
-
 def cmd_cell(args, cfg: RunConfig, model: Model) -> int:
     params = _cell_params(cfg, model)
     if params.sigma < 1.0:
-        # exact forms: a table fill's value and err, the corrector on cell.n nodes
+        # exact forms: the corrector on cell.n nodes, a one-node table fill's value and err
         psi, stop = GridFunction(corrector_below_one(params, cfg["cell.n"])[:-1]), None
-        H_bar, spread = map(float, _formula_fill(model, params.x, params.p, params.l))
+        table, _ = fill_table(params, params.x, params.p, params.l, _cell_config(cfg))
+        H_bar, spread = table.values.item(), table.err.item()
     else:
         sol = solve_ergodic_pair(params, _cell_config(cfg))
         psi, H_bar, spread, stop = sol.psi, sol.H_bar, sol.spread, sol.stop
@@ -148,96 +142,23 @@ def cmd_cell(args, cfg: RunConfig, model: Model) -> int:
     print(f"regime {params.regime}: H_bar = {H_bar:.10g} +/- {spread / 2:.3g} "
           f"(spread {spread:.3g}), corrector osc {reg[0]:.4g}, report -> {path}")
     if stop is not None and not stop.converged:
-        print(_unconverged(params, stop), file=sys.stderr)
+        print(unconverged(params, stop), file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
-
-
-class FillCount:
-    """What an order-one fill did: nodes, Newton steps, warm-started nodes."""
-
-    nodes: int = 0
-    steps: int = 0
-    warm: int = 0
-
-    def line(self) -> str:
-        return (f"fill: {self.nodes} nodes, {self.steps} Newton steps, "
-                f"{self.warm} warm-started")
-
-
-def _ergodic_fill(cfg: RunConfig, model: Model) -> tuple:
-    """(fill, count): fill(x, p, l) solves the node's ergodic pair from the
-    previous node's corrector, or from zero where that has the smaller
-    residual or the previous node failed; a budget stop raises
-    NumericalFailure naming the node.  count takes a raised solve's steps too."""
-    ccfg = _cell_config(cfg)
-    base = _cell_params(cfg, model)
-    count = FillCount()
-    last = None               # the previous node's corrector, None after a failure
-
-    def fill(x, p, l):
-        nonlocal last
-        params = base._replace(x=x, p=p, l=l)
-        start, last = last, None
-        count.nodes += 1
-        try:
-            sol = solve_ergodic_pair(params, ccfg, start=start)
-        except NumericalFailure as exc:
-            count.steps += exc.steps
-            raise
-        count.warm += sol.warm_start
-        count.steps += sol.stop.steps
-        if not sol.stop.converged:
-            raise NumericalFailure(_unconverged(params, sol.stop))
-        last = sol.psi.values
-        return sol.H_bar, sol.spread, "discount"
-
-    return fill, count
 
 
 def _model_name(cfg: RunConfig) -> str:
     return cfg["hamiltonian.b"] + "|" + cfg["hamiltonian.f"]
 
 
-def _formula_fill(model: Model, x, p, l) -> tuple:
-    """(values, err) below order one, broadcast over x, p, l: the cell
-    formula on CLOSED_FORM_NODES cell nodes, and its gap to half as many."""
-    values = formula_below_one(model.a, model.ham, x, p, l)
-    return values, np.abs(values - formula_below_one(model.a, model.ham, x, p, l,
-                                                     nodes=CLOSED_FORM_NODES // 2))
-
-
 def _build_table(cfg: RunConfig, model: Model) -> EffectiveTable:
-    """Off order one a formula fills the whole table in one call.  Below
-    order one it is the one-dimensional cell formula, its `err` the gap
-    between CLOSED_FORM_NODES and half as many cell nodes; above order one
-    the closed form, whose cell means are taken once and which raises
-    ValueError, before any table exists, when a is not strictly positive on
-    the table's x nodes.  At order one each node is a Newton solve of its
-    ergodic pair."""
-    sigma = cfg["kernel.sigma"]
-    xs, ps, ls = (np.asarray(cfg[f"cell.table_{axis}"], dtype=float) for axis in "xpl")
-    meta = {"model": _model_name(cfg), "m": str(cfg["hamiltonian.m"])}
-    if sigma == 1.0:
-        fill, count = _ergodic_fill(cfg, model)
-        table = tabulate(fill, xs, ps, ls, sigma=sigma, meta=meta)
-        print(count.line())
-        return table
-    axes = xs[:, None, None], ps[None, :, None], ls[None, None, :]
-    if sigma < 1.0:
-        values, err = _formula_fill(model, *axes)
-        worst = np.unravel_index(np.argmax(err), err.shape)
-        # the integrand's root singularity where -g touches lambda0 makes
-        # the quadrature converge slowly near the edge of the flat piece
-        print(f"fill: cell formula on {CLOSED_FORM_NODES} nodes, largest gap to "
-              f"{CLOSED_FORM_NODES // 2} nodes {err[worst]:.3g} at (x, p, l) = "
-              f"({xs[worst[0]]:g}, {ps[worst[1]]:g}, {ls[worst[2]]:g})")
-    else:
-        values = effective_source_from_formula(model.a, model.ham).value(*axes)
-        err = np.zeros_like(values)
-    return EffectiveTable(xs=xs, ps=ps, ls=ls, values=values, err=err,
-                          provenance=np.full(values.shape, "formula", dtype=object),
-                          sigma=sigma, meta=meta)
+    """The configured table box, filled; prints the fill's line, if any."""
+    axes = (cfg[f"cell.table_{axis}"] for axis in "xpl")
+    table, record = fill_table(_cell_params(cfg, model), *axes, _cell_config(cfg),
+                               {"model": _model_name(cfg), "m": str(cfg["hamiltonian.m"])})
+    if line := record.line():
+        print(line)
+    return table
 
 
 def _load_table_for(cfg: RunConfig, path: str):

@@ -13,10 +13,9 @@ u_t - A(x) I u + Hbar0(x, Du) = 0 with Hbar0 = A mean_y(H / a).
 
 Below order one the ergodic constant has a closed form too, the
 one-dimensional cell formula (hjhom.cell.formula_below_one); at order one it
-is only available through cell solves.  This module tabulates Hbar over
-rectangular (x, p, l) axes with error bars and audits the structural
-properties every downstream consumer relies on: decreasing in l, coercive in
-p, and finite continuity constants.
+comes from cell solves.  hjhom.fill fills the tables; this module holds them
+with their error bars, queries, saves, loads and audits them for what every
+consumer relies on: decreasing in l, coercive in p, finite continuity constants.
 
 Two sources serve Hbar to the time stepper, each building its own scheme:
 ClosedForm, the pair (a, H) whose cell means are taken afresh at every call,
@@ -129,10 +128,10 @@ class EffectiveTable:
     ls: np.ndarray
     values: np.ndarray       # shape (nx, np, nl)
     err: np.ndarray
-    provenance: np.ndarray   # strings: formula | discount | failed
+    provenance: np.ndarray   # strings: formula | ergodic | failed (older: discount)
     sigma: float
     meta: dict
-    failures: tuple          # why each failed node failed, as tabulate saw it
+    failures: tuple          # why each failed node failed, as the fill saw it
 
     def __init__(self, xs, ps, ls, values, err, provenance, sigma, meta=None, failures=()):
         self.xs, self.ps, self.ls = (np.asarray(axis, dtype=float) for axis in (xs, ps, ls))
@@ -317,25 +316,6 @@ def effective_source_from_table(table: EffectiveTable) -> EffectiveSource:
         return max(slopes[bisect_left(inner, lo):bisect_right(inner, hi) + 1], default=0.0)
 
     return EffectiveSource(at=at, l_slope=table.l_slope_bound(), theta=theta)
-
-
-def tabulate(fill: Callable, xs, ps, ls, sigma: float,
-             meta: Optional[dict] = None) -> EffectiveTable:
-    """Fill the table node by node; a failing node is marked, not fatal."""
-    xs, ps, ls = (np.atleast_1d(np.asarray(axis, dtype=float)) for axis in (xs, ps, ls))
-    values = np.full((xs.size, ps.size, ls.size), np.nan)
-    err = np.full_like(values, np.inf)
-    prov = np.full(values.shape, "failed", dtype=object)
-    failures = []
-    for node in np.ndindex(values.shape):       # in x, p, l order
-        try:
-            values[node], err[node], prov[node] = fill(
-                *(float(axis[i]) for axis, i in zip((xs, ps, ls), node)))
-        except (NumericalFailure, ValueError) as exc:
-            failures.append(str(exc))
-    return EffectiveTable(xs=xs, ps=ps, ls=ls, values=values, err=err,
-                          provenance=prov, sigma=sigma, meta=dict(meta or {}),
-                          failures=tuple(failures))
 
 
 # slack of the property audit: an l-increment above it breaks monotonicity,

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import WAVY_SWEEP_SIGMA, eikonal_root, formula_fill, trig_poly
 from hjhom.cell import CellConfig, CellParams
-from hjhom.effective import (EffectiveTable, audit_properties,
-                             effective_source_from_formula, tabulate)
+from hjhom.effective import EffectiveTable, audit_properties, effective_source_from_formula
+from hjhom.fill import tabulate
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, coercivity_constants, model_bpm
 from hjhom.homogenize import ProblemFamily, SweepConfig, run_sweep

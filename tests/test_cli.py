@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import hjhom
 from hjhom.cell import corrector_below_one, solve_ergodic_pair
-from hjhom.cli import _cell_config, _cell_params, _ergodic_fill, main
+from hjhom.cli import _cell_config, _cell_params, main
 from hjhom.config import (SCHEMA, ConfigError, build_model, defaults, parse_config,
                           parse_text)
+from hjhom.fill import fill_table
 from hjhom.kernels import normalizing_constant
 from lemmas import vanishing_discount_sweep
 
@@ -401,10 +402,12 @@ class TestCommands:
                                                              monkeypatch):
         # H_bar is the cell formula's, and no Newton solve runs
         import hjhom.cli
+        import hjhom.fill
         from hjhom.cell import formula_below_one
         from hjhom.hamiltonians import coefficient, model_bpm
-        monkeypatch.setattr(hjhom.cli, "solve_ergodic_pair",
-                            lambda *args, **kw: pytest.fail("a Newton solve ran"))
+        for module in (hjhom.cli, hjhom.fill):
+            monkeypatch.setattr(module, "solve_ergodic_pair",
+                                lambda *args, **kw: pytest.fail("a Newton solve ran"))
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 0.5", "hamiltonian.b = two_plus_cos_y", "cell.n = 64",
             "cell.p = 1.5", "cell.l = 0.5", "cell.deltas = 0.1,0.01,0.001",
@@ -421,20 +424,22 @@ class TestCommands:
 
     @pytest.mark.parametrize("p, l", [(0.45, 0.0), (1.2, 0.5), (-2.0, -1.0)])
     def test_cell_below_order_one_is_the_table_fill_value(self, tmp_path, p, l):
-        # hjhom cell writes the H_bar and err that hjhom effective stores for
-        # the same node, bit for bit
+        # hjhom cell's one-node fill writes the H_bar and err that hjhom
+        # effective stores for the same node of a larger box, bit for bit
         lines = ["kernel.sigma = 0.5", "hamiltonian.b = two_plus_cos_y", "cell.n = 64",
-                 "cell.x = 0.25", f"cell.p = {p}", f"cell.l = {l}", "cell.table_x = 0.25",
-                 f"cell.table_p = {p}", f"cell.table_l = {l}"]
+                 "cell.x = 0.25", f"cell.p = {p}", f"cell.l = {l}", "cell.table_x = 0,0.25",
+                 f"cell.table_p = {p - 1},{p},{p + 0.5}", f"cell.table_l = {l},{l + 1}"]
         path = write(tmp_path, "\n".join(lines) + "\n")
         rows = {}
         for command in ("cell", "effective"):
             assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
             body = [line.split(",") for line in (tmp_path / f"run_{command}.csv")
                     .read_text().splitlines() if not line.startswith("#")]
-            rows[command] = dict(zip(body[0], body[1]))
-        assert rows["cell"]["H_bar"] == rows["effective"]["H_bar"]
-        assert rows["cell"]["spread"] == rows["effective"]["err"]
+            rows[command] = [dict(zip(body[0], row)) for row in body[1:]
+                             if tuple(map(float, row[:3])) == (0.25, p, l)]
+        assert len(rows["cell"]) == len(rows["effective"]) == 1
+        assert rows["cell"][0]["H_bar"] == rows["effective"][0]["H_bar"]
+        assert rows["cell"][0]["spread"] == rows["effective"][0]["err"]
 
     @pytest.mark.parametrize("sigma", ["0.5", "1"])
     def test_effective_solve_without_a_table_names_the_key(self, tmp_path, capsys, sigma):
@@ -448,11 +453,11 @@ class TestCommands:
 
     def test_effective_below_order_one_fills_from_the_formula(self, tmp_path, capsys,
                                                               monkeypatch):
-        import hjhom.cli
+        import hjhom.fill
         from hjhom.cell import CLOSED_FORM_NODES, formula_below_one
         from hjhom.effective import load_table
         from hjhom.hamiltonians import coefficient, model_bpm
-        monkeypatch.setattr(hjhom.cli, "solve_ergodic_pair",
+        monkeypatch.setattr(hjhom.fill, "solve_ergodic_pair",
                             lambda *args, **kw: pytest.fail("a cell solve ran"))
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 0.5", "coefficient_a.kind = two_plus_cos_y",
@@ -613,7 +618,7 @@ class TestCommands:
         assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
         from hjhom.effective import load_table
         table = load_table(str(tmp_path / "run_effective.csv"))
-        assert set(np.unique(table.provenance)) == {"discount"}
+        assert set(np.unique(table.provenance)) == {"ergodic"}
         assert table.values[0, 0, 0] > table.values[0, 0, 1]  # decreasing in l
 
     def test_effective_solve_from_saved_table(self, tmp_path):
@@ -637,7 +642,8 @@ class TestCommands:
         assert main(["solve", "--config", missing_cfg, "--out", str(tmp_path)]) == 2
 
     def test_unusable_table_is_invalid_input(self, tmp_path, capsys):
-        from hjhom.effective import save_table, tabulate
+        from hjhom.effective import save_table
+        from hjhom.fill import tabulate
         # |p| <= 1 cannot cover the gradients of sin(2 pi x)
         narrow = tabulate(lambda x, p, l: (p * p - 1.0 - l, 0.0, "discount"), [0.0],
                           [-1.0, 0.0, 1.0], [-4.0, 0.0, 4.0], sigma=0.5)
@@ -675,7 +681,8 @@ class TestCommands:
         assert capsys.readouterr().err.splitlines()[-1].startswith("invalid input: p = ")
 
     def test_failed_node_outside_the_reach_is_harmless(self, tmp_path):
-        from hjhom.effective import save_table, tabulate
+        from hjhom.effective import save_table
+        from hjhom.fill import tabulate
         from hjhom.parabolic import NumericalFailure
 
         def fill(p, l, fail_corner):
@@ -703,7 +710,8 @@ class TestCommands:
         assert outputs[0] == outputs[1]
 
     def test_failed_node_reached_is_named(self, tmp_path, capsys):
-        from hjhom.effective import save_table, tabulate
+        from hjhom.effective import save_table
+        from hjhom.fill import tabulate
         from hjhom.parabolic import NumericalFailure
 
         def fill(x, p, l):
@@ -921,52 +929,52 @@ class TestCommands:
 
 
 class TestContinuationFill:
-    """A table fill at order one solves each node's ergodic pair at zero
+    """fill_table at order one solves each node's ergodic pair at zero
     discount, from the previous node's corrector where that beats zero's
     residual; a node that fails is marked failed and the next starts from
-    zero.  The fill reads no discount list."""
+    zero.  The fill reads no discount list, and its record keeps each node's
+    Newton steps and whether it started warm."""
 
-    def _fill(self, tmp_path, lines):
+    def _fill(self, tmp_path, lines, ps, ls):
         cfg = parse_config(write(tmp_path, "\n".join(lines) + "\n"))
-        model = build_model(cfg)
-        return (cfg, model) + _ergodic_fill(cfg, model)
+        base = _cell_params(cfg, build_model(cfg))
+        return (cfg, base) + fill_table(base, [0.0], ps, ls, _cell_config(cfg))
 
     @pytest.mark.parametrize("sigma", ["1"])
     def test_matches_the_ladder_in_fewer_steps(self, tmp_path, sigma):
         # the ladder's Richardson value 2 Hbar(delta / 2) - Hbar(delta) at
         # delta = 1e-3 removes its bias linear in delta
-        cfg, model, fill, count = self._fill(tmp_path, [
-            f"kernel.sigma = {sigma}", "coefficient_a.kind = two_plus_cos_y", "cell.n = 64"])
+        nodes = (0.0, 0.5, 1.0)
+        cfg, base, table, record = self._fill(tmp_path, [
+            f"kernel.sigma = {sigma}", "coefficient_a.kind = two_plus_cos_y", "cell.n = 64"],
+            nodes, nodes)
         ladder_steps = 0
-        for p in (0.0, 0.5, 1.0):
-            for l in (0.0, 0.5, 1.0):
-                value, spread, tag = fill(0.0, p, l)
-                params = _cell_params(cfg, model)._replace(p=p, l=l)
+        for i, p in enumerate(nodes):
+            for k, l in enumerate(nodes):
+                params = base._replace(p=p, l=l)
                 sols = [vanishing_discount_sweep(params, deltas, _cell_config(cfg))
                         for deltas in (cfg["cell.deltas"], cfg["cell.deltas"] + (5e-4,))]
                 ladder_steps += sum(rec[2] for rec in sols[0].residuals)
+                value = table.values[0, i, k]
                 assert abs(value - (2.0 * sols[1].H_bar - sols[0].H_bar)) <= 1e-8
-                assert spread <= 2.0 * cfg["cell.tol"] and tag == "discount"
-        assert count.nodes == 9 and count.warm > 0
-        assert count.steps < ladder_steps
+                assert table.err[0, i, k] <= 2.0 * cfg["cell.tol"]
+                assert table.provenance[0, i, k] == "ergodic"
+        assert record.steps.shape == record.warm.shape == (1, 3, 3)
+        assert record.warm.sum() > 0
+        assert record.steps.sum() < ladder_steps
 
     def test_exact_column_stays_exact_in_no_steps(self, tmp_path):
         # a = 2 + cos(2 pi y) against H = |p|^2 - cos(2 pi y): at l = -1 the
         # zero corrector is exact, H_bar = 2 + p^2, whatever came before
-        cfg, model, fill, count = self._fill(tmp_path, [
+        ps, ls = np.array([0.0, 0.5, 1.0]), np.array([-1.0, 0.0, 1.0])
+        _, _, table, record = self._fill(tmp_path, [
             "kernel.sigma = 1", "kernel.family = tilt", "kernel.slope = 0.5",
-            "coefficient_a.kind = two_plus_cos_y", "cell.n = 64"])
-        steps = {}
-        for p in (0.0, 0.5, 1.0):
-            for l in (-1.0, 0.0, 1.0):
-                before = count.steps
-                value, _, _ = fill(0.0, p, l)
-                steps[p, l] = count.steps - before
-                if l == -1.0:
-                    assert abs(value - (2.0 + p * p)) <= 1e-12
-        assert all(steps[p, -1.0] == 0 for p in (0.0, 0.5, 1.0))
+            "coefficient_a.kind = two_plus_cos_y", "cell.n = 64"], ps, ls)
+        for i, p in enumerate(ps):
+            assert abs(table.values[0, i, 0] - (2.0 + p * p)) <= 1e-12
+        assert np.all(record.steps[0, :, ls == -1.0] == 0)
         # the node before each exact one, (p, 1) of the previous line, was not exact
-        assert steps[0.0, 1.0] > 0 and steps[0.5, 1.0] > 0
+        assert record.steps[0, 0, 2] > 0 and record.steps[0, 1, 2] > 0
 
     def test_rerun_writes_identical_bytes(self, tmp_path, capsys):
         # each node starts from the previous node's corrector; a second run,
@@ -985,25 +993,24 @@ class TestContinuationFill:
 
     def test_steps_of_a_raised_solve_are_counted(self, tmp_path, monkeypatch):
         # the second node's second Newton step is made non-finite: its solve
-        # raises after two steps, the count keeps them, and the next node
+        # raises after two steps, the record keeps them, and the next node
         # starts from zero.  Every Newton step is one linear solve, so the
         # solves recount the total
-        from hjhom.parabolic import NumericalFailure
         solves = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or (
             np.full(args[1].shape, np.nan) if len(solves) == 6 else solve(*args)))
-        cfg, model, fill, count = self._fill(tmp_path, [
-            "kernel.sigma = 1", "coefficient_a.kind = two_plus_cos_y", "cell.n = 64"])
-        fill(0.0, 0.0, 0.0)
-        assert count.steps == 4
-        with pytest.raises(NumericalFailure, match=r"non-finite residual at step 2$"):
-            fill(0.0, 0.5, 0.0)
-        value = fill(0.0, 1.0, 0.0)[0]
-        assert (count.nodes, count.warm) == (3, 0)
-        assert count.steps == len(solves)
-        params = _cell_params(cfg, model)._replace(p=1.0, l=0.0)
-        assert value == solve_ergodic_pair(params, _cell_config(cfg)).H_bar
+        cfg, base, table, record = self._fill(tmp_path, [
+            "kernel.sigma = 1", "coefficient_a.kind = two_plus_cos_y", "cell.n = 64"],
+            [0.0, 0.5, 1.0], [0.0])
+        assert record.steps[0, :2, 0].tolist() == [4, 2]
+        assert len(table.failures) == 1
+        assert re.search(r"non-finite residual at step 2$", table.failures[0])
+        assert table.provenance[0, :, 0].tolist() == ["ergodic", "failed", "ergodic"]
+        assert not record.warm.any()
+        assert record.steps.sum() == len(solves)
+        params = base._replace(p=1.0, l=0.0)
+        assert table.values[0, 2, 0] == solve_ergodic_pair(params, _cell_config(cfg)).H_bar
 
     def test_order_one_fill_takes_no_regularity(self, tmp_path, monkeypatch):
         # the corrector's osc, lip and flap_sup are hjhom cell's alone: a
@@ -1012,25 +1019,32 @@ class TestContinuationFill:
         calls, flap = [], hjhom.cell.spectral_flap
         monkeypatch.setattr(hjhom.cell, "spectral_flap",
                             lambda *args: calls.append(1) or flap(*args))
-        *_, fill, count = self._fill(tmp_path, ["kernel.sigma = 1", "cell.n = 32"])
-        for p in (0.0, 1.0):
-            for l in (0.0, 1.0):
-                fill(0.0, p, l)
-        assert count.nodes == 4 and count.steps > 0
+        *_, record = self._fill(tmp_path, ["kernel.sigma = 1", "cell.n = 32"],
+                                [0.0, 1.0], [0.0, 1.0])
+        assert record.steps.size == 4 and record.steps.sum() > 0
         assert calls == []
 
     def test_fill_line_below_and_at_order_one_only(self, tmp_path, capsys):
-        for sigma, shown in (("1", True), ("1.5", False)):
+        # the command prints its fill record's line, which is empty above order one
+        for sigma, shown in (
+                ("0.5", r"fill: cell formula on 2048 nodes, largest gap to 1024 nodes \S+ "
+                        r"at \(x, p, l\) = \(0, [01], 0\)"),
+                ("1", r"fill: 2 nodes, \d+ Newton steps, [01] warm-started"),
+                ("1.5", None)):
             path = write(tmp_path, "\n".join([
                 f"kernel.sigma = {sigma}", "cell.n = 32",
                 "cell.table_p = 0,1", "cell.table_l = 0"]) + "\n")
             assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
             lines = capsys.readouterr().out.splitlines()
             fill = [line for line in lines if line.startswith("fill: ")]
-            assert fill == ([fill[0]] if shown else [])
+            cfg = parse_config(path)
+            _, record = fill_table(_cell_params(cfg, build_model(cfg)), 0.0, [0.0, 1.0], 0.0,
+                                   _cell_config(cfg))
+            assert fill == ([record.line()] if shown else []) and (shown or record.line() == "")
             if shown:
-                assert re.fullmatch(r"fill: 2 nodes, \d+ Newton steps, [01] warm-started",
-                                    fill[0])
+                assert re.fullmatch(shown, fill[0])
+            # per-node steps and warm starts only where nodes are Newton solves
+            assert (record.steps is None) == (record.warm is None) == (sigma != "1")
 
 
 def _imported_by_the_cli(prefix: str) -> str:

@@ -1,5 +1,6 @@
 import contextlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from hjhom.effective import (_BLOCK_ROWS, CLOSED_FORM_NODES, ClosedForm, Effecti
                              TableCells, _weighted,
                              audit_properties, effective_source_from_formula,
                              effective_source_from_table, load_table, query_many,
-                             save_table, tabulate)
+                             save_table)
+from hjhom.fill import tabulate
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import HamiltonianSpec, coefficient, model_bpm
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
 from hjhom.parabolic import (MonotoneScheme, NumericalFailure, ParabolicProblem,
                              SolverConfig, coefficient_scheme, solve)
 from lemmas import vanishing_discount_sweep
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 WAVY = coefficient("two_plus_cos_y")
 # positive and slow-variable dependent, unlike every built-in positive coefficient
@@ -797,6 +801,21 @@ class TestPersistence:
         again = tmp_path / "again.csv"
         save_table(loaded, str(again), config_lines=["# kernel.sigma = 1.5"])
         assert again.read_bytes() == path.read_bytes()
+
+    def test_saved_discount_labels_round_trip(self, tmp_path):
+        # tables saved before the order-one label became "ergodic" carry
+        # "discount": load_table keeps the label as it reads it, and a resave
+        # writes the same data rows
+        fixture = FIXTURES / "solve_table.csv"
+        table = load_table(str(fixture))
+        assert table.values.size == 63
+        assert set(np.unique(table.provenance)) == {"discount"}
+        path = tmp_path / "resaved.csv"
+        save_table(table, str(path))
+        assert np.array_equal(load_table(str(path)).provenance, table.provenance)
+        rows = [[line for line in file.read_text().splitlines() if not line.startswith("#")]
+                for file in (fixture, path)]
+        assert rows[0] == rows[1] and sum(row.endswith(",discount") for row in rows[1]) == 63
 
     def test_repeated_and_missing_nodes_rejected(self, tmp_path, eikonal_ham):
         table = tabulate(formula_fill(WAVY, eikonal_ham), [0.0],

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hjhom.cell import CellConfig, CellParams
-from hjhom.effective import (effective_source_from_formula, effective_source_from_table,
-                             tabulate)
+from hjhom.effective import effective_source_from_formula, effective_source_from_table
+from hjhom.fill import tabulate
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, model_bpm
 from hjhom.homogenize import (ProblemFamily, SweepConfig, SweepReport,

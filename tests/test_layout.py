@@ -225,12 +225,43 @@ def test_guard_names_an_unread_field(tmp_path):
     # the same package with one record field that nothing reads, though a
     # constructor keyword sets it
     src = _copy_of_src(tmp_path)
-    cli = src / "cli.py"
-    text = cli.read_text()
-    field_line = "    warm: int = 0\n"
-    call = "count = FillCount()"
+    fill = src / "fill.py"
+    text = fill.read_text()
+    field_line = "    warm: Optional[np.ndarray]\n"
+    call = "FillRecord(table, steps, warm)"
     assert text.count(field_line) == 1 and text.count(call) == 1
-    cli.write_text(text.replace(field_line, field_line + "    orphan: int = 0\n")
-                   .replace(call, "count = FillCount(orphan=1)"))
-    assert unread_members(src) == ["FillCount.orphan"]
+    fill.write_text(text.replace(field_line, field_line + "    orphan: int = 0\n")
+                    .replace(call, "FillRecord(table, steps, warm, orphan=1)"))
+    assert unread_members(src) == ["FillRecord.orphan"]
     assert unreached(src) == []
+
+
+def callers(src: Path, names: set) -> list:
+    """`module.name` of every call in the package at src of a function whose
+    name, bare or as an attribute, is in names, sorted and without repeats."""
+    found = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    found.add(f"{path.stem}.{name}")
+    return sorted(found)
+
+
+def test_only_the_fill_module_fills_tables():
+    # tabulate and the cell formula are called in one place, so that every
+    # table the program writes comes from hjhom.fill.fill_table
+    assert callers(SRC, {"tabulate", "formula_below_one"}) == ["fill.formula_below_one",
+                                                               "fill.tabulate"]
+
+
+def test_guard_names_a_second_fill(tmp_path):
+    # the same package with the cell formula called from the command line too
+    src = _copy_of_src(tmp_path)
+    with open(src / "cli.py", "a") as fh:
+        fh.write("\n\ndef orphan(model, x, p, l):\n"
+                 "    return formula_below_one(model.a, model.ham, x, p, l)\n")
+    assert callers(src, {"tabulate", "formula_below_one"}) == [
+        "cli.formula_below_one", "fill.formula_below_one", "fill.tabulate"]

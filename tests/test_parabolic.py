@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import trig_poly
 from hjhom.cell import CellConfig, CellParams
 from hjhom.effective import (EffectiveTable, TableCells, effective_source_from_formula,
-                             effective_source_from_table, query_many, tabulate)
+                             effective_source_from_table, query_many)
+from hjhom.fill import tabulate
 from hjhom.grid import GridFunction, forward_diff
 from hjhom.hamiltonians import (HamiltonianSpec, coefficient, coercive_reach, growth_bound,
                                 model_bpm)
