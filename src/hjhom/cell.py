@@ -211,23 +211,23 @@ def corrector_regularity(psi: GridFunction) -> tuple:
             float(np.max(np.abs(spectral_flap(psi, 1.0).values))))
 
 
-def spectral_cell_above_one(sigma: float, f: GridFunction) -> GridFunction:
-    """Solve (fractional Laplacian of order sigma) psi = f for zero-mean f.
+def spectral_cell_above_one(sigma: float, f: np.ndarray) -> np.ndarray:
+    """Solve (fractional Laplacian of order sigma) psi = f for each row of f,
+    the cell nodes along its last axis, by one rfft and irfft.
 
-    Solvability requires the compatibility condition mean(f) = 0 (constants
-    span the kernel of the operator); violation raises.  The result is
-    normalized by psi(0) = 0.
-    """
+    Solvability requires the compatibility condition mean(f) = 0 in each
+    row (constants span the kernel of the operator); violation raises.
+    Each row of the result is normalized by psi(0) = 0."""
     if not (1.0 < sigma < 2.0):
         raise ValueError("direct spectral cell solve applies to orders in (1, 2)")
-    fm = abs(f.mean())
-    if fm > 1e-12 * max(f.sup_norm(), 1e-300):
-        raise ValueError(f"compatibility violated: mean(f) = {f.mean():.3e} != 0")
-    freq = np.fft.rfftfreq(f.n, d=1.0 / f.n)
+    n, mean = np.shape(f)[-1], np.mean(f, axis=-1)
+    if np.any(bad := np.abs(mean) > 1e-12 * np.maximum(np.max(np.abs(f), axis=-1), 1e-300)):
+        raise ValueError(f"compatibility violated: mean(f) = {mean[bad].flat[0]:.3e} != 0")
+    freq = np.fft.rfftfreq(n, d=1.0 / n)
     mult = np.zeros_like(freq)
     mult[1:] = (2.0 * np.pi * freq[1:]) ** (-sigma)
-    psi = np.fft.irfft(mult * np.fft.rfft(f.values), n=f.n)
-    return GridFunction(psi - psi[0])
+    psi = np.fft.irfft(mult * np.fft.rfft(f, axis=-1), n=n, axis=-1)
+    return psi - psi[..., :1]
 
 
 # Newton and bisection steps per root of the formula below order one
@@ -264,8 +264,8 @@ def _cell_data(a: Callable, ham: HamiltonianSpec, X, ys: np.ndarray, l) -> tuple
     the cell nodes ys: g = f + a l.  Raises ValueError, naming the node,
     where a is not positive."""
     a_vals = np.asarray(a(X, ys), dtype=float)
-    require_positive_a(np.broadcast_to(a_vals, (X.size, ys.size)), X, ys, "positive on the cell")
-    g = ham.f(X, ys) + a_vals * l
+    g = np.broadcast_to(ham.f(X, ys) + a_vals * l, (X.size, ys.size))
+    require_positive_a(np.broadcast_to(a_vals, g.shape), X, ys, "positive on the cell")
     return g, np.broadcast_to(np.asarray(ham.b(X, ys), dtype=float), g.shape)
 
 

@@ -46,13 +46,13 @@ def emit_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
 def _long_rows(blocks: Iterable[tuple], xs: np.ndarray) -> Iterator[str]:
     """Long-format rows (label, x, u), one per node of each (label, u) block,
     formatted as _fmt does and joined as csv.writer joins them (no value
-    needs quoting): one str of lines per block, the x column formatted once
-    and each label once per block."""
-    x_col = [_fmt(x) for x in xs]
+    needs quoting): one str of lines per block, one % over a template built
+    once from the formatted x column, the label formatted once per block."""
+    template = "".join([f"%s,{_fmt(x)},%.17e\r\n" for x in xs])
     for label, values in blocks:
-        label = _fmt(label)
-        yield "".join([f"{label},{x},{u:.17e}\r\n"
-                       for x, u in zip(x_col, np.asarray(values, dtype=float).tolist())])
+        args = [_fmt(label), None] * len(xs)
+        args[1::2] = np.asarray(values, dtype=float).tolist()
+        yield template % tuple(args)
 
 
 def trajectory_rows(traj) -> Iterator[str]:

@@ -18,10 +18,11 @@ with their error bars, queries, saves, loads and audits them for what every
 consumer relies on: decreasing in l, coercive in p, finite continuity constants.
 
 Two sources serve Hbar to the time stepper, each building its own scheme:
-ClosedForm, the pair (a, H) whose cell means are taken afresh at every call,
-and EffectiveSource, a table's queries, which raise NumericalFailure naming
-the query and the failed node it draws on.  ClosedForm keeps no state; the
-table source keeps each node's cell, and nothing that changes a value.
+ClosedForm, the pair (a, H) whose cell means are taken afresh at every call
+over the rows its coefficients return (each broadcasts over the variables
+it reads), and EffectiveSource, a table's queries, which raise
+NumericalFailure naming the query and the failed node it draws on.  Neither
+keeps a state that changes a value; the table source keeps each node's cell.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 
 from . import csvio
 from .cell import CLOSED_FORM_NODES, require_positive_a, spectral_cell_above_one
-from .grid import GridFunction
 from .hamiltonians import HamiltonianSpec
 from .kernels import BLOCK_VALUES, QuadratureTable
 from .parabolic import MonotoneScheme, NumericalFailure
@@ -46,7 +46,8 @@ _BLOCK_ROWS = BLOCK_VALUES // CLOSED_FORM_NODES
 
 class ClosedForm(NamedTuple):
     """Hbar(x, p, l) = Hbar0(x, p) - A(x) l above order one, its means taken
-    on CLOSED_FORM_NODES cell nodes at every call.
+    on CLOSED_FORM_NODES cell nodes at every call, over the rows a, b and f
+    return: if none reads x, one row's means serve every x.
 
     Hbar0 keeps the claims (m, b0, C0) of H, because the weights A / a
     average to one, and H's power form b |p|^m - f stays one with bbar =
@@ -57,20 +58,22 @@ class ClosedForm(NamedTuple):
     ham: HamiltonianSpec                              # the cell Hamiltonian H
 
     def means(self, x) -> tuple:
-        """(A, bbar, fbar), shaped as x.  Raises ValueError, naming the node,
-        where a is not strictly positive."""
+        """(A, bbar, fbar), shaped as x, block by block.  Raises ValueError,
+        naming the node, where a is not strictly positive."""
         x = np.asarray(x, dtype=float)
         ys = np.arange(CLOSED_FORM_NODES) / CLOSED_FORM_NODES
         blocks = []
         for s in range(0, x.size, _BLOCK_ROWS):
             X = x.ravel()[s:s + _BLOCK_ROWS, None]
-            a_vals = np.broadcast_to(np.asarray(self.a(X, ys), dtype=float),
-                                     (X.size, ys.size))
+            a_vals, b_vals, f_vals = (np.asarray(c(X, ys), dtype=float)
+                                      for c in (self.a, self.ham.b, self.ham.f))
+            rows = np.broadcast_shapes((1, ys.size), a_vals.shape, b_vals.shape, f_vals.shape)
+            a_vals = np.broadcast_to(a_vals, rows)
             require_positive_a(a_vals, X, ys, "strictly positive above order one")
             A = 1.0 / np.mean(1.0 / a_vals, axis=1)
-            blocks.append([A] + [
-                A * np.mean(np.broadcast_to(np.asarray(part, dtype=float), a_vals.shape)
-                            / a_vals, axis=1) for part in (self.ham.b(X, ys), self.ham.f(X, ys))])
+            blocks.append([A] + [A * np.mean(part / a_vals, axis=1) for part in (b_vals, f_vals)])
+            if rows[0] < X.size:          # no x axis: one row serves every x
+                return tuple(np.full(x.shape, col[0]) for col in blocks[0])
         return tuple(np.concatenate(col).reshape(x.shape) for col in zip(*blocks))
 
     def value(self, x, p, l) -> np.ndarray:
@@ -85,18 +88,21 @@ class ClosedForm(NamedTuple):
         return MonotoneScheme(1.0 / xs.size, power=(bbar, self.ham.m, -fbar),
                               table=table, a=A)
 
-    def corrector(self, sigma: float, n: int) -> Callable[[float, float, float], GridFunction]:
-        """psi(x, p, l) on n cell nodes: (fractional Laplacian) psi = f for
-        f = l + (Hbar - H) / a, made mean-free (it is up to quadrature error)."""
+    def corrector(self, sigma: float, n: int) -> Callable[..., np.ndarray]:
+        """profiles(x, p, l): for k nodes' arrays x, p, l, the (k, n) mean-free
+        correctors psi on n cell nodes from one means call and one spectral
+        solve: (fractional Laplacian) psi = f for f = l + (Hbar - H) / a, made
+        mean-free (it is up to quadrature error)."""
         ys = np.arange(n) / n
 
-        def psi(x, p, l):
-            xs = np.full(n, x)
-            h_vals = self.ham.eval(xs, ys, np.full(n, p))
-            f = l + (self.value(xs[:1], p, l)[0] - h_vals) / self.a(xs, ys)
-            return spectral_cell_above_one(sigma, GridFunction(f - np.mean(f)))
+        def profiles(x, p, l):
+            X, P, L = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (x, p, l))
+            hbar = self.value(X[:, 0], P[:, 0], L[:, 0])[:, None]
+            f = L + (hbar - self.ham.eval(X, ys, P)) / self.a(X, ys)
+            psi = spectral_cell_above_one(sigma, f - np.mean(f, axis=1, keepdims=True))
+            return psi - np.mean(psi, axis=1, keepdims=True)
 
-        return psi
+        return profiles
 
 
 # the closed form above order one for the coefficient a and the cell Hamiltonian ham

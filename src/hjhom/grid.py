@@ -42,10 +42,10 @@ class GridFunction:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def value_near(self, points: np.ndarray) -> np.ndarray:
-        """Values at arbitrary torus points by nearest-node lookup."""
-        idx = np.rint(np.asarray(points) * self.n).astype(np.int64) % self.n
-        return self.values[idx]
+
+def nearest_node(points: np.ndarray, n: int) -> np.ndarray:
+    """Index of the node j / n of the n-node grid nearest each torus point."""
+    return np.rint(np.asarray(points) * n).astype(np.int64) % n
 
 
 def one_sided_diffs(values: np.ndarray, h: float) -> tuple:

@@ -64,10 +64,11 @@ def audit_periodicity(h: HamiltonianSpec) -> float:
     return float(np.max(np.abs(h.eval(X, Y + 1.0, P) - h.eval(X, Y, P))))
 
 
+# each broadcasts over the variables it reads: one without x returns y's shape
 _COEFFICIENTS = {
-    "one": lambda x, y: np.ones(np.broadcast(x, y).shape),
-    "two_plus_cos_y": lambda x, y: 2.0 + np.cos(2.0 * np.pi * y) + 0.0 * x,
-    "cos_y": lambda x, y: np.cos(2.0 * np.pi * y) + 0.0 * x,
+    "one": lambda x, y: np.ones(np.shape(y)),
+    "two_plus_cos_y": lambda x, y: 2.0 + np.cos(2.0 * np.pi * y),
+    "cos_y": lambda x, y: np.cos(2.0 * np.pi * y),
     "cos_x_cos_y": lambda x, y: np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y),
 }
 
@@ -76,7 +77,7 @@ def coefficient(spec: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Built-in coefficient by name; 'constant:c' scales the unit coefficient."""
     if spec.startswith("constant:"):
         c = float(spec.split(":", 1)[1])
-        return lambda x, y: np.full(np.broadcast(x, y).shape, c)
+        return lambda x, y: np.full(np.shape(y), c)
     try:
         return _COEFFICIENTS[spec]
     except KeyError:
@@ -93,8 +94,7 @@ def model_bpm(b_spec: str, f_spec: str, m: float) -> HamiltonianSpec:
     b = coefficient(b_spec)
     f = coefficient(f_spec)
     xs = np.arange(256) / 256
-    B = b(xs[:, None], xs[None, :])
-    F = f(xs[:, None], xs[None, :])
+    B, F = (np.broadcast_to(c(xs[:, None], xs), (256, 256)) for c in (b, f))
     b_min = float(np.min(B))
     if b_min <= 0.0:
         raise ValueError("coefficient b must be strictly positive")

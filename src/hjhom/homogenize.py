@@ -9,14 +9,13 @@ log-ratios, and corrector-ansatz residuals.
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .effective import ClosedForm, EffectiveSource
-from .grid import GridFunction, central_diff
+from .grid import GridFunction, central_diff, nearest_node
 from .hamiltonians import HamiltonianSpec
 from .kernels import KernelSpec, periodized_weights
 from .operators import apply_table
@@ -69,9 +68,9 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
               psi_provider: Optional[Callable] = None) -> SweepReport:
     """Run the eps sweep and assemble the comparison report.
 
-    psi_provider(x, p, l) -> GridFunction supplies the corrector profile for
-    the ansatz residual; when omitted the residual column is NaN.  Every eps
-    asks for the same coarse-node profiles, so each is solved once.
+    psi_provider(x, p, l), called once with the coarse nodes' arrays, returns
+    their mean-free corrector profiles as rows, which every eps's ansatz
+    residual reads; when omitted the residual column is NaN.
     """
     cfg = cfg or SweepConfig()
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
@@ -135,14 +134,13 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
     coarse_nodes = np.arange(n_coarse) / n_coarse
 
     residuals = np.full(eps.size, np.nan)
-    if psi_provider is not None:
-        psi_provider = functools.cache(psi_provider)
-        for i, e in enumerate(eps):
-            if not np.all(np.isfinite(finals[i])):
-                continue
+    finite = [i for i, final in enumerate(finals) if np.all(np.isfinite(final))]
+    if psi_provider is not None and finite:
+        profiles = psi_provider(coarse_nodes, p_eff, l_eff)
+        for i in finite:
             residuals[i] = corrector_reconstruction(
-                GridFunction(finals[i]), GridFunction(u_eff_final),
-                p_eff, l_eff, psi_provider, float(e), family.kernel.sigma)
+                GridFunction(finals[i]), GridFunction(u_eff_final), profiles,
+                float(eps[i]), family.kernel.sigma)
 
     return SweepReport(eps_list=eps, errors=errors, rates=rates,
                        corrector_residuals=residuals, runtimes=np.array(runtimes),
@@ -155,25 +153,20 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
 
 
 def corrector_reconstruction(u_eps: GridFunction, u_bar: GridFunction,
-                             p_vals: np.ndarray, l_vals: np.ndarray,
-                             psi_provider: Callable, eps: float, sigma: float) -> float:
+                             profiles: np.ndarray, eps: float, sigma: float) -> float:
     """sup |r| of the residual r of the two-scale ansatz at the final time.
 
     r(x) = u_eps(x) - u_bar(x) - eps^(1 v sigma) psi(x / eps), with psi frozen
-    at (x, p(x), l(x)).  Correctors are determined up to an additive constant;
-    the zero-mean representative is used here, since any constant part of the
-    profile belongs to the homogenized solution, not to the oscillation.  The
-    corrector should explain part of the gap: sup |r| below
-    sup |u_eps - u_bar| on the built-in models for small eps.
+    at (x, p(x), l(x)): row i of `profiles` on its cell nodes, read at the
+    node nearest y = x_i / eps mod 1.  Correctors are determined up to an
+    additive constant; the zero-mean representative is used here, since any
+    constant part of the profile belongs to the homogenized solution, not to
+    the oscillation.  The corrector should explain part of the gap: sup |r|
+    below sup |u_eps - u_bar| on the built-in models for small eps.
     """
     if u_eps.n != u_bar.n:
         raise ValueError("ansatz comparison needs matching grids")
-    n = u_eps.n
-    xs = u_eps.nodes()
-    corr = np.empty(n)
-    for i in range(n):
-        psi_i = psi_provider(float(xs[i]), float(p_vals[i]), float(l_vals[i]))
-        y = (xs[i] / eps) % 1.0
-        corr[i] = float(psi_i.value_near(np.array([y]))[0]) - psi_i.mean()
+    y = (u_eps.nodes() / eps) % 1.0
+    corr = profiles[np.arange(u_eps.n), nearest_node(y, profiles.shape[1])]
     residual = u_eps.values - u_bar.values - eps ** max(1.0, sigma) * corr
     return float(np.max(np.abs(residual)))

@@ -196,8 +196,7 @@ def audit_ellipticity(a: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """
     xs = np.arange(nx) / nx
     ys = np.arange(ny) / ny
-    A = np.asarray(a(xs[:, None], ys[None, :]), dtype=float)
-    A = np.broadcast_to(A, (nx, ny))
+    A = np.broadcast_to(np.asarray(a(xs[:, None], ys), dtype=float), (nx, ny))
     messages = []
 
     i_min = np.unravel_index(np.argmin(A), A.shape)

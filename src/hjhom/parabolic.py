@@ -60,8 +60,9 @@ class NumericalFailure(RuntimeError):
 
 
 def godunov_power_flux(m: float, ql: np.ndarray, qr: np.ndarray) -> np.ndarray:
-    """Godunov flux for q -> |q|^m (convex, minimum at 0)."""
-    return np.maximum(np.maximum(ql, 0.0), np.maximum(-qr, 0.0)) ** m
+    """Godunov flux max(ql, -qr, 0)^m for q -> |q|^m, in one new buffer."""
+    out = np.negative(qr)
+    return np.power(np.maximum(np.maximum(ql, out, out=out), 0.0, out=out), m, out=out)
 
 
 def _node_period(a: np.ndarray) -> Optional[int]:

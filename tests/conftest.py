@@ -1,5 +1,8 @@
+import importlib
 import os
+import pkgutil
 import tracemalloc
+from pathlib import Path
 
 # One BLAS/OpenMP thread: the dense Newton solves are small, and a pool that
 # spins on a core another process holds slows them by orders of magnitude.
@@ -11,6 +14,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+import hjhom
 from hjhom.effective import effective_source_from_formula
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, model_bpm
@@ -86,3 +90,15 @@ def traced_peak_mb(fn) -> float:
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+# Hypothesis mixes into its draws constants it collects from the local modules
+# in sys.modules, so a property draws the same examples in every selection and
+# order of tests only if the same modules are loaded before it runs: every
+# hjhom and tests/ module is imported here, before the first test (last in
+# this file, since the test modules import from it).
+for _module in pkgutil.iter_modules(hjhom.__path__):
+    importlib.import_module(f"hjhom.{_module.name}")
+for _path in sorted(Path(__file__).parent.glob("*.py")):
+    if _path.stem != "conftest":
+        importlib.import_module(_path.stem)

@@ -3,7 +3,8 @@
 Barrier envelopes and the time sup-convolution of the comparison principle,
 the localized split of the nonlocal operator and the two-scale remainder J,
 the vanishing-discount ladder of the cell problem in all three regimes, the
-corrector regularity ratios, and the least-squares rate fit of a sweep.
+corrector regularity ratios, the least-squares rate fit of a sweep, and its
+corrector residual with each node's profile solved alone.
 The tests check the paper's lemmas and hjhom's direct cell solvers against
 them; hjhom itself never calls them.
 """
@@ -16,8 +17,10 @@ from typing import Optional
 import numpy as np
 
 import hjhom.cell
-from hjhom.cell import CellConfig, CellParams, _cell_a, _cell_scheme, corrector_regularity
-from hjhom.grid import GridFunction
+from hjhom.cell import (CellConfig, CellParams, _cell_a, _cell_scheme, corrector_regularity,
+                        spectral_cell_above_one)
+from hjhom.grid import GridFunction, nearest_node
+from hjhom.effective import ClosedForm
 from hjhom.homogenize import SweepReport
 from hjhom.kernels import _GAUSS_NODES, _GAUSS_WEIGHTS, KernelSpec
 from hjhom.parabolic import MonotoneScheme, NumericalFailure, coefficient_scheme
@@ -287,7 +290,7 @@ def corrector_remainder_J(psi: GridFunction, k: KernelSpec, eps: float,
     R = 1.0 / eps
 
     def integrand(xi):
-        dif = psi.value_near(y + xi) - psi_y
+        dif = psi.values[nearest_node(y + xi, n)] - psi_y
         if sigma >= 1.0:
             dif = dif - np.where(np.abs(xi) <= R, dpsi_y * xi, 0.0)
         return dif * (np.asarray(k.kbar(eps * xi)) - k0) * np.abs(xi) ** (-1.0 - sigma)
@@ -516,3 +519,23 @@ def convergence_rates(report: SweepReport) -> tuple:
     fit = np.polyval(coeffs, x)
     return float(coeffs[0]), float(np.sqrt(np.mean((y - fit) ** 2)))
 
+
+
+def per_node_corrector_residual(form: ClosedForm, sigma: float, cells: int,
+                                u_eps: GridFunction, u_bar: GridFunction,
+                                p_vals: np.ndarray, l_vals: np.ndarray, eps: float) -> float:
+    """sup |u_eps - u_bar - eps^(1 v sigma) psi(x / eps)| as a loop over the
+    nodes x, each node's mean-free profile psi on `cells` cell nodes solved
+    alone from the closed form's value at (x, p(x), l(x)) and read at the
+    node nearest x / eps mod 1: the per-node form of the sweep's
+    corrector_residual column."""
+    ys = np.arange(cells) / cells
+    xs = u_eps.nodes()
+    corr = np.empty(u_eps.n)
+    for i in range(u_eps.n):
+        x, p, l = float(xs[i]), float(p_vals[i]), float(l_vals[i])
+        X = np.full(cells, x)
+        f = l + (form.value(X[:1], p, l)[0] - form.ham.eval(X, ys, np.full(cells, p))) / form.a(X, ys)
+        psi = GridFunction(spectral_cell_above_one(sigma, f - np.mean(f)))
+        corr[i] = psi.values[nearest_node((xs[i] / eps) % 1.0, cells)] - psi.mean()
+    return float(np.max(np.abs(u_eps.values - u_bar.values - eps ** max(1.0, sigma) * corr)))

@@ -420,9 +420,9 @@ class TestSpectralCell:
     def test_cosine_eigenfunction(self):
         n = 256
         f = GridFunction.from_callable(lambda y: np.cos(2 * np.pi * y), n)
-        psi = spectral_cell_above_one(1.5, f)
+        psi = spectral_cell_above_one(1.5, f.values)
         expect = (2 * np.pi) ** -1.5 * f.values
-        assert np.max(np.abs(psi.values - (expect - expect[0]))) <= 1e-12
+        assert np.max(np.abs(psi - (expect - expect[0]))) <= 1e-12
 
     def test_random_right_side_residual(self):
         rng = np.random.default_rng(3)
@@ -431,16 +431,16 @@ class TestSpectralCell:
         f_vals = sum(rng.normal() * np.cos(2 * np.pi * k * y)
                      + rng.normal() * np.sin(2 * np.pi * k * y) for k in range(1, 6))
         f = GridFunction(f_vals)
-        psi = spectral_cell_above_one(1.7, f)
-        resid = spectral_flap(psi, 1.7).values - f.values
+        psi = spectral_cell_above_one(1.7, f.values)
+        resid = spectral_flap(GridFunction(psi), 1.7).values - f.values
         assert np.max(np.abs(resid)) <= 1e-10
 
     def test_nonzero_mean_rejected(self):
         with pytest.raises(ValueError):
-            spectral_cell_above_one(1.5, GridFunction(np.full(64, 1.0)))
+            spectral_cell_above_one(1.5, np.full(64, 1.0))
 
     def test_order_domain(self):
-        f = GridFunction.from_callable(lambda y: np.cos(2 * np.pi * y), 64)
+        f = np.cos(2 * np.pi * np.arange(64) / 64)
         with pytest.raises(ValueError):
             spectral_cell_above_one(0.5, f)
 

@@ -225,18 +225,42 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form(coefficient("cos_y"), eikonal_ham, 0.0, 0.0, 0.0)
 
+    @staticmethod
+    def _one_block_means(form, x):
+        """The oracle: every x node's cell means in one block, a, b and f
+        broadcast to one row per node."""
+        X, ys = x[:, None], np.arange(CLOSED_FORM_NODES) / CLOSED_FORM_NODES
+        a_vals = np.broadcast_to(form.a(X, ys), (x.size, ys.size))
+        A = 1.0 / np.mean(1.0 / a_vals, axis=1)
+        return [A] + [A * np.mean(np.broadcast_to(part, a_vals.shape) / a_vals, axis=1)
+                      for part in (form.ham.b(X, ys), form.ham.f(X, ys))]
+
     @pytest.mark.parametrize("f", ["cos_y", "cos_x_cos_y"])
     def test_blocked_means_match_one_block(self, f):
-        # the oracle takes every x node's cell means in one block
         form = ClosedForm(X_DEPENDENT, model_bpm("one", f, 2.0))
         x = np.arange(3 * _BLOCK_ROWS + 5) / (3 * _BLOCK_ROWS + 5)
-        X, ys = x[:, None], np.arange(CLOSED_FORM_NODES) / CLOSED_FORM_NODES
-        a_vals = np.broadcast_to(X_DEPENDENT(X, ys), (x.size, ys.size))
-        A = 1.0 / np.mean(1.0 / a_vals, axis=1)
-        want = [A] + [A * np.mean(np.broadcast_to(part, a_vals.shape) / a_vals, axis=1)
-                      for part in (form.ham.b(X, ys), form.ham.f(X, ys))]
         got = form.means(x)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(np.array_equal(g, w) for g, w in zip(got, self._one_block_means(form, x)))
+
+    @pytest.mark.parametrize("spec", ["one", "two_plus_cos_y", "cos_y", "constant:1.7"])
+    @pytest.mark.parametrize("size", [1, 8, 1024])
+    def test_x_free_means_are_the_row_means(self, spec, size):
+        # a, b and f read no x and return one row: its means serve every x
+        positive = "two_plus_cos_y" if spec == "cos_y" else spec
+        form = ClosedForm(coefficient(positive), model_bpm(positive, spec, 2.0))
+        x = np.arange(size) / size
+        got = form.means(x)
+        assert all(g.shape == x.shape and np.array_equal(g, w)
+                   for g, w in zip(got, self._one_block_means(form, x)))
+
+    @pytest.mark.parametrize("size", [1, 8, 1024])
+    def test_x_dependent_f_still_varies_in_x(self, size):
+        # fbar = (sqrt 3 - 2) cos(2 pi x): f reads x, so every row is its own
+        form = ClosedForm(WAVY, model_bpm("one", "cos_x_cos_y", 2.0))
+        x = np.arange(size) / size
+        got = form.means(x)
+        assert all(np.array_equal(g, w) for g, w in zip(got, self._one_block_means(form, x)))
+        assert np.max(np.abs(got[2] - (np.sqrt(3.0) - 2.0) * np.cos(2 * np.pi * x))) <= 1e-12
 
     def test_traced_peak_of_many_means(self, eikonal_ham):
         # one block of 256 x nodes peaked near 16 MB here
@@ -578,10 +602,10 @@ class TestCellMemo:
 
     # no shrink phase: shrinking these list-heavy draws took minutes before a
     # failure was reported; the first failing example is reported as drawn.
-    # Hypothesis mixes constants of the loaded local modules into its draws,
-    # so the drawn examples depend on which test files ran first; the
-    # explicit ones do not.  They fail a memo that ignores the l bounds and
-    # one that closes the upper l bound.
+    # Hypothesis mixes constants of the loaded local modules into its draws;
+    # conftest.py loads them all before the first test, so the drawn
+    # examples are the same in every selection.  The explicit ones fail a
+    # memo that ignores the l bounds and one that closes the upper l bound.
     @given(memo_batches())
     @example(_memo_fault_case(0.8))     # crosses an l line at a fixed p
     @example(_memo_fault_case(0.3))     # lands on the line that closes its l cell

@@ -80,8 +80,9 @@ class TestRegularity:
     def test_claimed_constant_matches_gradient_oracle(self, b, f, m):
         # the claim from np.gradient's differences of b and f sampled on 256 x 256
         xs = np.arange(256) / 256
-        slopes = [float(np.max(np.abs(np.gradient(coefficient(spec)(xs[:, None], xs), 1.0 / 256,
-                                                  axis=axis))))
+        grid = {spec: np.broadcast_to(coefficient(spec)(xs[:, None], xs), (256, 256))
+                for spec in (b, f)}
+        slopes = [float(np.max(np.abs(np.gradient(grid[spec], 1.0 / 256, axis=axis))))
                   for spec in (b, f) for axis in (0, 1)]
         b_max = float(np.max(coefficient(b)(xs[:, None], xs)))
         want = max(max(slopes[:2]) + max(slopes[2:]), m * b_max, 1.0)

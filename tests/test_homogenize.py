@@ -4,15 +4,17 @@ import pytest
 from hjhom.cell import CellConfig, CellParams
 from hjhom.effective import effective_source_from_formula, effective_source_from_table
 from hjhom.fill import tabulate
-from hjhom.grid import GridFunction
+from hjhom.grid import GridFunction, central_diff
 from hjhom.hamiltonians import coefficient, model_bpm
 from hjhom.homogenize import (ProblemFamily, SweepConfig, SweepReport,
                               corrector_reconstruction, run_sweep)
 from hjhom import homogenize
-from hjhom.kernels import constant_kernel
+from hjhom.kernels import constant_kernel, periodized_weights
+from hjhom.operators import apply_table
 from hjhom.hamiltonians import growth_bound
 from hjhom.parabolic import NumericalFailure, initial_layer_modulus
-from lemmas import barrier_bounds, convergence_rates, vanishing_discount_sweep
+from lemmas import (barrier_bounds, convergence_rates, per_node_corrector_residual,
+                    vanishing_discount_sweep)
 
 
 def _dummy_report(eps, errors):
@@ -116,6 +118,22 @@ class TestWavySweep:
         lower = np.minimum.reduce(report.u_eps_final)
         assert np.all(lower <= report.u_eff_final + np.max(report.errors) + 1e-12)
 
+    def test_corrector_residuals_are_the_per_node_loop(self, wavy_sweep, wavy_family):
+        # the profiles batched once per sweep give each eps the residual of
+        # the loop that solves each coarse node's profile alone, bit for bit
+        report, trajectories = wavy_sweep
+        u_eff = trajectories[-1].final()
+        table = periodized_weights(wavy_family.kernel, u_eff.n)
+        stride = u_eff.n // report.coarse_nodes.size
+        p_eff = central_diff(u_eff.values, u_eff.h)[::stride]
+        l_eff = apply_table(u_eff.values, table)[::stride]
+        want = [per_node_corrector_residual(
+            wavy_family.effective, 1.5, 256, GridFunction(final),
+            GridFunction(report.u_eff_final), p_eff, l_eff, eps)
+            for final, eps in zip(report.u_eps_final, report.eps_list)]
+        assert np.all(np.isfinite(want))
+        assert report.corrector_residuals.tolist() == want
+
     def test_initial_layers_dominated_by_one_modulus(self, wavy_sweep, eikonal_ham):
         u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), 256)
         env = barrier_bounds(u0, 0.25, a_sup=3.0,
@@ -134,23 +152,19 @@ class TestCorrectorReconstruction:
         n = 64
         u_eps = GridFunction(np.sin(2 * np.pi * np.arange(n) / n))
         u_bar = GridFunction(np.cos(2 * np.pi * np.arange(n) / n))
-        provider = lambda x, p, l: GridFunction(np.zeros(64))
-        sup = corrector_reconstruction(u_eps, u_bar, np.zeros(n), np.zeros(n),
-                                       provider, 1 / 8, 1.5)
+        sup = corrector_reconstruction(u_eps, u_bar, np.zeros((n, 64)), 1 / 8, 1.5)
         assert sup == np.max(np.abs(u_eps.values - u_bar.values))
 
     def test_exponent_selector(self):
-        # u_eps = u_bar: the residual is eps^max(1, sigma) times the mean-free
-        # profile read at y = x / eps mod 1, here node 8 j mod 64 of x node j
+        # u_eps = u_bar: the residual is eps^max(1, sigma) times x node j's
+        # mean-free profile, row j, read at y = x / eps mod 1, here node 8 j mod 64
         n = 64
         u = GridFunction(np.zeros(n))
         profile = np.cos(2 * np.pi * np.arange(64) / 64)
-        provider = lambda x, p, l: GridFunction(profile)
-        corr = profile[8 * np.arange(n) % 64] - np.mean(profile)
-        lo = corrector_reconstruction(u, u, np.zeros(n), np.zeros(n), provider,
-                                      1 / 8, 0.5)
-        hi = corrector_reconstruction(u, u, np.zeros(n), np.zeros(n), provider,
-                                      1 / 8, 1.5)
+        profiles = (1.0 + np.arange(n) / n)[:, None] * (profile - np.mean(profile))
+        corr = [profiles[j, 8 * j % 64] for j in range(n)]
+        lo = corrector_reconstruction(u, u, profiles, 1 / 8, 0.5)
+        hi = corrector_reconstruction(u, u, profiles, 1 / 8, 1.5)
         assert lo == (1 / 8) ** 1.0 * np.max(np.abs(corr))
         assert hi == (1 / 8) ** 1.5 * np.max(np.abs(corr))
 

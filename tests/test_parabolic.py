@@ -16,8 +16,9 @@ from hjhom.hamiltonians import (HamiltonianSpec, coefficient, coercive_reach, gr
 from hjhom.kernels import (constant_kernel, drift_vector, periodized_weights,
                            quadratic_tilt_kernel, tilt_kernel)
 from hjhom.operators import apply_table
-from hjhom.parabolic import (CFL_SAFETY, GRADIENT_RISE, MonotoneScheme, ParabolicProblem,
-                             SolverConfig, coefficient_scheme, holder_exponent_alpha0,
+from hjhom.parabolic import (CFL_SAFETY, GRADIENT_RISE, MonotoneScheme, NumericalFailure,
+                             ParabolicProblem, SolverConfig, coefficient_scheme,
+                             godunov_power_flux, holder_exponent_alpha0,
                              initial_layer_modulus, oscillating_scheme, solve)
 from lemmas import (barrier_bounds, sampled_modulus, sup_convolution_time,
                     vanishing_discount_sweep)
@@ -106,6 +107,39 @@ class TestSolve:
         u0 = GridFunction(np.full(64, 0.0))
         with pytest.raises(ValueError):
             _oscillating(u0, eikonal_ham, unit_a, 0.5, 1.0 / 8.0, 0.1)
+
+    def test_non_finite_state_names_its_step(self):
+        # a scheme whose step number `bad` puts NaN at one node: solve stops
+        # there, naming that step and the time it reached, also at the step
+        # shortened onto the first recorded time and at the one after it
+        n, T = 64, 0.3
+        x = np.arange(n) / n
+        args = dict(power=(np.ones(n), 2.0, -np.cos(2 * np.pi * x)), a=np.ones(n),
+                    table=periodized_weights(constant_kernel(1.5), n))
+        u0 = GridFunction(np.sin(2 * np.pi * x))
+
+        class Poisoned(MonotoneScheme):
+            def __init__(self, bad):
+                super().__init__(1.0 / n, **args)
+                self.bad, self.dts = bad, []
+
+            def step(self, u, dt, diffs=None):
+                out = super().step(u, dt, diffs)
+                self.dts.append(dt)
+                if len(self.dts) == self.bad:
+                    out[5] = np.nan
+                return out
+
+        clean = Poisoned(0)
+        traj = solve(ParabolicProblem(clean, u0, T), SolverConfig())
+        # the step that ends on the first recorded time
+        landing = int(np.flatnonzero(np.cumsum(clean.dts) == traj.times[1])[0]) + 1
+        for bad in (1, landing, landing + 1, traj.steps):
+            scheme = Poisoned(bad)
+            with pytest.raises(NumericalFailure) as info:
+                solve(ParabolicProblem(scheme, u0, T), SolverConfig())
+            assert len(scheme.dts) == bad
+            assert str(info.value) == f"non-finite state at step {bad}, t = {sum(scheme.dts):.6g}"
 
 
 class TestImplicitStep:
@@ -467,6 +501,22 @@ class TestStepWork:
             # measured: at most 1.1e-16
             assert np.max(np.abs(got - (u - dt * flux))) <= 1e-13
             u = got
+
+
+# signed zeros, NaNs of both signs and infinities among the flux's arguments
+FLUX_ARGUMENTS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf,
+                                            -math.inf]), st.floats())
+
+
+class TestGodunovFlux:
+    @given(pairs=st.lists(st.tuples(FLUX_ARGUMENTS, FLUX_ARGUMENTS), min_size=1, max_size=80),
+           m=st.sampled_from([1.5, 2.0, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_nested_maxima_bit_for_bit(self, pairs, m):
+        ql, qr = np.array(pairs).T.copy()
+        with np.errstate(over="ignore"):
+            want = np.maximum(np.maximum(ql, 0.0), np.maximum(-qr, 0.0)) ** m
+            assert godunov_power_flux(m, ql, qr).tobytes() == want.tobytes()
 
 
 class TestJacobian:
