@@ -212,12 +212,13 @@ def corrector_regularity(psi: GridFunction) -> tuple:
 
 
 def spectral_cell_above_one(sigma: float, f: np.ndarray) -> np.ndarray:
-    """Solve (fractional Laplacian of order sigma) psi = f for each row of f,
-    the cell nodes along its last axis, by one rfft and irfft.
+    """Solve (fractional Laplacian of order sigma) psi = f for zero-mean f,
+    row by row along the last axis.
 
-    Solvability requires the compatibility condition mean(f) = 0 in each
-    row (constants span the kernel of the operator); violation raises.
-    Each row of the result is normalized by psi(0) = 0."""
+    Solvability requires the compatibility condition mean(f) = 0 (constants
+    span the kernel of the operator); violation raises.  The result is
+    normalized by psi(0) = 0.
+    """
     if not (1.0 < sigma < 2.0):
         raise ValueError("direct spectral cell solve applies to orders in (1, 2)")
     n, mean = np.shape(f)[-1], np.mean(f, axis=-1)

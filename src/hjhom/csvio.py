@@ -46,8 +46,8 @@ def emit_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
 def _long_rows(blocks: Iterable[tuple], xs: np.ndarray) -> Iterator[str]:
     """Long-format rows (label, x, u), one per node of each (label, u) block,
     formatted as _fmt does and joined as csv.writer joins them (no value
-    needs quoting): one str of lines per block, one % over a template built
-    once from the formatted x column, the label formatted once per block."""
+    needs quoting): one str of lines per block, one % over a template of
+    the formatted x column, each label formatted once per block."""
     template = "".join([f"%s,{_fmt(x)},%.17e\r\n" for x in xs])
     for label, values in blocks:
         args = [_fmt(label), None] * len(xs)

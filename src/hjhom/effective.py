@@ -18,11 +18,12 @@ with their error bars, queries, saves, loads and audits them for what every
 consumer relies on: decreasing in l, coercive in p, finite continuity constants.
 
 Two sources serve Hbar to the time stepper, each building its own scheme:
-ClosedForm, the pair (a, H) whose cell means are taken afresh at every call
-over the rows its coefficients return (each broadcasts over the variables
-it reads), and EffectiveSource, a table's queries, which raise
-NumericalFailure naming the query and the failed node it draws on.  Neither
-keeps a state that changes a value; the table source keeps each node's cell.
+ClosedForm, the pair (a, H) whose cell means are taken afresh at every call,
+and EffectiveSource, a table's queries, which raise NumericalFailure naming
+the query and the failed node it draws on.  ClosedForm keeps no state; the
+table source keeps each node's cell, and nothing that changes a value.  A
+coefficient broadcasts over the variables it reads; means are taken over
+the rows it returns.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ _BLOCK_ROWS = BLOCK_VALUES // CLOSED_FORM_NODES
 
 class ClosedForm(NamedTuple):
     """Hbar(x, p, l) = Hbar0(x, p) - A(x) l above order one, its means taken
-    on CLOSED_FORM_NODES cell nodes at every call, over the rows a, b and f
-    return: if none reads x, one row's means serve every x.
+    on CLOSED_FORM_NODES cell nodes at every call: if none of a, b, f reads
+    x, one row's means serve every x.
 
     Hbar0 keeps the claims (m, b0, C0) of H, because the weights A / a
     average to one, and H's power form b |p|^m - f stays one with bbar =
@@ -58,8 +59,8 @@ class ClosedForm(NamedTuple):
     ham: HamiltonianSpec                              # the cell Hamiltonian H
 
     def means(self, x) -> tuple:
-        """(A, bbar, fbar), shaped as x, block by block.  Raises ValueError,
-        naming the node, where a is not strictly positive."""
+        """(A, bbar, fbar), shaped as x.  Raises ValueError, naming the node,
+        where a is not strictly positive."""
         x = np.asarray(x, dtype=float)
         ys = np.arange(CLOSED_FORM_NODES) / CLOSED_FORM_NODES
         blocks = []
@@ -72,7 +73,7 @@ class ClosedForm(NamedTuple):
             require_positive_a(a_vals, X, ys, "strictly positive above order one")
             A = 1.0 / np.mean(1.0 / a_vals, axis=1)
             blocks.append([A] + [A * np.mean(part / a_vals, axis=1) for part in (b_vals, f_vals)])
-            if rows[0] < X.size:          # no x axis: one row serves every x
+            if rows[0] < X.size:                          # no x axis
                 return tuple(np.full(x.shape, col[0]) for col in blocks[0])
         return tuple(np.concatenate(col).reshape(x.shape) for col in zip(*blocks))
 
@@ -89,10 +90,9 @@ class ClosedForm(NamedTuple):
                               table=table, a=A)
 
     def corrector(self, sigma: float, n: int) -> Callable[..., np.ndarray]:
-        """profiles(x, p, l): for k nodes' arrays x, p, l, the (k, n) mean-free
-        correctors psi on n cell nodes from one means call and one spectral
-        solve: (fractional Laplacian) psi = f for f = l + (Hbar - H) / a, made
-        mean-free (it is up to quadrature error)."""
+        """profiles(x, p, l) -> (k, n): at each of the k nodes of the arrays,
+        psi on n cell nodes solving (fractional Laplacian) psi = f, f = l +
+        (Hbar - H) / a; f and psi made mean-free (f is up to quadrature error)."""
         ys = np.arange(n) / n
 
         def profiles(x, p, l):

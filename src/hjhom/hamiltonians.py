@@ -64,7 +64,7 @@ def audit_periodicity(h: HamiltonianSpec) -> float:
     return float(np.max(np.abs(h.eval(X, Y + 1.0, P) - h.eval(X, Y, P))))
 
 
-# each broadcasts over the variables it reads: one without x returns y's shape
+# each broadcasts over the variables it reads
 _COEFFICIENTS = {
     "one": lambda x, y: np.ones(np.shape(y)),
     "two_plus_cos_y": lambda x, y: 2.0 + np.cos(2.0 * np.pi * y),

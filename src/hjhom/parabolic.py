@@ -60,7 +60,7 @@ class NumericalFailure(RuntimeError):
 
 
 def godunov_power_flux(m: float, ql: np.ndarray, qr: np.ndarray) -> np.ndarray:
-    """Godunov flux max(ql, -qr, 0)^m for q -> |q|^m, in one new buffer."""
+    """Godunov flux for q -> |q|^m (convex, minimum at 0), in one buffer."""
     out = np.negative(qr)
     return np.power(np.maximum(np.maximum(ql, out, out=out), 0.0, out=out), m, out=out)
 
