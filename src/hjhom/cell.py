@@ -227,8 +227,11 @@ def spectral_cell_above_one(sigma: float, f: np.ndarray) -> np.ndarray:
     freq = np.fft.rfftfreq(n, d=1.0 / n)
     mult = np.zeros_like(freq)
     mult[1:] = (2.0 * np.pi * freq[1:]) ** (-sigma)
-    psi = np.fft.irfft(mult * np.fft.rfft(f, axis=-1), n=n, axis=-1)
-    return psi - psi[..., :1]
+    coef = np.fft.rfft(f, axis=-1)
+    coef *= mult
+    psi = np.fft.irfft(coef, n=n, axis=-1)
+    psi -= psi[..., :1]
+    return psi
 
 
 # Newton and bisection steps per root of the formula below order one

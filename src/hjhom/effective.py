@@ -98,8 +98,12 @@ class ClosedForm(NamedTuple):
         def profiles(x, p, l):
             X, P, L = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (x, p, l))
             hbar = self.value(X[:, 0], P[:, 0], L[:, 0])[:, None]
-            f = L + (hbar - self.ham.eval(X, ys, P)) / self.a(X, ys)
-            psi = spectral_cell_above_one(sigma, f - np.mean(f, axis=1, keepdims=True))
+            f = self.ham.eval(X, ys, P)                   # one (k, n) buffer, in place
+            np.subtract(hbar, f, out=f)
+            f /= self.a(X, ys)
+            f += L
+            f -= np.mean(f, axis=1, keepdims=True)
+            psi = spectral_cell_above_one(sigma, f)
             return psi - np.mean(psi, axis=1, keepdims=True)
 
         return profiles

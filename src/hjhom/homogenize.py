@@ -81,43 +81,35 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
     # one kernel table per grid size: the n_fixed control runs share one
     tables = {n: periodized_weights(family.kernel, n) for n in dict.fromkeys(ns.tolist())}
 
-    trajectories = []
-    runtimes = []
-    dts, max_dts = [], []
-    failures = []
+    runs = []             # coarse snapshots after t = 0 of each run (None if it failed)
+    runtimes, dts, max_dts, steps, paths, failures = [], [], [], [], [], []
     for e, n in zip(eps, ns.tolist()):
         u0 = GridFunction.from_callable(family.u0_func, n)
         t0 = time.perf_counter()
         try:
             scheme = oscillating_scheme(float(e), family.a, family.ham, tables[n])
-            trajectories.append(solve(ParabolicProblem(scheme, u0, family.T), scfg))
+            traj = solve(ParabolicProblem(scheme, u0, family.T), scfg)
         except NumericalFailure as exc:
             failures.append((float(e), str(exc)))
-            trajectories.append(None)
+            traj = None
         runtimes.append(time.perf_counter() - t0)
-        traj = trajectories[-1]
         dts.append(np.nan if traj is None else traj.dt)
         max_dts.append(np.nan if traj is None else traj.max_dt)
+        steps.append(0 if traj is None else traj.steps)
+        paths.append("" if traj is None else traj.path)
+        runs.append(None if traj is None else
+                    np.array([_restrict(s.values, n_coarse) for s in traj.snapshots[1:]]))
+    del traj                  # only the coarse snapshots of each run are kept
 
     # eps falls along the list, so the last run's grid, and its u0, is the finest
     table_fine = tables[n]
     eff_traj = solve(ParabolicProblem(family.effective.scheme(u0.nodes(), table_fine), u0,
                                       family.T), scfg)
 
-    eff_coarse = [_restrict(s.values, n_coarse) for s in eff_traj.snapshots[1:]]
-    errors = []
-    finals = []
-    for traj, n in zip(trajectories, ns):
-        if traj is None:
-            errors.append(np.nan)
-            finals.append(np.full(n_coarse, np.nan))
-            continue
-        gaps = []
-        for snap, ref in zip(traj.snapshots[1:], eff_coarse):
-            gaps.append(float(np.max(np.abs(_restrict(snap.values, n_coarse) - ref))))
-        errors.append(max(gaps))
-        finals.append(_restrict(traj.final().values, n_coarse))
-    errors = np.array(errors)
+    eff_coarse = np.array([_restrict(s.values, n_coarse) for s in eff_traj.snapshots[1:]])
+    errors = np.array([np.nan if run is None else float(np.max(np.abs(run - eff_coarse)))
+                       for run in runs])
+    finals = [np.full(n_coarse, np.nan) if run is None else run[-1] for run in runs]
 
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = np.array([
@@ -126,10 +118,8 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
 
     # frozen parameters of the corrector: effective gradient and nonlocal value
     u_eff_fine = eff_traj.final()
-    p_fine = central_diff(u_eff_fine.values, u_eff_fine.h)
-    l_fine = apply_table(u_eff_fine.values, table_fine)
-    p_eff = _restrict(p_fine, n_coarse)
-    l_eff = _restrict(l_fine, n_coarse)
+    p_eff = _restrict(central_diff(u_eff_fine.values, u_eff_fine.h), n_coarse)
+    l_eff = _restrict(apply_table(u_eff_fine.values, table_fine), n_coarse)
     u_eff_final = _restrict(u_eff_fine.values, n_coarse)
     coarse_nodes = np.arange(n_coarse) / n_coarse
 
@@ -146,8 +136,7 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
                        corrector_residuals=residuals, runtimes=np.array(runtimes),
                        ns=np.asarray(ns), dts=np.array(dts),
                        max_dts=np.array(max_dts),
-                       steps=np.array([0 if tr is None else tr.steps for tr in trajectories]),
-                       paths=tuple("" if tr is None else tr.path for tr in trajectories),
+                       steps=np.array(steps), paths=tuple(paths),
                        coarse_nodes=coarse_nodes, u_eps_final=finals,
                        u_eff_final=u_eff_final, failures=tuple(failures))
 

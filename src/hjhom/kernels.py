@@ -31,8 +31,9 @@ _GAUSS_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
 # periods of the kernel each table sums before its analytic tail
 IMAGES = 16
 # float64 values in one temporary of a blocked build: the kernel table takes
-# its cells, and the closed form its x nodes, this many values at a time
-BLOCK_VALUES = 16_384
+# its cells, the modulus its radii's samples and the closed form its x nodes,
+# this many values at a time
+BLOCK_VALUES = 8_192
 
 
 def normalizing_constant(sigma: float) -> float:
@@ -121,14 +122,17 @@ def modulus_omega_bar(k: KernelSpec, r, samples: int = 4097):
     """sup over |z| <= r of |kbar(z) - kbar(0)|, sampled at r * linspace(-1, 1, samples).
 
     r is one radius (a float is returned) or an array of radii (an array of
-    the same shape); every radius is sampled in one call of kbar.
+    the same shape); kbar takes the radii BLOCK_VALUES // samples at a time.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("radius must be positive")
-    z = r[..., None] * np.linspace(-1.0, 1.0, samples)
-    omega = np.max(np.abs(np.asarray(k.kbar(z)) - k.kbar0()), axis=-1)
-    return float(omega) if omega.ndim == 0 else omega
+    radii, rows = r.ravel(), max(1, BLOCK_VALUES // samples)
+    omega = np.empty(radii.size)
+    for s in range(0, radii.size, rows):
+        z = radii[s:s + rows, None] * np.linspace(-1.0, 1.0, samples)
+        omega[s:s + rows] = np.max(np.abs(np.asarray(k.kbar(z)) - k.kbar0()), axis=-1)
+    return float(omega[0]) if r.ndim == 0 else omega.reshape(r.shape)
 
 
 class ModulusIntegralReport(NamedTuple):

@@ -110,6 +110,21 @@ class TestModulus:
         assert rep.value == pytest.approx(total, rel=1e-12, abs=0.0)
         assert modulus_omega_bar(k, 0.4) == modulus_omega_bar(k, np.array([0.4]))[0]
 
+    @pytest.mark.parametrize("samples", [257, 4097, 3 * BLOCK_VALUES])
+    def test_blocked_radii_match_one_call(self, samples):
+        # oracle: every radius sampled in one call of kbar; the blocks of
+        # BLOCK_VALUES // samples radii (one, past BLOCK_VALUES) give its bits
+        k = tilt_kernel(1.0, 0.5)
+        r = 2.0 ** -np.arange(48.0)[:, None] * (0.75 + 0.25 * np.linspace(-0.9, 0.9, 12))
+        want = np.max(np.abs(k.kbar(r[..., None] * np.linspace(-1.0, 1.0, samples))
+                             - k.kbar0()), axis=-1)
+        got = modulus_omega_bar(k, r, samples)
+        assert got.shape == r.shape and np.array_equal(got, want)
+
+    def test_traced_peak_of_the_log_integral(self):
+        # its 576 radii in one call of kbar peaked near 3.7 MB here
+        assert traced_peak_mb(lambda: modulus_log_integral(tilt_kernel(1.0, 0.5))) < 1.0
+
 
 class TestEllipticityAudit:
     def test_wavy_coefficient_bound(self, wavy_a):
