@@ -6,10 +6,12 @@ Each regime of the kernel order gets its own cell problem:
     with an exact ergodic constant and corrector (Lions-Papanicolaou-Varadhan
     1987; Concordel 1996): formula_below_one and corrector_below_one;
   * order = 1: fractional Laplacian of order 1, an upwinded drift from the
-    kernel asymmetry, and the gradient coupling;
-  * order > 1: the linear problem -a l + a (fractional Laplacian) v + H(y, p).
+    kernel asymmetry, and the gradient coupling: solve_ergodic_pair;
+  * order > 1: the linear problem -a l + a (fractional Laplacian) v + H(y, p),
+    solved in closed form: hjhom.effective.ClosedForm gives Hbar, and its
+    corrector comes from spectral_cell_above_one.
 
-At order >= 1 Newton's method on the monotone scheme itself (semismooth at
+At order one Newton's method on the monotone scheme itself (semismooth at
 the Godunov flux's switches) solves the ergodic pair F(phi) = Hbar, mean phi
 = 0 (Cacace-Camilli, SIAM J. Sci. Comput. 38, 2016).  Each step solves the
 mean-free residual r = F(phi) - mean(F(phi)) against the Jacobian plus the
@@ -129,19 +131,14 @@ def _cell_a(params: CellParams, ys: np.ndarray) -> np.ndarray:
 
 
 def _cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
-    """The frozen-coefficient stationary operator at order >= 1; Newton reads
+    """The frozen-coefficient stationary operator at order one; Newton reads
     no theta on its Godunov flux."""
     n = cfg.n
     ys = np.arange(n) / n
-    xs = np.full(n, params.x)
     a_vals = _cell_a(params, ys)
-    table = _cell_table(params.sigma, n)
-    const = -a_vals * params.l
-    if params.regime == "above_one":
-        hp = np.asarray(params.ham.eval(xs, ys, np.full(n, params.p)), dtype=float)
-        return MonotoneScheme(1.0 / n, table=table, a=a_vals, const=const + hp)
-    return coefficient_scheme(1.0 / n, xs, ys, a_vals, params.ham, p=params.p, table=table,
-                              const=const, drift=params.drift_b)
+    return coefficient_scheme(1.0 / n, np.full(n, params.x), ys, a_vals, params.ham,
+                              p=params.p, table=_cell_table(params.sigma, n),
+                              const=-a_vals * params.l, drift=params.drift_b)
 
 
 # multiple of eps * (|J| |phi| + |F(phi)|) below which the mean-free
@@ -180,7 +177,7 @@ def _newton(scheme: MonotoneScheme, phi: np.ndarray, cfg: CellConfig) -> tuple:
 
 def solve_ergodic_pair(params: CellParams, cfg: Optional[CellConfig] = None,
                        start: Optional[np.ndarray] = None) -> CellSolution:
-    """The cell problem at order >= 1 as its ergodic pair (see the module
+    """The cell problem at order one as its ergodic pair (see the module
     docstring), from zero, or from `start` where its mean-free residual is
     smaller than zero's (so a node that zero solves exactly stays exact);
     Hbar is the midpoint of [min, max] of F(phi), max - min its spread."""

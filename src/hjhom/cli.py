@@ -124,15 +124,17 @@ def _cell_config(cfg: RunConfig) -> CellConfig:
 
 
 def cmd_cell(args, cfg: RunConfig, model: Model) -> int:
-    params = _cell_params(cfg, model)
-    if params.sigma < 1.0:
-        # exact forms: the corrector on cell.n nodes, a one-node table fill's value and err
-        psi, stop = GridFunction(corrector_below_one(params, cfg["cell.n"])[:-1]), None
-        table, _ = fill_table(params, params.x, params.p, params.l, _cell_config(cfg))
-        H_bar, spread = table.values.item(), table.err.item()
-    else:
+    params, n = _cell_params(cfg, model), cfg["cell.n"]
+    if params.sigma == 1.0:
         sol = solve_ergodic_pair(params, _cell_config(cfg))
         psi, H_bar, spread, stop = sol.psi, sol.H_bar, sol.spread, sol.stop
+    else:
+        # exact forms: the corrector on cell.n nodes, a one-node table fill's value and err
+        psi = GridFunction(corrector_below_one(params, n)[:-1] if params.sigma < 1.0 else
+                           effective_source_from_formula(model.a, model.ham).corrector(
+                               params.sigma, n)(params.x, params.p, params.l)[0])
+        table, _ = fill_table(params, params.x, params.p, params.l, _cell_config(cfg))
+        H_bar, spread, stop = table.values.item(), table.err.item(), None
     reg = corrector_regularity(psi)
     path = _out_path(args, cfg, "cell.csv")
     csvio.emit_csv(path, ["x", "p", "l", "sigma", "H_bar", "spread", "osc", "lip",

@@ -193,6 +193,12 @@ def parse_config(path: str) -> RunConfig:
     return parse_text(text, source=str(path))
 
 
+def _whole_reciprocal(eps: float) -> Optional[int]:
+    """k where eps = 1 / k for a whole k >= 1, else None (k = inf for a subnormal eps)."""
+    k = 1.0 / eps if eps > 0 else 0.0
+    return round(k) if 1.0 <= k < math.inf and abs(k - round(k)) <= 1e-12 else None
+
+
 def _validate(cfg: RunConfig) -> list:
     errors = []
     sigma = cfg["kernel.sigma"]
@@ -238,28 +244,25 @@ def _validate(cfg: RunConfig) -> list:
                           + ("increasing" if sign > 0 else "decreasing"))
     if any(d <= 0 for d in cfg["cell.deltas"]):
         errors.append("cell.deltas must be positive")
-    # a scale eps is 1 / k for a whole k >= 1 (k = inf for a subnormal eps)
-    # and needs n >= 16 k nodes to resolve the fast variable
-    ks = [1.0 / e if e > 0 else 0.0 for e in cfg["sweep.eps_list"]]
-    bad = [e for e, k in zip(cfg["sweep.eps_list"], ks)
-           if not (1.0 <= k < math.inf and abs(k - round(k)) <= 1e-12)]
-    errors.extend(f"sweep.eps_list entry {e} is not the reciprocal of an integer" for e in bad)
+    # a scale eps = 1 / k needs n >= 16 k nodes to resolve the fast variable
+    ks = [_whole_reciprocal(e) for e in cfg["sweep.eps_list"]]
+    errors.extend(f"sweep.eps_list entry {e} is not the reciprocal of an integer"
+                  for e, k in zip(cfg["sweep.eps_list"], ks) if k is None)
     n_fixed = cfg["sweep.n_fixed"]
-    if n_fixed != 0 and ks and not bad and n_fixed < 16 * round(max(ks)):
+    if n_fixed != 0 and ks and None not in ks and n_fixed < 16 * max(ks):
         errors.append(f"sweep.n_fixed = {n_fixed} must be 0 or at least 16 / min eps = "
-                      f"{16 * round(max(ks))}")
+                      f"{16 * max(ks)}")
     e0, n = cfg["grid.eps"], cfg["grid.n"]
-    k0 = 1.0 / e0 if e0 > 0 else 0.0
     if cfg["grid.kind"] == "oscillating":
-        if not (1.0 <= k0 < math.inf and abs(k0 - round(k0)) <= 1e-12):
+        if (k0 := _whole_reciprocal(e0)) is None:
             errors.append(f"grid.eps = {e0} is not the reciprocal of an integer")
-        elif n < 16 * round(k0):
-            errors.append(f"grid.n = {n} must be at least 16 / grid.eps = {16 * round(k0)}")
+        elif n < 16 * k0:
+            errors.append(f"grid.n = {n} must be at least 16 / grid.eps = {16 * k0}")
     for key in ("grid.T", "sweep.T", "cell.tol"):
         if cfg[key] <= 0:
             errors.append(f"{key} = {cfg[key]} must be positive")
-    if cfg["grid.u0"] not in ("sin_2pi_x", "cos_2pi_x", "zero"):
-        errors.append(f"grid.u0 = {cfg['grid.u0']!r} not one of sin_2pi_x/cos_2pi_x/zero")
+    if cfg["grid.u0"] not in _U0:
+        errors.append(f"grid.u0 = {cfg['grid.u0']!r} not one of {'/'.join(_U0)}")
 
     # structural audit: asymmetric order-one kernels need the modulus integral
     if sigma == 1.0 and family != "constant" and not errors:

@@ -404,7 +404,7 @@ def load_table(path: str) -> EffectiveTable:
 
     Every (x, p, l) node of the rectangular grid spanned by the rows must
     appear exactly once; a repeated or missing node raises ValueError naming
-    the line or the node.
+    the line or the node, and a file with no rows one naming the file.
     """
     meta, lines, line_numbers = {}, [], []
     with open(path) as fh:
@@ -428,6 +428,8 @@ def load_table(path: str) -> EffectiveTable:
             raise ValueError(f"{path}:{number}: expected {len(fields)} fields")
         recs.append((float(r["x"]), float(r["p"]), float(r["l"]), float(r["H_bar"]),
                      float(r["err"]), r["provenance"], number))
+    if not recs:
+        raise ValueError(f"{path} holds no table rows")
     axes = [np.array(sorted({r[a] for r in recs})) for a in range(3)]
     index = [{v: i for i, v in enumerate(ax)} for ax in axes]
     shape = tuple(ax.size for ax in axes)

@@ -285,7 +285,7 @@ class QuadratureTable:
     sigma >= 1, a first-order compensator coefficient applied to a centered
     difference (comp_coeff is 0.0 when there is none).  Both parts act
     through one correlation c = weights + antisym: its mass and its symbol
-    conj(rfft(c)) - mass, exactly 0 at mode 0, are kept.
+    conj(rfft(c)) - mass, exactly 0 at mode 0, are kept, as is tail_mass = sum(weights).
     """
 
     n: int
@@ -297,9 +297,10 @@ class QuadratureTable:
     symbol: np.ndarray
     mass: float
 
-    def __init__(self, n, sigma, weights, antisym, comp_coeff, tail_mass):
-        self.n, self.sigma, self.comp_coeff, self.tail_mass = n, sigma, comp_coeff, tail_mass
+    def __init__(self, n, sigma, weights, antisym, comp_coeff):
+        self.n, self.sigma, self.comp_coeff = n, sigma, comp_coeff
         self.weights, self.antisym = (np.array(v, dtype=float) for v in (weights, antisym))
+        self.tail_mass = float(np.sum(self.weights))
         self.weights.setflags(write=False)
         self.antisym.setflags(write=False)
         coeffs = self.weights + self.antisym
@@ -420,5 +421,4 @@ def periodized_weights(k: KernelSpec, n: int) -> QuadratureTable:
 
     if np.any(weights < 0.0):
         raise ValueError("negative symmetric weight; kernel density must be nonnegative")
-    return QuadratureTable(n=n, sigma=sigma, weights=weights, antisym=antisym,
-                           comp_coeff=comp, tail_mass=float(np.sum(weights)))
+    return QuadratureTable(n=n, sigma=sigma, weights=weights, antisym=antisym, comp_coeff=comp)

@@ -99,7 +99,7 @@ class MonotoneScheme:
     that reach and the gradients of the state about to be stepped (the cell
     Newton solver never reads it).  A table source passes ham(q, l) with
     theta(lo, hi), the bound over [lo, hi], for a Lax-Friedrichs flux; as
-    built it covers every gradient.  With neither there is no gradient term.
+    built it covers every gradient.  Every scheme takes one of the two.
 
     Explicit steps u - dt F(u) are monotone for dt <= 1 / budget; step_dt()
     takes CFL_SAFETY of that.  The scheme is `implicit` when its nonlocal
@@ -138,10 +138,8 @@ class MonotoneScheme:
             coeff, m, at_zero = power
             self._reach = coercive_reach(float(np.min(coeff)), float(np.max(np.abs(at_zero))), m)
             self.theta = self._godunov_theta(self._reach)
-        elif ham is not None:
-            self.theta = theta(-math.inf, math.inf)
         else:
-            self.theta = 0.0
+            self.theta = theta(-math.inf, math.inf)
         self._coupling = None     # Ac diag(lam_{r + K t}) per class r, when implicit
         self._linear_jac = None   # the state-free part of jacobian, built at its first call
         self._inverse = None      # (dt, the block inverses at dt): the last step_dt() met
@@ -261,8 +259,6 @@ class MonotoneScheme:
                 lv = lv - self.drift * (dl if self.drift > 0.0 else dr)
             nonlocal_part = self.minus_a * lv
             out = nonlocal_part if out is None else out + nonlocal_part
-        if self.ham is None and self.power is None:
-            return out.copy() if out is self.const else out
         flux = self._flux(dl, dr, lv)
         return flux if out is None else out + flux
 
@@ -280,13 +276,13 @@ class MonotoneScheme:
         """Dense n x n derivative of F at u, for Newton solves.
 
         The nonlocal value must enter through the coefficient a, as in every
-        cell scheme and the closed-form effective scheme, and the flux, if
-        any, be Godunov's; it is differentiated on its active one-sided
-        difference.  The rows sum to zero, so the constants are in the
-        kernel.  For the built-in kernel families, the tilts included, every
-        off-diagonal entry is <= 0 as well, so the matrix is a singular
-        M-matrix.  The state-free part, -diag(a) times the quadrature
-        circulant, is built at the first call and copied at every later one.
+        cell scheme and the closed-form effective scheme, and the flux be
+        Godunov's; it is differentiated on its active one-sided difference.
+        The rows sum to zero, so the constants are in the kernel.  For the
+        built-in kernel families, the tilts included, every off-diagonal
+        entry is <= 0 as well, so the matrix is a singular M-matrix.  The
+        state-free part, -diag(a) times the quadrature circulant, is built at
+        the first call and copied at every later one.
         """
         if self.ham is not None:
             raise ValueError("jacobian needs the nonlocal value to enter through a")
@@ -309,8 +305,6 @@ class MonotoneScheme:
                 lin_jac = self.minus_a[:, None] * lin
             self._linear_jac = lin_jac
         jac = self._linear_jac.copy()
-        if self.power is None:
-            return jac
         dl, dr = one_sided_diffs(u, h)
         coeff, m, _ = self.power
         left, right = np.maximum(self.p + dl, 0.0), np.maximum(-(self.p + dr), 0.0)

@@ -1,6 +1,9 @@
+import __future__
 import importlib
+import inspect
 import os
 import pkgutil
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -90,6 +93,18 @@ def traced_peak_mb(fn) -> float:
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def patch_source(monkeypatch, module, name: str, old: str, new: str) -> None:
+    """Patch in a known fault: module.name becomes, for the test, a function
+    compiled from its own source with the one occurrence of old replaced by
+    new, its globals those of the module."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, f"{module.__name__}.{name} holds {old!r} not once"
+    scope = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec", dont_inherit=True,
+                 flags=__future__.annotations.compiler_flag), scope)
+    monkeypatch.setattr(module, name, scope[name])
 
 
 # Hypothesis mixes into its draws constants it collects from the local modules

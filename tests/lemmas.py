@@ -2,7 +2,8 @@
 
 Barrier envelopes and the time sup-convolution of the comparison principle,
 the localized split of the nonlocal operator and the two-scale remainder J,
-the vanishing-discount ladder of the cell problem in all three regimes, the
+the vanishing-discount ladder of the cell problem in all three regimes, with
+the linear cell operator above order one that hjhom solves in closed form, the
 corrector regularity ratios, the least-squares rate fit of a sweep, and its
 corrector residual with each node's profile solved alone.
 The tests check the paper's lemmas and hjhom's direct cell solvers against
@@ -22,8 +23,10 @@ from hjhom.cell import (CellConfig, CellParams, _cell_a, _cell_scheme, corrector
 from hjhom.grid import GridFunction, nearest_node
 from hjhom.effective import ClosedForm
 from hjhom.homogenize import SweepReport
-from hjhom.kernels import _GAUSS_NODES, _GAUSS_WEIGHTS, KernelSpec
-from hjhom.parabolic import MonotoneScheme, NumericalFailure, coefficient_scheme
+from hjhom.kernels import (_GAUSS_NODES, _GAUSS_WEIGHTS, KernelSpec, constant_kernel,
+                           periodized_weights)
+from hjhom.operators import apply_table
+from hjhom.parabolic import NumericalFailure, coefficient_scheme
 
 
 # Barrier envelopes and the time sup-convolution (comparison principle).
@@ -351,11 +354,41 @@ class LadderSolution:
         return all(rec.converged for rec in self.residuals)
 
 
-def cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
-    """The cell operator of the parameters' regime: hjhom's at order >= 1,
-    and below order one the first-order F(v) = -a l + H(y, p + Dv), with no
-    nonlocal term."""
-    if params.sigma >= 1.0:
+class LinearCell:
+    """The cell operator above order one, F(phi) = -a l + H(y, p) - a I_h phi
+    on the constant kernel's table: linear in phi, with no gradient term.
+    hjhom builds no scheme for it, since its Hbar and corrector have closed
+    forms.  residual and jacobian serve the ladder's Newton, `budget` (max a
+    times the table's tail mass, dt <= 1 / budget) the explicit march."""
+
+    def __init__(self, params: CellParams, cfg: CellConfig):
+        n = cfg.n
+        ys = np.arange(n) / n
+        self.a = _cell_a(params, ys)
+        self.table = periodized_weights(constant_kernel(params.sigma), n)
+        self.const = -self.a * params.l + params.ham.eval(np.full(n, params.x), ys,
+                                                          np.full(n, params.p))
+        j = np.arange(n)
+        lin = self.table.weights[(j[None, :] - j[:, None]) % n]
+        lin[j, j] -= self.table.mass
+        self._jac = -self.a[:, None] * lin
+        self.budget = float(np.max(self.a)) * self.table.tail_mass
+
+    def residual(self, phi: np.ndarray) -> np.ndarray:
+        return self.const - self.a * apply_table(phi, self.table)
+
+    def jacobian(self, phi: np.ndarray) -> np.ndarray:
+        """-diag(a) times the quadrature circulant, whatever phi; a copy."""
+        return self._jac.copy()
+
+
+def cell_scheme(params: CellParams, cfg: CellConfig):
+    """The cell operator of the parameters' regime: LinearCell above order
+    one, hjhom's ergodic scheme at order one, and below order one the
+    first-order F(v) = -a l + H(y, p + Dv), with no nonlocal term."""
+    if params.sigma > 1.0:
+        return LinearCell(params, cfg)
+    if params.sigma == 1.0:
         return _cell_scheme(params, cfg)
     n = cfg.n
     ys = np.arange(n) / n
@@ -364,7 +397,7 @@ def cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
                               p=params.p, const=-a_vals * params.l)
 
 
-def discounted_newton(scheme: MonotoneScheme, phi: np.ndarray, delta: float,
+def discounted_newton(scheme, phi: np.ndarray, delta: float,
                       cfg: CellConfig, source=0.0) -> tuple:
     """Mean-pinned Newton for delta phi + F(phi) = source + const, with a
     mean-free source; (phi, DiscountSolve).

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eikonal_root, traced_peak_mb
+from conftest import eikonal_root, patch_source, traced_peak_mb
 import hjhom.cell
 from hjhom.cell import (CellConfig, CellParams, corrector_below_one, corrector_regularity,
                         formula_below_one, regime_of, solve_ergodic_pair,
@@ -231,18 +231,31 @@ class TestCorrectorBelowOne:
                                           - (ladder - np.mean(ladder)))))
             assert gaps[0] <= 1.2e-2 and gaps[0] >= 1.8 * gaps[1]
 
-    @pytest.mark.parametrize("p, switches", [(0.45, 1), (-0.6, 1), (1.2, 0), (-2.0, 0)])
-    def test_solves_the_cell_problem_off_the_switch(self, p, switches):
-        # b |p + psi'|^m - g is the formula's Hbar on those nodes on every node
-        # interval but the one where s switches inside the flat piece, |p| <= 0.69
+    @staticmethod
+    def check_off_the_switch(p, switches):
+        """The formula corrector's check: b |p + psi'|^m - g is the formula's
+        Hbar on those nodes on every node interval but the one where s
+        switches inside the flat piece, |p| <= 0.69."""
         n, l = 64, 0.3
         ham = model_bpm("two_plus_cos_y", "cos_y", 2.0)
         params = CellParams(x=0.0, p=p, l=l, sigma=0.5, a=WAVY, ham=ham)
         ys = np.arange(n) / n
-        q = p + np.diff(corrector_below_one(params, n)) * n
+        q = p + np.diff(hjhom.cell.corrector_below_one(params, n)) * n
         hbar = float(formula_below_one(WAVY, ham, 0.0, p, l, nodes=n))
         gap = ham.b(0.0, ys) * np.abs(q) ** 2 - ham.f(0.0, ys) - WAVY(0.0, ys) * l - hbar
         assert np.count_nonzero(np.abs(gap) > 1e-9) == switches
+
+    @pytest.mark.parametrize("p, switches", [(0.45, 1), (-0.6, 1), (1.2, 0), (-2.0, 0)])
+    def test_solves_the_cell_problem_off_the_switch(self, p, switches):
+        self.check_off_the_switch(p, switches)
+
+    def test_the_check_catches_a_whole_node_switch(self, monkeypatch):
+        # s switches from +1 to -1 at a node boundary instead of inside the
+        # node, so mean(s w) misses p on the flat piece
+        patch_source(monkeypatch, hjhom.cell, "corrector_below_one",
+                     "s[c] = (2.0 * (half - mass[c]) + wc) / wc", "pass")
+        with pytest.raises(AssertionError):
+            self.check_off_the_switch(0.45, 1)
 
     @pytest.mark.parametrize("p", [0.0, 0.7])
     def test_slow_data_give_a_zero_corrector(self, p):
@@ -282,6 +295,28 @@ class TestFractionalCell:
         s1 = vanishing_discount_sweep(with_drift, (0.1, 0.05), FAST)
         s2 = vanishing_discount_sweep(without, (0.1, 0.05), FAST)
         assert abs(s1.H_bar - s2.H_bar) > 1e-3
+
+
+class TestLinearCell:
+    """The tests' cell operator above order one, lemmas.LinearCell."""
+
+    def test_cell_scheme_above_order_one_is_linear_in_phi(self, eikonal_ham, wavy_a):
+        # cell_scheme gives the tests' oracles F(phi) = -a l + H(y, p) - a I_h phi
+        # above order one, not the gradient-coupled order-one scheme: its
+        # Jacobian is one matrix at every state, and F(phi) - F(0) is that
+        # matrix times phi
+        params = CellParams(x=0.0, p=1.0, l=0.3, sigma=1.5, a=wavy_a, ham=eikonal_ham)
+        scheme = cell_scheme(params, FAST)
+        ys, zero = np.arange(FAST.n) / FAST.n, np.zeros(FAST.n)
+        a = wavy_a(0.0, ys)
+        assert np.max(np.abs(scheme.residual(zero) - (-0.3 * a + 1.0 - np.cos(2 * np.pi * ys)))
+                      ) <= 1e-15
+        jac = scheme.jacobian(zero)
+        phi, psi = np.random.default_rng(5).normal(size=(2, FAST.n))
+        for v in (phi, psi, 2.5 * phi - psi):
+            assert np.array_equal(scheme.jacobian(v), jac)
+            gap = scheme.residual(v) - scheme.residual(zero) - jac @ v
+            assert np.max(np.abs(gap)) <= 1e-13 * np.max(np.abs(jac) @ np.abs(v))
 
 
 class TestNewtonAgainstMarch:

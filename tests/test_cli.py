@@ -16,6 +16,7 @@ from hjhom.cell import corrector_below_one, solve_ergodic_pair
 from hjhom.cli import _cell_config, _cell_params, main
 from hjhom.config import (SCHEMA, ConfigError, build_model, defaults, parse_config,
                           parse_text)
+from hjhom.effective import ClosedForm
 from hjhom.fill import fill_table
 from hjhom.kernels import normalizing_constant
 from lemmas import vanishing_discount_sweep
@@ -369,10 +370,15 @@ class TestCommands:
                 if not l.startswith("#")]
         osc, lip, flap_sup = (float(v) for v in rows[1].split(",")[6:])
         cfg = parse_config(path)
-        params = _cell_params(cfg, build_model(cfg))
-        psi = (corrector_below_one(params, cfg["cell.n"])[:-1] if sigma == "0.5"
-               else solve_ergodic_pair(params, _cell_config(cfg)).psi.values)
-        n = psi.size
+        params, n = _cell_params(cfg, build_model(cfg)), cfg["cell.n"]
+        if sigma == "0.5":
+            psi = corrector_below_one(params, n)[:-1]
+        elif sigma == "1":
+            psi = solve_ergodic_pair(params, _cell_config(cfg)).psi.values
+        else:       # the closed form's profile, as the sweep's corrector takes it
+            profiles = ClosedForm(params.a, params.ham).corrector(params.sigma, n)
+            psi = profiles(params.x, params.p, params.l)[0]
+        assert psi.size == n
         assert osc == np.ptp(psi) > 0.0
         assert lip == np.max(np.abs(np.append(psi[1:], psi[:1]) - psi) * n)
         k = np.arange(n // 2 + 1)
@@ -425,21 +431,26 @@ class TestCommands:
     @pytest.mark.parametrize("p, l", [(0.45, 0.0), (1.2, 0.5), (-2.0, -1.0)])
     def test_cell_below_order_one_is_the_table_fill_value(self, tmp_path, p, l):
         # hjhom cell's one-node fill writes the H_bar and err that hjhom
-        # effective stores for the same node of a larger box, bit for bit
-        lines = ["kernel.sigma = 0.5", "hamiltonian.b = two_plus_cos_y", "cell.n = 64",
-                 "cell.x = 0.25", f"cell.p = {p}", f"cell.l = {l}", "cell.table_x = 0,0.25",
-                 f"cell.table_p = {p - 1},{p},{p + 0.5}", f"cell.table_l = {l},{l + 1}"]
-        path = write(tmp_path, "\n".join(lines) + "\n")
-        rows = {}
-        for command in ("cell", "effective"):
-            assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
-            body = [line.split(",") for line in (tmp_path / f"run_{command}.csv")
-                    .read_text().splitlines() if not line.startswith("#")]
-            rows[command] = [dict(zip(body[0], row)) for row in body[1:]
-                             if tuple(map(float, row[:3])) == (0.25, p, l)]
-        assert len(rows["cell"]) == len(rows["effective"]) == 1
-        assert rows["cell"][0]["H_bar"] == rows["effective"][0]["H_bar"]
-        assert rows["cell"][0]["spread"] == rows["effective"][0]["err"]
+        # effective stores for the same node of a larger box, bit for bit:
+        # the cell formula's below order one, the closed form's (err 0) above
+        for sigma, f in (("0.5", "cos_y"), ("0.5", "cos_x_cos_y"), ("1.5", "cos_y"),
+                         ("1.5", "cos_x_cos_y")):
+            lines = [f"kernel.sigma = {sigma}", "hamiltonian.b = two_plus_cos_y",
+                     f"hamiltonian.f = {f}", "cell.n = 64", "cell.x = 0.25", f"cell.p = {p}",
+                     f"cell.l = {l}", "cell.table_x = 0,0.25",
+                     f"cell.table_p = {p - 1},{p},{p + 0.5}", f"cell.table_l = {l},{l + 1}"]
+            path = write(tmp_path, "\n".join(lines) + "\n")
+            rows = {}
+            for command in ("cell", "effective"):
+                assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
+                body = [line.split(",") for line in (tmp_path / f"run_{command}.csv")
+                        .read_text().splitlines() if not line.startswith("#")]
+                rows[command] = [dict(zip(body[0], row)) for row in body[1:]
+                                 if tuple(map(float, row[:3])) == (0.25, p, l)]
+            assert len(rows["cell"]) == len(rows["effective"]) == 1
+            assert rows["cell"][0]["H_bar"] == rows["effective"][0]["H_bar"]
+            assert rows["cell"][0]["spread"] == rows["effective"][0]["err"]
+            assert sigma == "0.5" or float(rows["cell"][0]["spread"]) == 0.0
 
     @pytest.mark.parametrize("sigma", ["0.5", "1"])
     def test_effective_solve_without_a_table_names_the_key(self, tmp_path, capsys, sigma):
@@ -734,6 +745,18 @@ class TestCommands:
         assert "draws on the failed table node (x, p, l) = (0, 2, 0)" in err
         assert "the query (x, p, l) = (" in err
 
+    def test_table_without_rows_is_invalid_input(self, tmp_path, capsys):
+        # the sigma line and the column header, and no data row
+        table = tmp_path / "empty.csv"
+        table.write_text("# sigma = 0.5\nx,p,l,H_bar,err,provenance\n")
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 0.5", "coefficient_a.kind = constant:1", "grid.kind = effective",
+            "grid.n = 64", "grid.T = 0.01", f"grid.table_csv = {table}"]) + "\n")
+        capsys.readouterr()
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: {table} holds no table rows"]
+
     def test_table_built_for_another_model_is_invalid_input(self, tmp_path, capsys):
         # a sigma = 0.5, m = 2 table as `hjhom effective` writes it
         table_cfg = write(tmp_path, "\n".join([
@@ -759,7 +782,7 @@ class TestCommands:
         path = write(tmp_path, "\n".join(solve) + "\n", name="solve.cfg")
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
 
-    @pytest.mark.parametrize("command", ["homogenize", "solve", "effective"])
+    @pytest.mark.parametrize("command", ["homogenize", "solve", "effective", "cell"])
     def test_non_positive_a_rejected_above_order_one(self, tmp_path, capsys, command):
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 1.5", "coefficient_a.kind = cos_y",
@@ -880,14 +903,14 @@ class TestCommands:
 
     @pytest.mark.parametrize("sigma", ["1.1", "1.5"])
     def test_cell_above_order_one_is_the_closed_form(self, tmp_path, monkeypatch, sigma):
-        # the cell problem is linear above order one: one Newton step at zero
-        # discount reaches the closed form
+        # the cell problem is linear above order one: hjhom cell writes the
+        # closed form's value, with spread 0, and no Newton solve runs
         import hjhom.cli
-        from hjhom.effective import ClosedForm
+        import hjhom.fill
         from hjhom.hamiltonians import coefficient, model_bpm
-        sols = []
-        monkeypatch.setattr(hjhom.cli, "solve_ergodic_pair",
-                            lambda *args: sols.append(solve_ergodic_pair(*args)) or sols[-1])
+        for module in (hjhom.cli, hjhom.fill):
+            monkeypatch.setattr(module, "solve_ergodic_pair",
+                                lambda *args, **kw: pytest.fail("a Newton solve ran"))
         path = write(tmp_path, f"kernel.sigma = {sigma}\ncell.p = 0.7\ncell.l = 0.3\n")
         assert main(["cell", "--config", path, "--out", str(tmp_path)]) == 0
         rows = [l for l in (tmp_path / "run_cell.csv").read_text().splitlines()
@@ -895,8 +918,7 @@ class TestCommands:
         h_bar, spread = (float(v) for v in rows[1].split(",")[4:6])
         exact = float(ClosedForm(coefficient("two_plus_cos_y"),
                                  model_bpm("one", "cos_y", 2.0)).value(0.0, 0.7, 0.3))
-        assert abs(h_bar - exact) <= 1e-10 and spread <= 1e-10
-        assert len(sols) == 1 and sols[0].stop.steps == 1
+        assert h_bar == exact and spread == 0.0
 
     @pytest.mark.parametrize("sigma", ["0.5", "1", "1.5"])
     @pytest.mark.parametrize("command", ["cell", "effective"])

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import formula_fill, traced_peak_mb
+from conftest import formula_fill, patch_source, traced_peak_mb
+import hjhom.effective
 from hjhom.cell import CellConfig, CellParams, formula_below_one
 from hjhom.effective import (_BLOCK_ROWS, CLOSED_FORM_NODES, ClosedForm, EffectiveTable,
                              TableCells, _weighted,
@@ -596,6 +597,25 @@ def _outcome(query, *args):
         return type(exc), str(exc)
 
 
+def check_kept_cells(case):
+    """The memo check: each batch's values or errors as the table source's
+    query returns them are the stateless query's, bit for bit."""
+    table, x, batches = case
+    cells = TableCells(table)
+    located = None if table.xs.size == 1 else _weighted(table.xs, x, "x")
+    value = effective_source_from_table(table).at(x)
+    for p, l in batches:
+        got = _outcome(value, p, l)
+        stateless = _outcome(query_many, cells, located, p, l)
+        if isinstance(got, tuple):
+            # as a fresh at(x), whose nodes have no cell yet, raises it
+            assert got == _outcome(effective_source_from_table(table).at(x), p, l)
+            # the NumericalFailure names a NaN of the stateless query
+            assert stateless == got if got[0] is ValueError else np.isnan(stateless).any()
+        else:
+            assert got.view(np.int64).tolist() == stateless.view(np.int64).tolist()
+
+
 class TestCellMemo:
     """The table source's query keeps each node's cell between calls; its
     values and errors are the stateless query's, bit for bit."""
@@ -612,20 +632,23 @@ class TestCellMemo:
     @settings(derandomize=True, max_examples=100, deadline=None,
               phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
     def test_kept_cells_give_the_stateless_values(self, case):
-        table, x, batches = case
-        cells = TableCells(table)
-        located = None if table.xs.size == 1 else _weighted(table.xs, x, "x")
-        value = effective_source_from_table(table).at(x)
-        for p, l in batches:
-            got = _outcome(value, p, l)
-            stateless = _outcome(query_many, cells, located, p, l)
-            if isinstance(got, tuple):
-                # as a fresh at(x), whose nodes have no cell yet, raises it
-                assert got == _outcome(effective_source_from_table(table).at(x), p, l)
-                # the NumericalFailure names a NaN of the stateless query
-                assert stateless == got if got[0] is ValueError else np.isnan(stateless).any()
-            else:
-                assert got.view(np.int64).tolist() == stateless.view(np.int64).tolist()
+        check_kept_cells(case)
+
+    @pytest.mark.parametrize("old, new, l_next", [
+        # the l bounds ignored: a node that crosses an l line keeps its cell
+        ("moved = (~(inside[0] & inside[1])).nonzero()[0]",
+         "moved = (~inside[0]).nonzero()[0]", 0.8),
+        # the upper l bound closed: a node on the line keeps the cell below it
+        ("inside = (b[:2] <= q) & (q < b[2:])",
+         "inside = (b[:2] <= q) & (q < b[2:]) | (q == b[2:]) & [[False], [True]]", 0.3),
+    ], ids=["l-bounds-ignored", "upper-l-bound-closed"])
+    def test_the_check_catches_a_memo_fault(self, monkeypatch, old, new, l_next):
+        # the check passes on the example, then fails once the table source's
+        # query holds the fault (the stateless oracle keeps this module's import)
+        check_kept_cells(_memo_fault_case(l_next))
+        patch_source(monkeypatch, hjhom.effective, "query_many", old, new)
+        with pytest.raises(AssertionError):
+            check_kept_cells(_memo_fault_case(l_next))
 
     @staticmethod
     def _table(nx):
@@ -859,3 +882,14 @@ class TestPersistence:
         cut_mid_row.write_text("".join(lines[:-1]) + ",".join(lines[-1].split(",")[:4]))
         with pytest.raises(ValueError, match=f"{len(lines)}: expected 6 fields"):
             load_table(str(cut_mid_row))
+
+    def test_table_without_rows_rejected(self, tmp_path, eikonal_ham):
+        # a saved table cut after its header: the sigma line and the column names
+        table = tabulate(formula_fill(WAVY, eikonal_ham), [0.0], [0.0, 1.0], [0.0], sigma=1.5)
+        path = tmp_path / "table.csv"
+        save_table(table, str(path))
+        header = [line for line in path.read_text().splitlines(keepends=True)
+                  if line.startswith("#") or line.startswith("x,")]
+        path.write_text("".join(header))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} holds no table rows$"):
+            load_table(str(path))

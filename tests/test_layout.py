@@ -265,3 +265,36 @@ def test_guard_names_a_second_fill(tmp_path):
                  "    return formula_below_one(model.a, model.ham, x, p, l)\n")
     assert callers(src, {"tabulate", "formula_below_one"}) == [
         "cli.formula_below_one", "fill.formula_below_one", "fill.tabulate"]
+
+
+def fluxless_schemes(src: Path) -> list:
+    """`module:line` of every MonotoneScheme(...) call in the package at src
+    that passes no flux: neither power= nor a Hamiltonian, positional (the
+    second argument) or as ham=; sorted."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "MonotoneScheme" and len(node.args) < 2 and not any(
+                    kw.arg in ("power", "ham") for kw in node.keywords):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_every_scheme_has_a_flux():
+    # MonotoneScheme has no flux-less mode: every scheme the program builds
+    # takes the Godunov flux on a power form or a table's Lax-Friedrichs flux
+    assert fluxless_schemes(SRC) == []
+
+
+def test_guard_names_a_fluxless_scheme(tmp_path):
+    # the same package with one scheme built from a nonlocal term alone
+    src = _copy_of_src(tmp_path)
+    cell = src / "cell.py"
+    with open(cell, "a") as fh:
+        fh.write("\n\ndef orphan(n, table, a):\n"
+                 "    return MonotoneScheme(1.0 / n, table=table, a=a)\n")
+    assert fluxless_schemes(src) == [f"cell:{len(cell.read_text().splitlines())}"]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import trig_poly
+from conftest import patch_source, trig_poly
+import hjhom.parabolic
 from hjhom.cell import CellConfig, CellParams
 from hjhom.effective import (EffectiveTable, TableCells, effective_source_from_formula,
                              effective_source_from_table, query_many)
@@ -207,11 +208,10 @@ class TestImplicitStep:
         prob = _oscillating(u0, eikonal_ham, wavy_a, 1.5, 1.0 / 3.0, 0.02)
         assert solve(prob, SolverConfig(snapshots=2)).path == "implicit"
 
-    @pytest.mark.parametrize("kernel", [constant_kernel(0.5), tilt_kernel(0.5, 0.5)],
-                             ids=["symmetric", "tilt"])
-    @pytest.mark.parametrize("n, period", [(64, 1), (64, 2), (64, 4), (64, 16), (64, 32),
-                                           (48, 16), (45, 1), (45, 15)])
-    def test_block_step_matches_dense_solve(self, eikonal_ham, kernel, n, period):
+    @staticmethod
+    def check_block_step(ham, kernel, n, period):
+        """The half-spectrum step's check: the implicit step of a coefficient
+        of the given period against a dense solve of the implicit operator."""
         j = np.arange(n)
         table = periodized_weights(kernel, n)
         y = 2.0 * np.pi * (j * (n // period) % n) / n
@@ -220,7 +220,7 @@ class TestImplicitStep:
         lin = c[(j[None, :] - j[:, None]) % n]       # I_h as a dense matrix
         lin[j, j] -= table.mass
         u = trig_poly(7, n, scale=0.5).values
-        scheme = coefficient_scheme(1.0 / n, j / n, j / n, a, eikonal_ham, table=table)
+        scheme = coefficient_scheme(1.0 / n, j / n, j / n, a, ham, table=table)
         assert scheme.implicit
         rest = scheme.residual(u) + a * (lin @ u)    # the gradient part G(u)
         for dt in (scheme.step_dt(), 0.3 * scheme.step_dt()):    # cached, shortened
@@ -231,6 +231,21 @@ class TestImplicitStep:
             assert np.min(np.linalg.inv(implicit_op)) >= 0.0
         # the inverses kept at step_dt(): one block per class r <= K / 2
         assert scheme._inverse[1].shape == (n // period // 2 + 1, period, period)
+
+    @pytest.mark.parametrize("kernel", [constant_kernel(0.5), tilt_kernel(0.5, 0.5)],
+                             ids=["symmetric", "tilt"])
+    @pytest.mark.parametrize("n, period", [(64, 1), (64, 2), (64, 4), (64, 16), (64, 32),
+                                           (48, 16), (45, 1), (45, 15)])
+    def test_block_step_matches_dense_solve(self, eikonal_ham, kernel, n, period):
+        self.check_block_step(eikonal_ham, kernel, n, period)
+
+    def test_the_check_catches_an_unconjugated_half_spectrum(self, eikonal_ham, monkeypatch):
+        # the classes above K / 2 and the blocks' coupling read the half
+        # spectrum without the conjugate their modes past n / 2 need
+        patch_source(monkeypatch, hjhom.parabolic, "_take",
+                     "return np.conjugate(out, out=out, where=index[1])", "return out")
+        with pytest.raises(AssertionError):
+            self.check_block_step(eikonal_ham, constant_kernel(0.5), 64, 16)
 
     # (kernel, whether its table admits the implicit step)
     KERNELS = [(constant_kernel(0.5), True), (constant_kernel(1.5), True),
