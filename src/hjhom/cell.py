@@ -1,6 +1,7 @@
 """Stationary problems on the unit cell and the ergodic constant.
 
-Each regime of the kernel order gets its own cell problem:
+Every cell problem reads a, b and f on the cell nodes from cell_coefficients.
+Each regime of the kernel order then gets its own cell problem:
 
   * order < 1: first order and one-dimensional, -a l + H(y, p + v') = Hbar,
     with an exact ergodic constant and corrector (Lions-Papanicolaou-Varadhan
@@ -40,7 +41,7 @@ from .grid import GridFunction, forward_diff
 from .hamiltonians import HamiltonianSpec
 from .kernels import BLOCK_VALUES, QuadratureTable, constant_kernel, periodized_weights
 from .operators import spectral_flap
-from .parabolic import MonotoneScheme, NumericalFailure, coefficient_scheme
+from .parabolic import MonotoneScheme, NumericalFailure
 
 
 # Cell nodes of the periodic quadrature behind every closed-form mean: the
@@ -49,14 +50,20 @@ from .parabolic import MonotoneScheme, NumericalFailure, coefficient_scheme
 CLOSED_FORM_NODES = 2048
 
 
-def require_positive_a(a_vals: np.ndarray, X: np.ndarray, ys: np.ndarray, rule: str) -> None:
-    """Raise ValueError "coefficient a must be <rule>: ...", naming the least
-    value and its (x, y), unless a_vals, a at the x of each row of the column
-    X and at the cell nodes ys, is positive."""
+def cell_coefficients(a: Callable, ham: HamiltonianSpec, X: np.ndarray, ys: np.ndarray,
+                      rule: str = "positive on the cell") -> tuple:
+    """(a, b, f) of the model at the x of each row of the column X on the cell
+    nodes ys, broadcast to the rows they return: one row when none reads x.
+    Raises ValueError "coefficient a must be <rule>: ...", naming the least
+    value of a and its (x, y), unless a is positive."""
+    vals = [np.asarray(c(X, ys), dtype=float) for c in (a, ham.b, ham.f)]
+    rows = np.broadcast_shapes((1, ys.size), *(v.shape for v in vals))
+    a_vals, b_vals, f_vals = (np.broadcast_to(v, rows) for v in vals)
     if not np.all(a_vals > 0.0):
-        i, j = np.unravel_index(np.argmin(a_vals), a_vals.shape)
+        i, j = np.unravel_index(np.argmin(a_vals), rows)
         raise ValueError(f"coefficient a must be {rule}: a(x, y) = {a_vals[i, j]:.6g} at "
                          f"(x, y) = ({X[i, 0]:.6g}, {ys[j]:.6g})")
+    return a_vals, b_vals, f_vals
 
 
 def regime_of(sigma: float) -> str:
@@ -123,22 +130,16 @@ def _cell_table(sigma: float, n: int) -> QuadratureTable:
     return periodized_weights(constant_kernel(sigma), n)
 
 
-def _cell_a(params: CellParams, ys: np.ndarray) -> np.ndarray:
-    """a at the frozen x on the cell nodes ys, where it must be positive."""
-    a_vals = np.asarray(params.a(np.full(ys.size, params.x), ys), dtype=float)
-    require_positive_a(a_vals[None], np.array([[params.x]]), ys, "positive on the cell")
-    return a_vals
-
-
 def _cell_scheme(params: CellParams, cfg: CellConfig) -> MonotoneScheme:
     """The frozen-coefficient stationary operator at order one; Newton reads
     no theta on its Godunov flux."""
     n = cfg.n
     ys = np.arange(n) / n
-    a_vals = _cell_a(params, ys)
-    return coefficient_scheme(1.0 / n, np.full(n, params.x), ys, a_vals, params.ham,
-                              p=params.p, table=_cell_table(params.sigma, n),
-                              const=-a_vals * params.l, drift=params.drift_b)
+    a_vals, b_vals, f_vals = (row[0] for row in cell_coefficients(
+        params.a, params.ham, np.array([[params.x]]), ys))
+    return MonotoneScheme(1.0 / n, power=(b_vals, params.ham.m, -f_vals), a=a_vals,
+                          p=params.p, table=_cell_table(params.sigma, n),
+                          const=-a_vals * params.l, drift=params.drift_b)
 
 
 # multiple of eps * (|J| |phi| + |F(phi)|) below which the mean-free
@@ -262,12 +263,10 @@ def formula_below_one(a: Callable, ham: HamiltonianSpec, x, p, l,
 
 def _cell_data(a: Callable, ham: HamiltonianSpec, X, ys: np.ndarray, l) -> tuple:
     """(g, b) of the cell formula, one row per frozen x of the column X, on
-    the cell nodes ys: g = f + a l.  Raises ValueError, naming the node,
-    where a is not positive."""
-    a_vals = np.asarray(a(X, ys), dtype=float)
-    g = np.broadcast_to(ham.f(X, ys) + a_vals * l, (X.size, ys.size))
-    require_positive_a(np.broadcast_to(a_vals, g.shape), X, ys, "positive on the cell")
-    return g, np.broadcast_to(np.asarray(ham.b(X, ys), dtype=float), g.shape)
+    the cell nodes ys: g = f + a l, from cell_coefficients."""
+    a_vals, b_vals, f_vals = cell_coefficients(a, ham, X, ys)
+    g = np.broadcast_to(f_vals + a_vals * l, (X.size, ys.size))
+    return g, np.broadcast_to(b_vals, g.shape)
 
 
 def corrector_below_one(params: CellParams, n: int) -> np.ndarray:

@@ -8,11 +8,12 @@ configuration it came from, so a run is reproducible from any artifact.
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
+
+from .grid import whole_reciprocal
 
 _DEFAULT_DELTAS = "0.1,0.05,0.025,0.0125,0.00625,0.003125,0.0015625,0.001"
 M_MAX = 100.0     # largest hamiltonian.m: the audits' |p|^m overflows above 129
@@ -193,12 +194,6 @@ def parse_config(path: str) -> RunConfig:
     return parse_text(text, source=str(path))
 
 
-def _whole_reciprocal(eps: float) -> Optional[int]:
-    """k where eps = 1 / k for a whole k >= 1, else None (k = inf for a subnormal eps)."""
-    k = 1.0 / eps if eps > 0 else 0.0
-    return round(k) if 1.0 <= k < math.inf and abs(k - round(k)) <= 1e-12 else None
-
-
 def _validate(cfg: RunConfig) -> list:
     errors = []
     sigma = cfg["kernel.sigma"]
@@ -245,7 +240,7 @@ def _validate(cfg: RunConfig) -> list:
     if any(d <= 0 for d in cfg["cell.deltas"]):
         errors.append("cell.deltas must be positive")
     # a scale eps = 1 / k needs n >= 16 k nodes to resolve the fast variable
-    ks = [_whole_reciprocal(e) for e in cfg["sweep.eps_list"]]
+    ks = [whole_reciprocal(e) for e in cfg["sweep.eps_list"]]
     errors.extend(f"sweep.eps_list entry {e} is not the reciprocal of an integer"
                   for e, k in zip(cfg["sweep.eps_list"], ks) if k is None)
     n_fixed = cfg["sweep.n_fixed"]
@@ -254,7 +249,7 @@ def _validate(cfg: RunConfig) -> list:
                       f"{16 * max(ks)}")
     e0, n = cfg["grid.eps"], cfg["grid.n"]
     if cfg["grid.kind"] == "oscillating":
-        if (k0 := _whole_reciprocal(e0)) is None:
+        if (k0 := whole_reciprocal(e0)) is None:
             errors.append(f"grid.eps = {e0} is not the reciprocal of an integer")
         elif n < 16 * k0:
             errors.append(f"grid.n = {n} must be at least 16 / grid.eps = {16 * k0}")

@@ -21,9 +21,9 @@ Two sources serve Hbar to the time stepper, each building its own scheme:
 ClosedForm, the pair (a, H) whose cell means are taken afresh at every call,
 and EffectiveSource, a table's queries, which raise NumericalFailure naming
 the query and the failed node it draws on.  ClosedForm keeps no state; the
-table source keeps each node's cell, and nothing that changes a value.  A
-coefficient broadcasts over the variables it reads; means are taken over
-the rows it returns.
+table source keeps each node's cell, and nothing that changes a value.
+ClosedForm reads a, b and f from hjhom.cell.cell_coefficients, which
+returns one row when none reads x; means are taken over its rows.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import csvio
-from .cell import CLOSED_FORM_NODES, require_positive_a, spectral_cell_above_one
+from .cell import CLOSED_FORM_NODES, cell_coefficients, spectral_cell_above_one
 from .hamiltonians import HamiltonianSpec
 from .kernels import BLOCK_VALUES, QuadratureTable
 from .parabolic import MonotoneScheme, NumericalFailure
@@ -66,14 +66,11 @@ class ClosedForm(NamedTuple):
         blocks = []
         for s in range(0, x.size, _BLOCK_ROWS):
             X = x.ravel()[s:s + _BLOCK_ROWS, None]
-            a_vals, b_vals, f_vals = (np.asarray(c(X, ys), dtype=float)
-                                      for c in (self.a, self.ham.b, self.ham.f))
-            rows = np.broadcast_shapes((1, ys.size), a_vals.shape, b_vals.shape, f_vals.shape)
-            a_vals = np.broadcast_to(a_vals, rows)
-            require_positive_a(a_vals, X, ys, "strictly positive above order one")
+            a_vals, b_vals, f_vals = cell_coefficients(self.a, self.ham, X, ys,
+                                                       "strictly positive above order one")
             A = 1.0 / np.mean(1.0 / a_vals, axis=1)
             blocks.append([A] + [A * np.mean(part / a_vals, axis=1) for part in (b_vals, f_vals)])
-            if rows[0] < X.size:                          # no x axis
+            if a_vals.shape[0] < X.size:                  # no x axis
                 return tuple(np.full(x.shape, col[0]) for col in blocks[0])
         return tuple(np.concatenate(col).reshape(x.shape) for col in zip(*blocks))
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from typing import Optional
+
 import numpy as np
 
 
@@ -65,3 +68,9 @@ def forward_diff(values: np.ndarray, h: float) -> np.ndarray:
 def central_diff(values: np.ndarray, h: float) -> np.ndarray:
     pad = np.concatenate((values[-1:], values, values[:1]))
     return (pad[2:] - pad[:-2]) / (2.0 * h)
+
+
+def whole_reciprocal(eps: float) -> Optional[int]:
+    """k where eps = 1 / k for a whole k >= 1, else None (k = inf for a subnormal eps)."""
+    k = 1.0 / eps if eps > 0 else 0.0
+    return round(k) if 1.0 <= k < math.inf and abs(k - round(k)) <= 1e-12 else None

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .grid import GridFunction, one_sided_diffs
+from .grid import GridFunction, one_sided_diffs, whole_reciprocal
 from .hamiltonians import HamiltonianSpec, coercive_reach
 from .kernels import QuadratureTable
 from .operators import apply_table
@@ -316,30 +316,23 @@ class MonotoneScheme:
         return jac
 
 
-def coefficient_scheme(h: float, xs: np.ndarray, ys: np.ndarray, a: np.ndarray,
-                       ham: HamiltonianSpec, **kw) -> MonotoneScheme:
-    """Scheme for -a (I_h u - drift D u) + H(x, y, p + D u) at the nodes (xs, ys):
-    the Godunov flux on H's power form."""
-    power = (np.asarray(ham.b(xs, ys), dtype=float), ham.m,
-             -np.asarray(ham.f(xs, ys), dtype=float))
-    return MonotoneScheme(h, power=power, a=a, **kw)
-
-
 def oscillating_scheme(eps: float, a: Callable[[np.ndarray, np.ndarray], np.ndarray],
                        ham: HamiltonianSpec, table: QuadratureTable) -> MonotoneScheme:
     """Scheme for -a(x, x/eps) I_h u + H(x, x/eps, Du) on the table's n nodes;
-    raises ValueError unless eps = 1/k for an integer k and n >= 16 k."""
-    k = 1.0 / eps
-    if abs(k - round(k)) > 1e-12:
+    raises ValueError unless eps = 1/k for an integer k >= 1 and n >= 16 k."""
+    k = whole_reciprocal(eps)
+    if k is None:
         raise ValueError("eps must be the reciprocal of a positive integer")
-    n, k = table.n, round(k)
+    n = table.n
     if n < 16 * k:
         raise ValueError("need n >= 16 / eps to resolve the fast variable")
     # y = x / eps mod 1 in exact integer arithmetic, so a(x, y) repeats
     # exactly every n eps nodes
     xs, ys = np.arange(n) / n, (np.arange(n) * k % n) / n
-    return coefficient_scheme(1.0 / n, xs, ys, np.asarray(a(xs, ys), dtype=float), ham,
-                              table=table)
+    power = (np.asarray(ham.b(xs, ys), dtype=float), ham.m,
+             -np.asarray(ham.f(xs, ys), dtype=float))
+    return MonotoneScheme(1.0 / n, power=power, a=np.asarray(a(xs, ys), dtype=float),
+                          table=table)
 
 
 class SolverConfig(NamedTuple):

@@ -5,7 +5,9 @@ the localized split of the nonlocal operator and the two-scale remainder J,
 the vanishing-discount ladder of the cell problem in all three regimes, with
 the linear cell operator above order one that hjhom solves in closed form, the
 corrector regularity ratios, the least-squares rate fit of a sweep, and its
-corrector residual with each node's profile solved alone.
+corrector residual with each node's profile solved alone.  Beside them, the
+scheme on H's power form at given nodes and the node-by-node table fill
+that many tests build their tables with.
 The tests check the paper's lemmas and hjhom's direct cell solvers against
 them; hjhom itself never calls them.
 """
@@ -13,20 +15,21 @@ them; hjhom itself never calls them.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 import hjhom.cell
-from hjhom.cell import (CellConfig, CellParams, _cell_a, _cell_scheme, corrector_regularity,
-                        spectral_cell_above_one)
+from hjhom.cell import (CellConfig, CellParams, _cell_scheme, cell_coefficients,
+                        corrector_regularity, spectral_cell_above_one)
 from hjhom.grid import GridFunction, nearest_node
-from hjhom.effective import ClosedForm
+from hjhom.effective import ClosedForm, EffectiveTable
+from hjhom.hamiltonians import HamiltonianSpec
 from hjhom.homogenize import SweepReport
 from hjhom.kernels import (_GAUSS_NODES, _GAUSS_WEIGHTS, KernelSpec, constant_kernel,
                            periodized_weights)
 from hjhom.operators import apply_table
-from hjhom.parabolic import NumericalFailure, coefficient_scheme
+from hjhom.parabolic import MonotoneScheme, NumericalFailure
 
 
 # Barrier envelopes and the time sup-convolution (comparison principle).
@@ -325,6 +328,40 @@ def corrector_remainder_J(psi: GridFunction, k: KernelSpec, eps: float,
     return total, err
 
 
+# The scheme on H's power form at given nodes and the node-by-node table
+# fill: reference schemes, and the tables many tests build from a callback.
+
+
+def coefficient_scheme(h: float, xs: np.ndarray, ys: np.ndarray, a: np.ndarray,
+                       ham: HamiltonianSpec, **kw) -> MonotoneScheme:
+    """Scheme for -a (I_h u - drift D u) + H(x, y, p + D u) at the nodes (xs, ys):
+    the Godunov flux on H's power form."""
+    power = (np.asarray(ham.b(xs, ys), dtype=float), ham.m,
+             -np.asarray(ham.f(xs, ys), dtype=float))
+    return MonotoneScheme(h, power=power, a=a, **kw)
+
+
+def tabulate(fill: Callable, xs, ps, ls, sigma: float, meta=None) -> EffectiveTable:
+    """Fill the table node by node; a failing node is marked, not fatal."""
+    xs, ps, ls = (np.atleast_1d(np.asarray(axis, dtype=float)) for axis in (xs, ps, ls))
+    values = np.full((xs.size, ps.size, ls.size), np.nan)
+    err, prov = np.full_like(values, np.inf), np.full(values.shape, "failed", dtype=object)
+    failures = []
+    for node in np.ndindex(values.shape):       # in x, p, l order
+        try:
+            values[node], err[node], prov[node] = fill(
+                *(float(axis[i]) for axis, i in zip((xs, ps, ls), node)))
+        except (NumericalFailure, ValueError) as exc:
+            failures.append(str(exc))
+    return EffectiveTable(xs, ps, ls, values, err, prov, sigma, dict(meta or {}),
+                          failures=tuple(failures))
+
+
+def cell_a(params: CellParams, ys: np.ndarray) -> np.ndarray:
+    """a at the frozen x on the cell nodes ys, where it must be positive."""
+    return cell_coefficients(params.a, params.ham, np.array([[params.x]]), ys)[0][0]
+
+
 # The vanishing-discount ladder of the cell problem.
 
 
@@ -364,7 +401,7 @@ class LinearCell:
     def __init__(self, params: CellParams, cfg: CellConfig):
         n = cfg.n
         ys = np.arange(n) / n
-        self.a = _cell_a(params, ys)
+        self.a = cell_a(params, ys)
         self.table = periodized_weights(constant_kernel(params.sigma), n)
         self.const = -self.a * params.l + params.ham.eval(np.full(n, params.x), ys,
                                                           np.full(n, params.p))
@@ -392,7 +429,7 @@ def cell_scheme(params: CellParams, cfg: CellConfig):
         return _cell_scheme(params, cfg)
     n = cfg.n
     ys = np.arange(n) / n
-    a_vals = _cell_a(params, ys)
+    a_vals = cell_a(params, ys)
     return coefficient_scheme(1.0 / n, np.full(n, params.x), ys, a_vals, params.ham,
                               p=params.p, const=-a_vals * params.l)
 

@@ -10,7 +10,6 @@ import pytest
 from conftest import WAVY_SWEEP_SIGMA, eikonal_root, formula_fill, trig_poly
 from hjhom.cell import CellConfig, CellParams
 from hjhom.effective import EffectiveTable, audit_properties, effective_source_from_formula
-from hjhom.fill import tabulate
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, coercivity_constants, model_bpm
 from hjhom.homogenize import ProblemFamily, SweepConfig, run_sweep
@@ -19,7 +18,8 @@ from hjhom.kernels import (constant_kernel, drift_vector, periodized_weights,
 from hjhom.operators import apply_table, spectral_flap
 from hjhom.parabolic import (ParabolicProblem, SolverConfig, holder_exponent_alpha0,
                              oscillating_scheme, solve)
-from lemmas import corrector_remainder_J, sup_convolution_time, vanishing_discount_sweep
+from lemmas import (corrector_remainder_J, sup_convolution_time, tabulate,
+                    vanishing_discount_sweep)
 
 EIKONAL = model_bpm("one", "cos_y", 2.0)      # H = |p|^2 - cos(2 pi y)
 UNIT_A = coefficient("one")

@@ -5,22 +5,24 @@ from hypothesis import strategies as st
 
 from conftest import eikonal_root, patch_source, traced_peak_mb
 import hjhom.cell
-from hjhom.cell import (CellConfig, CellParams, corrector_below_one, corrector_regularity,
-                        formula_below_one, regime_of, solve_ergodic_pair,
-                        spectral_cell_above_one)
+from hjhom.cell import (CellConfig, CellParams, _cell_scheme, cell_coefficients,
+                        corrector_below_one, corrector_regularity, formula_below_one,
+                        regime_of, solve_ergodic_pair, spectral_cell_above_one)
 from hjhom.effective import EffectiveTable, audit_properties
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, model_bpm
-from hjhom.kernels import constant_kernel, drift_vector, tilt_kernel
+from hjhom.kernels import constant_kernel, drift_vector, periodized_weights, tilt_kernel
 from hjhom.operators import spectral_flap
 from hjhom.parabolic import CFL_SAFETY, NumericalFailure
-from lemmas import (cell_scheme, discounted_newton, holder_quotients, regularity_audit,
-                    regularity_sweep_audit, vanishing_discount_sweep)
+from lemmas import (cell_scheme, coefficient_scheme, discounted_newton, holder_quotients,
+                    regularity_audit, regularity_sweep_audit, vanishing_discount_sweep)
 from long_time import long_time_average
 
 FAST = CellConfig(n=128, tol=1e-9)
 DELTAS = (0.1, 0.05, 0.025, 0.0125)
 WAVY = coefficient("two_plus_cos_y")
+# positive and slow-variable dependent, unlike every built-in positive coefficient
+X_DEPENDENT = lambda x, y: 2.0 + np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
 
 
 def discount_trace(params: CellParams, deltas, cfg: CellConfig) -> list:
@@ -59,6 +61,60 @@ class TestRegimes:
         assert regime_of(0.5) == "below_one"
         assert regime_of(1.0) == "equal_one"
         assert regime_of(1.5) == "above_one"
+
+
+class TestCellCoefficients:
+    """The one sampler of a, b and f on the cell nodes."""
+
+    N = 256
+
+    @pytest.mark.parametrize("a_reads_x", [False, True])
+    @pytest.mark.parametrize("spec", ["one", "two_plus_cos_y", "cos_y", "constant:1.7",
+                                      "cos_x_cos_y"])
+    @pytest.mark.parametrize("size", [1, 8, 1024])
+    def test_rows_and_values(self, spec, size, a_reads_x):
+        # one row exactly when none of a, b, f reads x, with the values of
+        # every coefficient broadcast to one row per x node
+        positive = spec if spec in ("one", "two_plus_cos_y", "constant:1.7") else "two_plus_cos_y"
+        a = X_DEPENDENT if a_reads_x else coefficient(positive)
+        ham = model_bpm(positive, spec, 2.0)
+        x, ys = np.arange(size) / size, np.arange(self.N) / self.N
+        got = cell_coefficients(a, ham, x[:, None], ys)
+        rows = size if a_reads_x or spec == "cos_x_cos_y" else 1
+        assert all(g.shape == (rows, self.N) for g in got)
+        want = [np.broadcast_to(c(x[:, None], ys), (size, self.N)) for c in (a, ham.b, ham.f)]
+        assert all(np.array_equal(np.broadcast_to(g, w.shape), w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("a, rule, named", [
+        (lambda x, y: 0.25 + (x - 0.375) ** 2 - np.cos(2 * np.pi * y), "positive on the cell",
+         "a(x, y) = -0.75 at (x, y) = (0.375, 0)"),
+        (coefficient("cos_y"), "strictly positive above order one",
+         "a(x, y) = -1 at (x, y) = (0.125, 0.5)"),
+    ])
+    def test_names_the_worst_node(self, eikonal_ham, a, rule, named):
+        x, ys = 0.125 + np.arange(8) / 8, np.arange(self.N) / self.N
+        with pytest.raises(ValueError) as info:
+            cell_coefficients(a, eikonal_ham, x[:, None], ys, rule)
+        assert str(info.value) == f"coefficient a must be {rule}: {named}"
+
+    @pytest.mark.parametrize("a", [WAVY, X_DEPENDENT])
+    @pytest.mark.parametrize("b, f", [("one", "cos_y"), ("two_plus_cos_y", "cos_x_cos_y"),
+                                      ("constant:1.7", "one")])
+    def test_cell_scheme_is_the_node_by_node_scheme(self, a, b, f):
+        # the order-one scheme takes the sampler's row: power arrays, a and
+        # the constant are bit for bit those of H's power form at (x, ys)
+        n, ham = 128, model_bpm(b, f, 2.0)
+        params = CellParams(x=0.3, p=0.7, l=-0.4, sigma=1.0, a=a, ham=ham, drift_b=0.2)
+        ys = np.arange(n) / n
+        a_vals = np.asarray(a(np.full(n, params.x), ys), dtype=float)
+        want = coefficient_scheme(1.0 / n, np.full(n, params.x), ys, a_vals, ham, p=params.p,
+                                  table=periodized_weights(constant_kernel(1.0), n),
+                                  const=-a_vals * params.l, drift=params.drift_b)
+        got = _cell_scheme(params, CellConfig(n=n))
+        for g, w in ((got.power[0], want.power[0]), (got.power[2], want.power[2]),
+                     (got.minus_a, want.minus_a), (got.const, want.const)):
+            assert g.shape == w.shape and np.array_equal(g, w)
+        assert got.power[1] == want.power[1] and got.theta == want.theta
 
 
 class TestSlowDataIsExact:

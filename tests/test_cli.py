@@ -654,7 +654,7 @@ class TestCommands:
 
     def test_unusable_table_is_invalid_input(self, tmp_path, capsys):
         from hjhom.effective import save_table
-        from hjhom.fill import tabulate
+        from lemmas import tabulate
         # |p| <= 1 cannot cover the gradients of sin(2 pi x)
         narrow = tabulate(lambda x, p, l: (p * p - 1.0 - l, 0.0, "discount"), [0.0],
                           [-1.0, 0.0, 1.0], [-4.0, 0.0, 4.0], sigma=0.5)
@@ -693,7 +693,7 @@ class TestCommands:
 
     def test_failed_node_outside_the_reach_is_harmless(self, tmp_path):
         from hjhom.effective import save_table
-        from hjhom.fill import tabulate
+        from lemmas import tabulate
         from hjhom.parabolic import NumericalFailure
 
         def fill(p, l, fail_corner):
@@ -722,7 +722,7 @@ class TestCommands:
 
     def test_failed_node_reached_is_named(self, tmp_path, capsys):
         from hjhom.effective import save_table
-        from hjhom.fill import tabulate
+        from lemmas import tabulate
         from hjhom.parabolic import NumericalFailure
 
         def fill(x, p, l):
@@ -796,12 +796,9 @@ class TestCommands:
         assert err == ["invalid input: coefficient a must be strictly positive above "
                        "order one: a(x, y) = -1 at (x, y) = (0, 0.5)"]
 
-    @pytest.mark.parametrize("command", ["effective", "homogenize", "cell"])
-    def test_non_positive_a_rejected_below_order_one(self, tmp_path, capsys, command):
-        # the cell formula refuses a, naming its least value, in every
-        # command, before any table is filled or written
+    def _rejects_non_positive_a(self, tmp_path, capsys, command, sigma):
         path = write(tmp_path, "\n".join([
-            "kernel.sigma = 0.5", "coefficient_a.kind = cos_y",
+            f"kernel.sigma = {sigma}", "coefficient_a.kind = cos_y",
             "sweep.eps_list = 1/2,1/4", "sweep.T = 0.05", "sweep.snapshots = 3",
         ]) + "\n")
         out = tmp_path / "out"
@@ -814,6 +811,18 @@ class TestCommands:
                        "a(x, y) = -1 at (x, y) = (0, 0.5)"]
         assert "fill:" not in captured.out
         assert not list(tmp_path.rglob("*_effective.csv"))
+
+    @pytest.mark.parametrize("command", ["effective", "homogenize", "cell"])
+    def test_non_positive_a_rejected_below_order_one(self, tmp_path, capsys, command):
+        # the cell formula refuses a, naming its least value, in every
+        # command, before any table is filled or written
+        self._rejects_non_positive_a(tmp_path, capsys, command, "0.5")
+
+    @pytest.mark.parametrize("command", ["effective", "homogenize", "cell"])
+    def test_non_positive_a_rejected_at_order_one(self, tmp_path, capsys, command):
+        # the first node's cell solve refuses a the same way: the fill stops,
+        # rather than marking every node failed, and no table is written
+        self._rejects_non_positive_a(tmp_path, capsys, command, "1")
 
     def test_failed_audit_prints_its_report(self, tmp_path, capsys):
         # the gate prints the failed report's repr, the nested modulus report

@@ -15,13 +15,12 @@ from hjhom.effective import (_BLOCK_ROWS, CLOSED_FORM_NODES, ClosedForm, Effecti
                              audit_properties, effective_source_from_formula,
                              effective_source_from_table, load_table, query_many,
                              save_table)
-from hjhom.fill import tabulate
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import HamiltonianSpec, coefficient, model_bpm
 from hjhom.kernels import constant_kernel, periodized_weights, tilt_kernel
 from hjhom.parabolic import (MonotoneScheme, NumericalFailure, ParabolicProblem,
-                             SolverConfig, coefficient_scheme, solve)
-from lemmas import vanishing_discount_sweep
+                             SolverConfig, solve)
+from lemmas import coefficient_scheme, tabulate, vanishing_discount_sweep
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 

@@ -3,7 +3,6 @@ import pytest
 
 from hjhom.cell import CellConfig, CellParams
 from hjhom.effective import effective_source_from_formula, effective_source_from_table
-from hjhom.fill import tabulate
 from hjhom.grid import GridFunction, central_diff
 from hjhom.hamiltonians import coefficient, model_bpm
 from hjhom.homogenize import (ProblemFamily, SweepConfig, SweepReport,
@@ -14,7 +13,7 @@ from hjhom.operators import apply_table
 from hjhom.hamiltonians import growth_bound
 from hjhom.parabolic import NumericalFailure, initial_layer_modulus
 from lemmas import (barrier_bounds, convergence_rates, per_node_corrector_residual,
-                    vanishing_discount_sweep)
+                    tabulate, vanishing_discount_sweep)
 
 
 def _dummy_report(eps, errors):

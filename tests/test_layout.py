@@ -236,35 +236,93 @@ def test_guard_names_an_unread_field(tmp_path):
     assert unreached(src) == []
 
 
-def callers(src: Path, names: set) -> list:
-    """`module.name` of every call in the package at src of a function whose
-    name, bare or as an attribute, is in names, sorted and without repeats."""
+def _defs(tree: ast.Module) -> list:
+    """(name, node) of every top-level function, and (Class.method, node) of
+    every method of a top-level class."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for top in tree.body:
+        if isinstance(top, funcs):
+            out.append((top.name, top))
+        elif isinstance(top, ast.ClassDef):
+            out.extend((f"{top.name}.{d.name}", d) for d in top.body if isinstance(d, funcs))
+    return out
+
+
+def call_sites(src: Path, names: set) -> list:
+    """`module.function:name` of every call in the package at src of a
+    function whose name, bare or as an attribute, is in names, `function` the
+    top-level function or method that makes it; sorted, without repeats."""
     found = set()
     for path in src.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in names:
-                    found.add(f"{path.stem}.{name}")
+        for holder, tree in _defs(ast.parse(path.read_text())):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in names:
+                        found.add(f"{path.stem}.{holder}:{name}")
     return sorted(found)
 
 
 def test_only_the_fill_module_fills_tables():
-    # tabulate and the cell formula are called in one place, so that every
+    # a table is built in one place, fill_table, and read back in one,
+    # load_table, and only the fill takes the cell formula, so that every
     # table the program writes comes from hjhom.fill.fill_table
-    assert callers(SRC, {"tabulate", "formula_below_one"}) == ["fill.formula_below_one",
-                                                               "fill.tabulate"]
+    assert call_sites(SRC, {"EffectiveTable", "formula_below_one"}) == [
+        "effective.load_table:EffectiveTable", "fill.fill_table:EffectiveTable",
+        "fill.fill_table:formula_below_one"]
 
 
 def test_guard_names_a_second_fill(tmp_path):
-    # the same package with the cell formula called from the command line too
+    # the same package with the cell formula called, and a table built from
+    # its values, on the command line too
     src = _copy_of_src(tmp_path)
     with open(src / "cli.py", "a") as fh:
         fh.write("\n\ndef orphan(model, x, p, l):\n"
-                 "    return formula_below_one(model.a, model.ham, x, p, l)\n")
-    assert callers(src, {"tabulate", "formula_below_one"}) == [
-        "cli.formula_below_one", "fill.formula_below_one", "fill.tabulate"]
+                 "    values = formula_below_one(model.a, model.ham, x, p, l)\n"
+                 "    return EffectiveTable(x, p, l, values, 0 * values, None, 0.5)\n")
+    assert call_sites(src, {"EffectiveTable", "formula_below_one"}) == [
+        "cli.orphan:EffectiveTable", "cli.orphan:formula_below_one",
+        "effective.load_table:EffectiveTable", "fill.fill_table:EffectiveTable",
+        "fill.fill_table:formula_below_one"]
+
+
+def holders(src: Path, text: str) -> list:
+    """`module.function` of every top-level function or method in the package
+    at src whose source holds text, and `module.<module>` where the rest of a
+    module does; sorted."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        source = path.read_text()
+        rest = source.count(text)
+        for name, node in _defs(ast.parse(source)):
+            if count := ast.get_source_segment(source, node).count(text):
+                found.append(f"{path.stem}.{name}")
+                rest -= count
+        if rest:
+            found.append(f"{path.stem}.<module>")
+    return sorted(found)
+
+
+def test_one_positivity_message():
+    # every cell-level read of a, b and f goes through one sampler, so one
+    # function states what a must be, and every command refuses a alike
+    assert holders(SRC, "coefficient a must be") == ["cell.cell_coefficients"]
+
+
+def test_guard_names_a_second_positivity_message(tmp_path):
+    # the same package with the closed form checking a itself as well
+    src = _copy_of_src(tmp_path)
+    effective = src / "effective.py"
+    text = effective.read_text()
+    check = "        A, bbar, fbar = self.means(x)\n"
+    assert text.count(check) == 1
+    effective.write_text(text.replace(check, check + (
+        "        if np.any(A <= 0.0):\n"
+        "            raise ValueError('coefficient a must be positive')\n")))
+    assert holders(src, "coefficient a must be") == ["cell.cell_coefficients",
+                                                     "effective.ClosedForm.value"]
 
 
 def fluxless_schemes(src: Path) -> list:

@@ -10,7 +10,6 @@ import hjhom.parabolic
 from hjhom.cell import CellConfig, CellParams
 from hjhom.effective import (EffectiveTable, TableCells, effective_source_from_formula,
                              effective_source_from_table, query_many)
-from hjhom.fill import tabulate
 from hjhom.grid import GridFunction, forward_diff
 from hjhom.hamiltonians import (HamiltonianSpec, coefficient, coercive_reach, growth_bound,
                                 model_bpm)
@@ -18,11 +17,11 @@ from hjhom.kernels import (constant_kernel, drift_vector, periodized_weights,
                            quadratic_tilt_kernel, tilt_kernel)
 from hjhom.operators import apply_table
 from hjhom.parabolic import (CFL_SAFETY, GRADIENT_RISE, MonotoneScheme, NumericalFailure,
-                             ParabolicProblem, SolverConfig, coefficient_scheme,
-                             godunov_power_flux, holder_exponent_alpha0,
-                             initial_layer_modulus, oscillating_scheme, solve)
-from lemmas import (barrier_bounds, sampled_modulus, sup_convolution_time,
-                    vanishing_discount_sweep)
+                             ParabolicProblem, SolverConfig, godunov_power_flux,
+                             holder_exponent_alpha0, initial_layer_modulus, oscillating_scheme,
+                             solve)
+from lemmas import (barrier_bounds, coefficient_scheme, sampled_modulus, sup_convolution_time,
+                    tabulate, vanishing_discount_sweep)
 
 
 def _oscillating(u0, ham, a, sigma, eps, T, kernel=None):
@@ -103,6 +102,19 @@ class TestSolve:
         u0 = GridFunction(np.full(64, 0.0))
         with pytest.raises(ValueError):
             _oscillating(u0, eikonal_ham, unit_a, 0.5, 0.3, 0.1)
+
+    @pytest.mark.parametrize("eps, whole", [(-0.25, False), (5e-324, False), (0.3, False),
+                                            (1.0 / 3.0, True)])
+    def test_eps_is_the_config_reciprocal(self, eikonal_ham, unit_a, eps, whole):
+        # the scheme takes eps = 1/k by the rule the configuration checks: a
+        # negative eps does not run y backwards, nor does a subnormal one overflow
+        table = periodized_weights(constant_kernel(1.5), 64)
+        if whole:
+            assert oscillating_scheme(eps, unit_a, eikonal_ham, table).power[0].size == 64
+            return
+        with pytest.raises(ValueError) as info:
+            oscillating_scheme(eps, unit_a, eikonal_ham, table)
+        assert str(info.value) == "eps must be the reciprocal of a positive integer"
 
     def test_fast_variable_resolution_enforced(self, eikonal_ham, unit_a):
         u0 = GridFunction(np.full(64, 0.0))
