@@ -5,9 +5,10 @@ model (kernel, a, H, u0) is built once per run and mapped here to the
 solvers' parameters; every effective table is filled by hjhom.fill.  `main`
 maps every failure to its exit code: 0 success, 2 validation or audit failure
 or invalid input (including an effective table that cannot be read, was built
-for another model, or does not cover the solve), 3 numerical failure, 4 I/O
-failure.  The gated commands (cell, effective, solve, homogenize) refuse to
-run on failed structural audits unless --force is given.  The numerics are
+for another model, or does not cover the solve), 3 numerical failure (among
+them a table with a failed node, on which solve and homogenize take no step),
+4 I/O failure.  The gated commands (cell, effective, solve, homogenize) refuse
+to run on failed structural audits unless --force is given.  The numerics are
 deterministic single-process numpy; the flux and its dissipation are worked
 out from the data, the time step is the CFL bound scaled by
 parabolic.CFL_SAFETY, and kernel tables sum a fixed 16 periodic images, so no

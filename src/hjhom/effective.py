@@ -19,9 +19,10 @@ consumer relies on: decreasing in l, coercive in p, finite continuity constants.
 
 Two sources serve Hbar to the time stepper, each building its own scheme:
 ClosedForm, the pair (a, H) whose cell means are taken afresh at every call,
-and EffectiveSource, a table's queries, which raise NumericalFailure naming
-the query and the failed node it draws on.  ClosedForm keeps no state; the
-table source keeps each node's cell, and nothing that changes a value.
+and EffectiveSource, a table's queries.  A table with a failed (non-finite)
+node serves no solve: its source raises NumericalFailure naming every such
+node.  ClosedForm keeps no state; the table source keeps each node's cell,
+and nothing that changes a value.
 ClosedForm reads a, b and f from hjhom.cell.cell_coefficients, which
 returns one row when none reads x; means are taken over its rows.
 """
@@ -149,17 +150,14 @@ class EffectiveTable:
         self.meta = {} if meta is None else meta
         self.failures = failures
 
-    # slope bounds over pairs of finite nodes: a failed (NaN) node bounds nothing
     def l_slope_bound(self) -> float:
         d = np.diff(self.values, axis=2) / np.diff(self.ls)[None, None, :]
-        return float(np.max(np.abs(d[np.isfinite(d)]), initial=0.0))
+        return float(np.max(np.abs(d), initial=0.0))
 
     def p_cell_slopes(self) -> np.ndarray:
-        """sup |dHbar/dp| over every x and l node of each p cell
-        [ps[k], ps[k + 1]]; a cell with no finite pair takes the table's bound."""
-        d = np.abs(np.diff(self.values, axis=1) / np.diff(self.ps)[None, :, None])
-        cells = np.fmax.reduce(d, axis=(0, 2))             # NaN only without a finite pair
-        return np.where(np.isnan(cells), np.fmax.reduce(cells, initial=0.0), cells)
+        """sup |dHbar/dp| over every x and l node of each p cell [ps[k], ps[k + 1]]."""
+        return np.max(np.abs(np.diff(self.values, axis=1) / np.diff(self.ps)[None, :, None]),
+                      axis=(0, 2))
 
 
 def _locate(axis: np.ndarray, q: np.ndarray, name: str) -> tuple:
@@ -195,28 +193,24 @@ class TableCells:
     anchored at node (i, k); `block` rows: bounds p_i, l_k, p_i+1, l_k+1, then
     c0 .. c3, flat in (x, p, l) order.  A padded cell past the upper end of
     each axis (flat in p and l, zero in x, upper node NaN) anchors a query on
-    any node there, so it returns the node value exactly.  A failed node
-    enters as 0 and `flagged` marks its cells (None if none)."""
+    any node there, so it returns the node value exactly."""
 
     def __init__(self, table: EffectiveTable):
         self.table = table
-        failed = np.pad(~np.isfinite(table.values), ((0, 1), (0, 1), (0, 1)))
-        v = np.where(failed[:, :-1, :-1], 0.0, np.pad(table.values, ((0, 1), (0, 0), (0, 0))))
+        v = np.pad(table.values, ((0, 1), (0, 0), (0, 0)))
         dp, dl = (np.diff(axis, append=np.inf) for axis in (table.ps, table.ls))
         c2 = np.diff(v, axis=2, append=v[:, :, -1:]) / dl
         (p0, p1), (l0, l1) = ((axis, np.append(axis[1:], np.nan)) for axis in (table.ps, table.ls))
         self.block = np.stack(np.broadcast_arrays(
             p0[:, None], l0, p1[:, None], l1, v, np.diff(v, axis=1, append=v[:, -1:]) / dp[:, None],
             c2, np.diff(c2, axis=1, append=c2[:, -1:]) / dp[:, None])).reshape(8, -1)
-        self.flagged = (failed[:, :-1, :-1] | failed[:, 1:, :-1] | failed[:, :-1, 1:]
-                        | failed[:, 1:, 1:]).ravel() if failed.any() else None
 
 
 class CellMemo:
     """Each query node's cell as the last query_many call with this memo left
-    it: its TableCells block column at each x node drawn on, (8, 1 or 2, size),
-    and the failed node it drew on or -1.  x is as query_many takes it;
-    `relocated` counts the nodes located so far."""
+    it: its TableCells block column at each x node drawn on, (8, 1 or 2,
+    size).  x is as query_many takes it; `relocated` counts the nodes located
+    so far."""
 
     def __init__(self, x: Optional[tuple]):
         self.x, self.relocated = x, 0
@@ -224,43 +218,23 @@ class CellMemo:
 
     def clear(self, size: int) -> None:
         self.block = np.full((8, 1 if self.x is None else 2, size), np.nan)
-        self.failed = np.full(size, -1)
-
-
-def _failed_nodes(table: EffectiveTable, x: Optional[tuple], p: np.ndarray,
-                  l: np.ndarray) -> np.ndarray:
-    """Per query, the flat index of the first failed node, in x, p, l order,
-    that the 8-corner sum weighs nonzero, or -1; x is as query_many takes it."""
-    corners = [(0, 1.0)]      # (flat index, weight) per corner, in x, p, l order
-    for lw, stride in ((x, table.ps.size * table.ls.size), (_weighted(table.ps, p, "p"),
-                       table.ls.size), (_weighted(table.ls, l, "l"), 1)):
-        if lw is not None:
-            i, w = lw
-            corners = [(off + i * stride + step, c * c_ax) for off, c in corners
-                       for step, c_ax in ((0, 1.0 - w), (stride, w))]
-    failed = ~np.isfinite(table.values.ravel())
-    found = np.full(p.size, -1)
-    # a padded corner may index past the end, but its weight is 0, or NaN for a NaN query
-    for node, c in reversed(corners):
-        found = np.where((c > 0.0) & failed.take(node, mode="clip"), node, found)
-    return found
 
 
 def query_many(cells: TableCells, x: Optional[tuple | CellMemo], p: np.ndarray,
                l: np.ndarray) -> np.ndarray:
     """Multilinear interpolation at queries p, l of one shape: exact at nodes,
-    no extrapolation, NaN where a failed node weighs nonzero and only there.
-    x is _weighted's (i, w) of the queries on the x axis, None to serve them
-    all from the one x node, or a CellMemo of either: only the nodes that left
-    their cell are located.  Raises ValueError naming an off-hull query."""
+    no extrapolation; the table's nodes must be finite.  x is _weighted's
+    (i, w) of the queries on the x axis, None to serve them all from the one
+    x node, or a CellMemo of either: only the nodes that left their cell are
+    located.  Raises ValueError naming an off-hull query."""
     table, memo = cells.table, x if isinstance(x, CellMemo) else CellMemo(x)
     shape = np.shape(p)
     q = np.array((p, l), dtype=float).reshape(2, -1)       # the rows p and l
-    if memo.failed.size != q.shape[1]:
+    if memo.block.shape[2] != q.shape[1]:
         memo.clear(q.shape[1])
     b = memo.block[:4, 0]
-    # a NaN query or bound (a padded or flagged cell, or no call yet)
-    # compares false: that node moves
+    # a NaN query or bound (a padded cell, or no call yet) compares false:
+    # that node moves
     inside = (b[:2] <= q) & (q < b[2:])
     moved = (~(inside[0] & inside[1])).nonzero()[0]
     d = q - b[:2]
@@ -273,13 +247,6 @@ def query_many(cells: TableCells, x: Optional[tuple | CellMemo], p: np.ndarray,
             (memo.x[0][moved] + [[0], [1]]) * table.values[0].size + cell)
         memo.block[:, :, moved] = cells.block[:, flat]
         memo.relocated += moved.size
-        if cells.flagged is not None:
-            hit = moved[cells.flagged[flat].any(axis=0)]
-            b[2, hit] = np.nan
-            memo.failed = np.full(q.shape[1], -1)
-            memo.failed[hit] = _failed_nodes(table, memo.x and (memo.x[0][hit], memo.x[1][hit]),
-                                             *q[:, hit])
-            memo.block[4, :, hit[memo.failed[hit] >= 0]] = np.nan    # until the node moves
     (dq, dl), (c0, c1, c2, c3) = d, memo.block[4:]
     out = c3 * dl
     out += c1
@@ -293,28 +260,23 @@ def query_many(cells: TableCells, x: Optional[tuple | CellMemo], p: np.ndarray,
 def effective_source_from_table(table: EffectiveTable) -> EffectiveSource:
     """Table-backed source; queries abort outside the (p, l) hull.  A single x
     node serves every x (the model has no slow variable); otherwise at(x)
-    locates x once.  at(x)'s query function keeps a CellMemo as `memo`.  A query
-    that draws on a failed node raises NumericalFailure naming it and the node."""
+    locates x once.  at(x)'s query function keeps a CellMemo as `memo`.  A
+    table with a non-finite node is no continuous Hbar: NumericalFailure names
+    every such node, with the fill's reason where failures has one per node."""
+    failed = np.argwhere(~np.isfinite(table.values))       # in x, p, l order, as filled
+    if failed.size:
+        reasons = table.failures if len(table.failures) == len(failed) else [""] * len(failed)
+        lines = [f"\n  (x, p, l) = ({table.xs[i]:g}, {table.ps[j]:g}, {table.ls[k]:g})"
+                 + (reason and f": {reason}") for (i, j, k), reason in zip(failed, reasons)]
+        raise NumericalFailure(f"a table with a failed node serves no solve; {len(failed)} of "
+                               f"{table.values.size} nodes failed:" + "".join(lines))
     cells = TableCells(table)
     slopes = table.p_cell_slopes().tolist()
     inner = table.ps[1:-1].tolist()
 
     def at(x):
         memo = CellMemo(None if table.xs.size == 1 else _weighted(table.xs, np.ravel(x), "x"))
-
-        def value(p, l):
-            out = query_many(cells, memo, p, l)
-            if cells.flagged is None or np.isfinite(out).all():
-                return out
-            first = np.flatnonzero(~np.isfinite(out))[:1]
-            qx, qp, ql = (np.broadcast_to(q, out.shape).ravel()[first] for q in (x, p, l))
-            node = memo.failed[first[0]]
-            where = "is non-finite" if node < 0 else "draws on the failed table node " + (
-                "(x, p, l) = ({:g}, {:g}, {:g})".format(*(axis[j] for axis, j in zip(
-                    (table.xs, table.ps, table.ls), np.unravel_index(node, table.values.shape)))))
-            raise NumericalFailure(
-                f"the query (x, p, l) = ({qx[0]:.6g}, {qp[0]:.6g}, {ql[0]:.6g}) {where}")
-
+        value = lambda p, l: query_many(cells, memo, p, l)
         value.memo = memo
         return value
 
@@ -400,8 +362,9 @@ def load_table(path: str) -> EffectiveTable:
     """Read a table written by save_table.
 
     Every (x, p, l) node of the rectangular grid spanned by the rows must
-    appear exactly once; a repeated or missing node raises ValueError naming
-    the line or the node, and a file with no rows one naming the file.
+    appear exactly once, at finite axis values; a repeated or missing node or
+    a non-finite axis value raises ValueError naming the line or the node,
+    and a file with no rows one naming the file.
     """
     meta, lines, line_numbers = {}, [], []
     with open(path) as fh:
@@ -425,6 +388,9 @@ def load_table(path: str) -> EffectiveTable:
             raise ValueError(f"{path}:{number}: expected {len(fields)} fields")
         recs.append((float(r["x"]), float(r["p"]), float(r["l"]), float(r["H_bar"]),
                      float(r["err"]), r["provenance"], number))
+        if not np.all(np.isfinite(recs[-1][:3])):
+            raise ValueError(f"{path}:{number}: the axis values (x, p, l) = "
+                             f"({r['x']}, {r['p']}, {r['l']}) must be finite")
     if not recs:
         raise ValueError(f"{path} holds no table rows")
     axes = [np.array(sorted({r[a] for r in recs})) for a in range(3)]

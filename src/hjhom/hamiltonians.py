@@ -74,9 +74,11 @@ _COEFFICIENTS = {
 
 
 def coefficient(spec: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Built-in coefficient by name; 'constant:c' scales the unit coefficient."""
+    """Built-in coefficient by name; 'constant:c' scales the unit coefficient by a finite c."""
     if spec.startswith("constant:"):
         c = float(spec.split(":", 1)[1])
+        if not np.isfinite(c):                      # nan, inf, 1e400
+            raise ValueError(f"constant coefficient {c} is not finite")
         return lambda x, y: np.full(np.shape(y), c)
     try:
         return _COEFFICIENTS[spec]

@@ -50,7 +50,7 @@ GRADIENT_RISE = 2.0 ** 0.0625
 
 class NumericalFailure(RuntimeError):
     """A computation with no usable number: a non-finite state or residual,
-    an unconverged cell solve, or a query on a failed table node.  `steps`
+    an unconverged cell solve, or a table with a failed node.  `steps`
     holds the Newton steps a cell solve took before it raised (0 where no
     Newton solve raised)."""
 

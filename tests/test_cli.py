@@ -136,6 +136,17 @@ class TestParsing:
             assert main(["audit", "--config", path]) == 2
         assert capsys.readouterr().err == message.format(cfg=path, **files) + "\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("key", ["coefficient_a.kind", "hamiltonian.b", "hamiltonian.f"])
+    def test_non_finite_constant_coefficient_exits_2(self, tmp_path, capsys, key, value):
+        # as a non-finite number is: a nan constant would make K read nan and
+        # pass the regularity audit, whose max drops NaN
+        path = write(tmp_path, f"{key} = constant:{value}\n")
+        capsys.readouterr()
+        assert main(["constants", "--config", path]) == 2
+        assert capsys.readouterr().err == (f"{key} = 'constant:{value}': constant coefficient "
+                                           f"{float(value)} is not finite\n")
+
     # kernel files the property draws; {c} is the order's normalizing
     # constant, so the valid file passes the ellipticity audit
     CSV_KERNELS = {"missing": None, "empty": "", "one-column": "0\n0.5\n1\n",
@@ -691,43 +702,18 @@ class TestCommands:
         assert main(["homogenize", "--config", sweep_cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("invalid input: p = ")
 
-    def test_failed_node_outside_the_reach_is_harmless(self, tmp_path):
-        from hjhom.effective import save_table
-        from lemmas import tabulate
-        from hjhom.parabolic import NumericalFailure
-
-        def fill(p, l, fail_corner):
-            if fail_corner and (p, l) == (8.0, 6.0):
-                raise NumericalFailure("far corner")
-            return p * p - 1.0 - l, 0.0, "discount"
-
-        ps, ls = np.arange(-8.0, 9.0, 2.0), np.arange(-6.0, 7.0, 2.0)
-        outputs = []
-        for fail_corner in (False, True):
-            table = tabulate(lambda x, p, l: fill(p, l, fail_corner), [0.0], ps, ls,
-                             sigma=0.5)
-            out = tmp_path / str(fail_corner)
-            out.mkdir()
-            save_table(table, str(out / "table.csv"))
-            solve_cfg = write(out, "\n".join([
-                "kernel.sigma = 0.5", "coefficient_a.kind = constant:1",
-                "grid.kind = effective", "grid.n = 256", "grid.T = 0.02",
-                "grid.snapshots = 2", f"grid.table_csv = {out / 'table.csv'}",
-            ]) + "\n")
-            assert main(["solve", "--config", solve_cfg, "--out", str(out)]) == 0
-            rows = (out / "run_trajectory.csv").read_text().splitlines()
-            outputs.append([line for line in rows if not line.startswith("#")])
-        # the failed node lies beyond every gradient and nonlocal value reached
-        assert outputs[0] == outputs[1]
-
-    def test_failed_node_reached_is_named(self, tmp_path, capsys):
+    @staticmethod
+    def _solve_on_a_saved_table(tmp_path, failed):
+        """hjhom solve at sigma = 0.5 on a saved table of p^2 - 1 - l over p
+        from -8 to 8 and l from -6 to 6, step 2, whose fill failed at the
+        (p, l) nodes `failed`: the exit code, stderr and the files written."""
         from hjhom.effective import save_table
         from lemmas import tabulate
         from hjhom.parabolic import NumericalFailure
 
         def fill(x, p, l):
-            if (p, l) == (2.0, 0.0):
-                raise NumericalFailure("node (2, 0)")
+            if (p, l) in failed:
+                raise NumericalFailure(f"node ({p:g}, {l:g})")
             return p * p - 1.0 - l, 0.0, "discount"
 
         table = tabulate(fill, [0.0], np.arange(-8.0, 9.0, 2.0), np.arange(-6.0, 7.0, 2.0),
@@ -738,12 +724,68 @@ class TestCommands:
             "grid.kind = effective", "grid.n = 64", "grid.T = 0.05",
             f"grid.table_csv = {tmp_path / 'table.csv'}",
         ]) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", "--config", solve_cfg, "--out", str(tmp_path)])
+        return code, err.getvalue(), sorted(f.name for f in tmp_path.iterdir())
+
+    def test_failed_node_outside_the_reach_stops_the_solve(self, tmp_path):
+        # the node (p, l) = (8, 6) lies beyond every gradient and nonlocal
+        # value the solve reaches; the complete table serves it, and the
+        # table with that one failed row stops it before its first step
+        assert self._solve_on_a_saved_table(tmp_path, ())[0] == 0
+        assert (tmp_path / "run_trajectory.csv").exists()
+        (tmp_path / "failed").mkdir()
+        code, err, files = self._solve_on_a_saved_table(tmp_path / "failed", ((8.0, 6.0),))
+        assert code == 3
+        assert err == ("numerical failure: a table with a failed node serves no solve; "
+                       "1 of 63 nodes failed:\n  (x, p, l) = (0, 8, 6)\n")
+        assert files == ["run.cfg", "table.csv"]
+
+    def test_failed_node_reached_is_named(self, tmp_path):
+        # the saved table keeps no reason: the failure names the node alone,
+        # takes no step and writes no trajectory
+        code, err, files = self._solve_on_a_saved_table(tmp_path, ((2.0, 0.0),))
+        assert code == 3
+        assert err == ("numerical failure: a table with a failed node serves no solve; "
+                       "1 of 63 nodes failed:\n  (x, p, l) = (0, 2, 0)\n")
+        assert "step" not in err and files == ["run.cfg", "table.csv"]
+
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_non_finite_axis_value_is_invalid_input(self, tmp_path, capsys, p):
+        # named by file and line, as a malformed row is
+        table = tmp_path / "table.csv"
+        table.write_text("# sigma = 0.5\nx,p,l,H_bar,err,provenance\n"
+                         "0,0,0,0,0,formula\n"
+                         f"0,{p},0,1,0,formula\n")
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 0.5", "coefficient_a.kind = constant:1", "grid.kind = effective",
+            "grid.n = 64", "grid.T = 0.01", f"grid.table_csv = {table}"]) + "\n")
         capsys.readouterr()
-        assert main(["solve", "--config", solve_cfg, "--out", str(tmp_path)]) == 3
-        err = capsys.readouterr().err
-        assert "numerical failure: at step 1, t = " in err
-        assert "draws on the failed table node (x, p, l) = (0, 2, 0)" in err
-        assert "the query (x, p, l) = (" in err
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: {table}:4: the axis values (x, p, l) = (0, {p}, 0) must be finite"]
+
+    def test_homogenize_stops_on_a_table_with_failed_nodes(self, tmp_path, capsys):
+        # one Newton step: every node stops on its budget.  The table is
+        # saved, then the run stops with every node and its reason, before
+        # any eps run
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 1", "kernel.family = tilt", "cell.n = 32", "cell.max_steps = 1",
+            "cell.table_p = 0,1", "cell.table_l = 0,1", "sweep.eps_list = 1/2",
+            "sweep.T = 0.01"]) + "\n")
+        capsys.readouterr()
+        assert main(["homogenize", "--config", path, "--out", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == f"effective table -> {tmp_path / 'run_effective.csv'}"
+        err = err.splitlines()
+        assert err[0] == ("numerical failure: a table with a failed node serves no solve; "
+                          "4 of 4 nodes failed:")
+        assert [re.match(r"  \(x, p, l\) = \(0, (\d), (\d)\): cell solve at \(x, p, l\) = "
+                         r"\(0, \1, \2\) not converged: residual .* after 1 Newton steps, "
+                         r"stopped by budget$", line).groups() for line in err[1:]] == [
+            ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg", "run_effective.csv"]
 
     def test_table_without_rows_is_invalid_input(self, tmp_path, capsys):
         # the sigma line and the column header, and no data row

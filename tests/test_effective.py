@@ -1,4 +1,3 @@
-import contextlib
 import re
 from pathlib import Path
 
@@ -116,8 +115,7 @@ def corner_sum(table, x, p, l):
 
 def table_query(table, x, p, l):
     """The table source's query at (x, p, l), broadcast together, from the
-    table's per-cell bilinear forms; x is checked on a single-node axis too,
-    and a failed node a query draws on gives NaN."""
+    table's per-cell bilinear forms; x is checked on a single-node axis too."""
     x, p, l = np.broadcast_arrays(*(np.asarray(q, float) for q in (x, p, l)))
     located = _weighted(table.xs, x.ravel(), "x")
     return query_many(TableCells(table), None if table.xs.size == 1 else located, p, l)
@@ -125,9 +123,10 @@ def table_query(table, x, p, l):
 
 @st.composite
 def tables_and_queries(draw):
-    """A table with 1-4 unevenly spaced nodes per axis, random failed (NaN)
-    nodes and signed zeros, and queries at nodes, at the hull ends, inside
-    the hull and inside the 1e-12 slack beyond either end."""
+    """A complete table (every node finite, as a table source needs) with 1-4
+    unevenly spaced nodes per axis and signed zeros, and queries at nodes, at
+    the hull ends, inside the hull and inside the 1e-12 slack beyond either
+    end."""
     axes = []
     for _ in range(3):
         size = draw(st.integers(1, 4))
@@ -139,13 +138,9 @@ def tables_and_queries(draw):
     values = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
                                               st.floats(-10.0, 10.0)),
                                     min_size=count, max_size=count))).reshape(shape)
-    failed = np.array(draw(st.lists(st.booleans(), min_size=count,
-                                    max_size=count))).reshape(shape)
-    values[failed] = np.nan
     table = EffectiveTable(xs=axes[0], ps=axes[1], ls=axes[2], values=values,
                            err=np.zeros(shape),
-                           provenance=np.where(failed, "failed", "discount").astype(object),
-                           sigma=0.5)
+                           provenance=np.full(shape, "discount", dtype=object), sigma=0.5)
     size = draw(st.integers(1, 12))
     queries = []
     for axis in axes:
@@ -303,39 +298,44 @@ class TestTabulate:
         assert table.provenance[0, 1, 0] == "failed"
         assert np.isnan(table.values[0, 1, 0])
 
-    def test_source_names_the_failed_node_a_query_draws_on(self):
+    def test_source_names_every_failed_node(self, tmp_path):
+        # a table with a failed node is no continuous Hbar: the source is
+        # refused before any query, naming every failed node in x, p, l order
+        # with the fill's reason, and without one once the table is reloaded
         def fill(x, p, l):
-            if (p, l) == (2.0, 0.0):
-                raise NumericalFailure("node (2, 0)")
+            if (p, l) in ((2.0, 0.0), (8.0, -6.0)):
+                raise NumericalFailure(f"node ({p:g}, {l:g})")
             return p * p - 1.0 - l, 0.0, "discount"
 
         table = tabulate(fill, [0.0], np.arange(-8.0, 9.0, 2.0), np.arange(-6.0, 7.0, 2.0),
                          sigma=0.5)
-        at = effective_source_from_table(table).at
-        value = lambda x, p, l: at(x)(p, l)
-        xs = np.array([0.25, 0.5, 0.75])
-        # p = 4 and l = 0 sit on nodes: the failed node's corners have zero weight
-        assert np.array_equal(value(xs, np.array([0.0, 4.0, -3.0]), np.zeros(3)),
-                              np.array([-1.0, 15.0, 9.0]))
-        with pytest.raises(NumericalFailure, match=re.escape(
-                "the query (x, p, l) = (0.5, 1, 0.5) draws on the failed table node "
-                "(x, p, l) = (0, 2, 0)")):
-            value(xs, np.array([0.0, 1.0, 3.0]), np.array([0.0, 0.5, 0.0]))
+        save_table(table, str(tmp_path / "table.csv"))
+        head = "a table with a failed node serves no solve; 2 of 63 nodes failed:\n"
+        for reloaded, reasons in ((table, (": node (2, 0)", ": node (8, -6)")),
+                                  (load_table(str(tmp_path / "table.csv")), ("", ""))):
+            with pytest.raises(NumericalFailure) as info:
+                effective_source_from_table(reloaded)
+            assert str(info.value) == head + "\n".join(
+                f"  (x, p, l) = {node}{reason}"
+                for node, reason in zip(("(0, 2, 0)", "(0, 8, -6)"), reasons))
 
     @pytest.mark.parametrize("l", [0.5, 1.5])
     def test_nan_query_beside_a_failed_node_is_non_finite(self, l):
-        # a NaN p takes the padded p cell, whose cells touch the failed top
-        # corner: its NaN weights name no node, in the table or past its end
-        def fill(x, p, l):
-            if (p, l) == (2.0, 2.0):
+        # the failed node stops the source, so no query reaches it; on the
+        # complete table a NaN p takes the padded p cell and is NaN, not an
+        # error: the solve's own check names the step of a non-finite state
+        def fill(x, p, l, fail=True):
+            if fail and (p, l) == (2.0, 2.0):
                 raise NumericalFailure("node (2, 2)")
             return p * p - l, 0.0, "discount"
 
-        table = tabulate(fill, [0.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0], sigma=0.5)
-        with pytest.raises(NumericalFailure, match=re.escape(
-                f"the query (x, p, l) = (0, nan, {l:g}) is non-finite")):
-            effective_source_from_table(table).at(np.zeros(2))(np.array([0.5, np.nan]),
-                                                               np.array([0.5, l]))
+        axes = [0.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]
+        with pytest.raises(NumericalFailure, match=re.escape("(x, p, l) = (0, 2, 2): node (2, 2)")):
+            effective_source_from_table(tabulate(fill, *axes, sigma=0.5))
+        table = tabulate(lambda x, p, l: fill(x, p, l, fail=False), *axes, sigma=0.5)
+        got = effective_source_from_table(table).at(np.zeros(2))(np.array([0.5, np.nan]),
+                                                                 np.array([0.5, l]))
+        assert got[0] == 0.5 - 0.5 and np.isnan(got[1])     # p^2 linear between nodes
 
 
 class TestQuery:
@@ -399,15 +399,12 @@ class TestQuery:
     @given(tables_and_queries())
     @settings(max_examples=100, deadline=None)
     def test_matches_oracle(self, case):
-        # bit for bit, signed zeros included; NaN where the oracle has NaN
+        # bit for bit, signed zeros included
         table, (x, p, l) = case
         expected = query_oracle(table, x, p, l)
-        finite = ~np.isnan(expected)
 
         def assert_same_bits(got):
-            assert np.array_equal(np.isnan(got), ~finite)
-            assert np.array_equal(got[finite].view(np.int64),
-                                  expected[finite].view(np.int64))
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
         assert_same_bits(corner_sum(table, x, p, l))
         # x left out: the single x node serves every query, unchecked
@@ -420,22 +417,18 @@ class TestQuery:
     @given(tables_and_queries(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_bilinear_cells_match_oracle(self, case, data):
-        # NaN exactly where the oracle has NaN, within 8 eps max|Hbar| elsewhere;
-        # with subnormal values each rounding can lose one smallest subnormal
+        # within 8 eps max|Hbar|; with subnormal values each rounding can
+        # lose one smallest subnormal
         table, (x, p, l) = case
         expected = query_oracle(table, x, p, l)
         got = table_query(table, x, p, l)
-        assert np.array_equal(np.isnan(got), np.isnan(expected))
-        finite = ~np.isnan(expected)
-        scale = np.max(np.abs(table.values), initial=0.0, where=~np.isnan(table.values))
-        assert np.all(np.abs(got[finite] - expected[finite])
-                      <= 8.0 * np.finfo(float).eps * scale
-                      + 32.0 * np.finfo(float).smallest_subnormal)
-        # every node exactly, failed ones NaN
+        assert np.all(np.abs(got - expected) <= 8.0 * np.finfo(float).eps
+                      * np.max(np.abs(table.values)) + 32.0 * np.finfo(float).smallest_subnormal)
+        # every node exactly
         nodes = np.meshgrid(table.xs, table.ps, table.ls, indexing="ij")
         at_nodes = table_query(table, *nodes)
-        assert np.array_equal(at_nodes, table.values, equal_nan=True)
-        assert np.array_equal(at_nodes, query_oracle(table, *nodes), equal_nan=True)
+        assert np.array_equal(at_nodes, table.values)
+        assert np.array_equal(at_nodes, query_oracle(table, *nodes))
         # one query moved off the hull along one axis: the same message
         axis_idx = data.draw(st.integers(0, 2))
         axis = (table.xs, table.ps, table.ls)[axis_idx]
@@ -507,18 +500,13 @@ class TestTableSource:
             u, v = cells.step(u, cells.step_dt(), du), exact.step(v, exact.step_dt(), dv)
         assert np.max(np.abs(u - v)) <= 1e-12
 
-    def test_failed_node_out_of_reach_changes_nothing(self):
-        # the solve reaches |p| <= 2 pi and l in about [-4, 2.5]: no query
-        # lands in a cell of the node (p, l) = (8, 6), and the p cell [6, 8]
-        # that theta covers keeps its largest slope, at l = -6
-        u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), self.N)
-        finals = []
-        for table in (self._table(), self._table(failed=[(8.0, 6.0)])):
-            scheme = effective_source_from_table(table).scheme(
-                u0.nodes(), periodized_weights(constant_kernel(0.5), self.N))
-            problem = ParabolicProblem(scheme, u0, 0.05)
-            finals.append(solve(problem, SolverConfig(snapshots=1)).final().values)
-        assert finals[0].tobytes() == finals[1].tobytes()
+    def test_failed_node_out_of_reach_stops_the_source(self):
+        # the solve reaches |p| <= 2 pi and l in about [-4, 2.5], and no query
+        # would land in a cell of the node (p, l) = (8, 6); still the table
+        # builds no source, and so no scheme
+        with pytest.raises(NumericalFailure, match=re.escape(
+                "1 of 63 nodes failed:\n  (x, p, l) = (0, 8, 6)")):
+            effective_source_from_table(self._table(failed=[(8.0, 6.0)]))
 
 
 def _query_values(axis, size, draw):
@@ -537,8 +525,8 @@ def _query_values(axis, size, draw):
 @st.composite
 def memo_batches(draw):
     """A table, the x of one at(x) and a sequence of (p, l) batches for it.
-    Each axis has 1-4 uniform or jittered nodes; some tables have failed
-    nodes.  After the first batch each query is kept, nudged within or
+    Each axis has 1-4 uniform or jittered nodes, every node finite.  After
+    the first batch each query is kept, nudged within or
     across a table line, moved onto the line above it, or drawn afresh as
     _query_values draws it."""
     axes = []
@@ -552,13 +540,9 @@ def memo_batches(draw):
     shape = tuple(a.size for a in axes)
     values = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=int(np.prod(shape)),
                                     max_size=int(np.prod(shape))))).reshape(shape)
-    if draw(st.booleans()):
-        values[np.array(draw(st.lists(st.integers(0, 3), min_size=values.size,
-                                      max_size=values.size))).reshape(shape) == 0] = np.nan
     table = EffectiveTable(xs=axes[0], ps=axes[1], ls=axes[2], values=values,
                            err=np.zeros(shape),
-                           provenance=np.where(np.isnan(values), "failed",
-                                               "discount").astype(object), sigma=0.5)
+                           provenance=np.full(shape, "discount", dtype=object), sigma=0.5)
     size = draw(st.integers(1, 10))
     x = np.clip(_query_values(axes[0], size, draw), axes[0][0], axes[0][-1])
     x[np.isnan(x)] = axes[0][0]
@@ -589,10 +573,10 @@ def _memo_fault_case(l_next):
 
 
 def _outcome(query, *args):
-    """The query's values, or the type and text of what it raised."""
+    """The query's values, or the type and text of the ValueError it raised."""
     try:
         return query(*args)
-    except (ValueError, NumericalFailure) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
@@ -608,9 +592,7 @@ def check_kept_cells(case):
         stateless = _outcome(query_many, cells, located, p, l)
         if isinstance(got, tuple):
             # as a fresh at(x), whose nodes have no cell yet, raises it
-            assert got == _outcome(effective_source_from_table(table).at(x), p, l)
-            # the NumericalFailure names a NaN of the stateless query
-            assert stateless == got if got[0] is ValueError else np.isnan(stateless).any()
+            assert got == stateless == _outcome(effective_source_from_table(table).at(x), p, l)
         else:
             assert got.view(np.int64).tolist() == stateless.view(np.int64).tolist()
 
@@ -655,16 +637,15 @@ class TestCellMemo:
         xs = np.linspace(0.0, 1.0, nx)
         X, P, L = np.meshgrid(xs, ps, ls, indexing="ij")
         values = P ** 2 - (1.0 + 0.1 * np.sin(P) + X) * L
-        values[:, -1, -1] = np.nan           # flags the cell [6, 8] x [4, 6]
         return EffectiveTable(xs=xs, ps=ps, ls=ls, values=values, err=np.zeros_like(values),
-                              provenance=np.where(np.isnan(values), "failed",
-                                                  "discount").astype(object), sigma=0.5)
+                              provenance=np.full(values.shape, "discount", dtype=object),
+                              sigma=0.5)
 
     @pytest.mark.parametrize("nx", [1, 3])
     def test_relocates_only_the_nodes_that_crossed_a_line(self, nx):
         rng = np.random.default_rng(nx)
         n, k = 64, 5
-        # off the nodes and the flagged cell, a step 2 below the top p and l cells
+        # off the nodes, a step 2 below the top p and l cells
         p = rng.uniform(-7.9, 3.9, n)
         l = rng.uniform(-5.9, 1.9, n)
         value = effective_source_from_table(self._table(nx)).at(rng.uniform(0.0, 1.0, n))
@@ -686,11 +667,10 @@ class TestCellMemo:
         value(p2, l2)
         assert memo.relocated == n + 2 * k + 2
         # on the last p node (a padded cell), in the slack below the first l
-        # node and in the flagged cell: located at every call
-        p2[-3:], l2[-3:] = [8.0, 0.5, 7.0], [0.5, -6.0 - 1e-13, 5.0]
+        # node and at a NaN p: located at every call
+        p2[-3:], l2[-3:] = [8.0, 0.5, np.nan], [0.5, -6.0 - 1e-13, 5.0]
         for calls in (1, 2, 3):
-            with contextlib.suppress(NumericalFailure):
-                value(p2, l2)
+            value(p2, l2)
             assert memo.relocated == n + 2 * k + 2 + 3 * calls
 
     def test_solve_equals_the_stateless_solve(self, eikonal_ham):
@@ -719,17 +699,15 @@ class TestCellMemo:
 
 
 def theta_oracle(table, lo, hi):
-    """Largest finite |dHbar/dp| over the p cells that meet [lo, hi], a cell
-    with no finite pair counting as the table-wide bound.  [lo, hi] is first
-    clamped to the hull: a query in the slack beyond an end takes the end cell."""
+    """Largest |dHbar/dp| over the p cells that meet [lo, hi].  [lo, hi] is
+    first clamped to the hull: a query in the slack beyond an end takes the
+    end cell."""
     lo, hi = (min(max(v, table.ps[0]), table.ps[-1]) for v in (lo, hi))
     d = np.abs(np.diff(table.values, axis=1) / np.diff(table.ps)[None, :, None])
-    bound = float(np.max(d[np.isfinite(d)], initial=0.0))
     best = 0.0
     for k in range(table.ps.size - 1):
-        finite = d[:, k, :][np.isfinite(d[:, k, :])]
         if table.ps[k + 1] >= lo and table.ps[k] <= hi:
-            best = max(best, float(np.max(finite)) if finite.size else bound)
+            best = max(best, float(np.max(d[:, k, :])))
     return best
 
 
@@ -748,21 +726,20 @@ class TestSlopeBounds:
 
     def test_nan_node_never_lowers_theta(self):
         # p^2 on p = -3 .. 3: cell slopes 5, 3, 1, 1, 3, 5.  A NaN at p = 0
-        # leaves its two cells no finite pair; they take the table-wide bound
+        # would leave its two cells no slope: the source refuses that table,
+        # so no theta is formed from it
         ps = np.linspace(-3.0, 3.0, 7)
-        values = (ps ** 2)[None, :, None]
-        tables = []
-        for v in (values, np.where(ps == 0.0, np.nan, ps ** 2)[None, :, None]):
-            tables.append(EffectiveTable(xs=[0.0], ps=ps, ls=[0.0], values=v,
-                                         err=np.zeros_like(v),
-                                         provenance=np.full(v.shape, "discount",
-                                                            dtype=object), sigma=0.5))
-        intact, broken = (effective_source_from_table(t).theta for t in tables)
-        assert np.array_equal(tables[1].p_cell_slopes(), [5.0, 3.0, 5.0, 5.0, 3.0, 5.0])
-        for lo, hi in ((0.0, 0.0), (-0.5, 0.5), (0.2, 0.9), (-1.5, -1.2), (1.0, 2.0),
-                       (-3.0, 3.0)):
-            assert broken(lo, hi) >= intact(lo, hi)
-        assert broken(-0.5, 0.5) == 5.0 > intact(-0.5, 0.5) == 1.0
+        intact, broken = (EffectiveTable(xs=[0.0], ps=ps, ls=[0.0], values=v[None, :, None],
+                                         err=np.zeros((1, 7, 1)),
+                                         provenance=np.full((1, 7, 1), "discount", dtype=object),
+                                         sigma=0.5)
+                          for v in (ps ** 2, np.where(ps == 0.0, np.nan, ps ** 2)))
+        assert np.array_equal(intact.p_cell_slopes(), [5.0, 3.0, 1.0, 1.0, 3.0, 5.0])
+        theta = effective_source_from_table(intact).theta
+        assert theta(-0.5, 0.5) == 1.0 and theta(-3.0, 3.0) == 5.0
+        with pytest.raises(NumericalFailure, match=re.escape("1 of 7 nodes failed:\n"
+                                                             "  (x, p, l) = (0, 0, 0)")):
+            effective_source_from_table(broken)
 
 
 class TestPropertyAudit:
@@ -797,10 +774,14 @@ class TestPropertyAudit:
         assert not audit.passed
 
     @settings(max_examples=60, deadline=None)
-    @given(tables_and_queries(), st.sampled_from([0.5, 1.5]), st.sampled_from([1.5, 2.0, 3.0]))
-    def test_continuity_constants_match_pair_loop(self, case, sigma, m):
-        # oracle: one adjacent pair of nodes at a time, NaN (failed) nodes skipped
-        table = EffectiveTable(**{**vars(case[0]), "sigma": sigma})
+    @given(tables_and_queries(), st.sampled_from([0.5, 1.5]), st.sampled_from([1.5, 2.0, 3.0]),
+           st.lists(st.booleans(), min_size=64, max_size=64))
+    def test_continuity_constants_match_pair_loop(self, case, sigma, m, failed):
+        # oracle: one adjacent pair of nodes at a time, NaN (failed) nodes
+        # skipped, as `hjhom effective` audits a table with failed nodes
+        values = case[0].values.copy()
+        values[np.array(failed[:values.size]).reshape(values.shape)] = np.nan
+        table = EffectiveTable(**{**vars(case[0]), "sigma": sigma, "values": values})
         v = table.values
         P = np.abs(table.ps)[None, :, None]
         L = np.abs(table.ls)[None, None, :]
