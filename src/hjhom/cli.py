@@ -2,17 +2,18 @@
 
 Commands: audit, drift, cell, effective, solve, homogenize, constants.  The
 model (kernel, a, H, u0) is built once per run and mapped here to the
-solvers' parameters; every effective table is filled by hjhom.fill.  `main`
+solvers' parameters; each command takes its cells, table or effective source
+from hjhom.fill in one call, which picks them by the kernel's order.  `main`
 maps every failure to its exit code: 0 success, 2 validation or audit failure
-or invalid input (including an effective table that cannot be read, was built
-for another model, or does not cover the solve), 3 numerical failure (among
-them a table with a failed node, on which solve and homogenize take no step),
-4 I/O failure.  The gated commands (cell, effective, solve, homogenize) refuse
-to run on failed structural audits unless --force is given.  The numerics are
-deterministic single-process numpy; the flux and its dissipation are worked
-out from the data, the time step is the CFL bound scaled by
-parabolic.CFL_SAFETY, and kernel tables sum a fixed 16 periodic images, so no
-configuration key selects any of them.
+or invalid input (including an effective table that is missing, cannot be
+read, was built for another model, or does not cover the solve), 3 numerical
+failure (among them an unconverged cell, and a table with a failed node, on
+which solve and homogenize take no step), 4 I/O failure.  The gated commands
+(cell, effective, solve, homogenize) refuse to run on failed structural audits
+unless --force is given.  The numerics are deterministic single-process numpy;
+the flux and its dissipation are worked out from the data, the time step is
+the CFL bound scaled by parabolic.CFL_SAFETY, and kernel tables sum a fixed 16
+periodic images, so no configuration key selects any of them.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ import sys
 import numpy as np
 
 from . import csvio
-from .cell import (CellConfig, CellParams, corrector_below_one, corrector_regularity,
-                   solve_ergodic_pair, unconverged)
+from .cell import CellConfig, CellParams, corrector_regularity
 from .config import ConfigError, Model, RunConfig, build_model, parse_config
-from .effective import (EffectiveTable, audit_properties, effective_source_from_formula,
-                        effective_source_from_table, save_table)
-from .fill import fill_table
+from .effective import EffectiveTable, audit_properties, save_table
+from .fill import effective_source, fill_table, solve_cells
 from .grid import GridFunction
 from .hamiltonians import (audit_periodicity, audit_regularity,
                            audit_superlinearity, coercivity_constants,
@@ -125,28 +124,18 @@ def _cell_config(cfg: RunConfig) -> CellConfig:
 
 
 def cmd_cell(args, cfg: RunConfig, model: Model) -> int:
-    params, n = _cell_params(cfg, model), cfg["cell.n"]
-    if params.sigma == 1.0:
-        sol = solve_ergodic_pair(params, _cell_config(cfg))
-        psi, H_bar, spread, stop = sol.psi, sol.H_bar, sol.spread, sol.stop
-    else:
-        # exact forms: the corrector on cell.n nodes, a one-node table fill's value and err
-        psi = GridFunction(corrector_below_one(params, n)[:-1] if params.sigma < 1.0 else
-                           effective_source_from_formula(model.a, model.ham).corrector(
-                               params.sigma, n)(params.x, params.p, params.l)[0])
-        table, _ = fill_table(params, params.x, params.p, params.l, _cell_config(cfg))
-        H_bar, spread, stop = table.values.item(), table.err.item(), None
-    reg = corrector_regularity(psi)
+    params = _cell_params(cfg, model)
+    (H_bar,), (spread,), (reason,), (psi,) = solve_cells(params, _cell_config(cfg), params.x,
+                                                         params.p, params.l)
+    if reason:
+        raise NumericalFailure(reason)
+    reg = corrector_regularity(GridFunction(psi))
     path = _out_path(args, cfg, "cell.csv")
-    csvio.emit_csv(path, ["x", "p", "l", "sigma", "H_bar", "spread", "osc", "lip",
-                          "flap_sup"],
+    csvio.emit_csv(path, ["x", "p", "l", "sigma", "H_bar", "spread", "osc", "lip", "flap_sup"],
                    [(params.x, params.p, params.l, params.sigma, H_bar, spread, *reg)],
                    cfg.header_lines())
     print(f"regime {params.regime}: H_bar = {H_bar:.10g} +/- {spread / 2:.3g} "
           f"(spread {spread:.3g}), corrector osc {reg[0]:.4g}, report -> {path}")
-    if stop is not None and not stop.converged:
-        print(unconverged(params, stop), file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -154,20 +143,28 @@ def _model_name(cfg: RunConfig) -> str:
     return cfg["hamiltonian.b"] + "|" + cfg["hamiltonian.f"]
 
 
-def _build_table(cfg: RunConfig, model: Model) -> EffectiveTable:
-    """The configured table box, filled; prints the fill's line, if any."""
+def _build_table(args, cfg: RunConfig, base: CellParams) -> EffectiveTable:
+    """The configured table box of base's model, filled and saved; prints the
+    fill's line, if any, and where the table went."""
     axes = (cfg[f"cell.table_{axis}"] for axis in "xpl")
-    table, record = fill_table(_cell_params(cfg, model), *axes, _cell_config(cfg),
+    table, record = fill_table(base, *axes, _cell_config(cfg),
                                {"model": _model_name(cfg), "m": str(cfg["hamiltonian.m"])})
     if line := record.line():
         print(line)
+    path = _out_path(args, cfg, "effective.csv")
+    save_table(table, path, config_lines=cfg.header_lines())
+    print(f"table {table.values.shape} saved -> {path}")
     return table
 
 
-def _load_table_for(cfg: RunConfig, path: str):
-    """The table at path; raises ValueError, naming both values, when it was
-    built for another sigma, or another m or model where it records them."""
+def _load_table_for(cfg: RunConfig) -> EffectiveTable:
+    """The table at grid.table_csv; raises ConfigError when that key is empty,
+    and ValueError, naming both values, when the table was built for another
+    sigma, or another m or model where it records them."""
     from .effective import load_table
+    if not (path := cfg["grid.table_csv"]):
+        raise ConfigError([f"effective solves at kernel.sigma = {cfg['kernel.sigma']:g} <= 1 "
+                           f"need grid.table_csv"])
     table = load_table(path)
     m, model = cfg["hamiltonian.m"], _model_name(cfg)
     for key, built, run in (("sigma", table.sigma, cfg["kernel.sigma"]),
@@ -180,21 +177,17 @@ def _load_table_for(cfg: RunConfig, path: str):
 
 
 def cmd_effective(args, cfg: RunConfig, model: Model) -> int:
-    table = _build_table(cfg, model)
+    table = _build_table(args, cfg, _cell_params(cfg, model))
     ham = model.ham
     a_vals = model.a(np.zeros(512), np.arange(512) / 512)
     audit = audit_properties(table, b0=ham.b_min, C=ham.f_sup,
                              a_sup=float(np.max(np.abs(a_vals))), m=ham.m)
-    path = _out_path(args, cfg, "effective.csv")
-    save_table(table, path, config_lines=cfg.header_lines())
-    print(f"table {table.values.shape} saved -> {path}")
     print(f"audit: monotone violations {audit.monotone_violations}, "
           f"coercivity margin {audit.coercivity_margin:.4g}, "
           f"continuity C_l={audit.C_l:.4g} C_x={audit.C_x:.4g} C_p={audit.C_p:.4g}")
-    if np.any(table.provenance == "failed"):
-        print("some nodes failed to converge (marked 'failed'):", file=sys.stderr)
-        for reason in table.failures:
-            print(f"  {reason}", file=sys.stderr)
+    if table.failures:
+        print("\n  ".join(["some nodes failed to converge (marked 'failed'):",
+                           *table.failures]), file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK if audit.passed else EXIT_AUDIT
 
@@ -206,16 +199,8 @@ def cmd_solve(args, cfg: RunConfig, model: Model) -> int:
     if cfg["grid.kind"] == "oscillating":
         scheme = oscillating_scheme(cfg["grid.eps"], model.a, model.ham, table)
     else:
-        if model.kernel.sigma > 1.0:
-            src = effective_source_from_formula(model.a, model.ham)
-        else:
-            path = cfg["grid.table_csv"]
-            if not path:
-                print(f"effective solves at kernel.sigma = {model.kernel.sigma:g} <= 1 need "
-                      f"grid.table_csv", file=sys.stderr)
-                return EXIT_AUDIT
-            src = effective_source_from_table(_load_table_for(cfg, path))
-        scheme = src.scheme(u0.nodes(), table)
+        scheme = effective_source(_cell_params(cfg, model),
+                                  lambda: _load_table_for(cfg)).scheme(u0.nodes(), table)
     traj = solve(ParabolicProblem(scheme, u0, cfg["grid.T"]),
                  SolverConfig(snapshots=cfg["grid.snapshots"]))
     tpath = _out_path(args, cfg, "trajectory.csv")
@@ -233,24 +218,13 @@ def cmd_solve(args, cfg: RunConfig, model: Model) -> int:
 
 
 def cmd_homogenize(args, cfg: RunConfig, model: Model) -> int:
-    sigma = model.kernel.sigma
-    psi_provider = None
-    if sigma > 1.0:
-        src = effective_source_from_formula(model.a, model.ham)
-        psi_provider = src.corrector(sigma, cfg["cell.n"])
-    else:
-        table = _build_table(cfg, model)
-        tpath = _out_path(args, cfg, "effective.csv")
-        save_table(table, tpath, config_lines=cfg.header_lines())
-        print(f"effective table -> {tpath}")
-        src = effective_source_from_table(table)
-    family = ProblemFamily(a=model.a, ham=model.ham, kernel=model.kernel,
-                           u0_func=model.u0, T=cfg["sweep.T"], effective=src)
-    n_fixed = cfg["sweep.n_fixed"]
-    scfg = SweepConfig(n_per_k=cfg["sweep.n_per_k"],
-                       n_fixed=None if n_fixed == 0 else n_fixed,
-                       snapshots=cfg["sweep.snapshots"])
-    report = run_sweep(family, cfg["sweep.eps_list"], scfg, psi_provider=psi_provider)
+    base = _cell_params(cfg, model)
+    family = ProblemFamily(a=model.a, ham=model.ham, kernel=model.kernel, u0_func=model.u0,
+                           T=cfg["sweep.T"],
+                           effective=effective_source(base, lambda: _build_table(args, cfg, base)),
+                           cells=lambda x, p, l: solve_cells(base, _cell_config(cfg), x, p, l))
+    report = run_sweep(family, cfg["sweep.eps_list"], SweepConfig(
+        cfg["sweep.n_per_k"], cfg["sweep.n_fixed"] or None, cfg["sweep.snapshots"]))
     path = _out_path(args, cfg, "sweep.csv")
     csvio.emit_csv(path, ["eps", "n", "dt", "error", "rate", "corrector_residual",
                           "seconds"], csvio.sweep_rows(report), cfg.header_lines())
@@ -264,7 +238,9 @@ def cmd_homogenize(args, cfg: RunConfig, model: Model) -> int:
     print(f"sweep -> {path}\nsnapshots -> {snap_path}")
     for eps, message in report.failures:
         print(f"eps = {eps:.6g} failed: {message}", file=sys.stderr)
-    return EXIT_NUMERICAL if report.failures else EXIT_OK
+    for reason in report.cell_failures:
+        print(f"corrector: {reason}", file=sys.stderr)
+    return EXIT_NUMERICAL if report.failures or report.cell_failures else EXIT_OK
 
 
 def cmd_constants(args, cfg: RunConfig, model: Model) -> int:
@@ -317,15 +293,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
-        for line in exc.errors:
-            print(line, file=sys.stderr)
-        return EXIT_AUDIT if os.path.exists(args.config) else EXIT_IO
-    try:
         model = build_model(cfg)
         if args.command in _GATED and _gate(model, args.force):
             return EXIT_AUDIT
         return _COMMANDS[args.command](args, cfg, model)
+    except ConfigError as exc:
+        for line in exc.errors:
+            print(line, file=sys.stderr)
+        return EXIT_AUDIT if os.path.exists(args.config) else EXIT_IO
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -11,20 +11,18 @@ constant-coefficient sanity reduction Hbar = mean_y H - a0 l, which pins this
 form.)  So the effective equation is the original one again,
 u_t - A(x) I u + Hbar0(x, Du) = 0 with Hbar0 = A mean_y(H / a).
 
-Below order one the ergodic constant has a closed form too, the
-one-dimensional cell formula (hjhom.cell.formula_below_one); at order one it
-comes from cell solves.  hjhom.fill fills the tables; this module holds them
-with their error bars, queries, saves, loads and audits them for what every
-consumer relies on: decreasing in l, coercive in p, finite continuity constants.
+Below order one the cell formula (hjhom.cell.formula_below_one) gives Hbar,
+at order one cell solves do, and hjhom.fill fills their tables.  This module
+holds them with their error bars, queries, saves, loads and audits them for
+what every consumer relies on: decreasing in l, coercive in p, finite
+continuity constants.
 
-Two sources serve Hbar to the time stepper, each building its own scheme:
-ClosedForm, the pair (a, H) whose cell means are taken afresh at every call,
-and EffectiveSource, a table's queries.  A table with a failed (non-finite)
-node serves no solve: its source raises NumericalFailure naming every such
-node.  ClosedForm keeps no state; the table source keeps each node's cell,
-and nothing that changes a value.
-ClosedForm reads a, b and f from hjhom.cell.cell_coefficients, which
-returns one row when none reads x; means are taken over its rows.
+Two sources serve Hbar to the time stepper, each building its own scheme,
+and hjhom.fill.effective_source picks one: ClosedForm, the pair (a, H) whose
+cell means are taken afresh at every call, and EffectiveSource, a table's
+queries.  A table with a failed (non-finite) node serves no solve: its source
+raises NumericalFailure naming every such node.  ClosedForm keeps no state;
+the table source keeps each node's cell, and nothing that changes a value.
 """
 
 from __future__ import annotations
@@ -87,28 +85,20 @@ class ClosedForm(NamedTuple):
         return MonotoneScheme(1.0 / xs.size, power=(bbar, self.ham.m, -fbar),
                               table=table, a=A)
 
-    def corrector(self, sigma: float, n: int) -> Callable[..., np.ndarray]:
-        """profiles(x, p, l) -> (k, n): at each of the k nodes of the arrays,
-        psi on n cell nodes solving (fractional Laplacian) psi = f, f = l +
-        (Hbar - H) / a; f and psi made mean-free (f is up to quadrature error)."""
+    def corrector(self, sigma: float, n: int, x, p, l) -> np.ndarray:
+        """(k, n): at each of the k nodes of the arrays x, p, l, psi on n cell
+        nodes solving (fractional Laplacian) psi = f, f = l + (Hbar - H) / a;
+        f and psi made mean-free (f is up to quadrature error)."""
         ys = np.arange(n) / n
-
-        def profiles(x, p, l):
-            X, P, L = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (x, p, l))
-            hbar = self.value(X[:, 0], P[:, 0], L[:, 0])[:, None]
-            f = self.ham.eval(X, ys, P)                   # one (k, n) buffer, in place
-            np.subtract(hbar, f, out=f)
-            f /= self.a(X, ys)
-            f += L
-            f -= np.mean(f, axis=1, keepdims=True)
-            psi = spectral_cell_above_one(sigma, f)
-            return psi - np.mean(psi, axis=1, keepdims=True)
-
-        return profiles
-
-
-# the closed form above order one for the coefficient a and the cell Hamiltonian ham
-effective_source_from_formula = ClosedForm
+        X, P, L = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (x, p, l))
+        hbar = self.value(X[:, 0], P[:, 0], L[:, 0])[:, None]
+        f = self.ham.eval(X, ys, P)                       # one (k, n) buffer, in place
+        np.subtract(hbar, f, out=f)
+        f /= self.a(X, ys)
+        f += L
+        f -= np.mean(f, axis=1, keepdims=True)
+        psi = spectral_cell_above_one(sigma, f)
+        return psi - np.mean(psi, axis=1, keepdims=True)
 
 
 class EffectiveSource(NamedTuple):
@@ -362,9 +352,9 @@ def load_table(path: str) -> EffectiveTable:
     """Read a table written by save_table.
 
     Every (x, p, l) node of the rectangular grid spanned by the rows must
-    appear exactly once, at finite axis values; a repeated or missing node or
-    a non-finite axis value raises ValueError naming the line or the node,
-    and a file with no rows one naming the file.
+    appear exactly once, at finite axis values; a repeated or missing node, a
+    field that is not a number or a non-finite axis value raises ValueError
+    naming the line or the node, and a file with no rows one naming the file.
     """
     meta, lines, line_numbers = {}, [], []
     with open(path) as fh:
@@ -386,8 +376,10 @@ def load_table(path: str) -> EffectiveTable:
         number = line_numbers[reader.line_num - 1]
         if any(r.get(f) is None for f in fields):
             raise ValueError(f"{path}:{number}: expected {len(fields)} fields")
-        recs.append((float(r["x"]), float(r["p"]), float(r["l"]), float(r["H_bar"]),
-                     float(r["err"]), r["provenance"], number))
+        try:
+            recs.append((*(float(r[f]) for f in fields[:5]), r["provenance"], number))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
         if not np.all(np.isfinite(recs[-1][:3])):
             raise ValueError(f"{path}:{number}: the axis values (x, p, l) = "
                              f"({r['x']}, {r['p']}, {r['l']}) must be finite")

@@ -4,7 +4,7 @@ A sweep runs the oscillating problem for eps = 1/k over a decreasing list,
 solves the effective problem once on the finest grid, and compares at the
 shared coarse nodes and at exactly shared snapshot times.  No rate is claimed
 beyond what the runs show; the report carries observed errors, pairwise
-log-ratios, and corrector-ansatz residuals.
+log-ratios, and corrector-ansatz residuals in every regime.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from .parabolic import (NumericalFailure, ParabolicProblem, SolverConfig,
 
 
 class ProblemFamily(NamedTuple):
-    """One oscillating model and its effective counterpart."""
+    """One oscillating model, its effective counterpart, and cells(x, p, l):
+    hjhom.fill.solve_cells of the model at the nodes of the arrays."""
 
     a: Callable[[np.ndarray, np.ndarray], np.ndarray]
     ham: HamiltonianSpec
@@ -32,6 +33,7 @@ class ProblemFamily(NamedTuple):
     u0_func: Callable[[np.ndarray], np.ndarray]
     T: float
     effective: Union[EffectiveSource, ClosedForm]
+    cells: Callable[..., tuple]
 
 
 class SweepConfig(NamedTuple):
@@ -55,6 +57,7 @@ class SweepReport(NamedTuple):
     u_eps_final: list                 # coarse restrictions of each final state
     u_eff_final: np.ndarray
     failures: tuple = ()              # (eps, message) for runs that blew up
+    cell_failures: tuple = ()         # why each failed coarse corrector failed
 
 
 def _restrict(values: np.ndarray, n_coarse: int) -> np.ndarray:
@@ -64,14 +67,10 @@ def _restrict(values: np.ndarray, n_coarse: int) -> np.ndarray:
     return values[::stride]
 
 
-def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None,
-              psi_provider: Optional[Callable] = None) -> SweepReport:
-    """Run the eps sweep and assemble the comparison report.
-
-    psi_provider(x, p, l), called once with the coarse nodes' arrays, returns
-    their mean-free corrector profiles as rows, which every eps's ansatz
-    residual reads; when omitted the residual column is NaN.
-    """
+def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None) -> SweepReport:
+    """Run the eps sweep and assemble the comparison report.  family.cells,
+    called once at the coarse nodes if some run finished, gives the corrector
+    rows every eps's ansatz residual reads: NaN if a node's row failed."""
     cfg = cfg or SweepConfig()
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     ns = (np.full(eps.size, cfg.n_fixed, dtype=int) if cfg.n_fixed is not None
@@ -81,8 +80,8 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
     # one kernel table per grid size: the n_fixed control runs share one
     tables = {n: periodized_weights(family.kernel, n) for n in dict.fromkeys(ns.tolist())}
 
-    runs = []             # coarse snapshots after t = 0 of each run (None if it failed)
-    runtimes, dts, max_dts, steps, paths, failures = [], [], [], [], [], []
+    # each run's coarse snapshots after t = 0 (None if it failed) and its stats
+    runs, stats, failures = [], [], []
     for e, n in zip(eps, ns.tolist()):
         u0 = GridFunction.from_callable(family.u0_func, n)
         t0 = time.perf_counter()
@@ -92,11 +91,8 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
         except NumericalFailure as exc:
             failures.append((float(e), str(exc)))
             traj = None
-        runtimes.append(time.perf_counter() - t0)
-        dts.append(np.nan if traj is None else traj.dt)
-        max_dts.append(np.nan if traj is None else traj.max_dt)
-        steps.append(0 if traj is None else traj.steps)
-        paths.append("" if traj is None else traj.path)
+        stats.append((time.perf_counter() - t0, *((np.nan, np.nan, 0, "") if traj is None else
+                                                  (traj.dt, traj.max_dt, traj.steps, traj.path))))
         runs.append(None if traj is None else
                     np.array([_restrict(s.values, n_coarse) for s in traj.snapshots[1:]]))
     del traj                  # only the coarse snapshots of each run are kept
@@ -123,22 +119,22 @@ def run_sweep(family: ProblemFamily, eps_list, cfg: Optional[SweepConfig] = None
     u_eff_final = _restrict(u_eff_fine.values, n_coarse)
     coarse_nodes = np.arange(n_coarse) / n_coarse
 
-    residuals = np.full(eps.size, np.nan)
+    residuals, cell_failures = np.full(eps.size, np.nan), ()
     finite = [i for i, final in enumerate(finals) if np.all(np.isfinite(final))]
-    if psi_provider is not None and finite:
-        profiles = psi_provider(coarse_nodes, p_eff, l_eff)
+    if finite:
+        *_, reasons, profiles = family.cells(coarse_nodes, p_eff, l_eff)
+        cell_failures = tuple(reason for reason in reasons if reason)
         for i in finite:
             residuals[i] = corrector_reconstruction(
                 GridFunction(finals[i]), GridFunction(u_eff_final), profiles,
                 float(eps[i]), family.kernel.sigma)
 
-    return SweepReport(eps_list=eps, errors=errors, rates=rates,
-                       corrector_residuals=residuals, runtimes=np.array(runtimes),
-                       ns=np.asarray(ns), dts=np.array(dts),
-                       max_dts=np.array(max_dts),
-                       steps=np.array(steps), paths=tuple(paths),
-                       coarse_nodes=coarse_nodes, u_eps_final=finals,
-                       u_eff_final=u_eff_final, failures=tuple(failures))
+    runtimes, dts, max_dts, steps, paths = zip(*stats)
+    return SweepReport(eps_list=eps, errors=errors, rates=rates, corrector_residuals=residuals,
+                       runtimes=np.array(runtimes), ns=np.asarray(ns), dts=np.array(dts),
+                       max_dts=np.array(max_dts), steps=np.array(steps), paths=paths,
+                       coarse_nodes=coarse_nodes, u_eps_final=finals, u_eff_final=u_eff_final,
+                       failures=tuple(failures), cell_failures=cell_failures)
 
 
 def corrector_reconstruction(u_eps: GridFunction, u_bar: GridFunction,

@@ -1,4 +1,5 @@
 import __future__
+import functools
 import importlib
 import inspect
 import os
@@ -18,7 +19,9 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import hjhom
-from hjhom.effective import effective_source_from_formula
+from hjhom.cell import CellConfig, CellParams
+from hjhom.effective import ClosedForm
+from hjhom.fill import solve_cells
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, model_bpm
 from hjhom.homogenize import ProblemFamily, SweepConfig, run_sweep
@@ -51,15 +54,21 @@ def wavy_sweep(eikonal_ham, wavy_a):
     family = ProblemFamily(a=wavy_a, ham=eikonal_ham,
                            kernel=constant_kernel(WAVY_SWEEP_SIGMA),
                            u0_func=lambda x: np.sin(2 * np.pi * x), T=0.2,
-                           effective=effective_source_from_formula(wavy_a, eikonal_ham))
-    return run_sweep(family, [1 / 4, 1 / 8, 1 / 16], SweepConfig(n_per_k=16),
-                     psi_provider=family.effective.corrector(WAVY_SWEEP_SIGMA, 256))
+                           effective=ClosedForm(wavy_a, eikonal_ham),
+                           cells=model_cells(wavy_a, eikonal_ham, WAVY_SWEEP_SIGMA))
+    return run_sweep(family, [1 / 4, 1 / 8, 1 / 16], SweepConfig(n_per_k=16))
+
+
+def model_cells(a, ham, sigma: float, cfg: CellConfig = CellConfig()):
+    """ProblemFamily.cells of the model (sigma, a, ham) with a symmetric
+    kernel: hjhom.fill.solve_cells under cfg at the nodes it is given."""
+    return functools.partial(solve_cells, CellParams(0.0, 0.0, 0.0, sigma, a, ham), cfg)
 
 
 def formula_fill(a, ham):
     """Node filler for tabulate from the closed form above order one: the
     value at one (x, p, l), error 0, 'formula'."""
-    form = effective_source_from_formula(a, ham)
+    form = ClosedForm(a, ham)
     return lambda x, p, l: (float(form.value(np.array([x]), p, l)[0]), 0.0, "formula")
 
 

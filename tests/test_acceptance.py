@@ -7,9 +7,9 @@ lines; every tolerance is pinned here, nothing is deferred to calibration.
 import numpy as np
 import pytest
 
-from conftest import WAVY_SWEEP_SIGMA, eikonal_root, formula_fill, trig_poly
+from conftest import WAVY_SWEEP_SIGMA, eikonal_root, formula_fill, model_cells, trig_poly
 from hjhom.cell import CellConfig, CellParams
-from hjhom.effective import EffectiveTable, audit_properties, effective_source_from_formula
+from hjhom.effective import ClosedForm, EffectiveTable, audit_properties
 from hjhom.grid import GridFunction
 from hjhom.hamiltonians import coefficient, coercivity_constants, model_bpm
 from hjhom.homogenize import ProblemFamily, SweepConfig, run_sweep
@@ -200,7 +200,7 @@ def test_criterion_08_homogenization_sweep(wavy_sweep):
     a = coefficient("constant:1")
     control = ProblemFamily(a=a, ham=ham, kernel=constant_kernel(1.5),
                             u0_func=lambda x: np.sin(2 * np.pi * x), T=0.2,
-                            effective=effective_source_from_formula(a, ham))
+                            effective=ClosedForm(a, ham), cells=model_cells(a, ham, 1.5))
     crep = run_sweep(control, [1 / 4, 1 / 8, 1 / 16], SweepConfig(n_fixed=256))
     control_spread = float(np.max(crep.errors) - np.min(crep.errors))
     ok = decreasing and control_spread <= 1e-6

@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hjhom
-from hjhom.cell import corrector_below_one, solve_ergodic_pair
+from hjhom.cell import CellConfig, CellParams, corrector_below_one, solve_ergodic_pair
 from hjhom.cli import _cell_config, _cell_params, main
 from hjhom.config import (SCHEMA, ConfigError, build_model, defaults, parse_config,
                           parse_text)
 from hjhom.effective import ClosedForm
-from hjhom.fill import fill_table
+from hjhom.fill import fill_table, solve_cells
+from hjhom.hamiltonians import coefficient, model_bpm
 from hjhom.kernels import normalizing_constant
 from lemmas import vanishing_discount_sweep
 
@@ -370,9 +371,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("sigma", ["0.5", "1", "1.5"])
     def test_cell_report_columns_match_the_corrector(self, tmp_path, sigma):
-        # osc, lip and flap_sup as written, bit for bit, from the corrector:
-        # max - min, the largest wrapped forward difference times n, and
-        # sup |irfft(2 pi |k| rfft(psi))|
+        # osc, lip and flap_sup as written, bit for bit, from the mean-free
+        # corrector: max - min, the largest wrapped forward difference times
+        # n, and sup |irfft(2 pi |k| rfft(psi))|
         path = write(tmp_path, "\n".join([
             f"kernel.sigma = {sigma}", "cell.n = 64", "cell.p = 0.5", "cell.l = 0.25",
             "cell.deltas = 0.1,0.01"]) + "\n")
@@ -387,8 +388,9 @@ class TestCommands:
         elif sigma == "1":
             psi = solve_ergodic_pair(params, _cell_config(cfg)).psi.values
         else:       # the closed form's profile, as the sweep's corrector takes it
-            profiles = ClosedForm(params.a, params.ham).corrector(params.sigma, n)
-            psi = profiles(params.x, params.p, params.l)[0]
+            psi = ClosedForm(params.a, params.ham).corrector(params.sigma, n, params.x,
+                                                             params.p, params.l)[0]
+        psi = psi - np.mean(psi)
         assert psi.size == n
         assert osc == np.ptp(psi) > 0.0
         assert lip == np.max(np.abs(np.append(psi[1:], psi[:1]) - psi) * n)
@@ -412,19 +414,30 @@ class TestCommands:
         ]) + "\n")
         assert main(["cell", "--config", path, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert re.search(r"cell solve at \(x, p, l\) = \(0, 0, 0\) not converged: "
-                         r"residual \S+ after 1 Newton steps, stopped by budget\n", err)
+        assert re.fullmatch(r"numerical failure: cell solve at \(x, p, l\) = \(0, 0, 0\) not "
+                            r"converged: residual \S+ after 1 Newton steps, stopped by budget\n",
+                            err)
+        # an unconverged node has no value or corrector to report
+        assert not (tmp_path / "run_cell.csv").exists()
+
+    def test_cell_at_order_one_takes_one_newton_solve(self, tmp_path, monkeypatch):
+        # the node's value and its corrector come from the one solve
+        import hjhom.fill
+        calls, real = [], hjhom.fill.solve_ergodic_pair
+        monkeypatch.setattr(hjhom.fill, "solve_ergodic_pair",
+                            lambda *args, **kw: calls.append(kw) or real(*args, **kw))
+        path = write(tmp_path, "kernel.sigma = 1\ncell.n = 64\ncell.p = 0.5\n")
+        assert main(["cell", "--config", path, "--out", str(tmp_path)]) == 0
+        assert calls == [{"start": None}]
 
     def test_cell_command_below_order_one_prints_the_formula(self, tmp_path, capsys,
                                                              monkeypatch):
         # H_bar is the cell formula's, and no Newton solve runs
-        import hjhom.cli
         import hjhom.fill
         from hjhom.cell import formula_below_one
         from hjhom.hamiltonians import coefficient, model_bpm
-        for module in (hjhom.cli, hjhom.fill):
-            monkeypatch.setattr(module, "solve_ergodic_pair",
-                                lambda *args, **kw: pytest.fail("a Newton solve ran"))
+        monkeypatch.setattr(hjhom.fill, "solve_ergodic_pair",
+                            lambda *args, **kw: pytest.fail("a Newton solve ran"))
         path = write(tmp_path, "\n".join([
             "kernel.sigma = 0.5", "hamiltonian.b = two_plus_cos_y", "cell.n = 64",
             "cell.p = 1.5", "cell.l = 0.5", "cell.deltas = 0.1,0.01,0.001",
@@ -751,6 +764,18 @@ class TestCommands:
                        "1 of 63 nodes failed:\n  (x, p, l) = (0, 2, 0)\n")
         assert "step" not in err and files == ["run.cfg", "table.csv"]
 
+    def test_non_numeric_field_is_invalid_input(self, tmp_path, capsys):
+        # named by file and line, as every malformed row is
+        table = tmp_path / "table.csv"
+        table.write_text("# sigma = 0.5\nx,p,l,H_bar,err,provenance\n0,0,0,abc,0,formula\n")
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 0.5", "coefficient_a.kind = constant:1", "grid.kind = effective",
+            "grid.n = 64", "grid.T = 0.01", f"grid.table_csv = {table}"]) + "\n")
+        capsys.readouterr()
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: {table}:3: could not convert string to float: 'abc'"]
+
     @pytest.mark.parametrize("p", ["nan", "inf"])
     def test_non_finite_axis_value_is_invalid_input(self, tmp_path, capsys, p):
         # named by file and line, as a malformed row is
@@ -777,7 +802,7 @@ class TestCommands:
         capsys.readouterr()
         assert main(["homogenize", "--config", path, "--out", str(tmp_path)]) == 3
         out, err = capsys.readouterr()
-        assert out.splitlines()[-1] == f"effective table -> {tmp_path / 'run_effective.csv'}"
+        assert out.splitlines()[-1] == f"table (1, 2, 2) saved -> {tmp_path / 'run_effective.csv'}"
         err = err.splitlines()
         assert err[0] == ("numerical failure: a table with a failed node serves no solve; "
                           "4 of 4 nodes failed:")
@@ -956,12 +981,10 @@ class TestCommands:
     def test_cell_above_order_one_is_the_closed_form(self, tmp_path, monkeypatch, sigma):
         # the cell problem is linear above order one: hjhom cell writes the
         # closed form's value, with spread 0, and no Newton solve runs
-        import hjhom.cli
         import hjhom.fill
         from hjhom.hamiltonians import coefficient, model_bpm
-        for module in (hjhom.cli, hjhom.fill):
-            monkeypatch.setattr(module, "solve_ergodic_pair",
-                                lambda *args, **kw: pytest.fail("a Newton solve ran"))
+        monkeypatch.setattr(hjhom.fill, "solve_ergodic_pair",
+                            lambda *args, **kw: pytest.fail("a Newton solve ran"))
         path = write(tmp_path, f"kernel.sigma = {sigma}\ncell.p = 0.7\ncell.l = 0.3\n")
         assert main(["cell", "--config", path, "--out", str(tmp_path)]) == 0
         rows = [l for l in (tmp_path / "run_cell.csv").read_text().splitlines()
@@ -1118,6 +1141,97 @@ class TestContinuationFill:
                 assert re.fullmatch(shown, fill[0])
             # per-node steps and warm starts only where nodes are Newton solves
             assert (record.steps is None) == (record.warm is None) == (sigma != "1")
+
+
+class TestSolveCells:
+    """hjhom.fill.solve_cells gives per node the table fill's Hbar and err,
+    bit for bit, and its regime's direct corrector, made mean-free."""
+
+    AXES = ([0.0, 0.25], [0.5, 2.0], [-0.5, 0.0])
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5])
+    def test_rows_are_the_regime_oracles(self, sigma):
+        base = CellParams(0.0, 0.0, 0.0, sigma, coefficient("two_plus_cos_y"),
+                          model_bpm("one", "cos_x_cos_y", 2.0))
+        cfg = CellConfig(n=64)
+        x, p, l = (g.ravel() for g in np.meshgrid(*self.AXES, indexing="ij"))
+        values, err, reasons, psi = solve_cells(base, cfg, x, p, l)
+        table, _ = fill_table(base, *self.AXES, cfg)
+        assert values.tolist() == table.values.ravel().tolist()
+        assert err.tolist() == table.err.ravel().tolist()
+        assert reasons == [""] * x.size and psi.shape == (x.size, cfg.n)
+        for i, node in enumerate(zip(x, p, l)):
+            params = base._replace(x=node[0], p=node[1], l=node[2])
+            if sigma != 1.0:        # and hjhom cell's one-node fill, bit for bit
+                one, _ = fill_table(params, *node, cfg)
+                assert (values[i], err[i]) == (one.values.item(), one.err.item())
+            if sigma < 1.0:
+                want = corrector_below_one(params, cfg.n)[:-1]
+            elif sigma == 1.0:      # a cold solve; the chain starts warm
+                want = solve_ergodic_pair(params, cfg).psi.values
+            else:
+                want = ClosedForm(base.a, base.ham).corrector(sigma, cfg.n, *node)[0]
+            assert abs(np.mean(psi[i])) <= 1e-15
+            tol = 1e-8 if sigma == 1.0 else 1e-14
+            assert np.max(np.abs(psi[i] - (want - np.mean(want)))) <= tol
+
+    def test_failed_order_one_node(self):
+        # a spent budget fails the node: NaN value and corrector, inf err
+        base = CellParams(0.0, 0.0, 0.0, 1.0, coefficient("two_plus_cos_y"),
+                          model_bpm("one", "cos_y", 2.0))
+        values, err, reasons, psi = solve_cells(base, CellConfig(n=32, max_steps=1),
+                                                [0.0, 0.0], [0.5, 0.0], [0.0, -1.0])
+        assert re.fullmatch(r"cell solve at \(x, p, l\) = \(0, 0.5, 0\) not converged: .*"
+                            r"stopped by budget", reasons[0])
+        assert np.isnan(values[0]) and err[0] == np.inf and np.all(np.isnan(psi[0]))
+        # the exact node l = -1 needs no step
+        assert reasons[1] == "" and values[1] == 2.0 and np.all(psi[1] == 0.0)
+
+
+class TestSweepCorrectors:
+    """hjhom homogenize writes the corrector ansatz's residual in every
+    regime: below one from the cell formula's corrector, at order one from
+    the ergodic pair at each coarse node."""
+
+    @staticmethod
+    def _sweep(tmp_path, sigma, l_step):
+        path = write(tmp_path, "\n".join([
+            f"kernel.sigma = {sigma}", "cell.n = 64", "cell.table_p = " + ",".join(
+                str(p) for p in range(-8, 9)), "cell.table_l = " + ",".join(
+                str(l) for l in range(-12, 13, l_step)), "sweep.eps_list = 1/4,1/8,1/16"]) + "\n")
+        code = main(["homogenize", "--config", path, "--out", str(tmp_path)])
+        body = [line.split(",") for line in (tmp_path / "run_sweep.csv").read_text()
+                .splitlines() if not line.startswith("#")]
+        return code, [dict(zip(body[0], map(float, row))) for row in body[1:]]
+
+    @pytest.mark.parametrize("sigma, l_step", [("0.5", 1), ("1", 2)])
+    def test_residual_finite_and_below_the_error(self, tmp_path, sigma, l_step):
+        code, rows = self._sweep(tmp_path, sigma, l_step)
+        assert code == 0 and len(rows) == 3
+        for row in rows:
+            assert 0.0 < row["corrector_residual"] < row["error"]
+
+    def test_failed_corrector_node(self, tmp_path, capsys, monkeypatch):
+        # the coarse node x = 1/2 fails its solve (the table's nodes all sit
+        # at x = 0): every residual is NaN, the reason goes to stderr, the
+        # CSVs are written and the exit code is 3
+        import hjhom.fill
+        from hjhom.parabolic import NumericalFailure
+        real = hjhom.fill.solve_ergodic_pair
+
+        def failing(params, *args, **kw):
+            if params.x == 0.5:
+                raise NumericalFailure("injected at x = 0.5", 2)
+            return real(params, *args, **kw)
+
+        monkeypatch.setattr(hjhom.fill, "solve_ergodic_pair", failing)
+        capsys.readouterr()
+        code, rows = self._sweep(tmp_path, "1", 2)
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == ["corrector: injected at x = 0.5"]
+        assert all(np.isnan(row["corrector_residual"]) and np.isfinite(row["error"])
+                   for row in rows)
+        assert (tmp_path / "run_sweep_snapshots.csv").exists()
 
 
 def _imported_by_the_cli(prefix: str) -> str:

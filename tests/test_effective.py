@@ -10,8 +10,7 @@ from conftest import formula_fill, patch_source, traced_peak_mb
 import hjhom.effective
 from hjhom.cell import CellConfig, CellParams, formula_below_one
 from hjhom.effective import (_BLOCK_ROWS, CLOSED_FORM_NODES, ClosedForm, EffectiveTable,
-                             TableCells, _weighted,
-                             audit_properties, effective_source_from_formula,
+                             TableCells, _weighted, audit_properties,
                              effective_source_from_table, load_table, query_many,
                              save_table)
 from hjhom.grid import GridFunction
@@ -30,7 +29,7 @@ X_DEPENDENT = lambda x, y: 2.0 + np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
 
 def closed_form_oracle(a, ham, x, p, l, nquad=4096):
     """The closed form at one (x, p, l), written out on nquad cell nodes:
-    the oracle effective_source_from_formula must match."""
+    the oracle ClosedForm must match."""
     ys = np.arange(nquad) / nquad
     a_vals = np.asarray(a(np.full(nquad, float(x)), ys), dtype=float)
     if np.min(a_vals) <= 0.0:
@@ -42,7 +41,7 @@ def closed_form_oracle(a, ham, x, p, l, nquad=4096):
 
 
 def closed_form(a, ham, x, p, l):
-    """effective_source_from_formula at one (x, p, l)."""
+    """ClosedForm at one (x, p, l)."""
     return formula_fill(a, ham)(x, p, l)[0]
 
 
@@ -166,7 +165,7 @@ class TestClosedForm:
         # mean 1/(2+cos) = 1/sqrt3 and mean cos/(2+cos) = 1 - 2/sqrt3
         got = closed_form(WAVY, eikonal_ham, 0.0, 1.0, 0.0)
         assert got == pytest.approx(3.0 - np.sqrt(3.0), abs=1e-12)
-        A = effective_source_from_formula(WAVY, eikonal_ham).means(np.array([0.0]))[0]
+        A = ClosedForm(WAVY, eikonal_ham).means(np.array([0.0]))[0]
         assert A[0] == pytest.approx(np.sqrt(3.0), abs=1e-12)
 
     def test_fields_are_the_coefficient_and_the_hamiltonian(self):
@@ -179,7 +178,7 @@ class TestClosedForm:
         n = 128
         xs = np.arange(n) / n
         table = periodized_weights(kernel, n)
-        form = effective_source_from_formula(WAVY, eikonal_ham)
+        form = ClosedForm(WAVY, eikonal_ham)
         A, bbar, fbar = form.means(xs)
         means_ham = HamiltonianSpec(b=lambda x, y: bbar, f=lambda x, y: fbar, m=2.0,
                                     b_min=float(np.min(bbar)),
@@ -212,7 +211,7 @@ class TestClosedForm:
         a, ham = X_DEPENDENT if a_spec == "x_dependent" else coefficient(a_spec), eikonal_ham
         X, P, L = np.meshgrid([0.0, 0.3, 0.7], np.linspace(-2.0, 2.0, 9),
                               [-1.0, 0.0, 0.5], indexing="ij")
-        got = effective_source_from_formula(a, ham).value(X, P, L)
+        got = ClosedForm(a, ham).value(X, P, L)
         want = np.vectorize(lambda x, p, l: closed_form_oracle(a, ham, x, p, l))(X, P, L)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -862,6 +861,12 @@ class TestPersistence:
         cut_mid_row.write_text("".join(lines[:-1]) + ",".join(lines[-1].split(",")[:4]))
         with pytest.raises(ValueError, match=f"{len(lines)}: expected 6 fields"):
             load_table(str(cut_mid_row))
+        not_a_number = tmp_path / "not_a_number.csv"
+        x0, rest = lines[-1].split(",", 1)
+        not_a_number.write_text("".join(lines[:-1]) + "abc," + rest)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(not_a_number))}:{len(lines)}: "
+                                             f"could not convert string to float: 'abc'$"):
+            load_table(str(not_a_number))
 
     def test_table_without_rows_rejected(self, tmp_path, eikonal_ham):
         # a saved table cut after its header: the sigma line and the column names

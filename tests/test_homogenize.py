@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hjhom.cell import CellConfig, CellParams
-from hjhom.effective import effective_source_from_formula, effective_source_from_table
+from conftest import model_cells
+from hjhom.effective import ClosedForm, effective_source_from_table
 from hjhom.grid import GridFunction, central_diff
 from hjhom.hamiltonians import coefficient, model_bpm
 from hjhom.homogenize import (ProblemFamily, SweepConfig, SweepReport,
@@ -31,12 +32,8 @@ def _dummy_report(eps, errors):
 def wavy_family(eikonal_ham, wavy_a):
     return ProblemFamily(a=wavy_a, ham=eikonal_ham, kernel=constant_kernel(1.5),
                          u0_func=lambda x: np.sin(2 * np.pi * x), T=0.15,
-                         effective=effective_source_from_formula(wavy_a, eikonal_ham))
-
-
-@pytest.fixture(scope="module")
-def wavy_psi_provider(wavy_family):
-    return wavy_family.effective.corrector(1.5, 256)
+                         effective=ClosedForm(wavy_a, eikonal_ham),
+                         cells=model_cells(wavy_a, eikonal_ham, 1.5))
 
 
 class TestRates:
@@ -62,7 +59,7 @@ class TestControlCase:
         a = coefficient("constant:1")
         family = ProblemFamily(a=a, ham=ham, kernel=constant_kernel(1.5),
                                u0_func=lambda x: np.sin(2 * np.pi * x), T=0.1,
-                               effective=effective_source_from_formula(a, ham))
+                               effective=ClosedForm(a, ham), cells=model_cells(a, ham, 1.5))
         rep = run_sweep(family, [1 / 2, 1 / 4, 1 / 8],
                         SweepConfig(n_fixed=128, snapshots=4))
         assert np.max(rep.errors) - np.min(rep.errors) <= 1e-6
@@ -70,7 +67,7 @@ class TestControlCase:
 
 
 @pytest.fixture(scope="module")
-def wavy_sweep(wavy_family, wavy_psi_provider):
+def wavy_sweep(wavy_family):
     """(report, trajectories): the sweep and the trajectories of its solves,
     the effective one last."""
     trajectories, solve = [], homogenize.solve
@@ -82,7 +79,7 @@ def wavy_sweep(wavy_family, wavy_psi_provider):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homogenize, "solve", recording)
         report = run_sweep(wavy_family, [1 / 4, 1 / 8, 1 / 16],
-                           SweepConfig(n_per_k=16), psi_provider=wavy_psi_provider)
+                           SweepConfig(n_per_k=16))
     return report, trajectories
 
 
@@ -173,8 +170,8 @@ class TestFailureHandling:
                                                            unit_a):
         family = ProblemFamily(a=unit_a, ham=eikonal_ham, kernel=constant_kernel(1.5),
                                u0_func=lambda x: np.sin(2 * np.pi * x), T=0.1,
-                               effective=effective_source_from_formula(unit_a,
-                                                                       eikonal_ham))
+                               effective=ClosedForm(unit_a, eikonal_ham),
+                               cells=model_cells(unit_a, eikonal_ham, 1.5))
         rep = run_sweep(family, [1 / 2, 1 / 4], SweepConfig(n_fixed=64, snapshots=3))
         assert rep.failures == ()
         # oscillating runs that blow up must still yield a report with the
@@ -217,7 +214,8 @@ class TestBelowOneSweep:
                          sigma=0.5)
         family = ProblemFamily(a=unit_a, ham=eikonal_ham, kernel=constant_kernel(0.5),
                                u0_func=lambda x: 0.3 * np.sin(2 * np.pi * x), T=0.2,
-                               effective=effective_source_from_table(table))
+                               effective=effective_source_from_table(table),
+                               cells=model_cells(unit_a, eikonal_ham, 0.5, ccfg))
         rep = run_sweep(family, [1 / 4, 1 / 8], SweepConfig(n_per_k=16))
         assert rep.errors[0] > rep.errors[1]
 
@@ -236,6 +234,7 @@ class TestOrderOneSweep:
                          sigma=1.0)
         family = ProblemFamily(a=unit_a, ham=eikonal_ham, kernel=constant_kernel(1.0),
                                u0_func=lambda x: 0.3 * np.sin(2 * np.pi * x), T=0.15,
-                               effective=effective_source_from_table(table))
+                               effective=effective_source_from_table(table),
+                               cells=model_cells(unit_a, eikonal_ham, 1.0, ccfg))
         rep = run_sweep(family, [1 / 4, 1 / 8], SweepConfig(n_per_k=16))
         assert rep.errors[0] > rep.errors[1]

@@ -270,8 +270,8 @@ def test_only_the_fill_module_fills_tables():
     # load_table, and only the fill takes the cell formula, so that every
     # table the program writes comes from hjhom.fill.fill_table
     assert call_sites(SRC, {"EffectiveTable", "formula_below_one"}) == [
-        "effective.load_table:EffectiveTable", "fill.fill_table:EffectiveTable",
-        "fill.fill_table:formula_below_one"]
+        "effective.load_table:EffectiveTable", "fill._formula:formula_below_one",
+        "fill.fill_table:EffectiveTable"]
 
 
 def test_guard_names_a_second_fill(tmp_path):
@@ -284,8 +284,41 @@ def test_guard_names_a_second_fill(tmp_path):
                  "    return EffectiveTable(x, p, l, values, 0 * values, None, 0.5)\n")
     assert call_sites(src, {"EffectiveTable", "formula_below_one"}) == [
         "cli.orphan:EffectiveTable", "cli.orphan:formula_below_one",
-        "effective.load_table:EffectiveTable", "fill.fill_table:EffectiveTable",
-        "fill.fill_table:formula_below_one"]
+        "effective.load_table:EffectiveTable", "fill._formula:formula_below_one",
+        "fill.fill_table:EffectiveTable"]
+
+
+# each regime's direct cell solver and the two effective sources, with the
+# module that defines each
+REGIME_PICKS = {"ClosedForm": "effective", "effective_source_from_table": "effective",
+                "corrector": "effective", "corrector_below_one": "cell",
+                "solve_ergodic_pair": "cell"}
+
+
+def stray_regime_picks(src: Path) -> list:
+    """call_sites of the REGIME_PICKS in the package at src outside
+    hjhom.fill and the module that defines the callee."""
+    return [site for site in call_sites(src, set(REGIME_PICKS))
+            if site.split(".")[0] not in ("fill", REGIME_PICKS[site.rsplit(":", 1)[1]])]
+
+
+def test_only_the_fill_module_picks_a_regime():
+    # the kernel's order picks the source and the cell solver in hjhom.fill
+    # alone, so that a command or a sweep cannot take one regime's corrector
+    # with another's source; the fill takes every one of them
+    assert stray_regime_picks(SRC) == []
+    assert {site.rsplit(":", 1)[1] for site in call_sites(SRC, set(REGIME_PICKS))} == set(
+        REGIME_PICKS)
+
+
+def test_guard_names_a_second_regime_pick(tmp_path):
+    # the same package with the closed form's corrector taken on the command
+    # line too
+    src = _copy_of_src(tmp_path)
+    with open(src / "cli.py", "a") as fh:
+        fh.write("\n\ndef orphan(model, sigma, n):\n"
+                 "    return ClosedForm(model.a, model.ham).corrector(sigma, n)\n")
+    assert stray_regime_picks(src) == ["cli.orphan:ClosedForm", "cli.orphan:corrector"]
 
 
 def holders(src: Path, text: str) -> list:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import patch_source, trig_poly
 import hjhom.parabolic
 from hjhom.cell import CellConfig, CellParams
-from hjhom.effective import (EffectiveTable, TableCells, effective_source_from_formula,
+from hjhom.effective import (ClosedForm, EffectiveTable, TableCells,
                              effective_source_from_table, query_many)
 from hjhom.grid import GridFunction, forward_diff
 from hjhom.hamiltonians import (HamiltonianSpec, coefficient, coercive_reach, growth_bound,
@@ -168,7 +168,7 @@ class TestImplicitStep:
         if kind == "oscillating":
             scheme = oscillating_scheme(1.0 / 16.0, wavy_a, eikonal_ham, table)
         else:
-            scheme = effective_source_from_formula(wavy_a, eikonal_ham).scheme(u0.nodes(), table)
+            scheme = ClosedForm(wavy_a, eikonal_ham).scheme(u0.nodes(), table)
         return ParabolicProblem(scheme, u0, T)
 
     def test_matches_explicit_oracle(self, eikonal_ham, wavy_a, wavy_sweep):
@@ -482,7 +482,7 @@ class TestStepWork:
             "table source": effective_source_from_table(self._table()).scheme(
                 xs, periodized_weights(constant_kernel(0.5), n)),
             # one constant A: P = 1
-            "closed form": effective_source_from_formula(wavy_a, eikonal_ham).scheme(
+            "closed form": ClosedForm(wavy_a, eikonal_ham).scheme(
                 xs, periodized_weights(constant_kernel(1.5), n)),
             # a(x / eps) at eps = 1/16: P = 16
             "oscillating": oscillating_scheme(1.0 / 16.0, wavy_a, eikonal_ham,
@@ -555,7 +555,7 @@ class TestJacobian:
         table = periodized_weights(kernel, n)
         if closed_form:
             # the effective scheme above order one: A(x) in the coefficient slot
-            form = effective_source_from_formula(coefficient("two_plus_cos_y"), ham)
+            form = ClosedForm(coefficient("two_plus_cos_y"), ham)
             return form.scheme(ys, table)
         a = 2.0 + np.cos(2.0 * np.pi * ys)
         return coefficient_scheme(1.0 / n, xs, ys, a, ham, p=0.7, table=table,
