@@ -168,7 +168,7 @@ def _load_table_for(cfg: RunConfig) -> EffectiveTable:
     table = load_table(path)
     m, model = cfg["hamiltonian.m"], _model_name(cfg)
     for key, built, run in (("sigma", table.sigma, cfg["kernel.sigma"]),
-                            ("m", float(table.meta.get("m", m)), m),
+                            ("m", table.meta.get("m", m), m),
                             ("model", table.meta.get("model", model), model)):
         if built != run:
             raise ValueError(f"{path} was built for {key} = {built}, "

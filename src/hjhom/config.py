@@ -244,9 +244,14 @@ def _validate(cfg: RunConfig) -> list:
     errors.extend(f"sweep.eps_list entry {e} is not the reciprocal of an integer"
                   for e, k in zip(cfg["sweep.eps_list"], ks) if k is None)
     n_fixed = cfg["sweep.n_fixed"]
-    if n_fixed != 0 and ks and None not in ks and n_fixed < 16 * max(ks):
-        errors.append(f"sweep.n_fixed = {n_fixed} must be 0 or at least 16 / min eps = "
-                      f"{16 * max(ks)}")
+    if ks and None not in ks:
+        if n_fixed != 0 and n_fixed < 16 * max(ks):
+            errors.append(f"sweep.n_fixed = {n_fixed} must be 0 or at least 16 / min eps = "
+                          f"{16 * max(ks)}")
+        elif n_fixed == 0:      # the runs meet on the coarsest grid, which all others hold
+            errors.extend(f"sweep.eps_list entry 1/{k} does not nest: 1 / eps must be a "
+                          f"multiple of {min(ks)}, that of the largest eps"
+                          for k in ks if k % min(ks))
     e0, n = cfg["grid.eps"], cfg["grid.n"]
     if cfg["grid.kind"] == "oscillating":
         if (k0 := whole_reciprocal(e0)) is None:

@@ -19,10 +19,10 @@ continuity constants.
 
 Two sources serve Hbar to the time stepper, each building its own scheme,
 and hjhom.fill.effective_source picks one: ClosedForm, the pair (a, H) whose
-cell means are taken afresh at every call, and EffectiveSource, a table's
-queries.  A table with a failed (non-finite) node serves no solve: its source
+cell means are taken afresh at every call, and an EffectiveTable.  A table
+with a failed (non-finite) node serves no solve: effective_source_from_table
 raises NumericalFailure naming every such node.  ClosedForm keeps no state;
-the table source keeps each node's cell, and nothing that changes a value.
+a table's scheme keeps each node's cell, and nothing that changes a value.
 """
 
 from __future__ import annotations
@@ -101,23 +101,6 @@ class ClosedForm(NamedTuple):
         return psi - np.mean(psi, axis=1, keepdims=True)
 
 
-class EffectiveSource(NamedTuple):
-    """Effective nonlinearity read from a table (kernel order <= 1): at(x) gives
-    (p, l) -> Hbar(x, p, l), plus the bounds the Lax-Friedrichs discretization
-    needs.  Above order one the effective problem is a ClosedForm instead."""
-
-    at: Callable[[np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]]
-    l_slope: float
-    # LF dissipation theta(lo, hi): sup |dHbar/dp| over the p-interval [lo, hi]
-    theta: Callable[[float, float], float]
-
-    def scheme(self, xs: np.ndarray, table: QuadratureTable) -> MonotoneScheme:
-        """Scheme for Hbar(x, Du, I_h u) at the nodes xs, located once, its
-        Lax-Friedrichs theta the table's own."""
-        return MonotoneScheme(1.0 / xs.size, self.at(xs), theta=self.theta, table=table,
-                              l_slope=self.l_slope)
-
-
 class EffectiveTable:
     """Hbar samples over rectangular (x, p, l) axes with multilinear queries."""
 
@@ -148,6 +131,18 @@ class EffectiveTable:
         """sup |dHbar/dp| over every x and l node of each p cell [ps[k], ps[k + 1]]."""
         return np.max(np.abs(np.diff(self.values, axis=1) / np.diff(self.ps)[None, :, None]),
                       axis=(0, 2))
+
+    def scheme(self, xs: np.ndarray, table: QuadratureTable) -> MonotoneScheme:
+        """Hbar(x, Du, I_h u) at the nodes xs, located once (one x node serves
+        every x), a query off the (p, l) hull raising; its Lax-Friedrichs
+        theta(lo, hi) is the largest slope of the p cells that meet [lo, hi]."""
+        cells = TableCells(self)
+        memo = CellMemo(None if self.xs.size == 1 else _weighted(self.xs, np.ravel(xs), "x"))
+        slopes, inner = self.p_cell_slopes().tolist(), self.ps[1:-1].tolist()
+        theta = lambda lo, hi: max(slopes[bisect_left(inner, lo):bisect_right(inner, hi) + 1],
+                                   default=0.0)
+        return MonotoneScheme(1.0 / xs.size, lambda p, l: query_many(cells, memo, p, l),
+                              theta=theta, table=table, l_slope=self.l_slope_bound())
 
 
 def _locate(axis: np.ndarray, q: np.ndarray, name: str) -> tuple:
@@ -197,13 +192,11 @@ class TableCells:
 
 
 class CellMemo:
-    """Each query node's cell as the last query_many call with this memo left
-    it: its TableCells block column at each x node drawn on, (8, 1 or 2,
-    size).  x is as query_many takes it; `relocated` counts the nodes located
-    so far."""
+    """Each query node's cell as the last query_many call with this memo left it: its
+    TableCells block column at each x node drawn on, (8, 1 or 2, size); x as query_many takes."""
 
     def __init__(self, x: Optional[tuple]):
-        self.x, self.relocated = x, 0
+        self.x = x
         self.clear(0)
 
     def clear(self, size: int) -> None:
@@ -236,7 +229,6 @@ def query_many(cells: TableCells, x: Optional[tuple | CellMemo], p: np.ndarray,
         flat = cell[None] if memo.x is None else (      # the cells at x nodes i and i + 1
             (memo.x[0][moved] + [[0], [1]]) * table.values[0].size + cell)
         memo.block[:, :, moved] = cells.block[:, flat]
-        memo.relocated += moved.size
     (dq, dl), (c0, c1, c2, c3) = d, memo.block[4:]
     out = c3 * dl
     out += c1
@@ -247,12 +239,10 @@ def query_many(cells: TableCells, x: Optional[tuple | CellMemo], p: np.ndarray,
     return out.reshape(shape)
 
 
-def effective_source_from_table(table: EffectiveTable) -> EffectiveSource:
-    """Table-backed source; queries abort outside the (p, l) hull.  A single x
-    node serves every x (the model has no slow variable); otherwise at(x)
-    locates x once.  at(x)'s query function keeps a CellMemo as `memo`.  A
-    table with a non-finite node is no continuous Hbar: NumericalFailure names
-    every such node, with the fill's reason where failures has one per node."""
+def effective_source_from_table(table: EffectiveTable) -> EffectiveTable:
+    """The table, if it serves solves (its scheme builds them).  A table with
+    a non-finite node is no continuous Hbar: NumericalFailure names every such
+    node, with the fill's reason where failures has one per node."""
     failed = np.argwhere(~np.isfinite(table.values))       # in x, p, l order, as filled
     if failed.size:
         reasons = table.failures if len(table.failures) == len(failed) else [""] * len(failed)
@@ -260,21 +250,7 @@ def effective_source_from_table(table: EffectiveTable) -> EffectiveSource:
                  + (reason and f": {reason}") for (i, j, k), reason in zip(failed, reasons)]
         raise NumericalFailure(f"a table with a failed node serves no solve; {len(failed)} of "
                                f"{table.values.size} nodes failed:" + "".join(lines))
-    cells = TableCells(table)
-    slopes = table.p_cell_slopes().tolist()
-    inner = table.ps[1:-1].tolist()
-
-    def at(x):
-        memo = CellMemo(None if table.xs.size == 1 else _weighted(table.xs, np.ravel(x), "x"))
-        value = lambda p, l: query_many(cells, memo, p, l)
-        value.memo = memo
-        return value
-
-    def theta(lo, hi):
-        # the cells [ps[k], ps[k + 1]] that meet [lo, hi]
-        return max(slopes[bisect_left(inner, lo):bisect_right(inner, hi) + 1], default=0.0)
-
-    return EffectiveSource(at=at, l_slope=table.l_slope_bound(), theta=theta)
+    return table
 
 
 # slack of the property audit: an l-increment above it breaks monotonicity,
@@ -353,8 +329,9 @@ def load_table(path: str) -> EffectiveTable:
 
     Every (x, p, l) node of the rectangular grid spanned by the rows must
     appear exactly once, at finite axis values; a repeated or missing node, a
-    field that is not a number or a non-finite axis value raises ValueError
-    naming the line or the node, and a file with no rows one naming the file.
+    field or sigma or m header that is not a number (both read as floats) or a
+    non-finite axis value raises ValueError naming the line or the node, and
+    a file with no rows one naming the file.
     """
     meta, lines, line_numbers = {}, [], []
     with open(path) as fh:
@@ -362,8 +339,11 @@ def load_table(path: str) -> EffectiveTable:
             if line.startswith("#cfg"):
                 continue
             if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
+                key, _, val = (part.strip() for part in line[1:].partition("="))
+                try:
+                    meta[key] = float(val) if key in ("sigma", "m") else val
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
             else:
                 lines.append(line)
                 line_numbers.append(number)
@@ -405,4 +385,4 @@ def load_table(path: str) -> EffectiveTable:
                          f"grid; no row for the node (x, p, l) = ({float(axes[0][i])!r}, "
                          f"{float(axes[1][j])!r}, {float(axes[2][k])!r})")
     return EffectiveTable(xs=axes[0], ps=axes[1], ls=axes[2], values=values, err=err,
-                          provenance=prov, sigma=float(meta.pop("sigma")), meta=meta)
+                          provenance=prov, sigma=meta.pop("sigma"), meta=meta)

@@ -1,7 +1,7 @@
 """The one place the kernel's order picks the cell problem, for every table
-(fill_table), effective source (effective_source) and cell with its
-corrector (solve_cells): the cell formula below order one, the closed form
-above it, and at order one a warm-chained Newton solve of each ergodic pair."""
+(fill_table), effective source (effective_source: ClosedForm or a table) and
+cell with its corrector (solve_cells): the cell formula below order one, the
+closed form above it, and at order one a warm-chained Newton solve per node."""
 
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ class FillRecord(NamedTuple):
 
 
 def effective_source(base: CellParams, table_of: Callable[[], EffectiveTable]):
-    """The closed form above order one, without a table_of() call, else its table's source."""
+    """Above order one the closed form, without a table_of() call, else the table if none failed."""
     return (ClosedForm(base.a, base.ham) if base.sigma > 1.0
             else effective_source_from_table(table_of()))
 
@@ -53,14 +53,15 @@ def _formula(base: CellParams, x, p, l) -> tuple:
                                                      nodes=CLOSED_FORM_NODES // 2))
 
 
-def _ergodic_chain(base: CellParams, cfg: CellConfig, *nodes) -> tuple:
-    """(Hbar, err, reasons, psi, steps, warm) per node of the 1-D arrays x, p,
-    l at order one: each ergodic pair solved in turn under cfg from the last
+def _ergodic_chain(base: CellParams, cfg: CellConfig, *nodes, psi=None) -> tuple:
+    """(Hbar, err, reasons, steps, warm) per node of the 1-D arrays x, p, l at
+    order one, each solved node's mean-free corrector written to its row of
+    psi if given: each ergodic pair solved in turn under cfg from the last
     node's corrector, or from zero where that has the smaller residual or the
     last node failed.  A NumericalFailure or a spent budget fails a node: NaN
-    Hbar and psi row, err inf and a reason, '' elsewhere."""
-    k, n = nodes[0].size, cfg.n
-    values, err, psi = np.full(k, np.nan), np.full(k, np.inf), np.full((k, n), np.nan)
+    Hbar, err inf and a reason, '' elsewhere."""
+    k = nodes[0].size
+    values, err = np.full(k, np.nan), np.full(k, np.inf)
     steps, warm, reasons = np.zeros(k, dtype=int), np.zeros(k, dtype=bool), [""] * k
     last = None                                     # None after a failure
     for i, (xi, pi, li) in enumerate(zip(*(v.tolist() for v in nodes))):
@@ -75,8 +76,9 @@ def _ergodic_chain(base: CellParams, cfg: CellConfig, *nodes) -> tuple:
             reasons[i] = unconverged(params, sol.stop)
             continue
         values[i], err[i], last = sol.H_bar, sol.spread, sol.psi.values
-        psi[i] = last - np.mean(last)
-    return values, err, reasons, psi, steps, warm
+        if psi is not None:
+            psi[i] = last - np.mean(last)
+    return values, err, reasons, steps, warm
 
 
 def solve_cells(base: CellParams, cfg: CellConfig, x, p, l) -> tuple:
@@ -86,7 +88,8 @@ def solve_cells(base: CellParams, cfg: CellConfig, x, p, l) -> tuple:
     row of psi, from corrector_below_one, _ergodic_chain or the closed form."""
     x, p, l = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, p, l))
     if base.sigma == 1.0:
-        return _ergodic_chain(base, cfg, x, p, l)[:4]
+        psi = np.full((x.size, cfg.n), np.nan)
+        return (*_ergodic_chain(base, cfg, x, p, l, psi=psi)[:3], psi)
     if base.sigma > 1.0:
         psi = ClosedForm(base.a, base.ham).corrector(base.sigma, cfg.n, x, p, l)
     else:
@@ -107,7 +110,7 @@ def fill_table(base: CellParams, xs, ps, ls, cfg: CellConfig, meta: Optional[dic
         prov, reasons, steps, warm = np.full(values.shape, "formula", object), (), None, None
     else:
         grid = np.meshgrid(*axes, indexing="ij")
-        *out, reasons, _, steps, warm = _ergodic_chain(base, cfg, *(g.ravel() for g in grid))
+        *out, reasons, steps, warm = _ergodic_chain(base, cfg, *(g.ravel() for g in grid))
         values, err, steps, warm = (v.reshape(grid[0].shape) for v in (*out, steps, warm))
         prov = np.where(np.isnan(values), "failed", "ergodic").astype(object)
     table = EffectiveTable(*axes, values, err, prov, base.sigma, dict(meta or {}),

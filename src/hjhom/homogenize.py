@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .effective import ClosedForm, EffectiveSource
+from .effective import ClosedForm, EffectiveTable
 from .grid import GridFunction, central_diff, nearest_node
 from .hamiltonians import HamiltonianSpec
 from .kernels import KernelSpec, periodized_weights
@@ -32,7 +32,7 @@ class ProblemFamily(NamedTuple):
     kernel: KernelSpec
     u0_func: Callable[[np.ndarray], np.ndarray]
     T: float
-    effective: Union[EffectiveSource, ClosedForm]
+    effective: Union[EffectiveTable, ClosedForm]
     cells: Callable[..., tuple]
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak_mb
 import hjhom
 from hjhom.cell import CellConfig, CellParams, corrector_below_one, solve_ergodic_pair
 from hjhom.cli import _cell_config, _cell_params, main
@@ -101,6 +102,25 @@ class TestParsing:
         command = "homogenize" if bad.startswith("sweep") else "solve"
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("sigma", ["0.5", "1.5"])
+    def test_grids_that_do_not_nest_rejected_at_validation(self, tmp_path, capsys, sigma):
+        # the runs are compared on the coarsest grid, n_per_k / the largest
+        # eps nodes, which every finer grid must hold: refused before any
+        # table is filled or any run made, naming every entry that fails
+        text = f"kernel.sigma = {sigma}\nsweep.eps_list = 1/3,1/4,1/6,1/8\n"
+        with pytest.raises(ConfigError) as err:
+            parse_text(text)
+        assert err.value.errors == [
+            f"sweep.eps_list entry 1/{k} does not nest: 1 / eps must be a multiple of 3, "
+            f"that of the largest eps" for k in (4, 8)]
+        # control runs share one grid, which nests
+        parse_text(text + "sweep.n_fixed = 128\n")
+        path = write(tmp_path, text)
+        capsys.readouterr()
+        assert main(["homogenize", "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", "".join(line + "\n" for line in err.value.errors))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     @pytest.mark.parametrize("line, message", [
         ("grid.eps = 1e-320", "grid.eps = 1e-320 is not the reciprocal of an integer"),
@@ -521,7 +541,7 @@ class TestCommands:
         assert main(["effective", "--config", path, "--out", str(tmp_path)]) == 0
         from hjhom.effective import effective_source_from_table, load_table
         table = load_table(str(tmp_path / "run_effective.csv"))
-        got = float(effective_source_from_table(table).at(0.0)(1.0, 0.0))
+        got = float(effective_source_from_table(table).scheme(np.zeros(1), None).ham(1.0, 0.0))
         assert got == pytest.approx(3.0 - np.sqrt(3.0), abs=1e-10)
 
     @pytest.mark.parametrize("m", ["2", "3"])
@@ -775,6 +795,23 @@ class TestCommands:
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"invalid input: {table}:3: could not convert string to float: 'abc'"]
+
+    @pytest.mark.parametrize("key", ["sigma", "m"])
+    def test_non_numeric_header_is_invalid_input(self, tmp_path, capsys, key):
+        # a table's sigma or m header is named by file and line, as a row is
+        table = tmp_path / "table.csv"
+        headers = {"sigma": "0.5", "m": "2.0", key: "half"}
+        table.write_text("#cfg kernel.sigma = 0.5\n"
+                         + "".join(f"# {k} = {v}\n" for k, v in headers.items())
+                         + "x,p,l,H_bar,err,provenance\n0,0,0,0,0,formula\n")
+        path = write(tmp_path, "\n".join([
+            "kernel.sigma = 0.5", "coefficient_a.kind = constant:1", "grid.kind = effective",
+            "grid.n = 64", "grid.T = 0.01", f"grid.table_csv = {table}"]) + "\n")
+        capsys.readouterr()
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: {table}:{2 if key == 'sigma' else 3}: "
+            f"could not convert string to float: 'half'"]
 
     @pytest.mark.parametrize("p", ["nan", "inf"])
     def test_non_finite_axis_value_is_invalid_input(self, tmp_path, capsys, p):
@@ -1119,6 +1156,21 @@ class TestContinuationFill:
                                 [0.0, 1.0], [0.0, 1.0])
         assert record.steps.size == 4 and record.steps.sum() > 0
         assert calls == []
+
+    def test_fill_keeps_no_corrector_per_node(self, monkeypatch):
+        # the fill keeps each node's value, not its corrector: with every cell
+        # solve replaced by one solution found beforehand, so that no solve's
+        # own buffers count, the fill's traced peak stays far below one
+        # corrector row per node, nodes x n x 8 bytes (3.5 MB here)
+        import hjhom.fill
+        base = CellParams(0.0, 0.0, 0.0, 1.0, coefficient("two_plus_cos_y"),
+                          model_bpm("one", "cos_y", 2.0))
+        cfg, ps, ls = CellConfig(n=512), np.linspace(-2.0, 2.0, 41), np.linspace(-1.0, 1.0, 21)
+        sol = solve_ergodic_pair(base._replace(p=0.5), cfg)
+        monkeypatch.setattr(hjhom.fill, "solve_ergodic_pair", lambda *args, start: sol)
+        rows_mb = ps.size * ls.size * cfg.n * 8 / 1e6
+        peak = traced_peak_mb(lambda: fill_table(base, [0.0], ps, ls, cfg))
+        assert peak < 0.25 * rows_mb
 
     def test_fill_line_below_and_at_order_one_only(self, tmp_path, capsys):
         # the command prints its fill record's line, which is empty above order one

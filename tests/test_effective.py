@@ -332,8 +332,8 @@ class TestTabulate:
         with pytest.raises(NumericalFailure, match=re.escape("(x, p, l) = (0, 2, 2): node (2, 2)")):
             effective_source_from_table(tabulate(fill, *axes, sigma=0.5))
         table = tabulate(lambda x, p, l: fill(x, p, l, fail=False), *axes, sigma=0.5)
-        got = effective_source_from_table(table).at(np.zeros(2))(np.array([0.5, np.nan]),
-                                                                 np.array([0.5, l]))
+        got = effective_source_from_table(table).scheme(np.zeros(2), None).ham(
+            np.array([0.5, np.nan]), np.array([0.5, l]))
         assert got[0] == 0.5 - 0.5 and np.isnan(got[1])     # p^2 linear between nodes
 
 
@@ -487,11 +487,11 @@ class TestTableSource:
 
     def test_steps_as_the_exact_sum(self):
         n, table = self.N, self._table()
-        src = effective_source_from_table(table)
         xs, qtable = np.arange(n) / n, periodized_weights(constant_kernel(0.5), n)
-        cells = src.scheme(xs, qtable)
+        cells = table.scheme(xs, qtable)
         exact = MonotoneScheme(1.0 / n, lambda q, lv: query_oracle(table, 0.0, q, lv),
-                               theta=src.theta, table=qtable, l_slope=src.l_slope)
+                               theta=cells._theta_of, table=qtable,
+                               l_slope=table.l_slope_bound())
         u = v = np.sin(2 * np.pi * xs)
         for _ in range(200):
             du, dv = cells.fit_theta(u), exact.fit_theta(v)
@@ -580,24 +580,38 @@ def _outcome(query, *args):
 
 
 def check_kept_cells(case):
-    """The memo check: each batch's values or errors as the table source's
+    """The memo check: each batch's values or errors as the table scheme's
     query returns them are the stateless query's, bit for bit."""
     table, x, batches = case
     cells = TableCells(table)
     located = None if table.xs.size == 1 else _weighted(table.xs, x, "x")
-    value = effective_source_from_table(table).at(x)
+    value = table.scheme(x, None).ham
     for p, l in batches:
         got = _outcome(value, p, l)
         stateless = _outcome(query_many, cells, located, p, l)
         if isinstance(got, tuple):
-            # as a fresh at(x), whose nodes have no cell yet, raises it
-            assert got == stateless == _outcome(effective_source_from_table(table).at(x), p, l)
+            # as a fresh scheme's query, whose nodes have no cell yet, raises it
+            assert got == stateless == _outcome(table.scheme(x, None).ham, p, l)
         else:
             assert got.view(np.int64).tolist() == stateless.view(np.int64).tolist()
 
 
+def located_queries(monkeypatch) -> list:
+    """The size of every batch of p queries hjhom.effective._locate locates
+    from now on."""
+    located, locate = [], hjhom.effective._locate
+
+    def counted(axis, q, name):
+        if name == "p":
+            located.append(q.size)
+        return locate(axis, q, name)
+
+    monkeypatch.setattr(hjhom.effective, "_locate", counted)
+    return located
+
+
 class TestCellMemo:
-    """The table source's query keeps each node's cell between calls; its
+    """The table scheme's query keeps each node's cell between calls; its
     values and errors are the stateless query's, bit for bit."""
 
     # no shrink phase: shrinking these list-heavy draws took minutes before a
@@ -623,7 +637,7 @@ class TestCellMemo:
          "inside = (b[:2] <= q) & (q < b[2:]) | (q == b[2:]) & [[False], [True]]", 0.3),
     ], ids=["l-bounds-ignored", "upper-l-bound-closed"])
     def test_the_check_catches_a_memo_fault(self, monkeypatch, old, new, l_next):
-        # the check passes on the example, then fails once the table source's
+        # the check passes on the example, then fails once the table scheme's
         # query holds the fault (the stateless oracle keeps this module's import)
         check_kept_cells(_memo_fault_case(l_next))
         patch_source(monkeypatch, hjhom.effective, "query_many", old, new)
@@ -641,21 +655,21 @@ class TestCellMemo:
                               sigma=0.5)
 
     @pytest.mark.parametrize("nx", [1, 3])
-    def test_relocates_only_the_nodes_that_crossed_a_line(self, nx):
+    def test_relocates_only_the_nodes_that_crossed_a_line(self, monkeypatch, nx):
         rng = np.random.default_rng(nx)
         n, k = 64, 5
         # off the nodes, a step 2 below the top p and l cells
         p = rng.uniform(-7.9, 3.9, n)
         l = rng.uniform(-5.9, 1.9, n)
-        value = effective_source_from_table(self._table(nx)).at(rng.uniform(0.0, 1.0, n))
-        memo = value.memo
+        value = self._table(nx).scheme(rng.uniform(0.0, 1.0, n), None).ham
+        located = located_queries(monkeypatch)
         value(p, l)
-        assert memo.relocated == n
+        assert sum(located) == n
         value(p, l)
-        assert memo.relocated == n
+        assert sum(located) == n
         # moved within the cell: nothing relocated
         value(p + 1e-3, l - 1e-3)
-        assert memo.relocated == n
+        assert sum(located) == n
         # k nodes each cross one p line, k one l line, and two land on the
         # line that closes their p or l cell, which opens the next cell
         p2, l2 = p.copy(), l.copy()
@@ -664,15 +678,15 @@ class TestCellMemo:
         p2[2 * k] = 2.0 * np.floor(p2[2 * k] / 2.0) + 2.0
         l2[2 * k + 1] = 2.0 * np.floor(l2[2 * k + 1] / 2.0) + 2.0
         value(p2, l2)
-        assert memo.relocated == n + 2 * k + 2
+        assert sum(located) == n + 2 * k + 2
         # on the last p node (a padded cell), in the slack below the first l
         # node and at a NaN p: located at every call
         p2[-3:], l2[-3:] = [8.0, 0.5, np.nan], [0.5, -6.0 - 1e-13, 5.0]
         for calls in (1, 2, 3):
             value(p2, l2)
-            assert memo.relocated == n + 2 * k + 2 + 3 * calls
+            assert sum(located) == n + 2 * k + 2 + 3 * calls
 
-    def test_solve_equals_the_stateless_solve(self, eikonal_ham):
+    def test_solve_equals_the_stateless_solve(self, monkeypatch, eikonal_ham):
         # sigma = 0.5 from a formula-filled table: the scheme whose queries
         # keep their cells steps bit for bit as one whose queries do not
         n = 256
@@ -682,19 +696,21 @@ class TestCellMemo:
                                err=np.zeros_like(values),
                                provenance=np.full(values.shape, "formula", dtype=object),
                                sigma=0.5)
-        src, cells = effective_source_from_table(table), TableCells(table)
+        cells = TableCells(table)
         u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
         qtable = periodized_weights(constant_kernel(0.5), n)
-        kept = src.scheme(u0.nodes(), qtable)
+        kept = table.scheme(u0.nodes(), qtable)
         bare = MonotoneScheme(1.0 / n, lambda q, lv: query_many(cells, None, q, lv),
-                              theta=src.theta, table=qtable, l_slope=src.l_slope)
-        runs = [solve(ParabolicProblem(scheme, u0, 0.1), SolverConfig(snapshots=4))
-                for scheme in (kept, bare)]
+                              theta=kept._theta_of, table=qtable, l_slope=table.l_slope_bound())
+        located = located_queries(monkeypatch)
+        runs = [solve(ParabolicProblem(kept, u0, 0.1), SolverConfig(snapshots=4))]
+        kept_located = sum(located)
+        runs.append(solve(ParabolicProblem(bare, u0, 0.1), SolverConfig(snapshots=4)))
         assert runs[0].steps == runs[1].steps and runs[0].times.tolist() == runs[1].times.tolist()
         for a, b in zip(runs[0].snapshots, runs[1].snapshots):
             assert a.values.tobytes() == b.values.tobytes()
         # and the kept cells spared most of the locating
-        assert kept.ham.memo.relocated < 0.1 * runs[0].steps * n
+        assert kept_located < 0.1 * runs[0].steps * n
 
 
 def theta_oracle(table, lo, hi):
@@ -715,7 +731,7 @@ class TestSlopeBounds:
     @settings(max_examples=100, deadline=None)
     def test_theta_matches_oracle_below_the_table_bound(self, case):
         table, (_, p, _) = case
-        theta = effective_source_from_table(table).theta
+        theta = table.scheme(table.xs[:1], None)._theta_of
         bound = float(np.max(table.p_cell_slopes(), initial=0.0))
         assert bound == theta_oracle(table, -np.inf, np.inf)
         assert theta(-np.inf, np.inf) == theta(table.ps[0], table.ps[-1]) == bound
@@ -725,8 +741,8 @@ class TestSlopeBounds:
 
     def test_nan_node_never_lowers_theta(self):
         # p^2 on p = -3 .. 3: cell slopes 5, 3, 1, 1, 3, 5.  A NaN at p = 0
-        # would leave its two cells no slope: the source refuses that table,
-        # so no theta is formed from it
+        # would leave its two cells no slope: the table source refuses that
+        # table, so no theta is formed from it
         ps = np.linspace(-3.0, 3.0, 7)
         intact, broken = (EffectiveTable(xs=[0.0], ps=ps, ls=[0.0], values=v[None, :, None],
                                          err=np.zeros((1, 7, 1)),
@@ -734,7 +750,7 @@ class TestSlopeBounds:
                                          sigma=0.5)
                           for v in (ps ** 2, np.where(ps == 0.0, np.nan, ps ** 2)))
         assert np.array_equal(intact.p_cell_slopes(), [5.0, 3.0, 1.0, 1.0, 3.0, 5.0])
-        theta = effective_source_from_table(intact).theta
+        theta = effective_source_from_table(intact).scheme(np.zeros(1), None)._theta_of
         assert theta(-0.5, 0.5) == 1.0 and theta(-3.0, 3.0) == 5.0
         with pytest.raises(NumericalFailure, match=re.escape("1 of 7 nodes failed:\n"
                                                              "  (x, p, l) = (0, 0, 0)")):

@@ -8,8 +8,9 @@ outside that set is reached only from the tests; such code belongs beside
 them, in tests/lemmas.py.
 
 The same holds one level down: every method, property and record field (a
-class-level annotation, of a NamedTuple or a plain class) of a class is one
-some src/hjhom expression reads.  And every configuration key of
+class-level annotation, of a NamedTuple or a plain class) of a class, and
+every attribute an assignment stores (`obj.name = ...`), is one some
+src/hjhom expression reads.  And every configuration key of
 config.SCHEMA is one that some src/hjhom expression outside config._validate
 names, bar the keys of SCHEMA_UNREAD.
 """
@@ -139,6 +140,21 @@ def unread_members(src: Path) -> list:
     return sorted(out)
 
 
+def unread_stores(src: Path) -> list:
+    """`module.function:name` of every attribute store (`obj.name = ...`,
+    augmented assignments included) in the package at src whose name no
+    expression of the package loads as an attribute, `function` the
+    top-level function or method that makes it; sorted, without repeats.  As
+    for unread_members, the match is by name alone."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted({f"{mod}.{holder}:{node.attr}" for mod, tree in trees.items()
+                   for holder, top in _defs(tree) for node in ast.walk(top)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and node.attr not in loaded})
+
+
 def unread_keys(src: Path) -> list:
     """`section.key` of every config.SCHEMA key of the package at src that no
     expression outside config._validate names, sorted.  A key is named by a
@@ -182,6 +198,11 @@ def test_every_top_level_name_is_run_by_the_program():
 def test_every_class_member_is_read_by_the_program():
     unread = unread_members(SRC)
     assert not unread, "members no src/ expression reads: " + ", ".join(unread)
+
+
+def test_every_stored_attribute_is_read_by_the_program():
+    unread = unread_stores(SRC)
+    assert not unread, "attributes stored but read by no src/ expression: " + ", ".join(unread)
 
 
 def test_every_schema_key_is_read_by_the_program():
@@ -234,6 +255,22 @@ def test_guard_names_an_unread_field(tmp_path):
                     .replace(call, "FillRecord(table, steps, warm, orphan=1)"))
     assert unread_members(src) == ["FillRecord.orphan"]
     assert unreached(src) == []
+
+
+def test_guard_names_an_unread_store(tmp_path):
+    # the same package with a count the memo keeps up to date but nothing
+    # reads, set in one method and bumped in a function
+    src = _copy_of_src(tmp_path)
+    effective = src / "effective.py"
+    text = effective.read_text()
+    init = "        self.x = x\n"
+    bump = "        memo.block[:, :, moved] = cells.block[:, flat]\n"
+    assert text.count(init) == 1 and text.count(bump) == 1
+    effective.write_text(text.replace(init, "        self.x, self.orphan = x, 0\n")
+                         .replace(bump, bump + "        memo.orphan += moved.size\n"))
+    assert unread_stores(src) == ["effective.CellMemo.__init__:orphan",
+                                  "effective.query_many:orphan"]
+    assert unread_members(src) == [] and unreached(src) == []
 
 
 def _defs(tree: ast.Module) -> list:

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from conftest import patch_source, trig_poly
 import hjhom.parabolic
 from hjhom.cell import CellConfig, CellParams
-from hjhom.effective import (ClosedForm, EffectiveTable, TableCells,
-                             effective_source_from_table, query_many)
+from hjhom.effective import ClosedForm, EffectiveTable, TableCells, query_many
 from hjhom.grid import GridFunction, forward_diff
 from hjhom.hamiltonians import (HamiltonianSpec, coefficient, coercive_reach, growth_bound,
                                 model_bpm)
@@ -209,7 +208,7 @@ class TestImplicitStep:
                      cfg).path == "explicit"
         table = tabulate(lambda x, p, l: (p * p - l, 0.0, "formula"), [0.0],
                          np.linspace(-3.0, 3.0, 13), [-2.0, 0.0, 2.0], sigma=0.5)
-        from_table = ParabolicProblem(effective_source_from_table(table).scheme(
+        from_table = ParabolicProblem(table.scheme(
             u0.nodes(), periodized_weights(constant_kernel(0.5), n)), u0, 0.02)
         assert solve(from_table, cfg).path == "explicit"
 
@@ -372,8 +371,7 @@ class TestStateTheta:
     @staticmethod
     def _sine_problem(table, n):
         u0 = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
-        scheme = effective_source_from_table(table).scheme(
-            u0.nodes(), periodized_weights(constant_kernel(0.5), n))
+        scheme = table.scheme(u0.nodes(), periodized_weights(constant_kernel(0.5), n))
         return ParabolicProblem(scheme, u0, 0.5)
 
     def test_matches_fixed_theta_march(self, eikonal_table_below_one):
@@ -422,18 +420,17 @@ class TestStateTheta:
         # the p-quotient over any part of [lo, hi] around a node's central
         # query (x, (Dl u + Dr u) / 2, I_h u) is bounded by theta(lo, hi)
         n, h = self.N, 1.0 / self.N
-        src = effective_source_from_table(self._random_table(np.random.default_rng(seed), nx))
+        x = np.arange(n) / n
+        scheme = self._random_table(np.random.default_rng(seed), nx).scheme(x, None)
         u = self._state(seed, slope)
         d = forward_diff(u, h)
         lo, hi = float(np.min(d)), float(np.max(d))
-        theta = src.theta(lo, hi)
-        x = np.arange(n) / n
+        theta = scheme._theta_of(lo, hi)
         centre = 0.5 * (np.roll(d, 1) + d)
         lv = apply_table(u, periodized_weights(constant_kernel(0.5), n))
         for reach in (1e-3, 0.1, np.inf):
             left, right = np.maximum(centre - reach, lo), np.minimum(centre + reach, hi)
-            value = src.at(x)
-            quotient = (value(right, lv) - value(left, lv)) / (right - left)
+            quotient = (scheme.ham(right, lv) - scheme.ham(left, lv)) / (right - left)
             assert np.all(np.abs(quotient) <= theta * (1.0 + 1e-9) + 1e-9)
 
     @given(seed=st.integers(0, 1 << 30), slope=st.floats(0.1, 6.5),
@@ -442,13 +439,13 @@ class TestStateTheta:
     def test_one_step_keeps_order(self, seed, slope, lift, nx):
         # u <= v stay ordered after one step at the dt of a theta covering both
         n, h = self.N, 1.0 / self.N
-        src = effective_source_from_table(self._random_table(np.random.default_rng(seed), nx))
+        table = self._random_table(np.random.default_rng(seed), nx)
         u = self._state(seed, slope)
         w = np.abs(trig_poly(seed + 1, n).values)
         v = u + lift * w / np.max(np.abs(forward_diff(w, h)))
-        scheme = src.scheme(np.arange(n) / n, periodized_weights(constant_kernel(0.5), n))
+        scheme = table.scheme(np.arange(n) / n, periodized_weights(constant_kernel(0.5), n))
         both = np.concatenate((forward_diff(u, h), forward_diff(v, h)))
-        scheme.theta = src.theta(float(np.min(both)), float(np.max(both)))
+        scheme.theta = scheme._theta_of(float(np.min(both)), float(np.max(both)))
         dt = scheme.step_dt()
         assert np.all(scheme.step(u, dt) <= scheme.step(v, dt) + 1e-12)
 
@@ -479,8 +476,7 @@ class TestStepWork:
         n, u = self.N, self._state()
         xs = np.arange(n) / n
         schemes = {
-            "table source": effective_source_from_table(self._table()).scheme(
-                xs, periodized_weights(constant_kernel(0.5), n)),
+            "table source": self._table().scheme(xs, periodized_weights(constant_kernel(0.5), n)),
             # one constant A: P = 1
             "closed form": ClosedForm(wavy_a, eikonal_ham).scheme(
                 xs, periodized_weights(constant_kernel(1.5), n)),
@@ -512,7 +508,7 @@ class TestStepWork:
     def test_explicit_step_is_the_written_out_update(self):
         n, table = self.N, self._table()
         qtable = periodized_weights(constant_kernel(0.5), n)
-        scheme = effective_source_from_table(table).scheme(np.arange(n) / n, qtable)
+        scheme = table.scheme(np.arange(n) / n, qtable)
         # the dense quadrature operator
         j = np.arange(n)
         lin = (qtable.weights + qtable.antisym)[(j[None, :] - j[:, None]) % n]
@@ -611,11 +607,14 @@ class TestJacobian:
             assert scheme.jacobian(state).tobytes() == fresh.jacobian(state).tobytes()
 
     def test_effective_sources_are_rejected(self):
-        from hjhom.effective import EffectiveSource
-        src = EffectiveSource(at=lambda x: lambda p, l: p * p - l, l_slope=1.0,
-                              theta=lambda lo, hi: 4.0)
+        # a table's scheme has no Jacobian: the cell solver takes power forms
+        ps, ls = np.linspace(-2.0, 2.0, 5), np.array([-1.0, 1.0])
+        values = (ps[:, None] ** 2 - ls)[None]
+        table = EffectiveTable(xs=[0.0], ps=ps, ls=ls, values=values, err=np.zeros_like(values),
+                               provenance=np.full(values.shape, "formula", dtype=object),
+                               sigma=0.5)
         n = 16
-        scheme = src.scheme(np.arange(n) / n, periodized_weights(constant_kernel(0.5), n))
+        scheme = table.scheme(np.arange(n) / n, periodized_weights(constant_kernel(0.5), n))
         with pytest.raises(ValueError):
             scheme.jacobian(np.zeros(n))
 
